@@ -21,6 +21,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from typing import List, Sequence
 
@@ -35,6 +36,33 @@ def _float_list(text: str) -> List[float]:
         return [float(v) for v in text.split(",") if v.strip() != ""]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated floats: {text!r}")
+
+
+def _positive_int(text: str) -> int:
+    try:
+        v = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer: {text!r}")
+    if v < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {v}")
+    return v
+
+
+def _tolerance(text: str) -> float:
+    try:
+        v = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number: {text!r}")
+    if not (math.isfinite(v) and v > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
+    return v
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit with code 2 and a one-line message on stderr."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
 
 
 def _norm(x):
@@ -79,7 +107,7 @@ def _value_row(res: mb.QuadratureResult, x: Sequence[float]) -> dict:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="quantoda",
         description="Open Toda lattice wave functions: evaluation and "
                     "verification of their operator identities.")
@@ -88,33 +116,33 @@ def build_parser() -> argparse.ArgumentParser:
     wh = sub.add_parser("whittaker", help="wave function evaluation")
     whsub = wh.add_subparsers(dest="subcommand", required=True)
     we = whsub.add_parser("eval", help="single-point value")
-    we.add_argument("--n", type=int, required=True)
+    we.add_argument("--n", type=_positive_int, required=True)
     we.add_argument("--alpha", type=_float_list, required=True)
     we.add_argument("--x", type=_float_list, required=True)
-    we.add_argument("--tol", type=float, default=1e-6)
+    we.add_argument("--tol", type=_tolerance, default=1e-6)
     we.add_argument("--method", choices=["direct", "recursive"], default="direct")
     we.add_argument("--format", choices=["csv", "json"], default="csv")
 
     wg = whsub.add_parser("grid", help="sweep one coordinate")
-    wg.add_argument("--n", type=int, required=True)
+    wg.add_argument("--n", type=_positive_int, required=True)
     wg.add_argument("--alpha", type=_float_list, required=True)
     wg.add_argument("--axis", type=int, required=True)
     wg.add_argument("--from", dest="start", type=float, required=True)
     wg.add_argument("--to", dest="stop", type=float, required=True)
-    wg.add_argument("--steps", type=int, required=True)
+    wg.add_argument("--steps", type=_positive_int, required=True)
     wg.add_argument("--x", type=_float_list, default=None,
                     help="base point for the fixed coordinates")
-    wg.add_argument("--tol", type=float, default=1e-6)
+    wg.add_argument("--tol", type=_tolerance, default=1e-6)
     wg.add_argument("--out", default=None)
     wg.add_argument("--format", choices=["csv", "json"], default="csv")
 
     sp = sub.add_parser("spherical", help="spherical function evaluation")
     spsub = sp.add_subparsers(dest="subcommand", required=True)
     se = spsub.add_parser("eval")
-    se.add_argument("--n", type=int, required=True)
+    se.add_argument("--n", type=_positive_int, required=True)
     se.add_argument("--lambda", dest="lam", type=_float_list, required=True)
     se.add_argument("--x", type=_float_list, required=True)
-    se.add_argument("--tol", type=float, default=1e-6)
+    se.add_argument("--tol", type=_tolerance, default=1e-6)
     se.add_argument("--format", choices=["csv", "json"], default="csv")
 
     cf = sub.add_parser("cfunction",
@@ -126,26 +154,26 @@ def build_parser() -> argparse.ArgumentParser:
     vsub = ver.add_subparsers(dest="subcommand", required=True)
 
     vq = vsub.add_parser("qism", help="exact Lax/monodromy operator identities")
-    vq.add_argument("--n", type=int, required=True)
+    vq.add_argument("--n", type=_positive_int, required=True)
 
     vs = vsub.add_parser("separation",
                          help="separated difference equations and measure")
-    vs.add_argument("--n", type=int, required=True)
-    vs.add_argument("--trials", type=int, default=100)
+    vs.add_argument("--n", type=_positive_int, required=True)
+    vs.add_argument("--trials", type=_positive_int, default=100)
     vs.add_argument("--seed", type=int, default=42)
 
     vg = vsub.add_parser("gz", help="difference-operator representation suite")
-    vg.add_argument("--n", type=int, required=True)
-    vg.add_argument("--trials", type=int, default=20)
+    vg.add_argument("--n", type=_positive_int, required=True)
+    vg.add_argument("--trials", type=_positive_int, default=20)
     vg.add_argument("--seed", type=int, default=42)
-    vg.add_argument("--tol", type=float, default=None)
+    vg.add_argument("--tol", type=_tolerance, default=None)
 
     vei = vsub.add_parser("eigen", help="coordinate-space eigenvalue residual")
-    vei.add_argument("--n", type=int, required=True)
+    vei.add_argument("--n", type=_positive_int, required=True)
     vei.add_argument("--alpha", type=_float_list, required=True)
     vei.add_argument("--grid", required=True,
                      help="points:spacing, e.g. 64:0.05")
-    vei.add_argument("--tol", type=float, default=1e-3)
+    vei.add_argument("--tol", type=_tolerance, default=1e-3)
     vei.add_argument("--refine", action="store_true")
     return p
 

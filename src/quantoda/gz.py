@@ -20,10 +20,26 @@ check suite):
   the compact-generator equations pick up a constant 4 = q^2 per shift pair
   and do not close.
 
-Operator identities are checked exactly: coefficients are evaluated in the
-field Q(i) at random rational points, applied to exponential-monomial test
-functions (a shift by k*i multiplies the test value by beta^k), and the
-result is required to vanish identically in the Schwartz-Zippel sense.
+A `DifferenceOperator` is kept flat: a map from (shift, factors) to a
+Gaussian-integer scalar, where factors is a sorted tuple of generator
+coefficients, each paired with the shift of the array it is evaluated at.
+Composition concatenates factor lists, so equal products combine and
+cancel symbolically, and evaluation computes each coefficient once per
+shifted array.
+
+Operator identities are checked by random-point identity testing
+(Schwartz 1980; Zippel 1979) in the field F_p[i], p = 2^61 - 1 (see
+`rationals`).  The array entries and the test-function parameters beta are
+drawn uniformly from F_p; the relation is applied to the exponential
+test function f(lambda + k*i e_{nj}) = beta_{nj}^k f(lambda), and the value
+must be 0.  Within-level entries are distinct, so no denominator
+lambda_{nj} - lambda_{ns} + c*i vanishes.  A nonzero relation, cleared of
+denominators and of negative powers of beta, is a nonzero polynomial Q in
+the entries and the betas, of total degree deg.  Counting numerator
+degrees, distinct linear denominator factors and beta exponents bounds deg
+by 50 for every relation of the suite at N <= 5, so one trial passes
+falsely with probability at most deg/p < 3e-17.  This assumes p does not
+divide every coefficient of Q, which would make Q vanish identically mod p.
 """
 
 from __future__ import annotations
@@ -32,10 +48,10 @@ import cmath
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, Dict, List, Sequence, Tuple
+from functools import lru_cache
+from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 
-from .rationals import QI
+from .rationals import ONE, P, FpI, Gauss, as_gauss, gauss_mul
 from .report import VerificationReport
 from .specfun import PoleError, gamma_shift_ratio, log_gamma
 
@@ -44,14 +60,22 @@ MIN_GAP = 1e-8
 Slot = Tuple[int, int]          # (n, j), 1-based level and position
 ShiftKey = Tuple[Tuple[Slot, int], ...]  # sorted ((n,j), k): lambda_{nj} += k*i
 
-_I = QI(0, 1)
-_MINUS_I = QI(0, -1)
-_I_HALF = QI(0, Fraction(1, 2))
+# Gaussian-integer prefactor of each generator's coefficients: 1/i for the
+# diagonal and lowering generators, -(1/i) for the raising one (see above).
+GENERATOR_PREFACTOR: Dict[str, Gauss] = {
+    "diagonal": (0, -1), "raise": (0, 1), "lower": (0, -1)}
+
+_FP_ONE = FpI(1)
+_FP_HALF_I = FpI(0, 1) / 2
 
 
 @dataclass(frozen=True)
 class TriangularArray:
-    """Spectral array: level n (1-based) holds n entries lambda_{n1..nn}."""
+    """Spectral array: level n (1-based) holds n entries lambda_{n1..nn}.
+
+    Entries are floats or complex numbers for the numerical checks, and
+    `FpI` field elements for the exact ones.
+    """
 
     levels: tuple
 
@@ -82,10 +106,7 @@ class TriangularArray:
         lv = [list(row) for row in self.levels]
         for (n, j), k in shifts:
             v = lv[n - 1][j - 1]
-            if isinstance(v, QI):
-                lv[n - 1][j - 1] = v + QI(0, k)
-            else:
-                lv[n - 1][j - 1] = v + k * 1j
+            lv[n - 1][j - 1] = v + (FpI(0, k) if type(v) is FpI else k * 1j)
         return TriangularArray(lv)
 
     def min_level_gap(self) -> float:
@@ -99,80 +120,173 @@ class TriangularArray:
         return gap
 
 
-class DifferenceOperator:
-    """Finite sum of terms coeff(array) * T^{shift}.
+class Coefficient(NamedTuple):
+    """Coefficient of one generator term: E_{nn} ('diagonal', j = 0), or the
+    slot-(n, j) term of E_{n,n+1} ('raise') or E_{n+1,n} ('lower').
 
-    A shift key maps slots (n,j) to integers k, meaning lambda_{nj} shifts
-    by k*i.  Coefficients are callables on a TriangularArray and work both
-    over Q(i) (QI entries) and over floats.
+    Calling it on an array evaluates it in the array's own arithmetic:
+    complex for float entries, F_p[i] for `FpI` entries.
+    """
+
+    kind: str
+    n: int
+    j: int
+
+    @property
+    def shift(self) -> ShiftKey:
+        """Shift of the generator term this coefficient multiplies."""
+        if self.kind == "diagonal":
+            return ()
+        return (((self.n, self.j), -1 if self.kind == "raise" else 1),)
+
+    def __call__(self, arr: TriangularArray):
+        exact = type(arr.levels[0][0]) is FpI
+        one, half_i = (_FP_ONE, _FP_HALF_I) if exact else (1 + 0j, 0.5j)
+        pre = GENERATOR_PREFACTOR[self.kind]
+        pre = FpI(*pre) if exact else complex(*pre)
+        n, j = self.n, self.j
+        if self.kind == "diagonal":
+            return pre * (arr.level_sum(n) - arr.level_sum(n - 1))
+        x = arr.get(n, j)
+        num = one
+        if self.kind == "raise":
+            for r in range(1, n + 2):
+                num = num * (x - arr.get(n + 1, r) - half_i)
+        else:
+            for r in range(1, n):
+                num = num * (x - arr.get(n - 1, r) + half_i)
+        den = one
+        for s in range(1, n + 1):
+            if s != j:
+                den = den * (x - arr.get(n, s))
+        return pre * num / den
+
+
+Factor = Tuple[Coefficient, ShiftKey]   # coefficient at the array shifted by ShiftKey
+TermKey = Tuple[ShiftKey, Tuple[Factor, ...]]
+
+
+@lru_cache(maxsize=4096)
+def _merge(s1: ShiftKey, s2: ShiftKey) -> ShiftKey:
+    merged: Dict[Slot, int] = dict(s1)
+    for slot, k in s2:
+        merged[slot] = merged.get(slot, 0) + k
+    return tuple(sorted((sl, k) for sl, k in merged.items() if k != 0))
+
+
+class DifferenceOperator:
+    """Finite sum of terms  c * prod(coefficients) * T^{shift}.
+
+    `terms` maps (shift, factors) to a Gaussian-integer scalar c.  A shift
+    key maps slots (n,j) to integers k, meaning lambda_{nj} shifts by k*i;
+    a factor (coefficient, s) is the coefficient evaluated at the array
+    shifted by s.
     """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Sequence[Tuple[Callable, ShiftKey]]):
-        self.terms = tuple(terms)
+    def __init__(self, terms: Dict[TermKey, Gauss] | None = None):
+        self.terms: Dict[TermKey, Gauss] = {}
+        for key, c in (terms or {}).items():
+            if c[0] or c[1]:
+                self.terms[key] = c
 
     @classmethod
     def zero(cls) -> "DifferenceOperator":
-        return cls([])
+        return cls()
 
     @classmethod
     def identity(cls) -> "DifferenceOperator":
-        return cls([(lambda arr: QI(1, 0), ())])
+        return cls({((), ()): ONE})
 
-    @classmethod
-    def multiplication(cls, coeff: Callable) -> "DifferenceOperator":
-        return cls([(coeff, ())])
+    def _accumulate(self, pairs) -> "DifferenceOperator":
+        acc = dict(self.terms)
+        for key, (br, bi) in pairs:
+            old = acc.get(key)
+            if old is not None:
+                br += old[0]
+                bi += old[1]
+            if br or bi:
+                acc[key] = (br, bi)
+            else:
+                acc.pop(key, None)
+        out = DifferenceOperator()
+        out.terms = acc
+        return out
 
     def __add__(self, other: "DifferenceOperator") -> "DifferenceOperator":
-        return DifferenceOperator(self.terms + other.terms)
+        return self._accumulate(other.terms.items())
 
     def __neg__(self) -> "DifferenceOperator":
-        return DifferenceOperator(
-            [((lambda arr, c=c: -c(arr)), s) for c, s in self.terms])
+        return self.scaled(-1)
 
     def __sub__(self, other: "DifferenceOperator") -> "DifferenceOperator":
         return self + (-other)
 
     def scaled(self, factor) -> "DifferenceOperator":
-        return DifferenceOperator(
-            [((lambda arr, c=c: factor * c(arr)), s) for c, s in self.terms])
+        """Multiply by a Gaussian integer: an int or an (re, im) pair."""
+        f = as_gauss(factor)
+        return DifferenceOperator({k: gauss_mul(c, f) for k, c in self.terms.items()})
 
     def __mul__(self, other: "DifferenceOperator") -> "DifferenceOperator":
-        """Composition: (a*b)f = a(b(f)); b's coefficient sees a's shift."""
-        out = []
-        for c1, s1 in self.terms:
-            for c2, s2 in other.terms:
-                merged: Dict[Slot, int] = dict(s1)
-                for slot, k in s2:
-                    merged[slot] = merged.get(slot, 0) + k
-                key = tuple(sorted((sl, k) for sl, k in merged.items() if k != 0))
+        """Composition: (a*b)f = a(b(f)); b's coefficients see a's shift.
 
-                def coeff(arr, c1=c1, c2=c2, s1=s1):
-                    return c1(arr) * c2(arr.shifted(s1))
-
-                out.append((coeff, key))
-        return DifferenceOperator(out)
+        Factor tuples are sorted, so equal coefficient products combine.
+        """
+        return DifferenceOperator()._accumulate(
+            ((_merge(s1, s2),
+              tuple(sorted(f1 + tuple((coef, _merge(s1, s)) for coef, s in f2)))),
+             gauss_mul(c1, c2))
+            for (s1, f1), c1 in self.terms.items()
+            for (s2, f2), c2 in other.terms.items())
 
     def commutator(self, other: "DifferenceOperator") -> "DifferenceOperator":
         return self * other - other * self
 
-    def evaluate_on_test(self, arr: TriangularArray, beta: Dict[Slot, QI]):
-        """Apply to the test function with f(lambda + k*i e_{nj}) = beta_{nj}^k f."""
-        total = QI(0, 0)
-        for c, shift in self.terms:
-            val = c(arr)
-            for slot, k in shift:
-                val = val * beta[slot] ** k
-            total = total + val
+    def evaluate_on_test(self, arr: TriangularArray, beta: Dict[Slot, FpI]) -> FpI:
+        """Apply to the test function with f(lambda + k*i e_{nj}) = beta_{nj}^k f.
+
+        arr has `FpI` entries and beta `FpI` values; the result is in F_p[i].
+        """
+        values: Dict[Factor, FpI] = {}
+        monomials: Dict[ShiftKey, FpI] = {}
+        total = FpI()
+        for (shift, factors), c in self.terms.items():
+            val = FpI(*c)
+            for factor in factors:
+                v = values.get(factor)
+                if v is None:
+                    coef, s = factor
+                    v = values[factor] = coef(arr.shifted(s) if s else arr)
+                val = val * v
+            m = monomials.get(shift)
+            if m is None:
+                m = _FP_ONE
+                for slot, k in shift:
+                    m = m * beta[slot] ** k
+                monomials[shift] = m
+            total = total + val * m
         return total
+
+    def numeric_terms(self, arr: TriangularArray):
+        """(coefficient value, shift) per term, in complex arithmetic."""
+        for (shift, factors), c in self.terms.items():
+            val = None
+            for coef, s in factors:
+                v = coef(arr.shifted(s) if s else arr)
+                val = v if val is None else val * v
+            if val is None:
+                val = 1 + 0j
+            if c != ONE:
+                val = complex(*c) * val
+            yield val, shift
 
     def apply_with_ratio(self, arr: TriangularArray,
                          ratio: Callable[[TriangularArray, ShiftKey], complex]) -> complex:
         """sum_t c_t(arr) * [f(arr shifted by t)/f(arr)] for f given by `ratio`."""
         total = 0.0 + 0.0j
-        for c, shift in self.terms:
-            total += complex(c(arr)) * ratio(arr, shift)
+        for val, shift in self.numeric_terms(arr):
+            total += val * ratio(arr, shift)
         return total
 
 
@@ -191,46 +305,15 @@ def gz_generator(kind: str, n: int, N: int) -> DifferenceOperator:
     if kind == "diagonal":
         if not 1 <= n <= N:
             raise IndexError(f"diagonal index {n} out of range for N={N}")
-
-        def coeff(arr, n=n):
-            return _MINUS_I * (arr.level_sum(n) - arr.level_sum(n - 1))
-
-        return DifferenceOperator.multiplication(coeff)
-
-    if kind not in ("raise", "lower"):
-        raise ValueError(f"unknown generator kind {kind!r}")
-    if not 1 <= n <= N - 1:
-        raise IndexError(f"{kind} index {n} out of range for N={N}")
-
-    terms = []
-    if kind == "raise":
-        for j in range(1, n + 1):
-            def coeff(arr, n=n, j=j):
-                num = QI(1, 0)
-                for r in range(1, n + 2):
-                    num = num * (arr.get(n, j) - arr.get(n + 1, r) - _I_HALF)
-                den = QI(1, 0)
-                for s in range(1, n + 1):
-                    if s != j:
-                        den = den * (arr.get(n, j) - arr.get(n, s))
-                # -(1/i) = i; the printed +(1/i) does not close [E12,E21]
-                return _I * num / den
-
-            terms.append((coeff, (((n, j), -1),)))
+        js = [0]
+    elif kind in ("raise", "lower"):
+        if not 1 <= n <= N - 1:
+            raise IndexError(f"{kind} index {n} out of range for N={N}")
+        js = range(1, n + 1)
     else:
-        for j in range(1, n + 1):
-            def coeff(arr, n=n, j=j):
-                num = QI(1, 0)
-                for r in range(1, n):
-                    num = num * (arr.get(n, j) - arr.get(n - 1, r) + _I_HALF)
-                den = QI(1, 0)
-                for s in range(1, n + 1):
-                    if s != j:
-                        den = den * (arr.get(n, j) - arr.get(n, s))
-                return _MINUS_I * num / den  # +(1/i) = -i
-
-            terms.append((coeff, (((n, j), 1),)))
-    return DifferenceOperator(terms)
+        raise ValueError(f"unknown generator kind {kind!r}")
+    coefs = [Coefficient(kind, n, j) for j in js]
+    return DifferenceOperator({(c.shift, ((c, ()),)): ONE for c in coefs})
 
 
 def compose(a: DifferenceOperator, b: DifferenceOperator) -> DifferenceOperator:
@@ -242,30 +325,32 @@ def compose(a: DifferenceOperator, b: DifferenceOperator) -> DifferenceOperator:
 # ---------------------------------------------------------------------------
 
 
-def _random_rational_array(N: int, rng: random.Random) -> TriangularArray:
+def _random_fp_array(N: int, rng: random.Random) -> TriangularArray:
+    """Array of entries drawn uniformly from F_p, distinct within each level."""
     levels = []
     for n in range(1, N + 1):
-        row: List[QI] = []
+        row: List[FpI] = []
         while len(row) < n:
-            v = QI(Fraction(rng.randint(-30, 30), rng.randint(1, 8)), 0)
-            if all(v != w for w in row):
+            v = FpI(rng.randrange(P))
+            if v not in row:
                 row.append(v)
         levels.append(row)
     return TriangularArray(levels)
 
 
-def _random_betas(N: int, rng: random.Random) -> Dict[Slot, QI]:
-    return {(n, j): QI(Fraction(rng.randint(1, 40), rng.randint(1, 7)), 0)
+def _random_fp_betas(N: int, rng: random.Random) -> Dict[Slot, FpI]:
+    """Test-function parameters drawn uniformly from F_p minus 0."""
+    return {(n, j): FpI(rng.randrange(1, P))
             for n in range(1, N) for j in range(1, n + 1)}
 
 
 def _check_zero_operator(op: DifferenceOperator, N: int, trials: int,
                          rng: random.Random) -> Tuple[bool, str]:
     for t in range(trials):
-        arr = _random_rational_array(N, rng)
-        beta = _random_betas(N, rng)
+        arr = _random_fp_array(N, rng)
+        beta = _random_fp_betas(N, rng)
         val = op.evaluate_on_test(arr, beta)
-        if val != QI(0, 0):
+        if not val.is_zero():
             return False, f"trial {t}: value {val} at {arr.levels}"
     return True, ""
 
@@ -285,11 +370,11 @@ def check_gl_relations(N: int, trials: int = 20, seed: int = 0) -> VerificationR
     for n in range(1, N + 1):
         for m in range(1, N):
             d = (1 if n == m else 0) - (1 if n == m + 1 else 0)
-            rel = H[n].commutator(E[m]) - E[m].scaled(QI(d, 0))
+            rel = H[n].commutator(E[m]) - E[m].scaled(d)
             ok, wit = _check_zero_operator(rel, N, trials, rng)
             if not ok:
                 failures.append(f"[H{n},E{m}]: {wit}")
-            rel = H[n].commutator(F[m]) + F[m].scaled(QI(d, 0))
+            rel = H[n].commutator(F[m]) + F[m].scaled(d)
             ok, wit = _check_zero_operator(rel, N, trials, rng)
             if not ok:
                 failures.append(f"[H{n},F{m}]: {wit}")
@@ -438,9 +523,11 @@ def check_spherical_equation(N: int, arr: TriangularArray,
     worst = 0.0
     for n in range(1, N):
         op = gz_generator("raise", n, N) - gz_generator("lower", n, N)
-        val = op.apply_with_ratio(arr, _spherical_shift_ratio)
-        scale = sum(abs(complex(c(arr)) * _spherical_shift_ratio(arr, s))
-                    for c, s in op.terms)
+        prods = [v * _spherical_shift_ratio(arr, s) for v, s in op.numeric_terms(arr)]
+        val = 0.0 + 0.0j
+        for t in prods:
+            val += t
+        scale = sum(abs(t) for t in prods)
         worst = max(worst, abs(val) / scale)
     return VerificationReport(
         suite="gz", n=N, relation="spherical-equation",

@@ -1,117 +1,139 @@
-"""Exact Gaussian-rational arithmetic.
+"""Exact Gaussian arithmetic on (re, im) pairs of Python ints.
 
-Coefficient field Q(i) used by the exact operator-algebra checks.  Values are
-immutable; mixed arithmetic with Python/numpy complex falls back to floating
-point, which lets the same coefficient closures be evaluated either exactly
-or numerically.
+Two rings share the representation:
+
+* Z[i] -- plain tuples ``(re, im)``.  The Weyl-algebra coefficients of
+  `weyl` live here: the algebra never divides, so no modulus is needed and a
+  zero result is an exact zero.  `weyl` combines the pairs inline in its
+  product loop; `as_gauss`, `gauss_mul` and `gauss_str` serve the rest.
+* F_p[i], p = 2**61 - 1 -- `FpI`, a tuple subclass whose entries are kept
+  reduced mod p.  Since p = 3 mod 4, -1 is not a square mod p, so x^2 + 1 is
+  irreducible and F_p[i] is a field: re + im*i = 0 exactly when
+  re = im = 0 mod p, and every nonzero element has an inverse.  The
+  randomized identity checks of `gz` evaluate in it.
+
+Mixed arithmetic with floats or complex numbers is refused (TypeError):
+a residue mod p has no floating-point value.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from numbers import Complex
+from typing import Tuple
+
+Gauss = Tuple[int, int]
+
+P = (1 << 61) - 1
+
+ONE: Gauss = (1, 0)
+I: Gauss = (0, 1)
+MINUS_I: Gauss = (0, -1)
 
 
-class QI:
-    """A complex number with exact rational real and imaginary parts."""
+def as_gauss(c) -> Gauss:
+    """An int or an (re, im) pair of ints as a Z[i] pair."""
+    return (c, 0) if isinstance(c, int) else (c[0], c[1])
 
-    __slots__ = ("re", "im")
 
-    def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+def gauss_mul(a: Gauss, b: Gauss) -> Gauss:
+    """Product in Z[i]."""
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
 
-    def __setattr__(self, name, value):
-        raise AttributeError("QI is immutable")
 
-    # -- constructors -----------------------------------------------------
+def gauss_str(a: Gauss) -> str:
+    re, im = a
+    if im == 0:
+        return str(re)
+    if re == 0:
+        return f"{im}i"
+    return f"({re}{'+' if im > 0 else '-'}{abs(im)}i)"
 
-    @classmethod
-    def i(cls):
-        return cls(0, 1)
 
-    @classmethod
-    def coerce(cls, x):
-        if isinstance(x, QI):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return cls(x)
-        raise TypeError(f"cannot coerce {type(x).__name__} to QI")
+def _fp(re: int, im: int) -> "FpI":
+    """FpI from parts already reduced mod P."""
+    return tuple.__new__(FpI, (re, im))
 
-    # -- predicates -------------------------------------------------------
 
-    def is_zero(self):
-        return self.re == 0 and self.im == 0
+class FpI(tuple):
+    """The element re + im*i of F_p[i], p = P = 2**61 - 1.
 
-    # -- arithmetic -------------------------------------------------------
+    Construct from Python ints, which are reduced mod p; a Gaussian
+    rational a/b with b prime to p maps to FpI(a) / FpI(b).  Equality and
+    hashing are those of the reduced pair.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, re: int = 0, im: int = 0):
+        if type(re) is not int or type(im) is not int:
+            raise TypeError("FpI parts must be ints")
+        return tuple.__new__(cls, (re % P, im % P))
+
+    @property
+    def re(self) -> int:
+        return self[0]
+
+    @property
+    def im(self) -> int:
+        return self[1]
+
+    def is_zero(self) -> bool:
+        return not (self[0] or self[1])
 
     def __add__(self, other):
-        if isinstance(other, QI):
-            return QI(self.re + other.re, self.im + other.im)
-        if isinstance(other, (int, Fraction)):
-            return QI(self.re + other, self.im)
-        if isinstance(other, Complex):
-            return complex(self) + other
+        if type(other) is FpI:
+            return _fp((self[0] + other[0]) % P, (self[1] + other[1]) % P)
+        if type(other) is int:
+            return _fp((self[0] + other) % P, self[1])
         return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QI(-self.re, -self.im)
+        return _fp(-self[0] % P, -self[1] % P)
 
     def __sub__(self, other):
-        if isinstance(other, (QI, int, Fraction)):
-            return self + (-other if isinstance(other, QI) else QI(-Fraction(other)))
-        if isinstance(other, Complex):
-            return complex(self) - other
-        return NotImplemented
-
-    def __rsub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return QI(other) - self
-        if isinstance(other, Complex):
-            return other - complex(self)
+        if type(other) is FpI:
+            return _fp((self[0] - other[0]) % P, (self[1] - other[1]) % P)
+        if type(other) is int:
+            return _fp((self[0] - other) % P, self[1])
         return NotImplemented
 
     def __mul__(self, other):
-        if isinstance(other, QI):
-            return QI(self.re * other.re - self.im * other.im,
-                      self.re * other.im + self.im * other.re)
-        if isinstance(other, (int, Fraction)):
-            return QI(self.re * other, self.im * other)
-        if isinstance(other, Complex):
-            return complex(self) * other
+        if type(other) is FpI:
+            a, b = self
+            c, d = other
+            return _fp((a * c - b * d) % P, (a * d + b * c) % P)
+        if type(other) is int:
+            return _fp(self[0] * other % P, self[1] * other % P)
         return NotImplemented
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return QI(self.re / other, self.im / other)
-        if isinstance(other, QI):
-            d = other.re * other.re + other.im * other.im
-            if d == 0:
-                raise ZeroDivisionError("division by zero QI")
-            return QI((self.re * other.re + self.im * other.im) / d,
-                      (self.im * other.re - self.re * other.im) / d)
-        if isinstance(other, Complex):
-            return complex(self) / other
-        return NotImplemented
+    def conjugate(self) -> "FpI":
+        return _fp(self[0], -self[1] % P)
 
-    def __rtruediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return QI(other) / self
-        if isinstance(other, Complex):
-            return other / complex(self)
-        return NotImplemented
+    def inverse(self) -> "FpI":
+        """1/z = conj(z) / |z|^2; |z|^2 = 0 mod p only for z = 0."""
+        a, b = self
+        norm = (a * a + b * b) % P
+        if norm == 0:
+            raise ZeroDivisionError("division by zero in F_p[i]")
+        # extended Euclid; the same inverse as norm**(P-2) mod P, faster
+        return self.conjugate() * pow(norm, -1, P)
+
+    def __truediv__(self, other):
+        if type(other) is int:
+            other = FpI(other)
+        if type(other) is not FpI:
+            return NotImplemented
+        return self * other.inverse()
 
     def __pow__(self, k):
-        if not isinstance(k, int):
+        if type(k) is not int:
             return NotImplemented
-        if k < 0:
-            return QI(1) / self ** (-k)
-        out = QI(1)
-        base = self
+        base = self if k >= 0 else self.inverse()
+        k = abs(k)
+        out = _fp(1, 0)
         while k:
             if k & 1:
                 out = out * base
@@ -119,40 +141,9 @@ class QI:
             k >>= 1
         return out
 
-    def conjugate(self):
-        return QI(self.re, -self.im)
-
-    # -- conversions & comparisons ---------------------------------------
-
-    def __complex__(self):
-        return complex(float(self.re), float(self.im))
-
-    def __eq__(self, other):
-        if isinstance(other, QI):
-            return self.re == other.re and self.im == other.im
-        if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
-        if isinstance(other, Complex):
-            return complex(self) == other
-        return NotImplemented
-
-    def __hash__(self):
-        if self.im == 0:
-            return hash(self.re)
-        return hash((self.re, self.im))
-
     def __repr__(self):
-        return f"QI({self.re!s}, {self.im!s})"
-
-    def __str__(self):
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return f"{self.im}i"
-        sign = "+" if self.im > 0 else "-"
-        return f"({self.re}{sign}{abs(self.im)}i)"
+        return f"FpI({self[0]}, {self[1]})"
 
 
-I_QI = QI(0, 1)
-ONE = QI(1)
-ZERO = QI(0)
+# perfbench/tracing.py counts F_p[i] operations under this name.
+QI = FpI

@@ -1,9 +1,12 @@
 """Complex Gamma utilities.
 
 `log_gamma` is the principal branch of log Gamma; `gamma_shift_ratio`
-evaluates Gamma(z+k)/Gamma(z) exactly as a rising/falling factorial, which is
-what every difference-equation residual check in this package routes through
-(never a difference of two log-Gamma calls).
+evaluates Gamma(z+k)/Gamma(z) exactly as a rising/falling factorial.  The
+residual checks with integer shifts of the Gamma arguments route through it:
+the separated difference equations and the Whittaker-vector equations.  One
+check does not: the spherical-vector equations of `gz` shift the Gamma
+arguments by half-integers, and `gz._spherical_shift_ratio` takes a
+difference of two log-Gamma calls.
 """
 
 from __future__ import annotations

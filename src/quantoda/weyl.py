@@ -1,9 +1,16 @@
 """Exact Weyl algebra of the lattice canonical operators.
 
-Elements are noncommutative polynomials in p_m and e^{+-q_m} with Q(i)
-coefficients, kept in the canonical normal order "all e^{a.q} factors to the
-left of all p powers".  Multiplication re-normal-orders through
-p_m e^{a q_m} = e^{a q_m} (p_m - i a).
+Elements are noncommutative polynomials in p_m and e^{+-q_m} with Gaussian
+integer coefficients, kept in the canonical normal order "all e^{a.q}
+factors to the left of all p powers".  Multiplication re-normal-orders
+through p_m e^{a q_m} = e^{a q_m} (p_m - i a).
+
+Coefficients are (re, im) pairs of Python ints in Z[i] with no modulus
+(see `rationals`).  Every operation here is a ring operation -- nothing
+divides -- so the arithmetic is exact and unbounded: when a checked
+difference comes out with no terms, the identity holds over Z[i].  The
+QISM checks are therefore proofs, not randomized tests, and need no bound
+on coefficient size.
 
 On top of the algebra sit the 2x2 Lax matrices, the monodromy matrix, and
 exact (coefficient-wise) checks of the RLL relation, commutativity of the
@@ -13,12 +20,37 @@ conserved quantities, and the A/C recursion.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
+from operator import add
 from typing import Dict, List, Tuple
 
-from .rationals import QI, ONE, ZERO
+from .rationals import MINUS_I, ONE, Gauss, I, as_gauss, gauss_mul, gauss_str
 from .report import VerificationReport
 
 Mono = Tuple[Tuple[int, ...], Tuple[int, ...]]  # (exp_q, pow_p)
+
+_MINUS_ONE: Gauss = (-1, 0)
+
+
+@lru_cache(maxsize=4096)
+def _reorder(ap: Tuple[int, ...], cq: Tuple[int, ...]):
+    """p^{ap} e^{cq.q} = e^{cq.q} sum_k coef_k p^{k}, as [(k, coef_k)].
+
+    Per site, p^b e^{cq} = e^{cq} (p - i c)^b = e^{cq} sum_k C(b,k) (-ic)^{b-k} p^k.
+    """
+    out: List[Tuple[Tuple[int, ...], Gauss]] = [((), ONE)]
+    for b, c in zip(ap, cq):
+        if b == 0 or c == 0:
+            out = [(pows + (b,), co) for pows, co in out]
+            continue
+        site = []
+        for k in range(b + 1):
+            j = b - k
+            mag = math.comb(b, k) * c ** j
+            # (-i)^j cycles through 1, -i, -1, i
+            site.append((k, ((mag, 0), (0, -mag), (-mag, 0), (0, mag))[j % 4]))
+        out = [(pows + (k,), gauss_mul(co, ck)) for pows, co in out for k, ck in site]
+    return tuple(out)
 
 
 class WeylElement:
@@ -26,12 +58,12 @@ class WeylElement:
 
     __slots__ = ("n", "terms")
 
-    def __init__(self, n: int, terms: Dict[Mono, QI] | None = None):
+    def __init__(self, n: int, terms: Dict[Mono, Gauss] | None = None):
         self.n = n
-        self.terms: Dict[Mono, QI] = {}
+        self.terms: Dict[Mono, Gauss] = {}
         if terms:
             for mono, c in terms.items():
-                if not c.is_zero():
+                if c[0] or c[1]:
                     self.terms[mono] = c
 
     # -- constructors -----------------------------------------------------
@@ -42,9 +74,9 @@ class WeylElement:
 
     @classmethod
     def constant(cls, n: int, c) -> "WeylElement":
-        c = c if isinstance(c, QI) else QI(c)
+        """The scalar c, an int or an (re, im) pair in Z[i]."""
         zq = (0,) * n
-        return cls(n, {(zq, zq): c})
+        return cls(n, {(zq, zq): as_gauss(c)})
 
     @classmethod
     def one(cls, n: int) -> "WeylElement":
@@ -72,63 +104,61 @@ class WeylElement:
     def __add__(self, other: "WeylElement") -> "WeylElement":
         self._check(other)
         terms = dict(self.terms)
-        for mono, c in other.terms.items():
-            s = terms.get(mono, ZERO) + c
-            if s.is_zero():
-                terms.pop(mono, None)
-            else:
+        for mono, (br, bi) in other.terms.items():
+            old = terms.get(mono)
+            if old is None:
+                terms[mono] = (br, bi)
+                continue
+            s = (old[0] + br, old[1] + bi)
+            if s[0] or s[1]:
                 terms[mono] = s
+            else:
+                del terms[mono]
         out = WeylElement(self.n)
         out.terms = terms
         return out
 
     def __neg__(self) -> "WeylElement":
         out = WeylElement(self.n)
-        out.terms = {m: -c for m, c in self.terms.items()}
+        out.terms = {m: (-c[0], -c[1]) for m, c in self.terms.items()}
         return out
 
     def __sub__(self, other: "WeylElement") -> "WeylElement":
         return self + (-other)
 
     def scale(self, c) -> "WeylElement":
-        c = c if isinstance(c, QI) else QI(c)
-        if c.is_zero():
-            return WeylElement(self.n)
+        """Multiply by the scalar c, an int or an (re, im) pair in Z[i]."""
+        c = as_gauss(c)
         out = WeylElement(self.n)
-        out.terms = {m: cc * c for m, cc in self.terms.items()}
+        if c[0] or c[1]:
+            out.terms = {m: gauss_mul(cc, c) for m, cc in self.terms.items()}
         return out
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         self._check(other)
-        n = self.n
-        acc: Dict[Mono, QI] = {}
-        for (aq, ap), ca in self.terms.items():
-            for (cq, cp), cb in other.terms.items():
-                coef0 = ca * cb
-                new_q = tuple(aq[k] + cq[k] for k in range(n))
-                # push p^{ap} through e^{cq.q}: per-site binomial expansion
-                expansions: List[Tuple[Tuple[int, ...], QI]] = [((), ONE)]
-                for m in range(n):
-                    b, c = ap[m], cq[m]
-                    if b == 0 or c == 0:
-                        expansions = [(pows + (b,), co) for pows, co in expansions]
+        acc: Dict[Mono, Gauss] = {}
+        get = acc.get
+        for (aq, ap), (ar, ai) in self.terms.items():
+            for (cq, cp), (br, bi) in other.terms.items():
+                r0 = ar * br - ai * bi
+                i0 = ar * bi + ai * br
+                new_q = tuple(map(add, aq, cq))
+                # push p^{ap} through e^{cq.q}
+                for pows, (er, ei) in _reorder(ap, cq):
+                    mono = (new_q, tuple(map(add, pows, cp)))
+                    cr = r0 * er - i0 * ei
+                    ci = r0 * ei + i0 * er
+                    old = get(mono)
+                    if old is None:
+                        acc[mono] = (cr, ci)
                         continue
-                    site: List[Tuple[int, QI]] = []
-                    for k in range(b + 1):
-                        site.append((k, QI(math.comb(b, k)) * QI(0, -c) ** (b - k)))
-                    expansions = [
-                        (pows + (k,), co * ck)
-                        for pows, co in expansions
-                        for k, ck in site
-                    ]
-                for pows, co in expansions:
-                    mono = (new_q, tuple(pows[k] + cp[k] for k in range(n)))
-                    s = acc.get(mono, ZERO) + coef0 * co
-                    if s.is_zero():
-                        acc.pop(mono, None)
+                    cr += old[0]
+                    ci += old[1]
+                    if cr or ci:
+                        acc[mono] = (cr, ci)
                     else:
-                        acc[mono] = s
-        out = WeylElement(n)
+                        del acc[mono]
+        out = WeylElement(self.n)
         out.terms = acc
         return out
 
@@ -150,7 +180,7 @@ class WeylElement:
             return "0"
         parts = []
         for (eq, pp), c in sorted(self.terms.items()):
-            bits = [f"({c})"]
+            bits = [f"({gauss_str(c)})"]
             for k, a in enumerate(eq):
                 if a:
                     bits.append(f"e^{{{a}q{k + 1}}}" if a != 1 else f"e^{{q{k + 1}}}")
@@ -159,11 +189,6 @@ class WeylElement:
                     bits.append(f"p{k + 1}" + (f"^{b}" if b > 1 else ""))
             parts.append("*".join(bits))
         return " + ".join(parts)
-
-
-def weyl_mul(a: WeylElement, b: WeylElement) -> WeylElement:
-    """Canonical normal-ordered product (exact coefficients)."""
-    return a * b
 
 
 # ---------------------------------------------------------------------------
@@ -197,10 +222,6 @@ class UPoly:
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
         return WeylElement.zero(self.n)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
 
     def __add__(self, other: "UPoly") -> "UPoly":
         m = max(len(self.coeffs), len(other.coeffs))
@@ -256,7 +277,7 @@ class UVPoly:
                     self.terms[k] = w
 
     @classmethod
-    def scalar(cls, n: int, terms: Dict[Tuple[int, int], QI]) -> "UVPoly":
+    def scalar(cls, n: int, terms: Dict[Tuple[int, int], Gauss]) -> "UVPoly":
         return cls(n, {k: WeylElement.constant(n, c) for k, c in terms.items()})
 
     def __add__(self, other: "UVPoly") -> "UVPoly":
@@ -346,9 +367,6 @@ class OperatorPolyMatrix:
             [[self.entries[i][j] - other.entries[i][j] for j in range(c)] for i in range(r)]
         )
 
-    def map(self, fn) -> "OperatorPolyMatrix":
-        return OperatorPolyMatrix([[fn(e) for e in row] for row in self.entries])
-
 
 def lax_matrix(m: int, N: int) -> OperatorPolyMatrix:
     """Site-m Lax matrix [[u - p_m, -e^{q_m}], [e^{-q_m}, 0]]."""
@@ -365,7 +383,7 @@ def lax_matrix(m: int, N: int) -> OperatorPolyMatrix:
 def r_matrix(N: int = 1) -> OperatorPolyMatrix:
     """4x4 R(u) = uI - iP over scalar coefficients (P the flip operator)."""
     u = UPoly.u(N)
-    mi = UPoly.from_element(WeylElement.constant(N, QI(0, -1)))
+    mi = UPoly.from_element(WeylElement.constant(N, MINUS_I))
     z = UPoly(N)
     # P[(a,i),(b,j)] = delta_{aj} delta_{ib}; row index 2a+i, column 2b+j
     rows = []
@@ -450,13 +468,13 @@ def _r_uv(n: int) -> OperatorPolyMatrix:
             row = []
             for b in range(2):
                 for j in range(2):
-                    terms: Dict[Tuple[int, int], QI] = {}
+                    terms: Dict[Tuple[int, int], Gauss] = {}
                     if a == b and i == j:
                         terms[(1, 0)] = ONE
-                        terms[(0, 1)] = QI(-1)
+                        terms[(0, 1)] = _MINUS_ONE
                     if a == j and i == b:
-                        terms[(0, 0)] = terms.get((0, 0), ZERO) + QI(0, -1)
-                    row.append(UVPoly.scalar(n, {k: c for k, c in terms.items() if not c.is_zero()}))
+                        terms[(0, 0)] = MINUS_I
+                    row.append(UVPoly.scalar(n, terms))
             rows.append(row)
     return OperatorPolyMatrix(rows)
 
@@ -496,6 +514,22 @@ def check_rll(scope: str, n: int) -> VerificationReport:
     )
 
 
+def _exchange_residual(first: UPoly, second: UPoly, N: int) -> UVPoly:
+    """(u-v+i) F(u) S(v) - (u-v) S(v) F(u) - i F(v) S(u), F = first, S = second.
+
+    exchange-AC is the vanishing of this for F = C, S = A:
+    (u-v+i) C(u) A(v) = (u-v) A(v) C(u) + i C(v) A(u).  The commonly quoted
+    form with A and C in the opposite order fails the exact N=1 computation
+    by -2i(u-v) e^{-q}; this ordering is the one the RLL relation implies.
+    """
+    Fu, Fv = first.as_uv("u"), first.as_uv("v")
+    Su, Sv = second.as_uv("u"), second.as_uv("v")
+    umv = UVPoly.scalar(N, {(1, 0): ONE, (0, 1): _MINUS_ONE})
+    umvpi = UVPoly.scalar(N, {(1, 0): ONE, (0, 1): _MINUS_ONE, (0, 0): I})
+    ei = UVPoly.scalar(N, {(0, 0): I})
+    return umvpi * (Fu * Sv) - umv * (Sv * Fu) - ei * (Fv * Su)
+
+
 def check_commutativity(N: int) -> List[VerificationReport]:
     """[X_m, X_k] = 0, [t_m, t_k] = 0, and the A/C exchange identities."""
     X, Y = integrals_of_motion(N)
@@ -518,20 +552,12 @@ def check_commutativity(N: int) -> List[VerificationReport]:
     reports.append(commute_family("commute-t", t_coeffs))
 
     A, B, C, _ = extract_ABCD(monodromy(N))
-    Au, Av = A.as_uv("u"), A.as_uv("v")
     Bu, Bv = B.as_uv("u"), B.as_uv("v")
     Cu, Cv = C.as_uv("u"), C.as_uv("v")
-    umv = UVPoly.scalar(N, {(1, 0): ONE, (0, 1): QI(-1)})
-    umvpi = UVPoly.scalar(N, {(1, 0): ONE, (0, 1): QI(-1), (0, 0): QI(0, 1)})
-    ei = UVPoly.scalar(N, {(0, 0): QI(0, 1)})
-    # exchange-AC: (u-v+i) C(u) A(v) = (u-v) A(v) C(u) + i C(v) A(u).
-    # The commonly quoted form with A and C in the opposite order fails the
-    # exact N=1 computation by -2i(u-v) e^{-q}; this ordering is the one the
-    # RLL relation actually implies.
     checks = [
         ("commute-B", Bu * Bv - Bv * Bu),
         ("commute-C", Cu * Cv - Cv * Cu),
-        ("exchange-AC", umvpi * (Cu * Av) - umv * (Av * Cu) - ei * (Cv * Au)),
+        ("exchange-AC", _exchange_residual(C, A, N)),
     ]
     for name, diff in checks:
         reports.append(VerificationReport(
@@ -539,6 +565,15 @@ def check_commutativity(N: int) -> List[VerificationReport]:
             status="PASS" if diff.is_zero() else "FAIL",
         ))
     return reports
+
+
+def _peel_site(N: int, A_p: UPoly, C_p: UPoly) -> Tuple[UPoly, UPoly]:
+    """(A_N, C_N) from the partial entries (A_{N-1}, C_{N-1}) and L_N."""
+    u = UPoly.u(N)
+    pN = UPoly.from_element(WeylElement.p(N, N))
+    eqN = UPoly.from_element(WeylElement.exp_q(N, N, 1))
+    emqN = UPoly.from_element(WeylElement.exp_q(N, N, -1))
+    return (u - pN) * A_p - eqN * C_p, emqN * A_p
 
 
 def check_recursion(N: int) -> List[VerificationReport]:
@@ -556,12 +591,9 @@ def check_recursion(N: int) -> List[VerificationReport]:
                                    witness="vacuous for N=1")]
     A_N, _, C_N, _ = extract_ABCD(monodromy(N))
     A_p, _, C_p, _ = extract_ABCD(monodromy(N, upto=N - 1))
-    u = UPoly.u(N)
-    pN = UPoly.from_element(WeylElement.p(N, N))
-    eqN = UPoly.from_element(WeylElement.exp_q(N, N, 1))
-    emqN = UPoly.from_element(WeylElement.exp_q(N, N, -1))
-    ok_A = A_N == (u - pN) * A_p - eqN * C_p
-    ok_C = C_N == emqN * A_p
+    want_A, want_C = _peel_site(N, A_p, C_p)
+    ok_A = A_N == want_A
+    ok_C = C_N == want_C
     return [
         VerificationReport(suite="qism", n=N, relation="recursion-A",
                            status="PASS" if ok_A else "FAIL"),

@@ -109,3 +109,43 @@ def test_error_paths():
     assert exc.value.code == 2
     with pytest.raises(SystemExit):
         dispatch(["whittaker", "eval", "--n", "2", "--alpha", "bad"])
+
+
+_GRID = ["whittaker", "grid", "--n", "2", "--alpha", "0.5,-0.5", "--axis", "0",
+         "--from", "-1", "--to", "1"]
+_EVAL = ["whittaker", "eval", "--n", "2", "--alpha", "0.5,-0.5", "--x", "0.3,-0.3"]
+
+
+@pytest.mark.parametrize("argv", [
+    # each of these raised a traceback (IndexError, ZeroDivisionError)
+    ["verify", "qism", "--n", "0"],
+    _GRID + ["--steps", "0"],
+    _EVAL + ["--tol", "0"],
+    # counts below 1
+    ["verify", "gz", "--n", "-1"],
+    ["spherical", "eval", "--n", "0", "--lambda", "0.6,-0.3", "--x", "0.2,-0.2"],
+    ["verify", "gz", "--n", "2", "--trials", "0"],
+    ["verify", "separation", "--n", "2", "--trials", "-3"],
+    _GRID + ["--steps", "-2"],
+    # non-finite or non-positive tolerances
+    _EVAL + ["--tol", "-1e-6"],
+    _EVAL + ["--tol", "nan"],
+    _EVAL + ["--tol", "inf"],
+    _GRID + ["--steps", "3", "--tol", "0"],
+    ["verify", "gz", "--n", "2", "--tol", "-1"],
+    ["verify", "eigen", "--n", "2", "--alpha", "0.5,-0.5", "--grid", "8:0.1",
+     "--tol", "nan"],
+])
+def test_bad_inputs_exit_2_with_one_line(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        dispatch(argv, out=io.StringIO())
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "error: argument --" in err
+
+
+def test_smallest_valid_counts_run():
+    assert _run(["verify", "qism", "--n", "1"])[0] == 0
+    code, text = _run(_GRID + ["--steps", "1", "--format", "json"])
+    assert code == 0 and len(json.loads(text)) == 1
+    assert _run(["verify", "gz", "--n", "2", "--trials", "1"])[0] == 0

@@ -1,17 +1,17 @@
 import cmath
 import math
 import random
-from fractions import Fraction
 
 import pytest
 
-from quantoda.gz import (DifferenceOperator, TriangularArray,
+from quantoda.gz import (GENERATOR_PREFACTOR, Coefficient,
+                         DifferenceOperator, TriangularArray,
                          cartan_multiplier, check_gl_relations,
                          check_gz_measure_difference_eq, check_serre,
                          check_spherical_equation, check_whittaker_equations,
                          compose, gz_generator, gz_measure, sample_real_array,
                          spherical_vector, whittaker_vector)
-from quantoda.rationals import QI
+from quantoda.rationals import FpI
 from quantoda.specfun import PoleError, gamma
 
 
@@ -26,13 +26,22 @@ def test_triangular_array_shape_enforced():
     assert arr.N == 2 and arr.get(2, 1) == 0.5
 
 
+def _fp(num, den=1):
+    """The rational num/den in F_p."""
+    return FpI(num) / FpI(den)
+
+
 def test_diagonal_generator_multiplies():
     # E_11 at N=2 is multiplication by lambda_11 / i
     op = gz_generator("diagonal", 1, 2)
-    arr = _point([[QI(Fraction(3, 2), 0)], [QI(1, 0), QI(-2, 0)]])
-    (coeff, shift), = op.terms
-    assert shift == ()
-    assert coeff(arr) == QI(0, -1) * QI(Fraction(3, 2), 0)
+    ((shift, factors), c), = op.terms.items()
+    assert shift == () and c == (1, 0)
+    (coeff, at), = factors
+    assert at == () and coeff.shift == ()
+    arr = _point([[_fp(3, 2)], [_fp(1), _fp(-2)]])
+    assert coeff(arr) == FpI(0, -1) * _fp(3, 2)
+    assert op.evaluate_on_test(arr, {(1, 1): _fp(5)}) == FpI(0, -1) * _fp(3, 2)
+    assert coeff(_point([[1.5], [1.0, -2.0]])) == -1.5j
 
 
 def test_raising_generator_n2_term():
@@ -40,22 +49,31 @@ def test_raising_generator_n2_term():
     # -(1/i) (lam - a1 - i/2)(lam - a2 - i/2); the sign is the one under
     # which the bracket with the lowering generator closes
     op = gz_generator("raise", 1, 2)
-    (coeff, shift), = op.terms
-    assert shift == (((1, 1), -1),)
-    lam = QI(Fraction(1, 3), 0)
-    a1, a2 = QI(2, 0), QI(-1, 0)
+    ((shift, factors), c), = op.terms.items()
+    assert shift == (((1, 1), -1),) and c == (1, 0)
+    (coeff, at), = factors
+    assert at == () and coeff.shift == shift
+    lam = _fp(1, 3)
+    a1, a2 = _fp(2), _fp(-1)
     arr = _point([[lam], [a1, a2]])
-    ih = QI(0, Fraction(1, 2))
-    want = QI(0, 1) * (lam - a1 - ih) * (lam - a2 - ih)
+    ih = FpI(0, 1) / 2
+    want = FpI(0, 1) * (lam - a1 - ih) * (lam - a2 - ih)
     assert coeff(arr) == want
+    # on the test function the shift by -i contributes beta^{-1}
+    beta = _fp(7, 3)
+    assert op.evaluate_on_test(arr, {(1, 1): beta}) == want / beta
+    num = 1j * (1 / 3 - 2 - 0.5j) * (1 / 3 + 1 - 0.5j)
+    assert abs(coeff(_point([[1 / 3], [2.0, -1.0]])) - num) < 1e-14
 
 
 def test_lowering_generator_n2_is_constant_shift():
     op = gz_generator("lower", 1, 2)
-    (coeff, shift), = op.terms
+    ((shift, factors), c), = op.terms.items()
     assert shift == (((1, 1), 1),)
-    arr = _point([[QI(5, 0)], [QI(1, 0), QI(2, 0)]])
-    assert coeff(arr) == QI(0, -1)
+    (coeff, _), = factors
+    arr = _point([[_fp(5)], [_fp(1), _fp(2)]])
+    assert coeff(arr) == FpI(0, -1)
+    assert coeff(_point([[5.0], [1.0, 2.0]])) == complex(0, -1)
 
 
 def test_generator_index_errors():
@@ -72,7 +90,7 @@ def _rational_arr(rng, N):
     for n in range(1, N + 1):
         row = []
         while len(row) < n:
-            v = QI(Fraction(rng.randint(-20, 20), rng.randint(1, 6)), 0)
+            v = _fp(rng.randint(-20, 20), rng.randint(1, 6))
             if v not in row:
                 row.append(v)
         levels.append(row)
@@ -80,7 +98,7 @@ def _rational_arr(rng, N):
 
 
 def _betas(rng, N):
-    return {(n, j): QI(Fraction(rng.randint(1, 30), rng.randint(1, 5)), 0)
+    return {(n, j): _fp(rng.randint(1, 30), rng.randint(1, 5))
             for n in range(1, N) for j in range(1, n + 1)}
 
 
@@ -92,7 +110,9 @@ def test_compose_identity_and_zero():
     arr, beta = _rational_arr(rng, 3), _betas(rng, 3)
     assert compose(ident, a).evaluate_on_test(arr, beta) == \
         a.evaluate_on_test(arr, beta)
-    assert compose(zero, a).evaluate_on_test(arr, beta) == QI(0, 0)
+    assert compose(a, ident).terms == a.terms
+    assert compose(zero, a).evaluate_on_test(arr, beta) == FpI(0, 0)
+    assert not compose(a, zero).terms
 
 
 def test_composition_associative():
@@ -101,6 +121,8 @@ def test_composition_associative():
            gz_generator("diagonal", 2, 3)]
     lhs = compose(compose(ops[0], ops[1]), ops[2])
     rhs = compose(ops[0], compose(ops[1], ops[2]))
+    # the flat form is canonical, so the two groupings give one term map
+    assert lhs.terms == rhs.terms
     for _ in range(10):
         arr, beta = _rational_arr(rng, 3), _betas(rng, 3)
         assert lhs.evaluate_on_test(arr, beta) == rhs.evaluate_on_test(arr, beta)
@@ -114,7 +136,39 @@ def test_bracket_h_e_reproduces_e():
     rng = random.Random(9)
     for _ in range(10):
         arr, beta = _rational_arr(rng, 2), _betas(rng, 2)
-        assert diff.evaluate_on_test(arr, beta) == QI(0, 0)
+        assert diff.evaluate_on_test(arr, beta) == FpI(0, 0)
+        # without the -e the bracket is not zero
+        assert not h.commutator(e).evaluate_on_test(arr, beta).is_zero()
+
+
+def test_equal_products_cancel_symbolically():
+    h1, h2 = gz_generator("diagonal", 1, 3), gz_generator("diagonal", 2, 3)
+    e = gz_generator("raise", 2, 3)
+    assert not h1.commutator(h2).terms
+    assert not e.commutator(e).terms
+    assert not (e - e).terms and (e + e).terms == e.scaled(2).terms
+    assert (-e).terms == e.scaled(-1).terms
+
+
+def test_each_coefficient_evaluated_once_per_shifted_array(monkeypatch):
+    e, f = gz_generator("raise", 2, 3), gz_generator("lower", 1, 3)
+    op = e.commutator(e.commutator(f))
+    calls = []
+    orig = Coefficient.__call__
+    monkeypatch.setattr(Coefficient, "__call__",
+                        lambda self, arr: calls.append(self) or orig(self, arr))
+    rng = random.Random(5)
+    op.evaluate_on_test(_rational_arr(rng, 3), _betas(rng, 3))
+    factors = {fac for (_, facs) in op.terms for fac in facs}
+    assert len(calls) == len(factors)
+
+
+def test_flipped_raising_sign_fails(monkeypatch):
+    # the printed +(1/i) in front of E_{n,n+1} does not close [E, F]
+    monkeypatch.setitem(GENERATOR_PREFACTOR, "raise", (0, -1))
+    for N in (2, 3):
+        rep = check_gl_relations(N, trials=3, seed=1)
+        assert rep.status == "FAIL" and "[E1,F1]" in rep.witness
 
 
 def test_gl_relations_and_serre():
