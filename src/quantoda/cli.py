@@ -19,23 +19,27 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import sys
 from typing import List, Sequence
 
-import numpy as np
-
 from . import gz, harish_chandra as hc, mellin_barnes as mb, oracle, separation, weyl
 from .report import VerificationReport, combine
 
 
-def _float_list(text: str) -> List[float]:
+def _finite_float(text: str) -> float:
     try:
-        return [float(v) for v in text.split(",") if v.strip() != ""]
+        v = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated floats: {text!r}")
+        raise argparse.ArgumentTypeError(f"expected a number: {text!r}")
+    if not math.isfinite(v):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return v
+
+
+def _float_list(text: str) -> List[float]:
+    return [_finite_float(v) for v in text.split(",") if v.strip() != ""]
 
 
 def _positive_int(text: str) -> int:
@@ -49,12 +53,9 @@ def _positive_int(text: str) -> int:
 
 
 def _tolerance(text: str) -> float:
-    try:
-        v = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number: {text!r}")
-    if not (math.isfinite(v) and v > 0):
-        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
+    v = _finite_float(text)
+    if v <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
     return v
 
 
@@ -127,8 +128,8 @@ def build_parser() -> argparse.ArgumentParser:
     wg.add_argument("--n", type=_positive_int, required=True)
     wg.add_argument("--alpha", type=_float_list, required=True)
     wg.add_argument("--axis", type=int, required=True)
-    wg.add_argument("--from", dest="start", type=float, required=True)
-    wg.add_argument("--to", dest="stop", type=float, required=True)
+    wg.add_argument("--from", dest="start", type=_finite_float, required=True)
+    wg.add_argument("--to", dest="stop", type=_finite_float, required=True)
     wg.add_argument("--steps", type=_positive_int, required=True)
     wg.add_argument("--x", type=_float_list, default=None,
                     help="base point for the fixed coordinates")
@@ -196,6 +197,9 @@ def _run(args, parser, out) -> int:
         _emit_value([_value_row(res, args.x)], args.format, out)
         return 0
     if args.command == "whittaker" and args.subcommand == "grid":
+        if not 0 <= args.axis < args.n:
+            parser.error(f"argument --axis: must be in [0, {args.n}), "
+                         f"got {args.axis}")
         rows = mb.grid_scan("whittaker", args.n, args.alpha, args.axis,
                             args.start, args.stop, args.steps,
                             x_base=args.x, tol=args.tol)

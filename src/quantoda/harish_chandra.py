@@ -26,27 +26,6 @@ Root = Tuple[int, int]  # (i, j) with i < j, representing e_i - e_j (1-based)
 SQRT_PI = math.sqrt(math.pi)
 
 
-@dataclass(frozen=True)
-class RootSystemA:
-    """Root data of A_{N-1} realized in the coordinate pairing on R^N."""
-
-    N: int
-
-    @property
-    def positive_roots(self) -> List[Root]:
-        return [(i, j) for i in range(1, self.N + 1) for j in range(i + 1, self.N + 1)]
-
-    @property
-    def simple_roots(self) -> List[Root]:
-        return [(k, k + 1) for k in range(1, self.N)]
-
-    @property
-    def rho(self) -> np.ndarray:
-        """Half-sum of positive roots (bookkeeping only)."""
-        N = self.N
-        return np.array([(N + 1 - 2 * i) / 2.0 for i in range(1, N + 1)])
-
-
 class WeylPermutation:
     """Element of S_N acting on spectral vectors by coordinate permutation."""
 
@@ -159,9 +138,6 @@ class Character:
     @classmethod
     def unit(cls, N: int) -> "Character":
         return cls({k: 1.0 for k in range(1, N)})
-
-    def is_nondegenerate(self) -> bool:
-        return all(v != 0 for v in self.c_alpha.values())
 
     def __getitem__(self, k: int) -> float:
         return self.c_alpha.get(k, 1.0)

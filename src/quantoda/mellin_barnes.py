@@ -13,9 +13,12 @@ real; the kernel there pairs Gamma(d/(2i)+1/4) with its reflection, and
 within-level coincidences annihilate the integrand through the denominator.
 
 Quadrature is a truncated uniform grid per dimension (spectrally accurate
-for these analytic, exponentially decaying integrands).  N <= 3.  The
-3-dimensional sums never materialize a 3-D array: the integrand factorizes
-into 1-D and 2-D pieces and the node sum is a matrix contraction.
+for these analytic, exponentially decaying integrands).  N <= 3.  One node
+sum, `_node_sums`, serves the point values, sweeps, grids and the spherical
+kernel; at N = 3 it contracts 1-D and 2-D pieces as matrix products and
+never materializes a 3-D array.  `whittaker_recursive` orders the sum
+differently, as an independent cross-check, and at N = 3 it does build an
+M x M x M array (about 0.7 GB at tol 1e-8).
 
 Normalization: 1/(2 pi) per integration variable, which makes N = 1 return
 exactly e^{i alpha x}; all cross-checks against oracles are ratio-based.
@@ -31,7 +34,7 @@ from typing import List, Sequence
 import numpy as np
 
 from .gz import TriangularArray
-from .separation import sep_measure, sep_wavefunction
+from .separation import sep_wavefunction
 from .specfun import log_gamma, log_gamma_array
 
 TWO_PI = 2.0 * math.pi
@@ -78,7 +81,6 @@ class ContourSpec:
 class QuadratureResult:
     value: complex
     error_estimate: float
-    evaluations: int
 
 
 def default_contour(N: int, alpha: Sequence[float], tol: float) -> ContourSpec:
@@ -158,9 +160,41 @@ def _inv_denominator(sv):
     return out
 
 
-def _strided_variants(n: int):
-    """Index sets for the full grid and its stride-2 subgrid."""
-    return [(slice(None), 1.0), (slice(0, n, 2), 2.0)]
+def _node_sums(top, which: str, offsets, half_width: float, M: int,
+               us: np.ndarray, vs: np.ndarray | None = None):
+    """Trapezoid node sums of the kernel, without the carrier e^{i sigma1 x_N}.
+
+    N = 2 when `vs` is None: arrays of shape (len(us),) over u = x1 - x2.
+    N = 3 otherwise: arrays of shape (len(us), len(vs)) over u = x1 - x2 and
+    v = x2 - x3, contracted as matrix products once per v.  Returns the sums
+    on the full grid of M nodes and on its stride-2 subgrid (full, halved).
+    """
+    t = np.linspace(-half_width, half_width, M)
+    dt = t[1] - t[0]
+    a = t + 1j * offsets[0]          # level-1 variable
+    if vs is None:
+        kern = np.exp(sum(_adjacent_log(a, p, which).reshape(-1) for p in top))
+    else:
+        b = t + 1j * offsets[1]      # level-2 variables (both run over the same nodes)
+        A = np.exp(_adjacent_log(a, b, which))
+        wtop = np.exp(sum(_adjacent_log(b, p, which).reshape(-1) for p in top))
+        D = _inv_denominator(b)
+    sums = []
+    for sl, fac in ((slice(None), 1.0), (slice(0, M, 2), 2.0)):
+        # phases are built from the sliced nodes: a strided view of one
+        # shared phase array changes the rounding of the halved N=3 sums
+        phase_a = np.exp(np.multiply.outer(us, 1j * a[sl]))    # (nu, na)
+        if vs is None:
+            sums.append((phase_a @ kern[sl]) * (dt * fac) / TWO_PI)
+            continue
+        Asl, Dsl, wsl = A[sl][:, sl], D[sl][:, sl], wtop[sl]
+        phase_b = np.exp(np.multiply.outer(1j * b[sl], vs))    # (nb, nv)
+        vals = np.empty((len(us), len(vs)), dtype=complex)
+        for iv in range(len(vs)):
+            B = Asl * (wsl * phase_b[:, iv])[None, :]
+            vals[:, iv] = phase_a @ np.einsum("ab,ab->a", B @ Dsl, B)
+        sums.append(vals * (dt * fac) ** 3 / TWO_PI ** 3)
+    return sums[0], sums[1]
 
 
 # ---------------------------------------------------------------------------
@@ -168,80 +202,64 @@ def _strided_variants(n: int):
 # ---------------------------------------------------------------------------
 
 
-def _whittaker_values_n2(alpha, us: np.ndarray, contour: ContourSpec,
-                         which: str = "whittaker", top=None):
-    """For each u = x1 - x2, the 1-D node sums (full grid and stride-2)."""
-    h1 = contour.offsets[0]
-    t = np.linspace(-contour.half_width, contour.half_width, contour.nodes_per_dim)
-    lam = t + 1j * h1
-    top = alpha if top is None else top
-    logk = sum(_adjacent_log(lam, a, which).reshape(-1) for a in top)
-    phase = np.exp(np.multiply.outer(us, 1j * lam))        # (nu, nt)
-    kern = np.exp(logk)
-    dt = t[1] - t[0]
-    out = []
-    for sl, fac in _strided_variants(len(t)):
-        out.append((phase[:, sl] @ kern[sl]) * (dt * fac) / TWO_PI)
-    return out[0], out[1]
-
-
-def _whittaker_values_n3(alpha, us: np.ndarray, vs: np.ndarray,
-                         contour: ContourSpec, which: str = "whittaker"):
-    """F[u,v] with u = x1-x2, v = x2-x3, via matrix contraction per v.
-
-    Returns (full, halved) arrays of shape (len(us), len(vs)).
-    """
-    h1, h2 = contour.offsets[0], contour.offsets[1]
-    t = np.linspace(-contour.half_width, contour.half_width, contour.nodes_per_dim)
-    a = t + 1j * h1          # level-1 variable
-    b = t + 1j * h2          # level-2 variables (both run over the same nodes)
-    A = np.exp(_adjacent_log(a, b, which))                 # (na, nb)
-    wtop = np.exp(sum(_adjacent_log(b, al, which).reshape(-1) for al in alpha))
-    D = _inv_denominator(b)
-    dt = t[1] - t[0]
-    results = []
-    for sl, fac in _strided_variants(len(t)):
-        Asl, Dsl, wsl = A[sl][:, sl], D[sl][:, sl], wtop[sl]
-        bsl, asl = b[sl], a[sl]
-        phase_b = np.exp(np.multiply.outer(1j * bsl, vs))   # (nb, nv)
-        phase_a = np.exp(np.multiply.outer(us, 1j * asl))   # (nu, na)
-        vals = np.empty((len(us), len(vs)), dtype=complex)
-        for iv in range(len(vs)):
-            B = Asl * (wsl * phase_b[:, iv])[None, :]
-            val_a = np.einsum("ab,ab->a", B @ Dsl, B)
-            vals[:, iv] = phase_a @ val_a
-        results.append(vals * (dt * fac) ** 3 / TWO_PI ** 3)
-    return results[0], results[1]
-
-
 def _check_n(N: int):
     if not 1 <= N <= 3:
         raise DimensionError(f"N={N} unsupported (1 <= N <= 3)")
 
 
+def _contour(N: int, params: Sequence[float], tol: float,
+             contour: ContourSpec | None) -> ContourSpec:
+    """The given contour, which must have N levels, or the default one."""
+    contour = contour or default_contour(N, params, tol)
+    if len(contour.offsets) != N:
+        raise ContourError(
+            f"contour has {len(contour.offsets)} levels, N={N} needs {N}")
+    return contour
+
+
+def _evaluate(which: str, N: int, params: Sequence[float],
+              points: Sequence[Sequence[float]], tol: float,
+              contour: ContourSpec | None = None) -> List[QuadratureResult]:
+    """Values at a list of points x, all from one kernel build.
+
+    The error estimate is |v - v_half|, where v_half is the stride-2 sum
+    with the same carrier.  Spherical contours are real: offsets 0.
+    """
+    _check_n(N)
+    params = [float(p) for p in params]
+    if len(params) != N or any(len(x) != N for x in points):
+        raise ValueError("parameters and x must have length N")
+    if which == "spherical":
+        for i in range(N):
+            for j in range(i + 1, N):
+                if abs(params[i] - params[j]) < COINCIDENT_TOL:
+                    raise ContourError("coincident top-level spectral parameters")
+    contour = _contour(N, params, tol, contour)
+    if N == 1:
+        return [QuadratureResult(cmath.exp(1j * params[0] * x[0]), 0.0)
+                for x in points]
+    offsets = contour.offsets if which == "whittaker" else (0.0, 0.0)
+    xs = np.array(points, dtype=float).reshape(-1, N)
+    uu, pick = np.unique(xs[:, 0] - xs[:, 1], return_inverse=True)
+    vv = None
+    if N == 3:
+        vv, vinv = np.unique(xs[:, 1] - xs[:, 2], return_inverse=True)
+        pick = (pick, vinv)
+    full, half = _node_sums(params, which, offsets, contour.half_width,
+                            contour.nodes_per_dim, uu, vv)
+    sigma1 = float(sum(params))
+    out = []
+    for x, f, h in zip(points, full[pick], half[pick]):
+        carrier = cmath.exp(1j * sigma1 * x[-1])
+        v, vh = complex(f) * carrier, complex(h) * carrier
+        out.append(QuadratureResult(v, abs(v - vh)))
+    return out
+
+
 def whittaker_eval(N: int, alpha: Sequence[float], x: Sequence[float],
                    tol: float = 1e-6, contour: ContourSpec | None = None) -> QuadratureResult:
     """Direct tensor-quadrature evaluation of the wave function at one x."""
-    _check_n(N)
-    if len(alpha) != N or len(x) != N:
-        raise ValueError("alpha and x must have length N")
-    sigma1 = float(sum(alpha))
-    if N == 1:
-        return QuadratureResult(cmath.exp(1j * alpha[0] * x[0]), 0.0, 1)
-    contour = contour or default_contour(N, alpha, tol)
-    M = contour.nodes_per_dim
-    if N == 2:
-        full, half = _whittaker_values_n2(alpha, np.array([x[0] - x[1]]), contour)
-        carrier = cmath.exp(1j * sigma1 * x[1])
-        evals = M
-    else:
-        full, half = _whittaker_values_n3(
-            alpha, np.array([x[0] - x[1]]), np.array([x[1] - x[2]]), contour)
-        carrier = cmath.exp(1j * sigma1 * x[2])
-        evals = M ** 3
-    v = complex(full.reshape(-1)[0]) * carrier
-    vh = complex(half.reshape(-1)[0]) * carrier
-    return QuadratureResult(v, abs(v - vh), evals)
+    return _evaluate("whittaker", N, alpha, [x], tol, contour)[0]
 
 
 def whittaker_on_grid(N: int, alpha: Sequence[float], axes: Sequence[np.ndarray],
@@ -255,24 +273,19 @@ def whittaker_on_grid(N: int, alpha: Sequence[float], axes: Sequence[np.ndarray]
     _check_n(N)
     sigma1 = float(sum(alpha))
     axes = [np.asarray(ax, dtype=float) for ax in axes]
+    contour = _contour(N, alpha, tol, contour)
     if N == 1:
         return np.exp(1j * alpha[0] * axes[0])
-    contour = contour or default_contour(N, alpha, tol)
-    if N == 2:
-        u = np.subtract.outer(axes[0], axes[1]).reshape(-1)
-        uu, inv = np.unique(np.round(u, 12), return_inverse=True)
-        full, _ = _whittaker_values_n2(alpha, uu, contour)
-        vals = full[inv].reshape(len(axes[0]), len(axes[1]))
-        return vals * np.exp(1j * sigma1 * axes[1])[None, :]
-    u = np.subtract.outer(axes[0], axes[1]).reshape(-1)
-    v = np.subtract.outer(axes[1], axes[2]).reshape(-1)
-    uu, uinv = np.unique(np.round(u, 12), return_inverse=True)
-    vv, vinv = np.unique(np.round(v, 12), return_inverse=True)
-    F, _ = _whittaker_values_n3(alpha, uu, vv, contour)
-    uinv = uinv.reshape(len(axes[0]), len(axes[1]))
-    vinv = vinv.reshape(len(axes[1]), len(axes[2]))
-    vals = F[uinv[:, :, None], vinv[None, :, :]]
-    return vals * np.exp(1j * sigma1 * axes[2])[None, None, :]
+    diffs, picks = [], []
+    for k in range(N - 1):
+        d = np.subtract.outer(axes[k], axes[k + 1])
+        uniq, inv = np.unique(np.round(d.reshape(-1), 12), return_inverse=True)
+        diffs.append(uniq)
+        picks.append(inv.reshape(d.shape))
+    F, _ = _node_sums(alpha, "whittaker", contour.offsets, contour.half_width,
+                      contour.nodes_per_dim, *diffs)
+    vals = F[picks[0]] if N == 2 else F[picks[0][:, :, None], picks[1][None, :, :]]
+    return vals * np.exp(1j * sigma1 * axes[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -332,14 +345,12 @@ def whittaker_recursive(N: int, alpha: Sequence[float], x: Sequence[float],
         integ = kern * mu * inner * np.exp(1j * (sigma1 - lam) * x[1])
         full = integ.sum() * dt / TWO_PI
         halved = integ[::2].sum() * 2 * dt / TWO_PI
-        evals = len(t)
     else:
         lam_sum = lam[:, None] + lam[None, :]
         integ = kern * mu * inner * np.exp(1j * (sigma1 - lam_sum) * x[2])
         full = integ.sum() * dt ** 2 / TWO_PI ** 2
         halved = integ[::2, ::2].sum() * (2 * dt) ** 2 / TWO_PI ** 2
-        evals = len(t) ** 2 * contour.nodes_per_dim
-    return QuadratureResult(complex(full), abs(full - halved), evals)
+    return QuadratureResult(complex(full), abs(full - halved))
 
 
 # ---------------------------------------------------------------------------
@@ -350,46 +361,7 @@ def whittaker_recursive(N: int, alpha: Sequence[float], x: Sequence[float],
 def spherical_eval(N: int, lam_top: Sequence[float], x: Sequence[float],
                    tol: float = 1e-6) -> QuadratureResult:
     """Spherical-kernel integral over real contours."""
-    _check_n(N)
-    lam_top = [float(v) for v in lam_top]
-    for i in range(N):
-        for j in range(i + 1, N):
-            if abs(lam_top[i] - lam_top[j]) < COINCIDENT_TOL:
-                raise ContourError("coincident top-level spectral parameters")
-    sigma1 = float(sum(lam_top))
-    if N == 1:
-        return QuadratureResult(cmath.exp(1j * lam_top[0] * x[0]), 0.0, 1)
-    base = default_contour(N, lam_top, tol)
-    M = base.nodes_per_dim
-    t = np.linspace(-base.half_width, base.half_width, M)
-    dt = t[1] - t[0]
-    if N == 2:
-        logk = sum(_adjacent_log(t, a, "spherical") for a in lam_top)
-        with np.errstate(all="ignore"):
-            kern = np.exp(logk)
-        phase = np.exp(1j * t * (x[0] - x[1]))
-        full = (kern * phase).sum() * dt / TWO_PI
-        halved = (kern * phase)[::2].sum() * 2 * dt / TWO_PI
-        carrier = cmath.exp(1j * sigma1 * x[1])
-        evals = M
-    else:
-        A = np.exp(_adjacent_log(t, t, "spherical"))
-        wtop = np.exp(sum(_adjacent_log(t, a, "spherical").reshape(-1)
-                          for a in lam_top))
-        D = _inv_denominator(t.astype(complex))
-        u, v = x[0] - x[1], x[1] - x[2]
-        vals = []
-        for sl, fac in _strided_variants(M):
-            Asl, Dsl = A[sl][:, sl], D[sl][:, sl]
-            B = Asl * (wtop[sl] * np.exp(1j * t[sl] * v))[None, :]
-            val_a = np.einsum("ab,ab->a", B @ Dsl, B)
-            vals.append((np.exp(1j * t[sl] * u) @ val_a)
-                        * (dt * fac) ** 3 / TWO_PI ** 3)
-        full, halved = vals
-        carrier = cmath.exp(1j * sigma1 * x[2])
-        evals = M ** 3
-    value = complex(full) * carrier
-    return QuadratureResult(value, abs(complex(full) - complex(halved)), evals)
+    return _evaluate("spherical", N, lam_top, [x], tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -401,20 +373,24 @@ def grid_scan(which: str, N: int, params: Sequence[float], axis: int,
               start: float, stop: float, steps: int,
               x_base: Sequence[float] | None = None,
               tol: float = 1e-6) -> List[dict]:
-    """Sweep one coordinate; rows carry value, modulus and error estimate."""
+    """Sweep one coordinate; rows carry value, modulus and error estimate.
+
+    One kernel build serves the whole sweep.
+    """
     if not 0 <= axis < N:
         raise ValueError("axis out of range")
+    if which not in ("whittaker", "spherical"):
+        raise ValueError(f"unknown function {which!r}")
     x0 = list(x_base) if x_base is not None else [0.0] * N
-    rows = []
+    if len(x0) != N:
+        raise ValueError("x_base must have length N")
+    points = []
     for xv in np.linspace(start, stop, steps):
         x = list(x0)
         x[axis] = float(xv)
-        if which == "whittaker":
-            res = whittaker_eval(N, params, x, tol)
-        elif which == "spherical":
-            res = spherical_eval(N, params, x, tol)
-        else:
-            raise ValueError(f"unknown function {which!r}")
+        points.append(x)
+    rows = []
+    for x, res in zip(points, _evaluate(which, N, params, points, tol)):
         row = {f"x{k+1}": x[k] for k in range(N)}
         row.update(re=res.value.real, im=res.value.imag,
                    abs=abs(res.value), error_estimate=res.error_estimate)

@@ -25,7 +25,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Sequence
+from typing import List, Sequence
 
 from .report import VerificationReport
 from .specfun import PoleError, gamma_shift_ratio, log_gamma
@@ -106,25 +106,6 @@ def check_measure_difference_eq(lam: Sequence[float], j: int) -> float:
     if want == 0:
         raise PoleError("degenerate multiplier")
     return abs(got / want - 1.0)
-
-
-def lambda_shift_apply(f: Callable[[SeparatedPoint], complex], j: int,
-                       sign: int) -> Callable[[SeparatedPoint], complex]:
-    """The translation action: point -> i^{sign*N} f(lambda_j + sign*i).
-
-    N is the lattice size, i.e. one more than the number of separated
-    variables at the point.
-    """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-
-    def shifted(pt: SeparatedPoint) -> complex:
-        N = len(pt.lam) + 1
-        lam = list(pt.lam)
-        lam[j] = lam[j] + sign * 1j
-        return (1j) ** (sign * N) * f(SeparatedPoint(pt.p, lam))
-
-    return shifted
 
 
 def check_dif_equation(alpha: Sequence[float], lam: Sequence[float], j: int) -> float:

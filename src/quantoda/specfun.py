@@ -12,7 +12,6 @@ difference of two log-Gamma calls.
 from __future__ import annotations
 
 import cmath
-import math
 
 import numpy as np
 from scipy.special import loggamma as _sc_loggamma

@@ -135,6 +135,19 @@ _EVAL = ["whittaker", "eval", "--n", "2", "--alpha", "0.5,-0.5", "--x", "0.3,-0.
     ["verify", "gz", "--n", "2", "--tol", "-1"],
     ["verify", "eigen", "--n", "2", "--alpha", "0.5,-0.5", "--grid", "8:0.1",
      "--tol", "nan"],
+    # non-finite coordinates and parameters: NaN rows, a silent 0, or
+    # "cannot convert float NaN to integer" with exit 1
+    ["whittaker", "grid", "--n", "2", "--alpha", "0.5,-0.5", "--axis", "0",
+     "--from", "nan", "--to", "1", "--steps", "3"],
+    _GRID[:-1] + ["inf", "--steps", "3"],
+    ["whittaker", "eval", "--n", "2", "--alpha", "0.5,-0.5", "--x", "inf,0"],
+    ["whittaker", "eval", "--n", "2", "--alpha", "nan,1", "--x", "0,0"],
+    ["cfunction", "--lambda", "nan,1"],
+    # sweep axis outside [0, n) exited 1
+    ["whittaker", "grid", "--n", "2", "--alpha", "0.5,-0.5", "--axis", "7",
+     "--from", "0", "--to", "1", "--steps", "3"],
+    ["whittaker", "grid", "--n", "2", "--alpha", "0.5,-0.5", "--axis", "-1",
+     "--from", "0", "--to", "1", "--steps", "3"],
 ])
 def test_bad_inputs_exit_2_with_one_line(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -142,6 +155,18 @@ def test_bad_inputs_exit_2_with_one_line(argv, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "error: argument --" in err
+
+
+@pytest.mark.parametrize("argv", [
+    # each of these raised an IndexError traceback
+    ["spherical", "eval", "--n", "2", "--lambda", "0.5,-0.5", "--x", "0"],
+    ["whittaker", "grid", "--n", "3", "--alpha", "1,0,-1", "--axis", "2",
+     "--from", "0", "--to", "1", "--steps", "2", "--x", "0,0"],
+])
+def test_length_mismatch_exits_1_with_one_line(argv, capsys):
+    assert dispatch(argv, out=io.StringIO()) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
 
 
 def test_smallest_valid_counts_run():

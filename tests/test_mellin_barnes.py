@@ -32,6 +32,19 @@ def test_integrand_n2_explicit():
         mb_integrand(arr, x, "nope")
 
 
+def test_contour_level_count_must_match_n():
+    two_levels = ContourSpec((0.5, 0.0), 5.0, 64)
+    with pytest.raises(ContourError):
+        whittaker_eval(3, [0.5, 0.0, -0.5], [0.1, 0.0, -0.1], contour=two_levels)
+    with pytest.raises(ContourError):
+        whittaker_on_grid(3, [0.5, 0.0, -0.5], [np.zeros(2)] * 3,
+                          contour=two_levels)
+    with pytest.raises(ContourError):
+        whittaker_eval(1, [0.5], [0.1], contour=two_levels)
+    with pytest.raises(ContourError):
+        whittaker_on_grid(1, [0.5], [np.zeros(2)], contour=two_levels)
+
+
 def test_contour_spec_validation():
     ContourSpec((0.5, 0.0), 5.0, 64)
     with pytest.raises(ContourError):
@@ -117,17 +130,53 @@ def test_grid_scan_rows():
     assert set(rows[0]) == {"x1", "x2", "re", "im", "abs", "error_estimate"}
     assert rows[0]["x1"] == -1.0 and rows[-1]["x1"] == 1.0
     assert rows[2]["x2"] == 0.0
+    assert grid_scan("whittaker", 3, [0.5, 0.0, -0.5], axis=1,
+                     start=0.0, stop=1.0, steps=0) == []
     with pytest.raises(ValueError):
         grid_scan("whittaker", 2, [0.5, -0.5], axis=2,
                   start=0.0, stop=1.0, steps=2)
     with pytest.raises(ValueError):
         grid_scan("bogus", 2, [0.5, -0.5], axis=0,
                   start=0.0, stop=1.0, steps=2)
+    with pytest.raises(ValueError):
+        grid_scan("whittaker", 3, [0.5, 0.0, -0.5], axis=2,
+                  start=0.0, stop=1.0, steps=2, x_base=[0.0, 0.0])
+
+
+@pytest.mark.parametrize("which, params", [
+    ("whittaker", [0.7, -0.2]),
+    ("whittaker", [0.8, 0.0, -0.5]),
+    ("spherical", [0.6, -0.3]),
+    ("spherical", [0.6, 0.1, -0.4]),
+])
+def test_grid_scan_matches_point_evaluator(which, params):
+    # one kernel build for the sweep gives each row's point value and
+    # error estimate
+    N = len(params)
+    point = whittaker_eval if which == "whittaker" else spherical_eval
+    x_base = [0.3, -0.1, -0.4][:N]
+    for axis in range(N):
+        rows = grid_scan(which, N, params, axis=axis, start=-0.6, stop=0.9,
+                         steps=4, x_base=x_base, tol=1e-6)
+        for row in rows:
+            x = [row[f"x{k+1}"] for k in range(N)]
+            pt = point(N, params, x, tol=1e-6)
+            value = complex(row["re"], row["im"])
+            assert abs(value - pt.value) <= 1e-12 * abs(pt.value)
+            assert abs(row["error_estimate"] - pt.error_estimate) \
+                <= 1e-12 * abs(pt.value)
 
 
 def test_spherical_rejects_coincident_parameters():
     with pytest.raises(ContourError):
         spherical_eval(2, [0.3, 0.3], [0.1, -0.1])
+
+
+def test_length_mismatch_is_a_value_error():
+    with pytest.raises(ValueError):
+        spherical_eval(2, [0.5, -0.5], [0.0])
+    with pytest.raises(ValueError):
+        whittaker_eval(3, [0.5, 0.0], [0.1, 0.0, -0.1])
 
 
 def _spherical_n2_reference(lam, x, T):
