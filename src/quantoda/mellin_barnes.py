@@ -15,10 +15,12 @@ within-level coincidences annihilate the integrand through the denominator.
 Quadrature is a truncated uniform grid per dimension (spectrally accurate
 for these analytic, exponentially decaying integrands).  N <= 3.  One node
 sum, `_node_sums`, serves the point values, sweeps, grids and the spherical
-kernel; at N = 3 it contracts 1-D and 2-D pieces as matrix products and
-never materializes a 3-D array.  `whittaker_recursive` orders the sum
-differently, as an independent cross-check, and at N = 3 it does build an
-M x M x M array (about 0.7 GB at tol 1e-8).
+kernel.  On a level's contour a within-level difference d is real, so the
+denominator 1/(Gamma(-i d) Gamma(i d)) = d sinh(pi d)/pi (0 at d = 0) has
+rank 4 as a matrix over the nodes: at N = 3 both routes run in O(M^2)
+memory and build no 3-D array.  `whittaker_recursive` orders the sum
+differently (separated variables outside, its inner rank-2 function one
+matrix product), as an independent cross-check.
 
 Normalization: 1/(2 pi) per integration variable, which makes N = 1 return
 exactly e^{i alpha x}; all cross-checks against oracles are ratio-based.
@@ -150,14 +152,10 @@ def _adjacent_log(av, bv, which: str):
     return log_gamma_array(d / 2j + 0.25) + log_gamma_array(-d / 2j + 0.25)
 
 
-def _inv_denominator(sv):
-    """exp(-logGamma(-i(s1-s2)) - logGamma(-i(s2-s1))); zero on the diagonal."""
-    d = np.subtract.outer(sv, sv)
-    with np.errstate(all="ignore"):
-        lg = log_gamma_array(-1j * d) + log_gamma_array(1j * d)
-        out = np.exp(-lg)
-    np.fill_diagonal(out, 0.0)
-    return out
+def _within_level(d):
+    """1/(Gamma(-i d) Gamma(i d)) = d sinh(pi d)/pi for real d; 0 at d = 0."""
+    with np.errstate(over="ignore"):
+        return d * np.sinh(np.pi * d) / np.pi
 
 
 def _node_sums(top, which: str, offsets, half_width: float, M: int,
@@ -166,8 +164,13 @@ def _node_sums(top, which: str, offsets, half_width: float, M: int,
 
     N = 2 when `vs` is None: arrays of shape (len(us),) over u = x1 - x2.
     N = 3 otherwise: arrays of shape (len(us), len(vs)) over u = x1 - x2 and
-    v = x2 - x3, contracted as matrix products once per v.  Returns the sums
-    on the full grid of M nodes and on its stride-2 subgrid (full, halved).
+    v = x2 - x3.  Returns the sums on the full grid of M nodes and on its
+    stride-2 subgrid (full, halved).
+
+    At N = 3 the level-2 pair (b, c) carries D[b,c] = `_within_level`(t_b -
+    t_c), as both level-2 variables lie on one line.  Expanding the sinh,
+    sum_{b,c} B_b B_c D[b,c] = [(B.tE+)(B.E-) - (B.E+)(B.tE-)] / pi with
+    E+- = e^{+-pi t}, so all v share one (M x M) @ (M x 4 len(vs)) product.
     """
     t = np.linspace(-half_width, half_width, M)
     dt = t[1] - t[0]
@@ -178,7 +181,8 @@ def _node_sums(top, which: str, offsets, half_width: float, M: int,
         b = t + 1j * offsets[1]      # level-2 variables (both run over the same nodes)
         A = np.exp(_adjacent_log(a, b, which))
         wtop = np.exp(sum(_adjacent_log(b, p, which).reshape(-1) for p in top))
-        D = _inv_denominator(b)
+        ep, em = np.exp(np.pi * t), np.exp(-np.pi * t)
+        rank4 = np.stack([t * ep, em, ep, t * em], axis=1)     # (nb, 4)
     sums = []
     for sl, fac in ((slice(None), 1.0), (slice(0, M, 2), 2.0)):
         # phases are built from the sliced nodes: a strided view of one
@@ -187,13 +191,12 @@ def _node_sums(top, which: str, offsets, half_width: float, M: int,
         if vs is None:
             sums.append((phase_a @ kern[sl]) * (dt * fac) / TWO_PI)
             continue
-        Asl, Dsl, wsl = A[sl][:, sl], D[sl][:, sl], wtop[sl]
         phase_b = np.exp(np.multiply.outer(1j * b[sl], vs))    # (nb, nv)
-        vals = np.empty((len(us), len(vs)), dtype=complex)
-        for iv in range(len(vs)):
-            B = Asl * (wsl * phase_b[:, iv])[None, :]
-            vals[:, iv] = phase_a @ np.einsum("ab,ab->a", B @ Dsl, B)
-        sums.append(vals * (dt * fac) ** 3 / TWO_PI ** 3)
+        w = wtop[sl, None] * phase_b                             # (nb, nv)
+        weights = (rank4[sl, :, None] * w[:, None, :]).reshape(len(w), -1)
+        P = (A[sl][:, sl] @ weights).reshape(len(w), 4, len(vs))  # (na, 4, nv)
+        pairs = (P[:, 0] * P[:, 1] - P[:, 2] * P[:, 3]) / np.pi  # (na, nv)
+        sums.append((phase_a @ pairs) * (dt * fac) ** 3 / TWO_PI ** 3)
     return sums[0], sums[1]
 
 
@@ -202,9 +205,23 @@ def _node_sums(top, which: str, offsets, half_width: float, M: int,
 # ---------------------------------------------------------------------------
 
 
-def _check_n(N: int):
+def _validate(N: int, params: Sequence[float], points, tol: float) -> List[float]:
+    """The parameters as floats, after checking N, lengths, finiteness and tol.
+
+    A point holds one entry per coordinate x_1..x_N: a number or a grid axis.
+    """
     if not 1 <= N <= 3:
         raise DimensionError(f"N={N} unsupported (1 <= N <= 3)")
+    params = [float(p) for p in params]
+    if len(params) != N or any(len(x) != N for x in points):
+        raise ValueError("parameters and x must have length N")
+    if not (all(map(math.isfinite, params))
+            and all(np.isfinite(np.asarray(c, dtype=float)).all()
+                    for c in zip(*points))):
+        raise ValueError("parameters and x must be finite")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+    return params
 
 
 def _contour(N: int, params: Sequence[float], tol: float,
@@ -225,10 +242,7 @@ def _evaluate(which: str, N: int, params: Sequence[float],
     The error estimate is |v - v_half|, where v_half is the stride-2 sum
     with the same carrier.  Spherical contours are real: offsets 0.
     """
-    _check_n(N)
-    params = [float(p) for p in params]
-    if len(params) != N or any(len(x) != N for x in points):
-        raise ValueError("parameters and x must have length N")
+    params = _validate(N, params, points, tol)
     if which == "spherical":
         for i in range(N):
             for j in range(i + 1, N):
@@ -270,9 +284,9 @@ def whittaker_on_grid(N: int, alpha: Sequence[float], axes: Sequence[np.ndarray]
     differences, so the quadrature is contracted once per distinct
     difference value rather than once per grid point.
     """
-    _check_n(N)
-    sigma1 = float(sum(alpha))
     axes = [np.asarray(ax, dtype=float) for ax in axes]
+    alpha = _validate(N, alpha, [axes], tol)
+    sigma1 = float(sum(alpha))
     contour = _contour(N, alpha, tol, contour)
     if N == 1:
         return np.exp(1j * alpha[0] * axes[0])
@@ -301,7 +315,7 @@ def whittaker_recursive(N: int, alpha: Sequence[float], x: Sequence[float],
     The total-momentum delta factor collapses the momentum integral, so the
     x_N dependence enters through e^{i(sigma1 - sum lam) x_N}.
     """
-    _check_n(N)
+    alpha = _validate(N, alpha, [x], tol)
     if N == 1:
         return whittaker_eval(N, alpha, x, tol)
     sigma1 = float(sum(alpha))
@@ -316,37 +330,21 @@ def whittaker_recursive(N: int, alpha: Sequence[float], x: Sequence[float],
         inner = np.exp(1j * lam * x[0])
         kern = np.array([sep_wavefunction(alpha, [l]) for l in lam])
         mu = np.ones_like(lam)
-    else:
-        # inner rank-2 function cached on all (l1, l2) level-2 node pairs,
-        # evaluated vectorized over its own contour, one offset step above
-        # the separated variables so the Gamma arguments stay off the poles
-        l1 = lam[:, None]
-        l2 = lam[None, :]
-        hin = h + LEVEL_OFFSET_STEP
-        tin = np.linspace(-contour.half_width, contour.half_width,
-                          contour.nodes_per_dim)
-        mu_in = tin + 1j * hin
-        lg = (log_gamma_array(-1j * (mu_in[:, None, None] - l1[None, :, :]))
-              + log_gamma_array(-1j * (mu_in[:, None, None] - l2[None, :, :]))
-              + 1j * (mu_in[:, None, None] * (x[0] - x[1])))
-        dt_in = tin[1] - tin[0]
-        inner = (np.exp(lg).sum(axis=0) * dt_in / TWO_PI
-                 * np.exp(1j * (l1 + l2) * x[1]))
-        kern = np.exp(
-            log_gamma_array(-1j * np.subtract.outer(lam, np.asarray(alpha, float)))
-            .sum(axis=1))
-        kern = kern[:, None] * kern[None, :]
-        with np.errstate(all="ignore"):
-            mu = np.exp(-(log_gamma_array(-1j * (l1 - l2))
-                          + log_gamma_array(-1j * (l2 - l1))))
-        np.fill_diagonal(mu, 0.0)
-
-    if N == 2:
         integ = kern * mu * inner * np.exp(1j * (sigma1 - lam) * x[1])
         full = integ.sum() * dt / TWO_PI
         halved = integ[::2].sum() * 2 * dt / TWO_PI
     else:
-        lam_sum = lam[:, None] + lam[None, :]
+        # inner rank-2 function on all (l1, l2) level-2 node pairs, one GEMM
+        # G^T diag(e^{i mu u}) G over its own contour, one offset step above
+        # the separated variables so the Gamma arguments stay off the poles
+        mu_in = t + 1j * (h + LEVEL_OFFSET_STEP)
+        G = np.exp(_adjacent_log(mu_in, lam, "whittaker"))   # Gamma(-i(mu - l))
+        lam_sum = np.add.outer(lam, lam)
+        inner = (((G.T * np.exp(1j * mu_in * (x[0] - x[1]))) @ G) * dt / TWO_PI
+                 * np.exp(1j * lam_sum * x[1]))
+        kern = np.exp(_adjacent_log(lam, alpha, "whittaker").sum(axis=1))
+        kern = kern[:, None] * kern[None, :]
+        mu = _within_level(np.subtract.outer(t, t))
         integ = kern * mu * inner * np.exp(1j * (sigma1 - lam_sum) * x[2])
         full = integ.sum() * dt ** 2 / TWO_PI ** 2
         halved = integ[::2, ::2].sum() * (2 * dt) ** 2 / TWO_PI ** 2

@@ -1,15 +1,18 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import loggamma
 
 from quantoda.gz import TriangularArray
 from quantoda.mellin_barnes import (ContourError, ContourSpec, DimensionError,
-                                    default_contour, grid_scan, mb_integrand,
-                                    spherical_eval, whittaker_eval,
-                                    whittaker_on_grid, whittaker_recursive)
+                                    _evaluate, _within_level, default_contour,
+                                    grid_scan, mb_integrand, spherical_eval,
+                                    whittaker_eval, whittaker_on_grid,
+                                    whittaker_recursive)
 from quantoda.specfun import gamma, log_gamma
 
 
@@ -81,6 +84,9 @@ def test_direct_vs_recursive():
     d = whittaker_eval(3, alpha3, x3, tol=1e-8)
     r = whittaker_recursive(3, alpha3, x3, tol=1e-8)
     assert abs(d.value - r.value) < 1e-6 * max(1.0, abs(d.value))
+    d = whittaker_eval(3, alpha3, x3, tol=1e-10)
+    r = whittaker_recursive(3, alpha3, x3, tol=1e-10)
+    assert abs(d.value - r.value) <= 1e-10 * abs(d.value)
 
 
 def test_weyl_symmetry_in_alpha():
@@ -177,6 +183,80 @@ def test_length_mismatch_is_a_value_error():
         spherical_eval(2, [0.5, -0.5], [0.0])
     with pytest.raises(ValueError):
         whittaker_eval(3, [0.5, 0.0], [0.1, 0.0, -0.1])
+    with pytest.raises(ValueError):
+        whittaker_recursive(3, [1.0, 0.0], [0.5, 0.0, -0.5])
+    with pytest.raises(ValueError):
+        whittaker_recursive(2, [0.5, -0.5], [0.0])
+    axes = [np.linspace(-0.2, 0.2, 3)] * 2
+    with pytest.raises(ValueError):
+        whittaker_on_grid(2, [1.0], axes)
+    with pytest.raises(ValueError):
+        whittaker_on_grid(3, [0.5, 0.0, -0.5], axes)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: whittaker_eval(2, [0.5, -0.5], [math.inf, 0.0]),
+    lambda: spherical_eval(2, [0.5, -0.5], [math.nan, 0.0]),
+    lambda: whittaker_eval(2, [math.nan, -0.5], [0.0, 0.0]),
+    lambda: whittaker_recursive(3, [0.9, 0.1, -0.6], [0.5, math.inf, -0.5]),
+    lambda: whittaker_on_grid(2, [0.5, -0.5], [np.array([0.0, math.nan]),
+                                                np.zeros(2)]),
+    lambda: whittaker_eval(2, [0.5, -0.5], [0.0, 0.0], tol=0.0),
+    lambda: whittaker_eval(2, [0.5, -0.5], [0.0, 0.0], tol=-1.0),
+    lambda: whittaker_eval(2, [0.5, -0.5], [0.0, 0.0], tol=math.nan),
+    lambda: spherical_eval(2, [0.5, -0.5], [0.0, 0.0], tol=math.inf),
+    lambda: whittaker_recursive(2, [0.5, -0.5], [0.0, 0.0], tol=0.0),
+    lambda: whittaker_on_grid(2, [0.5, -0.5], [np.zeros(2)] * 2, tol=-1.0),
+])
+def test_non_finite_input_or_bad_tol_is_a_value_error(call):
+    with pytest.raises(ValueError, match="finite"):
+        call()
+
+
+def test_within_level_closed_form():
+    # 1/(Gamma(-i d) Gamma(i d)) on a real difference d, from log-Gamma;
+    # at d = 0 the Gamma poles make it 0
+    d = np.linspace(-20.0, 20.0, 4001)
+    d = d[d != 0.0]
+    ref = np.exp(-(loggamma(-1j * d) + loggamma(1j * d)))
+    assert np.all(np.abs(_within_level(d) - ref) <= 1e-12 * np.abs(ref))
+    assert _within_level(np.zeros(1)).tolist() == [0.0]
+
+
+@pytest.mark.parametrize("which, params", [
+    ("whittaker", [0.9, 0.1, -0.6]),
+    ("spherical", [0.7, 0.2, -0.4]),
+])
+def test_n3_node_sum_is_the_plain_triple_sum(which, params):
+    # the contraction against the integrand summed node by node, with the
+    # within-level coincidences b1 = b2 (where the kernel vanishes) left out
+    contour = ContourSpec((1.0, 0.5, 0.0), 4.0, 16)
+    x = [0.5, 0.1, -0.4]
+    got = _evaluate(which, 3, params, [x], 1e-6, contour)[0].value
+    h1, h2 = contour.offsets[:2] if which == "whittaker" else (0.0, 0.0)
+    t = np.linspace(-contour.half_width, contour.half_width,
+                    contour.nodes_per_dim)
+    total = 0.0
+    for ta in t:
+        for i1, t1 in enumerate(t):
+            for i2, t2 in enumerate(t):
+                if i1 != i2:
+                    arr = TriangularArray([[ta + 1j * h1],
+                                           [t1 + 1j * h2, t2 + 1j * h2],
+                                           params])
+                    total += mb_integrand(arr, x, which)
+    ref = total * ((t[1] - t[0]) / (2.0 * math.pi)) ** 3
+    assert abs(got - ref) <= 1e-12 * abs(ref)
+
+
+def test_recursive_n3_memory_stays_quadratic():
+    tracemalloc.start()
+    try:
+        whittaker_recursive(3, [0.9, 0.1, -0.6], [0.5, 0.0, -0.5], tol=1e-10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2 ** 20
 
 
 def _spherical_n2_reference(lam, x, T):
