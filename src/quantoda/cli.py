@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
@@ -42,21 +43,34 @@ def _float_list(text: str) -> List[float]:
     return [_finite_float(v) for v in text.split(",") if v.strip() != ""]
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(text: str, least: int) -> int:
     try:
         v = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer: {text!r}")
-    if v < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {v}")
+    if v < least:
+        raise argparse.ArgumentTypeError(f"must be at least {least}, got {v}")
     return v
 
 
-def _tolerance(text: str) -> float:
+def _positive_int(text: str) -> int:
+    return _int_at_least(text, 1)
+
+
+def _positive_float(text: str) -> float:
     v = _finite_float(text)
     if v <= 0:
         raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
     return v
+
+
+def _grid_spec(text: str) -> oracle.GridSpec:
+    """points:spacing, with an interior node and a finite spacing > 0."""
+    points_s, colon, spacing_s = text.partition(":")
+    if not colon:
+        raise argparse.ArgumentTypeError(f"expected points:spacing, got {text!r}")
+    points = _int_at_least(points_s, 2 * oracle.BOUNDARY_MARGIN + 1)
+    return oracle.GridSpec(points, _positive_float(spacing_s))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -79,32 +93,28 @@ def _norm(x):
     return x
 
 
+def _json_text(payload) -> str:
+    """Strict JSON: a non-finite number raises ValueError before any output."""
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
 def _emit_reports(reports: Sequence[VerificationReport], out) -> int:
     payload = {"reports": [_norm(r.to_dict()) for r in reports],
                "status": combine(reports)}
-    json.dump(payload, out, indent=2, sort_keys=True)
-    out.write("\n")
+    out.write(_json_text(payload))
     return 0 if combine(reports) == "PASS" else 1
 
 
-def _emit_value(rows: Sequence[dict], fmt: str, out) -> None:
+def _value_text(rows: Sequence[dict], fmt: str) -> str:
     rows = [_norm(r) for r in rows]
     if fmt == "json":
-        json.dump(rows, out, indent=2, sort_keys=True)
-        out.write("\n")
-    else:
-        writer = csv.DictWriter(out, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        for r in rows:
-            writer.writerow({k: repr(v) if isinstance(v, float) else v
-                             for k, v in r.items()})
-
-
-def _value_row(res: mb.QuadratureResult, x: Sequence[float]) -> dict:
-    row = {f"x{k+1}": float(v) for k, v in enumerate(x)}
-    row.update(re=res.value.real, im=res.value.imag, abs=abs(res.value),
-               error_estimate=res.error_estimate)
-    return row
+        return _json_text(rows)
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
+    writer.writeheader()
+    writer.writerows({k: repr(v) if isinstance(v, float) else v for k, v in r.items()}
+                     for r in rows)
+    return buf.getvalue()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -120,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     we.add_argument("--n", type=_positive_int, required=True)
     we.add_argument("--alpha", type=_float_list, required=True)
     we.add_argument("--x", type=_float_list, required=True)
-    we.add_argument("--tol", type=_tolerance, default=1e-6)
+    we.add_argument("--tol", type=_positive_float, default=1e-6)
     we.add_argument("--method", choices=["direct", "recursive"], default="direct")
     we.add_argument("--format", choices=["csv", "json"], default="csv")
 
@@ -133,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     wg.add_argument("--steps", type=_positive_int, required=True)
     wg.add_argument("--x", type=_float_list, default=None,
                     help="base point for the fixed coordinates")
-    wg.add_argument("--tol", type=_tolerance, default=1e-6)
+    wg.add_argument("--tol", type=_positive_float, default=1e-6)
     wg.add_argument("--out", default=None)
     wg.add_argument("--format", choices=["csv", "json"], default="csv")
 
@@ -143,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     se.add_argument("--n", type=_positive_int, required=True)
     se.add_argument("--lambda", dest="lam", type=_float_list, required=True)
     se.add_argument("--x", type=_float_list, required=True)
-    se.add_argument("--tol", type=_tolerance, default=1e-6)
+    se.add_argument("--tol", type=_positive_float, default=1e-6)
     se.add_argument("--format", choices=["csv", "json"], default="csv")
 
     cf = sub.add_parser("cfunction",
@@ -167,14 +177,14 @@ def build_parser() -> argparse.ArgumentParser:
     vg.add_argument("--n", type=_positive_int, required=True)
     vg.add_argument("--trials", type=_positive_int, default=20)
     vg.add_argument("--seed", type=int, default=42)
-    vg.add_argument("--tol", type=_tolerance, default=None)
+    vg.add_argument("--tol", type=_positive_float, default=None)
 
     vei = vsub.add_parser("eigen", help="coordinate-space eigenvalue residual")
     vei.add_argument("--n", type=_positive_int, required=True)
     vei.add_argument("--alpha", type=_float_list, required=True)
-    vei.add_argument("--grid", required=True,
+    vei.add_argument("--grid", type=_grid_spec, required=True,
                      help="points:spacing, e.g. 64:0.05")
-    vei.add_argument("--tol", type=_tolerance, default=1e-3)
+    vei.add_argument("--tol", type=_positive_float, default=1e-3)
     vei.add_argument("--refine", action="store_true")
     return p
 
@@ -185,8 +195,8 @@ def dispatch(argv: Sequence[str] | None = None, out=None) -> int:
     out = out or sys.stdout
     try:
         return _run(args, parser, out)
-    except (ValueError, RuntimeError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, RuntimeError, OverflowError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 
@@ -194,7 +204,7 @@ def _run(args, parser, out) -> int:
     if args.command == "whittaker" and args.subcommand == "eval":
         fn = mb.whittaker_eval if args.method == "direct" else mb.whittaker_recursive
         res = fn(args.n, args.alpha, args.x, args.tol)
-        _emit_value([_value_row(res, args.x)], args.format, out)
+        out.write(_value_text([mb.value_row(res, args.x)], args.format))
         return 0
     if args.command == "whittaker" and args.subcommand == "grid":
         if not 0 <= args.axis < args.n:
@@ -203,15 +213,16 @@ def _run(args, parser, out) -> int:
         rows = mb.grid_scan("whittaker", args.n, args.alpha, args.axis,
                             args.start, args.stop, args.steps,
                             x_base=args.x, tol=args.tol)
+        text = _value_text(rows, args.format)
         if args.out:
             with open(args.out, "w", newline="") as fh:
-                _emit_value(rows, args.format, fh)
+                fh.write(text)
         else:
-            _emit_value(rows, args.format, out)
+            out.write(text)
         return 0
     if args.command == "spherical":
         res = mb.spherical_eval(args.n, args.lam, args.x, args.tol)
-        _emit_value([_value_row(res, args.x)], args.format, out)
+        out.write(_value_text([mb.value_row(res, args.x)], args.format))
         return 0
     if args.command == "cfunction":
         lam = args.lam
@@ -219,7 +230,7 @@ def _run(args, parser, out) -> int:
         row = {"lambda": ",".join(repr(v) for v in lam),
                "c_re": c.real, "c_im": c.imag,
                "plancherel_density": hc.plancherel_density(lam)}
-        _emit_value([row], args.format, out)
+        out.write(_value_text([row], args.format))
         return 0
     if args.command == "verify":
         return _emit_reports(_verify_reports(args), out)
@@ -234,12 +245,7 @@ def _verify_reports(args) -> List[VerificationReport]:
     if args.subcommand == "gz":
         return gz.gz_suite(args.n, args.trials, args.seed, tol=args.tol)
     if args.subcommand == "eigen":
-        try:
-            points_s, spacing_s = args.grid.split(":")
-            spec = oracle.GridSpec(int(points_s), float(spacing_s))
-        except ValueError:
-            raise ValueError(f"bad --grid spec {args.grid!r}; expected points:spacing")
-        return [oracle.check_eigen(args.n, args.alpha, spec,
+        return [oracle.check_eigen(args.n, args.alpha, args.grid,
                                    tol=args.tol, refine=args.refine)]
     raise ValueError(f"unknown verify target {args.subcommand}")
 

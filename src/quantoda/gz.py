@@ -49,7 +49,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .rationals import ONE, P, FpI, Gauss, as_gauss, gauss_mul
 from .report import VerificationReport
@@ -281,14 +281,6 @@ class DifferenceOperator:
                 val = complex(*c) * val
             yield val, shift
 
-    def apply_with_ratio(self, arr: TriangularArray,
-                         ratio: Callable[[TriangularArray, ShiftKey], complex]) -> complex:
-        """sum_t c_t(arr) * [f(arr shifted by t)/f(arr)] for f given by `ratio`."""
-        total = 0.0 + 0.0j
-        for val, shift in self.numeric_terms(arr):
-            total += val * ratio(arr, shift)
-        return total
-
 
 # ---------------------------------------------------------------------------
 # Generators
@@ -314,10 +306,6 @@ def gz_generator(kind: str, n: int, N: int) -> DifferenceOperator:
         raise ValueError(f"unknown generator kind {kind!r}")
     coefs = [Coefficient(kind, n, j) for j in js]
     return DifferenceOperator({(c.shift, ((c, ()),)): ONE for c in coefs})
-
-
-def compose(a: DifferenceOperator, b: DifferenceOperator) -> DifferenceOperator:
-    return a * b
 
 
 # ---------------------------------------------------------------------------
@@ -465,10 +453,14 @@ def check_whittaker_equations(N: int, arr: TriangularArray,
     _check_level_gaps(arr)
     worst = 0.0
     for n in range(1, N):
-        val = gz_generator("raise", n, N).apply_with_ratio(arr, _whittaker_shift_ratio)
+        # sum_t c_t(arr) w(arr shifted by t)/w(arr); w' is constant
+        val = 0.0 + 0.0j
+        for v, s in gz_generator("raise", n, N).numeric_terms(arr):
+            val += v * _whittaker_shift_ratio(arr, s)
         worst = max(worst, abs(val + 1j))
-        val = gz_generator("lower", n, N).apply_with_ratio(
-            arr, lambda a, s: 1.0 + 0.0j)
+        val = 0.0 + 0.0j
+        for v, _ in gz_generator("lower", n, N).numeric_terms(arr):
+            val += v
         worst = max(worst, abs(val + 1j))
     return VerificationReport(
         suite="gz", n=N, relation="whittaker-equations",

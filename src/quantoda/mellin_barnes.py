@@ -85,6 +85,14 @@ class QuadratureResult:
     error_estimate: float
 
 
+def value_row(res: QuadratureResult, x: Sequence[float]) -> dict:
+    """Output row {x1.., re, im, abs, error_estimate} for the value at x."""
+    row = {f"x{k+1}": float(v) for k, v in enumerate(x)}
+    row.update(re=res.value.real, im=res.value.imag, abs=abs(res.value),
+               error_estimate=res.error_estimate)
+    return row
+
+
 def default_contour(N: int, alpha: Sequence[float], tol: float) -> ContourSpec:
     """Offsets h_n = (N-n)/2; truncation and node count from decay estimates.
 
@@ -387,10 +395,5 @@ def grid_scan(which: str, N: int, params: Sequence[float], axis: int,
         x = list(x0)
         x[axis] = float(xv)
         points.append(x)
-    rows = []
-    for x, res in zip(points, _evaluate(which, N, params, points, tol)):
-        row = {f"x{k+1}": x[k] for k in range(N)}
-        row.update(re=res.value.real, im=res.value.imag,
-                   abs=abs(res.value), error_estimate=res.error_estimate)
-        rows.append(row)
-    return rows
+    return [value_row(res, x)
+            for x, res in zip(points, _evaluate(which, N, params, points, tol))]

@@ -12,16 +12,20 @@ difference comes out with no terms, the identity holds over Z[i].  The
 QISM checks are therefore proofs, not randomized tests, and need no bound
 on coefficient size.
 
-On top of the algebra sit the 2x2 Lax matrices, the monodromy matrix, and
+Polynomials in the spectral parameters have one type, `UVPoly`: a
+polynomial in u and v with WeylElement coefficients.  The Lax and monodromy
+entries are polynomials in u alone (no v terms), and `in_v()` swaps u and v
+to give the second factor of a two-parameter relation.  On top of this sit
+the 2x2 Lax matrices, the monodromy matrix, the R-matrix R(u - v), and
 exact (coefficient-wise) checks of the RLL relation, commutativity of the
-conserved quantities, and the A/C recursion.
+conserved quantities, the A/C exchange relation and the A/C recursion.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
-from operator import add
+from functools import lru_cache, reduce
+from operator import add, mul
 from typing import Dict, List, Tuple
 
 from .rationals import MINUS_I, ONE, Gauss, I, as_gauss, gauss_mul, gauss_str
@@ -192,103 +196,49 @@ class WeylElement:
 
 
 # ---------------------------------------------------------------------------
-# Polynomials in one or two spectral parameters with WeylElement coefficients
+# Polynomials in the spectral parameters with WeylElement coefficients
 # ---------------------------------------------------------------------------
 
 
-class UPoly:
-    """Polynomial in the spectral parameter u, WeylElement coefficients."""
-
-    __slots__ = ("n", "coeffs")
-
-    def __init__(self, n: int, coeffs: List[WeylElement] | None = None):
-        self.n = n
-        self.coeffs = list(coeffs) if coeffs else []
-        self._trim()
-
-    def _trim(self):
-        while self.coeffs and self.coeffs[-1].is_zero():
-            self.coeffs.pop()
-
-    @classmethod
-    def from_element(cls, w: WeylElement) -> "UPoly":
-        return cls(w.n, [w])
-
-    @classmethod
-    def u(cls, n: int) -> "UPoly":
-        return cls(n, [WeylElement.zero(n), WeylElement.one(n)])
-
-    def coeff(self, k: int) -> WeylElement:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return WeylElement.zero(self.n)
-
-    def __add__(self, other: "UPoly") -> "UPoly":
-        m = max(len(self.coeffs), len(other.coeffs))
-        return UPoly(self.n, [self.coeff(k) + other.coeff(k) for k in range(m)])
-
-    def __neg__(self) -> "UPoly":
-        return UPoly(self.n, [-c for c in self.coeffs])
-
-    def __sub__(self, other: "UPoly") -> "UPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "UPoly") -> "UPoly":
-        out = [WeylElement.zero(self.n) for _ in range(len(self.coeffs) + len(other.coeffs))]
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b.is_zero():
-                    continue
-                out[i + j] = out[i + j] + a * b
-        return UPoly(self.n, out)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, UPoly):
-            return NotImplemented
-        return (self - other).is_zero()
-
-    def as_uv(self, var: str) -> "UVPoly":
-        terms = {}
-        for k, c in enumerate(self.coeffs):
-            if not c.is_zero():
-                terms[(k, 0) if var == "u" else (0, k)] = c
-        return UVPoly(self.n, terms)
-
-    def __repr__(self):
-        return " + ".join(f"u^{k}*[{c!r}]" for k, c in enumerate(self.coeffs)) or "0"
-
-
 class UVPoly:
-    """Polynomial in two spectral parameters (u, v), WeylElement coefficients."""
+    """Polynomial in the spectral parameters (u, v), WeylElement coefficients.
+
+    terms maps (i, j) to the coefficient of u^i v^j.  A polynomial in u
+    alone has only (i, 0) keys.  The constructor drops zero coefficients, so
+    sums and products leave cancelled terms to it.
+    """
 
     __slots__ = ("n", "terms")
 
     def __init__(self, n: int, terms: Dict[Tuple[int, int], WeylElement] | None = None):
         self.n = n
-        self.terms = {}
-        if terms:
-            for k, w in terms.items():
-                if not w.is_zero():
-                    self.terms[k] = w
+        self.terms = {k: w for k, w in (terms or {}).items() if not w.is_zero()}
+
+    @classmethod
+    def from_element(cls, w: WeylElement) -> "UVPoly":
+        return cls(w.n, {(0, 0): w})
+
+    @classmethod
+    def u(cls, n: int) -> "UVPoly":
+        return cls(n, {(1, 0): WeylElement.one(n)})
 
     @classmethod
     def scalar(cls, n: int, terms: Dict[Tuple[int, int], Gauss]) -> "UVPoly":
         return cls(n, {k: WeylElement.constant(n, c) for k, c in terms.items()})
 
+    def coeff(self, k: int) -> WeylElement:
+        """The coefficient of u^k v^0."""
+        w = self.terms.get((k, 0))
+        return WeylElement.zero(self.n) if w is None else w
+
+    def in_v(self) -> "UVPoly":
+        """The substitution u <-> v, a ring automorphism."""
+        return UVPoly(self.n, {(j, i): w for (i, j), w in self.terms.items()})
+
     def __add__(self, other: "UVPoly") -> "UVPoly":
         terms = dict(self.terms)
         for k, w in other.terms.items():
-            s = terms.get(k)
-            s = w if s is None else s + w
-            if s.is_zero():
-                terms.pop(k, None)
-            else:
-                terms[k] = s
+            terms[k] = terms[k] + w if k in terms else w
         return UVPoly(self.n, terms)
 
     def __neg__(self) -> "UVPoly":
@@ -302,13 +252,7 @@ class UVPoly:
         for (i1, j1), a in self.terms.items():
             for (i2, j2), b in other.terms.items():
                 k = (i1 + i2, j1 + j2)
-                prod = a * b
-                s = acc.get(k)
-                s = prod if s is None else s + prod
-                if s.is_zero():
-                    acc.pop(k, None)
-                else:
-                    acc[k] = s
+                acc[k] = acc[k] + a * b if k in acc else a * b
         return UVPoly(self.n, acc)
 
     def is_zero(self) -> bool:
@@ -317,7 +261,11 @@ class UVPoly:
     def __eq__(self, other) -> bool:
         if not isinstance(other, UVPoly):
             return NotImplemented
-        return (self - other).is_zero()
+        return self.n == other.n and self.terms == other.terms
+
+    def __repr__(self):
+        return " + ".join(f"u^{i}*v^{j}*[{w!r}]"
+                          for (i, j), w in sorted(self.terms.items())) or "0"
 
 
 # ---------------------------------------------------------------------------
@@ -326,12 +274,11 @@ class UVPoly:
 
 
 class OperatorPolyMatrix:
-    """d x d matrix with UPoly (or UVPoly) entries."""
+    """Rectangular matrix with UVPoly entries."""
 
     __slots__ = ("entries",)
 
     def __init__(self, entries):
-        d = len(entries)
         if any(len(row) != len(entries[0]) for row in entries):
             raise ValueError("matrix must be rectangular")
         self.entries = [list(row) for row in entries]
@@ -345,21 +292,11 @@ class OperatorPolyMatrix:
         return self.entries[i][j]
 
     def __matmul__(self, other: "OperatorPolyMatrix") -> "OperatorPolyMatrix":
-        r, k = self.shape
-        k2, c = other.shape
-        if k != k2:
+        if self.shape[1] != other.shape[0]:
             raise ValueError("shape mismatch")
-        out = []
-        for i in range(r):
-            row = []
-            for j in range(c):
-                acc = None
-                for s in range(k):
-                    prod = self.entries[i][s] * other.entries[s][j]
-                    acc = prod if acc is None else acc + prod
-                row.append(acc)
-            out.append(row)
-        return OperatorPolyMatrix(out)
+        cols = list(zip(*other.entries))
+        return OperatorPolyMatrix([[reduce(add, map(mul, row, col)) for col in cols]
+                                   for row in self.entries])
 
     def __sub__(self, other: "OperatorPolyMatrix") -> "OperatorPolyMatrix":
         r, c = self.shape
@@ -372,34 +309,32 @@ def lax_matrix(m: int, N: int) -> OperatorPolyMatrix:
     """Site-m Lax matrix [[u - p_m, -e^{q_m}], [e^{-q_m}, 0]]."""
     if not 1 <= m <= N:
         raise IndexError(f"site index {m} out of range for N={N}")
-    u = UPoly.u(N)
-    pm = UPoly.from_element(WeylElement.p(N, m))
-    eq = UPoly.from_element(WeylElement.exp_q(N, m, 1))
-    emq = UPoly.from_element(WeylElement.exp_q(N, m, -1))
-    zero = UPoly(N)
+    u = UVPoly.u(N)
+    pm = UVPoly.from_element(WeylElement.p(N, m))
+    eq = UVPoly.from_element(WeylElement.exp_q(N, m, 1))
+    emq = UVPoly.from_element(WeylElement.exp_q(N, m, -1))
+    zero = UVPoly(N)
     return OperatorPolyMatrix([[u - pm, -eq], [emq, zero]])
 
 
+# Tensor slots (a, i) of C^2 (x) C^2; slot (a, i) is row/column 2a + i.
+_SLOTS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
 def r_matrix(N: int = 1) -> OperatorPolyMatrix:
-    """4x4 R(u) = uI - iP over scalar coefficients (P the flip operator)."""
-    u = UPoly.u(N)
-    mi = UPoly.from_element(WeylElement.constant(N, MINUS_I))
-    z = UPoly(N)
-    # P[(a,i),(b,j)] = delta_{aj} delta_{ib}; row index 2a+i, column 2b+j
-    rows = []
-    for a in range(2):
-        for i in range(2):
-            row = []
-            for b in range(2):
-                for j in range(2):
-                    e = z
-                    if a == b and i == j:
-                        e = e + u
-                    if a == j and i == b:
-                        e = e + mi
-                    row.append(e)
-            rows.append(row)
-    return OperatorPolyMatrix(rows)
+    """4x4 R(u - v) = (u - v)I - iP over scalar coefficients, P the flip.
+
+    P[(a,i),(b,j)] = delta_{aj} delta_{ib}.
+    """
+    def entry(a, i, b, j):
+        terms: Dict[Tuple[int, int], Gauss] = {}
+        if (a, i) == (b, j):
+            terms.update({(1, 0): ONE, (0, 1): _MINUS_ONE})
+        if (a, i) == (j, b):
+            terms[(0, 0)] = MINUS_I
+        return UVPoly.scalar(N, terms)
+
+    return OperatorPolyMatrix([[entry(*r, *c) for c in _SLOTS] for r in _SLOTS])
 
 
 def monodromy(N: int, upto: int | None = None) -> OperatorPolyMatrix:
@@ -441,42 +376,16 @@ def integrals_of_motion(N: int):
 # ---------------------------------------------------------------------------
 
 
-def _kron_uv(M: OperatorPolyMatrix, side: str, var: str) -> OperatorPolyMatrix:
-    """Embed a 2x2 UPoly matrix into 4x4 UVPoly: side 'left' -> M (x) I."""
-    n = M[0, 0].n
-    one = UVPoly.scalar(n, {(0, 0): ONE})
-    zero = UVPoly(n)
-    rows = []
-    for a in range(2):
-        for i in range(2):
-            row = []
-            for b in range(2):
-                for j in range(2):
-                    if side == "left":
-                        row.append(M[a, b].as_uv(var) if i == j else zero)
-                    else:
-                        row.append(M[i, j].as_uv(var) if a == b else zero)
-            rows.append(row)
-    return OperatorPolyMatrix(rows)
+def _kron_uv(M: OperatorPolyMatrix, side: str) -> OperatorPolyMatrix:
+    """Embed a 2x2 matrix into 4x4: side 'left' gives M (x) I, else I (x) M."""
+    zero = UVPoly(M[0, 0].n)
 
+    def entry(a, i, b, j):
+        if side == "left":
+            return M[a, b] if i == j else zero
+        return M[i, j] if a == b else zero
 
-def _r_uv(n: int) -> OperatorPolyMatrix:
-    """R(u - v) as a 4x4 matrix of scalar UVPoly."""
-    rows = []
-    for a in range(2):
-        for i in range(2):
-            row = []
-            for b in range(2):
-                for j in range(2):
-                    terms: Dict[Tuple[int, int], Gauss] = {}
-                    if a == b and i == j:
-                        terms[(1, 0)] = ONE
-                        terms[(0, 1)] = _MINUS_ONE
-                    if a == j and i == b:
-                        terms[(0, 0)] = MINUS_I
-                    row.append(UVPoly.scalar(n, terms))
-            rows.append(row)
-    return OperatorPolyMatrix(rows)
+    return OperatorPolyMatrix([[entry(*r, *c) for c in _SLOTS] for r in _SLOTS])
 
 
 def _first_failure(D: OperatorPolyMatrix):
@@ -502,9 +411,10 @@ def check_rll(scope: str, n: int) -> VerificationReport:
         relation = f"rll-global-N{n}"
     else:
         raise ValueError(f"unknown scope {scope!r}")
-    R = _r_uv(n)
-    X1 = _kron_uv(X, "left", "u")
-    X2 = _kron_uv(X, "right", "v")
+    R = r_matrix(n)
+    X1 = _kron_uv(X, "left")
+    X2 = _kron_uv(OperatorPolyMatrix([[e.in_v() for e in row] for row in X.entries]),
+                  "right")
     lhs = R @ X1 @ X2
     rhs = X2 @ X1 @ R
     fail = _first_failure(lhs - rhs)
@@ -514,7 +424,7 @@ def check_rll(scope: str, n: int) -> VerificationReport:
     )
 
 
-def _exchange_residual(first: UPoly, second: UPoly, N: int) -> UVPoly:
+def _exchange_residual(first: UVPoly, second: UVPoly, N: int) -> UVPoly:
     """(u-v+i) F(u) S(v) - (u-v) S(v) F(u) - i F(v) S(u), F = first, S = second.
 
     exchange-AC is the vanishing of this for F = C, S = A:
@@ -522,8 +432,8 @@ def _exchange_residual(first: UPoly, second: UPoly, N: int) -> UVPoly:
     form with A and C in the opposite order fails the exact N=1 computation
     by -2i(u-v) e^{-q}; this ordering is the one the RLL relation implies.
     """
-    Fu, Fv = first.as_uv("u"), first.as_uv("v")
-    Su, Sv = second.as_uv("u"), second.as_uv("v")
+    Fu, Fv = first, first.in_v()
+    Su, Sv = second, second.in_v()
     umv = UVPoly.scalar(N, {(1, 0): ONE, (0, 1): _MINUS_ONE})
     umvpi = UVPoly.scalar(N, {(1, 0): ONE, (0, 1): _MINUS_ONE, (0, 0): I})
     ei = UVPoly.scalar(N, {(0, 0): I})
@@ -552,8 +462,8 @@ def check_commutativity(N: int) -> List[VerificationReport]:
     reports.append(commute_family("commute-t", t_coeffs))
 
     A, B, C, _ = extract_ABCD(monodromy(N))
-    Bu, Bv = B.as_uv("u"), B.as_uv("v")
-    Cu, Cv = C.as_uv("u"), C.as_uv("v")
+    Bu, Bv = B, B.in_v()
+    Cu, Cv = C, C.in_v()
     checks = [
         ("commute-B", Bu * Bv - Bv * Bu),
         ("commute-C", Cu * Cv - Cv * Cu),
@@ -567,12 +477,12 @@ def check_commutativity(N: int) -> List[VerificationReport]:
     return reports
 
 
-def _peel_site(N: int, A_p: UPoly, C_p: UPoly) -> Tuple[UPoly, UPoly]:
+def _peel_site(N: int, A_p: UVPoly, C_p: UVPoly) -> Tuple[UVPoly, UVPoly]:
     """(A_N, C_N) from the partial entries (A_{N-1}, C_{N-1}) and L_N."""
-    u = UPoly.u(N)
-    pN = UPoly.from_element(WeylElement.p(N, N))
-    eqN = UPoly.from_element(WeylElement.exp_q(N, N, 1))
-    emqN = UPoly.from_element(WeylElement.exp_q(N, N, -1))
+    u = UVPoly.u(N)
+    pN = UVPoly.from_element(WeylElement.p(N, N))
+    eqN = UVPoly.from_element(WeylElement.exp_q(N, N, 1))
+    emqN = UVPoly.from_element(WeylElement.exp_q(N, N, -1))
     return (u - pN) * A_p - eqN * C_p, emqN * A_p
 
 

@@ -9,7 +9,7 @@ from quantoda.gz import (GENERATOR_PREFACTOR, Coefficient,
                          cartan_multiplier, check_gl_relations,
                          check_gz_measure_difference_eq, check_serre,
                          check_spherical_equation, check_whittaker_equations,
-                         compose, gz_generator, gz_measure, sample_real_array,
+                         gz_generator, gz_measure, sample_real_array,
                          spherical_vector, whittaker_vector)
 from quantoda.rationals import FpI
 from quantoda.specfun import PoleError, gamma
@@ -108,19 +108,19 @@ def test_compose_identity_and_zero():
     zero = DifferenceOperator.zero()
     rng = random.Random(0)
     arr, beta = _rational_arr(rng, 3), _betas(rng, 3)
-    assert compose(ident, a).evaluate_on_test(arr, beta) == \
+    assert (ident * a).evaluate_on_test(arr, beta) == \
         a.evaluate_on_test(arr, beta)
-    assert compose(a, ident).terms == a.terms
-    assert compose(zero, a).evaluate_on_test(arr, beta) == FpI(0, 0)
-    assert not compose(a, zero).terms
+    assert (a * ident).terms == a.terms
+    assert (zero * a).evaluate_on_test(arr, beta) == FpI(0, 0)
+    assert not (a * zero).terms
 
 
 def test_composition_associative():
     rng = random.Random(3)
     ops = [gz_generator("raise", 1, 3), gz_generator("lower", 2, 3),
            gz_generator("diagonal", 2, 3)]
-    lhs = compose(compose(ops[0], ops[1]), ops[2])
-    rhs = compose(ops[0], compose(ops[1], ops[2]))
+    lhs = (ops[0] * ops[1]) * ops[2]
+    rhs = ops[0] * (ops[1] * ops[2])
     # the flat form is canonical, so the two groupings give one term map
     assert lhs.terms == rhs.terms
     for _ in range(10):

@@ -2,7 +2,7 @@ import random
 
 from quantoda import weyl
 from quantoda.report import combine
-from quantoda.weyl import (UPoly, UVPoly, WeylElement, check_commutativity,
+from quantoda.weyl import (UVPoly, WeylElement, check_commutativity,
                            check_recursion, check_rll, extract_ABCD,
                            integrals_of_motion, lax_matrix, monodromy,
                            qism_suite, r_matrix)
@@ -46,37 +46,62 @@ def test_multiplication_associative():
 
 def test_lax_matrix_entries():
     L = lax_matrix(1, 1)
-    u = UPoly.u(1)
-    assert L[0, 0] == u - UPoly.from_element(WeylElement.p(1, 1))
-    assert L[0, 1] == UPoly.from_element(
+    u = UVPoly.u(1)
+    assert L[0, 0] == u - UVPoly.from_element(WeylElement.p(1, 1))
+    assert L[0, 1] == UVPoly.from_element(
         WeylElement.exp_q(1, 1, 1).scale(-1))
-    assert L[1, 0] == UPoly.from_element(WeylElement.exp_q(1, 1, -1))
+    assert L[1, 0] == UVPoly.from_element(WeylElement.exp_q(1, 1, -1))
     assert L[1, 1].is_zero()
+    # entries are polynomials in u alone
+    assert all(j == 0 for row in L.entries for e in row for _, j in e.terms)
 
 
 def test_r_matrix_flip_structure():
     R = r_matrix()
-    # u I - i P with P the flip: u - i on aligned tensor slots, u on the
-    # middle diagonal, -i on the off-diagonal flip positions
-    minus_i = UPoly.from_element(WeylElement.constant(1, (0, -1)))
-    assert R[0, 0] == UPoly.u(1) + minus_i
-    assert R[3, 3] == UPoly.u(1) + minus_i
-    assert R[1, 1] == UPoly.u(1)
+    # (u - v) I - i P with P the flip: u - v - i on aligned tensor slots,
+    # u - v on the middle diagonal, -i on the off-diagonal flip positions
+    minus_i = UVPoly.from_element(WeylElement.constant(1, (0, -1)))
+    umv = UVPoly.u(1) - UVPoly.u(1).in_v()
+    assert R[0, 0] == umv + minus_i
+    assert R[3, 3] == umv + minus_i
+    assert R[1, 1] == umv
+    assert R[2, 2] == umv
     assert R[1, 2] == minus_i
     assert R[2, 1] == minus_i
     assert R[0, 1].is_zero()
+    assert sum(not R[i, j].is_zero() for i in range(4) for j in range(4)) == 6
+    assert r_matrix(3)[0, 0].n == 3
+
+
+def _random_uv(rng, n=2):
+    return UVPoly(n, {(rng.randint(0, 2), rng.randint(0, 2)): _random_element(rng, n)
+                      for _ in range(rng.randint(1, 3))})
+
+
+def test_in_v_is_a_ring_homomorphism():
+    rng = random.Random(5)
+    for _ in range(30):
+        P, Q = _random_uv(rng), _random_uv(rng)
+        assert (P * Q).in_v() == P.in_v() * Q.in_v()
+        assert (P + Q).in_v() == P.in_v() + Q.in_v()
+        assert P.in_v().in_v() == P
+    # u -> v on the exponent pairs, coefficients untouched
+    w = WeylElement.p(1, 1)
+    P = UVPoly(1, {(2, 0): w, (0, 1): w.scale(3)})
+    assert P.in_v().terms == {(0, 2): w, (1, 0): w.scale(3)}
+    assert P.coeff(2) == w and P.coeff(0).is_zero() and P.coeff(5).is_zero()
 
 
 def test_monodromy_n2_a_entry():
     # A_2(u) = (u - p2)(u - p1) - e^{q2 - q1}
     A, _, C, _ = extract_ABCD(monodromy(2))
-    u = UPoly.u(2)
-    p1 = UPoly.from_element(WeylElement.p(2, 1))
-    p2 = UPoly.from_element(WeylElement.p(2, 2))
+    u = UVPoly.u(2)
+    p1 = UVPoly.from_element(WeylElement.p(2, 1))
+    p2 = UVPoly.from_element(WeylElement.p(2, 2))
     e21 = WeylElement.exp_q(2, 2, 1) * WeylElement.exp_q(2, 1, -1)
-    assert A == (u - p2) * (u - p1) - UPoly.from_element(e21)
+    assert A == (u - p2) * (u - p1) - UVPoly.from_element(e21)
     # C_2(u) = e^{-q2}(u - p1)
-    emq2 = UPoly.from_element(WeylElement.exp_q(2, 2, -1))
+    emq2 = UVPoly.from_element(WeylElement.exp_q(2, 2, -1))
     assert C == emq2 * (u - p1)
 
 
@@ -133,7 +158,7 @@ def test_swapped_exchange_order_fails(monkeypatch):
     # the commonly quoted form, with A and C in the opposite order in every
     # product: (u-v+i) A(v) C(u) = (u-v) C(u) A(v) + i A(u) C(v)
     def swapped(C, A, N):
-        Au, Av, Cu, Cv = A.as_uv("u"), A.as_uv("v"), C.as_uv("u"), C.as_uv("v")
+        Au, Av, Cu, Cv = A, A.in_v(), C, C.in_v()
         umv = UVPoly.scalar(N, {(1, 0): (1, 0), (0, 1): (-1, 0)})
         umvpi = UVPoly.scalar(N, {(1, 0): (1, 0), (0, 1): (-1, 0), (0, 0): (0, 1)})
         ei = UVPoly.scalar(N, {(0, 0): (0, 1)})
@@ -154,9 +179,9 @@ def test_swapped_exchange_order_fails(monkeypatch):
 def test_recursion_misprint_fails(monkeypatch):
     # the source's A_N = (u - p_N) A_{N-1} - e^{-q_N} C_{N-1}
     def misprint(N, A_p, C_p):
-        u = UPoly.u(N)
-        pN = UPoly.from_element(WeylElement.p(N, N))
-        emqN = UPoly.from_element(WeylElement.exp_q(N, N, -1))
+        u = UVPoly.u(N)
+        pN = UVPoly.from_element(WeylElement.p(N, N))
+        emqN = UVPoly.from_element(WeylElement.exp_q(N, N, -1))
         return (u - pN) * A_p - emqN * C_p, emqN * A_p
 
     monkeypatch.setattr(weyl, "_peel_site", misprint)
