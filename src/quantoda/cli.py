@@ -40,7 +40,8 @@ def _finite_float(text: str) -> float:
 
 
 def _float_list(text: str) -> List[float]:
-    return [_finite_float(v) for v in text.split(",") if v.strip() != ""]
+    """Comma-separated finite numbers; an empty entry is an error."""
+    return [_finite_float(v) for v in text.split(",")]
 
 
 def _int_at_least(text: str, least: int) -> int:

@@ -24,22 +24,27 @@ A `DifferenceOperator` is kept flat: a map from (shift, factors) to a
 Gaussian-integer scalar, where factors is a sorted tuple of generator
 coefficients, each paired with the shift of the array it is evaluated at.
 Composition concatenates factor lists, so equal products combine and
-cancel symbolically, and evaluation computes each coefficient once per
-shifted array.
+cancel symbolically.  One evaluator, `DifferenceOperator.term_values`,
+applies an operator to a function given by its shift ratios
+f(lambda shifted)/f(lambda), in the field of the array's entries: F_p[i]
+for the exponential test functions of the exact checks, complex for the
+Whittaker and spherical vectors (one Gamma product, `vector_shift_ratio`).
 
 Operator identities are checked by random-point identity testing
 (Schwartz 1980; Zippel 1979) in the field F_p[i], p = 2^61 - 1 (see
 `rationals`).  The array entries and the test-function parameters beta are
-drawn uniformly from F_p; the relation is applied to the exponential
-test function f(lambda + k*i e_{nj}) = beta_{nj}^k f(lambda), and the value
-must be 0.  Within-level entries are distinct, so no denominator
-lambda_{nj} - lambda_{ns} + c*i vanishes.  A nonzero relation, cleared of
+drawn uniformly from F_p (beta from F_p minus 0), distinct within a level
+and among the betas; the relation is applied to the exponential test
+function f(lambda + k*i e_{nj}) = beta_{nj}^k f(lambda), and the value must
+be 0.  Distinct within-level entries keep every denominator
+lambda_{nj} - lambda_{ns} + c*i nonzero.  A nonzero relation, cleared of
 denominators and of negative powers of beta, is a nonzero polynomial Q in
 the entries and the betas, of total degree deg.  Counting numerator
 degrees, distinct linear denominator factors and beta exponents bounds deg
 by 50 for every relation of the suite at N <= 5, so one trial passes
-falsely with probability at most deg/p < 3e-17.  This assumes p does not
-divide every coefficient of Q, which would make Q vanish identically mod p.
+falsely with probability at most deg/p < 3e-17 (distinct draws raise this
+by a factor below 1 + 1e-16).  This assumes p does not divide every
+coefficient of Q, which would make Q vanish identically mod p.
 """
 
 from __future__ import annotations
@@ -47,12 +52,12 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
-from .rationals import ONE, P, FpI, Gauss, as_gauss, gauss_mul
-from .report import VerificationReport
+from .rationals import ONE, FpI, Gauss, as_gauss, gauss_mul, random_fp
+from .report import VerificationReport, residual_report
 from .specfun import PoleError, gamma_shift_ratio, log_gamma
 
 MIN_GAP = 1e-8
@@ -65,16 +70,16 @@ ShiftKey = Tuple[Tuple[Slot, int], ...]  # sorted ((n,j), k): lambda_{nj} += k*i
 GENERATOR_PREFACTOR: Dict[str, Gauss] = {
     "diagonal": (0, -1), "raise": (0, 1), "lower": (0, -1)}
 
-_FP_ONE = FpI(1)
-_FP_HALF_I = FpI(0, 1) / 2
+# The field of an array's entries: (element constructor, i/2).
+_FIELDS = {True: (FpI, FpI(0, 1) / 2), False: (complex, 0.5j)}
 
 
 @dataclass(frozen=True)
 class TriangularArray:
     """Spectral array: level n (1-based) holds n entries lambda_{n1..nn}.
 
-    Entries are floats or complex numbers for the numerical checks, and
-    `FpI` field elements for the exact ones.
+    Entries are `FpI` field elements for the exact checks and floats or
+    complex numbers for the numerical ones; `field` says which.
     """
 
     levels: tuple
@@ -101,12 +106,17 @@ class TriangularArray:
             return 0
         return sum(self.levels[n - 1])
 
+    @property
+    def field(self):
+        """(element constructor, i/2): F_p[i] for `FpI` entries, else complex."""
+        return _FIELDS[type(self.levels[0][0]) is FpI]
+
     def shifted(self, shifts: ShiftKey) -> "TriangularArray":
         """New array with lambda_{nj} += k*i for each ((n,j), k)."""
+        make = self.field[0]
         lv = [list(row) for row in self.levels]
         for (n, j), k in shifts:
-            v = lv[n - 1][j - 1]
-            lv[n - 1][j - 1] = v + (FpI(0, k) if type(v) is FpI else k * 1j)
+            lv[n - 1][j - 1] += make(0, k)
         return TriangularArray(lv)
 
     def min_level_gap(self) -> float:
@@ -124,8 +134,7 @@ class Coefficient(NamedTuple):
     """Coefficient of one generator term: E_{nn} ('diagonal', j = 0), or the
     slot-(n, j) term of E_{n,n+1} ('raise') or E_{n+1,n} ('lower').
 
-    Calling it on an array evaluates it in the array's own arithmetic:
-    complex for float entries, F_p[i] for `FpI` entries.
+    Calling it on an array evaluates it in the array's `field`.
     """
 
     kind: str
@@ -140,22 +149,19 @@ class Coefficient(NamedTuple):
         return (((self.n, self.j), -1 if self.kind == "raise" else 1),)
 
     def __call__(self, arr: TriangularArray):
-        exact = type(arr.levels[0][0]) is FpI
-        one, half_i = (_FP_ONE, _FP_HALF_I) if exact else (1 + 0j, 0.5j)
-        pre = GENERATOR_PREFACTOR[self.kind]
-        pre = FpI(*pre) if exact else complex(*pre)
+        make, half_i = arr.field
+        pre = make(*GENERATOR_PREFACTOR[self.kind])
         n, j = self.n, self.j
         if self.kind == "diagonal":
             return pre * (arr.level_sum(n) - arr.level_sum(n - 1))
         x = arr.get(n, j)
-        num = one
+        num = den = make(1, 0)
         if self.kind == "raise":
             for r in range(1, n + 2):
                 num = num * (x - arr.get(n + 1, r) - half_i)
         else:
             for r in range(1, n):
                 num = num * (x - arr.get(n - 1, r) + half_i)
-        den = one
         for s in range(1, n + 1):
             if s != j:
                 den = den * (x - arr.get(n, s))
@@ -243,43 +249,39 @@ class DifferenceOperator:
     def commutator(self, other: "DifferenceOperator") -> "DifferenceOperator":
         return self * other - other * self
 
-    def evaluate_on_test(self, arr: TriangularArray, beta: Dict[Slot, FpI]) -> FpI:
-        """Apply to the test function with f(lambda + k*i e_{nj}) = beta_{nj}^k f.
+    def term_values(self, arr: TriangularArray, ratio) -> list:
+        """c * prod(coefficients) * ratio(shift) per term, in arr's field.
 
-        arr has `FpI` entries and beta `FpI` values; the result is in F_p[i].
+        ratio(shift) is f(arr shifted)/f(arr) for the function f the
+        operator acts on, so the values sum to (op f)(arr)/f(arr).  Each
+        coefficient is evaluated once per shifted array and each ratio once
+        per shift.
         """
-        values: Dict[Factor, FpI] = {}
-        monomials: Dict[ShiftKey, FpI] = {}
-        total = FpI()
+        make = arr.field[0]
+        values: Dict[Factor, object] = {}
+        ratios: Dict[ShiftKey, object] = {}
+        out = []
         for (shift, factors), c in self.terms.items():
-            val = FpI(*c)
+            val = make(*c)
             for factor in factors:
                 v = values.get(factor)
                 if v is None:
                     coef, s = factor
                     v = values[factor] = coef(arr.shifted(s) if s else arr)
                 val = val * v
-            m = monomials.get(shift)
-            if m is None:
-                m = _FP_ONE
-                for slot, k in shift:
-                    m = m * beta[slot] ** k
-                monomials[shift] = m
-            total = total + val * m
-        return total
+            r = ratios.get(shift)
+            if r is None:
+                r = ratios[shift] = ratio(shift)
+            out.append(val * r)
+        return out
 
-    def numeric_terms(self, arr: TriangularArray):
-        """(coefficient value, shift) per term, in complex arithmetic."""
-        for (shift, factors), c in self.terms.items():
-            val = None
-            for coef, s in factors:
-                v = coef(arr.shifted(s) if s else arr)
-                val = v if val is None else val * v
-            if val is None:
-                val = 1 + 0j
-            if c != ONE:
-                val = complex(*c) * val
-            yield val, shift
+    def evaluate_on_test(self, arr: TriangularArray, beta: Dict[Slot, FpI]) -> FpI:
+        """Apply to the test function with f(lambda + k*i e_{nj}) = beta_{nj}^k f.
+
+        arr has `FpI` entries and beta `FpI` values; the result is in F_p[i].
+        """
+        return sum(self.term_values(arr, lambda shift: math.prod(
+            (beta[slot] ** k for slot, k in shift), start=FpI(1))), FpI())
 
 
 # ---------------------------------------------------------------------------
@@ -313,34 +315,30 @@ def gz_generator(kind: str, n: int, N: int) -> DifferenceOperator:
 # ---------------------------------------------------------------------------
 
 
-def _random_fp_array(N: int, rng: random.Random) -> TriangularArray:
-    """Array of entries drawn uniformly from F_p, distinct within each level."""
-    levels = []
-    for n in range(1, N + 1):
-        row: List[FpI] = []
-        while len(row) < n:
-            v = FpI(rng.randrange(P))
-            if v not in row:
-                row.append(v)
-        levels.append(row)
-    return TriangularArray(levels)
+def _check_zero(relation: str, N: int, trials: int, seed: int,
+                relations) -> VerificationReport:
+    """Each (label, operator) of `relations` must be the zero operator.
 
-
-def _random_fp_betas(N: int, rng: random.Random) -> Dict[Slot, FpI]:
-    """Test-function parameters drawn uniformly from F_p minus 0."""
-    return {(n, j): FpI(rng.randrange(1, P))
-            for n in range(1, N) for j in range(1, n + 1)}
-
-
-def _check_zero_operator(op: DifferenceOperator, N: int, trials: int,
-                         rng: random.Random) -> Tuple[bool, str]:
-    for t in range(trials):
-        arr = _random_fp_array(N, rng)
-        beta = _random_fp_betas(N, rng)
-        val = op.evaluate_on_test(arr, beta)
-        if not val.is_zero():
-            return False, f"trial {t}: value {val} at {arr.levels}"
-    return True, ""
+    Per trial an array with entries distinct within each level and the
+    nonzero betas are drawn from F_p, in that order; an operator's first
+    nonzero value is its witness and ends its trials.
+    """
+    rng = random.Random(seed)
+    slots = _flat_slots(N)
+    failures = []
+    for label, op in relations:
+        for t in range(trials):
+            arr = TriangularArray([random_fp(rng, n) for n in range(1, N + 1)])
+            beta = dict(zip(slots, random_fp(rng, len(slots), 1)))
+            val = op.evaluate_on_test(arr, beta)
+            if not val.is_zero():
+                failures.append(f"{label}: trial {t}: value {val} at {arr.levels}")
+                break
+    return VerificationReport(
+        suite="gz", n=N, relation=relation,
+        status="PASS" if not failures else "FAIL",
+        seed=seed, witness="; ".join(failures) or None,
+    )
 
 
 def check_gl_relations(N: int, trials: int = 20, seed: int = 0) -> VerificationReport:
@@ -349,69 +347,97 @@ def check_gl_relations(N: int, trials: int = 20, seed: int = 0) -> VerificationR
     [H_n, E_m] = (d_nm - d_{n,m+1}) E_m,  [H_n, F_m] = -(...) F_m,
     [E_n, F_m] = d_nm (H_n - H_{n+1}), with E/F the raise/lower families.
     """
-    rng = random.Random(seed)
     H = {n: gz_generator("diagonal", n, N) for n in range(1, N + 1)}
     E = {m: gz_generator("raise", m, N) for m in range(1, N)}
     F = {m: gz_generator("lower", m, N) for m in range(1, N)}
 
-    failures = []
-    for n in range(1, N + 1):
-        for m in range(1, N):
-            d = (1 if n == m else 0) - (1 if n == m + 1 else 0)
-            rel = H[n].commutator(E[m]) - E[m].scaled(d)
-            ok, wit = _check_zero_operator(rel, N, trials, rng)
-            if not ok:
-                failures.append(f"[H{n},E{m}]: {wit}")
-            rel = H[n].commutator(F[m]) + F[m].scaled(d)
-            ok, wit = _check_zero_operator(rel, N, trials, rng)
-            if not ok:
-                failures.append(f"[H{n},F{m}]: {wit}")
-    for n in range(1, N):
-        for m in range(1, N):
-            rel = E[n].commutator(F[m])
-            if n == m:
-                rel = rel - (H[n] - H[n + 1])
-            ok, wit = _check_zero_operator(rel, N, trials, rng)
-            if not ok:
-                failures.append(f"[E{n},F{m}]: {wit}")
+    def relations():
+        for n in range(1, N + 1):
+            for m in range(1, N):
+                d = (n == m) - (n == m + 1)
+                yield f"[H{n},E{m}]", H[n].commutator(E[m]) - E[m].scaled(d)
+                yield f"[H{n},F{m}]", H[n].commutator(F[m]) + F[m].scaled(d)
+        for n in range(1, N):
+            for m in range(1, N):
+                rel = E[n].commutator(F[m])
+                yield f"[E{n},F{m}]", rel - (H[n] - H[n + 1]) if n == m else rel
 
-    return VerificationReport(
-        suite="gz", n=N, relation="gl-relations",
-        status="PASS" if not failures else "FAIL",
-        seed=seed, witness="; ".join(failures) or None,
-    )
+    return _check_zero("gl-relations", N, trials, seed, relations())
 
 
 def check_serre(N: int, trials: int = 20, seed: int = 0) -> VerificationReport:
     """Serre relations for the raise and lower families (vacuous at N=2)."""
-    rng = random.Random(seed)
-    fams = {
-        "raise": {m: gz_generator("raise", m, N) for m in range(1, N)},
-        "lower": {m: gz_generator("lower", m, N) for m in range(1, N)},
-    }
-    failures = []
-    for name, X in fams.items():
-        for n in range(1, N):
-            for m in range(1, N):
-                if n == m:
-                    continue
-                if abs(n - m) == 1:
-                    rel = X[n].commutator(X[n].commutator(X[m]))
-                else:
-                    rel = X[n].commutator(X[m])
-                ok, wit = _check_zero_operator(rel, N, trials, rng)
-                if not ok:
-                    failures.append(f"serre-{name}({n},{m}): {wit}")
-    return VerificationReport(
-        suite="gz", n=N, relation="serre",
-        status="PASS" if not failures else "FAIL",
-        seed=seed, witness="; ".join(failures) or None,
-    )
+    def relations():
+        for kind in ("raise", "lower"):
+            X = {m: gz_generator(kind, m, N) for m in range(1, N)}
+            for n in range(1, N):
+                for m in range(1, N):
+                    if n != m:
+                        rel = X[n].commutator(X[m])
+                        if abs(n - m) == 1:
+                            rel = X[n].commutator(rel)
+                        yield f"serre-{kind}({n},{m})", rel
+
+    return _check_zero("serre", N, trials, seed, relations())
 
 
 # ---------------------------------------------------------------------------
 # Whittaker and spherical vectors
 # ---------------------------------------------------------------------------
+
+SPHERICAL_QUASICONSTANT_BASE = 2.0
+
+# One row per vector, w and phi, both products over adjacent-level pairs:
+# (q, b) gives prod_{n<N} e^{-pi(n-1) sum_j lambda_{nj} / q} b^{-i sum_j
+# lambda_{nj}} prod_{k,m} Gamma((-i(lambda_{nk} - lambda_{n+1,m}) + 1/2) / q).
+# Only phi carries the normalizer (b = 1 for w).
+VECTORS = {"w": (1, 1.0), "phi": (2, SPHERICAL_QUASICONSTANT_BASE)}
+
+
+def _gamma_argument(arr: TriangularArray, n: int, k: int, m: int, q: int) -> complex:
+    return (-1j * complex(arr.get(n, k) - arr.get(n + 1, m)) + 0.5) / q
+
+
+def _vector(kind: str, arr: TriangularArray, normalize: bool = True) -> complex:
+    q, base = VECTORS[kind]
+    total = 0.0 + 0.0j
+    for n in range(1, arr.N):
+        level = complex(arr.level_sum(n))
+        total += -math.pi * (n - 1) / q * level
+        if normalize:
+            total += -1j * math.log(base) * level
+        for k in range(1, n + 1):
+            for m in range(1, n + 2):
+                total += log_gamma(_gamma_argument(arr, n, k, m, q))
+    return cmath.exp(total)
+
+
+def vector_shift_ratio(kind: str, arr: TriangularArray, shift: ShiftKey) -> complex:
+    """v(arr shifted)/v(arr) for v = w or phi, one adjacent-level pair at a time.
+
+    A k*i shift of lambda_{nj}, n < N, multiplies the prefactor by the
+    power (-i)^{2(n-1)k/q}, exact as products of 0 and +-1, and the
+    normalizer by b^k.  A pair's Gamma argument moves by net/q: an integer
+    move is the factorial `gamma_shift_ratio`, a half-integer one (phi) a
+    difference of two log-Gamma values.
+    """
+    q, base = VECTORS[kind]
+    kmap = dict(shift)
+    moved = [(n, k) for (n, _), k in shift if n < arr.N]
+    ratio = ((-1j) ** (sum(2 * (n - 1) * k // q for n, k in moved) % 4)
+             * base ** sum(k for _, k in moved))
+    log_ratio = 0.0 + 0.0j
+    for n in range(1, arr.N):
+        for a in range(1, n + 1):
+            for b in range(1, n + 2):
+                net = kmap.get((n, a), 0) - kmap.get((n + 1, b), 0)
+                if net:
+                    z = _gamma_argument(arr, n, a, b, q)
+                    if net % q:
+                        log_ratio += log_gamma(z + net / q) - log_gamma(z)
+                    else:
+                        ratio *= gamma_shift_ratio(z, net // q)
+    return ratio * cmath.exp(log_ratio) if log_ratio else ratio
 
 
 def whittaker_vector(kind: str, arr: TriangularArray) -> complex:
@@ -420,56 +446,7 @@ def whittaker_vector(kind: str, arr: TriangularArray) -> complex:
         return 1.0 + 0.0j
     if kind != "w":
         raise ValueError(f"unknown Whittaker vector kind {kind!r}")
-    total = 0.0 + 0.0j
-    for n in range(1, arr.N):
-        total += -math.pi * (n - 1) * complex(arr.level_sum(n))
-        for k in range(1, n + 1):
-            for m in range(1, n + 2):
-                total += log_gamma(-1j * complex(arr.get(n, k) - arr.get(n + 1, m)) + 0.5)
-    return cmath.exp(total)
-
-
-def _whittaker_shift_ratio(arr: TriangularArray, shift: ShiftKey) -> complex:
-    """w(arr shifted)/w(arr), exact in the Gamma arguments (integer shifts)."""
-    kmap = dict(shift)
-    ratio = 1.0 + 0.0j
-    for (n, j), k in shift:
-        # prefactor e^{-pi(n-1) k i} = (-1)^{(n-1)k}
-        if ((n - 1) * k) % 2:
-            ratio = -ratio
-    for n in range(1, arr.N):
-        for a in range(1, n + 1):
-            for b in range(1, n + 2):
-                net = kmap.get((n, a), 0) - kmap.get((n + 1, b), 0)
-                if net:
-                    z = -1j * complex(arr.get(n, a) - arr.get(n + 1, b)) + 0.5
-                    ratio *= gamma_shift_ratio(z, net)
-    return ratio
-
-
-def check_whittaker_equations(N: int, arr: TriangularArray,
-                              tol: float = 1e-9) -> VerificationReport:
-    """Max relative residual of E_{n,n+1} w = -i w and E_{n+1,n} w' = -i w'."""
-    _check_level_gaps(arr)
-    worst = 0.0
-    for n in range(1, N):
-        # sum_t c_t(arr) w(arr shifted by t)/w(arr); w' is constant
-        val = 0.0 + 0.0j
-        for v, s in gz_generator("raise", n, N).numeric_terms(arr):
-            val += v * _whittaker_shift_ratio(arr, s)
-        worst = max(worst, abs(val + 1j))
-        val = 0.0 + 0.0j
-        for v, _ in gz_generator("lower", n, N).numeric_terms(arr):
-            val += v
-        worst = max(worst, abs(val + 1j))
-    return VerificationReport(
-        suite="gz", n=N, relation="whittaker-equations",
-        status="PASS" if worst <= tol else "FAIL",
-        residual=worst, tolerance=tol,
-    )
-
-
-SPHERICAL_QUASICONSTANT_BASE = 2.0
+    return _vector("w", arr)
 
 
 def spherical_vector(arr: TriangularArray, include_normalizer: bool = True) -> complex:
@@ -479,33 +456,20 @@ def spherical_vector(arr: TriangularArray, include_normalizer: bool = True) -> c
     2i in each variable) is what makes the compact-generator difference
     equations close; pass include_normalizer=False for the bare product.
     """
-    total = 0.0 + 0.0j
-    for n in range(1, arr.N):
-        total += -0.5 * math.pi * (n - 1) * complex(arr.level_sum(n))
-        if include_normalizer:
-            total += -1j * math.log(SPHERICAL_QUASICONSTANT_BASE) * complex(arr.level_sum(n))
-        for k in range(1, n + 1):
-            for m in range(1, n + 2):
-                total += log_gamma(complex(arr.get(n, k) - arr.get(n + 1, m)) / 2j + 0.25)
-    return cmath.exp(total)
+    return _vector("phi", arr, include_normalizer)
 
 
-def _spherical_shift_ratio(arr: TriangularArray, shift: ShiftKey) -> complex:
-    """phi(arr shifted)/phi(arr); Gamma arguments move by half-integers."""
-    kmap = dict(shift)
-    log_ratio = 0.0 + 0.0j
-    for (n, j), k in shift:
-        # prefactor phase e^{-i pi (n-1) k / 2} and normalizer factor 2^k
-        log_ratio += -1j * math.pi * (n - 1) * k / 2.0
-        log_ratio += k * math.log(SPHERICAL_QUASICONSTANT_BASE)
-    for n in range(1, arr.N):
-        for a in range(1, n + 1):
-            for b in range(1, n + 2):
-                net = kmap.get((n, a), 0) - kmap.get((n + 1, b), 0)
-                if net:
-                    z = complex(arr.get(n, a) - arr.get(n + 1, b)) / 2j + 0.25
-                    log_ratio += log_gamma(z + net / 2.0) - log_gamma(z)
-    return cmath.exp(log_ratio)
+def check_whittaker_equations(N: int, arr: TriangularArray,
+                              tol: float = 1e-9) -> VerificationReport:
+    """Max relative residual of E_{n,n+1} w = -i w and E_{n+1,n} w' = -i w'."""
+    _check_level_gaps(arr)
+    worst = 0.0
+    for n in range(1, N):
+        for kind, ratio in (("raise", lambda s: vector_shift_ratio("w", arr, s)),
+                            ("lower", lambda s: 1)):      # w' is constant
+            terms = gz_generator(kind, n, N).term_values(arr, ratio)
+            worst = max(worst, abs(sum(terms) + 1j))
+    return residual_report("gz", N, "whittaker-equations", worst, tol)
 
 
 def check_spherical_equation(N: int, arr: TriangularArray,
@@ -515,17 +479,9 @@ def check_spherical_equation(N: int, arr: TriangularArray,
     worst = 0.0
     for n in range(1, N):
         op = gz_generator("raise", n, N) - gz_generator("lower", n, N)
-        prods = [v * _spherical_shift_ratio(arr, s) for v, s in op.numeric_terms(arr)]
-        val = 0.0 + 0.0j
-        for t in prods:
-            val += t
-        scale = sum(abs(t) for t in prods)
-        worst = max(worst, abs(val) / scale)
-    return VerificationReport(
-        suite="gz", n=N, relation="spherical-equation",
-        status="PASS" if worst <= tol else "FAIL",
-        residual=worst, tolerance=tol,
-    )
+        terms = op.term_values(arr, lambda s: vector_shift_ratio("phi", arr, s))
+        worst = max(worst, abs(sum(terms)) / sum(abs(t) for t in terms))
+    return residual_report("gz", N, "spherical-equation", worst, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -547,6 +503,9 @@ def gz_measure(arr: TriangularArray) -> complex:
 
 def _flat_slots(N: int) -> List[Slot]:
     return [(n, j) for n in range(1, N) for j in range(1, n + 1)]
+
+
+MEASURE_TOL = 1e-10   # gz_suite's default tolerance for the residual below
 
 
 def check_gz_measure_difference_eq(N: int, arr: TriangularArray, j: int) -> float:
@@ -599,36 +558,22 @@ def gz_suite(N: int, trials: int = 20, seed: int = 0,
              tol: float | None = None) -> List[VerificationReport]:
     """Relation checks plus sampled Whittaker/spherical residuals.
 
-    tol, when given, overrides the default tolerance of each sampled
-    (non-exact) residual check.
+    Each sampled (non-exact) check reports its worst residual over `trials`
+    arrays against its own default tolerance, or against tol when given.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     rng = random.Random(seed)
     out = [check_gl_relations(N, trials, seed), check_serre(N, trials, seed)]
+    kw = {} if tol is None else {"tol": tol}
+    arrays = [sample_real_array(N, rng) for _ in range(trials)]
+    for check in (check_whittaker_equations, check_spherical_equation):
+        reps = [check(N, arr, **kw) for arr in arrays]
+        out.append(replace(max(reps, key=lambda r: r.residual), seed=seed))
 
-    tol_w = tol if tol is not None else 1e-9
-    tol_s = tol if tol is not None else 1e-8
-    tol_mu = tol if tol is not None else 1e-10
-    worst_w, worst_s = 0.0, 0.0
-    for _ in range(trials):
-        arr = sample_real_array(N, rng)
-        worst_w = max(worst_w, check_whittaker_equations(N, arr).residual)
-        worst_s = max(worst_s, check_spherical_equation(N, arr).residual)
-    out.append(VerificationReport(
-        suite="gz", n=N, relation="whittaker-equations",
-        status="PASS" if worst_w <= tol_w else "FAIL",
-        residual=worst_w, tolerance=tol_w, seed=seed))
-    out.append(VerificationReport(
-        suite="gz", n=N, relation="spherical-equation",
-        status="PASS" if worst_s <= tol_s else "FAIL",
-        residual=worst_s, tolerance=tol_s, seed=seed))
-
-    worst_mu = 0.0
-    for _ in range(trials):
-        arr = sample_real_array(N, rng, low=-1.0, high=1.0)
-        for j in range(len(_flat_slots(N))):
-            worst_mu = max(worst_mu, check_gz_measure_difference_eq(N, arr, j))
-    out.append(VerificationReport(
-        suite="gz", n=N, relation="measure-difference-eq",
-        status="PASS" if worst_mu <= tol_mu else "FAIL",
-        residual=worst_mu, tolerance=tol_mu, seed=seed))
+    arrays = [sample_real_array(N, rng, low=-1.0, high=1.0) for _ in range(trials)]
+    worst_mu = max((check_gz_measure_difference_eq(N, arr, j) for arr in arrays
+                    for j in range(len(_flat_slots(N)))), default=0.0)
+    out.append(residual_report("gz", N, "measure-difference-eq", worst_mu,
+                               MEASURE_TOL if tol is None else tol, seed=seed))
     return out

@@ -36,7 +36,6 @@ from typing import List, Sequence
 import numpy as np
 
 from .gz import TriangularArray
-from .separation import sep_wavefunction
 from .specfun import log_gamma, log_gamma_array
 
 TWO_PI = 2.0 * math.pi
@@ -332,13 +331,12 @@ def whittaker_recursive(N: int, alpha: Sequence[float], x: Sequence[float],
     t = np.linspace(-contour.half_width, contour.half_width, contour.nodes_per_dim)
     dt = t[1] - t[0]
     lam = t + 1j * h
+    # separated kernel prod_k Gamma(-i(lam - alpha_k)) at each node
+    kern = np.exp(_adjacent_log(lam, alpha, "whittaker").sum(axis=1))
 
     if N == 2:
         # inner function is the plane wave e^{i lam x1}
-        inner = np.exp(1j * lam * x[0])
-        kern = np.array([sep_wavefunction(alpha, [l]) for l in lam])
-        mu = np.ones_like(lam)
-        integ = kern * mu * inner * np.exp(1j * (sigma1 - lam) * x[1])
+        integ = kern * np.exp(1j * lam * x[0]) * np.exp(1j * (sigma1 - lam) * x[1])
         full = integ.sum() * dt / TWO_PI
         halved = integ[::2].sum() * 2 * dt / TWO_PI
     else:
@@ -350,7 +348,6 @@ def whittaker_recursive(N: int, alpha: Sequence[float], x: Sequence[float],
         lam_sum = np.add.outer(lam, lam)
         inner = (((G.T * np.exp(1j * mu_in * (x[0] - x[1]))) @ G) * dt / TWO_PI
                  * np.exp(1j * lam_sum * x[1]))
-        kern = np.exp(_adjacent_log(lam, alpha, "whittaker").sum(axis=1))
         kern = kern[:, None] * kern[None, :]
         mu = _within_level(np.subtract.outer(t, t))
         integ = kern * mu * inner * np.exp(1j * (sigma1 - lam_sum) * x[2])

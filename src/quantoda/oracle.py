@@ -26,7 +26,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .mellin_barnes import whittaker_on_grid
-from .report import VerificationReport
+from .report import VerificationReport, residual_report
 
 BOUNDARY_MARGIN = 2  # nodes invalidated per face by the stencil
 
@@ -112,6 +112,24 @@ class GridSpec:
 
 
 LN2 = math.log(2.0)
+EXP_LIMIT = 700.0   # ln 1e304: headroom e^9.8 below the largest double
+
+
+def max_grid_span(N: int) -> float:
+    """Largest span D = max |x_k - x_{k+1}| of a grid `check_eigen` accepts.
+
+    `toda_apply`'s potential e^{x_{k+1} - x_k} reaches e^D.  The node sums
+    carry |e^{i sum_n u_n sum_j lambda_{nj}}| = e^{-sum_n n h_n u_n} (level
+    n: n variables at height h_n = (N - n)/2), and the contour-integral
+    differences u_n = -(x_n - x_{n+1}) - ln 2 reach -(D + ln 2), so they
+    reach e^{S (D + ln 2)} with S = sum_n n h_n = N (N^2 - 1)/12.  Both stay
+    below e^EXP_LIMIT for D <= min(EXP_LIMIT, EXP_LIMIT/S - ln 2): 700 at
+    N = 2 and 349.3 at N = 3.  Unbounded, numpy overflowed first at
+    D = 709.78 at N = 2 (the potential) and D = 359-367 at N = 3 (the last
+    node-sum contraction) for alpha in [-5, 5].  N = 1 has no bound.
+    """
+    S = N * (N * N - 1) / 12.0
+    return min(EXP_LIMIT, EXP_LIMIT / S - LN2) if S else math.inf
 
 
 def _eigenfunction_on_grid(N: int, alpha: Sequence[float],
@@ -132,20 +150,24 @@ def check_eigen(N: int, alpha: Sequence[float], grid: GridSpec,
     corresponds to the half-Laplacian form (see the module docstring).
     With refine=True the spacing is halved at fixed extent and the
     second-order stencil ratio (about 4) is reported in the witness.
+    A grid (the halved one too, with refine) that spans more than
+    `max_grid_span`(N) raises ValueError before anything is evaluated.
     """
-    res_coarse = _eigen_residual(N, alpha, grid, quad_tol)
-    witness = None
-    status = "PASS" if res_coarse <= tol else "FAIL"
+    fine = GridSpec(2 * grid.points, grid.spacing / 2.0, grid.center)
+    axes = (fine if refine else grid).axes(N)
+    span = max((max(b.max() - a.min(), a.max() - b.min())
+                for a, b in zip(axes, axes[1:])), default=0.0)
+    if span > max_grid_span(N):
+        raise ValueError(f"grid spans {span:.6g} in x_k - x_(k+1); above "
+                         f"{max_grid_span(N):.6g} the N={N} evaluation overflows")
+    rep = residual_report("eigen", N, "toda-eigenvalue",
+                          _eigen_residual(N, alpha, grid, quad_tol), tol)
     if refine:
-        fine = GridSpec(2 * grid.points, grid.spacing / 2.0, grid.center)
-        res_fine = _eigen_residual(N, alpha, fine, quad_tol)
-        ratio = res_coarse / res_fine
-        witness = f"refinement ratio {ratio:.3f}"
+        ratio = rep.residual / _eigen_residual(N, alpha, fine, quad_tol)
+        rep.witness = f"refinement ratio {ratio:.3f}"
         if not (3.5 <= ratio <= 4.5):
-            status = "FAIL"
-    return VerificationReport(
-        suite="eigen", n=N, relation="toda-eigenvalue", status=status,
-        residual=res_coarse, tolerance=tol, witness=witness)
+            rep.status = "FAIL"
+    return rep
 
 
 def _eigen_residual(N: int, alpha: Sequence[float], grid: GridSpec,
@@ -227,8 +249,5 @@ def whittaker_vs_ode_ratio(alpha: Sequence[float], r_grid: Sequence[float],
         for rv in r])
     ratio = mb / ode
     spread = float(np.std(ratio) / np.mean(np.abs(ratio)))
-    return VerificationReport(
-        suite="oracle", n=2, relation="ode-ratio",
-        status="PASS" if spread <= 1e-5 else "FAIL",
-        residual=spread, tolerance=1e-5,
-        witness=f"alpha={tuple(alpha)}")
+    return residual_report("oracle", 2, "ode-ratio", spread, 1e-5,
+                           witness=f"alpha={tuple(alpha)}")

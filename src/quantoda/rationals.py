@@ -10,7 +10,8 @@ Two rings share the representation:
   reduced mod p.  Since p = 3 mod 4, -1 is not a square mod p, so x^2 + 1 is
   irreducible and F_p[i] is a field: re + im*i = 0 exactly when
   re = im = 0 mod p, and every nonzero element has an inverse.  The
-  randomized identity checks of `gz` evaluate in it.
+  randomized identity checks of `gz` and `separation` evaluate in it, at
+  points that `random_fp` draws.
 
 Mixed arithmetic with floats or complex numbers is refused (TypeError):
 a residue mod p has no floating-point value.
@@ -18,7 +19,8 @@ a residue mod p has no floating-point value.
 
 from __future__ import annotations
 
-from typing import Tuple
+import random
+from typing import List, Tuple
 
 Gauss = Tuple[int, int]
 
@@ -143,6 +145,16 @@ class FpI(tuple):
 
     def __repr__(self):
         return f"FpI({self[0]}, {self[1]})"
+
+
+def random_fp(rng: random.Random, count: int, low: int = 0) -> List[FpI]:
+    """`count` distinct elements of F_p, drawn uniformly from low..p-1."""
+    out: List[FpI] = []
+    while len(out) < count:
+        v = FpI(rng.randrange(low, P))
+        if v not in out:
+            out.append(v)
+    return out
 
 
 # perfbench/tracing.py counts F_p[i] operations under this name.

@@ -32,6 +32,14 @@ class VerificationReport:
         return asdict(self)
 
 
+def residual_report(suite: str, n: int, relation: str, residual: float,
+                    tol: float, **extra) -> VerificationReport:
+    """Report of a numeric check: PASS when the residual is at most tol."""
+    return VerificationReport(suite=suite, n=n, relation=relation,
+                              status="PASS" if residual <= tol else "FAIL",
+                              residual=residual, tolerance=tol, **extra)
+
+
 def combine(reports) -> str:
     """Overall status line for a list of reports."""
     return "PASS" if all(r.passed for r in reports) else "FAIL"

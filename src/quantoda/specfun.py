@@ -5,7 +5,7 @@ evaluates Gamma(z+k)/Gamma(z) exactly as a rising/falling factorial.  The
 residual checks with integer shifts of the Gamma arguments route through it:
 the separated difference equations and the Whittaker-vector equations.  One
 check does not: the spherical-vector equations of `gz` shift the Gamma
-arguments by half-integers, and `gz._spherical_shift_ratio` takes a
+arguments by half-integers, for which `gz.vector_shift_ratio` takes a
 difference of two log-Gamma calls.
 """
 

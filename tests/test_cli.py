@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import warnings
 
 import pytest
 from hypothesis import example, given, settings
@@ -161,6 +162,10 @@ _EIGEN = ["verify", "eigen", "--n", "2", "--alpha", "0.5,-0.5", "--grid"]
     _EIGEN + ["5:nan"],
     _EIGEN + ["5:-0.1"],
     _EIGEN + ["5:0.1:2"],
+    # empty list entries were dropped: two values read, or c = 1 from none
+    ["whittaker", "eval", "--n", "2", "--alpha=0.5,,-0.5", "--x", "0.3,-0.3"],
+    ["whittaker", "eval", "--n", "2", "--alpha=0.5,-0.5,", "--x", "0.3,-0.3"],
+    ["cfunction", "--lambda="],
 ])
 def test_bad_inputs_exit_2_with_one_line(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -180,6 +185,26 @@ def test_length_mismatch_exits_1_with_one_line(argv, capsys):
     assert dispatch(argv, out=io.StringIO()) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("n, alpha", [(2, "0.5,-0.5"), (3, "0.5,-0.5,0.1")])
+def test_eigen_grid_span_across_the_bound(n, alpha):
+    # numpy overflow warnings were written before the error line
+    bound = oracle.max_grid_span(n)
+    for points, refine in ((5, False), (5, True), (9, False)):
+        width = (2 * points - 1) / 2 if refine else points - 1
+        for frac in (0.9, 0.999, 1.001, 1.1, 3.0):
+            argv = ["verify", "eigen", f"--n={n}", f"--alpha={alpha}",
+                    f"--grid={points}:{frac * bound / width!r}"]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out, err = _run_captured(argv + ["--refine"] * refine)
+            if frac < 1:
+                assert code in (0, 1) and err == ""
+                assert json.loads(out)["reports"][0]["relation"] == "toda-eigenvalue"
+            else:
+                assert code == 1 and out == ""
+                assert err.count("\n") == 1 and err.startswith("error: grid spans")
 
 
 def test_smallest_valid_counts_run():
@@ -247,6 +272,8 @@ _value = st.integers(0, 15).flatmap(
 _tol = st.integers(0, 15).flatmap(
     lambda k: _BAD if k == 0 else st.integers(2, 8).map(lambda e: f"1e-{e}"))
 _fmt = st.sampled_from(["csv", "json"])
+# grid spacings on both sides of the N = 2 and N = 3 overflow bounds
+_spacing = st.one_of(st.floats(0.05, 2), st.floats(2, 1000)).map(repr)
 
 
 def _mostly(draw, good, anything):
@@ -256,7 +283,10 @@ def _mostly(draw, good, anything):
 
 def _values(draw, n):
     size = _mostly(draw, st.just(n), st.integers(0, 5))
-    return ",".join(draw(st.lists(_value, min_size=size, max_size=size)))
+    vals = draw(st.lists(_value, min_size=size, max_size=size))
+    if not draw(st.integers(0, 7)):     # one list in eight gets an empty entry
+        vals.insert(draw(st.integers(0, len(vals))), "")
+    return ",".join(vals)
 
 
 @st.composite
@@ -288,7 +318,7 @@ def _argv(draw):
     elif kind == "eigen":
         argv = ["verify", "eigen", f"--n={n}", f"--alpha={_values(draw, n)}",
                 f"--grid={_mostly(draw, st.integers(5, 10), st.integers(0, 10))}:"
-                f"{_mostly(draw, st.floats(0.05, 2).map(repr), _value)}",
+                f"{_mostly(draw, _spacing, _value)}",
                 f"--tol={draw(_tol)}"]
         return argv + (["--refine"] if draw(st.booleans()) else [])
     else:
@@ -321,6 +351,10 @@ def _check_rows(rows, argv):
 @given(argv=_argv())
 @example(argv=_EIGEN + ["3:0.1"])
 @example(argv=_EIGEN + ["5:0"])
+@example(argv=_EIGEN + ["5:1000"])
+@example(argv=["verify", "eigen", "--n=3", "--alpha=0.5,-0.5,0.1", "--grid=5:100"])
+@example(argv=["cfunction", "--lambda="])
+@example(argv=_EVAL[:4] + ["--alpha=0.5,,-0.5"] + _EVAL[6:])
 def test_cli_contract_on_generated_argv(argv):
     code, out, err = _run_captured(argv)
     assert code in (0, 1, "SystemExit(2)")

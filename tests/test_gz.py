@@ -4,13 +4,14 @@ import random
 
 import pytest
 
-from quantoda.gz import (GENERATOR_PREFACTOR, Coefficient,
+from quantoda.gz import (GENERATOR_PREFACTOR, VECTORS, Coefficient,
                          DifferenceOperator, TriangularArray,
                          cartan_multiplier, check_gl_relations,
                          check_gz_measure_difference_eq, check_serre,
                          check_spherical_equation, check_whittaker_equations,
-                         gz_generator, gz_measure, sample_real_array,
-                         spherical_vector, whittaker_vector)
+                         gz_generator, gz_measure, gz_suite,
+                         sample_real_array, spherical_vector,
+                         vector_shift_ratio, whittaker_vector)
 from quantoda.rationals import FpI
 from quantoda.specfun import PoleError, gamma
 
@@ -212,6 +213,47 @@ def test_spherical_vector_and_equation():
         for _ in range(5):
             rep = check_spherical_equation(N, sample_real_array(N, rng))
             assert rep.residual < 1e-8
+
+
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_vector_shift_ratio_matches_vector_quotient(N):
+    # the pair-local ratio against the whole vectors, every single-slot
+    # shift by +-i (top level included)
+    rng = random.Random(40 + N)
+    vectors = {"w": lambda a: whittaker_vector("w", a), "phi": spherical_vector}
+    for _ in range(3):
+        arr = sample_real_array(N, rng)
+        for kind, vector in vectors.items():
+            for n in range(1, N + 1):
+                for j in range(1, n + 1):
+                    for k in (1, -1):
+                        shift = (((n, j), k),)
+                        want = vector(arr.shifted(shift)) / vector(arr)
+                        got = vector_shift_ratio(kind, arr, shift)
+                        assert abs(got - want) <= 1e-12 * abs(want), (kind, shift)
+
+
+def test_spherical_normalizer_base_one_fails(monkeypatch):
+    # without the 2^{-i lambda} normalizer the compact-generator equation
+    # misses by a constant per shift pair
+    monkeypatch.setitem(VECTORS, "phi", (2, 1.0))
+    rng = random.Random(4)
+    for N in (2, 3):
+        assert check_spherical_equation(N, sample_real_array(N, rng)).status == "FAIL"
+    reports = {r.relation: r for r in gz_suite(3, trials=2, seed=1)}
+    assert reports["spherical-equation"].status == "FAIL"
+    assert reports["whittaker-equations"].status == "PASS"
+
+
+def test_gz_suite_tolerances_come_from_the_checks():
+    reports = {r.relation: r for r in gz_suite(2, trials=2, seed=3)}
+    assert reports["whittaker-equations"].tolerance == 1e-9
+    assert reports["spherical-equation"].tolerance == 1e-8
+    assert reports["measure-difference-eq"].tolerance == 1e-10
+    reports = gz_suite(2, trials=2, seed=3, tol=1e-3)
+    assert all(r.tolerance == 1e-3 for r in reports if r.residual is not None)
+    with pytest.raises(ValueError):
+        gz_suite(2, trials=0)
 
 
 def test_gz_measure_basics():

@@ -13,6 +13,7 @@ from quantoda.mellin_barnes import (ContourError, ContourSpec, DimensionError,
                                     grid_scan, mb_integrand, spherical_eval,
                                     whittaker_eval, whittaker_on_grid,
                                     whittaker_recursive)
+from quantoda.separation import sep_wavefunction
 from quantoda.specfun import gamma, log_gamma
 
 
@@ -87,6 +88,18 @@ def test_direct_vs_recursive():
     d = whittaker_eval(3, alpha3, x3, tol=1e-10)
     r = whittaker_recursive(3, alpha3, x3, tol=1e-10)
     assert abs(d.value - r.value) <= 1e-10 * abs(d.value)
+
+
+def test_recursive_n2_matches_the_separated_wave_function_loop():
+    # the vectorized separated kernel against the per-node Gamma product
+    alpha, x, tol = [0.8, -0.3], [0.4, -0.6], 1e-8
+    c = default_contour(2, alpha, tol)
+    t = np.linspace(-c.half_width, c.half_width, c.nodes_per_dim)
+    lam = t + 1j * c.offsets[0]
+    kern = np.array([sep_wavefunction(alpha, [l]) for l in lam])
+    integ = kern * np.exp(1j * lam * x[0]) * np.exp(1j * (sum(alpha) - lam) * x[1])
+    want = integ.sum() * (t[1] - t[0]) / (2 * math.pi)
+    assert whittaker_recursive(2, alpha, x, tol).value == complex(want)
 
 
 def test_weyl_symmetry_in_alpha():

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from quantoda import oracle
 from quantoda.oracle import (BOUNDARY_MARGIN, GridFunction, GridSpec,
                              bessel_oracle_n2, check_eigen,
-                             eigenvalue_from_alpha, toda_apply,
+                             eigenvalue_from_alpha, max_grid_span, toda_apply,
                              whittaker_vs_ode_ratio)
 
 
@@ -84,3 +85,20 @@ def test_check_eigen_n2_with_refinement():
                       refine=True)
     assert rep.passed
     assert "refinement ratio" in rep.witness
+
+
+def test_check_eigen_rejects_a_grid_that_would_overflow(monkeypatch):
+    assert max_grid_span(1) == math.inf
+    assert max_grid_span(2) == 700.0
+    assert abs(max_grid_span(3) - (350.0 - math.log(2.0))) < 1e-12
+
+    def evaluate(*args):
+        raise AssertionError("evaluated a grid above the bound")
+
+    monkeypatch.setattr(oracle, "_eigen_residual", evaluate)
+    for N, grid, refine in ((2, GridSpec(5, 1000.0), False),
+                            (2, GridSpec(5, 170.0), True),     # coarse 680, fine 765
+                            (3, GridSpec(5, 100.0), False),
+                            (3, GridSpec(64, 6.0), False)):
+        with pytest.raises(ValueError, match="overflows"):
+            check_eigen(N, [0.5, -0.5, 0.1][:N], grid, refine=refine)

@@ -1,7 +1,9 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quantoda.rationals import P, FpI, gauss_mul, gauss_str
+from quantoda.rationals import P, FpI, gauss_mul, gauss_str, random_fp
 
 
 def fp_values():
@@ -98,3 +100,14 @@ def test_immutability():
         a.re = 2
     with pytest.raises(AttributeError):
         a.extra = 2
+
+
+def test_random_fp_draws_distinct_elements_from_low_up():
+    rng = random.Random(0)
+    vals = random_fp(rng, 6, 1)
+    assert len(set(vals)) == 6
+    assert all(type(v) is FpI and v.im == 0 and 1 <= v.re < P for v in vals)
+    # a small range forces redraws, and the result stays distinct
+    small = random_fp(random.Random(1), 4, P - 4)
+    assert sorted(v.re for v in small) == [P - 4, P - 3, P - 2, P - 1]
+    assert random_fp(random.Random(2), 3) == random_fp(random.Random(2), 3)

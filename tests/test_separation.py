@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quantoda import separation
 from quantoda.report import combine
 from quantoda.separation import (SeparatedPoint, SpectralParams,
                                  check_dif_equation, check_lagrange_identity,
@@ -74,6 +75,18 @@ def test_momentum_support_flag():
 def test_lagrange_identity_exact():
     for N in (2, 3, 4):
         assert check_lagrange_identity(N, trials=50, seed=7).passed
+
+
+def test_misprinted_lagrange_identity_fails(monkeypatch):
+    # drop the + sum_j lambda_j term: the F_p[i] check must catch it
+    lhs = separation._lagrange_lhs
+    monkeypatch.setattr(
+        separation, "_lagrange_lhs",
+        lambda u, lam, alpha: lhs(u, lam, alpha)
+        - sum(lam) * math.prod((u - l for l in lam), start=1))
+    for N in (2, 3, 4):
+        rep = check_lagrange_identity(N, trials=5, seed=7)
+        assert rep.status == "FAIL" and rep.witness.startswith("trial 0: u=FpI(")
 
 
 def test_suite_shape_and_status():
