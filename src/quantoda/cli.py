@@ -106,15 +106,23 @@ def _emit_reports(reports: Sequence[VerificationReport], out) -> int:
     return 0 if combine(reports) == "PASS" else 1
 
 
+def _csv_number(v: float) -> str:
+    if not math.isfinite(v):    # as strict as JSON
+        raise ValueError(f"Out of range float values are not CSV compliant: {v!r}")
+    return repr(v)
+
+
 def _value_text(rows: Sequence[dict], fmt: str) -> str:
+    """Rows as JSON or CSV; either raises ValueError before any output on a
+    non-finite number."""
     rows = [_norm(r) for r in rows]
     if fmt == "json":
         return _json_text(rows)
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
     writer.writeheader()
-    writer.writerows({k: repr(v) if isinstance(v, float) else v for k, v in r.items()}
-                     for r in rows)
+    writer.writerows({k: _csv_number(v) if isinstance(v, float) else v
+                      for k, v in r.items()} for r in rows)
     return buf.getvalue()
 
 

@@ -19,7 +19,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .specfun import gamma, log_gamma
+from .specfun import log_gamma
 
 Root = Tuple[int, int]  # (i, j) with i < j, representing e_i - e_j (1-based)
 
@@ -160,9 +160,10 @@ def delta_set(s: WeylPermutation) -> set:
 
 
 def c_alpha_factor(lam: Sequence[complex], root: Root) -> complex:
-    """Rank-one factor Gamma(l_a) Gamma(1/2) / Gamma(l_a + 1/2)."""
+    """Rank-one factor Gamma(l_a) Gamma(1/2) / Gamma(l_a + 1/2), taken
+    through log Gamma so that large |l_a| do not overflow."""
     la = lambda_alpha(lam, root)
-    return gamma(la) * SQRT_PI / gamma(la + 0.5)
+    return SQRT_PI * cmath.exp(log_gamma(la) - log_gamma(la + 0.5))
 
 
 def c_s(lam: Sequence[complex], s: WeylPermutation) -> complex:
@@ -178,39 +179,35 @@ def c_function(lam: Sequence[complex]) -> complex:
     return c_s(lam, WeylPermutation.longest(len(lam)))
 
 
-def e_alpha(la: complex) -> complex:
-    """2^{1 - l} sqrt(pi) Gamma(l + 1/2)."""
-    return 2.0 ** (1.0 - 0.0j) * cmath.exp(-la * math.log(2.0)) * SQRT_PI * gamma(la + 0.5)
-
-
 def m_elementary(lam: Sequence[complex], k: int, f: Character) -> complex:
     """M for the elementary reflection at simple root k.
 
-    The printed exponent 2*alpha(lambda) is read as 2*lambda_alpha.
+    With e(l) = 2^{1 - l} sqrt(pi) Gamma(l + 1/2) and l = lambda_alpha,
+    M = e(l)/e(-l) (|f_k|/4)^{2l} = (|f_k|/8)^{2l} Gamma(l + 1/2)/Gamma(1/2 - l):
+    the factors 2 sqrt(pi) cancel and 2^{-l}/2^{l} = 2^{-2l}.  The printed
+    exponent 2*alpha(lambda) is read as 2*lambda_alpha.
     """
-    root = (k, k + 1)
-    la = lambda_alpha(lam, root)
+    la = lambda_alpha(lam, (k, k + 1))
     ck = abs(f[k])
     if ck == 0:
         raise ValueError("degenerate character on this simple root")
-    base = ck / (2.0 * math.sqrt(2.0 * 2.0))
-    return e_alpha(la) / e_alpha(-la) * cmath.exp(2.0 * la * math.log(base))
+    return cmath.exp(2.0 * la * math.log(ck / 8.0)
+                     + log_gamma(la + 0.5) - log_gamma(0.5 - la))
 
 
 def m_function(s: WeylPermutation, lam: Sequence[complex], f: Character,
                word: Sequence[int] | None = None) -> complex:
     """Cocycle product of elementary M factors along a reduced word of s.
 
-    M(s1 s2, lam) = M(s2, lam) M(s1, s2 lam), applied letter by letter.
+    M(s1 s2, lam) = M(s2, lam) M(s1, s2 lam), applied letter by letter
+    from the right end of the word: letter k contributes M(s_k, mu), with
+    mu the image of lam under the letters to its right.
     """
-    if word is None:
-        word = s.reduced_word()
-    if not word:
-        return 1.0 + 0.0j
-    k, rest_word = word[0], word[1:]
-    rest = word_to_permutation(rest_word, s.n if word else len(lam))
-    return (m_function(rest, lam, f, rest_word)
-            * m_elementary(rest.apply(lam), k, f))
+    out, mu = 1.0 + 0.0j, lam
+    for k in reversed(s.reduced_word() if word is None else word):
+        out *= m_elementary(mu, k, f)
+        mu = WeylPermutation.simple(k, s.n).apply(mu)
+    return out
 
 
 def scattering_matrices(lam: Sequence[complex], f: Character):

@@ -13,14 +13,23 @@ real; the kernel there pairs Gamma(d/(2i)+1/4) with its reflection, and
 within-level coincidences annihilate the integrand through the denominator.
 
 Quadrature is a truncated uniform grid per dimension (spectrally accurate
-for these analytic, exponentially decaying integrands).  N <= 3.  One node
-sum, `_node_sums`, serves the point values, sweeps, grids and the spherical
-kernel.  On a level's contour a within-level difference d is real, so the
+for these analytic, exponentially decaying integrands).  N <= 3.  One front
+end, `_evaluate`, works on a tensor grid axes[0] x ... x axes[N-1]: a point
+is a grid with one node per axis, a sweep one with a single varying axis.
+The integrand sees x only through the differences u_n = x_n - x_{n+1} and
+the carrier e^{i sigma1 x_N}, applied once to the node sums.  Differences
+equal to 12 decimals share one node sum, evaluated at the first one's
+exact difference.  Level n holds n variables at height h_n, so its phase
+e^{i lam u_n} reaches e^{n h_n max(0, -u_n)}: a grid whose phase exponent
+sum_n n h_n max(0, -min u_n) exceeds EXP_LIMIT would overflow and raises
+ValueError before any node sum.  In the node sum, `_node_sums`, a
+within-level difference d on a level's contour is real, so the
 denominator 1/(Gamma(-i d) Gamma(i d)) = d sinh(pi d)/pi (0 at d = 0) has
 rank 4 as a matrix over the nodes: at N = 3 both routes run in O(M^2)
 memory and build no 3-D array.  `whittaker_recursive` orders the sum
 differently (separated variables outside, its inner rank-2 function one
-matrix product), as an independent cross-check.
+matrix product), as an independent cross-check; it too sees x through the
+differences and the carrier alone, under the same phase bound.
 
 Normalization: 1/(2 pi) per integration variable, which makes N = 1 return
 exactly e^{i alpha x}; all cross-checks against oracles are ratio-based.
@@ -43,6 +52,7 @@ LEVEL_OFFSET_STEP = 0.5   # h_n = (N - n) * step
 POLE_STRIP = 0.25         # distance heuristic for the node-spacing estimate
 MIN_NODES = 64
 COINCIDENT_TOL = 1e-6
+EXP_LIMIT = 700.0         # ln 1e304: headroom e^9.8 below the largest double
 
 
 class DimensionError(ValueError):
@@ -208,105 +218,124 @@ def _node_sums(top, which: str, offsets, half_width: float, M: int,
 
 
 # ---------------------------------------------------------------------------
-# Direct evaluation
+# Direct evaluation: the tensor-grid front end
 # ---------------------------------------------------------------------------
 
 
-def _validate(N: int, params: Sequence[float], points, tol: float) -> List[float]:
+def _validate(N: int, params: Sequence[float], axes, tol: float) -> List[float]:
     """The parameters as floats, after checking N, lengths, finiteness and tol.
 
-    A point holds one entry per coordinate x_1..x_N: a number or a grid axis.
-    """
+    `axes` holds one number or grid axis per coordinate x_1..x_N."""
     if not 1 <= N <= 3:
         raise DimensionError(f"N={N} unsupported (1 <= N <= 3)")
     params = [float(p) for p in params]
-    if len(params) != N or any(len(x) != N for x in points):
+    if len(params) != N or len(axes) != N:
         raise ValueError("parameters and x must have length N")
     if not (all(map(math.isfinite, params))
-            and all(np.isfinite(np.asarray(c, dtype=float)).all()
-                    for c in zip(*points))):
+            and all(np.isfinite(np.asarray(a, dtype=float)).all() for a in axes)):
         raise ValueError("parameters and x must be finite")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
     return params
 
 
-def _contour(N: int, params: Sequence[float], tol: float,
-             contour: ContourSpec | None) -> ContourSpec:
-    """The given contour, which must have N levels, or the default one."""
+def _check_phase(offsets: Sequence[float], diffs) -> None:
+    """ValueError when the phase exponent sum_n n h_n max(0, -min u_n)
+    exceeds EXP_LIMIT, for h_n in `offsets` and u_n in `diffs` (arrays or
+    numbers), n = 1, 2, ..."""
+    exponent = sum(n * h * -float(np.min(u, initial=0.0))
+                   for n, (h, u) in enumerate(zip(offsets, diffs), 1))
+    if exponent > EXP_LIMIT:
+        raise ValueError(f"coordinates too far apart: phase exponent "
+                         f"{exponent:.6g} exceeds {EXP_LIMIT:g}")
+
+
+def _evaluate(which: str, N: int, params: Sequence[float], axes, tol: float,
+              contour: ContourSpec | None = None):
+    """Values and error estimates on the grid axes[0] x ... x axes[N-1].
+
+    Returns two arrays of shape (len(axes[0]), ..., len(axes[N-1])), all
+    from one kernel build.  The error estimate is |v - v_half|, where v_half
+    is the stride-2 sum with the same carrier.  Spherical contours are
+    real: offsets 0.
+    """
+    if which not in ("whittaker", "spherical"):
+        raise ValueError(f"unknown function {which!r}")
+    axes = [np.asarray(a, dtype=float) for a in axes]
+    params = _validate(N, params, axes, tol)
+    if which == "spherical" and any(abs(p - q) < COINCIDENT_TOL for i, p in
+                                    enumerate(params) for q in params[i + 1:]):
+        raise ContourError("coincident top-level spectral parameters")
     contour = contour or default_contour(N, params, tol)
     if len(contour.offsets) != N:
         raise ContourError(
             f"contour has {len(contour.offsets)} levels, N={N} needs {N}")
-    return contour
-
-
-def _evaluate(which: str, N: int, params: Sequence[float],
-              points: Sequence[Sequence[float]], tol: float,
-              contour: ContourSpec | None = None) -> List[QuadratureResult]:
-    """Values at a list of points x, all from one kernel build.
-
-    The error estimate is |v - v_half|, where v_half is the stride-2 sum
-    with the same carrier.  Spherical contours are real: offsets 0.
-    """
-    params = _validate(N, params, points, tol)
-    if which == "spherical":
-        for i in range(N):
-            for j in range(i + 1, N):
-                if abs(params[i] - params[j]) < COINCIDENT_TOL:
-                    raise ContourError("coincident top-level spectral parameters")
-    contour = _contour(N, params, tol, contour)
+    offsets = contour.offsets if which == "whittaker" else (0.0,) * N
+    diffs = [np.subtract.outer(a, b) for a, b in zip(axes, axes[1:])]
+    _check_phase(offsets, diffs)
+    carrier = np.exp(1j * sum(params) * axes[-1])
     if N == 1:
-        return [QuadratureResult(cmath.exp(1j * params[0] * x[0]), 0.0)
-                for x in points]
-    offsets = contour.offsets if which == "whittaker" else (0.0, 0.0)
-    xs = np.array(points, dtype=float).reshape(-1, N)
-    uu, pick = np.unique(xs[:, 0] - xs[:, 1], return_inverse=True)
-    vv = None
-    if N == 3:
-        vv, vinv = np.unique(xs[:, 1] - xs[:, 2], return_inverse=True)
-        pick = (pick, vinv)
+        return carrier, np.zeros(carrier.shape)
+    nodes, picks = [], []
+    for d in diffs:
+        _, first, pick = np.unique(np.round(d.reshape(-1), 12),
+                                   return_index=True, return_inverse=True)
+        nodes.append(d.reshape(-1)[first])
+        picks.append(pick.reshape(d.shape))
     full, half = _node_sums(params, which, offsets, contour.half_width,
-                            contour.nodes_per_dim, uu, vv)
-    sigma1 = float(sum(params))
-    out = []
-    for x, f, h in zip(points, full[pick], half[pick]):
-        carrier = cmath.exp(1j * sigma1 * x[-1])
-        v, vh = complex(f) * carrier, complex(h) * carrier
-        out.append(QuadratureResult(v, abs(v - vh)))
-    return out
+                            contour.nodes_per_dim, *nodes)
+    pick = picks[0] if N == 2 else (picks[0][:, :, None], picks[1][None, :, :])
+    v, vh = full[pick] * carrier, half[pick] * carrier
+    return v, np.abs(v - vh)
 
 
 def whittaker_eval(N: int, alpha: Sequence[float], x: Sequence[float],
                    tol: float = 1e-6, contour: ContourSpec | None = None) -> QuadratureResult:
     """Direct tensor-quadrature evaluation of the wave function at one x."""
-    return _evaluate("whittaker", N, alpha, [x], tol, contour)[0]
+    v, err = _evaluate("whittaker", N, alpha, [[xk] for xk in x], tol, contour)
+    return QuadratureResult(v.item(), err.item())
 
 
 def whittaker_on_grid(N: int, alpha: Sequence[float], axes: Sequence[np.ndarray],
                       tol: float = 1e-6, contour: ContourSpec | None = None) -> np.ndarray:
     """Wave function on a full tensor grid of coordinates.
 
-    Exploits that the integrand depends on x only through the successive
-    differences, so the quadrature is contracted once per distinct
-    difference value rather than once per grid point.
+    The quadrature is contracted once per distinct coordinate difference
+    rather than once per grid point (see `_evaluate`).
     """
-    axes = [np.asarray(ax, dtype=float) for ax in axes]
-    alpha = _validate(N, alpha, [axes], tol)
-    sigma1 = float(sum(alpha))
-    contour = _contour(N, alpha, tol, contour)
-    if N == 1:
-        return np.exp(1j * alpha[0] * axes[0])
-    diffs, picks = [], []
-    for k in range(N - 1):
-        d = np.subtract.outer(axes[k], axes[k + 1])
-        uniq, inv = np.unique(np.round(d.reshape(-1), 12), return_inverse=True)
-        diffs.append(uniq)
-        picks.append(inv.reshape(d.shape))
-    F, _ = _node_sums(alpha, "whittaker", contour.offsets, contour.half_width,
-                      contour.nodes_per_dim, *diffs)
-    vals = F[picks[0]] if N == 2 else F[picks[0][:, :, None], picks[1][None, :, :]]
-    return vals * np.exp(1j * sigma1 * axes[-1])
+    return _evaluate("whittaker", N, alpha, axes, tol, contour)[0]
+
+
+def spherical_eval(N: int, lam_top: Sequence[float], x: Sequence[float],
+                   tol: float = 1e-6) -> QuadratureResult:
+    """Spherical-kernel integral over real contours."""
+    v, err = _evaluate("spherical", N, lam_top, [[xk] for xk in x], tol)
+    return QuadratureResult(v.item(), err.item())
+
+
+def grid_scan(which: str, N: int, params: Sequence[float], axis: int,
+              start: float, stop: float, steps: int,
+              x_base: Sequence[float] | None = None,
+              tol: float = 1e-6) -> List[dict]:
+    """Sweep one coordinate; rows carry value, modulus and error estimate.
+
+    The sweep is the grid whose axis `axis` varies: one kernel build.
+    """
+    if not 0 <= axis < N:
+        raise ValueError("axis out of range")
+    x0 = list(x_base) if x_base is not None else [0.0] * N
+    if len(x0) != N:
+        raise ValueError("x_base must have length N")
+    axes = [[xk] for xk in x0]
+    axes[axis] = np.linspace(start, stop, steps)
+    values, errs = _evaluate(which, N, params, axes, tol)
+    rows = []
+    for xv, v, err in zip(axes[axis].tolist(), values.reshape(-1).tolist(),
+                          errs.reshape(-1).tolist()):
+        x = list(x0)
+        x[axis] = xv
+        rows.append(value_row(QuadratureResult(v, err), x))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -320,14 +349,16 @@ def whittaker_recursive(N: int, alpha: Sequence[float], x: Sequence[float],
     the separation kernel and measure times the cached rank-(N-1) function.
 
     The total-momentum delta factor collapses the momentum integral, so the
-    x_N dependence enters through e^{i(sigma1 - sum lam) x_N}.
+    x_N dependence enters through the carrier e^{i sigma1 x_N} alone.
     """
-    alpha = _validate(N, alpha, [x], tol)
+    alpha = _validate(N, alpha, x, tol)
     if N == 1:
         return whittaker_eval(N, alpha, x, tol)
-    sigma1 = float(sum(alpha))
     contour = default_contour(N, alpha, tol)
     h = contour.offsets[0]
+    u, v = x[0] - x[1], x[1] - x[-1]
+    # the separated variables sit at h, the N = 3 inner variable one step above
+    _check_phase((h,) if N == 2 else (h + LEVEL_OFFSET_STEP, h), [u, v])
     t = np.linspace(-contour.half_width, contour.half_width, contour.nodes_per_dim)
     dt = t[1] - t[0]
     lam = t + 1j * h
@@ -335,8 +366,8 @@ def whittaker_recursive(N: int, alpha: Sequence[float], x: Sequence[float],
     kern = np.exp(_adjacent_log(lam, alpha, "whittaker").sum(axis=1))
 
     if N == 2:
-        # inner function is the plane wave e^{i lam x1}
-        integ = kern * np.exp(1j * lam * x[0]) * np.exp(1j * (sigma1 - lam) * x[1])
+        # inner function is the plane wave e^{i lam u}
+        integ = kern * np.exp(1j * lam * u)
         full = integ.sum() * dt / TWO_PI
         halved = integ[::2].sum() * 2 * dt / TWO_PI
     else:
@@ -346,51 +377,12 @@ def whittaker_recursive(N: int, alpha: Sequence[float], x: Sequence[float],
         mu_in = t + 1j * (h + LEVEL_OFFSET_STEP)
         G = np.exp(_adjacent_log(mu_in, lam, "whittaker"))   # Gamma(-i(mu - l))
         lam_sum = np.add.outer(lam, lam)
-        inner = (((G.T * np.exp(1j * mu_in * (x[0] - x[1]))) @ G) * dt / TWO_PI
-                 * np.exp(1j * lam_sum * x[1]))
+        inner = (((G.T * np.exp(1j * mu_in * u)) @ G) * dt / TWO_PI
+                 * np.exp(1j * lam_sum * v))
         kern = kern[:, None] * kern[None, :]
         mu = _within_level(np.subtract.outer(t, t))
-        integ = kern * mu * inner * np.exp(1j * (sigma1 - lam_sum) * x[2])
+        integ = kern * mu * inner
         full = integ.sum() * dt ** 2 / TWO_PI ** 2
         halved = integ[::2, ::2].sum() * (2 * dt) ** 2 / TWO_PI ** 2
-    return QuadratureResult(complex(full), abs(full - halved))
-
-
-# ---------------------------------------------------------------------------
-# Spherical functions
-# ---------------------------------------------------------------------------
-
-
-def spherical_eval(N: int, lam_top: Sequence[float], x: Sequence[float],
-                   tol: float = 1e-6) -> QuadratureResult:
-    """Spherical-kernel integral over real contours."""
-    return _evaluate("spherical", N, lam_top, [x], tol)[0]
-
-
-# ---------------------------------------------------------------------------
-# Grid scan
-# ---------------------------------------------------------------------------
-
-
-def grid_scan(which: str, N: int, params: Sequence[float], axis: int,
-              start: float, stop: float, steps: int,
-              x_base: Sequence[float] | None = None,
-              tol: float = 1e-6) -> List[dict]:
-    """Sweep one coordinate; rows carry value, modulus and error estimate.
-
-    One kernel build serves the whole sweep.
-    """
-    if not 0 <= axis < N:
-        raise ValueError("axis out of range")
-    if which not in ("whittaker", "spherical"):
-        raise ValueError(f"unknown function {which!r}")
-    x0 = list(x_base) if x_base is not None else [0.0] * N
-    if len(x0) != N:
-        raise ValueError("x_base must have length N")
-    points = []
-    for xv in np.linspace(start, stop, steps):
-        x = list(x0)
-        x[axis] = float(xv)
-        points.append(x)
-    return [value_row(res, x)
-            for x, res in zip(points, _evaluate(which, N, params, points, tol))]
+    carrier = cmath.exp(1j * sum(alpha) * x[-1])
+    return QuadratureResult(complex(full * carrier), abs(full - halved))

@@ -25,7 +25,7 @@ from typing import List, Sequence
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .mellin_barnes import whittaker_on_grid
+from .mellin_barnes import EXP_LIMIT, whittaker_on_grid
 from .report import VerificationReport, residual_report
 
 BOUNDARY_MARGIN = 2  # nodes invalidated per face by the stencil
@@ -112,7 +112,6 @@ class GridSpec:
 
 
 LN2 = math.log(2.0)
-EXP_LIMIT = 700.0   # ln 1e304: headroom e^9.8 below the largest double
 
 
 def max_grid_span(N: int) -> float:

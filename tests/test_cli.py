@@ -258,6 +258,51 @@ def test_non_finite_json_exits_1_and_writes_nothing(monkeypatch):
     assert err.count("\n") == 1 and err.startswith("error: ")
 
 
+def test_non_finite_csv_exits_1_and_writes_nothing(monkeypatch):
+    monkeypatch.setattr(mb, "whittaker_eval",
+                        lambda *a: mb.QuadratureResult(complex(math.nan, 0.0), 0.0))
+    code, out, err = _run_captured(_EVAL)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+_FAR_N2 = ["whittaker", "eval", "--n=2", "--alpha=0.5,-0.5", "--x=-800,800"]
+_FAR_N3 = ["whittaker", "eval", "--n=3", "--alpha=0.9,0.1,-0.6", "--x=-400,0,400"]
+_RECURSIVE = ["--method=recursive"]
+
+
+@pytest.mark.parametrize("argv", [
+    # each printed a CSV row of nan after numpy RuntimeWarnings, with exit 0
+    _FAR_N2, _FAR_N2 + _RECURSIVE, _FAR_N3, _FAR_N3 + _RECURSIVE,
+    ["whittaker", "grid", "--n=2", "--alpha=0.5,-0.5", "--axis=0",
+     "--from=-1600", "--to=0", "--steps=3"],
+])
+def test_far_apart_coordinates_exit_1_with_one_line(argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run_captured(argv)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("n, alpha, x", [
+    (3, "0.9,0.1,-0.6", "-400,-400,-400"),   # recursive printed nan
+    (2, "0.5,-0.5", "-2000,-2000"),          # recursive overflowed, exit 1
+])
+def test_recursive_at_far_equal_coordinates_matches_direct(n, alpha, x):
+    argv = ["whittaker", "eval", f"--n={n}", f"--alpha={alpha}", f"--x={x}",
+            "--tol=1e-8", "--format=json"]
+    values = []
+    for method in ("direct", "recursive"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = _run_captured(argv + [f"--method={method}"])
+        assert code == 0 and err == ""
+        (row,) = json.loads(out)
+        values.append(complex(row["re"], row["im"]))
+    assert abs(values[1] - values[0]) <= 1e-10 * abs(values[0])
+
+
 # -- the CLI contract over generated argv --------------------------------------
 
 _REPORT_KEYS = {"suite", "n", "relation", "status", "residual", "tolerance",
@@ -271,6 +316,11 @@ _value = st.integers(0, 15).flatmap(
     lambda k: _BAD if k == 0 else st.floats(-5, 5).map(repr))
 _tol = st.integers(0, 15).flatmap(
     lambda k: _BAD if k == 0 else st.integers(2, 8).map(lambda e: f"1e-{e}"))
+# a coordinate token is drawn like a value, except that one in eight reaches
+# |2000|, past the overflow bound
+_coord = st.integers(0, 15).flatmap(
+    lambda k: _BAD if k == 0
+    else st.floats(*((-2000, 2000) if k <= 2 else (-5, 5))).map(repr))
 _fmt = st.sampled_from(["csv", "json"])
 # grid spacings on both sides of the N = 2 and N = 3 overflow bounds
 _spacing = st.one_of(st.floats(0.05, 2), st.floats(2, 1000)).map(repr)
@@ -281,9 +331,9 @@ def _mostly(draw, good, anything):
     return draw(good if draw(st.integers(0, 3)) else anything)
 
 
-def _values(draw, n):
+def _values(draw, n, token=_value):
     size = _mostly(draw, st.just(n), st.integers(0, 5))
-    vals = draw(st.lists(_value, min_size=size, max_size=size))
+    vals = draw(st.lists(token, min_size=size, max_size=size))
     if not draw(st.integers(0, 7)):     # one list in eight gets an empty entry
         vals.insert(draw(st.integers(0, len(vals))), "")
     return ",".join(vals)
@@ -300,19 +350,19 @@ def _argv(draw):
     n = draw(st.integers(0, 4))
     if kind == "eval":
         argv = ["whittaker", "eval", f"--n={n}", f"--alpha={_values(draw, n)}",
-                f"--x={_values(draw, n)}", f"--tol={draw(_tol)}",
+                f"--x={_values(draw, n, _coord)}", f"--tol={draw(_tol)}",
                 f"--method={draw(st.sampled_from(['direct', 'recursive']))}"]
     elif kind == "grid":
         axis = _mostly(draw, st.integers(0, max(n - 1, 0)), st.integers(-1, 4))
         argv = ["whittaker", "grid", f"--n={n}", f"--alpha={_values(draw, n)}",
-                f"--axis={axis}", f"--from={draw(_value)}", f"--to={draw(_value)}",
+                f"--axis={axis}", f"--from={draw(_coord)}", f"--to={draw(_coord)}",
                 f"--steps={_mostly(draw, st.integers(1, 8), st.integers(0, 8))}",
                 f"--tol={draw(_tol)}"]
         if draw(st.booleans()):
-            argv.append(f"--x={_values(draw, n)}")
+            argv.append(f"--x={_values(draw, n, _coord)}")
     elif kind == "spherical":
         argv = ["spherical", "eval", f"--n={n}", f"--lambda={_values(draw, n)}",
-                f"--x={_values(draw, n)}", f"--tol={draw(_tol)}"]
+                f"--x={_values(draw, n, _coord)}", f"--tol={draw(_tol)}"]
     elif kind == "cfunction":
         argv = ["cfunction", f"--lambda={_values(draw, n)}"]
     elif kind == "eigen":
@@ -345,6 +395,8 @@ def _check_rows(rows, argv):
             xs = set(row) - _VALUE_KEYS
             assert _VALUE_KEYS <= set(row)
             assert xs == {f"x{k + 1}" for k in range(len(xs))}
+        # JSON parsing rejects NaN and infinities; CSV must not hold them either
+        assert all(math.isfinite(float(v)) for k, v in row.items() if k != "lambda")
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
@@ -355,6 +407,10 @@ def _check_rows(rows, argv):
 @example(argv=["verify", "eigen", "--n=3", "--alpha=0.5,-0.5,0.1", "--grid=5:100"])
 @example(argv=["cfunction", "--lambda="])
 @example(argv=_EVAL[:4] + ["--alpha=0.5,,-0.5"] + _EVAL[6:])
+@example(argv=_FAR_N2)
+@example(argv=_FAR_N2 + _RECURSIVE)
+@example(argv=_FAR_N3)
+@example(argv=_FAR_N3[:4] + ["--x=-400,-400,-400"] + _RECURSIVE)
 def test_cli_contract_on_generated_argv(argv):
     code, out, err = _run_captured(argv)
     assert code in (0, 1, "SystemExit(2)")

@@ -1,9 +1,14 @@
+import io
 import itertools
+import json
 import math
 import random
 
+import mpmath
 import numpy as np
+import pytest
 
+from quantoda.cli import dispatch
 from quantoda.harish_chandra import (Character, WeylPermutation,
                                      b_denominator, c_alpha_factor, c_function,
                                      c_s, delta_set, lambda_alpha,
@@ -147,3 +152,27 @@ def test_scattering_matrices_structure():
     w0 = WeylPermutation.longest(3)
     assert abs(s_full - s_sph * m_function(w0, lam, f)) \
         < 1e-12 * max(1.0, abs(s_full))
+
+
+def _mpmath_c(lam):
+    """c(lam) = prod_{i<j} sqrt(pi) Gamma(l) / Gamma(l + 1/2), l = (lam_i - lam_j)/2."""
+    out = mpmath.mpc(1)
+    for i, j in itertools.combinations(range(len(lam)), 2):
+        la = (lam[i] - lam[j]) / 2
+        out *= mpmath.sqrt(mpmath.pi) * mpmath.gamma(la) / mpmath.gamma(la + 0.5)
+    return out
+
+
+@pytest.mark.parametrize("lam", [[400.0, -400.0], [300.0, 0.0, -300.0]])
+def test_cfunction_cli_at_large_lambda(lam):
+    # Gamma(400) overflows a double; the ratio Gamma(l)/Gamma(l + 1/2) does not
+    out = io.StringIO()
+    code = dispatch(["cfunction", "--lambda=" + ",".join(map(repr, lam)),
+                     "--format=json"], out=out)
+    assert code == 0
+    (row,) = json.loads(out.getvalue())
+    with mpmath.workdps(30):
+        c = _mpmath_c([mpmath.mpf(v) for v in lam])
+        density = 1 / abs(_mpmath_c([mpmath.mpc(0, v) for v in lam])) ** 2
+        assert abs(complex(row["c_re"], row["c_im"]) - c) <= 1e-12 * abs(c)
+        assert abs(row["plancherel_density"] - density) <= 1e-12 * density

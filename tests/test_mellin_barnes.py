@@ -7,12 +7,14 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import loggamma
 
+from quantoda import mellin_barnes as mb
 from quantoda.gz import TriangularArray
 from quantoda.mellin_barnes import (ContourError, ContourSpec, DimensionError,
                                     _evaluate, _within_level, default_contour,
                                     grid_scan, mb_integrand, spherical_eval,
                                     whittaker_eval, whittaker_on_grid,
                                     whittaker_recursive)
+from quantoda.oracle import GridSpec, check_eigen
 from quantoda.separation import sep_wavefunction
 from quantoda.specfun import gamma, log_gamma
 
@@ -97,8 +99,8 @@ def test_recursive_n2_matches_the_separated_wave_function_loop():
     t = np.linspace(-c.half_width, c.half_width, c.nodes_per_dim)
     lam = t + 1j * c.offsets[0]
     kern = np.array([sep_wavefunction(alpha, [l]) for l in lam])
-    integ = kern * np.exp(1j * lam * x[0]) * np.exp(1j * (sum(alpha) - lam) * x[1])
-    want = integ.sum() * (t[1] - t[0]) / (2 * math.pi)
+    integ = kern * np.exp(1j * lam * (x[0] - x[1]))
+    want = integ.sum() * (t[1] - t[0]) / (2 * math.pi) * cmath.exp(1j * sum(alpha) * x[1])
     assert whittaker_recursive(2, alpha, x, tol).value == complex(want)
 
 
@@ -140,6 +142,38 @@ def test_scalar_vs_grid():
     assert grid3.shape == (3, 3, 3)
     pt = whittaker_eval(3, alpha3, [ax[0][1], ax[1][2], ax[2][0]], tol=1e-7)
     assert abs(grid3[1, 2, 0] - pt.value) < 1e-9 * max(1.0, abs(pt.value))
+
+
+@pytest.mark.parametrize("alpha, x", [
+    ([0.7], [0.1 + 3e-13]),
+    ([0.7, -0.2], [0.1 + 3e-13, 0.0]),
+    ([0.8, 0.0, -0.5], [0.1 + 3e-13, 0.0, 0.2 - 7e-13]),
+])
+def test_one_node_grid_is_the_point_value(alpha, x):
+    # differences that are not multiples of 1e-12: the grid evaluates at
+    # the exact difference, not at one rounded to 12 decimals
+    N = len(x)
+    grid = whittaker_on_grid(N, alpha, [np.array([xk]) for xk in x], tol=1e-8)
+    assert grid.shape == (1,) * N
+    assert grid.item() == whittaker_eval(N, alpha, x, tol=1e-8).value
+
+
+def test_eigen_grids_share_node_sums_to_12_decimals(monkeypatch):
+    # on the 20:0.1 grid at N = 3, x1 - x2 and x2 - x3 take 114 and 105
+    # exact values but 39 to 12 decimals; on its refinement 40:0.05, 244 and
+    # 238 but 79
+    seen = []
+
+    def counting(top, which, offsets, half_width, M, us, vs=None):
+        seen.append((len(us), len(vs)))
+        return node_sums(top, which, offsets, half_width, M, us, vs)
+
+    node_sums = mb._node_sums
+    monkeypatch.setattr(mb, "_node_sums", counting)
+    rep = check_eigen(3, [0.9, 0.1, -0.6], GridSpec(20, 0.1), tol=1e-2,
+                      refine=True)
+    assert rep.status == "PASS"
+    assert seen == [(39, 39), (79, 79)]
 
 
 def test_grid_scan_rows():
@@ -245,7 +279,7 @@ def test_n3_node_sum_is_the_plain_triple_sum(which, params):
     # within-level coincidences b1 = b2 (where the kernel vanishes) left out
     contour = ContourSpec((1.0, 0.5, 0.0), 4.0, 16)
     x = [0.5, 0.1, -0.4]
-    got = _evaluate(which, 3, params, [x], 1e-6, contour)[0].value
+    got = _evaluate(which, 3, params, [[xk] for xk in x], 1e-6, contour)[0].item()
     h1, h2 = contour.offsets[:2] if which == "whittaker" else (0.0, 0.0)
     t = np.linspace(-contour.half_width, contour.half_width,
                     contour.nodes_per_dim)
