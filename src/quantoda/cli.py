@@ -9,6 +9,9 @@ Subcommands:
 * ``verify {qism, separation, gz, eigen}`` -- the exact and numerical
   relation suites, as JSON reports.
 
+`dispatch` may be called any number of times in one process: every call
+parses with the one parser that `build_parser` builds and caches.
+
 Reports use the fixed key set {suite, n, relation, status, residual,
 tolerance, seed, witness}.  Exit codes: 0 success, 1 a verification or
 evaluation failure, 2 usage error.  Identical arguments and seed produce
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -126,7 +130,13 @@ def _value_text(rows: Sequence[dict], fmt: str) -> str:
     return buf.getvalue()
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process and shared by every call.
+
+    It depends on no argument, output stream or setting, so one instance
+    serves all `dispatch` calls.  Callers must not mutate it.
+    """
     p = _Parser(
         prog="quantoda",
         description="Open Toda lattice wave functions: evaluation and "

@@ -375,7 +375,13 @@ def whittaker_recursive(N: int, alpha: Sequence[float], x: Sequence[float],
         # G^T diag(e^{i mu u}) G over its own contour, one offset step above
         # the separated variables so the Gamma arguments stay off the poles
         mu_in = t + 1j * (h + LEVEL_OFFSET_STEP)
-        G = np.exp(_adjacent_log(mu_in, lam, "whittaker"))   # Gamma(-i(mu - l))
+        # G[i, j] = Gamma(-i(mu_i - l_j)) = Gamma(step - i(t_i - t_j)) is
+        # Toeplitz: its 2M - 1 values come from the first row and column
+        M = len(t)
+        row = _adjacent_log(mu_in[:1], lam, "whittaker")[0]     # i - j = -j
+        col = _adjacent_log(mu_in, lam[:1], "whittaker")[:, 0]  # i - j = i
+        diag = np.exp(np.concatenate([row[:0:-1], col]))       # i - j + M - 1
+        G = diag[np.subtract.outer(np.arange(M), np.arange(M)) + (M - 1)]
         lam_sum = np.add.outer(lam, lam)
         inner = (((G.T * np.exp(1j * mu_in * u)) @ G) * dt / TWO_PI
                  * np.exp(1j * lam_sum * v))

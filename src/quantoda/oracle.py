@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import List, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .mellin_barnes import EXP_LIMIT, whittaker_on_grid
 from .report import VerificationReport, residual_report
@@ -208,6 +207,8 @@ def bessel_oracle_n2(alpha: Sequence[float], r_grid: Sequence[float],
     Integrates inward from a start point deep in the decay region where the
     truncated asymptotic series pins the solution to near double precision.
     """
+    from scipy.integrate import solve_ivp  # here, so the CLI never loads it
+
     r = np.asarray(r_grid, dtype=float)
     if len(r) < 2:
         raise ValueError("need at least two grid points")

@@ -4,12 +4,17 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import quantoda
 from quantoda import mellin_barnes as mb, oracle
 from quantoda.cli import build_parser, dispatch
 from quantoda.report import VerificationReport
@@ -105,13 +110,27 @@ def test_verify_deterministic_output():
     assert first == second
 
 
-def test_error_paths():
+def test_error_paths(capsys):
     # usage error from argparse is exit 2
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(["whittaker"])
     assert exc.value.code == 2
     with pytest.raises(SystemExit):
         dispatch(["whittaker", "eval", "--n", "2", "--alpha", "bad"])
+    capsys.readouterr()
+    # one shared parser per process stays usable after usage errors
+    assert build_parser() is build_parser()
+    first = _run(_EVAL + ["--format", "json"])
+    assert first[0] == 0
+    for argv in (["whittaker", "eval", "--n", "2", "--alpha", "bad"],
+                 ["whittaker", "grid", "--n", "2", "--alpha", "0.5,-0.5",
+                  "--axis", "5", "--from", "0", "--to", "1", "--steps", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            dispatch(argv, out=io.StringIO())
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "error: argument --" in err
+    assert _run(_EVAL + ["--format", "json"]) == first
 
 
 _GRID = ["whittaker", "grid", "--n", "2", "--alpha", "0.5,-0.5", "--axis", "0",
@@ -432,3 +451,23 @@ def test_cli_contract_on_generated_argv(argv):
         _check_rows(json.loads(out, parse_constant=_reject_constant), argv)
     else:
         _check_rows(list(csv.DictReader(io.StringIO(out))), argv)
+
+
+def _fresh_python(*args):
+    # a new interpreter that imports this checkout's quantoda
+    env = dict(os.environ)
+    src = str(Path(quantoda.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=120)
+
+
+def test_entry_point_in_a_fresh_process():
+    # importing the CLI leaves the ODE solver's scipy modules unloaded
+    probe = _fresh_python("-c", "import quantoda.cli, sys; print(sorted(m for m in "
+                                "('scipy.integrate', 'scipy.optimize') if m in sys.modules))")
+    assert probe.returncode == 0 and probe.stdout == "[]\n", probe.stderr
+    argv = ["cfunction", "--lambda=1.0,-0.3", "--format=json"]
+    run = _fresh_python("-m", "quantoda.cli", *argv)
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout == _run(argv)[1]

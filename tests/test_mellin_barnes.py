@@ -92,6 +92,25 @@ def test_direct_vs_recursive():
     assert abs(d.value - r.value) <= 1e-10 * abs(d.value)
 
 
+def test_recursive_n3_takes_log_gamma_on_o_of_m_values(monkeypatch):
+    # the inner Gamma matrix is Toeplitz: 2M - 1 log Gamma values, not M^2
+    elems = []
+    real = mb.log_gamma_array
+
+    def counting(z):
+        elems.append(np.size(z))
+        return real(z)
+
+    monkeypatch.setattr(mb, "log_gamma_array", counting)
+    alpha, x = [0.9, 0.1, -0.6], [0.5, 0.0, -0.5]
+    whittaker_recursive(3, alpha, x, tol=1e-8)
+    assert sum(elems) < 10 * default_contour(3, alpha, 1e-8).nodes_per_dim
+    # and agrees with the other ordering well below the tolerance
+    want = whittaker_eval(3, alpha, x, tol=1e-12).value
+    got = whittaker_recursive(3, alpha, x, tol=1e-10).value
+    assert abs(got - want) <= 1e-12 * abs(want)
+
+
 def test_recursive_n2_matches_the_separated_wave_function_loop():
     # the vectorized separated kernel against the per-node Gamma product
     alpha, x, tol = [0.8, -0.3], [0.4, -0.6], 1e-8
