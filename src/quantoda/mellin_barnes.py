@@ -22,7 +22,11 @@ equal to 12 decimals share one node sum, evaluated at the first one's
 exact difference.  Level n holds n variables at height h_n, so its phase
 e^{i lam u_n} reaches e^{n h_n max(0, -u_n)}: a grid whose phase exponent
 sum_n n h_n max(0, -min u_n) exceeds EXP_LIMIT would overflow and raises
-ValueError before any node sum.  In the node sum, `_node_sums`, a
+ValueError before any node sum.  One builder, `_kernel`, makes the kernel
+of every route: the top-level weight and, at N = 3, the level-1 x level-2
+Gamma matrix.  Both levels run over the same nodes, so that matrix is
+Toeplitz and built from 2M - 1 values: every route passes O(M) values to
+log Gamma.  In the node sum, `_node_sums`, a
 within-level difference d on a level's contour is real, so the
 denominator 1/(Gamma(-i d) Gamma(i d)) = d sinh(pi d)/pi (0 at d = 0) has
 rank 4 as a matrix over the nodes: at N = 3 both routes run in O(M^2)
@@ -175,6 +179,29 @@ def _within_level(d):
         return d * np.sinh(np.pi * d) / np.pi
 
 
+def _kernel(top, which: str, offsets, half_width: float, M: int):
+    """Nodes t, top weight w and, at N = 3, the adjacent-level matrix A.
+
+    `offsets` holds h_1..h_N, level n running over t + i h_n on the M nodes
+    t of [-half_width, half_width].  w[i] is the product of the factors
+    linking level-(N-1) node i to the top-level parameters `top`.  At N = 3
+    A[i, j] links level-1 node i to level-2 node j; both levels run over the
+    same nodes t, so A depends on i - j alone (Toeplitz) and is built from
+    its first row and column: 2M - 1 log Gamma values, not M^2.  Returns
+    (t, w, A), A None when N = 2.
+    """
+    t = np.linspace(-half_width, half_width, M)
+    low = t + 1j * offsets[-2]       # level N-1
+    w = np.exp(_adjacent_log(low, top, which).sum(axis=1))
+    if len(offsets) == 2:
+        return t, w, None
+    a = t + 1j * offsets[0]
+    row = _adjacent_log(a[:1], low, which)[0]     # i - j = -j
+    col = _adjacent_log(a, low[:1], which)[:, 0]  # i - j = i
+    diag = np.exp(np.concatenate([row[:0:-1], col]))   # i - j + M - 1
+    return t, w, diag[np.subtract.outer(np.arange(M), np.arange(M)) + (M - 1)]
+
+
 def _node_sums(top, which: str, offsets, half_width: float, M: int,
                us: np.ndarray, vs: np.ndarray | None = None):
     """Trapezoid node sums of the kernel, without the carrier e^{i sigma1 x_N}.
@@ -189,15 +216,11 @@ def _node_sums(top, which: str, offsets, half_width: float, M: int,
     sum_{b,c} B_b B_c D[b,c] = [(B.tE+)(B.E-) - (B.E+)(B.tE-)] / pi with
     E+- = e^{+-pi t}, so all v share one (M x M) @ (M x 4 len(vs)) product.
     """
-    t = np.linspace(-half_width, half_width, M)
+    t, wtop, A = _kernel(top, which, offsets, half_width, M)
     dt = t[1] - t[0]
     a = t + 1j * offsets[0]          # level-1 variable
-    if vs is None:
-        kern = np.exp(sum(_adjacent_log(a, p, which).reshape(-1) for p in top))
-    else:
+    if vs is not None:
         b = t + 1j * offsets[1]      # level-2 variables (both run over the same nodes)
-        A = np.exp(_adjacent_log(a, b, which))
-        wtop = np.exp(sum(_adjacent_log(b, p, which).reshape(-1) for p in top))
         ep, em = np.exp(np.pi * t), np.exp(-np.pi * t)
         rank4 = np.stack([t * ep, em, ep, t * em], axis=1)     # (nb, 4)
     sums = []
@@ -206,7 +229,7 @@ def _node_sums(top, which: str, offsets, half_width: float, M: int,
         # shared phase array changes the rounding of the halved N=3 sums
         phase_a = np.exp(np.multiply.outer(us, 1j * a[sl]))    # (nu, na)
         if vs is None:
-            sums.append((phase_a @ kern[sl]) * (dt * fac) / TWO_PI)
+            sums.append((phase_a @ wtop[sl]) * (dt * fac) / TWO_PI)
             continue
         phase_b = np.exp(np.multiply.outer(1j * b[sl], vs))    # (nb, nv)
         w = wtop[sl, None] * phase_b                             # (nb, nv)
@@ -356,14 +379,16 @@ def whittaker_recursive(N: int, alpha: Sequence[float], x: Sequence[float],
         return whittaker_eval(N, alpha, x, tol)
     contour = default_contour(N, alpha, tol)
     h = contour.offsets[0]
-    u, v = x[0] - x[1], x[1] - x[-1]
     # the separated variables sit at h, the N = 3 inner variable one step above
-    _check_phase((h,) if N == 2 else (h + LEVEL_OFFSET_STEP, h), [u, v])
-    t = np.linspace(-contour.half_width, contour.half_width, contour.nodes_per_dim)
+    offsets = (h + LEVEL_OFFSET_STEP, h, 0.0)[3 - N:]
+    u, v = x[0] - x[1], x[1] - x[-1]
+    _check_phase(offsets, [u, v])
+    # separated kernel prod_k Gamma(-i(lam - alpha_k)) at each node and, at
+    # N = 3, G[i, j] = Gamma(-i(mu_i - lam_j)) over the inner contour mu
+    t, kern, G = _kernel(alpha, "whittaker", offsets, contour.half_width,
+                         contour.nodes_per_dim)
     dt = t[1] - t[0]
     lam = t + 1j * h
-    # separated kernel prod_k Gamma(-i(lam - alpha_k)) at each node
-    kern = np.exp(_adjacent_log(lam, alpha, "whittaker").sum(axis=1))
 
     if N == 2:
         # inner function is the plane wave e^{i lam u}
@@ -374,14 +399,7 @@ def whittaker_recursive(N: int, alpha: Sequence[float], x: Sequence[float],
         # inner rank-2 function on all (l1, l2) level-2 node pairs, one GEMM
         # G^T diag(e^{i mu u}) G over its own contour, one offset step above
         # the separated variables so the Gamma arguments stay off the poles
-        mu_in = t + 1j * (h + LEVEL_OFFSET_STEP)
-        # G[i, j] = Gamma(-i(mu_i - l_j)) = Gamma(step - i(t_i - t_j)) is
-        # Toeplitz: its 2M - 1 values come from the first row and column
-        M = len(t)
-        row = _adjacent_log(mu_in[:1], lam, "whittaker")[0]     # i - j = -j
-        col = _adjacent_log(mu_in, lam[:1], "whittaker")[:, 0]  # i - j = i
-        diag = np.exp(np.concatenate([row[:0:-1], col]))       # i - j + M - 1
-        G = diag[np.subtract.outer(np.arange(M), np.arange(M)) + (M - 1)]
+        mu_in = t + 1j * offsets[0]
         lam_sum = np.add.outer(lam, lam)
         inner = (((G.T * np.exp(1j * mu_in * u)) @ G) * dt / TWO_PI
                  * np.exp(1j * lam_sum * v))

@@ -25,7 +25,6 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass
 from typing import List, Sequence
 
 from .rationals import FpI, random_fp
@@ -33,35 +32,6 @@ from .report import VerificationReport, residual_report
 from .specfun import PoleError, gamma_shift_ratio, log_gamma
 
 MIN_GAP = 1e-8
-
-
-@dataclass(frozen=True)
-class SpectralParams:
-    """Eigenvalue parameters alpha_1..alpha_N."""
-
-    alpha: tuple
-
-    def __init__(self, alpha: Sequence[float]):
-        object.__setattr__(self, "alpha", tuple(float(a) for a in alpha))
-
-    @property
-    def n(self) -> int:
-        return len(self.alpha)
-
-    def sigma1(self) -> float:
-        return sum(self.alpha)
-
-
-@dataclass(frozen=True)
-class SeparatedPoint:
-    """Total-momentum eigenvalue p plus the N-1 separated variables."""
-
-    p: float
-    lam: tuple
-
-    def __init__(self, p: float, lam: Sequence[float]):
-        object.__setattr__(self, "p", float(p))
-        object.__setattr__(self, "lam", tuple(lam))
 
 
 def sep_wavefunction(alpha: Sequence[float], lam: Sequence[complex]) -> complex:
@@ -127,18 +97,6 @@ def check_dif_equation(alpha: Sequence[float], lam: Sequence[float], j: int) -> 
         lhs *= gamma_shift_ratio(-1j * d, 1)
         rhs *= d
     return abs(lhs - rhs) / abs(rhs)
-
-
-def sep_full_wavefunction(alpha: Sequence[float], point: SeparatedPoint,
-                          tol: float = 1e-9):
-    """(momentum-match flag, separated wave-function value).
-
-    The delta(P - sigma_1(alpha)) factor of the full wave function is an
-    exact support constraint, represented by the boolean.
-    """
-    sp = SpectralParams(alpha)
-    match = abs(point.p - sp.sigma1()) <= tol
-    return match, sep_wavefunction(alpha, point.lam)
 
 
 # ---------------------------------------------------------------------------

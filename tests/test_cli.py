@@ -463,9 +463,10 @@ def _fresh_python(*args):
 
 
 def test_entry_point_in_a_fresh_process():
-    # importing the CLI leaves the ODE solver's scipy modules unloaded
+    # importing the CLI leaves the ODE solver's and scipy.linalg's modules unloaded
     probe = _fresh_python("-c", "import quantoda.cli, sys; print(sorted(m for m in "
-                                "('scipy.integrate', 'scipy.optimize') if m in sys.modules))")
+                                "('scipy.integrate', 'scipy.optimize', 'scipy.linalg') "
+                                "if m in sys.modules))")
     assert probe.returncode == 0 and probe.stdout == "[]\n", probe.stderr
     argv = ["cfunction", "--lambda=1.0,-0.3", "--format=json"]
     run = _fresh_python("-m", "quantoda.cli", *argv)

@@ -92,8 +92,19 @@ def test_direct_vs_recursive():
     assert abs(d.value - r.value) <= 1e-10 * abs(d.value)
 
 
-def test_recursive_n3_takes_log_gamma_on_o_of_m_values(monkeypatch):
-    # the inner Gamma matrix is Toeplitz: 2M - 1 log Gamma values, not M^2
+N3_ROUTES = {
+    "recursive": lambda a, x, tol: whittaker_recursive(3, a, x, tol),
+    "whittaker_eval": lambda a, x, tol: whittaker_eval(3, a, x, tol),
+    "spherical_eval": lambda a, x, tol: spherical_eval(3, a, x, tol),
+    "grid_scan": lambda a, x, tol: grid_scan("whittaker", 3, a, 0, -1.5, 1.5,
+                                             61, x, tol),
+}
+
+
+@pytest.mark.parametrize("route", N3_ROUTES)
+def test_n3_routes_take_log_gamma_on_o_of_m_values(monkeypatch, route):
+    # every N = 3 Gamma matrix is Toeplitz: 2M - 1 log Gamma values, not M^2
+    # (the spherical kernel takes two per difference, 10M in all)
     elems = []
     real = mb.log_gamma_array
 
@@ -103,12 +114,13 @@ def test_recursive_n3_takes_log_gamma_on_o_of_m_values(monkeypatch):
 
     monkeypatch.setattr(mb, "log_gamma_array", counting)
     alpha, x = [0.9, 0.1, -0.6], [0.5, 0.0, -0.5]
-    whittaker_recursive(3, alpha, x, tol=1e-8)
-    assert sum(elems) < 10 * default_contour(3, alpha, 1e-8).nodes_per_dim
-    # and agrees with the other ordering well below the tolerance
-    want = whittaker_eval(3, alpha, x, tol=1e-12).value
-    got = whittaker_recursive(3, alpha, x, tol=1e-10).value
-    assert abs(got - want) <= 1e-12 * abs(want)
+    N3_ROUTES[route](alpha, x, 1e-8)
+    assert sum(elems) <= 10 * default_contour(3, alpha, 1e-8).nodes_per_dim
+    if route == "recursive":
+        # and agrees with the other ordering well below the tolerance
+        want = whittaker_eval(3, alpha, x, tol=1e-12).value
+        got = whittaker_recursive(3, alpha, x, tol=1e-10).value
+        assert abs(got - want) <= 1e-12 * abs(want)
 
 
 def test_recursive_n2_matches_the_separated_wave_function_loop():

@@ -6,12 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from quantoda import separation
 from quantoda.report import combine
-from quantoda.separation import (SeparatedPoint, SpectralParams,
-                                 check_dif_equation, check_lagrange_identity,
+from quantoda.separation import (check_dif_equation, check_lagrange_identity,
                                  check_measure_difference_eq,
-                                 measure_shift_multiplier, sep_full_wavefunction,
-                                 sep_measure, sep_wavefunction,
-                                 separation_suite)
+                                 measure_shift_multiplier, sep_measure,
+                                 sep_wavefunction, separation_suite)
 from quantoda.specfun import PoleError, gamma
 
 SINH_PI_OVER_PI = 3.67607791037497772069569749203  # frozen reference
@@ -62,14 +60,6 @@ def test_measure_shift_multiplier_two_vars():
     d = lam[0] - lam[1]
     want = (lam[1] - lam[0] - 1j) / d
     assert abs(got - want) < 1e-13
-
-
-def test_momentum_support_flag():
-    sp = SpectralParams([0.4, 0.1, -0.2])
-    ok, _ = sep_full_wavefunction(sp.alpha, SeparatedPoint(0.3, [0.9, -0.5]))
-    assert ok
-    bad, _ = sep_full_wavefunction(sp.alpha, SeparatedPoint(0.4, [0.9, -0.5]))
-    assert not bad
 
 
 def test_lagrange_identity_exact():
