@@ -26,7 +26,7 @@ ValueError before any node sum.  One builder, `_kernel`, makes the kernel
 of every route: the top-level weight and, at N = 3, the level-1 x level-2
 Gamma matrix.  Both levels run over the same nodes, so that matrix is
 Toeplitz and built from 2M - 1 values: every route passes O(M) values to
-log Gamma.  In the node sum, `_node_sums`, a
+log Gamma, in one call per build.  In the node sum, `_node_sums`, a
 within-level difference d on a level's contour is real, so the
 denominator 1/(Gamma(-i d) Gamma(i d)) = d sinh(pi d)/pi (0 at d = 0) has
 rank 4 as a matrix over the nodes: at N = 3 both routes run in O(M^2)
@@ -165,12 +165,18 @@ def mb_integrand(arr: TriangularArray, x: Sequence[float], which: str) -> comple
 # ---------------------------------------------------------------------------
 
 
-def _adjacent_log(av, bv, which: str):
-    """log of the adjacent-level factor linking one variable to another."""
-    d = np.subtract.outer(av, bv)
+def _adjacent_log(d, which: str):
+    """log of the adjacent-level factor at the differences d = a - b.
+
+    Whittaker: log Gamma(-i d).  Spherical: d is real (offsets 0), so
+    Gamma(1/4 - i d/2) Gamma(1/4 + i d/2) = |Gamma(1/4 - i d/2)|^2, whose
+    log is 2 Re log Gamma(1/4 - i d/2): one log Gamma per difference.
+    """
     if which == "whittaker":
         return log_gamma_array(-1j * d)
-    return log_gamma_array(d / 2j + 0.25) + log_gamma_array(-d / 2j + 0.25)
+    # kept complex: numpy would cast a real N = 3 matrix to complex again
+    # in both node-sum GEMMs
+    return 2.0 * log_gamma_array(d / 2j + 0.25).real + 0j
 
 
 def _within_level(d):
@@ -187,18 +193,23 @@ def _kernel(top, which: str, offsets, half_width: float, M: int):
     linking level-(N-1) node i to the top-level parameters `top`.  At N = 3
     A[i, j] links level-1 node i to level-2 node j; both levels run over the
     same nodes t, so A depends on i - j alone (Toeplitz) and is built from
-    its first row and column: 2M - 1 log Gamma values, not M^2.  Returns
-    (t, w, A), A None when N = 2.
+    its first row and column: 2M - 1 log Gamma values, not M^2.  Both sets
+    of differences go to log Gamma in one call.  Returns (t, w, A), A None
+    when N = 2.
     """
     t = np.linspace(-half_width, half_width, M)
     low = t + 1j * offsets[-2]       # level N-1
-    w = np.exp(_adjacent_log(low, top, which).sum(axis=1))
+    d = np.subtract.outer(low, top).ravel()
+    if len(offsets) == 3:
+        a = t + 1j * offsets[0]
+        # first row a_0 - b_j (j = M-1..1), then first column a_i - b_0
+        d = np.concatenate([d, a[0] - low[:0:-1], a - low[0]])
+    logs = _adjacent_log(d, which)   # the build's one log Gamma call
+    n_top = M * len(top)
+    w = np.exp(logs[:n_top].reshape(M, len(top)).sum(axis=1))
     if len(offsets) == 2:
         return t, w, None
-    a = t + 1j * offsets[0]
-    row = _adjacent_log(a[:1], low, which)[0]     # i - j = -j
-    col = _adjacent_log(a, low[:1], which)[:, 0]  # i - j = i
-    diag = np.exp(np.concatenate([row[:0:-1], col]))   # i - j + M - 1
+    diag = np.exp(logs[n_top:])      # entry i - j + M - 1
     return t, w, diag[np.subtract.outer(np.arange(M), np.arange(M)) + (M - 1)]
 
 

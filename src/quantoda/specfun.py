@@ -1,24 +1,79 @@
-"""Complex Gamma utilities.
+"""Complex Gamma utilities, in numpy and the standard library alone.
 
-`log_gamma` is the principal branch of log Gamma; `gamma_shift_ratio`
-evaluates Gamma(z+k)/Gamma(z) exactly as a rising/falling factorial.  The
-residual checks with integer shifts of the Gamma arguments route through it:
-the separated difference equations and the Whittaker-vector equations.  One
-check does not: the spherical-vector equations of `gz` shift the Gamma
-arguments by half-integers, for which `gz.vector_shift_ratio` takes a
-difference of two log-Gamma calls.
+`log_gamma` (one number) and `log_gamma_array` (elementwise) return log
+Gamma(z); `gamma_shift_ratio` evaluates Gamma(z+k)/Gamma(z) exactly as a
+rising/falling factorial.  The residual checks with integer shifts of the
+Gamma arguments route through it: the separated difference equations and the
+Whittaker-vector equations.  One check does not: the spherical-vector
+equations of `gz` shift the Gamma arguments by half-integers, for which
+`gz.vector_shift_ratio` takes a difference of two log-Gamma calls.
+
+Algorithm.  For Re z >= 0, shift by 8: with w = z + 8 and
+p = z (z+1) ... (z+7),
+
+    log Gamma(z) = (w - 1/2)(log w - 1) + (log 2 pi - 1)/2
+                   + sum_{k=1}^{7} B_{2k} / (2k (2k-1) w^{2k-1}) - log p.
+
+|w| >= 8, so the first neglected Stirling term is below 8.4e-16.  p is the
+product of the four pairs (z+k)(z+7-k) = q + k(7-k), q = z(z+7), k = 0..3.
+Each pair has its argument in (-pi, pi), because each factor has Re >= 0,
+so arg p is the plain sum of the four pair arguments: no branch correction.
+The array form takes log |.| and arg from real `log`, `abs` and `arctan2`
+(a complex `log` costs about 25 times more per element) and avoids in-place
+complex products, whose rounding in numpy depends on the array length: an
+element's value does not depend on the array it arrives in.  Real z in the
+scalar form use `math.lgamma`.
+
+For Re z < 0, the reflection formula
+
+    log Gamma(z) = log pi - log sin(pi z) - log Gamma(1 - z)
+                   + 2 pi i sign(Im z) floor(Re z / 2 + 1/4)
+
+with sin(pi z) taken after reducing Re z to [-1/4, 1/4] plus a multiple of
+1/2, so pi never multiplies a large argument.  Above |Im z| = 20,
+|sin(pi z)| = e^{pi |Im z|}/2 to within e^{-125}.
+
+Error: against mpmath, |e^Delta - 1| <= 1e-13 on every argument family the
+package uses (Re z = 1/4, 1/2, 1 up to |Im z| = 100, the `gz` and
+`harish_chandra` arguments, Re z down to -40); the floor is the rounding of
+a value of size |z| log |z|.  The 8-fold product stays finite for
+|z| < 1e38.
+
+Branch.  Both sides return the principal branch: continuous off the cut
+(-inf, 0], real on the positive axis, log Gamma(conj z) = conj log Gamma(z),
+and, on the cut, the limit from Im z = +0 (Im z = -0.0 takes the other
+side).  No caller depends on the branch: each exponentiates the value or
+takes its real part, so a 2 pi i difference would not show.
+`mellin_barnes` exponentiates the kernel sums (the spherical kernel takes
+2 Re log Gamma(1/4 - i d/2)); `harish_chandra.c_alpha_factor`,
+`m_elementary` and `b_denominator` exponentiate; `gz._vector` and
+`gz.vector_shift_ratio` exponentiate; `separation.sep_wavefunction`
+exponentiates and `separation.sep_measure` takes real parts.
+
+Poles: `log_gamma` raises PoleError within POLE_TOL of a nonpositive
+integer; `log_gamma_array` does not signal, and its real part is +inf on an
+exact pole.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 
 import numpy as np
-from scipy.special import loggamma as _sc_loggamma
 
 POLE_TOL = 1e-12
+# B_{2k} / (2k (2k - 1)), k = 7 down to 1 (Horner order)
+_STIRLING = (1 / 156, -691 / 360360, 1 / 1188, -1 / 1680, 1 / 1260, -1 / 360,
+            1 / 12)
+_STIRLING_CONST = 0.5 * math.log(2.0 * math.pi) - 0.5
+_INV_E = 1.0 / math.e
+_LOG_PI = math.log(math.pi)
+_LOG_2 = math.log(2.0)
+_SIN_ASYMPTOTIC = 20.0   # |Im z| above which |sin(pi z)| = e^{pi |Im z|}/2
 
-__all__ = ["PoleError", "log_gamma", "gamma", "gamma_shift_ratio"]
+__all__ = ["PoleError", "log_gamma", "log_gamma_array", "gamma",
+           "gamma_shift_ratio"]
 
 
 class PoleError(ValueError):
@@ -27,21 +82,103 @@ class PoleError(ValueError):
 
 def _near_pole(z: complex) -> bool:
     z = complex(z)
-    if z.real > 0.5:
+    if z.real > 0.5 or abs(z.imag) >= POLE_TOL:
         return False
     n = round(z.real)
     return n <= 0 and abs(z - n) < POLE_TOL
 
 
+def _stirling_rest(w):
+    """log Gamma(w) - (w - 1/2)(log w - 1) for |w| >= 8, number or array."""
+    r = 1.0 / w
+    r2 = r * r
+    s = _STIRLING[0]
+    for c in _STIRLING[1:]:
+        s = s * r2 + c
+    return s * r + _STIRLING_CONST
+
+
+def _log_sin_pi(z: complex) -> complex:
+    """Principal log sin(pi z), Re z reduced before the multiplication by pi."""
+    x, y = z.real, z.imag
+    n = round(2.0 * x)                 # x = n/2 + r, |r| <= 1/4, r exact
+    r = math.pi * (x - 0.5 * n)
+    s, c = math.sin(r), math.cos(r)
+    for _ in range(n % 4):             # sin, cos of pi x: quarter turns
+        s, c = c, -s
+    if abs(y) < _SIN_ASYMPTOTIC:
+        return cmath.log(complex(s * math.cosh(math.pi * y),
+                                 c * math.sinh(math.pi * y)))
+    return complex(math.pi * abs(y) - _LOG_2,
+                   math.atan2(math.copysign(1.0, y) * c, s))
+
+
+def _log_gamma(z: complex) -> complex:
+    """log Gamma(z) for one number, without pole signalling."""
+    x, y = z.real, z.imag
+    if y == 0.0:
+        if x <= 0.0 and x == math.floor(x):
+            return complex(math.inf, 0.0)
+        # Gamma(x) < 0 on (-2k-1, -2k): the limit from Im z = +0 has
+        # argument -pi per pole passed
+        im = 0.0 if x > 0.0 else -math.copysign(math.pi, y) * math.ceil(-x)
+        return complex(math.lgamma(x), im)
+    if x < 0.0:
+        return (complex(_LOG_PI, math.copysign(2.0 * math.pi, y)
+                        * math.floor(0.5 * x + 0.25))
+                - _log_sin_pi(z) - _log_gamma(1.0 - z))
+    w = z + 8.0
+    q = z * (z + 7.0)
+    log_p = (cmath.log(q) + cmath.log(q + 6.0) + cmath.log(q + 10.0)
+             + cmath.log(q + 12.0))
+    return (w - 0.5) * (cmath.log(w) - 1.0) + _stirling_rest(w) - log_p
+
+
+def _log_gamma_right(z: np.ndarray) -> np.ndarray:
+    """log Gamma on an array with Re z >= 0 (see the module docstring)."""
+    w = z + 8.0
+    q = z * (z + 7.0)
+    pairs = (q, q + 6.0, q + 10.0, q + 12.0)     # (z+k)(z+7-k), k = 0..3
+    log_p = np.log(np.abs(pairs[0] * pairs[1] * pairs[2] * pairs[3]))
+    arg_p = np.arctan2(q.imag, q.real)
+    for f in pairs[1:]:
+        arg_p = arg_p + np.arctan2(f.imag, f.real)
+    rest = _stirling_rest(w)
+    log_w1 = np.log(np.abs(w) * _INV_E)           # log |w| - 1
+    theta = np.arctan2(w.imag, w.real)
+    h = w.real - 0.5
+    out = np.empty_like(z)
+    # the two large products last, each rounded once into the sum
+    np.subtract(h * log_w1 + (rest.real - log_p), w.imag * theta, out=out.real)
+    np.add(w.imag * log_w1, h * theta + (rest.imag - arg_p), out=out.imag)
+    return out
+
+
 def log_gamma(z) -> complex:
-    """Principal branch of log Gamma(z).
+    """Principal branch of log Gamma(z) for one number.
 
     Raises PoleError when z is within 1e-12 of a nonpositive integer.
     """
     z = complex(z)
     if _near_pole(z):
         raise PoleError(f"log_gamma pole at z={z}")
-    return complex(_sc_loggamma(z))
+    return _log_gamma(z)
+
+
+def log_gamma_array(z):
+    """Principal-branch log Gamma, elementwise (no pole signalling).
+
+    Elements with Re z < 0 go through the reflection formula of `log_gamma`
+    one at a time; no caller in the package passes any.
+    """
+    z = np.asarray(z, dtype=complex)
+    left = z.real < 0.0
+    if not left.any():
+        return _log_gamma_right(z)
+    out = np.empty_like(z)
+    out[~left] = _log_gamma_right(z[~left])
+    out[left] = [_log_gamma(v) for v in z[left].tolist()]
+    return out
 
 
 def gamma(z) -> complex:
@@ -74,8 +211,3 @@ def gamma_shift_ratio(z, k: int) -> complex:
             raise PoleError(f"gamma_shift_ratio pole: z={z}, k={k}")
         out *= f
     return 1.0 / out
-
-
-def log_gamma_array(z):
-    """Vectorized principal-branch log Gamma (no pole signalling)."""
-    return _sc_loggamma(np.asarray(z, dtype=complex))

@@ -103,8 +103,9 @@ N3_ROUTES = {
 
 @pytest.mark.parametrize("route", N3_ROUTES)
 def test_n3_routes_take_log_gamma_on_o_of_m_values(monkeypatch, route):
-    # every N = 3 Gamma matrix is Toeplitz: 2M - 1 log Gamma values, not M^2
-    # (the spherical kernel takes two per difference, 10M in all)
+    # every N = 3 Gamma matrix is Toeplitz: 2M - 1 log Gamma values, not M^2,
+    # taken with the top weight's 3M in one call per kernel build (the
+    # spherical kernel takes one log Gamma per difference, as 2 Re)
     elems = []
     real = mb.log_gamma_array
 
@@ -115,7 +116,8 @@ def test_n3_routes_take_log_gamma_on_o_of_m_values(monkeypatch, route):
     monkeypatch.setattr(mb, "log_gamma_array", counting)
     alpha, x = [0.9, 0.1, -0.6], [0.5, 0.0, -0.5]
     N3_ROUTES[route](alpha, x, 1e-8)
-    assert sum(elems) <= 10 * default_contour(3, alpha, 1e-8).nodes_per_dim
+    assert len(elems) == 1
+    assert elems[0] <= 5 * default_contour(3, alpha, 1e-8).nodes_per_dim
     if route == "recursive":
         # and agrees with the other ordering well below the tolerance
         want = whittaker_eval(3, alpha, x, tol=1e-12).value

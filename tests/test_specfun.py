@@ -1,9 +1,15 @@
 import cmath
+import io
 import math
 
+import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quantoda import gz
+from quantoda.cli import dispatch
+from quantoda.mellin_barnes import default_contour
 from quantoda.specfun import (PoleError, gamma, gamma_shift_ratio, log_gamma,
                               log_gamma_array)
 
@@ -111,3 +117,103 @@ def test_vectorized_matches_scalar():
 def test_gamma_overflow_guard():
     with pytest.raises(OverflowError):
         gamma(400.0)
+
+
+def _mp_log_gamma(z):
+    return mpmath.loggamma(mpmath.mpc(z.real, z.imag))
+
+
+def _worst_exp_error(values, zs):
+    """max |e^Delta - 1|, Delta = value - log Gamma(z) in 40 digits."""
+    with mpmath.workdps(40):
+        return max(float(abs(mpmath.expm1(mpmath.mpc(v.real, v.imag) - _mp_log_gamma(z))))
+                   for v, z in zip(values, zs))
+
+
+def _gz_arguments():
+    # the arguments the Whittaker- and spherical-vector checks pass,
+    # half-integer shifts included
+    seen = []
+    real = gz.log_gamma
+
+    def recording(z):
+        seen.append(complex(z))
+        return real(z)
+
+    gz.log_gamma = recording
+    try:
+        for n in (2, 3):
+            gz.gz_suite(n, trials=4, seed=7)
+    finally:
+        gz.log_gamma = real
+    return seen
+
+
+IMAG_100 = np.linspace(-100.0, 100.0, 401)
+ARRAY_FAMILIES = {
+    "whittaker kernel, Re 1/2": 0.5 + 1j * IMAG_100,
+    "whittaker kernel, Re 1": 1.0 + 1j * IMAG_100,
+    "spherical kernel, Re 1/4": 0.25 + 1j * IMAG_100,
+    "small real": np.array([0.5, 1.0, 1.5, 2.0]),
+}
+LAMBDA_ALPHA = 0.1 + 0.5 * np.arange(82)    # 1/2 - l from 0.4 down to -40.1
+SCALAR_FAMILIES = {
+    "gz shifts": _gz_arguments,
+    "b_denominator, 1/2 - i d": lambda: list(0.5 - 1j * np.linspace(-30.0, 30.0, 121)),
+    "m_elementary, 1/2 - l real": lambda: list(0.5 - LAMBDA_ALPHA),
+    "m_elementary, 1/2 - l complex": lambda: list(0.5 - LAMBDA_ALPHA - 3j * np.sin(3.0 * LAMBDA_ALPHA)),
+    "small real": lambda: [0.5, 1.0, 1.5, 2.0],
+}
+
+
+@pytest.mark.parametrize("family", ARRAY_FAMILIES)
+def test_log_gamma_array_against_mpmath(family):
+    zs = ARRAY_FAMILIES[family]
+    assert _worst_exp_error(log_gamma_array(zs), zs.astype(complex)) <= 1e-13
+
+
+@pytest.mark.parametrize("family", SCALAR_FAMILIES)
+def test_log_gamma_against_mpmath(family):
+    zs = [complex(z) for z in SCALAR_FAMILIES[family]()]
+    assert _worst_exp_error([log_gamma(z) for z in zs], zs) <= 1e-13
+
+
+def test_principal_branch_and_conjugation():
+    # the imaginary part itself matches mpmath's principal branch (no 2 pi i
+    # offset) on both sides of Re z = 0, and conj commutes with log Gamma
+    zs = [complex(x, y) for x in (-7.3, -0.6, 0.0, 0.4, 1.0, 2.0)
+          for y in (-60.0, -7.5, -0.3, 0.2, 3.0, 59.0)]
+    arr = log_gamma_array(zs)
+    for z, a in zip(zs, arr):
+        with mpmath.workdps(30):
+            want = complex(_mp_log_gamma(z))
+        for got in (log_gamma(z), a):
+            assert abs(got.imag - want.imag) <= 1e-13 * max(1.0, abs(want))
+        assert abs(log_gamma(z.conjugate()) - log_gamma(z).conjugate()) <= 1e-15 * abs(want)
+    conj = log_gamma_array(np.conj(zs))
+    assert np.all(np.abs(conj - arr.conj()) <= 1e-15 * np.abs(arr))
+
+
+def test_no_runtime_warning_at_large_imaginary_parts():
+    # RuntimeWarning is an error under pytest (pyproject.toml)
+    ys = np.linspace(-1e4, 1e4, 2001)
+    for re in (0.25, 0.5, 1.0):
+        assert np.isfinite(log_gamma_array(re + 1j * ys)).all()
+    assert all(math.isfinite(log_gamma(0.5 + 1j * y).real) for y in ys[::50])
+    assert dispatch(["whittaker", "eval", "--n=2", "--alpha=1000,-1000",
+                     "--x=0,0"], out=io.StringIO()) == 0
+
+
+def test_log_gamma_array_is_elementwise_bitwise_on_the_recursive_n2_family():
+    # the recursive N = 2 route takes all its separated-kernel log Gammas in
+    # one call, `separation.sep_wavefunction` two per node: each element must
+    # not depend on the array it arrives in
+    alpha, tol = [0.8, -0.3], 1e-8
+    c = default_contour(2, alpha, tol)
+    t = np.linspace(-c.half_width, c.half_width, c.nodes_per_dim)
+    zs = -1j * np.subtract.outer(t + 1j * c.offsets[0], alpha)     # (M, 2)
+    assert zs.size == 540
+    whole = log_gamma_array(zs.ravel()).reshape(zs.shape)
+    per_node = np.array([log_gamma_array(row) for row in zs])
+    one_by_one = np.array([[log_gamma_array([z])[0] for z in row] for row in zs])
+    assert np.array_equal(whole, per_node) and np.array_equal(whole, one_by_one)
