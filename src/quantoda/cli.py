@@ -15,7 +15,9 @@ parses with the one parser that `build_parser` builds and caches.
 Reports use the fixed key set {suite, n, relation, status, residual,
 tolerance, seed, witness}.  Exit codes: 0 success, 1 a verification or
 evaluation failure, 2 usage error.  Identical arguments and seed produce
-byte-identical JSON (floats normalized to 17 significant digits).
+byte-identical output (floats normalized to 17 significant digits) under
+one BLAS thread configuration: the N = 3 quadrature's matrix products sum
+in an order that depends on the OpenBLAS thread count.
 """
 
 from __future__ import annotations
@@ -214,7 +216,7 @@ def dispatch(argv: Sequence[str] | None = None, out=None) -> int:
     out = out or sys.stdout
     try:
         return _run(args, parser, out)
-    except (ValueError, RuntimeError, OverflowError, MemoryError) as exc:
+    except (ValueError, RuntimeError, OverflowError, MemoryError, OSError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 

@@ -540,18 +540,31 @@ def cartan_multiplier(x: Sequence[float], arr: TriangularArray) -> complex:
 # ---------------------------------------------------------------------------
 
 
+def separated_uniforms(rng: random.Random, count: int, low: float, high: float,
+                       gap: float) -> List[float]:
+    """count values in [low, high], pairwise at least gap apart, in random order.
+
+    The sorted values are count sorted uniforms on [low, high - (count-1) gap]
+    shifted by 0, gap, 2 gap, ...: a volume-preserving map onto the sorted
+    gap-separated tuples, so the result is uniform on the gap-separated
+    tuples, as a rejection sampler's would be, after exactly count draws.
+    Raises ValueError when count values that far apart do not fit.
+    """
+    span = high - low - (count - 1) * gap
+    if span < 0:
+        raise ValueError(f"{count} values at least {gap} apart do not fit "
+                         f"in [{low}, {high}]")
+    vals = sorted(rng.uniform(low, low + span) for _ in range(count))
+    vals = [v + k * gap for k, v in enumerate(vals)]
+    rng.shuffle(vals)
+    return vals
+
+
 def sample_real_array(N: int, rng: random.Random, low: float = -2.0,
                       high: float = 2.0, min_gap: float = 0.1) -> TriangularArray:
     """Random real array with within-level pairwise gaps >= min_gap."""
-    levels = []
-    for n in range(1, N + 1):
-        while True:
-            row = [rng.uniform(low, high) for _ in range(n)]
-            if all(abs(row[a] - row[b]) >= min_gap
-                   for a in range(n) for b in range(a + 1, n)):
-                break
-        levels.append(row)
-    return TriangularArray(levels)
+    return TriangularArray([separated_uniforms(rng, n, low, high, min_gap)
+                            for n in range(1, N + 1)])
 
 
 def gz_suite(N: int, trials: int = 20, seed: int = 0,

@@ -27,6 +27,7 @@ import math
 import random
 from typing import List, Sequence
 
+from .gz import separated_uniforms
 from .rationals import FpI, random_fp
 from .report import VerificationReport, residual_report
 from .specfun import PoleError, gamma_shift_ratio, log_gamma, log_gamma_array
@@ -151,17 +152,9 @@ def separation_suite(N: int, trials: int = 100, seed: int = 42) -> List[Verifica
     """Difference-equation residuals and the exact Lagrange identity."""
     rng = random.Random(seed)
 
-    def sample(count):
-        while True:
-            vals = [rng.uniform(-3.0, 3.0) for _ in range(count)]
-            ok = all(abs(vals[a] - vals[b]) > 1e-2
-                     for a in range(count) for b in range(a + 1, count))
-            if ok:
-                return vals
-
     worst_dif = 0.0
     for _ in range(trials):
-        vals = sample(2 * N - 1)
+        vals = separated_uniforms(rng, 2 * N - 1, -3.0, 3.0, 1e-2)
         alpha, lam = vals[:N], vals[N:]
         for j in range(N - 1):
             worst_dif = max(worst_dif, check_dif_equation(alpha, lam, j))
@@ -171,7 +164,7 @@ def separation_suite(N: int, trials: int = 100, seed: int = 42) -> List[Verifica
     worst_meas = 0.0
     if N >= 3:
         for _ in range(trials):
-            lam = sample(N - 1)
+            lam = separated_uniforms(rng, N - 1, -3.0, 3.0, 1e-2)
             for j in range(N - 1):
                 worst_meas = max(worst_meas, check_measure_difference_eq(lam, j))
     rep_meas = residual_report("separation", N, "measure-difference-eq", worst_meas,

@@ -1,9 +1,10 @@
 """Exact Weyl algebra of the lattice canonical operators.
 
-Elements are noncommutative polynomials in p_m and e^{+-q_m} with Gaussian
-integer coefficients, kept in the canonical normal order "all e^{a.q}
-factors to the left of all p powers".  Multiplication re-normal-orders
-through p_m e^{a q_m} = e^{a q_m} (p_m - i a).
+Elements are noncommutative polynomials in p_m and e^{+-q_m}, and in the
+spectral parameters u and v, with Gaussian integer coefficients, kept in
+the canonical normal order "all e^{a.q} factors to the left of all p
+powers".  Multiplication re-normal-orders through
+p_m e^{a q_m} = e^{a q_m} (p_m - i a).
 
 Coefficients are (re, im) pairs of Python ints in Z[i] with no modulus
 (see `rationals`).  Every operation here is a ring operation -- nothing
@@ -12,13 +13,15 @@ difference comes out with no terms, the identity holds over Z[i].  The
 QISM checks are therefore proofs, not randomized tests, and need no bound
 on coefficient size.
 
-Polynomials in the spectral parameters have one type, `UVPoly`: a
-polynomial in u and v with WeylElement coefficients.  The Lax and monodromy
-entries are polynomials in u alone (no v terms), and `in_v()` swaps u and v
-to give the second factor of a two-parameter relation.  On top of this sit
-the 2x2 Lax matrices, the monodromy matrix, the R-matrix R(u - v), and
-exact (coefficient-wise) checks of the RLL relation, commutativity of the
-conserved quantities, the A/C exchange relation and the A/C recursion.
+u and v are central: they commute with every p_m and e^{+-q_m}, so a
+monomial e^{a.q} p^b u^i v^j is the key (a, b, (i, j)), products add the
+(i, j) pairs, and there is one polynomial type, `WeylElement`.  The Lax and
+monodromy entries are polynomials in u alone (no v powers), and `in_v()`
+swaps u and v to give the second factor of a two-parameter relation.  On
+top of this sit the 2x2 Lax matrices, the monodromy matrix, the R-matrix
+R(u - v), and exact (coefficient-wise) checks of the RLL relation,
+commutativity of the conserved quantities, the A/C exchange relation and
+the A/C recursion.
 """
 
 from __future__ import annotations
@@ -31,7 +34,8 @@ from typing import Dict, List, Tuple
 from .rationals import MINUS_I, ONE, Gauss, I, as_gauss, gauss_mul, gauss_str
 from .report import VerificationReport
 
-Mono = Tuple[Tuple[int, ...], Tuple[int, ...]]  # (exp_q, pow_p)
+UV = Tuple[int, int]
+Mono = Tuple[Tuple[int, ...], Tuple[int, ...], UV]  # (exp_q, pow_p, (i, j))
 
 _MINUS_ONE: Gauss = (-1, 0)
 
@@ -58,7 +62,11 @@ def _reorder(ap: Tuple[int, ...], cq: Tuple[int, ...]):
 
 
 class WeylElement:
-    """Normal-ordered noncommutative polynomial over n lattice sites."""
+    """Normal-ordered noncommutative polynomial over n lattice sites.
+
+    terms maps (exp_q, pow_p, (i, j)) to the coefficient of
+    e^{exp_q.q} p^{pow_p} u^i v^j.
+    """
 
     __slots__ = ("n", "terms")
 
@@ -77,10 +85,15 @@ class WeylElement:
         return cls(n)
 
     @classmethod
+    def scalar(cls, n: int, terms: Dict[UV, object]) -> "WeylElement":
+        """sum c u^i v^j over terms {(i, j): c}, c an int or a Z[i] pair."""
+        zq = (0,) * n
+        return cls(n, {(zq, zq, uv): as_gauss(c) for uv, c in terms.items()})
+
+    @classmethod
     def constant(cls, n: int, c) -> "WeylElement":
         """The scalar c, an int or an (re, im) pair in Z[i]."""
-        zq = (0,) * n
-        return cls(n, {(zq, zq): as_gauss(c)})
+        return cls.scalar(n, {(0, 0): c})
 
     @classmethod
     def one(cls, n: int) -> "WeylElement":
@@ -91,13 +104,18 @@ class WeylElement:
         """Momentum operator p_m (1-based site index)."""
         zq = (0,) * n
         pp = tuple(1 if k == m - 1 else 0 for k in range(n))
-        return cls(n, {(zq, pp): ONE})
+        return cls(n, {(zq, pp, (0, 0)): ONE})
+
+    @classmethod
+    def u(cls, n: int) -> "WeylElement":
+        """The spectral parameter u."""
+        return cls.scalar(n, {(1, 0): ONE})
 
     @classmethod
     def exp_q(cls, n: int, m: int, a: int = 1) -> "WeylElement":
         """e^{a q_m} (1-based site index)."""
         eq = tuple(a if k == m - 1 else 0 for k in range(n))
-        return cls(n, {(eq, (0,) * n): ONE})
+        return cls(n, {(eq, (0,) * n, (0, 0)): ONE})
 
     # -- ring operations --------------------------------------------------
 
@@ -142,14 +160,15 @@ class WeylElement:
         self._check(other)
         acc: Dict[Mono, Gauss] = {}
         get = acc.get
-        for (aq, ap), (ar, ai) in self.terms.items():
-            for (cq, cp), (br, bi) in other.terms.items():
+        for (aq, ap, (au, av)), (ar, ai) in self.terms.items():
+            for (cq, cp, (cu, cv)), (br, bi) in other.terms.items():
                 r0 = ar * br - ai * bi
                 i0 = ar * bi + ai * br
                 new_q = tuple(map(add, aq, cq))
-                # push p^{ap} through e^{cq.q}
+                uv = (au + cu, av + cv)
+                # push p^{ap} through e^{cq.q}; u and v are central
                 for pows, (er, ei) in _reorder(ap, cq):
-                    mono = (new_q, tuple(map(add, pows, cp)))
+                    mono = (new_q, tuple(map(add, pows, cp)), uv)
                     cr = r0 * er - i0 * ei
                     ci = r0 * ei + i0 * er
                     old = get(mono)
@@ -164,6 +183,21 @@ class WeylElement:
                         del acc[mono]
         out = WeylElement(self.n)
         out.terms = acc
+        return out
+
+    # -- spectral parameters ----------------------------------------------
+
+    def coeff(self, k: int) -> "WeylElement":
+        """The operator coefficient of u^k v^0."""
+        out = WeylElement(self.n)
+        out.terms = {(eq, pp, (0, 0)): c for (eq, pp, uv), c in self.terms.items()
+                     if uv == (k, 0)}
+        return out
+
+    def in_v(self) -> "WeylElement":
+        """The substitution u <-> v, a ring automorphism."""
+        out = WeylElement(self.n)
+        out.terms = {(eq, pp, (j, i)): c for (eq, pp, (i, j)), c in self.terms.items()}
         return out
 
     # -- predicates & display ---------------------------------------------
@@ -183,7 +217,7 @@ class WeylElement:
         if not self.terms:
             return "0"
         parts = []
-        for (eq, pp), c in sorted(self.terms.items()):
+        for (eq, pp, uv), c in sorted(self.terms.items()):
             bits = [f"({gauss_str(c)})"]
             for k, a in enumerate(eq):
                 if a:
@@ -191,81 +225,15 @@ class WeylElement:
             for k, b in enumerate(pp):
                 if b:
                     bits.append(f"p{k + 1}" + (f"^{b}" if b > 1 else ""))
+            for name, e in zip("uv", uv):
+                if e:
+                    bits.append(name + (f"^{e}" if e > 1 else ""))
             parts.append("*".join(bits))
         return " + ".join(parts)
 
 
-# ---------------------------------------------------------------------------
-# Polynomials in the spectral parameters with WeylElement coefficients
-# ---------------------------------------------------------------------------
-
-
-class UVPoly:
-    """Polynomial in the spectral parameters (u, v), WeylElement coefficients.
-
-    terms maps (i, j) to the coefficient of u^i v^j.  A polynomial in u
-    alone has only (i, 0) keys.  The constructor drops zero coefficients, so
-    sums and products leave cancelled terms to it.
-    """
-
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n: int, terms: Dict[Tuple[int, int], WeylElement] | None = None):
-        self.n = n
-        self.terms = {k: w for k, w in (terms or {}).items() if not w.is_zero()}
-
-    @classmethod
-    def from_element(cls, w: WeylElement) -> "UVPoly":
-        return cls(w.n, {(0, 0): w})
-
-    @classmethod
-    def u(cls, n: int) -> "UVPoly":
-        return cls(n, {(1, 0): WeylElement.one(n)})
-
-    @classmethod
-    def scalar(cls, n: int, terms: Dict[Tuple[int, int], Gauss]) -> "UVPoly":
-        return cls(n, {k: WeylElement.constant(n, c) for k, c in terms.items()})
-
-    def coeff(self, k: int) -> WeylElement:
-        """The coefficient of u^k v^0."""
-        w = self.terms.get((k, 0))
-        return WeylElement.zero(self.n) if w is None else w
-
-    def in_v(self) -> "UVPoly":
-        """The substitution u <-> v, a ring automorphism."""
-        return UVPoly(self.n, {(j, i): w for (i, j), w in self.terms.items()})
-
-    def __add__(self, other: "UVPoly") -> "UVPoly":
-        terms = dict(self.terms)
-        for k, w in other.terms.items():
-            terms[k] = terms[k] + w if k in terms else w
-        return UVPoly(self.n, terms)
-
-    def __neg__(self) -> "UVPoly":
-        return UVPoly(self.n, {k: -w for k, w in self.terms.items()})
-
-    def __sub__(self, other: "UVPoly") -> "UVPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "UVPoly") -> "UVPoly":
-        acc: Dict[Tuple[int, int], WeylElement] = {}
-        for (i1, j1), a in self.terms.items():
-            for (i2, j2), b in other.terms.items():
-                k = (i1 + i2, j1 + j2)
-                acc[k] = acc[k] + a * b if k in acc else a * b
-        return UVPoly(self.n, acc)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, UVPoly):
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
-
-    def __repr__(self):
-        return " + ".join(f"u^{i}*v^{j}*[{w!r}]"
-                          for (i, j), w in sorted(self.terms.items())) or "0"
+# The perfbench tracer wraps `weyl.UVPoly.__mul__`; the old name stays for it.
+UVPoly = WeylElement
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +242,7 @@ class UVPoly:
 
 
 class OperatorPolyMatrix:
-    """Rectangular matrix with UVPoly entries."""
+    """Rectangular matrix with WeylElement entries."""
 
     __slots__ = ("entries",)
 
@@ -309,12 +277,11 @@ def lax_matrix(m: int, N: int) -> OperatorPolyMatrix:
     """Site-m Lax matrix [[u - p_m, -e^{q_m}], [e^{-q_m}, 0]]."""
     if not 1 <= m <= N:
         raise IndexError(f"site index {m} out of range for N={N}")
-    u = UVPoly.u(N)
-    pm = UVPoly.from_element(WeylElement.p(N, m))
-    eq = UVPoly.from_element(WeylElement.exp_q(N, m, 1))
-    emq = UVPoly.from_element(WeylElement.exp_q(N, m, -1))
-    zero = UVPoly(N)
-    return OperatorPolyMatrix([[u - pm, -eq], [emq, zero]])
+    u = WeylElement.u(N)
+    pm = WeylElement.p(N, m)
+    eq = WeylElement.exp_q(N, m, 1)
+    emq = WeylElement.exp_q(N, m, -1)
+    return OperatorPolyMatrix([[u - pm, -eq], [emq, WeylElement.zero(N)]])
 
 
 # Tensor slots (a, i) of C^2 (x) C^2; slot (a, i) is row/column 2a + i.
@@ -327,12 +294,12 @@ def r_matrix(N: int = 1) -> OperatorPolyMatrix:
     P[(a,i),(b,j)] = delta_{aj} delta_{ib}.
     """
     def entry(a, i, b, j):
-        terms: Dict[Tuple[int, int], Gauss] = {}
+        terms: Dict[UV, Gauss] = {}
         if (a, i) == (b, j):
             terms.update({(1, 0): ONE, (0, 1): _MINUS_ONE})
         if (a, i) == (j, b):
             terms[(0, 0)] = MINUS_I
-        return UVPoly.scalar(N, terms)
+        return WeylElement.scalar(N, terms)
 
     return OperatorPolyMatrix([[entry(*r, *c) for c in _SLOTS] for r in _SLOTS])
 
@@ -378,7 +345,7 @@ def integrals_of_motion(N: int):
 
 def _kron_uv(M: OperatorPolyMatrix, side: str) -> OperatorPolyMatrix:
     """Embed a 2x2 matrix into 4x4: side 'left' gives M (x) I, else I (x) M."""
-    zero = UVPoly(M[0, 0].n)
+    zero = WeylElement.zero(M[0, 0].n)
 
     def entry(a, i, b, j):
         if side == "left":
@@ -424,7 +391,8 @@ def check_rll(scope: str, n: int) -> VerificationReport:
     )
 
 
-def _exchange_residual(first: UVPoly, second: UVPoly, N: int) -> UVPoly:
+def _exchange_residual(first: WeylElement, second: WeylElement,
+                       N: int) -> WeylElement:
     """(u-v+i) F(u) S(v) - (u-v) S(v) F(u) - i F(v) S(u), F = first, S = second.
 
     exchange-AC is the vanishing of this for F = C, S = A:
@@ -434,9 +402,9 @@ def _exchange_residual(first: UVPoly, second: UVPoly, N: int) -> UVPoly:
     """
     Fu, Fv = first, first.in_v()
     Su, Sv = second, second.in_v()
-    umv = UVPoly.scalar(N, {(1, 0): ONE, (0, 1): _MINUS_ONE})
-    umvpi = UVPoly.scalar(N, {(1, 0): ONE, (0, 1): _MINUS_ONE, (0, 0): I})
-    ei = UVPoly.scalar(N, {(0, 0): I})
+    umv = WeylElement.scalar(N, {(1, 0): ONE, (0, 1): _MINUS_ONE})
+    umvpi = WeylElement.scalar(N, {(1, 0): ONE, (0, 1): _MINUS_ONE, (0, 0): I})
+    ei = WeylElement.scalar(N, {(0, 0): I})
     return umvpi * (Fu * Sv) - umv * (Sv * Fu) - ei * (Fv * Su)
 
 
@@ -477,12 +445,13 @@ def check_commutativity(N: int) -> List[VerificationReport]:
     return reports
 
 
-def _peel_site(N: int, A_p: UVPoly, C_p: UVPoly) -> Tuple[UVPoly, UVPoly]:
+def _peel_site(N: int, A_p: WeylElement,
+               C_p: WeylElement) -> Tuple[WeylElement, WeylElement]:
     """(A_N, C_N) from the partial entries (A_{N-1}, C_{N-1}) and L_N."""
-    u = UVPoly.u(N)
-    pN = UVPoly.from_element(WeylElement.p(N, N))
-    eqN = UVPoly.from_element(WeylElement.exp_q(N, N, 1))
-    emqN = UVPoly.from_element(WeylElement.exp_q(N, N, -1))
+    u = WeylElement.u(N)
+    pN = WeylElement.p(N, N)
+    eqN = WeylElement.exp_q(N, N, 1)
+    emqN = WeylElement.exp_q(N, N, -1)
     return (u - pN) * A_p - eqN * C_p, emqN * A_p
 
 

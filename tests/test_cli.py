@@ -285,6 +285,19 @@ def test_non_finite_csv_exits_1_and_writes_nothing(monkeypatch):
     assert err.count("\n") == 1 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("target", ["dir", "missing/parent/x.csv"])
+def test_unwritable_grid_out_exits_1_with_one_line(tmp_path, target):
+    # an --out directory or a missing parent printed an OSError traceback
+    path = tmp_path / target if target != "dir" else tmp_path
+    code, out, err = _run_captured(["whittaker", "grid", "--n=1", "--alpha=0.3",
+                                    "--axis=0", "--from=0", "--to=1", "--steps=2",
+                                    f"--out={path}"])
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert str(path) in err
+    assert sorted(tmp_path.iterdir()) == []
+
+
 _FAR_N2 = ["whittaker", "eval", "--n=2", "--alpha=0.5,-0.5", "--x=-800,800"]
 _FAR_N3 = ["whittaker", "eval", "--n=3", "--alpha=0.9,0.1,-0.6", "--x=-400,0,400"]
 _RECURSIVE = ["--method=recursive"]

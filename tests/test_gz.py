@@ -10,7 +10,7 @@ from quantoda.gz import (GENERATOR_PREFACTOR, VECTORS, Coefficient,
                          check_gz_measure_difference_eq, check_serre,
                          check_spherical_equation, check_whittaker_equations,
                          gz_generator, gz_measure, gz_suite,
-                         sample_real_array, spherical_vector,
+                         sample_real_array, separated_uniforms, spherical_vector,
                          vector_shift_ratio, whittaker_vector)
 from quantoda.rationals import FpI
 from quantoda.specfun import PoleError, gamma
@@ -189,6 +189,34 @@ def test_whittaker_vector_values():
     assert abs(got - expect) < 1e-13 * abs(expect)
     with pytest.raises(ValueError):
         whittaker_vector("nope", arr)
+
+
+def test_separated_uniforms_match_the_rejection_sampler():
+    rng = random.Random(8)
+    for count in range(6):
+        vals = separated_uniforms(rng, count, -1.0, 1.0, 0.3)
+        assert len(vals) == count and all(-1.0 <= v <= 1.0 for v in vals)
+        assert all(abs(a - b) >= 0.3 - 1e-12
+                   for i, a in enumerate(vals) for b in vals[i + 1:])
+    # 61 values 0.1 apart need 6 of the 4 units: an error, not a hang
+    with pytest.raises(ValueError, match="do not fit"):
+        separated_uniforms(rng, 61, -2.0, 2.0, 0.1)
+    # same law as redrawing until every gap holds: compare the mean of each
+    # order statistic and of the first (unsorted) value
+    draws = 4000
+
+    def rejection():
+        while True:
+            vals = [rng.uniform(0.0, 1.0) for _ in range(3)]
+            if all(abs(a - b) >= 0.2 for i, a in enumerate(vals) for b in vals[i + 1:]):
+                return vals
+
+    for sampler in (rejection, lambda: separated_uniforms(rng, 3, 0.0, 1.0, 0.2)):
+        samples = [sampler() for _ in range(draws)]
+        means = [sum(sorted(v)[k] for v in samples) / draws for k in range(3)]
+        # sorted: uniforms on [0, 0.6] shifted by 0, 0.2, 0.4
+        assert all(abs(m - want) < 0.01 for m, want in zip(means, (0.15, 0.5, 0.85)))
+        assert abs(sum(v[0] for v in samples) / draws - 0.5) < 0.015
 
 
 def test_whittaker_equations_close():

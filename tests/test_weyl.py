@@ -2,7 +2,7 @@ import random
 
 from quantoda import weyl
 from quantoda.report import combine
-from quantoda.weyl import (UVPoly, WeylElement, check_commutativity,
+from quantoda.weyl import (WeylElement, check_commutativity,
                            check_recursion, check_rll, extract_ABCD,
                            integrals_of_motion, lax_matrix, monodromy,
                            qism_suite, r_matrix)
@@ -46,22 +46,22 @@ def test_multiplication_associative():
 
 def test_lax_matrix_entries():
     L = lax_matrix(1, 1)
-    u = UVPoly.u(1)
-    assert L[0, 0] == u - UVPoly.from_element(WeylElement.p(1, 1))
-    assert L[0, 1] == UVPoly.from_element(
-        WeylElement.exp_q(1, 1, 1).scale(-1))
-    assert L[1, 0] == UVPoly.from_element(WeylElement.exp_q(1, 1, -1))
+    u = WeylElement.u(1)
+    assert L[0, 0] == u - WeylElement.p(1, 1)
+    assert L[0, 1] == WeylElement.exp_q(1, 1, 1).scale(-1)
+    assert L[1, 0] == WeylElement.exp_q(1, 1, -1)
     assert L[1, 1].is_zero()
     # entries are polynomials in u alone
-    assert all(j == 0 for row in L.entries for e in row for _, j in e.terms)
+    assert all(j == 0 for row in L.entries for e in row for _, _, (_, j) in e.terms)
+    assert any(i == 1 for _, _, (i, _) in L[0, 0].terms)
 
 
 def test_r_matrix_flip_structure():
     R = r_matrix()
     # (u - v) I - i P with P the flip: u - v - i on aligned tensor slots,
     # u - v on the middle diagonal, -i on the off-diagonal flip positions
-    minus_i = UVPoly.from_element(WeylElement.constant(1, (0, -1)))
-    umv = UVPoly.u(1) - UVPoly.u(1).in_v()
+    minus_i = WeylElement.constant(1, (0, -1))
+    umv = WeylElement.u(1) - WeylElement.u(1).in_v()
     assert R[0, 0] == umv + minus_i
     assert R[3, 3] == umv + minus_i
     assert R[1, 1] == umv
@@ -74,8 +74,11 @@ def test_r_matrix_flip_structure():
 
 
 def _random_uv(rng, n=2):
-    return UVPoly(n, {(rng.randint(0, 2), rng.randint(0, 2)): _random_element(rng, n)
-                      for _ in range(rng.randint(1, 3))})
+    out = WeylElement.zero(n)
+    for _ in range(rng.randint(1, 3)):
+        uv = WeylElement.scalar(n, {(rng.randint(0, 2), rng.randint(0, 2)): 1})
+        out = out + uv * _random_element(rng, n)
+    return out
 
 
 def test_in_v_is_a_ring_homomorphism():
@@ -87,21 +90,45 @@ def test_in_v_is_a_ring_homomorphism():
         assert P.in_v().in_v() == P
     # u -> v on the exponent pairs, coefficients untouched
     w = WeylElement.p(1, 1)
-    P = UVPoly(1, {(2, 0): w, (0, 1): w.scale(3)})
-    assert P.in_v().terms == {(0, 2): w, (1, 0): w.scale(3)}
+    P = WeylElement(1, {((0,), (1,), (2, 0)): (1, 0), ((0,), (1,), (0, 1)): (3, 0)})
+    assert P == WeylElement.scalar(1, {(2, 0): 1, (0, 1): 3}) * w
+    assert P.in_v().terms == {((0,), (1,), (0, 2)): (1, 0), ((0,), (1,), (1, 0)): (3, 0)}
     assert P.coeff(2) == w and P.coeff(0).is_zero() and P.coeff(5).is_zero()
+
+
+def test_u_and_v_are_central():
+    rng = random.Random(3)
+    for n in (1, 2, 3):
+        u = WeylElement.u(n)
+        gens = [WeylElement.p(n, m) for m in range(1, n + 1)]
+        gens += [WeylElement.exp_q(n, m, a) for m in range(1, n + 1) for a in (-1, 1)]
+        for z in (u, u.in_v()):
+            (zuv,) = (uv for _, _, uv in z.terms)
+            for g in gens:
+                assert z * g == g * z
+                # the product only raises the u or v power of g's monomial
+                assert (z * g).terms == {(q, pp, zuv): c for (q, pp, _), c in g.terms.items()}
+        for _ in range(20):
+            x = _random_uv(rng, n)
+            for z in (u, u.in_v()):
+                assert z * x == x * z
+                assert not (z * x).is_zero()
+    # repr prints the u and v powers after the operator factors
+    x = WeylElement.scalar(2, {(2, 1): 3}) * WeylElement.exp_q(2, 1, -1) * WeylElement.p(2, 2)
+    assert repr(x) == "(3)*e^{-1q1}*p2*u^2*v"
+    assert repr(WeylElement.u(1) - WeylElement.u(1).in_v()) == "(-1)*v + (1)*u"
 
 
 def test_monodromy_n2_a_entry():
     # A_2(u) = (u - p2)(u - p1) - e^{q2 - q1}
     A, _, C, _ = extract_ABCD(monodromy(2))
-    u = UVPoly.u(2)
-    p1 = UVPoly.from_element(WeylElement.p(2, 1))
-    p2 = UVPoly.from_element(WeylElement.p(2, 2))
+    u = WeylElement.u(2)
+    p1 = WeylElement.p(2, 1)
+    p2 = WeylElement.p(2, 2)
     e21 = WeylElement.exp_q(2, 2, 1) * WeylElement.exp_q(2, 1, -1)
-    assert A == (u - p2) * (u - p1) - UVPoly.from_element(e21)
+    assert A == (u - p2) * (u - p1) - e21
     # C_2(u) = e^{-q2}(u - p1)
-    emq2 = UVPoly.from_element(WeylElement.exp_q(2, 2, -1))
+    emq2 = WeylElement.exp_q(2, 2, -1)
     assert C == emq2 * (u - p1)
 
 
@@ -141,11 +168,12 @@ def test_coefficients_are_exact_beyond_any_modulus():
     # p e^{q} = e^{q} (p - i), so x^2 = e^{2q} (p - 2i)(p - i)
     #                                  = e^{2q} (p^2 - 3i p - 2)
     c2 = c * c
-    want = WeylElement(1, {((2,), (2,)): (c2, 0), ((2,), (1,)): (0, -3 * c2),
-                           ((2,), (0,)): (-2 * c2, 0)})
+    want = WeylElement(1, {((2,), (2,), (0, 0)): (c2, 0),
+                           ((2,), (1,), (0, 0)): (0, -3 * c2),
+                           ((2,), (0,), (0, 0)): (-2 * c2, 0)})
     assert sq == want
     # a difference that vanishes mod 2^61 - 1 is still nonzero here
-    off = WeylElement(1, {((2,), (0,)): ((1 << 61) - 1, 0)})
+    off = WeylElement(1, {((2,), (0,), (0, 0)): ((1 << 61) - 1, 0)})
     assert not (sq - (want + off)).is_zero()
     assert f"({-2 * c2})*e^{{2q1}}" in repr(sq)
 
@@ -159,16 +187,15 @@ def test_swapped_exchange_order_fails(monkeypatch):
     # product: (u-v+i) A(v) C(u) = (u-v) C(u) A(v) + i A(u) C(v)
     def swapped(C, A, N):
         Au, Av, Cu, Cv = A, A.in_v(), C, C.in_v()
-        umv = UVPoly.scalar(N, {(1, 0): (1, 0), (0, 1): (-1, 0)})
-        umvpi = UVPoly.scalar(N, {(1, 0): (1, 0), (0, 1): (-1, 0), (0, 0): (0, 1)})
-        ei = UVPoly.scalar(N, {(0, 0): (0, 1)})
+        umv = WeylElement.scalar(N, {(1, 0): (1, 0), (0, 1): (-1, 0)})
+        umvpi = WeylElement.scalar(N, {(1, 0): (1, 0), (0, 1): (-1, 0), (0, 0): (0, 1)})
+        ei = WeylElement.scalar(N, {(0, 0): (0, 1)})
         return umvpi * (Av * Cu) - umv * (Cu * Av) - ei * (Au * Cv)
 
     # at N=1 it misses by -2i (u-v) e^{-q}
     A, _, C, _ = extract_ABCD(monodromy(1))
-    emq = WeylElement.exp_q(1, 1, -1)
-    assert swapped(C, A, 1).terms == {(1, 0): emq.scale((0, -2)),
-                                      (0, 1): emq.scale((0, 2))}
+    assert swapped(C, A, 1).terms == {((-1,), (0,), (1, 0)): (0, -2),
+                                      ((-1,), (0,), (0, 1)): (0, 2)}
     monkeypatch.setattr(weyl, "_exchange_residual", swapped)
     for n in (1, 2, 3):
         st = _statuses(weyl.qism_suite(n))
@@ -179,9 +206,9 @@ def test_swapped_exchange_order_fails(monkeypatch):
 def test_recursion_misprint_fails(monkeypatch):
     # the source's A_N = (u - p_N) A_{N-1} - e^{-q_N} C_{N-1}
     def misprint(N, A_p, C_p):
-        u = UVPoly.u(N)
-        pN = UVPoly.from_element(WeylElement.p(N, N))
-        emqN = UVPoly.from_element(WeylElement.exp_q(N, N, -1))
+        u = WeylElement.u(N)
+        pN = WeylElement.p(N, N)
+        emqN = WeylElement.exp_q(N, N, -1)
         return (u - pN) * A_p - emqN * C_p, emqN * A_p
 
     monkeypatch.setattr(weyl, "_peel_site", misprint)
