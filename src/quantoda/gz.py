@@ -30,20 +30,21 @@ f(lambda shifted)/f(lambda), in the field of the array's entries: F_p[i]
 for the exponential test functions of the exact checks, complex for the
 Whittaker and spherical vectors (one Gamma product, `vector_shift_ratio`).
 
-Operator identities are checked by random-point identity testing
-(Schwartz 1980; Zippel 1979) in the field F_p[i], p = 2^61 - 1 (see
-`rationals`).  The array entries and the test-function parameters beta are
-drawn uniformly from F_p (beta from F_p minus 0), distinct within a level
-and among the betas; the relation is applied to the exponential test
-function f(lambda + k*i e_{nj}) = beta_{nj}^k f(lambda), and the value must
-be 0.  Distinct within-level entries keep every denominator
-lambda_{nj} - lambda_{ns} + c*i nonzero.  A nonzero relation, cleared of
-denominators and of negative powers of beta, is a nonzero polynomial Q in
-the entries and the betas, of total degree deg.  Counting numerator
-degrees, distinct linear denominator factors and beta exponents bounds deg
-by 50 for every relation of the suite at N <= 5, so one trial passes
-falsely with probability at most deg/p < 3e-17 (distinct draws raise this
-by a factor below 1 + 1e-16).  This assumes p does not divide every
+Operator identities are checked by random-point identity testing in the
+field F_p[i], p = 2^31 - 1, on three lanes per trial and a block of trials
+at once (see `rationals`).  The array entries and the test-function
+parameters beta are drawn uniformly from F_p (beta from F_p minus 0),
+distinct within a level and among the betas; the relation is applied to
+the exponential test function f(lambda + k*i e_{nj}) = beta_{nj}^k
+f(lambda), and the value must be 0 in every lane.  Distinct within-level
+entries keep every denominator lambda_{nj} - lambda_{ns} + c*i nonzero.  A
+nonzero relation, cleared of denominators and of negative powers of beta,
+is a nonzero polynomial Q in the entries and the betas, of total degree
+deg.  Counting numerator degrees, distinct linear denominator factors and
+beta exponents bounds deg by 50 for every relation of the suite at N <= 5,
+so one trial passes falsely with probability at most (deg/(p-1))^3 <=
+deg/(2^61 - 1) < 3e-17, times 1 + 1e-7 for the distinct draws, whichever
+relations share its lanes.  This assumes p does not divide every
 coefficient of Q, which would make Q vanish identically mod p.
 """
 
@@ -51,12 +52,14 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 import random
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
-from .rationals import ONE, FpI, Gauss, as_gauss, gauss_mul, random_fp
+from .rationals import (LANES_PER_TRIAL, ONE, P, FpLanes, Gauss, as_gauss, gauss_mul,
+                        lane_blocks, random_lanes)
 from .report import VerificationReport, residual_report
 from .specfun import PoleError, gamma_shift_ratio, log_gamma
 
@@ -70,15 +73,15 @@ ShiftKey = Tuple[Tuple[Slot, int], ...]  # sorted ((n,j), k): lambda_{nj} += k*i
 GENERATOR_PREFACTOR: Dict[str, Gauss] = {
     "diagonal": (0, -1), "raise": (0, 1), "lower": (0, -1)}
 
-# The field of an array's entries: (element constructor, i/2).
-_FIELDS = {True: (FpI, FpI(0, 1) / 2), False: (complex, 0.5j)}
+# The field of an array's entries: (element constructor, i/2); (P + 1)/2 = 1/2 mod P.
+_FIELDS = {True: (FpLanes, FpLanes(0, (P + 1) // 2)), False: (complex, 0.5j)}
 
 
 @dataclass(frozen=True)
 class TriangularArray:
     """Spectral array: level n (1-based) holds n entries lambda_{n1..nn}.
 
-    Entries are `FpI` field elements for the exact checks and floats or
+    Entries are `FpLanes` field elements for the exact checks and floats or
     complex numbers for the numerical ones; `field` says which.
     """
 
@@ -108,8 +111,8 @@ class TriangularArray:
 
     @property
     def field(self):
-        """(element constructor, i/2): F_p[i] for `FpI` entries, else complex."""
-        return _FIELDS[type(self.levels[0][0]) is FpI]
+        """(element constructor, i/2): F_p[i] for `FpLanes` entries, else complex."""
+        return _FIELDS[type(self.levels[0][0]) is FpLanes]
 
     def shifted(self, shifts: ShiftKey) -> "TriangularArray":
         """New array with lambda_{nj} += k*i for each ((n,j), k)."""
@@ -155,17 +158,13 @@ class Coefficient(NamedTuple):
         if self.kind == "diagonal":
             return pre * (arr.level_sum(n) - arr.level_sum(n - 1))
         x = arr.get(n, j)
-        num = den = make(1, 0)
         if self.kind == "raise":
-            for r in range(1, n + 2):
-                num = num * (x - arr.get(n + 1, r) - half_i)
+            num = [x - arr.get(n + 1, r) - half_i for r in range(1, n + 2)]
         else:
-            for r in range(1, n):
-                num = num * (x - arr.get(n - 1, r) + half_i)
-        for s in range(1, n + 1):
-            if s != j:
-                den = den * (x - arr.get(n, s))
-        return pre * num / den
+            num = [x - arr.get(n - 1, r) + half_i for r in range(1, n)]
+        den = [x - arr.get(n, s) for s in range(1, n + 1) if s != j]
+        val = pre * reduce(operator.mul, num) if num else pre
+        return val / reduce(operator.mul, den) if den else val
 
 
 Factor = Tuple[Coefficient, ShiftKey]   # coefficient at the array shifted by ShiftKey
@@ -249,39 +248,41 @@ class DifferenceOperator:
     def commutator(self, other: "DifferenceOperator") -> "DifferenceOperator":
         return self * other - other * self
 
-    def term_values(self, arr: TriangularArray, ratio) -> list:
+    def term_values(self, arr: TriangularArray, ratio, cache=None) -> list:
         """c * prod(coefficients) * ratio(shift) per term, in arr's field.
 
         ratio(shift) is f(arr shifted)/f(arr) for the function f the
         operator acts on, so the values sum to (op f)(arr)/f(arr).  Each
         coefficient is evaluated once per shifted array and each ratio once
-        per shift.
+        per shift; `cache`, a dict from factors and shifts to values kept
+        across calls with one arr and ratio, shares them between operators.
         """
         make = arr.field[0]
-        values: Dict[Factor, object] = {}
-        ratios: Dict[ShiftKey, object] = {}
+        cache = {} if cache is None else cache
         out = []
         for (shift, factors), c in self.terms.items():
             val = make(*c)
             for factor in factors:
-                v = values.get(factor)
+                v = cache.get(factor)
                 if v is None:
                     coef, s = factor
-                    v = values[factor] = coef(arr.shifted(s) if s else arr)
+                    v = cache[factor] = coef(arr.shifted(s) if s else arr)
                 val = val * v
-            r = ratios.get(shift)
+            r = cache.get(shift)
             if r is None:
-                r = ratios[shift] = ratio(shift)
+                r = cache[shift] = ratio(shift)
             out.append(val * r)
         return out
 
-    def evaluate_on_test(self, arr: TriangularArray, beta: Dict[Slot, FpI]) -> FpI:
+    def evaluate_on_test(self, arr: TriangularArray, beta: Dict[Slot, FpLanes],
+                         cache=None) -> FpLanes:
         """Apply to the test function with f(lambda + k*i e_{nj}) = beta_{nj}^k f.
 
-        arr has `FpI` entries and beta `FpI` values; the result is in F_p[i].
+        arr has `FpLanes` entries and beta `FpLanes` values; the result is
+        in F_p[i], lane by lane.  `cache` is `term_values`'.
         """
         return sum(self.term_values(arr, lambda shift: math.prod(
-            (beta[slot] ** k for slot, k in shift), start=FpI(1))), FpI())
+            (beta[slot] ** k for slot, k in shift), start=FpLanes(1)), cache), FpLanes())
 
 
 # ---------------------------------------------------------------------------
@@ -319,25 +320,33 @@ def _check_zero(relation: str, N: int, trials: int, seed: int,
                 relations) -> VerificationReport:
     """Each (label, operator) of `relations` must be the zero operator.
 
-    Per trial an array with entries distinct within each level and the
-    nonzero betas are drawn from F_p, in that order; an operator's first
-    nonzero value is its witness and ends its trials.
+    Block by block (`rationals.lane_blocks`), an array with entries distinct
+    within each level and the nonzero betas are drawn per lane from F_p, in
+    that order, and every operator not yet failed is evaluated on the block,
+    sharing one cache; its first nonzero lane is its witness, for trial
+    lane // 3, and ends its trials.
     """
     rng = random.Random(seed)
     slots = _flat_slots(N)
-    failures = []
-    for label, op in relations:
-        for t in range(trials):
-            arr = TriangularArray([random_fp(rng, n) for n in range(1, N + 1)])
-            beta = dict(zip(slots, random_fp(rng, len(slots), 1)))
-            val = op.evaluate_on_test(arr, beta)
-            if not val.is_zero():
-                failures.append(f"{label}: trial {t}: value {val} at {arr.levels}")
-                break
+    relations = list(relations)
+    failures: List[str | None] = [None] * len(relations)
+    for start, lanes in lane_blocks(trials):
+        arr = TriangularArray([random_lanes(rng, lanes, n) for n in range(1, N + 1)])
+        beta = dict(zip(slots, random_lanes(rng, lanes, len(slots), 1)))
+        cache: dict = {}
+        for i, (label, op) in enumerate(relations):
+            if failures[i]:
+                continue
+            val = op.evaluate_on_test(arr, beta, cache)
+            k = val.first_nonzero_lane()
+            if k is not None:
+                at = tuple(tuple(x.lane(k) for x in row) for row in arr.levels)
+                failures[i] = (f"{label}: trial {(start + k) // LANES_PER_TRIAL}: "
+                               f"value {val.lane(k)} at {at}")
     return VerificationReport(
         suite="gz", n=N, relation=relation,
-        status="PASS" if not failures else "FAIL",
-        seed=seed, witness="; ".join(failures) or None,
+        status="PASS" if not any(failures) else "FAIL",
+        seed=seed, witness="; ".join(w for w in failures if w) or None,
     )
 
 
@@ -579,12 +588,16 @@ def gz_suite(N: int, trials: int = 20, seed: int = 0,
     rng = random.Random(seed)
     out = [check_gl_relations(N, trials, seed), check_serre(N, trials, seed)]
     kw = {} if tol is None else {"tol": tol}
-    arrays = [sample_real_array(N, rng) for _ in range(trials)]
-    for check in (check_whittaker_equations, check_spherical_equation):
-        reps = [check(N, arr, **kw) for arr in arrays]
-        out.append(replace(max(reps, key=lambda r: r.residual), seed=seed))
+    worst = None       # first largest residual of each check, as max() keeps
+    for _ in range(trials):
+        arr = sample_real_array(N, rng)
+        reps = [check(N, arr, **kw)
+                for check in (check_whittaker_equations, check_spherical_equation)]
+        worst = reps if worst is None else [
+            r if r.residual > w.residual else w for w, r in zip(worst, reps)]
+    out += [replace(w, seed=seed) for w in worst]
 
-    arrays = [sample_real_array(N, rng, low=-1.0, high=1.0) for _ in range(trials)]
+    arrays = (sample_real_array(N, rng, low=-1.0, high=1.0) for _ in range(trials))
     worst_mu = max((check_gz_measure_difference_eq(N, arr, j) for arr in arrays
                     for j in range(len(_flat_slots(N)))), default=0.0)
     out.append(residual_report("gz", N, "measure-difference-eq", worst_mu,

@@ -1,30 +1,42 @@
-"""Exact Gaussian arithmetic on (re, im) pairs of Python ints.
-
-Two rings share the representation:
+"""Exact Gaussian arithmetic: Z[i] pairs of Python ints and F_p[i] lanes.
 
 * Z[i] -- plain tuples ``(re, im)``.  The Weyl-algebra coefficients of
   `weyl` live here: the algebra never divides, so no modulus is needed and a
   zero result is an exact zero.  `weyl` combines the pairs inline in its
   product loop; `as_gauss`, `gauss_mul` and `gauss_str` serve the rest.
-* F_p[i], p = 2**61 - 1 -- `FpI`, a tuple subclass whose entries are kept
-  reduced mod p.  Since p = 3 mod 4, -1 is not a square mod p, so x^2 + 1 is
-  irreducible and F_p[i] is a field: re + im*i = 0 exactly when
-  re = im = 0 mod p, and every nonzero element has an inverse.  The
-  randomized identity checks of `gz` and `separation` evaluate in it, at
-  points that `random_fp` draws.
+* F_p[i], p = 2**31 - 1 -- `FpLanes`, one element per lane: int64 arrays of
+  parts (ints for a value every lane shares) reduced mod p.  As p = 3 mod 4,
+  F_p[i] is a field, and a*d + b*c <= 2(p-1)^2 < 2^63 fits in int64.  A
+  value is num/den with den in F_p, nonzero in every lane: division
+  multiplies by the conjugate, so the arithmetic takes no inverse mod p
+  (printing does).  Floats and complex numbers are refused (TypeError).
 
-Mixed arithmetic with floats or complex numbers is refused (TypeError):
-a residue mod p has no floating-point value.
+The randomized identity checks of `gz` and `separation` draw three lanes per
+trial (`random_lanes`, `lane_blocks`).  A nonzero polynomial of degree d,
+sampled from sets of p - 1 or more elements, vanishes in one lane with
+probability at most d/(p-1) (Schwartz 1980; Zippel 1979), in all three
+at most (d/(p-1))^3.  That is at most d/q, q = 2^61 - 1, exactly when d^2 <=
+(p-1)^3/q = 2^32 - 12 + e (0 < e < 1e-7): for every d < 2^16.  Two lanes
+would need d <= 2.  Relations that share lanes each keep their own bound.
+Keeping k draws distinct conditions on an event of probability at least
+1 - C(k,2)/(p-1), which divides the bound by that, cubed.
 """
 
 from __future__ import annotations
 
 import random
-from typing import List, Tuple
+from functools import reduce
+from operator import add, mul, sub
+from typing import List, Optional, Tuple
+
+import numpy as np
 
 Gauss = Tuple[int, int]
 
-P = (1 << 61) - 1
+P = (1 << 31) - 1
+
+LANES_PER_TRIAL = 3
+TRIALS_PER_BLOCK = 64   # bounds the lanes, and so the memory, of one evaluation
 
 ONE: Gauss = (1, 0)
 I: Gauss = (0, 1)
@@ -50,112 +62,144 @@ def gauss_str(a: Gauss) -> str:
     return f"({re}{'+' if im > 0 else '-'}{abs(im)}i)"
 
 
-def _fp(re: int, im: int) -> "FpI":
-    """FpI from parts already reduced mod P."""
-    return tuple.__new__(FpI, (re, im))
+def _part(x):
+    """An int or an integer array, reduced mod P."""
+    if type(x) is int:
+        return x % P
+    x = np.asarray(x)
+    if x.dtype.kind not in "iu":
+        raise TypeError("F_p[i] parts must be integers")
+    return x.astype(np.int64) % P
 
 
-class FpI(tuple):
-    """The element re + im*i of F_p[i], p = P = 2**61 - 1.
+def _lanes(re, im, den=None) -> "FpLanes":
+    """FpLanes from reduced parts over den (None for 1), nonzero per lane."""
+    return tuple.__new__(FpLanes, (re, im, den))
 
-    Construct from Python ints, which are reduced mod p; a Gaussian
-    rational a/b with b prime to p maps to FpI(a) / FpI(b).  Equality and
-    hashing are those of the reduced pair.
+
+class FpLanes(tuple):
+    """Elements re + im*i of F_p[i], one per lane, from int or integer-array
+    parts; a/b maps to FpLanes(a) / FpLanes(b).  `==` holds when every lane
+    is equal.  The tuple is (re, im, den), den None for 1.
     """
 
     __slots__ = ()
 
-    def __new__(cls, re: int = 0, im: int = 0):
-        if type(re) is not int or type(im) is not int:
-            raise TypeError("FpI parts must be ints")
-        return tuple.__new__(cls, (re % P, im % P))
+    def __new__(cls, re=0, im=0):
+        return _lanes(_part(re), _part(im))
 
-    @property
-    def re(self) -> int:
-        return self[0]
+    def reduced(self):
+        """(re, im) over 1: an inverse mod p per lane, for printing only."""
+        re, im, d = self
+        if d is None:
+            return re, im
+        inv = pow(d, -1, P) if type(d) is int else np.array([pow(int(x), -1, P) for x in d])
+        return re * inv % P, im * inv % P
 
-    @property
-    def im(self) -> int:
-        return self[1]
+    def lane(self, k: int) -> "FpLanes":
+        """Lane k as a value with int parts."""
+        return FpLanes(*(int(x if np.ndim(x) == 0 else x[k]) for x in self.reduced()))
 
-    def is_zero(self) -> bool:
-        return not (self[0] or self[1])
+    def zeros(self) -> np.ndarray:
+        """Per lane, whether the value is 0.  Only the numerator is tested,
+        which is valid because the denominator is nonzero in every lane; a
+        zero one is refused."""
+        re, im, d = self
+        if d is not None and not np.all(d):
+            raise ZeroDivisionError("zero denominator in F_p[i]")
+        return np.asarray((re == 0) & (im == 0))
+
+    def first_nonzero_lane(self) -> Optional[int]:
+        bad = np.flatnonzero(~self.zeros())
+        return int(bad[0]) if bad.size else None
+
+    def __eq__(self, other):
+        if type(other) is int:
+            other = FpLanes(other)
+        if type(other) is not FpLanes:
+            return NotImplemented
+        return bool((self - other).zeros().all())
+
+    def __ne__(self, other):     # tuple's own would compare the parts
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
+
+    def _combine(self, other, op):
+        """self op other for op = add or sub."""
+        other = other if type(other) is FpLanes else FpLanes(other)
+        (a, b, d), (c, e, f) = self, other
+        if d is None and f is None:
+            return _lanes(op(a, c) % P, op(b, e) % P)
+        d, f = (1 if d is None else d), (1 if f is None else f)
+        return _lanes(op(a * f, c * d) % P, op(b * f, e * d) % P, d * f % P)
 
     def __add__(self, other):
-        if type(other) is FpI:
-            return _fp((self[0] + other[0]) % P, (self[1] + other[1]) % P)
-        if type(other) is int:
-            return _fp((self[0] + other) % P, self[1])
-        return NotImplemented
+        return self._combine(other, add)
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return _fp(-self[0] % P, -self[1] % P)
-
     def __sub__(self, other):
-        if type(other) is FpI:
-            return _fp((self[0] - other[0]) % P, (self[1] - other[1]) % P)
-        if type(other) is int:
-            return _fp((self[0] - other) % P, self[1])
-        return NotImplemented
+        return self._combine(other, sub)
+
+    def __neg__(self):
+        re, im, d = self
+        return _lanes(-re % P, -im % P, d)
 
     def __mul__(self, other):
-        if type(other) is FpI:
-            a, b = self
-            c, d = other
-            return _fp((a * c - b * d) % P, (a * d + b * c) % P)
-        if type(other) is int:
-            return _fp(self[0] * other % P, self[1] * other % P)
-        return NotImplemented
+        other = other if type(other) is FpLanes else FpLanes(other)
+        (a, b, d), (c, e, f) = self, other
+        den = f if d is None else d if f is None else d * f % P
+        return _lanes((a * c - b * e) % P, (a * e + b * c) % P, den)
 
     __rmul__ = __mul__
 
-    def conjugate(self) -> "FpI":
-        return _fp(self[0], -self[1] % P)
+    def conjugate(self) -> "FpLanes":
+        re, im, d = self
+        return _lanes(re, -im % P, d)
 
-    def inverse(self) -> "FpI":
-        """1/z = conj(z) / |z|^2; |z|^2 = 0 mod p only for z = 0."""
-        a, b = self
+    def inverse(self) -> "FpLanes":
+        """den * conj(num) / |num|^2.  |num|^2 = 0 mod p only where num = 0,
+        and then, in any lane, ZeroDivisionError."""
+        a, b, d = self
         norm = (a * a + b * b) % P
-        if norm == 0:
+        if not np.all(norm):
             raise ZeroDivisionError("division by zero in F_p[i]")
-        # extended Euclid; the same inverse as norm**(P-2) mod P, faster
-        return self.conjugate() * pow(norm, -1, P)
+        d = 1 if d is None else d
+        return _lanes(a * d % P, -b * d % P, norm)
 
     def __truediv__(self, other):
-        if type(other) is int:
-            other = FpI(other)
-        if type(other) is not FpI:
-            return NotImplemented
+        other = other if type(other) is FpLanes else FpLanes(other)
         return self * other.inverse()
 
-    def __pow__(self, k):
-        if type(k) is not int:
-            return NotImplemented
+    def __pow__(self, k: int):
         base = self if k >= 0 else self.inverse()
-        k = abs(k)
-        out = _fp(1, 0)
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return reduce(mul, [base] * abs(k)) if k else FpLanes(1)
 
     def __repr__(self):
-        return f"FpI({self[0]}, {self[1]})"
+        re, im = (x if type(x) is int else x.tolist() for x in self.reduced())
+        return f"FpLanes({re}, {im})"
 
 
-def random_fp(rng: random.Random, count: int, low: int = 0) -> List[FpI]:
-    """`count` distinct elements of F_p, drawn uniformly from low..p-1."""
-    out: List[FpI] = []
-    while len(out) < count:
-        v = FpI(rng.randrange(low, P))
-        if v not in out:
-            out.append(v)
-    return out
+def random_lanes(rng: random.Random, lanes: int, count: int,
+                 low: int = 0) -> List[FpLanes]:
+    """`count` values per lane, uniform on low..p-1 and distinct within each
+    lane; drawn lane by lane."""
+    rows = []
+    for _ in range(lanes):
+        row: List[int] = []
+        while len(row) < count:
+            v = rng.randrange(low, P)
+            if v not in row:
+                row.append(v)
+        rows.append(row)
+    return [_lanes(np.array(c), 0) for c in zip(*rows)]
 
 
-# perfbench/tracing.py counts F_p[i] operations under this name.
-QI = FpI
+def lane_blocks(trials: int) -> List[Tuple[int, int]]:
+    """(first lane, lane count) of each block of the trials' lanes, in order."""
+    total, step = LANES_PER_TRIAL * trials, LANES_PER_TRIAL * TRIALS_PER_BLOCK
+    return [(start, min(step, total - start)) for start in range(0, total, step)]
+
+
+# perfbench/tracing.py counts F_p[i] lane operations under this name.
+QI = FpLanes

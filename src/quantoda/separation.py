@@ -28,7 +28,7 @@ import random
 from typing import List, Sequence
 
 from .gz import separated_uniforms
-from .rationals import FpI, random_fp
+from .rationals import LANES_PER_TRIAL, FpLanes, lane_blocks, random_lanes
 from .report import VerificationReport, residual_report
 from .specfun import PoleError, gamma_shift_ratio, log_gamma, log_gamma_array
 
@@ -110,7 +110,7 @@ def check_dif_equation(alpha: Sequence[float], lam: Sequence[float], j: int) -> 
 
 def _lagrange_lhs(u, lam, alpha):
     """Left side of the interpolation identity of `check_lagrange_identity`."""
-    one = FpI(1)
+    one = FpLanes(1)
     lhs = (u - sum(alpha) + sum(lam)) * math.prod((u - l for l in lam), start=one)
     for j, lj in enumerate(lam):
         others = lam[:j] + lam[j + 1:]
@@ -128,20 +128,25 @@ def check_lagrange_identity(N: int, trials: int = 50, seed: int = 42) -> Verific
       = prod_k (u - alpha_k)
 
     u, the N-1 lambdas and the N alphas are drawn distinct and uniformly
-    from F_p, p = 2^61 - 1 (`rationals.FpI`), so no denominator vanishes.
-    Multiplied by prod_{j<k} (lambda_j - lambda_k), a false identity is a
-    nonzero polynomial of total degree at most deg = (N-1)(N-2)/2 + N, and
-    one trial passes it with probability at most deg/p (Schwartz 1980;
-    Zippel 1979), or at most 1/(1 - 2N^2/p) times that once the draws are
-    conditioned on being distinct.
+    from F_p, p = 2^31 - 1, on three lanes per trial (`rationals`), so no
+    denominator vanishes.  Multiplied by prod_{j<k} (lambda_j - lambda_k), a
+    false identity is a nonzero polynomial of total degree at most
+    deg = (N-1)(N-2)/2 + N, and one trial passes it with probability at most
+    (deg/p)^3 <= deg/(2^61 - 1) (Schwartz 1980; Zippel 1979), or at most
+    1/(1 - 2N^2/p)^3 times that once the draws are conditioned on being
+    distinct.  The witness is the first nonzero lane, of trial lane // 3.
     """
     rng = random.Random(seed)
     witness = None
-    for t in range(trials):
-        samples = random_fp(rng, 2 * N)
+    for start, lanes in lane_blocks(trials):
+        samples = random_lanes(rng, lanes, 2 * N)
         u, lam, alpha = samples[0], samples[1:N], samples[N:2 * N]
-        if _lagrange_lhs(u, lam, alpha) != math.prod((u - a for a in alpha), start=FpI(1)):
-            witness = f"trial {t}: u={u}, lam={lam}, alpha={alpha}"
+        rhs = math.prod((u - a for a in alpha), start=FpLanes(1))
+        k = (_lagrange_lhs(u, lam, alpha) - rhs).first_nonzero_lane()
+        if k is not None:
+            witness = (f"trial {(start + k) // LANES_PER_TRIAL}: u={u.lane(k)}, "
+                       f"lam={[x.lane(k) for x in lam]}, "
+                       f"alpha={[x.lane(k) for x in alpha]}")
             break
     return VerificationReport(suite="separation", n=N, relation="lagrange",
                               status="FAIL" if witness else "PASS", seed=seed,

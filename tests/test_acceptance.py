@@ -47,13 +47,13 @@ def test_criterion_01_qism_exact_suite():
 def test_criterion_02_gz_relation_suite():
     t0 = time.monotonic()
     reports = []
-    for N in (2, 3, 4):
+    for N in (2, 3, 4, 5):
         reports.append(check_gl_relations(N, trials=20, seed=11))
         reports.append(check_serre(N, trials=20, seed=11))
     dt = time.monotonic() - t0
     ok = combine(reports) == "PASS" and dt < 120.0
     _line(2, ok, f"difference-operator gl relations and Serre relations "
-                 f"N=2,3,4, 20 exact trials each: {combine(reports)}, "
+                 f"N=2,3,4,5, 20 exact trials each: {combine(reports)}, "
                  f"{dt:.1f}s (< 120s)")
 
 

@@ -476,21 +476,22 @@ def _fresh_python(*args):
 
 
 def test_entry_point_in_a_fresh_process():
-    # no scipy module is loaded by importing the CLI, nor by running one
-    # command of each kind in the same process (a lazy import inside a
-    # function would show here)
+    # no scipy or numpy.random module is loaded by importing the CLI, nor by
+    # running one command of each kind in the same process (a lazy import
+    # inside a function would show here)
     probe = _fresh_python("-c", """
 import io, sys
 import quantoda.cli as cli
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-print(scipy_modules())
+def unwanted_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy"
+                  or m == "numpy.random" or m.startswith("numpy.random."))
+print(unwanted_modules())
 for argv in (["whittaker", "eval", "--n=3", "--alpha=0.9,0.1,-0.6", "--x=0.5,0,-0.5"],
              ["spherical", "eval", "--n=2", "--lambda=0.5,-0.5", "--x=0.3,-0.2"],
              ["cfunction", "--lambda=1.0,-0.3"],
-             ["verify", "separation", "--n=2"]):
+             ["verify", "separation", "--n=2"], ["verify", "gz", "--n=2", "--trials=3"]):
     assert cli.dispatch(argv, out=io.StringIO()) == 0, argv
-print(scipy_modules())
+print(unwanted_modules())
 """)
     assert probe.returncode == 0 and probe.stdout == "[]\n[]\n", probe.stderr
     argv = ["cfunction", "--lambda=1.0,-0.3", "--format=json"]

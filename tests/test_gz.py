@@ -1,9 +1,12 @@
 import cmath
 import math
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from quantoda import gz
 from quantoda.gz import (GENERATOR_PREFACTOR, VECTORS, Coefficient,
                          DifferenceOperator, TriangularArray,
                          cartan_multiplier, check_gl_relations,
@@ -12,7 +15,7 @@ from quantoda.gz import (GENERATOR_PREFACTOR, VECTORS, Coefficient,
                          gz_generator, gz_measure, gz_suite,
                          sample_real_array, separated_uniforms, spherical_vector,
                          vector_shift_ratio, whittaker_vector)
-from quantoda.rationals import FpI
+from quantoda.rationals import LANES_PER_TRIAL, TRIALS_PER_BLOCK, FpLanes
 from quantoda.specfun import PoleError, gamma
 
 
@@ -28,8 +31,8 @@ def test_triangular_array_shape_enforced():
 
 
 def _fp(num, den=1):
-    """The rational num/den in F_p."""
-    return FpI(num) / FpI(den)
+    """The rational num/den in F_p, lane by lane for arrays."""
+    return FpLanes(num) / FpLanes(den)
 
 
 def test_diagonal_generator_multiplies():
@@ -39,9 +42,11 @@ def test_diagonal_generator_multiplies():
     assert shift == () and c == (1, 0)
     (coeff, at), = factors
     assert at == () and coeff.shift == ()
-    arr = _point([[_fp(3, 2)], [_fp(1), _fp(-2)]])
-    assert coeff(arr) == FpI(0, -1) * _fp(3, 2)
-    assert op.evaluate_on_test(arr, {(1, 1): _fp(5)}) == FpI(0, -1) * _fp(3, 2)
+    lam = _fp(np.array([3, 5, -7]), np.array([2, 3, 4]))
+    arr = _point([[lam], [_fp(1), _fp(np.array([-2, 4, 9]))]])
+    assert coeff(arr) == FpLanes(0, -1) * lam
+    assert op.evaluate_on_test(arr, {(1, 1): _fp(np.array([5, 6, 7]))}) == \
+        FpLanes(0, -1) * lam
     assert coeff(_point([[1.5], [1.0, -2.0]])) == -1.5j
 
 
@@ -54,14 +59,14 @@ def test_raising_generator_n2_term():
     assert shift == (((1, 1), -1),) and c == (1, 0)
     (coeff, at), = factors
     assert at == () and coeff.shift == shift
-    lam = _fp(1, 3)
-    a1, a2 = _fp(2), _fp(-1)
+    lam = _fp(np.array([1, 2, -5]), np.array([3, 5, 3]))
+    a1, a2 = _fp(np.array([2, 3, 0])), _fp(-1)
     arr = _point([[lam], [a1, a2]])
-    ih = FpI(0, 1) / 2
-    want = FpI(0, 1) * (lam - a1 - ih) * (lam - a2 - ih)
+    ih = FpLanes(0, 1) / 2
+    want = FpLanes(0, 1) * (lam - a1 - ih) * (lam - a2 - ih)
     assert coeff(arr) == want
     # on the test function the shift by -i contributes beta^{-1}
-    beta = _fp(7, 3)
+    beta = _fp(np.array([7, 1, 4]), 3)
     assert op.evaluate_on_test(arr, {(1, 1): beta}) == want / beta
     num = 1j * (1 / 3 - 2 - 0.5j) * (1 / 3 + 1 - 0.5j)
     assert abs(coeff(_point([[1 / 3], [2.0, -1.0]])) - num) < 1e-14
@@ -72,8 +77,8 @@ def test_lowering_generator_n2_is_constant_shift():
     ((shift, factors), c), = op.terms.items()
     assert shift == (((1, 1), 1),)
     (coeff, _), = factors
-    arr = _point([[_fp(5)], [_fp(1), _fp(2)]])
-    assert coeff(arr) == FpI(0, -1)
+    arr = _point([[_fp(np.array([5, 6]))], [_fp(1), _fp(2)]])
+    assert coeff(arr) == FpLanes(0, -1)
     assert coeff(_point([[5.0], [1.0, 2.0]])) == complex(0, -1)
 
 
@@ -86,20 +91,31 @@ def test_generator_index_errors():
         gz_generator("sideways", 1, 3)
 
 
+LANES = 4
+
+
 def _rational_arr(rng, N):
+    """Small rationals, distinct within each level of each lane."""
     levels = []
     for n in range(1, N + 1):
-        row = []
-        while len(row) < n:
-            v = _fp(rng.randint(-20, 20), rng.randint(1, 6))
-            if v not in row:
-                row.append(v)
-        levels.append(row)
+        rows = []
+        for _ in range(LANES):
+            row = []
+            while len(row) < n:
+                v = Fraction(rng.randint(-20, 20), rng.randint(1, 6))
+                if v not in row:
+                    row.append(v)
+            rows.append(row)
+        levels.append([_fp(np.array([r[j].numerator for r in rows]),
+                           np.array([r[j].denominator for r in rows]))
+                       for j in range(n)])
     return TriangularArray(levels)
 
 
 def _betas(rng, N):
-    return {(n, j): _fp(rng.randint(1, 30), rng.randint(1, 5))
+    def draw(hi):
+        return np.array([rng.randint(1, hi) for _ in range(LANES)])
+    return {(n, j): _fp(draw(30), draw(5))
             for n in range(1, N) for j in range(1, n + 1)}
 
 
@@ -112,7 +128,7 @@ def test_compose_identity_and_zero():
     assert (ident * a).evaluate_on_test(arr, beta) == \
         a.evaluate_on_test(arr, beta)
     assert (a * ident).terms == a.terms
-    assert (zero * a).evaluate_on_test(arr, beta) == FpI(0, 0)
+    assert (zero * a).evaluate_on_test(arr, beta) == FpLanes(0, 0)
     assert not (a * zero).terms
 
 
@@ -137,9 +153,9 @@ def test_bracket_h_e_reproduces_e():
     rng = random.Random(9)
     for _ in range(10):
         arr, beta = _rational_arr(rng, 2), _betas(rng, 2)
-        assert diff.evaluate_on_test(arr, beta) == FpI(0, 0)
-        # without the -e the bracket is not zero
-        assert not h.commutator(e).evaluate_on_test(arr, beta).is_zero()
+        assert diff.evaluate_on_test(arr, beta) == FpLanes(0, 0)
+        # without the -e the bracket is not zero, in any lane
+        assert not h.commutator(e).evaluate_on_test(arr, beta).zeros().any()
 
 
 def test_equal_products_cancel_symbolically():
@@ -167,9 +183,41 @@ def test_each_coefficient_evaluated_once_per_shifted_array(monkeypatch):
 def test_flipped_raising_sign_fails(monkeypatch):
     # the printed +(1/i) in front of E_{n,n+1} does not close [E, F]
     monkeypatch.setitem(GENERATOR_PREFACTOR, "raise", (0, -1))
-    for N in (2, 3):
+    for N in (2, 3, 4):
         rep = check_gl_relations(N, trials=3, seed=1)
-        assert rep.status == "FAIL" and "[E1,F1]" in rep.witness
+        assert rep.status == "FAIL" and "[E1,F1]: trial 0: " in rep.witness
+
+
+class _FailsAtLane:
+    """Stands in for an operator: its value is nonzero at one global lane."""
+
+    def __init__(self, lane):
+        self.lane, self.first, self.blocks = lane, 0, 0
+
+    def evaluate_on_test(self, arr, beta, cache=None):
+        lanes = len(arr.get(1, 1).reduced()[0])
+        vals = np.zeros(lanes, dtype=np.int64)
+        if self.first <= self.lane < self.first + lanes:
+            vals[self.lane - self.first] = 1
+        self.first += lanes
+        self.blocks += 1
+        return FpLanes(vals)
+
+
+def test_failure_in_a_later_block_names_its_global_trial():
+    block = LANES_PER_TRIAL * TRIALS_PER_BLOCK
+    trials = 2 * TRIALS_PER_BLOCK + 1
+    late = _FailsAtLane(block + 7)      # second block, trial TRIALS_PER_BLOCK + 2
+    early = _FailsAtLane(4)             # first block, trial 1
+    never = _FailsAtLane(-1)
+    rep = gz._check_zero("stub", 2, trials, 0,
+                         [("late", late), ("early", early), ("never", never)])
+    assert rep.status == "FAIL"
+    late_w, early_w = rep.witness.split("; ")
+    assert late_w.startswith(f"late: trial {TRIALS_PER_BLOCK + 2}: value FpLanes(1, 0) at ")
+    assert early_w.startswith("early: trial 1: value FpLanes(1, 0) at ")
+    # a failed relation drops out of later blocks; the others see all three
+    assert (late.blocks, early.blocks, never.blocks) == (2, 1, 3)
 
 
 def test_gl_relations_and_serre():

@@ -1,15 +1,25 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quantoda.rationals import P, FpI, gauss_mul, gauss_str, random_fp
+from quantoda.rationals import (LANES_PER_TRIAL, P, TRIALS_PER_BLOCK, FpLanes,
+                                gauss_mul, gauss_str, lane_blocks, random_lanes)
+
+LANES = 3
 
 
 def fp_values():
+    """Three lanes per value; parts small or anywhere in 0..p-1."""
     part = st.one_of(st.integers(min_value=-20, max_value=20),
                      st.integers(min_value=0, max_value=P - 1))
-    return st.builds(FpI, part, part)
+    lanes = st.lists(part, min_size=LANES, max_size=LANES).map(np.array)
+    return st.builds(FpLanes, lanes, lanes)
+
+
+def _fp(num, den=1):
+    return FpLanes(num) / FpLanes(den)
 
 
 @given(fp_values(), fp_values(), fp_values())
@@ -21,60 +31,118 @@ def test_ring_laws(a, b, c):
     assert a * b == b * a
     assert a * (b + c) == a * b + a * c
     assert (a - b) + b == a
-    assert a + (-a) == FpI(0)
+    assert a + (-a) == FpLanes(0)
 
 
-@given(fp_values().filter(lambda z: not z.is_zero()))
+@given(fp_values().filter(lambda z: not z.zeros().any()), fp_values())
 @settings(max_examples=100)
-def test_division_inverts_multiplication(a):
-    assert (FpI(1) / a) * a == FpI(1)
-    assert a.inverse() * a == FpI(1)
-    assert a / a == FpI(1)
-    assert FpI(1) / a == a.inverse()
+def test_division_inverts_multiplication(a, b):
+    assert (FpLanes(1) / a) * a == FpLanes(1)
+    assert a.inverse() * a == FpLanes(1)
+    assert a / a == FpLanes(1)
+    assert FpLanes(1) / a == a.inverse()
+    # values over a denominator add, multiply and compare like any other
+    assert (b / a + b) * a == b + b * a
+    assert (b / a).zeros().tolist() == b.zeros().tolist()
 
 
 @given(fp_values(), st.integers(min_value=0, max_value=6))
 def test_power_is_repeated_product(a, k):
-    expect = FpI(1)
+    expect = FpLanes(1)
     for _ in range(k):
         expect = expect * a
     assert a ** k == expect
 
 
+@given(fp_values(), fp_values())
+@settings(max_examples=100)
+def test_lanes_match_python_int_arithmetic(a, b):
+    # each lane against the same operation on Python ints mod p, which
+    # cannot overflow
+    quotient = None if b.zeros().any() else a / b
+    for k in range(LANES):
+        (ar, ai), (br, bi) = (x.lane(k).reduced() for x in (a, b))
+        assert (a + b).lane(k).reduced() == ((ar + br) % P, (ai + bi) % P)
+        assert (a * b).lane(k).reduced() == ((ar * br - ai * bi) % P,
+                                             (ar * bi + ai * br) % P)
+        if quotient is not None:
+            inv = pow((br * br + bi * bi) % P, -1, P)
+            assert quotient.lane(k).reduced() == ((ar * br + ai * bi) * inv % P,
+                                                  (ai * br - ar * bi) * inv % P)
+
+
 def test_negative_power():
-    a = FpI(3) / FpI(2) + FpI(0, -1) / FpI(3)   # 3/2 - i/3
-    assert a ** -2 == FpI(1) / (a * a)
-    assert a ** -1 * a == FpI(1)
+    a = _fp(np.array([3, 1, -4])) / FpLanes(2) + FpLanes(0, -1) / FpLanes(3)
+    assert a ** -2 == FpLanes(1) / (a * a)
+    assert a ** -1 * a == FpLanes(1)
     with pytest.raises(ZeroDivisionError):
-        FpI(0, 0) ** -1
+        FpLanes(0, 0) ** -1
     with pytest.raises(ZeroDivisionError):
-        FpI(1) / FpI(P, -P)        # the zero of F_p[i]
+        FpLanes(1) / FpLanes(P, -P)        # the zero of F_p[i]
     with pytest.raises(ZeroDivisionError):
-        FpI(0).inverse()
+        FpLanes(0).inverse()
+
+
+def test_zero_in_one_lane_is_refused():
+    # one zero lane among nonzero ones: no lane divides
+    z = FpLanes(np.array([5, P, 2]), np.array([1, -P, 0]))
+    assert z.zeros().tolist() == [False, True, False]
+    assert z.first_nonzero_lane() == 0 and (z - z).first_nonzero_lane() is None
+    with pytest.raises(ZeroDivisionError):
+        FpLanes(1) / z
+    with pytest.raises(ZeroDivisionError):
+        z ** -1
+    with pytest.raises(ZeroDivisionError):
+        FpLanes(1) / P
+    # the numerator-only zero test is valid only over a nonzero
+    # denominator; a value whose denominator is 0 in a lane is refused
+    bad = FpLanes(np.array([1, 0, 3])) / FpLanes(np.array([1, 2, 3]))
+    re, im, _ = bad
+    with pytest.raises(ZeroDivisionError):
+        tuple.__new__(FpLanes, (re, im, np.array([1, 0, 1]))).zeros()
+
+
+def test_int64_edge_parts_at_p_minus_one():
+    # reduced parts are at most p - 1: a*d + b*c <= 2(p-1)^2 < 2^63
+    assert 2 * (P - 1) ** 2 < 2 ** 63
+    top = np.full(LANES, P - 1)
+    a = FpLanes(top, top)                     # -1 - i in every lane
+    assert a * a == FpLanes(0, 2)             # (1 + i)^2 = 2i
+    assert a * a.conjugate() == FpLanes(2)
+    assert a + a == FpLanes(-2, -2) and a - a == FpLanes(0)
+    assert a / a == FpLanes(1) and a ** -3 * a ** 3 == FpLanes(1)
+    over = a / FpLanes(top)                   # a denominator of p - 1
+    assert over == FpLanes(1, 1) and over * over == FpLanes(0, 2)
+    assert sum([a] * 5, FpLanes()) == FpLanes(-5, -5)
+    big = FpLanes(np.array([P - 1, 0, 1]), np.array([P - 1, P - 1, 0]))
+    re, im = (big * big).reduced()
+    assert re.tolist() == [0, (-1) % P, 1] and im.tolist() == [2, 0, 0]
 
 
 def test_i_squares_to_minus_one():
-    assert FpI(0, 1) * FpI(0, 1) == FpI(-1, 0)
-    assert FpI(0, 1) ** 4 == FpI(1)
+    assert FpLanes(0, 1) * FpLanes(0, 1) == FpLanes(-1, 0)
+    assert FpLanes(0, 1) ** 4 == FpLanes(1)
     assert gauss_mul((0, 1), (0, 1)) == (-1, 0)
+    i = FpLanes(np.zeros(LANES, dtype=np.int64), np.ones(LANES, dtype=np.int64))
+    assert i * i == FpLanes(-1) and i ** -1 == -i
 
 
 def test_conjugate_and_modulus():
-    a = FpI(2) / FpI(3) + FpI(0, -5) / FpI(7)   # 2/3 - 5i/7
+    a = FpLanes(2) / FpLanes(3) + FpLanes(0, -5) / FpLanes(7)   # 2/3 - 5i/7
     m = a * a.conjugate()
-    assert m == FpI(2 ** 2 * 7 ** 2 + 5 ** 2 * 3 ** 2) / FpI(3 ** 2 * 7 ** 2)
-    assert m.im == 0
+    assert m == FpLanes(2 ** 2 * 7 ** 2 + 5 ** 2 * 3 ** 2) / FpLanes(3 ** 2 * 7 ** 2)
+    assert m.reduced()[1] == 0
     assert gauss_mul((2, -5), (2, 5)) == (29, 0)
     # p = 3 mod 4: a^2 + b^2 = 0 mod p forces a = b = 0, so the norm of
     # a nonzero element is nonzero
     assert P % 4 == 3
-    assert (FpI(1, 1) * FpI(1, 1).conjugate()) == FpI(2)
+    assert (FpLanes(1, 1) * FpLanes(1, 1).conjugate()) == FpLanes(2)
 
 
 def test_coercion_with_floats_and_complex():
-    a = FpI(1, 2)
-    assert a + 3 == FpI(4, 2) and 3 + a == FpI(4, 2)
-    assert 2 * a == FpI(2, 4) and a - 1 == FpI(0, 2) and a / 2 * 2 == a
+    a = FpLanes(1, 2)
+    assert a + 3 == FpLanes(4, 2) and 3 + a == FpLanes(4, 2)
+    assert 2 * a == FpLanes(2, 4) and a - 1 == FpLanes(0, 2) and a / 2 * 2 == a
     # a residue mod p has no float value: mixing is refused
     for bad in (0.5, 1j):
         with pytest.raises(TypeError):
@@ -82,32 +150,54 @@ def test_coercion_with_floats_and_complex():
         with pytest.raises(TypeError):
             bad * a
     with pytest.raises(TypeError):
-        FpI(1.5, 0)
+        FpLanes(1.5, 0)
+    with pytest.raises(TypeError):
+        FpLanes(np.array([1.5, 2.0]))
     assert gauss_str((3, 0)) == "3" and gauss_str((0, -2)) == "-2i"
     assert gauss_str((1, -2)) == "(1-2i)"
 
 
-def test_hash_consistent_with_eq():
-    assert FpI(P + 1, -1) == FpI(1, P - 1)
-    assert hash(FpI(P + 1, -1)) == hash(FpI(1, P - 1))
-    assert FpI(3, 0) == FpI(3) and FpI(3).re == 3 and FpI(3).im == 0
-    assert len({FpI(1), FpI(1 + P), FpI(0, 1)}) == 2
+def test_equality_is_lane_by_lane_on_reduced_values():
+    assert FpLanes(P + 1, -1) == FpLanes(1, P - 1)
+    assert FpLanes(3, 0) == FpLanes(3) and FpLanes(3).reduced() == (3, 0)
+    lanes = FpLanes(np.array([1, 1 + P, 4]))
+    assert lanes == FpLanes(np.array([1, 1, 4]))
+    assert lanes != FpLanes(1) and lanes != FpLanes(np.array([1, 1, 5]))
+    # a shared value equals lanes that all hold it
+    assert FpLanes(np.array([2, 2 + P])) == 2
+    assert repr(_fp(np.array([1, 4]), 2)) == f"FpLanes([{(P + 1) // 2}, 2], [0, 0])"
+    assert repr(_fp(np.array([1, 4]), 2).lane(1)) == "FpLanes(2, 0)"
+    with pytest.raises(TypeError):
+        hash(FpLanes(1))
 
 
 def test_immutability():
-    a = FpI(1, 1)
+    a = FpLanes(1, 1)
     with pytest.raises(AttributeError):
         a.re = 2
     with pytest.raises(AttributeError):
         a.extra = 2
 
 
-def test_random_fp_draws_distinct_elements_from_low_up():
+def test_random_lanes_draws_distinct_elements_from_low_up():
     rng = random.Random(0)
-    vals = random_fp(rng, 6, 1)
-    assert len(set(vals)) == 6
-    assert all(type(v) is FpI and v.im == 0 and 1 <= v.re < P for v in vals)
-    # a small range forces redraws, and the result stays distinct
-    small = random_fp(random.Random(1), 4, P - 4)
-    assert sorted(v.re for v in small) == [P - 4, P - 3, P - 2, P - 1]
-    assert random_fp(random.Random(2), 3) == random_fp(random.Random(2), 3)
+    vals = random_lanes(rng, 5, 6, 1)
+    assert len(vals) == 6
+    for k in range(5):
+        lane = [v.lane(k) for v in vals]
+        assert all(v.reduced()[1] == 0 and 1 <= v.reduced()[0] < P for v in lane)
+        assert len({v.reduced()[0] for v in lane}) == 6
+    # a small range forces redraws, and each lane stays distinct
+    small = random_lanes(random.Random(1), 3, 4, P - 4)
+    for k in range(3):
+        assert sorted(v.lane(k).reduced()[0] for v in small) == [P - 4, P - 3, P - 2, P - 1]
+    assert random_lanes(random.Random(2), 2, 3) == random_lanes(random.Random(2), 2, 3)
+
+
+def test_lane_blocks_bound_the_lanes_of_one_evaluation():
+    block = LANES_PER_TRIAL * TRIALS_PER_BLOCK
+    assert lane_blocks(1) == [(0, LANES_PER_TRIAL)]
+    assert lane_blocks(TRIALS_PER_BLOCK) == [(0, block)]
+    assert lane_blocks(2 * TRIALS_PER_BLOCK + 1) == [
+        (0, block), (block, block), (2 * block, LANES_PER_TRIAL)]
+    assert max(n for _, n in lane_blocks(10 ** 6)) == block

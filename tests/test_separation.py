@@ -76,7 +76,7 @@ def test_misprinted_lagrange_identity_fails(monkeypatch):
         - sum(lam) * math.prod((u - l for l in lam), start=1))
     for N in (2, 3, 4):
         rep = check_lagrange_identity(N, trials=5, seed=7)
-        assert rep.status == "FAIL" and rep.witness.startswith("trial 0: u=FpI(")
+        assert rep.status == "FAIL" and rep.witness.startswith("trial 0: u=FpLanes(")
 
 
 def test_suite_shape_and_status():
