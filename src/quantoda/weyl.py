@@ -13,15 +13,42 @@ difference comes out with no terms, the identity holds over Z[i].  The
 QISM checks are therefore proofs, not randomized tests, and need no bound
 on coefficient size.
 
-u and v are central: they commute with every p_m and e^{+-q_m}, so a
-monomial e^{a.q} p^b u^i v^j is the key (a, b, (i, j)), products add the
-(i, j) pairs, and there is one polynomial type, `WeylElement`.  The Lax and
-monodromy entries are polynomials in u alone (no v powers), and `in_v()`
-swaps u and v to give the second factor of a two-parameter relation.  On
-top of this sit the 2x2 Lax matrices, the monodromy matrix, the R-matrix
-R(u - v), and exact (coefficient-wise) checks of the RLL relation,
-commutativity of the conserved quantities, the A/C exchange relation and
-the A/C recursion.
+u and v are central: they commute with every p_m and e^{+-q_m}, so there is
+one polynomial type, `WeylElement`.  A monomial e^{a.q} p^b u^i v^j over n
+sites is one Python int, its key, made of 2 + 2n fields f_k of
+W = `_FIELD_BITS` bits each, lowest first:
+
+    (f_0, f_1, ...) = (i, j, b_1 .. b_n, a_1 .. a_n),   key = sum_k f_k 2^(W k)
+
+Every field is a signed digit in [-2^(W-1), 2^(W-1)), so keys add field by
+field: the key of a product of monomials is the sum of their keys plus the
+change of p powers that re-normal-ordering makes.  `_reorder_deltas` caches
+that change as key deltas, per (n, p fields of the left factor, q fields of
+the right), and `__mul__` groups its operands' terms by those fields, so a
+pair of terms costs int additions and one Z[i] product.  Powers of p, u and
+v are nonnegative, so the key's low (2 + n) W bits are exactly those fields
+and the q fields are the key shifted down by as many bits.
+
+Python ints never overflow, so a field pushed past its range would silently
+change its neighbour.  Each element carries `bound`, at least its largest
+|field|; a product's bound is the sum of its factors' bounds, and
+construction and `__mul__` raise OverflowError before any bound reaches
+2^(W-1).  `monomials()` decodes the keys into (exp_q, pow_p, (i, j)) tuples,
+the form the constructor takes.
+
+The Lax and monodromy entries are polynomials in u alone (no v powers), and
+`in_v()` swaps u and v to give the second factor of a two-parameter
+relation.  On top of this sit the 2x2 Lax matrices, the monodromy matrix,
+the R-matrix R(u - v), and exact (coefficient-wise) checks of the RLL
+relation, commutativity of the conserved quantities, the A/C exchange
+relation and the A/C recursion.  The RLL residual is expanded over the
+tensor slots: with F[(a,i),(b,j)] = X_ab(u) X_ij(v),
+G[(a,i),(b,j)] = X_ij(v) X_ab(u) and P the flip (a,i) -> (i,a),
+
+    R(u-v) X1(u) X2(v) - X2(v) X1(u) R(u-v) = (u-v)(F - G) - i(PF - GP),
+
+so it costs 32 entry products; multiplying the 4x4 matrices takes 64 per
+product, half of them against zero entries.
 """
 
 from __future__ import annotations
@@ -39,8 +66,37 @@ Mono = Tuple[Tuple[int, ...], Tuple[int, ...], UV]  # (exp_q, pow_p, (i, j))
 
 _MINUS_ONE: Gauss = (-1, 0)
 
+_FIELD_BITS = 16
+_FIELD = 1 << _FIELD_BITS
+_FIELD_MASK = _FIELD - 1
+_UV_MASK = (1 << 2 * _FIELD_BITS) - 1
+# every field of every key lies strictly inside (-_FIELD_LIMIT, _FIELD_LIMIT)
+_FIELD_LIMIT = _FIELD >> 1
 
-@lru_cache(maxsize=4096)
+
+def _fields(key: int, count: int) -> List[int]:
+    """The lowest count signed fields of key, lowest first."""
+    out = []
+    for _ in range(count):
+        f = key & _FIELD_MASK
+        if f >= _FIELD_LIMIT:
+            f -= _FIELD
+        out.append(f)
+        key = (key - f) >> _FIELD_BITS
+    return out
+
+
+def _pack(fields) -> int:
+    return sum(f << (_FIELD_BITS * k) for k, f in enumerate(fields))
+
+
+def _guard(bound: int) -> int:
+    if bound >= _FIELD_LIMIT:
+        raise OverflowError(f"Weyl monomial exponent {bound} needs more than "
+                            f"{_FIELD_BITS} bits")
+    return bound
+
+
 def _reorder(ap: Tuple[int, ...], cq: Tuple[int, ...]):
     """p^{ap} e^{cq.q} = e^{cq.q} sum_k coef_k p^{k}, as [(k, coef_k)].
 
@@ -61,22 +117,50 @@ def _reorder(ap: Tuple[int, ...], cq: Tuple[int, ...]):
     return tuple(out)
 
 
+@lru_cache(maxsize=4096)
+def _reorder_deltas(n: int, pf: int, qf: int):
+    """`_reorder` on packed fields, as [(key delta, coef_k)].
+
+    pf is a key's p fields left in place (key & p mask), qf a key's q fields
+    shifted down; the delta lowers the p powers from pf's to k.
+    """
+    ap = _fields(pf >> 2 * _FIELD_BITS, n)
+    cq = _fields(qf, n)
+    return tuple((_pack((0, 0, *map(int.__sub__, pows, ap))), co)
+                 for pows, co in _reorder(ap, cq))
+
+
 class WeylElement:
     """Normal-ordered noncommutative polynomial over n lattice sites.
 
-    terms maps (exp_q, pow_p, (i, j)) to the coefficient of
-    e^{exp_q.q} p^{pow_p} u^i v^j.
+    terms maps the packed key of e^{a.q} p^b u^i v^j (see the module
+    docstring) to its nonzero coefficient; `monomials()` gives the same map
+    keyed by (exp_q, pow_p, (i, j)), the form the constructor takes.
+    bound is at least the largest |field| of any key.
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "terms", "bound")
 
     def __init__(self, n: int, terms: Dict[Mono, Gauss] | None = None):
         self.n = n
-        self.terms: Dict[Mono, Gauss] = {}
-        if terms:
-            for mono, c in terms.items():
-                if c[0] or c[1]:
-                    self.terms[mono] = c
+        self.terms: Dict[int, Gauss] = {}
+        bound = 0
+        for (eq, pp, uv), c in (terms or {}).items():
+            if not (c[0] or c[1]):
+                continue
+            if len(eq) != n or len(pp) != n or len(uv) != 2:
+                raise ValueError(f"monomial {(eq, pp, uv)} does not fit {n} sites")
+            if min(*pp, *uv) < 0:
+                raise ValueError(f"monomial {(eq, pp, uv)} has a negative power")
+            bound = max(bound, *map(abs, eq), *pp, *uv)
+            self.terms[_pack((*uv, *pp, *eq))] = c
+        self.bound = _guard(bound)
+
+    @classmethod
+    def _packed(cls, n: int, terms: Dict[int, Gauss], bound: int) -> "WeylElement":
+        out = cls.__new__(cls)
+        out.n, out.terms, out.bound = n, terms, bound
+        return out
 
     # -- constructors -----------------------------------------------------
 
@@ -126,24 +210,21 @@ class WeylElement:
     def __add__(self, other: "WeylElement") -> "WeylElement":
         self._check(other)
         terms = dict(self.terms)
-        for mono, (br, bi) in other.terms.items():
-            old = terms.get(mono)
+        for key, (br, bi) in other.terms.items():
+            old = terms.get(key)
             if old is None:
-                terms[mono] = (br, bi)
+                terms[key] = (br, bi)
                 continue
             s = (old[0] + br, old[1] + bi)
             if s[0] or s[1]:
-                terms[mono] = s
+                terms[key] = s
             else:
-                del terms[mono]
-        out = WeylElement(self.n)
-        out.terms = terms
-        return out
+                del terms[key]
+        return WeylElement._packed(self.n, terms, max(self.bound, other.bound))
 
     def __neg__(self) -> "WeylElement":
-        out = WeylElement(self.n)
-        out.terms = {m: (-c[0], -c[1]) for m, c in self.terms.items()}
-        return out
+        terms = {k: (-c[0], -c[1]) for k, c in self.terms.items()}
+        return WeylElement._packed(self.n, terms, self.bound)
 
     def __sub__(self, other: "WeylElement") -> "WeylElement":
         return self + (-other)
@@ -151,56 +232,73 @@ class WeylElement:
     def scale(self, c) -> "WeylElement":
         """Multiply by the scalar c, an int or an (re, im) pair in Z[i]."""
         c = as_gauss(c)
-        out = WeylElement(self.n)
+        terms = {}
         if c[0] or c[1]:
-            out.terms = {m: gauss_mul(cc, c) for m, cc in self.terms.items()}
-        return out
+            terms = {k: gauss_mul(cc, c) for k, cc in self.terms.items()}
+        return WeylElement._packed(self.n, terms, self.bound)
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         self._check(other)
-        acc: Dict[Mono, Gauss] = {}
+        n = self.n
+        bound = _guard(self.bound + other.bound)
+        pmask = ((1 << n * _FIELD_BITS) - 1) << 2 * _FIELD_BITS
+        qshift = (n + 2) * _FIELD_BITS
+        by_p: Dict[int, list] = {}
+        for item in self.terms.items():
+            by_p.setdefault(item[0] & pmask, []).append(item)
+        by_q: Dict[int, list] = {}
+        for item in other.terms.items():
+            by_q.setdefault(item[0] >> qshift, []).append(item)
+        acc: Dict[int, Gauss] = {}
         get = acc.get
-        for (aq, ap, (au, av)), (ar, ai) in self.terms.items():
-            for (cq, cp, (cu, cv)), (br, bi) in other.terms.items():
-                r0 = ar * br - ai * bi
-                i0 = ar * bi + ai * br
-                new_q = tuple(map(add, aq, cq))
-                uv = (au + cu, av + cv)
+        for pf, left in by_p.items():
+            for qf, right in by_q.items():
                 # push p^{ap} through e^{cq.q}; u and v are central
-                for pows, (er, ei) in _reorder(ap, cq):
-                    mono = (new_q, tuple(map(add, pows, cp)), uv)
-                    cr = r0 * er - i0 * ei
-                    ci = r0 * ei + i0 * er
-                    old = get(mono)
-                    if old is None:
-                        acc[mono] = (cr, ci)
-                        continue
-                    cr += old[0]
-                    ci += old[1]
-                    if cr or ci:
-                        acc[mono] = (cr, ci)
-                    else:
-                        del acc[mono]
-        out = WeylElement(self.n)
-        out.terms = acc
-        return out
+                for delta, (er, ei) in _reorder_deltas(n, pf, qf):
+                    for ka, (ar, ai) in left:
+                        k0 = ka + delta
+                        r0 = ar * er - ai * ei
+                        i0 = ar * ei + ai * er
+                        for kb, (br, bi) in right:
+                            key = k0 + kb
+                            cr = r0 * br - i0 * bi
+                            ci = r0 * bi + i0 * br
+                            old = get(key)
+                            if old is None:
+                                acc[key] = (cr, ci)
+                                continue
+                            cr += old[0]
+                            ci += old[1]
+                            if cr or ci:
+                                acc[key] = (cr, ci)
+                            else:
+                                del acc[key]
+        return WeylElement._packed(n, acc, bound)
 
     # -- spectral parameters ----------------------------------------------
 
     def coeff(self, k: int) -> "WeylElement":
         """The operator coefficient of u^k v^0."""
-        out = WeylElement(self.n)
-        out.terms = {(eq, pp, (0, 0)): c for (eq, pp, uv), c in self.terms.items()
-                     if uv == (k, 0)}
-        return out
+        terms = {key - k: c for key, c in self.terms.items() if key & _UV_MASK == k}
+        return WeylElement._packed(self.n, terms, self.bound)
 
     def in_v(self) -> "WeylElement":
         """The substitution u <-> v, a ring automorphism."""
-        out = WeylElement(self.n)
-        out.terms = {(eq, pp, (j, i)): c for (eq, pp, (i, j)), c in self.terms.items()}
-        return out
+        terms = {}
+        for key, c in self.terms.items():
+            uv = key & _UV_MASK
+            terms[key - uv + (uv >> _FIELD_BITS) + ((uv & _FIELD_MASK) << _FIELD_BITS)] = c
+        return WeylElement._packed(self.n, terms, self.bound)
 
     # -- predicates & display ---------------------------------------------
+
+    def monomials(self) -> Dict[Mono, Gauss]:
+        """terms keyed by (exp_q, pow_p, (i, j)) in place of packed keys."""
+        out = {}
+        for key, c in self.terms.items():
+            f = _fields(key, 2 + 2 * self.n)
+            out[(tuple(f[2 + self.n:]), tuple(f[2:2 + self.n]), (f[0], f[1]))] = c
+        return out
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -217,7 +315,7 @@ class WeylElement:
         if not self.terms:
             return "0"
         parts = []
-        for (eq, pp, uv), c in sorted(self.terms.items()):
+        for (eq, pp, uv), c in sorted(self.monomials().items()):
             bits = [f"({gauss_str(c)})"]
             for k, a in enumerate(eq):
                 if a:
@@ -265,12 +363,6 @@ class OperatorPolyMatrix:
         cols = list(zip(*other.entries))
         return OperatorPolyMatrix([[reduce(add, map(mul, row, col)) for col in cols]
                                    for row in self.entries])
-
-    def __sub__(self, other: "OperatorPolyMatrix") -> "OperatorPolyMatrix":
-        r, c = self.shape
-        return OperatorPolyMatrix(
-            [[self.entries[i][j] - other.entries[i][j] for j in range(c)] for i in range(r)]
-        )
 
 
 def lax_matrix(m: int, N: int) -> OperatorPolyMatrix:
@@ -343,16 +435,26 @@ def integrals_of_motion(N: int):
 # ---------------------------------------------------------------------------
 
 
-def _kron_uv(M: OperatorPolyMatrix, side: str) -> OperatorPolyMatrix:
-    """Embed a 2x2 matrix into 4x4: side 'left' gives M (x) I, else I (x) M."""
-    zero = WeylElement.zero(M[0, 0].n)
+def _rll_residual(X: OperatorPolyMatrix, n: int) -> OperatorPolyMatrix:
+    """R(u-v) X1(u) X2(v) - X2(v) X1(u) R(u-v), X1 = X (x) I, X2 = I (x) X.
 
-    def entry(a, i, b, j):
-        if side == "left":
-            return M[a, b] if i == j else zero
-        return M[i, j] if a == b else zero
-
-    return OperatorPolyMatrix([[entry(*r, *c) for c in _SLOTS] for r in _SLOTS])
+    With R = (u-v)I - iP, X1 X2 = F and X2 X1 = G, where
+    F[(a,i),(b,j)] = X_ab(u) X_ij(v) and G[(a,i),(b,j)] = X_ij(v) X_ab(u),
+    so entry (r, c) is (u-v)(F - G)[r,c] - i(F[Pr,c] - G[r,Pc]), P swapping
+    the two slot indices.
+    """
+    Xv = [[e.in_v() for e in row] for row in X.entries]
+    F, G = {}, {}
+    for r in _SLOTS:
+        for c in _SLOTS:
+            xu, xv = X[r[0], c[0]], Xv[r[1]][c[1]]
+            F[r, c] = xu * xv
+            G[r, c] = xv * xu
+    umv = WeylElement.scalar(n, {(1, 0): ONE, (0, 1): _MINUS_ONE})
+    return OperatorPolyMatrix([
+        [umv * (F[r, c] - G[r, c]) + (F[r[::-1], c] - G[r, c[::-1]]).scale(MINUS_I)
+         for c in _SLOTS]
+        for r in _SLOTS])
 
 
 def _first_failure(D: OperatorPolyMatrix):
@@ -378,13 +480,7 @@ def check_rll(scope: str, n: int) -> VerificationReport:
         relation = f"rll-global-N{n}"
     else:
         raise ValueError(f"unknown scope {scope!r}")
-    R = r_matrix(n)
-    X1 = _kron_uv(X, "left")
-    X2 = _kron_uv(OperatorPolyMatrix([[e.in_v() for e in row] for row in X.entries]),
-                  "right")
-    lhs = R @ X1 @ X2
-    rhs = X2 @ X1 @ R
-    fail = _first_failure(lhs - rhs)
+    fail = _first_failure(_rll_residual(X, n))
     return VerificationReport(
         suite="qism", n=n, relation=relation,
         status="PASS" if fail is None else "FAIL", witness=fail,

@@ -37,10 +37,10 @@ def _line(num, ok, detail):
 
 def test_criterion_01_qism_exact_suite():
     t0 = time.monotonic()
-    statuses = [combine(qism_suite(N)) for N in (2, 3, 4)]
+    statuses = [combine(qism_suite(N)) for N in (2, 3, 4, 5)]
     dt = time.monotonic() - t0
-    ok = statuses == ["PASS"] * 3 and dt < 60.0
-    _line(1, ok, f"exact Lax/monodromy identities N=2,3,4 all "
+    ok = statuses == ["PASS"] * 4 and dt < 60.0
+    _line(1, ok, f"exact Lax/monodromy identities N=2,3,4,5 all "
                  f"{statuses}, {dt:.1f}s (< 60s)")
 
 

@@ -1,8 +1,12 @@
 import random
+from operator import add
+
+import pytest
 
 from quantoda import weyl
+from quantoda.rationals import gauss_mul
 from quantoda.report import combine
-from quantoda.weyl import (WeylElement, check_commutativity,
+from quantoda.weyl import (OperatorPolyMatrix, WeylElement, check_commutativity,
                            check_recursion, check_rll, extract_ABCD,
                            integrals_of_motion, lax_matrix, monodromy,
                            qism_suite, r_matrix)
@@ -52,8 +56,9 @@ def test_lax_matrix_entries():
     assert L[1, 0] == WeylElement.exp_q(1, 1, -1)
     assert L[1, 1].is_zero()
     # entries are polynomials in u alone
-    assert all(j == 0 for row in L.entries for e in row for _, _, (_, j) in e.terms)
-    assert any(i == 1 for _, _, (i, _) in L[0, 0].terms)
+    assert all(j == 0 for row in L.entries for e in row
+               for _, _, (_, j) in e.monomials())
+    assert any(i == 1 for _, _, (i, _) in L[0, 0].monomials())
 
 
 def test_r_matrix_flip_structure():
@@ -92,7 +97,8 @@ def test_in_v_is_a_ring_homomorphism():
     w = WeylElement.p(1, 1)
     P = WeylElement(1, {((0,), (1,), (2, 0)): (1, 0), ((0,), (1,), (0, 1)): (3, 0)})
     assert P == WeylElement.scalar(1, {(2, 0): 1, (0, 1): 3}) * w
-    assert P.in_v().terms == {((0,), (1,), (0, 2)): (1, 0), ((0,), (1,), (1, 0)): (3, 0)}
+    assert P.in_v().monomials() == {((0,), (1,), (0, 2)): (1, 0),
+                                    ((0,), (1,), (1, 0)): (3, 0)}
     assert P.coeff(2) == w and P.coeff(0).is_zero() and P.coeff(5).is_zero()
 
 
@@ -103,11 +109,12 @@ def test_u_and_v_are_central():
         gens = [WeylElement.p(n, m) for m in range(1, n + 1)]
         gens += [WeylElement.exp_q(n, m, a) for m in range(1, n + 1) for a in (-1, 1)]
         for z in (u, u.in_v()):
-            (zuv,) = (uv for _, _, uv in z.terms)
+            (zuv,) = (uv for _, _, uv in z.monomials())
             for g in gens:
                 assert z * g == g * z
                 # the product only raises the u or v power of g's monomial
-                assert (z * g).terms == {(q, pp, zuv): c for (q, pp, _), c in g.terms.items()}
+                assert (z * g).monomials() == {(q, pp, zuv): c
+                                               for (q, pp, _), c in g.monomials().items()}
         for _ in range(20):
             x = _random_uv(rng, n)
             for z in (u, u.in_v()):
@@ -145,6 +152,96 @@ def test_total_momentum_and_energy_coefficients():
 def test_rll_local_and_global_exact():
     assert check_rll("local", 2).passed
     assert check_rll("global", 2).passed
+
+
+_TENSOR_SLOTS = [(a, i) for a in (0, 1) for i in (0, 1)]
+
+
+def _kron(M, left):
+    """M (x) I if left, else I (x) M; tensor slot (a, i) is row/column 2a + i."""
+    zero = WeylElement.zero(M[0, 0].n)
+    return OperatorPolyMatrix([
+        [(M[a, b] if i == j else zero) if left else (M[i, j] if a == b else zero)
+         for b, j in _TENSOR_SLOTS]
+        for a, i in _TENSOR_SLOTS])
+
+
+def _rll_by_definition(X, N):
+    """R(u-v) (X (x) I)(I (x) X(v)) - (I (x) X(v))(X (x) I) R(u-v) by 4x4 products."""
+    R = r_matrix(N)
+    X1 = _kron(X, True)
+    X2 = _kron(OperatorPolyMatrix([[e.in_v() for e in row] for row in X.entries]), False)
+    lhs, rhs = R @ X1 @ X2, X2 @ X1 @ R
+    return [[lhs[r, c] - rhs[r, c] for c in range(4)] for r in range(4)]
+
+
+def test_rll_residual_matches_the_definition(monkeypatch):
+    for N in (1, 2, 3, 4):
+        T = monodromy(N)
+        A, B, C, D = extract_ABCD(T)
+        perturbed = OperatorPolyMatrix([[A, B + WeylElement.p(N, 1)], [C, D]])
+        want_t, want_p = _rll_by_definition(T, N), _rll_by_definition(perturbed, N)
+        for X, want in ((T, want_t), (perturbed, want_p)):
+            got = weyl._rll_residual(X, N)
+            assert all(got[r, c] == want[r][c] for r in range(4) for c in range(4))
+        assert all(e.is_zero() for row in want_t for e in row)
+        r, c = next((r, c) for r in range(4) for c in range(4) if not want_p[r][c].is_zero())
+        with monkeypatch.context() as m:
+            m.setattr(weyl, "monodromy", lambda n, upto=None: perturbed)
+            report = check_rll("global", N)
+        assert report.status == "FAIL" and report.witness == f"entry ({r + 1},{c + 1})"
+
+
+def _reference_product(x, y):
+    """x * y on (exp_q, pow_p, (i, j)) tuples, term pair by term pair."""
+    acc = {}
+    for (aq, ap, (au, av)), a in x.monomials().items():
+        for (cq, cp, (cu, cv)), b in y.monomials().items():
+            ab = gauss_mul(a, b)
+            for pows, e in weyl._reorder(ap, cq):
+                mono = (tuple(map(add, aq, cq)), tuple(map(add, pows, cp)),
+                        (au + cu, av + cv))
+                re, im = gauss_mul(ab, e)
+                old = acc.get(mono, (0, 0))
+                acc[mono] = (old[0] + re, old[1] + im)
+    return WeylElement(x.n, acc)
+
+
+def _random_monomials(rng, n):
+    return {(tuple(rng.randint(-3, 3) for _ in range(n)),
+             tuple(rng.choice((0, 0, 1, 2, 3, 4)) for _ in range(n)),
+             (rng.randint(0, 3), rng.randint(0, 3))): (rng.randint(-5, 5), rng.randint(-5, 5))
+            for _ in range(rng.randint(1, 3))}
+
+
+def test_packed_product_matches_the_tuple_reference():
+    rng = random.Random(23)
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        xs, ys = _random_monomials(rng, n), _random_monomials(rng, n)
+        x, y = WeylElement(n, xs), WeylElement(n, ys)
+        assert x.monomials() == {m: c for m, c in xs.items() if c != (0, 0)}
+        assert x * y == _reference_product(x, y)
+
+
+def test_a_field_past_its_width_raises():
+    lim = weyl._FIELD_LIMIT
+    top = WeylElement.exp_q(2, 2, lim - 1)
+    assert top.monomials() == {((0, lim - 1), (0, 0), (0, 0)): (1, 0)}
+    assert WeylElement.exp_q(2, 2, 1 - lim).monomials() == {((0, 1 - lim), (0, 0), (0, 0)): (1, 0)}
+    for build in (lambda: WeylElement.exp_q(1, 1, lim), lambda: WeylElement.exp_q(1, 1, -lim),
+                  lambda: WeylElement(2, {((0, 0), (lim, 0), (0, 0)): (1, 0)}),
+                  lambda: WeylElement.scalar(1, {(0, lim): 1})):
+        with pytest.raises(OverflowError):
+            build()
+    half = WeylElement.exp_q(2, 2, lim // 2)
+    # the largest sum that fits decodes to itself; one more raises
+    assert (half * WeylElement.exp_q(2, 2, lim // 2 - 1)).monomials() == top.monomials()
+    with pytest.raises(OverflowError):
+        half * half
+    p_half = WeylElement(1, {((0,), (lim // 2,), (0, 0)): (1, 0)})
+    with pytest.raises(OverflowError):
+        p_half * p_half
 
 
 def test_commutativity_and_recursion_n3():
@@ -194,8 +291,8 @@ def test_swapped_exchange_order_fails(monkeypatch):
 
     # at N=1 it misses by -2i (u-v) e^{-q}
     A, _, C, _ = extract_ABCD(monodromy(1))
-    assert swapped(C, A, 1).terms == {((-1,), (0,), (1, 0)): (0, -2),
-                                      ((-1,), (0,), (0, 1)): (0, 2)}
+    assert swapped(C, A, 1).monomials() == {((-1,), (0,), (1, 0)): (0, -2),
+                                            ((-1,), (0,), (0, 1)): (0, 2)}
     monkeypatch.setattr(weyl, "_exchange_residual", swapped)
     for n in (1, 2, 3):
         st = _statuses(weyl.qism_suite(n))
