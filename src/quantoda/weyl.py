@@ -38,17 +38,27 @@ the form the constructor takes.
 
 The Lax and monodromy entries are polynomials in u alone (no v powers), and
 `in_v()` swaps u and v to give the second factor of a two-parameter
-relation.  On top of this sit the 2x2 Lax matrices, the monodromy matrix,
-the R-matrix R(u - v), and exact (coefficient-wise) checks of the RLL
-relation, commutativity of the conserved quantities, the A/C exchange
-relation and the A/C recursion.  The RLL residual is expanded over the
-tensor slots: with F[(a,i),(b,j)] = X_ab(u) X_ij(v),
-G[(a,i),(b,j)] = X_ij(v) X_ab(u) and P the flip (a,i) -> (i,a),
+relation.  On top of this sit the 2x2 Lax matrices L_m, the monodromy
+T_N = L_N ... L_1 = [[A, B], [C, D]], the R-matrix R(u - v), and
+`qism_suite`'s exact (coefficient-wise) checks, all read off the 32 slot
+products of one 2x2 X: F[(a,i),(b,j)] = X_ab(u) X_ij(v) and
+G[(a,i),(b,j)] = X_ij(v) X_ab(u).  With P the flip (a,i) -> (i,a),
 
     R(u-v) X1(u) X2(v) - X2(v) X1(u) R(u-v) = (u-v)(F - G) - i(PF - GP),
 
-so it costs 32 entry products; multiplying the 4x4 matrices takes 64 per
-product, half of them against zero entries.
+with no 4x4 products.  X = L_N gives rll-local; X = T_N gives rll-global
+and, with K = F - G, every relation but the recursion:
+
+    commute-X    [A(u), A(v)] = K[(0,0),(0,0)]
+    commute-t    [t(u), t(v)] = sum_s K[s,s],  t = A + D
+    commute-B    [B(u), B(v)] = K[(0,0),(1,1)]
+    commute-C    [C(u), C(v)] = K[(1,1),(0,0)]
+    exchange-AC  (u-v+i) F[(1,0),(0,0)] - (u-v) G[(1,0),(0,0)] - i G[(0,1),(0,0)]
+
+For Z(u) = sum_m Z_m u^{N-m}, the u^{N-a} v^{N-b} coefficient of
+[Z(u), Z(v)] is [Z_a, Z_b], so the commute-X/t witness is the first pair
+a < b whose coefficient is nonzero.  recursion-A/C peel site N off T_N
+against T_{N-1}: a suite builds each of them once.
 """
 
 from __future__ import annotations
@@ -207,27 +217,30 @@ class WeylElement:
         if self.n != other.n:
             raise ValueError("site count mismatch")
 
-    def __add__(self, other: "WeylElement") -> "WeylElement":
+    def _combine(self, other: "WeylElement", sign: int) -> "WeylElement":
+        """self + sign * other in one pass over other's terms, sign = +-1."""
         self._check(other)
         terms = dict(self.terms)
         for key, (br, bi) in other.terms.items():
             old = terms.get(key)
             if old is None:
-                terms[key] = (br, bi)
+                terms[key] = (sign * br, sign * bi)
                 continue
-            s = (old[0] + br, old[1] + bi)
+            s = (old[0] + sign * br, old[1] + sign * bi)
             if s[0] or s[1]:
                 terms[key] = s
             else:
                 del terms[key]
         return WeylElement._packed(self.n, terms, max(self.bound, other.bound))
 
-    def __neg__(self) -> "WeylElement":
-        terms = {k: (-c[0], -c[1]) for k, c in self.terms.items()}
-        return WeylElement._packed(self.n, terms, self.bound)
+    def __add__(self, other: "WeylElement") -> "WeylElement":
+        return self._combine(other, 1)
 
     def __sub__(self, other: "WeylElement") -> "WeylElement":
-        return self + (-other)
+        return self._combine(other, -1)
+
+    def __neg__(self) -> "WeylElement":
+        return WeylElement.zero(self.n)._combine(self, -1)
 
     def scale(self, c) -> "WeylElement":
         """Multiply by the scalar c, an int or an (re, im) pair in Z[i]."""
@@ -380,20 +393,21 @@ def lax_matrix(m: int, N: int) -> OperatorPolyMatrix:
 _SLOTS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
+def _u_minus_v(n: int, shift: Gauss = (0, 0)) -> WeylElement:
+    """The scalar u - v + shift."""
+    return WeylElement.scalar(n, {(1, 0): ONE, (0, 1): _MINUS_ONE, (0, 0): shift})
+
+
 def r_matrix(N: int = 1) -> OperatorPolyMatrix:
     """4x4 R(u - v) = (u - v)I - iP over scalar coefficients, P the flip.
 
     P[(a,i),(b,j)] = delta_{aj} delta_{ib}.
     """
-    def entry(a, i, b, j):
-        terms: Dict[UV, Gauss] = {}
-        if (a, i) == (b, j):
-            terms.update({(1, 0): ONE, (0, 1): _MINUS_ONE})
-        if (a, i) == (j, b):
-            terms[(0, 0)] = MINUS_I
-        return WeylElement.scalar(N, terms)
+    def entry(r, c):
+        shift = MINUS_I if r[::-1] == c else (0, 0)
+        return _u_minus_v(N, shift) if r == c else WeylElement.constant(N, shift)
 
-    return OperatorPolyMatrix([[entry(*r, *c) for c in _SLOTS] for r in _SLOTS])
+    return OperatorPolyMatrix([[entry(r, c) for c in _SLOTS] for r in _SLOTS])
 
 
 def monodromy(N: int, upto: int | None = None) -> OperatorPolyMatrix:
@@ -418,31 +432,13 @@ def extract_ABCD(T: OperatorPolyMatrix):
     return T[0, 0], T[0, 1], T[1, 0], T[1, 1]
 
 
-def integrals_of_motion(N: int):
-    """Operator coefficients X_m (from A_N) and Y_m (from D_N).
-
-    A_N(u) = u^N + sum_m X_m u^{N-m},  D_N(u) = sum_{m=2}^N Y_m u^{N-m}.
-    Returns (X, Y) as lists indexed from m=1 and m=2 respectively.
-    """
-    A, _, _, D = extract_ABCD(monodromy(N))
-    X = [A.coeff(N - m) for m in range(1, N + 1)]
-    Y = [D.coeff(N - m) for m in range(2, N + 1)]
-    return X, Y
-
-
 # ---------------------------------------------------------------------------
 # Exact relation checks
 # ---------------------------------------------------------------------------
 
 
-def _rll_residual(X: OperatorPolyMatrix, n: int) -> OperatorPolyMatrix:
-    """R(u-v) X1(u) X2(v) - X2(v) X1(u) R(u-v), X1 = X (x) I, X2 = I (x) X.
-
-    With R = (u-v)I - iP, X1 X2 = F and X2 X1 = G, where
-    F[(a,i),(b,j)] = X_ab(u) X_ij(v) and G[(a,i),(b,j)] = X_ij(v) X_ab(u),
-    so entry (r, c) is (u-v)(F - G)[r,c] - i(F[Pr,c] - G[r,Pc]), P swapping
-    the two slot indices.
-    """
+def _slot_products(X: OperatorPolyMatrix):
+    """(F, G): F[(a,i),(b,j)] = X_ab(u) X_ij(v), G[(a,i),(b,j)] = X_ij(v) X_ab(u)."""
     Xv = [[e.in_v() for e in row] for row in X.entries]
     F, G = {}, {}
     for r in _SLOTS:
@@ -450,7 +446,13 @@ def _rll_residual(X: OperatorPolyMatrix, n: int) -> OperatorPolyMatrix:
             xu, xv = X[r[0], c[0]], Xv[r[1]][c[1]]
             F[r, c] = xu * xv
             G[r, c] = xv * xu
-    umv = WeylElement.scalar(n, {(1, 0): ONE, (0, 1): _MINUS_ONE})
+    return F, G
+
+
+def _rll_residual(F, G, n: int) -> OperatorPolyMatrix:
+    """R(u-v) X1(u) X2(v) - X2(v) X1(u) R(u-v) from `_slot_products(X)`:
+    entry (r, c) is (u-v)(F - G)[r,c] - i(F[Pr,c] - G[r,Pc])."""
+    umv = _u_minus_v(n)
     return OperatorPolyMatrix([
         [umv * (F[r, c] - G[r, c]) + (F[r[::-1], c] - G[r, c[::-1]]).scale(MINUS_I)
          for c in _SLOTS]
@@ -458,101 +460,32 @@ def _rll_residual(X: OperatorPolyMatrix, n: int) -> OperatorPolyMatrix:
 
 
 def _first_failure(D: OperatorPolyMatrix):
-    r, c = D.shape
-    for i in range(r):
-        for j in range(c):
-            if not D.entries[i][j].is_zero():
-                return f"entry ({i + 1},{j + 1})"
-    return None
+    return next((f"entry ({i + 1},{j + 1})" for i, row in enumerate(D.entries)
+                 for j, e in enumerate(row) if not e.is_zero()), None)
 
 
-def check_rll(scope: str, n: int) -> VerificationReport:
-    """Exact check of R(u-v) X1(u) X2(v) = X2(v) X1(u) R(u-v).
+def _first_pair(diff: WeylElement, N: int):
+    """First (a, b), a < b, with a nonzero u^{N-a} v^{N-b} coefficient of diff."""
+    uv = {key & _UV_MASK for key in diff.terms}
+    return next((f"pair ({a},{b})" for a in range(1, N + 1) for b in range(a + 1, N + 1)
+                 if N - a + ((N - b) << _FIELD_BITS) in uv), None)
 
-    scope "local" checks X = L_n in a single-relevant-site algebra;
-    "global" checks X = T_n.
+
+def _exchange_residual(F, G, N: int) -> WeylElement:
+    """(u-v+i) C(u) A(v) - (u-v) A(v) C(u) - i C(v) A(u) from `_slot_products(T)`.
+
+    The commonly quoted form with A and C in the opposite order fails the
+    exact N=1 computation by -2i(u-v) e^{-q}; this ordering is the one the
+    RLL relation implies.
     """
-    if scope == "local":
-        X = lax_matrix(n, n)
-        relation = f"rll-local-m{n}"
-    elif scope == "global":
-        X = monodromy(n)
-        relation = f"rll-global-N{n}"
-    else:
-        raise ValueError(f"unknown scope {scope!r}")
-    fail = _first_failure(_rll_residual(X, n))
-    return VerificationReport(
-        suite="qism", n=n, relation=relation,
-        status="PASS" if fail is None else "FAIL", witness=fail,
-    )
-
-
-def _exchange_residual(first: WeylElement, second: WeylElement,
-                       N: int) -> WeylElement:
-    """(u-v+i) F(u) S(v) - (u-v) S(v) F(u) - i F(v) S(u), F = first, S = second.
-
-    exchange-AC is the vanishing of this for F = C, S = A:
-    (u-v+i) C(u) A(v) = (u-v) A(v) C(u) + i C(v) A(u).  The commonly quoted
-    form with A and C in the opposite order fails the exact N=1 computation
-    by -2i(u-v) e^{-q}; this ordering is the one the RLL relation implies.
-    """
-    Fu, Fv = first, first.in_v()
-    Su, Sv = second, second.in_v()
-    umv = WeylElement.scalar(N, {(1, 0): ONE, (0, 1): _MINUS_ONE})
-    umvpi = WeylElement.scalar(N, {(1, 0): ONE, (0, 1): _MINUS_ONE, (0, 0): I})
-    ei = WeylElement.scalar(N, {(0, 0): I})
-    return umvpi * (Fu * Sv) - umv * (Sv * Fu) - ei * (Fv * Su)
-
-
-def check_commutativity(N: int) -> List[VerificationReport]:
-    """[X_m, X_k] = 0, [t_m, t_k] = 0, and the A/C exchange identities."""
-    X, Y = integrals_of_motion(N)
-    reports = []
-
-    def commute_family(name, ops):
-        for a in range(len(ops)):
-            for b in range(a + 1, len(ops)):
-                if not (ops[a] * ops[b] - ops[b] * ops[a]).is_zero():
-                    return VerificationReport(
-                        suite="qism", n=N, relation=name, status="FAIL",
-                        witness=f"pair ({a + 1},{b + 1})",
-                    )
-        return VerificationReport(suite="qism", n=N, relation=name, status="PASS")
-
-    reports.append(commute_family("commute-X", X))
-    t_coeffs = list(X)
-    for m, y in enumerate(Y, start=2):
-        t_coeffs[m - 1] = t_coeffs[m - 1] + y
-    reports.append(commute_family("commute-t", t_coeffs))
-
-    A, B, C, _ = extract_ABCD(monodromy(N))
-    Bu, Bv = B, B.in_v()
-    Cu, Cv = C, C.in_v()
-    checks = [
-        ("commute-B", Bu * Bv - Bv * Bu),
-        ("commute-C", Cu * Cv - Cv * Cu),
-        ("exchange-AC", _exchange_residual(C, A, N)),
-    ]
-    for name, diff in checks:
-        reports.append(VerificationReport(
-            suite="qism", n=N, relation=name,
-            status="PASS" if diff.is_zero() else "FAIL",
-        ))
-    return reports
+    ca = ((1, 0), (0, 0))
+    return (_u_minus_v(N, I) * F[ca] - _u_minus_v(N) * G[ca]
+            - G[(0, 1), (0, 0)].scale(I))
 
 
 def _peel_site(N: int, A_p: WeylElement,
                C_p: WeylElement) -> Tuple[WeylElement, WeylElement]:
-    """(A_N, C_N) from the partial entries (A_{N-1}, C_{N-1}) and L_N."""
-    u = WeylElement.u(N)
-    pN = WeylElement.p(N, N)
-    eqN = WeylElement.exp_q(N, N, 1)
-    emqN = WeylElement.exp_q(N, N, -1)
-    return (u - pN) * A_p - eqN * C_p, emqN * A_p
-
-
-def check_recursion(N: int) -> List[VerificationReport]:
-    """Exact check of the one-site peeling of the monodromy entries:
+    """(A_N, C_N) from the partial entries (A_{N-1}, C_{N-1}) and L_N:
 
         A_N(u) = (u - p_N) A_{N-1}(u) - e^{q_N} C_{N-1}(u)
         C_N(u) = e^{-q_N} A_{N-1}(u)
@@ -561,25 +494,44 @@ def check_recursion(N: int) -> List[VerificationReport]:
     formula's e^{-x_N} does not reproduce the exact N=2 product and is read
     as a misprint.
     """
-    if N < 2:
-        return [VerificationReport(suite="qism", n=N, relation="recursion", status="PASS",
-                                   witness="vacuous for N=1")]
-    A_N, _, C_N, _ = extract_ABCD(monodromy(N))
-    A_p, _, C_p, _ = extract_ABCD(monodromy(N, upto=N - 1))
-    want_A, want_C = _peel_site(N, A_p, C_p)
-    ok_A = A_N == want_A
-    ok_C = C_N == want_C
-    return [
-        VerificationReport(suite="qism", n=N, relation="recursion-A",
-                           status="PASS" if ok_A else "FAIL"),
-        VerificationReport(suite="qism", n=N, relation="recursion-C",
-                           status="PASS" if ok_C else "FAIL"),
-    ]
+    u = WeylElement.u(N)
+    pN = WeylElement.p(N, N)
+    eqN = WeylElement.exp_q(N, N, 1)
+    emqN = WeylElement.exp_q(N, N, -1)
+    return (u - pN) * A_p - eqN * C_p, emqN * A_p
 
 
 def qism_suite(N: int) -> List[VerificationReport]:
-    """All exact QISM checks for lattice size N."""
-    reports = [check_rll("local", N), check_rll("global", N)]
-    reports += check_commutativity(N)
-    reports += check_recursion(N)
+    """All exact QISM checks for lattice size N (see the module docstring)."""
+    reports = []
+
+    def report(relation, failed, witness=None):
+        reports.append(VerificationReport(suite="qism", n=N, relation=relation,
+                                          status="FAIL" if failed else "PASS",
+                                          witness=witness))
+
+    T = monodromy(N)
+    F, G = _slot_products(T)
+
+    def comm(r, c):
+        return F[r, c] - G[r, c]
+
+    a, d = (0, 0), (1, 1)
+    for relation, witness in (
+            (f"rll-local-m{N}",
+             _first_failure(_rll_residual(*_slot_products(lax_matrix(N, N)), N))),
+            (f"rll-global-N{N}", _first_failure(_rll_residual(F, G, N))),
+            ("commute-X", _first_pair(comm(a, a), N)),
+            ("commute-t", _first_pair(reduce(add, (comm(s, s) for s in _SLOTS)), N))):
+        report(relation, witness is not None, witness)
+    report("commute-B", not comm(a, d).is_zero())
+    report("commute-C", not comm(d, a).is_zero())
+    report("exchange-AC", not _exchange_residual(F, G, N).is_zero())
+    if N < 2:
+        report("recursion", False, "vacuous for N=1")
+    else:
+        A_p, _, C_p, _ = extract_ABCD(monodromy(N, upto=N - 1))
+        want_A, want_C = _peel_site(N, A_p, C_p)
+        report("recursion-A", T[0, 0] != want_A)
+        report("recursion-C", T[1, 0] != want_C)
     return reports

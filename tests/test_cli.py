@@ -1,6 +1,7 @@
 import cmath
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -97,6 +98,24 @@ def test_verify_report_schema_and_exit():
         assert set(rep) == {"suite", "n", "relation", "status",
                            "residual", "tolerance", "seed", "witness"}
         assert rep["status"] == "PASS"
+
+
+# sha256 of `verify qism --n k` stdout: the exact suite prints no floats, so
+# these bytes hold on every platform and change only with a report
+_QISM_STDOUT_SHA256 = {
+    1: "907749cc9b2aa4ff906ca2393aec5cffd4597fe10458edb5d125a243d8c9f0d7",
+    2: "ee36898ef04983bc7b12fb970d1e499bfbf871cabc4ffeb48a5b2fc59715f6e2",
+    3: "fd42ac90c9e6960e9c034d93cd63cc8ca829f3e1ab44cf4eaee2abc67f8ca5c7",
+    4: "c6f9bf3c11ac1e4a88a357edf9d1b197cbfe875d7844a338498f47a7b31d3ce2",
+    5: "cda5d3ff67d5c64e22c0ea2b751e3a8e9be12a3c67e6baa217247e8ddfa89e73",
+}
+
+
+@pytest.mark.parametrize("n", sorted(_QISM_STDOUT_SHA256))
+def test_verify_qism_stdout_bytes_are_pinned(n):
+    code, text = _run(["verify", "qism", "--n", str(n)])
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == _QISM_STDOUT_SHA256[n]
 
 
 def test_verify_deterministic_output():

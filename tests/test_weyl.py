@@ -6,10 +6,8 @@ import pytest
 from quantoda import weyl
 from quantoda.rationals import gauss_mul
 from quantoda.report import combine
-from quantoda.weyl import (OperatorPolyMatrix, WeylElement, check_commutativity,
-                           check_recursion, check_rll, extract_ABCD,
-                           integrals_of_motion, lax_matrix, monodromy,
-                           qism_suite, r_matrix)
+from quantoda.weyl import (OperatorPolyMatrix, WeylElement, extract_ABCD,
+                           lax_matrix, monodromy, qism_suite, r_matrix)
 
 
 def test_reordering_rule():
@@ -140,18 +138,24 @@ def test_monodromy_n2_a_entry():
 
 
 def test_total_momentum_and_energy_coefficients():
-    # X_1 = -(p1 + ... + pN) is the u^{N-1} coefficient of A_N
-    X, Y = integrals_of_motion(3)
+    # X_1 = -(p1 + ... + pN) is the u^{N-1} coefficient of A_N;
+    # A_N(u) = u^N + sum_m X_m u^{N-m},  D_N(u) = sum_{m=2}^N Y_m u^{N-m}
+    A, _, _, D = extract_ABCD(monodromy(3))
+    X = [A.coeff(3 - m) for m in range(1, 4)]
+    Y = [D.coeff(3 - m) for m in range(2, 4)]
     ptot = WeylElement.zero(3)
     for m in range(1, 4):
         ptot = ptot + WeylElement.p(3, m)
     assert X[0] == ptot.scale(-1)
     assert len(X) == 3 and len(Y) == 2
+    assert A.coeff(3) == WeylElement.one(3) and D.coeff(2).is_zero()
+    assert not any(y.is_zero() for y in Y)
 
 
 def test_rll_local_and_global_exact():
-    assert check_rll("local", 2).passed
-    assert check_rll("global", 2).passed
+    st = _statuses(qism_suite(2))
+    assert st["rll-local-m2"] == "PASS"
+    assert st["rll-global-N2"] == "PASS"
 
 
 _TENSOR_SLOTS = [(a, i) for a in (0, 1) for i in (0, 1)]
@@ -182,13 +186,13 @@ def test_rll_residual_matches_the_definition(monkeypatch):
         perturbed = OperatorPolyMatrix([[A, B + WeylElement.p(N, 1)], [C, D]])
         want_t, want_p = _rll_by_definition(T, N), _rll_by_definition(perturbed, N)
         for X, want in ((T, want_t), (perturbed, want_p)):
-            got = weyl._rll_residual(X, N)
+            got = weyl._rll_residual(*weyl._slot_products(X), N)
             assert all(got[r, c] == want[r][c] for r in range(4) for c in range(4))
         assert all(e.is_zero() for row in want_t for e in row)
         r, c = next((r, c) for r in range(4) for c in range(4) if not want_p[r][c].is_zero())
         with monkeypatch.context() as m:
             m.setattr(weyl, "monodromy", lambda n, upto=None: perturbed)
-            report = check_rll("global", N)
+            (report,) = (r for r in qism_suite(N) if r.relation == f"rll-global-N{N}")
         assert report.status == "FAIL" and report.witness == f"entry ({r + 1},{c + 1})"
 
 
@@ -245,8 +249,9 @@ def test_a_field_past_its_width_raises():
 
 
 def test_commutativity_and_recursion_n3():
-    assert combine(check_commutativity(3)) == "PASS"
-    assert combine(check_recursion(3)) == "PASS"
+    st = _statuses(qism_suite(3))
+    assert all(st[name] == "PASS" for name in _PAIRWISE)
+    assert st["recursion-A"] == "PASS" and st["recursion-C"] == "PASS"
 
 
 def test_qism_suite_n2():
@@ -282,16 +287,17 @@ def _statuses(reports):
 def test_swapped_exchange_order_fails(monkeypatch):
     # the commonly quoted form, with A and C in the opposite order in every
     # product: (u-v+i) A(v) C(u) = (u-v) C(u) A(v) + i A(u) C(v)
-    def swapped(C, A, N):
-        Au, Av, Cu, Cv = A, A.in_v(), C, C.in_v()
+    # on the slot products: A(v) C(u) = G[(1,0),(0,0)], C(u) A(v) = F[(1,0),(0,0)]
+    # and A(u) C(v) = F[(0,1),(0,0)]
+    def swapped(F, G, N):
         umv = WeylElement.scalar(N, {(1, 0): (1, 0), (0, 1): (-1, 0)})
         umvpi = WeylElement.scalar(N, {(1, 0): (1, 0), (0, 1): (-1, 0), (0, 0): (0, 1)})
         ei = WeylElement.scalar(N, {(0, 0): (0, 1)})
-        return umvpi * (Av * Cu) - umv * (Cu * Av) - ei * (Au * Cv)
+        ca = ((1, 0), (0, 0))
+        return umvpi * G[ca] - umv * F[ca] - ei * F[(0, 1), (0, 0)]
 
     # at N=1 it misses by -2i (u-v) e^{-q}
-    A, _, C, _ = extract_ABCD(monodromy(1))
-    assert swapped(C, A, 1).monomials() == {((-1,), (0,), (1, 0)): (0, -2),
+    assert swapped(*weyl._slot_products(monodromy(1)), 1).monomials() == {((-1,), (0,), (1, 0)): (0, -2),
                                             ((-1,), (0,), (0, 1)): (0, 2)}
     monkeypatch.setattr(weyl, "_exchange_residual", swapped)
     for n in (1, 2, 3):
@@ -312,3 +318,86 @@ def test_recursion_misprint_fails(monkeypatch):
     for n in (2, 3):
         st = _statuses(weyl.qism_suite(n))
         assert st["recursion-A"] == "FAIL" and st["recursion-C"] == "PASS"
+
+
+# the relations that the old suite checked by pairwise products
+_PAIRWISE = ("commute-X", "commute-t", "commute-B", "commute-C", "exchange-AC")
+
+
+def _pairwise_reference(T, N):
+    """relation -> (status, witness) from products of T's entries and coefficients."""
+    A, B, C, D = extract_ABCD(T)
+
+    def pairs(Z):
+        ops = [Z.coeff(N - m) for m in range(1, N + 1)]
+        for a in range(N):
+            for b in range(a + 1, N):
+                if not (ops[a] * ops[b] - ops[b] * ops[a]).is_zero():
+                    return "FAIL", f"pair ({a + 1},{b + 1})"
+        return "PASS", None
+
+    def vanishes(x):
+        return ("PASS" if x.is_zero() else "FAIL"), None
+
+    def comm(Z):
+        return Z * Z.in_v() - Z.in_v() * Z
+
+    umv = WeylElement.u(N) - WeylElement.u(N).in_v()
+    i = WeylElement.constant(N, (0, 1))
+    Au, Av, Cu, Cv = A, A.in_v(), C, C.in_v()
+    exchange = (umv + i) * (Cu * Av) - umv * (Av * Cu) - i * (Cv * Au)
+    return dict(zip(_PAIRWISE, (pairs(A), pairs(A + D), vanishes(comm(B)),
+                                vanishes(comm(C)), vanishes(exchange))))
+
+
+def test_relations_read_off_the_slot_products_match_pairwise_products(monkeypatch):
+    # perturb each monodromy entry in turn by p1 u + e^{q1}; the suite's
+    # status and witness for every relation equal the pairwise reference
+    full = monodromy
+    for N in (1, 2, 3, 4):
+        for k in (None, 0, 1, 2, 3):
+            T = full(N)
+            if k is not None:
+                entries = [list(row) for row in T.entries]
+                entries[k // 2][k % 2] = (entries[k // 2][k % 2] + WeylElement.p(N, 1)
+                                          * WeylElement.u(N) + WeylElement.exp_q(N, 1))
+                T = OperatorPolyMatrix(entries)
+            with monkeypatch.context() as m:
+                m.setattr(weyl, "monodromy",
+                          lambda n, upto=None, T=T: T if upto is None else full(n, upto))
+                got = {r.relation: (r.status, r.witness) for r in qism_suite(N)}
+            want = _pairwise_reference(T, N)
+            assert {name: got[name] for name in _PAIRWISE} == want
+            # the true monodromy passes; past N=1 every perturbation fails one
+            fails = {name for name, (status, _) in want.items() if status == "FAIL"}
+            if k is None or N > 1:
+                assert bool(fails) == (k is not None), (N, k, fails)
+
+
+def test_qism_suite_builds_the_monodromy_at_most_twice(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return monodromy(*args, **kwargs)
+
+    monkeypatch.setattr(weyl, "monodromy", counted)
+    for N in (1, 2, 3, 4):
+        calls.clear()
+        assert combine(qism_suite(N)) == "PASS"
+        assert len(calls) <= 2, (N, calls)
+
+
+def test_sum_difference_and_negation_in_one_pass():
+    rng = random.Random(17)
+    for _ in range(30):
+        x, y = _random_uv(rng), _random_uv(rng)
+        assert x - y == x + y.scale(-1)
+        assert -x == x.scale(-1) and (-x).bound == x.bound
+        assert (x - y).bound == (x + y).bound == max(x.bound, y.bound)
+        assert (x - x).is_zero() and (x - y) + y == x
+    # the operands are left as they were
+    x = WeylElement.p(1, 1)
+    before = dict(x.terms)
+    assert (x - x).is_zero() and (-x).terms != before
+    assert x.terms == before
