@@ -6,7 +6,8 @@ rising/falling factorial.  The residual checks with integer shifts of the
 Gamma arguments route through it: the separated difference equations and the
 Whittaker-vector equations.  One check does not: the spherical-vector
 equations of `gz` shift the Gamma arguments by half-integers, for which
-`gz.vector_shift_ratio` takes a difference of two log-Gamma calls.
+`gz.vector_shift_ratio` takes differences of `log_gamma_array` values, one
+call per shift for every moved pair and every sampled array.
 
 Algorithm.  For Re z >= 0, shift by 8: with w = z + 8 and
 p = z (z+1) ... (z+7),
@@ -46,13 +47,15 @@ side).  No caller depends on the branch: each exponentiates the value or
 takes its real part, so a 2 pi i difference would not show.
 `mellin_barnes` exponentiates the kernel sums (the spherical kernel takes
 2 Re log Gamma(1/4 - i d/2)); `harish_chandra.c_alpha_factor`,
-`m_elementary` and `b_denominator` exponentiate; `gz._vector` and
-`gz.vector_shift_ratio` exponentiate; `separation.sep_wavefunction`
-exponentiates and `separation.sep_measure` takes real parts.
+`m_elementary` and `b_denominator` exponentiate; `gz._vector` exponentiates
+its `log_gamma` sum and `gz.vector_shift_ratio` its sum of `log_gamma_array`
+differences; `separation.sep_wavefunction` exponentiates and
+`separation.sep_measure` takes real parts.
 
 Poles: `log_gamma` raises PoleError within POLE_TOL of a nonpositive
 integer; `log_gamma_array` does not signal, and its real part is +inf on an
-exact pole.
+exact pole (`gz.vector_shift_ratio` applies the same POLE_TOL test to its
+arguments before the call).
 """
 
 from __future__ import annotations
@@ -189,14 +192,15 @@ def gamma(z) -> complex:
     return cmath.exp(lg)
 
 
-def gamma_shift_ratio(z, k: int) -> complex:
-    """Gamma(z+k)/Gamma(z) as an exact factorial product.
+def gamma_shift_ratio(z, k: int):
+    """Gamma(z+k)/Gamma(z) as an exact factorial product, elementwise for a
+    numpy array z.
 
     For k >= 0 this is z(z+1)...(z+k-1); for k < 0 it is
     1/((z-1)(z-2)...(z+k)).  Raises PoleError if a factor in the
     denominator vanishes (a Gamma pole is crossed).
     """
-    z = complex(z)
+    z = z + 0j                      # complex, elementwise for an array
     if k == 0:
         return 1.0 + 0.0j
     if k > 0:
@@ -207,7 +211,8 @@ def gamma_shift_ratio(z, k: int) -> complex:
     out = 1.0 + 0.0j
     for j in range(1, -k + 1):
         f = z - j
-        if abs(f) < POLE_TOL:
+        small = abs(f) < POLE_TOL       # a bool, or an array of them
+        if small is True or (small is not False and small.any()):
             raise PoleError(f"gamma_shift_ratio pole: z={z}, k={k}")
         out *= f
     return 1.0 / out

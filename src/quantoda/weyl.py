@@ -42,12 +42,14 @@ relation.  On top of this sit the 2x2 Lax matrices L_m, the monodromy
 T_N = L_N ... L_1 = [[A, B], [C, D]], the R-matrix R(u - v), and
 `qism_suite`'s exact (coefficient-wise) checks, all read off the 32 slot
 products of one 2x2 X: F[(a,i),(b,j)] = X_ab(u) X_ij(v) and
-G[(a,i),(b,j)] = X_ij(v) X_ab(u).  With P the flip (a,i) -> (i,a),
+G[(a,i),(b,j)] = X_ij(v) X_ab(u).  Only F takes products: with P the flip
+(a,i) -> (i,a), G[r, c] = in_v(F[Pr, Pc]).  Then
 
     R(u-v) X1(u) X2(v) - X2(v) X1(u) R(u-v) = (u-v)(F - G) - i(PF - GP),
 
-with no 4x4 products.  X = L_N gives rll-local; X = T_N gives rll-global
-and, with K = F - G, every relation but the recursion:
+with no 4x4 products, and the factor u - v is a shift of keys
+(`_shifted_sum`), not a product.  X = L_N gives rll-local; X = T_N gives
+rll-global and, with K = F - G, every relation but the recursion:
 
     commute-X    [A(u), A(v)] = K[(0,0),(0,0)]
     commute-t    [t(u), t(v)] = sum_s K[s,s],  t = A + D
@@ -218,19 +220,28 @@ class WeylElement:
             raise ValueError("site count mismatch")
 
     def _combine(self, other: "WeylElement", sign: int) -> "WeylElement":
-        """self + sign * other in one pass over other's terms, sign = +-1."""
+        """self + sign * other in one pass over other's terms, sign = +-1.
+
+        A term that cancels is popped and not put back, so the common case
+        of a difference, equal coefficients, costs one lookup and no sum.
+        """
         self._check(other)
         terms = dict(self.terms)
-        for key, (br, bi) in other.terms.items():
-            old = terms.get(key)
-            if old is None:
-                terms[key] = (sign * br, sign * bi)
-                continue
-            s = (old[0] + sign * br, old[1] + sign * bi)
-            if s[0] or s[1]:
-                terms[key] = s
-            else:
-                del terms[key]
+        pop = terms.pop
+        if sign > 0:
+            for key, c in other.terms.items():
+                old = pop(key, None)
+                if old is None:
+                    terms[key] = c
+                elif old[0] != -c[0] or old[1] != -c[1]:
+                    terms[key] = (old[0] + c[0], old[1] + c[1])
+        else:
+            for key, c in other.terms.items():
+                old = pop(key, None)
+                if old is None:
+                    terms[key] = (-c[0], -c[1])
+                elif old != c:
+                    terms[key] = (old[0] - c[0], old[1] - c[1])
         return WeylElement._packed(self.n, terms, max(self.bound, other.bound))
 
     def __add__(self, other: "WeylElement") -> "WeylElement":
@@ -413,12 +424,14 @@ def r_matrix(N: int = 1) -> OperatorPolyMatrix:
 def monodromy(N: int, upto: int | None = None) -> OperatorPolyMatrix:
     """T_k(u) = L_k(u) L_{k-1}(u) ... L_1(u) in the N-site algebra.
 
-    upto defaults to N; smaller values give the partial monodromies used by
-    the recursion check.
+    upto = k defaults to N; 1 <= k < N gives the partial monodromies used by
+    the recursion check.  Other k raise ValueError.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     k = N if upto is None else upto
+    if not 1 <= k <= N:
+        raise ValueError(f"upto must be in 1..{N}, got {k}")
     T = lax_matrix(1, N)
     for m in range(2, k + 1):
         T = lax_matrix(m, N) @ T
@@ -438,25 +451,54 @@ def extract_ABCD(T: OperatorPolyMatrix):
 
 
 def _slot_products(X: OperatorPolyMatrix):
-    """(F, G): F[(a,i),(b,j)] = X_ab(u) X_ij(v), G[(a,i),(b,j)] = X_ij(v) X_ab(u)."""
+    """(F, G): F[(a,i),(b,j)] = X_ab(u) X_ij(v), G[(a,i),(b,j)] = X_ij(v) X_ab(u).
+
+    Only F takes products: in_v is a ring automorphism, so
+    G[r, c] = in_v(F[Pr, Pc]) with P the flip.
+    """
     Xv = [[e.in_v() for e in row] for row in X.entries]
-    F, G = {}, {}
-    for r in _SLOTS:
-        for c in _SLOTS:
-            xu, xv = X[r[0], c[0]], Xv[r[1]][c[1]]
-            F[r, c] = xu * xv
-            G[r, c] = xv * xu
+    F = {(r, c): X[r[0], c[0]] * Xv[r[1]][c[1]] for r in _SLOTS for c in _SLOTS}
+    G = {(r, c): F[r[::-1], c[::-1]].in_v() for r in _SLOTS for c in _SLOTS}
     return F, G
 
 
-def _rll_residual(F, G, n: int) -> OperatorPolyMatrix:
+# key shifts that multiply a term by u and by v
+_TIMES_U, _TIMES_V = 1, _FIELD
+
+
+def _shifted_sum(parts) -> WeylElement:
+    """sum of unit * s x over parts (x, shift, unit) in one pass, where s is
+    1, u or v as shift is 0, _TIMES_U or _TIMES_V (u and v are central and
+    lowest in the key, so s x is x with every key raised by shift) and unit
+    is 1, -1, i or -i as a Z[i] pair."""
+    acc: Dict[int, Gauss] = {}
+    pop = acc.pop
+    bound = 0
+    for x, shift, (ur, ui) in parts:
+        bound = max(bound, x.bound + (shift != 0))
+        for key, (cr, ci) in x.terms.items():
+            key += shift
+            dr = ur * cr - ui * ci
+            di = ur * ci + ui * cr
+            old = pop(key, None)
+            if old is not None:
+                dr += old[0]
+                di += old[1]
+                if not (dr or di):
+                    continue
+            acc[key] = (dr, di)
+    return WeylElement._packed(parts[0][0].n, acc, _guard(bound))
+
+
+def _rll_residual(F, G) -> OperatorPolyMatrix:
     """R(u-v) X1(u) X2(v) - X2(v) X1(u) R(u-v) from `_slot_products(X)`:
     entry (r, c) is (u-v)(F - G)[r,c] - i(F[Pr,c] - G[r,Pc])."""
-    umv = _u_minus_v(n)
-    return OperatorPolyMatrix([
-        [umv * (F[r, c] - G[r, c]) + (F[r[::-1], c] - G[r, c[::-1]]).scale(MINUS_I)
-         for c in _SLOTS]
-        for r in _SLOTS])
+    def entry(r, c):
+        k = F[r, c] - G[r, c]
+        return _shifted_sum(((k, _TIMES_U, ONE), (k, _TIMES_V, _MINUS_ONE),
+                             (F[r[::-1], c] - G[r, c[::-1]], 0, MINUS_I)))
+
+    return OperatorPolyMatrix([[entry(r, c) for c in _SLOTS] for r in _SLOTS])
 
 
 def _first_failure(D: OperatorPolyMatrix):
@@ -478,9 +520,11 @@ def _exchange_residual(F, G, N: int) -> WeylElement:
     exact N=1 computation by -2i(u-v) e^{-q}; this ordering is the one the
     RLL relation implies.
     """
-    ca = ((1, 0), (0, 0))
-    return (_u_minus_v(N, I) * F[ca] - _u_minus_v(N) * G[ca]
-            - G[(0, 1), (0, 0)].scale(I))
+    f = F[(1, 0), (0, 0)]
+    k = f - G[(1, 0), (0, 0)]
+    # = (u-v)(f - G[(1,0),(0,0)]) + i(f - G[(0,1),(0,0)])
+    return _shifted_sum(((k, _TIMES_U, ONE), (k, _TIMES_V, _MINUS_ONE),
+                         (f - G[(0, 1), (0, 0)], 0, I)))
 
 
 def _peel_site(N: int, A_p: WeylElement,
@@ -519,8 +563,8 @@ def qism_suite(N: int) -> List[VerificationReport]:
     a, d = (0, 0), (1, 1)
     for relation, witness in (
             (f"rll-local-m{N}",
-             _first_failure(_rll_residual(*_slot_products(lax_matrix(N, N)), N))),
-            (f"rll-global-N{N}", _first_failure(_rll_residual(F, G, N))),
+             _first_failure(_rll_residual(*_slot_products(lax_matrix(N, N))))),
+            (f"rll-global-N{N}", _first_failure(_rll_residual(F, G))),
             ("commute-X", _first_pair(comm(a, a), N)),
             ("commute-t", _first_pair(reduce(add, (comm(s, s) for s in _SLOTS)), N))):
         report(relation, witness is not None, witness)

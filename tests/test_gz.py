@@ -14,8 +14,8 @@ from quantoda.gz import (GENERATOR_PREFACTOR, VECTORS, Coefficient,
                          check_spherical_equation, check_whittaker_equations,
                          gz_generator, gz_measure, gz_suite,
                          sample_real_array, separated_uniforms, spherical_vector,
-                         vector_shift_ratio, whittaker_vector)
-from quantoda.rationals import LANES_PER_TRIAL, TRIALS_PER_BLOCK, FpLanes
+                         stack_arrays, vector_shift_ratio, whittaker_vector)
+from quantoda.rationals import LANES_PER_TRIAL, TRIALS_PER_BLOCK, FpLanes, random_lanes
 from quantoda.specfun import PoleError, gamma
 
 
@@ -189,35 +189,95 @@ def test_flipped_raising_sign_fails(monkeypatch):
 
 
 class _FailsAtLane:
-    """Stands in for an operator: its value is nonzero at one global lane."""
+    """Stands in for a `TermTable` whose "operators" are global lane numbers:
+    operator i is nonzero at lane ops[i] alone.  Counts, per operator, the
+    blocks in which it is active."""
 
-    def __init__(self, lane):
-        self.lane, self.first, self.blocks = lane, 0, 0
+    def __init__(self, N, ops):
+        self.lanes, self.first, self.blocks = list(ops), 0, [0] * len(ops)
 
-    def evaluate_on_test(self, arr, beta, cache=None):
-        lanes = len(arr.get(1, 1).reduced()[0])
-        vals = np.zeros(lanes, dtype=np.int64)
-        if self.first <= self.lane < self.first + lanes:
-            vals[self.lane - self.first] = 1
-        self.first += lanes
-        self.blocks += 1
-        return FpLanes(vals)
+    def values(self, x, beta, active):
+        count = x.shape[1]
+        re = np.zeros((len(self.lanes), count), dtype=np.int64)
+        for i, lane in enumerate(self.lanes):
+            self.blocks[i] += bool(active[i])
+            if self.first <= lane < self.first + count:
+                re[i, lane - self.first] = 1
+        self.first += count
+        return re, np.zeros_like(re)
 
 
-def test_failure_in_a_later_block_names_its_global_trial():
+def test_failure_in_a_later_block_names_its_global_trial(monkeypatch):
+    tables = []
+    monkeypatch.setattr(gz, "TermTable", lambda N, ops: tables.append(_FailsAtLane(N, ops))
+                        or tables[-1])
     block = LANES_PER_TRIAL * TRIALS_PER_BLOCK
     trials = 2 * TRIALS_PER_BLOCK + 1
-    late = _FailsAtLane(block + 7)      # second block, trial TRIALS_PER_BLOCK + 2
-    early = _FailsAtLane(4)             # first block, trial 1
-    never = _FailsAtLane(-1)
-    rep = gz._check_zero("stub", 2, trials, 0,
-                         [("late", late), ("early", early), ("never", never)])
+    rep = gz._check_zero("stub", 2, trials, 0, [
+        ("late", block + 7),            # second block, trial TRIALS_PER_BLOCK + 2
+        ("early", 4),                   # first block, trial 1
+        ("never", -1)])
     assert rep.status == "FAIL"
     late_w, early_w = rep.witness.split("; ")
     assert late_w.startswith(f"late: trial {TRIALS_PER_BLOCK + 2}: value FpLanes(1, 0) at ")
     assert early_w.startswith("early: trial 1: value FpLanes(1, 0) at ")
     # a failed relation drops out of later blocks; the others see all three
-    assert (late.blocks, early.blocks, never.blocks) == (2, 1, 3)
+    table, = tables
+    assert table.blocks == [2, 1, 3]
+
+
+def _lanes_and_betas(rng, N, lanes):
+    """A drawn array and its betas, as `FpLanes` and as the table's int64 rows."""
+    arr = TriangularArray([random_lanes(rng, lanes, n) for n in range(1, N + 1)])
+    slots = [(n, j) for n in range(1, N) for j in range(1, n + 1)]
+    beta = random_lanes(rng, lanes, len(slots), 1)
+    x = np.array([e[0] for row in arr.levels for e in row])
+    return arr, dict(zip(slots, beta)), x, np.array([b[0] for b in beta]).reshape(-1, lanes)
+
+
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_term_table_matches_the_per_operator_evaluation(N):
+    rng = random.Random(60 + N)
+    gens = ([gz_generator("diagonal", n, N) for n in range(1, N + 1)]
+            + [gz_generator(kind, n, N) for kind in ("raise", "lower") for n in range(1, N)])
+
+    def random_op(depth):
+        op = rng.choice(gens)
+        for _ in range(depth - 1):
+            other = rng.choice(gens)
+            op = op.commutator(other) if rng.random() < 0.5 else op * other
+        return op
+
+    ops = [random_op(depth) for depth in (1, 2, 3) for _ in range(5)]
+    # the same terms under other constants: nonzero values, mostly
+    ops += [DifferenceOperator({key: (rng.randint(-9, 9), rng.randint(-9, 9))
+                                for key in op.terms}) for op in ops[5:]]
+    arr, beta, x, b = _lanes_and_betas(rng, N, 7)
+    re, im = gz.TermTable(N, ops).values(x, b)
+    assert re.shape == im.shape == (len(ops), 7)
+    for i, op in enumerate(ops):
+        assert FpLanes(re[i], im[i]) == op.evaluate_on_test(arr, beta), i
+    assert not all(FpLanes(re[i], im[i]) == 0 for i in range(len(ops)))
+    # operators without factors or without terms
+    re, im = gz.TermTable(N, [DifferenceOperator.identity().scaled((2, 3)),
+                              DifferenceOperator.zero()]).values(x, b)
+    assert FpLanes(re[0], im[0]) == FpLanes(2, 3) and not (re[1] | im[1]).any()
+    if N == 2:
+        return
+    # lane 3 with lambda_21 = lambda_22: E_2's unshifted denominator is 0
+    raise2 = gz_generator("raise", 2, N)
+    x[1, 3] = x[2, 3]
+    arr = TriangularArray([row if n != 1 else (FpLanes(x[1]), row[1])
+                           for n, row in enumerate(arr.levels)])
+    assert list(np.flatnonzero((arr.get(2, 1) - arr.get(2, 2)).zeros())) == [3]
+    with pytest.raises(ZeroDivisionError):
+        raise2.evaluate_on_test(arr, beta)
+    table = gz.TermTable(N, [gz_generator("diagonal", 1, N), raise2])
+    with pytest.raises(ZeroDivisionError):
+        table.values(x, b)
+    # an operator that has failed already is not evaluated, so it cannot raise
+    re, im = table.values(x, b, np.array([True, False]))
+    assert FpLanes(re[0], im[0]) == gz_generator("diagonal", 1, N).evaluate_on_test(arr, beta)
 
 
 def test_gl_relations_and_serre():
@@ -307,6 +367,30 @@ def test_vector_shift_ratio_matches_vector_quotient(N):
                         want = vector(arr.shifted(shift)) / vector(arr)
                         got = vector_shift_ratio(kind, arr, shift)
                         assert abs(got - want) <= 1e-12 * abs(want), (kind, shift)
+
+
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_a_stack_gives_the_worst_residual_of_its_arrays(N):
+    rng = random.Random(70 + N)
+    arrays = [sample_real_array(N, rng) for _ in range(9)]
+    stack = stack_arrays(arrays)
+    for check in (check_whittaker_equations, check_spherical_equation):
+        got = check(N, stack).residual
+        assert type(got) is float
+        assert abs(got - max(check(N, a).residual for a in arrays)) <= 1e-12
+    for kind in VECTORS:
+        for n, j, k in ((1, 1, 1), (N - 1, 1, -1), (N, N, 1)):
+            shift = (((n, j), k),)
+            got = vector_shift_ratio(kind, stack, shift)
+            want = np.array([vector_shift_ratio(kind, a, shift) for a in arrays])
+            assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), (kind, shift)
+    # the gap check still looks at every array of the stack
+    bad = [list(row) for row in arrays[4].levels]
+    bad[N - 2][-1] = bad[N - 2][0]      # level N-1; no pairs below N = 3
+    if N == 2:
+        return
+    with pytest.raises(PoleError):
+        check_whittaker_equations(N, stack_arrays(arrays[:4] + [TriangularArray(bad)]))
 
 
 def test_spherical_normalizer_base_one_fails(monkeypatch):

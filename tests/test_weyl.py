@@ -186,7 +186,7 @@ def test_rll_residual_matches_the_definition(monkeypatch):
         perturbed = OperatorPolyMatrix([[A, B + WeylElement.p(N, 1)], [C, D]])
         want_t, want_p = _rll_by_definition(T, N), _rll_by_definition(perturbed, N)
         for X, want in ((T, want_t), (perturbed, want_p)):
-            got = weyl._rll_residual(*weyl._slot_products(X), N)
+            got = weyl._rll_residual(*weyl._slot_products(X))
             assert all(got[r, c] == want[r][c] for r in range(4) for c in range(4))
         assert all(e.is_zero() for row in want_t for e in row)
         r, c = next((r, c) for r in range(4) for c in range(4) if not want_p[r][c].is_zero())
@@ -401,3 +401,42 @@ def test_sum_difference_and_negation_in_one_pass():
     before = dict(x.terms)
     assert (x - x).is_zero() and (-x).terms != before
     assert x.terms == before
+
+
+def test_partial_monodromy_refuses_k_out_of_range():
+    for k in (0, -2, 4):
+        with pytest.raises(ValueError, match="upto"):
+            monodromy(3, upto=k)
+    # k = 1 is L_1 and k = N the full monodromy
+    A1 = extract_ABCD(monodromy(3, upto=1))[0]
+    assert A1 == WeylElement.u(3) - WeylElement.p(3, 1)
+    assert monodromy(3, upto=3)[0, 0] == monodromy(3)[0, 0]
+
+
+def test_shifted_sums_and_flipped_slots_match_the_general_product():
+    # G from in_v and the key-shift sums against products taken directly
+    for N in (1, 2, 3):
+        T = monodromy(N)
+        A, B, C, D = extract_ABCD(T)
+        perturbed = OperatorPolyMatrix([[A, B], [C + WeylElement.p(N, 1), D]])
+        umv = WeylElement.scalar(N, {(1, 0): (1, 0), (0, 1): (-1, 0)})
+        umvpi = WeylElement.scalar(N, {(1, 0): (1, 0), (0, 1): (-1, 0), (0, 0): (0, 1)})
+        for X in (T, perturbed):
+            F, G = weyl._slot_products(X)
+            for r in weyl._SLOTS:
+                for c in weyl._SLOTS:
+                    assert G[r, c] == X[r[1], c[1]].in_v() * X[r[0], c[0]]
+            ca = ((1, 0), (0, 0))
+            assert weyl._exchange_residual(F, G, N) == (
+                umvpi * F[ca] - umv * G[ca] - G[(0, 1), (0, 0)].scale((0, 1)))
+            for x in (F[(0, 1), (1, 0)] - G[(0, 1), (1, 0)], F[(1, 1), (0, 0)],
+                      WeylElement.zero(N)):
+                got = weyl._shifted_sum(((x, weyl._TIMES_U, (1, 0)),
+                                         (x, weyl._TIMES_V, (-1, 0)),
+                                         (x, 0, (0, -1))))
+                assert got == umv * x + x.scale((0, -1))
+                assert got.bound == (umv * x).bound
+    # the bound still guards the u and v fields
+    top = WeylElement.scalar(1, {(weyl._FIELD_LIMIT - 1, 0): (1, 0)})
+    with pytest.raises(OverflowError):
+        weyl._shifted_sum(((top, weyl._TIMES_U, (1, 0)),))
