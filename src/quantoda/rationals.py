@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import random
 from functools import reduce
+from itertools import chain
 from operator import add, mul, sub
 from typing import List, Optional, Tuple
 
@@ -183,16 +184,38 @@ class FpLanes(tuple):
 def random_lanes(rng: random.Random, lanes: int, count: int,
                  low: int = 0) -> List[FpLanes]:
     """`count` values per lane, uniform on low..p-1 and distinct within each
-    lane; drawn lane by lane."""
-    rows = []
-    for _ in range(lanes):
-        row: List[int] = []
-        while len(row) < count:
-            v = rng.randrange(low, P)
-            if v not in row:
-                row.append(v)
-        rows.append(row)
-    return [_lanes(np.array(c), 0) for c in zip(*rows)]
+    lane: the values rng.randrange(low, P) draws lane by lane, a repeat
+    within a lane drawn again.  ValueError when count exceeds p - low.
+
+    CPython's randrange(low, P) is low + the first getrandbits(k) below
+    P - low, k = (P - low).bit_length(), and getrandbits(k) is the top k bits
+    of one 32-bit generator word.  One getrandbits(32 * lanes * count) call,
+    read as little-endian words, holds the same words in order.  When none
+    is rejected and no lane repeats a value, they are the draw; otherwise
+    one walk reads them in order and draws each further word with
+    getrandbits(k).  Values and rng's state equal the per-value loop's.
+    """
+    width = P - low
+    if count > width:
+        raise ValueError(f"{count} distinct values do not fit in {low}..{P - 1}")
+    k = width.bit_length()
+    size = lanes * count
+    words = np.frombuffer(rng.getrandbits(32 * size).to_bytes(4 * size, "little"),
+                          "<u4") >> (32 - k)
+    rows = words.reshape(lanes, count)
+    ordered = np.sort(rows, axis=1)
+    if (words >= width).any() or (ordered[:, 1:] == ordered[:, :-1]).any():
+        stream = chain(words.tolist(), iter(lambda: rng.getrandbits(k), None))
+        picked = []
+        for _ in range(lanes):
+            row: List[int] = []
+            while len(row) < count:
+                v = next(stream)
+                if v < width and v not in row:
+                    row.append(v)
+            picked.append(row)
+        rows = np.array(picked, dtype=np.uint32)
+    return [_lanes(c, 0) for c in np.array(rows.T, dtype=np.int64, order="C") + low]
 
 
 def lane_blocks(trials: int) -> List[Tuple[int, int]]:

@@ -448,6 +448,27 @@ def test_gz_measure_difference_eq():
             3, _point([[0.4], [0.5, 0.5], [1.0, 0.0, -1.0]]), 1)
 
 
+@pytest.mark.parametrize("N", [2, 3, 4, 5])
+def test_stacked_measure_check_is_the_worst_of_its_arrays(N):
+    rng = random.Random(90 + N)
+    arrays = [sample_real_array(N, rng, low=-1.0, high=1.0) for _ in range(20)]
+    stack = stack_arrays(arrays)
+    for j in range(len(gz._flat_slots(N))):
+        got = check_gz_measure_difference_eq(N, stack, j)
+        each = [check_gz_measure_difference_eq(N, a, j) for a in arrays]
+        assert type(got) is float and all(type(r) is float for r in each)
+        assert abs(got - max(each)) <= 1e-15
+    mu = gz_measure(stack)
+    assert np.all(np.abs(mu - np.array([gz_measure(a) for a in arrays])) <= 1e-12 * np.abs(mu))
+    if N == 2:
+        return                  # level 1 has no pair to make coincide
+    bad = [list(row) for row in arrays[13].levels]
+    bad[N - 2][-1] = bad[N - 2][0]
+    arrays[13] = TriangularArray(bad)
+    with pytest.raises(PoleError):
+        check_gz_measure_difference_eq(N, stack_arrays(arrays), 0)
+
+
 def test_cartan_multiplier():
     arr = _point([[0.3], [0.9, -0.4]])
     assert cartan_multiplier([0.0, 0.0], arr) == 1.0

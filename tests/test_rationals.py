@@ -194,6 +194,82 @@ def test_random_lanes_draws_distinct_elements_from_low_up():
     assert random_lanes(random.Random(2), 2, 3) == random_lanes(random.Random(2), 2, 3)
 
 
+def _per_value_draws(rng, lanes, count, low=0):
+    """The reference stream: one randrange per value, lane by lane, a repeat
+    within a lane drawn again."""
+    rows = []
+    for _ in range(lanes):
+        row = []
+        while len(row) < count:
+            v = rng.randrange(low, P)
+            if v not in row:
+                row.append(v)
+        rows.append(row)
+    return rows
+
+
+def _as_rows(values, lanes, count):
+    assert all(v[0].dtype == np.int64 and v[1] == 0 and v[2] is None for v in values)
+    return np.array([v[0] for v in values]).reshape(count, lanes).T.tolist()
+
+
+@given(st.integers(min_value=0, max_value=2 ** 64), st.integers(min_value=1, max_value=192),
+       st.integers(min_value=0, max_value=12), st.sampled_from([0, 1, P - 4, P - 9]))
+@settings(max_examples=120, deadline=None)
+def test_random_lanes_is_the_per_value_stream(seed, lanes, count, low):
+    count = min(count, P - low)
+    old, new = random.Random(seed), random.Random(seed)
+    want = _per_value_draws(old, lanes, count, low)
+    assert _as_rows(random_lanes(new, lanes, count, low), lanes, count) == want
+    assert new.getstate() == old.getstate()
+
+
+class _ScriptedWords(random.Random):
+    """Serves getrandbits from a fixed list of 32-bit words as CPython's
+    generator serves its own (little-endian words, the last one shifted
+    right to k bits), and records each call's k."""
+
+    def __init__(self, words):
+        super().__init__(0)
+        self.words, self.used, self.calls = list(words), 0, []
+
+    def getrandbits(self, k):
+        n = -(-k // 32)
+        ws = self.words[self.used:self.used + n]
+        self.used += n
+        self.calls.append(k)
+        if k % 32:
+            ws[-1] >>= 32 - k % 32
+        return sum(w << 32 * i for i, w in enumerate(ws))
+
+
+@pytest.mark.parametrize("rejected, repeated", [(True, False), (False, True), (True, True)])
+def test_random_lanes_walks_a_block_with_a_rejected_word_or_a_repeat(rejected, repeated):
+    lanes, count = 4, 5
+    source = random.Random(8)
+    words = [source.getrandbits(32) for _ in range(3 * lanes * count)]
+    if rejected:
+        words[7] = 0xFFFFFFFE    # lane 1: its top 31 bits are P, which randrange rejects
+    if repeated:
+        words[12] = words[11]    # lane 2 repeats its previous value
+    old, new = _ScriptedWords(words), _ScriptedWords(words)
+    want = _per_value_draws(old, lanes, count)
+    assert _as_rows(random_lanes(new, lanes, count), lanes, count) == want
+    extra = rejected + repeated
+    assert new.used == old.used == lanes * count + extra
+    # one block call, then one word for each value the block lacked
+    assert new.calls == [32 * lanes * count] + [31] * extra
+
+
+def test_random_lanes_refuses_more_values_than_the_range_holds():
+    for low, count in ((P - 4, 5), (P - 1, 2), (0, P + 1)):
+        rng = random.Random(1)
+        state = rng.getstate()
+        with pytest.raises(ValueError, match="do not fit"):
+            random_lanes(rng, 1, count, low)
+        assert rng.getstate() == state
+
+
 def test_lane_blocks_bound_the_lanes_of_one_evaluation():
     block = LANES_PER_TRIAL * TRIALS_PER_BLOCK
     assert lane_blocks(1) == [(0, LANES_PER_TRIAL)]

@@ -1,10 +1,12 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from quantoda import separation
+from quantoda.gz import separated_uniforms
 from quantoda.report import combine
 from quantoda.separation import (check_dif_equation, check_lagrange_identity,
                                  check_measure_difference_eq,
@@ -84,3 +86,31 @@ def test_suite_shape_and_status():
     assert combine(reports) == "PASS"
     assert {r.relation for r in reports} == {
         "dif-equation", "measure-difference-eq", "lagrange"}
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5])
+def test_stacked_residuals_are_the_worst_of_their_points(N):
+    rng = random.Random(30 + N)
+    pts = [separated_uniforms(rng, 2 * N - 1, -3.0, 3.0, 1e-2) for _ in range(20)]
+    cols = np.array(pts).T
+    for j in range(N - 1):
+        got = check_dif_equation(cols[:N], cols[N:], j)
+        each = [check_dif_equation(p[:N], p[N:], j) for p in pts]
+        assert type(got) is float and all(type(r) is float for r in each)
+        assert abs(got - max(each)) <= 1e-15
+        got = check_measure_difference_eq(cols[N:], j)
+        each = [check_measure_difference_eq(p[N:], j) for p in pts]
+        assert type(got) is float and all(type(r) is float for r in each)
+        assert abs(got - max(each)) <= 1e-15
+    # one coincident point among the 20 is refused
+    alpha_hit = [list(p) for p in pts]
+    alpha_hit[11][N] = alpha_hit[11][0]                 # lambda_0 = alpha_0
+    cols = np.array(alpha_hit).T
+    with pytest.raises(PoleError):
+        check_dif_equation(cols[:N], cols[N:], 0)
+    if N == 2:
+        return                  # one lambda: no pair to make coincide
+    lam_hit = [list(p) for p in pts]
+    lam_hit[11][N + 1] = lam_hit[11][N]                 # lambda_1 = lambda_0
+    with pytest.raises(PoleError):
+        check_measure_difference_eq(np.array(lam_hit).T[N:], 0)
