@@ -71,8 +71,8 @@ from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .rationals import (LANES_PER_TRIAL, ONE, P, FpLanes, Gauss, as_gauss, gauss_mul,
-                        lane_blocks, random_lanes)
+from .rationals import (ONE, P, FpLanes, Gauss, _batch_inverse, _gauss_mul, as_gauss,
+                        first_witnesses, gauss_mul, random_lanes)
 from .report import VerificationReport, residual_report
 from .specfun import POLE_TOL, PoleError, gamma_shift_ratio, log_gamma, log_gamma_array
 
@@ -94,8 +94,8 @@ _FIELDS = {True: (FpLanes, FpLanes(0, (P + 1) // 2)), False: (complex, 0.5j)}
 class TriangularArray:
     """Spectral array: level n (1-based) holds n entries lambda_{n1..nn}.
 
-    Entries are `FpLanes` field elements for the exact checks and floats or
-    complex numbers for the numerical ones; `field` says which.
+    Entries are `FpLanes` for `evaluate_on_test`, the exact checks'
+    reference, or floats or complex numbers; `field` says which.
     """
 
     levels: tuple
@@ -316,48 +316,6 @@ class DifferenceOperator:
             (beta[slot] ** k for slot, k in shift), start=FpLanes(1))), FpLanes())
 
 
-def _gauss_mul(ar, ai, br, bi):
-    """(ar + ai i)(br + bi i) mod P on reduced int64 parts; br has the full
-    shape of the result, the others broadcast to it."""
-    re = ar * br
-    re -= ai * bi
-    re %= P
-    im = ai * br
-    im += ar * bi
-    im %= P
-    return re, im
-
-
-def _fermat_inverse(x: np.ndarray) -> np.ndarray:
-    """x^(P-2) mod P elementwise: 1/x for x != 0 mod P, and 0 for x = 0."""
-    out, base, e = np.ones_like(x), x, P - 2
-    while e:
-        if e & 1:
-            out = out * base % P
-        base = base * base % P
-        e >>= 1
-    return out
-
-
-def _batch_inverse(x: np.ndarray) -> np.ndarray:
-    """1/x mod P for each row of x, nonzero (rows, lanes), from one Fermat
-    inverse per lane: the product tree of the rows is inverted at its root
-    and the inverse pushed back down, two products per node."""
-    levels = [x]
-    while len(levels[-1]) > 1:
-        v = levels[-1]
-        if len(v) % 2:
-            v = levels[-1] = np.concatenate([v, np.ones_like(v[:1])])
-        levels.append(v[0::2] * v[1::2] % P)
-    inv = _fermat_inverse(levels.pop())
-    for v in reversed(levels):
-        inv, down = inv[:len(v) // 2], np.empty_like(v)
-        down[0::2] = inv * v[1::2] % P
-        down[1::2] = inv * v[0::2] % P
-        inv = down
-    return inv[:len(x)]
-
-
 class TermTable:
     """The operators of one check compiled into one table over F_p[i] lanes.
 
@@ -453,19 +411,16 @@ class TermTable:
         self.term_shift = np.array(term_shift, dtype=np.intp)
         self.term_op = np.array(term_op, dtype=np.intp)
 
-    def values(self, x: np.ndarray, beta: np.ndarray,
-               active: np.ndarray | None = None) -> Tuple[np.ndarray, np.ndarray]:
+    def values(self, x: np.ndarray, beta: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """(re, im) of every operator per lane, int64 of shape (operators, lanes).
 
         x holds the entries (flat order) and beta the betas (`_flat_slots`
-        order), F_p values of shape (count, lanes).  Denominators in the
-        operators marked by the boolean `active` (default all) must be
-        nonzero in every lane, else ZeroDivisionError; the other operators'
-        values are not meaningful.
+        order), F_p values of shape (count, lanes).  A zero denominator or
+        beta raises ZeroDivisionError: entries distinct within each level
+        make none, as p = 3 mod 4 and a denominator's real part is nonzero.
         """
         lanes = x.shape[1]
-        beta = beta.reshape(-1, lanes)
-        val_re, val_im, inv_beta = self._factor_values(x, beta, active)
+        val_re, val_im, inv_beta = self._factor_values(x, beta)
         powers = np.concatenate([np.ones((1, lanes), dtype=np.int64), beta, inv_beta])
         shift = np.ones((len(self.shift_betas), lanes), dtype=np.int64)
         for col in self.shift_betas.T:
@@ -486,7 +441,7 @@ class TermTable:
             out.append(acc)
         return out[0], out[1]
 
-    def _factor_values(self, x, beta, active):
+    def _factor_values(self, x, beta):
         """(re, im) of every factor, with a last row of 1, and 1/beta."""
         lanes, nf = x.shape[1], len(self.factor_pre)
         form_re = self.form_rows @ x
@@ -496,15 +451,9 @@ class TermTable:
         num = _form_product(form_re, *self.factor_num, (pre[:, :1], pre[:, 1:]))
         den = _form_product(form_re, *self.factor_den)
         norm = np.broadcast_to((den[0] * den[0] + den[1] * den[1]) % P, (nf, lanes))
-        used = slice(None)
-        if active is not None:
-            used = np.zeros(nf + 1, dtype=bool)
-            used[self.term_factors[active[self.term_op]]] = True
-            used = used[:nf]
-        if not (np.all(norm[used]) and np.all(beta)):
+        if not (np.all(norm) and np.all(beta)):
             raise ZeroDivisionError("division by zero in F_p[i]")
-        # a zero would zero every inverse of the tree: unused ones become 1
-        inv = _batch_inverse(np.concatenate([norm + (norm == 0), beta]))
+        inv = _batch_inverse(np.concatenate([norm, beta]))
         del norm
         # num / den = num * conj(den) / |den|^2, with a last row of value 1
         val = np.empty((2, nf + 1, lanes), dtype=np.int64)
@@ -568,37 +517,28 @@ def _check_zero(relation: str, N: int, trials: int, seed: int,
                 relations) -> VerificationReport:
     """Each (label, operator) of `relations` must be the zero operator.
 
-    The operators are compiled into one `TermTable`.  Block by block
-    (`rationals.lane_blocks`), an array with entries distinct within each
+    The operators are compiled into one `TermTable`.  For each block of
+    `rationals.first_witnesses`, an array with entries distinct within each
     level and the nonzero betas are drawn per lane from F_p, in that order,
-    and the table is evaluated on the block; an operator's first nonzero
-    lane is its witness, for trial lane // 3, and ends its trials.
+    and the table is evaluated on the block.
     """
-    labels = [label for label, _ in relations]
     table = TermTable(N, [op for _, op in relations])
-    rng = random.Random(seed)
-    m = len(_flat_slots(N))
-    failures: List[str | None] = [None] * len(labels)
-    for start, lanes in lane_blocks(trials):
-        if all(failures):
-            break
-        arr = TriangularArray([random_lanes(rng, lanes, n) for n in range(1, N + 1)])
-        beta = random_lanes(rng, lanes, m, 1)
-        active = np.array([w is None for w in failures])
-        re, im = table.values(np.array([x[0] for row in arr.levels for x in row]),
-                              np.array([b[0] for b in beta]).reshape(m, lanes), active)
-        for i in np.flatnonzero(active):
-            bad = np.flatnonzero(re[i] | im[i])
-            if bad.size:
-                k = int(bad[0])
-                at = tuple(tuple(x.lane(k) for x in row) for row in arr.levels)
-                failures[i] = (f"{labels[i]}: trial {(start + k) // LANES_PER_TRIAL}: "
-                               f"value {FpLanes(int(re[i, k]), int(im[i, k]))} at {at}")
-    return VerificationReport(
-        suite="gz", n=N, relation=relation,
-        status="PASS" if not any(failures) else "FAIL",
-        seed=seed, witness="; ".join(w for w in failures if w) or None,
-    )
+
+    def block(rng, lanes):
+        levels = [random_lanes(rng, lanes, n) for n in range(1, N + 1)]
+        beta = random_lanes(rng, lanes, len(_flat_slots(N)), 1)
+        re, im = table.values(np.concatenate(levels), beta)
+
+        def describe(i, k):
+            at = tuple(tuple(FpLanes(int(x)) for x in row[:, k]) for row in levels)
+            return f"value {FpLanes(int(re[i, k]), int(im[i, k]))} at {at}"
+        return (re | im) != 0, describe
+
+    witness = "; ".join(f"{label}: {w}" for (label, _), w in
+                        zip(relations, first_witnesses(len(relations), trials, seed, block)) if w)
+    return VerificationReport(suite="gz", n=N, relation=relation,
+                              status="FAIL" if witness else "PASS", seed=seed,
+                              witness=witness or None)
 
 
 def check_gl_relations(N: int, trials: int = 20, seed: int = 0) -> VerificationReport:
@@ -862,10 +802,8 @@ def gz_suite(N: int, trials: int = 20, seed: int = 0,
     `trials` arrays, and the measure check once per slot, on the stack of
     its own.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
     rng = random.Random(seed)
-    out = [check_gl_relations(N, trials, seed), check_serre(N, trials, seed)]
+    out = [check_gl_relations(N, trials, seed), check_serre(N, trials, seed)]   # refuse trials < 1
     kw = {} if tol is None else {"tol": tol}
     stack = stack_arrays([sample_real_array(N, rng) for _ in range(trials)])
     out += [replace(check(N, stack, **kw), seed=seed)

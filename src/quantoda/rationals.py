@@ -6,16 +6,16 @@
   product loop; `as_gauss`, `gauss_mul` and `gauss_str` serve the rest.
 * F_p[i], p = 2**31 - 1 -- `FpLanes`, one element per lane: int64 arrays of
   parts (ints for a value every lane shares) reduced mod p.  As p = 3 mod 4,
-  F_p[i] is a field, and a*d + b*c <= 2(p-1)^2 < 2^63 fits in int64.  A
-  value is num/den with den in F_p, nonzero in every lane: division
-  multiplies by the conjugate, so the arithmetic takes no inverse mod p
-  (printing does).  Floats and complex numbers are refused (TypeError).
+  F_p[i] is a field, and a*d + b*c <= 2(p-1)^2 < 2^63 fits in int64.  The
+  lane kernels `_gauss_mul` and `_batch_inverse` serve `FpLanes` and
+  `gz.TermTable`.  Floats and complex numbers are refused (TypeError).
 
-The randomized identity checks of `gz` and `separation` draw three lanes per
-trial (`random_lanes`, `lane_blocks`).  A nonzero polynomial of degree d,
-sampled from sets of p - 1 or more elements, vanishes in one lane with
-probability at most d/(p-1) (Schwartz 1980; Zippel 1979), in all three
-at most (d/(p-1))^3.  That is at most d/q, q = 2^61 - 1, exactly when d^2 <=
+The randomized identity checks of `gz` and `separation` run their trials
+through `first_witnesses`, three lanes per trial (`random_lanes`,
+`lane_blocks`).  A nonzero polynomial of degree d, sampled from sets of
+p - 1 or more elements, vanishes in one lane with probability at most
+d/(p-1) (Schwartz 1980; Zippel 1979), in all three at most (d/(p-1))^3.
+That is at most d/q, q = 2^61 - 1, exactly when d^2 <=
 (p-1)^3/q = 2^32 - 12 + e (0 < e < 1e-7): for every d < 2^16.  Two lanes
 would need d <= 2.  Relations that share lanes each keep their own bound.
 Keeping k draws distinct conditions on an event of probability at least
@@ -28,7 +28,7 @@ import random
 from functools import reduce
 from itertools import chain
 from operator import add, mul, sub
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -73,15 +73,57 @@ def _part(x):
     return x.astype(np.int64) % P
 
 
-def _lanes(re, im, den=None) -> "FpLanes":
-    """FpLanes from reduced parts over den (None for 1), nonzero per lane."""
-    return tuple.__new__(FpLanes, (re, im, den))
+def _gauss_mul(ar, ai, br, bi):
+    """(ar + ai i)(br + bi i) mod P on reduced parts, ints or int64 arrays
+    of one shape or of shapes that broadcast to br's."""
+    re = ar * br
+    re -= ai * bi
+    re %= P
+    im = ai * br
+    im += ar * bi
+    im %= P
+    return re, im
+
+
+def _fermat_inverse(x: np.ndarray) -> np.ndarray:
+    """x^(P-2) mod P elementwise: 1/x for x != 0 mod P, and 0 for x = 0."""
+    out, base, e = np.ones_like(x), x, P - 2
+    while e:
+        if e & 1:
+            out = out * base % P
+        base = base * base % P
+        e >>= 1
+    return out
+
+
+def _batch_inverse(x: np.ndarray) -> np.ndarray:
+    """1/x mod P for each row of x, nonzero (rows, lanes), from one Fermat
+    inverse per lane: the product tree of the rows is inverted at its root
+    and the inverse pushed back down, two products per node."""
+    levels = [x]
+    while len(levels[-1]) > 1:
+        v = levels[-1]
+        if len(v) % 2:
+            v = levels[-1] = np.concatenate([v, np.ones_like(v[:1])])
+        levels.append(v[0::2] * v[1::2] % P)
+    inv = _fermat_inverse(levels.pop())
+    for v in reversed(levels):
+        inv, down = inv[:len(v) // 2], np.empty_like(v)
+        down[0::2] = inv * v[1::2] % P
+        down[1::2] = inv * v[0::2] % P
+        inv = down
+    return inv[:len(x)]
+
+
+def _lanes(re, im) -> "FpLanes":
+    """FpLanes from parts already reduced mod P."""
+    return tuple.__new__(FpLanes, (re, im))
 
 
 class FpLanes(tuple):
     """Elements re + im*i of F_p[i], one per lane, from int or integer-array
     parts; a/b maps to FpLanes(a) / FpLanes(b).  `==` holds when every lane
-    is equal.  The tuple is (re, im, den), den None for 1.
+    is equal.  The tuple is (re, im), each reduced mod P.
     """
 
     __slots__ = ()
@@ -89,30 +131,14 @@ class FpLanes(tuple):
     def __new__(cls, re=0, im=0):
         return _lanes(_part(re), _part(im))
 
-    def reduced(self):
-        """(re, im) over 1: an inverse mod p per lane, for printing only."""
-        re, im, d = self
-        if d is None:
-            return re, im
-        inv = pow(d, -1, P) if type(d) is int else np.array([pow(int(x), -1, P) for x in d])
-        return re * inv % P, im * inv % P
-
     def lane(self, k: int) -> "FpLanes":
         """Lane k as a value with int parts."""
-        return FpLanes(*(int(x if np.ndim(x) == 0 else x[k]) for x in self.reduced()))
+        return FpLanes(*(int(x if np.ndim(x) == 0 else x[k]) for x in self))
 
     def zeros(self) -> np.ndarray:
-        """Per lane, whether the value is 0.  Only the numerator is tested,
-        which is valid because the denominator is nonzero in every lane; a
-        zero one is refused."""
-        re, im, d = self
-        if d is not None and not np.all(d):
-            raise ZeroDivisionError("zero denominator in F_p[i]")
+        """Per lane, whether the value is 0."""
+        re, im = self
         return np.asarray((re == 0) & (im == 0))
-
-    def first_nonzero_lane(self) -> Optional[int]:
-        bad = np.flatnonzero(~self.zeros())
-        return int(bad[0]) if bad.size else None
 
     def __eq__(self, other):
         if type(other) is int:
@@ -128,11 +154,8 @@ class FpLanes(tuple):
     def _combine(self, other, op):
         """self op other for op = add or sub."""
         other = other if type(other) is FpLanes else FpLanes(other)
-        (a, b, d), (c, e, f) = self, other
-        if d is None and f is None:
-            return _lanes(op(a, c) % P, op(b, e) % P)
-        d, f = (1 if d is None else d), (1 if f is None else f)
-        return _lanes(op(a * f, c * d) % P, op(b * f, e * d) % P, d * f % P)
+        (a, b), (c, e) = self, other
+        return _lanes(op(a, c) % P, op(b, e) % P)
 
     def __add__(self, other):
         return self._combine(other, add)
@@ -143,30 +166,29 @@ class FpLanes(tuple):
         return self._combine(other, sub)
 
     def __neg__(self):
-        re, im, d = self
-        return _lanes(-re % P, -im % P, d)
+        re, im = self
+        return _lanes(-re % P, -im % P)
 
     def __mul__(self, other):
         other = other if type(other) is FpLanes else FpLanes(other)
-        (a, b, d), (c, e, f) = self, other
-        den = f if d is None else d if f is None else d * f % P
-        return _lanes((a * c - b * e) % P, (a * e + b * c) % P, den)
+        return _lanes(*_gauss_mul(*self, *other))
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "FpLanes":
-        re, im, d = self
-        return _lanes(re, -im % P, d)
+        re, im = self
+        return _lanes(re, -im % P)
 
     def inverse(self) -> "FpLanes":
-        """den * conj(num) / |num|^2.  |num|^2 = 0 mod p only where num = 0,
-        and then, in any lane, ZeroDivisionError."""
-        a, b, d = self
+        """conj / |self|^2 by one pow(v, -1, P) per lane.  |self|^2 = 0 mod p
+        only where self = 0, and then, in any lane, ZeroDivisionError."""
+        a, b = self
         norm = (a * a + b * b) % P
         if not np.all(norm):
             raise ZeroDivisionError("division by zero in F_p[i]")
-        d = 1 if d is None else d
-        return _lanes(a * d % P, -b * d % P, norm)
+        inv = (pow(norm, -1, P) if type(norm) is int
+               else np.array([pow(v, -1, P) for v in norm.tolist()], dtype=np.int64))
+        return _lanes(a * inv % P, -b * inv % P)
 
     def __truediv__(self, other):
         other = other if type(other) is FpLanes else FpLanes(other)
@@ -177,15 +199,14 @@ class FpLanes(tuple):
         return reduce(mul, [base] * abs(k)) if k else FpLanes(1)
 
     def __repr__(self):
-        re, im = (x if type(x) is int else x.tolist() for x in self.reduced())
+        re, im = (x if type(x) is int else x.tolist() for x in self)
         return f"FpLanes({re}, {im})"
 
 
-def random_lanes(rng: random.Random, lanes: int, count: int,
-                 low: int = 0) -> List[FpLanes]:
+def random_lanes(rng: random.Random, lanes: int, count: int, low: int = 0) -> np.ndarray:
     """`count` values per lane, uniform on low..p-1 and distinct within each
-    lane: the values rng.randrange(low, P) draws lane by lane, a repeat
-    within a lane drawn again.  ValueError when count exceeds p - low.
+    lane, in int64 rows (count, lanes): rng.randrange(low, P) lane by lane,
+    a repeat within a lane drawn again.  ValueError when count > p - low.
 
     CPython's randrange(low, P) is low + the first getrandbits(k) below
     P - low, k = (P - low).bit_length(), and getrandbits(k) is the top k bits
@@ -215,13 +236,36 @@ def random_lanes(rng: random.Random, lanes: int, count: int,
                     row.append(v)
             picked.append(row)
         rows = np.array(picked, dtype=np.uint32)
-    return [_lanes(c, 0) for c in np.array(rows.T, dtype=np.int64, order="C") + low]
+    return np.array(rows.T, dtype=np.int64, order="C") + low
 
 
 def lane_blocks(trials: int) -> List[Tuple[int, int]]:
     """(first lane, lane count) of each block of the trials' lanes, in order."""
     total, step = LANES_PER_TRIAL * trials, LANES_PER_TRIAL * TRIALS_PER_BLOCK
     return [(start, min(step, total - start)) for start in range(0, total, step)]
+
+
+def first_witnesses(relations: int, trials: int, seed: int,
+                    block: Callable) -> List[Optional[str]]:
+    """Per relation, "trial t: " + describe(i, k) for its first nonzero lane,
+    lane k of the block that holds trial t, or None.  Block by block
+    (`lane_blocks`), block(rng, lanes) draws and evaluates the next lanes
+    from rng = random.Random(seed) and returns (bad, describe), bad[i]
+    marking relation i's nonzero lanes.  No block is drawn once every
+    relation has failed.  ValueError when trials < 1."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    rng = random.Random(seed)
+    found: List[Optional[str]] = [None] * relations
+    for start, lanes in lane_blocks(trials):
+        if all(found):
+            break
+        bad, describe = block(rng, lanes)
+        for i, row in enumerate(bad):
+            if found[i] is None and row.any():
+                k = int(row.argmax())
+                found[i] = f"trial {(start + k) // LANES_PER_TRIAL}: {describe(i, k)}"
+    return found
 
 
 # perfbench/tracing.py counts F_p[i] lane operations under this name.

@@ -27,12 +27,13 @@ from __future__ import annotations
 import cmath
 import math
 import random
+from itertools import permutations
 from typing import List, Sequence
 
 import numpy as np
 
 from .gz import separated_uniforms
-from .rationals import LANES_PER_TRIAL, FpLanes, lane_blocks, random_lanes
+from .rationals import FpLanes, first_witnesses, random_lanes
 from .report import VerificationReport, residual_report
 from .specfun import PoleError, gamma_shift_ratio, log_gamma, log_gamma_array
 
@@ -116,14 +117,16 @@ def check_dif_equation(alpha: Sequence[float], lam: Sequence[float], j: int) -> 
 
 
 def _lagrange_lhs(u, lam, alpha):
-    """Left side of the interpolation identity of `check_lagrange_identity`."""
-    one = FpLanes(1)
-    lhs = (u - sum(alpha) + sum(lam)) * math.prod((u - l for l in lam), start=one)
+    """Left side of the interpolation identity of `check_lagrange_identity`
+    times D = prod_j d_j, d_j = prod_{k!=j} (lambda_j - lambda_k): the sum
+    is kept as a numerator over the product of the d's taken so far."""
+    total, den = 0, 1
     for j, lj in enumerate(lam):
         others = lam[:j] + lam[j + 1:]
-        num = math.prod([u - lk for lk in others] + [lj - ak for ak in alpha], start=one)
-        lhs += num / math.prod((lj - lk for lk in others), start=one)
-    return lhs
+        dj = math.prod(lj - lk for lk in others)
+        num = math.prod([u - lk for lk in others] + [lj - ak for ak in alpha])
+        total, den = total * dj + num * den, den * dj
+    return total + (u - sum(alpha) + sum(lam)) * math.prod(u - l for l in lam) * den
 
 
 def check_lagrange_identity(N: int, trials: int = 50, seed: int = 42) -> VerificationReport:
@@ -135,26 +138,25 @@ def check_lagrange_identity(N: int, trials: int = 50, seed: int = 42) -> Verific
       = prod_k (u - alpha_k)
 
     u, the N-1 lambdas and the N alphas are drawn distinct and uniformly
-    from F_p, p = 2^31 - 1, on three lanes per trial (`rationals`), so no
-    denominator vanishes.  Multiplied by prod_{j<k} (lambda_j - lambda_k), a
-    false identity is a nonzero polynomial of total degree at most
-    deg = (N-1)(N-2)/2 + N, and one trial passes it with probability at most
-    (deg/p)^3 <= deg/(2^61 - 1) (Schwartz 1980; Zippel 1979), or at most
-    1/(1 - 2N^2/p)^3 times that once the draws are conditioned on being
-    distinct.  The witness is the first nonzero lane, of trial lane // 3.
+    from F_p, p = 2^31 - 1, on three lanes per trial (`rationals`), so
+    D = prod_{j!=k} (lambda_j - lambda_k) is nonzero, and both sides are
+    compared times D, which changes no lane's zero test.  Multiplied by
+    prod_{j<k} (lambda_j - lambda_k), a false identity is a nonzero
+    polynomial of total degree at most deg = (N-1)(N-2)/2 + N, and one trial
+    passes it with probability at most (deg/p)^3 <= deg/(2^61 - 1) (Schwartz
+    1980; Zippel 1979), or at most 1/(1 - 2N^2/p)^3 times that once the
+    draws are conditioned on being distinct.  The witness is the first
+    nonzero lane.  ValueError when trials < 1.
     """
-    rng = random.Random(seed)
-    witness = None
-    for start, lanes in lane_blocks(trials):
-        samples = random_lanes(rng, lanes, 2 * N)
-        u, lam, alpha = samples[0], samples[1:N], samples[N:2 * N]
-        rhs = math.prod((u - a for a in alpha), start=FpLanes(1))
-        k = (_lagrange_lhs(u, lam, alpha) - rhs).first_nonzero_lane()
-        if k is not None:
-            witness = (f"trial {(start + k) // LANES_PER_TRIAL}: u={u.lane(k)}, "
-                       f"lam={[x.lane(k) for x in lam]}, "
-                       f"alpha={[x.lane(k) for x in alpha]}")
-            break
+    def block(rng, lanes):
+        draws = [FpLanes(row) for row in random_lanes(rng, lanes, 2 * N)]
+        u, lam, alpha = draws[0], draws[1:N], draws[N:]
+        rhs = math.prod([u - a for a in alpha] + [a - b for a, b in permutations(lam, 2)])
+        bad = ~(_lagrange_lhs(u, lam, alpha) - rhs).zeros()
+        return [bad], lambda _, k: (f"u={u.lane(k)}, lam={[x.lane(k) for x in lam]}, "
+                                    f"alpha={[x.lane(k) for x in alpha]}")
+
+    witness, = first_witnesses(1, trials, seed, block)
     return VerificationReport(suite="separation", n=N, relation="lagrange",
                               status="FAIL" if witness else "PASS", seed=seed,
                               witness=witness)
@@ -164,8 +166,10 @@ def separation_suite(N: int, trials: int = 100, seed: int = 42) -> List[Verifica
     """Difference-equation residuals and the exact Lagrange identity.
 
     The `trials` points are drawn one by one; each residual check then runs
-    once per j on their columns, one array per variable.
+    once per j on their columns, one array per variable.  ValueError when
+    trials < 1, before anything is drawn.
     """
+    rep_lagr = check_lagrange_identity(N, min(trials, 50), seed)   # refuses trials < 1 first
     rng = random.Random(seed)
 
     cols = np.array([separated_uniforms(rng, 2 * N - 1, -3.0, 3.0, 1e-2)
@@ -183,5 +187,4 @@ def separation_suite(N: int, trials: int = 100, seed: int = 42) -> List[Verifica
     rep_meas = residual_report("separation", N, "measure-difference-eq", worst_meas,
                                1e-10, seed=seed)
 
-    rep_lagr = check_lagrange_identity(N, min(trials, 50), seed)
     return [rep_dif, rep_meas, rep_lagr]

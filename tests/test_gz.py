@@ -190,17 +190,15 @@ def test_flipped_raising_sign_fails(monkeypatch):
 
 class _FailsAtLane:
     """Stands in for a `TermTable` whose "operators" are global lane numbers:
-    operator i is nonzero at lane ops[i] alone.  Counts, per operator, the
-    blocks in which it is active."""
+    operator i is nonzero at lane ops[i] alone."""
 
     def __init__(self, N, ops):
-        self.lanes, self.first, self.blocks = list(ops), 0, [0] * len(ops)
+        self.lanes, self.first = list(ops), 0
 
-    def values(self, x, beta, active):
+    def values(self, x, beta):
         count = x.shape[1]
         re = np.zeros((len(self.lanes), count), dtype=np.int64)
         for i, lane in enumerate(self.lanes):
-            self.blocks[i] += bool(active[i])
             if self.first <= lane < self.first + count:
                 re[i, lane - self.first] = 1
         self.first += count
@@ -208,9 +206,7 @@ class _FailsAtLane:
 
 
 def test_failure_in_a_later_block_names_its_global_trial(monkeypatch):
-    tables = []
-    monkeypatch.setattr(gz, "TermTable", lambda N, ops: tables.append(_FailsAtLane(N, ops))
-                        or tables[-1])
+    monkeypatch.setattr(gz, "TermTable", _FailsAtLane)
     block = LANES_PER_TRIAL * TRIALS_PER_BLOCK
     trials = 2 * TRIALS_PER_BLOCK + 1
     rep = gz._check_zero("stub", 2, trials, 0, [
@@ -221,18 +217,15 @@ def test_failure_in_a_later_block_names_its_global_trial(monkeypatch):
     late_w, early_w = rep.witness.split("; ")
     assert late_w.startswith(f"late: trial {TRIALS_PER_BLOCK + 2}: value FpLanes(1, 0) at ")
     assert early_w.startswith("early: trial 1: value FpLanes(1, 0) at ")
-    # a failed relation drops out of later blocks; the others see all three
-    table, = tables
-    assert table.blocks == [2, 1, 3]
 
 
 def _lanes_and_betas(rng, N, lanes):
     """A drawn array and its betas, as `FpLanes` and as the table's int64 rows."""
-    arr = TriangularArray([random_lanes(rng, lanes, n) for n in range(1, N + 1)])
+    levels = [random_lanes(rng, lanes, n) for n in range(1, N + 1)]
+    arr = TriangularArray([[FpLanes(e) for e in level] for level in levels])
     slots = [(n, j) for n in range(1, N) for j in range(1, n + 1)]
-    beta = random_lanes(rng, lanes, len(slots), 1)
-    x = np.array([e[0] for row in arr.levels for e in row])
-    return arr, dict(zip(slots, beta)), x, np.array([b[0] for b in beta]).reshape(-1, lanes)
+    b = random_lanes(rng, lanes, len(slots), 1)
+    return arr, dict(zip(slots, map(FpLanes, b))), np.concatenate(levels), b
 
 
 @pytest.mark.parametrize("N", [2, 3, 4])
@@ -275,9 +268,16 @@ def test_term_table_matches_the_per_operator_evaluation(N):
     table = gz.TermTable(N, [gz_generator("diagonal", 1, N), raise2])
     with pytest.raises(ZeroDivisionError):
         table.values(x, b)
-    # an operator that has failed already is not evaluated, so it cannot raise
-    re, im = table.values(x, b, np.array([True, False]))
-    assert FpLanes(re[0], im[0]) == gz_generator("diagonal", 1, N).evaluate_on_test(arr, beta)
+
+
+@pytest.mark.parametrize("check", [check_gl_relations, check_serre])
+def test_relation_checks_refuse_fewer_than_one_trial(check):
+    for trials in (0, -5):
+        with pytest.raises(ValueError, match=f"trials must be at least 1, got {trials}"):
+            check(3, trials=trials, seed=1)
+    # at N = 2 Serre has no relation, yet the count is still refused
+    with pytest.raises(ValueError, match="got 0"):
+        check(2, trials=0)
 
 
 def test_gl_relations_and_serre():

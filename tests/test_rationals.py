@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quantoda.rationals import (LANES_PER_TRIAL, P, TRIALS_PER_BLOCK, FpLanes,
-                                gauss_mul, gauss_str, lane_blocks, random_lanes)
+                                first_witnesses, gauss_mul, gauss_str, lane_blocks,
+                                random_lanes)
 
 LANES = 3
 
@@ -41,7 +42,7 @@ def test_division_inverts_multiplication(a, b):
     assert a.inverse() * a == FpLanes(1)
     assert a / a == FpLanes(1)
     assert FpLanes(1) / a == a.inverse()
-    # values over a denominator add, multiply and compare like any other
+    # quotients add, multiply and compare like any other value
     assert (b / a + b) * a == b + b * a
     assert (b / a).zeros().tolist() == b.zeros().tolist()
 
@@ -61,14 +62,14 @@ def test_lanes_match_python_int_arithmetic(a, b):
     # cannot overflow
     quotient = None if b.zeros().any() else a / b
     for k in range(LANES):
-        (ar, ai), (br, bi) = (x.lane(k).reduced() for x in (a, b))
-        assert (a + b).lane(k).reduced() == ((ar + br) % P, (ai + bi) % P)
-        assert (a * b).lane(k).reduced() == ((ar * br - ai * bi) % P,
-                                             (ar * bi + ai * br) % P)
+        (ar, ai), (br, bi) = (tuple(x.lane(k)) for x in (a, b))
+        assert tuple((a + b).lane(k)) == ((ar + br) % P, (ai + bi) % P)
+        assert tuple((a * b).lane(k)) == ((ar * br - ai * bi) % P,
+                                          (ar * bi + ai * br) % P)
         if quotient is not None:
             inv = pow((br * br + bi * bi) % P, -1, P)
-            assert quotient.lane(k).reduced() == ((ar * br + ai * bi) * inv % P,
-                                                  (ai * br - ar * bi) * inv % P)
+            assert tuple(quotient.lane(k)) == ((ar * br + ai * bi) * inv % P,
+                                               (ai * br - ar * bi) * inv % P)
 
 
 def test_negative_power():
@@ -86,20 +87,13 @@ def test_negative_power():
 def test_zero_in_one_lane_is_refused():
     # one zero lane among nonzero ones: no lane divides
     z = FpLanes(np.array([5, P, 2]), np.array([1, -P, 0]))
-    assert z.zeros().tolist() == [False, True, False]
-    assert z.first_nonzero_lane() == 0 and (z - z).first_nonzero_lane() is None
+    assert z.zeros().tolist() == [False, True, False] and (z - z).zeros().all()
     with pytest.raises(ZeroDivisionError):
         FpLanes(1) / z
     with pytest.raises(ZeroDivisionError):
         z ** -1
     with pytest.raises(ZeroDivisionError):
         FpLanes(1) / P
-    # the numerator-only zero test is valid only over a nonzero
-    # denominator; a value whose denominator is 0 in a lane is refused
-    bad = FpLanes(np.array([1, 0, 3])) / FpLanes(np.array([1, 2, 3]))
-    re, im, _ = bad
-    with pytest.raises(ZeroDivisionError):
-        tuple.__new__(FpLanes, (re, im, np.array([1, 0, 1]))).zeros()
 
 
 def test_int64_edge_parts_at_p_minus_one():
@@ -111,11 +105,11 @@ def test_int64_edge_parts_at_p_minus_one():
     assert a * a.conjugate() == FpLanes(2)
     assert a + a == FpLanes(-2, -2) and a - a == FpLanes(0)
     assert a / a == FpLanes(1) and a ** -3 * a ** 3 == FpLanes(1)
-    over = a / FpLanes(top)                   # a denominator of p - 1
+    over = a / FpLanes(top)                   # a divisor of p - 1
     assert over == FpLanes(1, 1) and over * over == FpLanes(0, 2)
     assert sum([a] * 5, FpLanes()) == FpLanes(-5, -5)
     big = FpLanes(np.array([P - 1, 0, 1]), np.array([P - 1, P - 1, 0]))
-    re, im = (big * big).reduced()
+    re, im = big * big
     assert re.tolist() == [0, (-1) % P, 1] and im.tolist() == [2, 0, 0]
 
 
@@ -131,7 +125,7 @@ def test_conjugate_and_modulus():
     a = FpLanes(2) / FpLanes(3) + FpLanes(0, -5) / FpLanes(7)   # 2/3 - 5i/7
     m = a * a.conjugate()
     assert m == FpLanes(2 ** 2 * 7 ** 2 + 5 ** 2 * 3 ** 2) / FpLanes(3 ** 2 * 7 ** 2)
-    assert m.reduced()[1] == 0
+    assert m[1] == 0
     assert gauss_mul((2, -5), (2, 5)) == (29, 0)
     # p = 3 mod 4: a^2 + b^2 = 0 mod p forces a = b = 0, so the norm of
     # a nonzero element is nonzero
@@ -159,7 +153,7 @@ def test_coercion_with_floats_and_complex():
 
 def test_equality_is_lane_by_lane_on_reduced_values():
     assert FpLanes(P + 1, -1) == FpLanes(1, P - 1)
-    assert FpLanes(3, 0) == FpLanes(3) and FpLanes(3).reduced() == (3, 0)
+    assert FpLanes(3, 0) == FpLanes(3) and tuple(FpLanes(3)) == (3, 0)
     lanes = FpLanes(np.array([1, 1 + P, 4]))
     assert lanes == FpLanes(np.array([1, 1, 4]))
     assert lanes != FpLanes(1) and lanes != FpLanes(np.array([1, 1, 5]))
@@ -182,16 +176,15 @@ def test_immutability():
 def test_random_lanes_draws_distinct_elements_from_low_up():
     rng = random.Random(0)
     vals = random_lanes(rng, 5, 6, 1)
-    assert len(vals) == 6
-    for k in range(5):
-        lane = [v.lane(k) for v in vals]
-        assert all(v.reduced()[1] == 0 and 1 <= v.reduced()[0] < P for v in lane)
-        assert len({v.reduced()[0] for v in lane}) == 6
+    assert vals.shape == (6, 5) and vals.dtype == np.int64
+    for lane in vals.T.tolist():
+        assert all(1 <= v < P for v in lane) and len(set(lane)) == 6
     # a small range forces redraws, and each lane stays distinct
     small = random_lanes(random.Random(1), 3, 4, P - 4)
-    for k in range(3):
-        assert sorted(v.lane(k).reduced()[0] for v in small) == [P - 4, P - 3, P - 2, P - 1]
-    assert random_lanes(random.Random(2), 2, 3) == random_lanes(random.Random(2), 2, 3)
+    for lane in small.T.tolist():
+        assert sorted(lane) == [P - 4, P - 3, P - 2, P - 1]
+    assert np.array_equal(random_lanes(random.Random(2), 2, 3),
+                          random_lanes(random.Random(2), 2, 3))
 
 
 def _per_value_draws(rng, lanes, count, low=0):
@@ -209,8 +202,8 @@ def _per_value_draws(rng, lanes, count, low=0):
 
 
 def _as_rows(values, lanes, count):
-    assert all(v[0].dtype == np.int64 and v[1] == 0 and v[2] is None for v in values)
-    return np.array([v[0] for v in values]).reshape(count, lanes).T.tolist()
+    assert values.dtype == np.int64 and values.shape == (count, lanes)
+    return values.T.tolist()
 
 
 @given(st.integers(min_value=0, max_value=2 ** 64), st.integers(min_value=1, max_value=192),
@@ -277,3 +270,49 @@ def test_lane_blocks_bound_the_lanes_of_one_evaluation():
     assert lane_blocks(2 * TRIALS_PER_BLOCK + 1) == [
         (0, block), (block, block), (2 * block, LANES_PER_TRIAL)]
     assert max(n for _, n in lane_blocks(10 ** 6)) == block
+
+
+def test_first_witnesses_names_global_trials_and_stops_when_all_have_failed():
+    block = LANES_PER_TRIAL * TRIALS_PER_BLOCK
+    # relation -> the global lanes where its value is nonzero
+    nonzero = {0: [block + 7], 1: [4, 5, block + 1], 2: [-1]}
+    drawn, first_draws = [], []
+
+    def stub(rng, lanes):
+        first = sum(drawn)
+        drawn.append(lanes)
+        first_draws.append(rng.getrandbits(32))
+        bad = np.zeros((len(nonzero), lanes), dtype=bool)
+        for i, at in nonzero.items():
+            for g in at:
+                if first <= g < first + lanes:
+                    bad[i, g - first] = True
+        return bad, lambda i, k: f"relation {i} at lane {first + k}"
+
+    trials = 5 * TRIALS_PER_BLOCK
+    found = first_witnesses(3, trials, 9, stub)
+    # a later block names its global trial; a relation keeps its first witness
+    assert found == [f"trial {TRIALS_PER_BLOCK + 2}: relation 0 at lane {block + 7}",
+                     "trial 1: relation 1 at lane 4", None]
+    assert drawn == [block] * 5
+    # every block draws on from one generator seeded once
+    rng = random.Random(9)
+    assert first_draws == [rng.getrandbits(32) for _ in range(5)]
+    # once every relation has failed, no further block is drawn
+    nonzero[2] = [block + 2]
+    drawn.clear()
+    found = first_witnesses(3, trials, 9, stub)
+    assert found[2] == f"trial {TRIALS_PER_BLOCK}: relation 2 at lane {block + 2}"
+    assert drawn == [block, block]
+    # the last block holds what is left of the trials
+    drawn.clear()
+    first_witnesses(3, TRIALS_PER_BLOCK + 1, 9, stub)
+    assert drawn == [block, LANES_PER_TRIAL]
+
+
+@pytest.mark.parametrize("trials", [0, -5])
+def test_first_witnesses_refuses_fewer_than_one_trial(trials):
+    def stub(rng, lanes):
+        raise AssertionError("nothing may be drawn")
+    with pytest.raises(ValueError, match=f"trials must be at least 1, got {trials}"):
+        first_witnesses(1, trials, 0, stub)

@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from quantoda import separation
 from quantoda.gz import separated_uniforms
+from quantoda.rationals import FpLanes, random_lanes
 from quantoda.report import combine
 from quantoda.separation import (check_dif_equation, check_lagrange_identity,
                                  check_measure_difference_eq,
@@ -69,6 +71,29 @@ def test_lagrange_identity_exact():
         assert check_lagrange_identity(N, trials=50, seed=7).passed
 
 
+def _divided_lagrange_lhs(u, lam, alpha):
+    """The identity's left side as written, with its divisions: the reference
+    for the cleared form the check evaluates."""
+    one = FpLanes(1)
+    lhs = (u - sum(alpha) + sum(lam)) * math.prod((u - l for l in lam), start=one)
+    for j, lj in enumerate(lam):
+        others = lam[:j] + lam[j + 1:]
+        num = math.prod([u - lk for lk in others] + [lj - ak for ak in alpha], start=one)
+        lhs += num / math.prod((lj - lk for lk in others), start=one)
+    return lhs
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 5])
+def test_cleared_lagrange_lhs_is_the_divided_one_times_d(N):
+    draws = [FpLanes(row) for row in random_lanes(random.Random(50 + N), 12, 2 * N)]
+    u, lam, alpha = draws[0], draws[1:N], draws[N:]
+    d = math.prod((a - b for a, b in permutations(lam, 2)), start=FpLanes(1))
+    assert not d.zeros().any()
+    reference = _divided_lagrange_lhs(u, lam, alpha)
+    assert separation._lagrange_lhs(u, lam, alpha) == reference * d
+    assert reference == math.prod((u - a for a in alpha), start=FpLanes(1))
+
+
 def test_misprinted_lagrange_identity_fails(monkeypatch):
     # drop the + sum_j lambda_j term: the F_p[i] check must catch it
     lhs = separation._lagrange_lhs
@@ -79,6 +104,22 @@ def test_misprinted_lagrange_identity_fails(monkeypatch):
     for N in (2, 3, 4):
         rep = check_lagrange_identity(N, trials=5, seed=7)
         assert rep.status == "FAIL" and rep.witness.startswith("trial 0: u=FpLanes(")
+
+
+@pytest.mark.parametrize("trials", [0, -5])
+def test_lagrange_identity_refuses_fewer_than_one_trial(trials):
+    with pytest.raises(ValueError, match=f"trials must be at least 1, got {trials}"):
+        check_lagrange_identity(3, trials=trials)
+
+
+@pytest.mark.parametrize("trials", [0, -5])
+def test_suite_refuses_fewer_than_one_trial_before_drawing(monkeypatch, trials):
+    def no_draw(*args):
+        raise AssertionError("drawn before the trial count was checked")
+    monkeypatch.setattr(separation, "separated_uniforms", no_draw)
+    monkeypatch.setattr(separation, "random_lanes", no_draw)
+    with pytest.raises(ValueError, match=f"trials must be at least 1, got {trials}"):
+        separation_suite(3, trials=trials)
 
 
 def test_suite_shape_and_status():
