@@ -14,12 +14,15 @@ within-level coincidences annihilate the integrand through the denominator.
 
 Quadrature is a truncated uniform grid per dimension (spectrally accurate
 for these analytic, exponentially decaying integrands).  N <= 3.  One front
-end, `_evaluate`, works on a tensor grid axes[0] x ... x axes[N-1]: a point
-is a grid with one node per axis, a sweep one with a single varying axis.
-The integrand sees x only through the differences u_n = x_n - x_{n+1} and
-the carrier e^{i sigma1 x_N}, applied once to the node sums.  Differences
-equal to 12 decimals share one node sum, evaluated at the first one's
-exact difference.  Level n holds n variables at height h_n, so its phase
+end, `_evaluate_grids`, works on tensor grids axes[0] x ... x axes[N-1]: a
+point is a grid with one node per axis, a sweep one with a single varying
+axis, and several grids (the two of a refined eigen check) share one
+kernel build and one node sum.  The integrand sees x only through the
+differences u_n = x_n - x_{n+1} and the carrier e^{i sigma1 x_N}, applied
+once to the node sums.  Differences equal to 12 decimals, in any of the
+grids, share one node sum, evaluated at the first one's exact difference.
+The stride-2 sums behind the error estimate are computed only where the
+estimate is read: point values and sweeps, not grids.  Level n holds n variables at height h_n, so its phase
 e^{i lam u_n} reaches e^{n h_n max(0, -u_n)}: a grid whose phase exponent
 sum_n n h_n max(0, -min u_n) exceeds EXP_LIMIT would overflow and raises
 ValueError before any node sum.  One builder, `_kernel`, makes the kernel
@@ -219,8 +222,9 @@ def _node_sums(top, which: str, offsets, half_width: float, M: int,
 
     N = 2 when `vs` is None: arrays of shape (len(us),) over u = x1 - x2.
     N = 3 otherwise: arrays of shape (len(us), len(vs)) over u = x1 - x2 and
-    v = x2 - x3.  Returns the sums on the full grid of M nodes and on its
-    stride-2 subgrid (full, halved).
+    v = x2 - x3.  Yields the sums on the full grid of M nodes, then those on
+    its stride-2 subgrid: a caller that reads no error estimate draws only
+    the first and pays for no halved sum.
 
     At N = 3 the level-2 pair (b, c) carries D[b,c] = `_within_level`(t_b -
     t_c), as both level-2 variables lie on one line.  Expanding the sinh,
@@ -234,21 +238,19 @@ def _node_sums(top, which: str, offsets, half_width: float, M: int,
         b = t + 1j * offsets[1]      # level-2 variables (both run over the same nodes)
         ep, em = np.exp(np.pi * t), np.exp(-np.pi * t)
         rank4 = np.stack([t * ep, em, ep, t * em], axis=1)     # (nb, 4)
-    sums = []
     for sl, fac in ((slice(None), 1.0), (slice(0, M, 2), 2.0)):
         # phases are built from the sliced nodes: a strided view of one
         # shared phase array changes the rounding of the halved N=3 sums
         phase_a = np.exp(np.multiply.outer(us, 1j * a[sl]))    # (nu, na)
         if vs is None:
-            sums.append((phase_a @ wtop[sl]) * (dt * fac) / TWO_PI)
+            yield (phase_a @ wtop[sl]) * (dt * fac) / TWO_PI
             continue
         phase_b = np.exp(np.multiply.outer(1j * b[sl], vs))    # (nb, nv)
         w = wtop[sl, None] * phase_b                             # (nb, nv)
         weights = (rank4[sl, :, None] * w[:, None, :]).reshape(len(w), -1)
         P = (A[sl][:, sl] @ weights).reshape(len(w), 4, len(vs))  # (na, 4, nv)
         pairs = (P[:, 0] * P[:, 1] - P[:, 2] * P[:, 3]) / np.pi  # (na, nv)
-        sums.append((phase_a @ pairs) * (dt * fac) ** 3 / TWO_PI ** 3)
-    return sums[0], sums[1]
+        yield (phase_a @ pairs) * (dt * fac) ** 3 / TWO_PI ** 3
 
 
 # ---------------------------------------------------------------------------
@@ -284,19 +286,23 @@ def _check_phase(offsets: Sequence[float], diffs) -> None:
                          f"{exponent:.6g} exceeds {EXP_LIMIT:g}")
 
 
-def _evaluate(which: str, N: int, params: Sequence[float], axes, tol: float,
-              contour: ContourSpec | None = None):
-    """Values and error estimates on the grid axes[0] x ... x axes[N-1].
+def _evaluate_grids(which: str, N: int, params: Sequence[float], grids, tol: float,
+                    contour: ContourSpec | None = None, estimate: bool = True):
+    """Values and error estimates on each grid axes[0] x ... x axes[N-1] of
+    `grids`, all from one kernel build and one node sum.
 
-    Returns two arrays of shape (len(axes[0]), ..., len(axes[N-1])), all
-    from one kernel build.  The error estimate is |v - v_half|, where v_half
-    is the stride-2 sum with the same carrier.  Spherical contours are
-    real: offsets 0.
+    Returns one (values, errors) pair of arrays of shape (len(axes[0]), ...,
+    len(axes[N-1])) per grid; errors is None when not `estimate`.  The node
+    sums run over the union of the grids' differences, each evaluated at the
+    first grid's exact difference where it has one.  The error estimate is
+    |v - v_half|, where v_half is the stride-2 sum with the same carrier,
+    computed only when `estimate`.  Spherical contours are real: offsets 0.
     """
     if which not in ("whittaker", "spherical"):
         raise ValueError(f"unknown function {which!r}")
-    axes = [np.asarray(a, dtype=float) for a in axes]
-    params = _validate(N, params, axes, tol)
+    grids = [[np.asarray(a, dtype=float) for a in axes] for axes in grids]
+    for axes in grids:
+        params = _validate(N, params, axes, tol)
     if which == "spherical" and any(abs(p - q) < COINCIDENT_TOL for i, p in
                                     enumerate(params) for q in params[i + 1:]):
         raise ContourError("coincident top-level spectral parameters")
@@ -305,22 +311,41 @@ def _evaluate(which: str, N: int, params: Sequence[float], axes, tol: float,
         raise ContourError(
             f"contour has {len(contour.offsets)} levels, N={N} needs {N}")
     offsets = contour.offsets if which == "whittaker" else (0.0,) * N
-    diffs = [np.subtract.outer(a, b) for a, b in zip(axes, axes[1:])]
+    # per level n, the differences x_n - x_{n+1} of every grid in one array
+    diffs = [np.concatenate([np.subtract.outer(axes[n], axes[n + 1]).reshape(-1)
+                             for axes in grids]) for n in range(N - 1)]
     _check_phase(offsets, diffs)
-    carrier = np.exp(1j * sum(params) * axes[-1])
+    carriers = [np.exp(1j * sum(params) * axes[-1]) for axes in grids]
     if N == 1:
-        return carrier, np.zeros(carrier.shape)
+        return [(c, np.zeros(c.shape) if estimate else None) for c in carriers]
     nodes, picks = [], []
-    for d in diffs:
-        _, first, pick = np.unique(np.round(d.reshape(-1), 12),
-                                   return_index=True, return_inverse=True)
-        nodes.append(d.reshape(-1)[first])
-        picks.append(pick.reshape(d.shape))
-    full, half = _node_sums(params, which, offsets, contour.half_width,
-                            contour.nodes_per_dim, *nodes)
-    pick = picks[0] if N == 2 else (picks[0][:, :, None], picks[1][None, :, :])
-    v, vh = full[pick] * carrier, half[pick] * carrier
-    return v, np.abs(v - vh)
+    for n, d in enumerate(diffs):
+        _, first, pick = np.unique(np.round(d, 12), return_index=True,
+                                   return_inverse=True)
+        nodes.append(d[first])
+        level, start = [], 0
+        for axes in grids:
+            shape = (len(axes[n]), len(axes[n + 1]))
+            level.append(pick[start:start + shape[0] * shape[1]].reshape(shape))
+            start += shape[0] * shape[1]
+        picks.append(level)
+    sums = _node_sums(params, which, offsets, contour.half_width,
+                      contour.nodes_per_dim, *nodes)
+    full = next(sums)
+    half = next(sums) if estimate else None
+    sums.close()                     # frees the node-sum temporaries
+    out = []
+    for carrier, *own in zip(carriers, *picks):
+        pick = own[0] if N == 2 else (own[0][:, :, None], own[1][None, :, :])
+        v = full[pick] * carrier
+        out.append((v, np.abs(v - half[pick] * carrier) if estimate else None))
+    return out
+
+
+def _evaluate(which: str, N: int, params: Sequence[float], axes, tol: float,
+              contour: ContourSpec | None = None):
+    """Values and error estimates on the one grid axes[0] x ... x axes[N-1]."""
+    return _evaluate_grids(which, N, params, [axes], tol, contour)[0]
 
 
 def whittaker_eval(N: int, alpha: Sequence[float], x: Sequence[float],
@@ -330,14 +355,24 @@ def whittaker_eval(N: int, alpha: Sequence[float], x: Sequence[float],
     return QuadratureResult(v.item(), err.item())
 
 
+def whittaker_on_grids(N: int, alpha: Sequence[float], grids,
+                       tol: float = 1e-6, contour: ContourSpec | None = None
+                       ) -> List[np.ndarray]:
+    """Wave function on each full tensor grid of coordinates in `grids`.
+
+    One kernel build and one node sum serve every grid: the quadrature is
+    contracted once per distinct coordinate difference of all the grids
+    rather than once per grid point (see `_evaluate_grids`).  No error
+    estimate is computed.
+    """
+    return [v for v, _ in _evaluate_grids("whittaker", N, alpha, grids, tol,
+                                          contour, estimate=False)]
+
+
 def whittaker_on_grid(N: int, alpha: Sequence[float], axes: Sequence[np.ndarray],
                       tol: float = 1e-6, contour: ContourSpec | None = None) -> np.ndarray:
-    """Wave function on a full tensor grid of coordinates.
-
-    The quadrature is contracted once per distinct coordinate difference
-    rather than once per grid point (see `_evaluate`).
-    """
-    return _evaluate("whittaker", N, alpha, axes, tol, contour)[0]
+    """Wave function on a full tensor grid of coordinates (`whittaker_on_grids`)."""
+    return whittaker_on_grids(N, alpha, [axes], tol, contour)[0]
 
 
 def spherical_eval(N: int, lam_top: Sequence[float], x: Sequence[float],

@@ -24,7 +24,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .mellin_barnes import EXP_LIMIT, whittaker_on_grid
+from .mellin_barnes import EXP_LIMIT, whittaker_on_grids
 from .report import VerificationReport, residual_report
 
 BOUNDARY_MARGIN = 2  # nodes invalidated per face by the stencil
@@ -62,30 +62,36 @@ class GridFunction:
 
 
 def toda_apply(psi: GridFunction, N: int) -> GridFunction:
-    """H psi with H = -Laplacian + sum_k e^{x_{k+1}-x_k}; margins set to NaN."""
+    """H psi with H = -Laplacian + sum_k e^{x_{k+1}-x_k}; margins set to NaN.
+
+    The stencil runs on the interior slices (`GridFunction.interior`) and
+    their neighbours one node over along each axis."""
     if len(psi.axes) != N:
         raise ValueError("grid dimension does not match N")
     v = psi.values
-    out = np.zeros_like(v)
+    inner = psi.interior()
+
+    def shifted(k: int, s: int) -> np.ndarray:
+        """The interior moved s nodes along axis k (empty with it: a
+        negative stop would count from the end)."""
+        sl = list(inner)
+        sl[k] = slice(inner[k].start + s, max(inner[k].stop + s, 0))
+        return v[tuple(sl)]
+
+    c = v[inner]
+    out = np.zeros_like(c)
     for k, h in enumerate(psi.spacings):
-        up = np.roll(v, -1, axis=k)
-        dn = np.roll(v, 1, axis=k)
-        out -= (up - 2.0 * v + dn) / h ** 2
-    pot = np.zeros(v.shape, dtype=float)
+        out -= (shifted(k, 1) - 2.0 * c + shifted(k, -1)) / h ** 2
+    axes = [a[sl] for a, sl in zip(psi.axes, inner)]
+    pot = np.zeros(c.shape, dtype=float)
     for k in range(N - 1):
-        xk = psi.axes[k].reshape([-1 if i == k else 1 for i in range(N)])
-        xk1 = psi.axes[k + 1].reshape([-1 if i == k + 1 else 1 for i in range(N)])
+        xk = axes[k].reshape([-1 if i == k else 1 for i in range(N)])
+        xk1 = axes[k + 1].reshape([-1 if i == k + 1 else 1 for i in range(N)])
         pot = pot + np.exp(xk1 - xk)
-    out += pot * v
-    mask = np.zeros(v.shape, dtype=bool)
-    for k in range(N):
-        sl = [slice(None)] * N
-        sl[k] = slice(0, BOUNDARY_MARGIN)
-        mask[tuple(sl)] = True
-        sl[k] = slice(v.shape[k] - BOUNDARY_MARGIN, v.shape[k])
-        mask[tuple(sl)] = True
-    out[mask] = np.nan
-    return GridFunction(psi.axes, out)
+    out += pot * c
+    full = np.full(v.shape, np.nan, dtype=complex)
+    full[inner] = out
+    return GridFunction(psi.axes, full)
 
 
 def eigenvalue_from_alpha(alpha: Sequence[float]) -> float:
@@ -130,14 +136,6 @@ def max_grid_span(N: int) -> float:
     return min(EXP_LIMIT, EXP_LIMIT / S - LN2) if S else math.inf
 
 
-def _eigenfunction_on_grid(N: int, alpha: Sequence[float],
-                           axes: Sequence[np.ndarray], tol: float) -> np.ndarray:
-    """Wave function transplanted to the Hamiltonian's convention."""
-    mb_axes = [-np.asarray(axes[k], dtype=float) + (k + 1) * LN2
-               for k in range(N)]
-    return whittaker_on_grid(N, alpha, mb_axes, tol=tol)
-
-
 def check_eigen(N: int, alpha: Sequence[float], grid: GridSpec,
                 tol: float = 1e-3, quad_tol: float = 1e-8,
                 refine: bool = False) -> VerificationReport:
@@ -147,37 +145,36 @@ def check_eigen(N: int, alpha: Sequence[float], grid: GridSpec,
     Laplacian while the spectral normalization of eigenvalue_from_alpha
     corresponds to the half-Laplacian form (see the module docstring).
     With refine=True the spacing is halved at fixed extent and the
-    second-order stencil ratio (about 4) is reported in the witness.
-    A grid (the halved one too, with refine) that spans more than
+    second-order stencil ratio (about 4) is reported in the witness; both
+    grids are evaluated by one `whittaker_on_grids` call, the given grid
+    first.  A grid (the halved one too, with refine) that spans more than
     `max_grid_span`(N) raises ValueError before anything is evaluated.
     """
     fine = GridSpec(2 * grid.points, grid.spacing / 2.0, grid.center)
-    axes = (fine if refine else grid).axes(N)
+    grids = [g.axes(N) for g in ((grid, fine) if refine else (grid,))]
     span = max((max(b.max() - a.min(), a.max() - b.min())
-                for a, b in zip(axes, axes[1:])), default=0.0)
+                for a, b in zip(grids[-1], grids[-1][1:])), default=0.0)
     if span > max_grid_span(N):
         raise ValueError(f"grid spans {span:.6g} in x_k - x_(k+1); above "
                          f"{max_grid_span(N):.6g} the N={N} evaluation overflows")
-    rep = residual_report("eigen", N, "toda-eigenvalue",
-                          _eigen_residual(N, alpha, grid, quad_tol), tol)
+    # the wave function transplanted to the Hamiltonian's convention
+    psis = whittaker_on_grids(
+        N, alpha, [[-a + (k + 1) * LN2 for k, a in enumerate(axes)]
+                   for axes in grids], quad_tol)
+    energy = 2.0 * eigenvalue_from_alpha(alpha)
+    residuals = []
+    for axes, psi in zip(grids, psis):
+        gf = GridFunction(axes, psi)
+        sl = gf.interior()
+        resid = toda_apply(gf, N).values[sl] - energy * psi[sl]
+        residuals.append(float(np.linalg.norm(resid) / np.linalg.norm(psi[sl])))
+    rep = residual_report("eigen", N, "toda-eigenvalue", residuals[0], tol)
     if refine:
-        ratio = rep.residual / _eigen_residual(N, alpha, fine, quad_tol)
+        ratio = residuals[0] / residuals[1]
         rep.witness = f"refinement ratio {ratio:.3f}"
         if not (3.5 <= ratio <= 4.5):
             rep.status = "FAIL"
     return rep
-
-
-def _eigen_residual(N: int, alpha: Sequence[float], grid: GridSpec,
-                    quad_tol: float) -> float:
-    axes = grid.axes(N)
-    psi = _eigenfunction_on_grid(N, alpha, axes, quad_tol)
-    gf = GridFunction(axes, psi)
-    hpsi = toda_apply(gf, N)
-    energy = 2.0 * eigenvalue_from_alpha(alpha)
-    sl = gf.interior()
-    resid = hpsi.values[sl] - energy * psi[sl]
-    return float(np.linalg.norm(resid) / np.linalg.norm(psi[sl]))
 
 
 # ---------------------------------------------------------------------------
@@ -242,11 +239,8 @@ def whittaker_vs_ode_ratio(alpha: Sequence[float], r_grid: Sequence[float],
     """
     r = np.asarray(r_grid, dtype=float)
     ode = bessel_oracle_n2(alpha, r).values.real
-    mb = np.array([
-        whittaker_on_grid(2, alpha, [np.array([rv / 2.0]),
-                                     np.array([-rv / 2.0])],
-                          tol=quad_tol)[0, 0]
-        for rv in r])
+    mb = np.array([g.item() for g in whittaker_on_grids(
+        2, alpha, [[[rv / 2.0], [-rv / 2.0]] for rv in r.tolist()], tol=quad_tol)])
     ratio = mb / ode
     spread = float(np.std(ratio) / np.mean(np.abs(ratio)))
     return residual_report("oracle", 2, "ode-ratio", spread, 1e-5,

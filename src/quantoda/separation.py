@@ -116,17 +116,29 @@ def check_dif_equation(alpha: Sequence[float], lam: Sequence[float], j: int) -> 
 # ---------------------------------------------------------------------------
 
 
+def _prod(factors):
+    """Product of a nonempty list of lane values, with no product by 1."""
+    return math.prod(factors[1:], start=factors[0])
+
+
 def _lagrange_lhs(u, lam, alpha):
     """Left side of the interpolation identity of `check_lagrange_identity`
     times D = prod_j d_j, d_j = prod_{k!=j} (lambda_j - lambda_k): the sum
-    is kept as a numerator over the product of the d's taken so far."""
-    total, den = 0, 1
+    is kept as a numerator over the product of the d's taken so far.  At
+    N <= 2 there is no d and D = 1."""
+    total, den = 0, None
     for j, lj in enumerate(lam):
         others = lam[:j] + lam[j + 1:]
-        dj = math.prod(lj - lk for lk in others)
-        num = math.prod([u - lk for lk in others] + [lj - ak for ak in alpha])
-        total, den = total * dj + num * den, den * dj
-    return total + (u - sum(alpha) + sum(lam)) * math.prod(u - l for l in lam) * den
+        num = _prod([u - lk for lk in others] + [lj - ak for ak in alpha])
+        dj = _prod([lj - lk for lk in others]) if others else None
+        if den is None:
+            total, den = num, dj
+        else:
+            total, den = total * dj + num * den, den * dj
+    tail = [u - sum(alpha) + sum(lam)] + [u - lk for lk in lam]
+    if den is not None:
+        tail.append(den)
+    return total + _prod(tail)
 
 
 def check_lagrange_identity(N: int, trials: int = 50, seed: int = 42) -> VerificationReport:
@@ -151,7 +163,7 @@ def check_lagrange_identity(N: int, trials: int = 50, seed: int = 42) -> Verific
     def block(rng, lanes):
         draws = [FpLanes(row) for row in random_lanes(rng, lanes, 2 * N)]
         u, lam, alpha = draws[0], draws[1:N], draws[N:]
-        rhs = math.prod([u - a for a in alpha] + [a - b for a, b in permutations(lam, 2)])
+        rhs = _prod([u - a for a in alpha] + [a - b for a, b in permutations(lam, 2)])
         bad = ~(_lagrange_lhs(u, lam, alpha) - rhs).zeros()
         return [bad], lambda _, k: (f"u={u.lane(k)}, lam={[x.lane(k) for x in lam]}, "
                                     f"alpha={[x.lane(k) for x in alpha]}")

@@ -206,7 +206,69 @@ def test_eigen_grids_share_node_sums_to_12_decimals(monkeypatch):
     rep = check_eigen(3, [0.9, 0.1, -0.6], GridSpec(20, 0.1), tol=1e-2,
                       refine=True)
     assert rep.status == "PASS"
-    assert seen == [(39, 39), (79, 79)]
+    assert seen == [(79, 79)]
+
+
+def _counting_kernel_and_sums(monkeypatch):
+    """Counts of `_kernel` builds, `_node_sums` calls and node sums drawn
+    (the full sums, then the stride-2 ones of the error estimate)."""
+    counts = {"kernel": 0, "node_sums": 0, "drawn": 0}
+    kernel, node_sums = mb._kernel, mb._node_sums
+
+    def counting_kernel(*args):
+        counts["kernel"] += 1
+        return kernel(*args)
+
+    def counting_sums(*args):
+        counts["node_sums"] += 1
+        for sums in node_sums(*args):
+            counts["drawn"] += 1
+            yield sums
+
+    monkeypatch.setattr(mb, "_kernel", counting_kernel)
+    monkeypatch.setattr(mb, "_node_sums", counting_sums)
+    return counts
+
+
+@pytest.mark.parametrize("N, alpha, grid", [
+    (2, [0.6, -0.6], GridSpec(24, 0.08)),
+    (3, [0.9, 0.1, -0.6], GridSpec(20, 0.1, (0.1, -0.2, 0.05))),
+])
+def test_refined_eigen_check_is_one_kernel_and_one_node_sum(monkeypatch, N,
+                                                            alpha, grid):
+    counts = _counting_kernel_and_sums(monkeypatch)
+    check_eigen(N, alpha, grid, tol=1e-2, refine=True)
+    assert counts == {"kernel": 1, "node_sums": 1, "drawn": 1}
+
+
+def test_only_a_read_error_estimate_draws_the_stride_2_sums(monkeypatch):
+    counts = _counting_kernel_and_sums(monkeypatch)
+    whittaker_on_grid(3, [0.8, 0.0, -0.5], [np.linspace(-0.2, 0.2, 3)] * 3)
+    assert counts == {"kernel": 1, "node_sums": 1, "drawn": 1}
+    whittaker_eval(3, [0.8, 0.0, -0.5], [0.1, 0.0, -0.1])
+    assert counts == {"kernel": 2, "node_sums": 2, "drawn": 3}
+
+
+@pytest.mark.parametrize("alpha", [[0.7, -0.2], [0.8, 0.0, -0.5]])
+def test_grids_evaluated_together_match_separate_calls(alpha):
+    # the first grid's differences win the shared node sums, the others'
+    # may sit up to rounding away from their own.  At N = 2 each node sum
+    # is one row of a matrix-vector product, so the first grid's values are
+    # bit for bit its own; at N = 3 BLAS rounds a matrix product's entries
+    # by the product's column count
+    N = len(alpha)
+    grids = [GridSpec(6, 0.1, (0.3, -0.1, 0.2)[:N]).axes(N),
+             GridSpec(12, 0.05, (0.3, -0.1, 0.2)[:N]).axes(N),
+             [np.linspace(-0.4, 0.5, 4), np.linspace(0.1, 0.3, 3),
+              np.array([-0.25])][:N],
+             [[0.37], [-0.11], [0.05]][:N]]
+    together = mb.whittaker_on_grids(N, alpha, grids, tol=1e-8)
+    for k, (axes, got) in enumerate(zip(grids, together)):
+        alone = whittaker_on_grid(N, alpha, axes, tol=1e-8)
+        assert got.shape == alone.shape
+        if k == 0 and N == 2:
+            assert got.tobytes() == alone.tobytes()
+        assert np.max(np.abs(got - alone)) <= 1e-13 * np.max(np.abs(alone))
 
 
 def test_grid_scan_rows():

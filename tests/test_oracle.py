@@ -56,6 +56,42 @@ def test_toda_apply_n1_plane_wave():
     assert np.allclose(out[sl], k * k * psi.values[sl], rtol=1e-3)
 
 
+def _toda_apply_by_roll(psi, N):
+    """H psi by np.roll copies of the whole grid, margins left unmasked."""
+    v = psi.values
+    out = np.zeros_like(v)
+    for k, h in enumerate(psi.spacings):
+        out -= (np.roll(v, -1, axis=k) - 2.0 * v + np.roll(v, 1, axis=k)) / h ** 2
+    pot = np.zeros(v.shape, dtype=float)
+    for k in range(N - 1):
+        xk = psi.axes[k].reshape([-1 if i == k else 1 for i in range(N)])
+        xk1 = psi.axes[k + 1].reshape([-1 if i == k + 1 else 1 for i in range(N)])
+        pot = pot + np.exp(xk1 - xk)
+    out += pot * v
+    return out
+
+
+@pytest.mark.parametrize("shape, spacings", [
+    ((11,), (0.07,)),
+    ((7, 10), (0.1, 0.06)),
+    ((6, 9, 8), (0.11, 0.05, 0.08)),
+    ((4, 9), (0.1, 0.2)),            # no interior along x1
+])
+def test_toda_apply_is_the_roll_stencil_bit_for_bit(shape, spacings):
+    N = len(shape)
+    rng = np.random.default_rng(len(shape) + sum(shape))
+    axes = [0.3 * k - 0.2 + h * np.arange(n)
+            for k, (n, h) in enumerate(zip(shape, spacings))]
+    psi = GridFunction(axes, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    out = toda_apply(psi, N).values
+    inner = psi.interior()
+    assert out[inner].tobytes() == _toda_apply_by_roll(psi, N)[inner].tobytes()
+    margins = np.ones(shape, dtype=bool)
+    margins[inner] = False
+    assert np.isnan(out[margins]).all()
+    assert out[inner].size == np.prod([max(n - 2 * BOUNDARY_MARGIN, 0) for n in shape])
+
+
 def test_bessel_oracle_decay_and_oscillation():
     r = np.linspace(-6.0, 2.0, 81)
     alpha = [1.0, -1.0]
@@ -95,7 +131,7 @@ def test_check_eigen_rejects_a_grid_that_would_overflow(monkeypatch):
     def evaluate(*args):
         raise AssertionError("evaluated a grid above the bound")
 
-    monkeypatch.setattr(oracle, "_eigen_residual", evaluate)
+    monkeypatch.setattr(oracle, "whittaker_on_grids", evaluate)
     for N, grid, refine in ((2, GridSpec(5, 1000.0), False),
                             (2, GridSpec(5, 170.0), True),     # coarse 680, fine 765
                             (3, GridSpec(5, 100.0), False),
