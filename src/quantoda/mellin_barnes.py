@@ -32,11 +32,14 @@ Toeplitz and built from 2M - 1 values: every route passes O(M) values to
 log Gamma, in one call per build.  In the node sum, `_node_sums`, a
 within-level difference d on a level's contour is real, so the
 denominator 1/(Gamma(-i d) Gamma(i d)) = d sinh(pi d)/pi (0 at d = 0) has
-rank 4 as a matrix over the nodes: at N = 3 both routes run in O(M^2)
-memory and build no 3-D array.  `whittaker_recursive` orders the sum
-differently (separated variables outside, its inner rank-2 function one
-matrix product), as an independent cross-check; it too sees x through the
-differences and the carrier alone, under the same phase bound.
+rank 4 as a matrix over the nodes: at N = 3 the sum runs in O(M^2)
+memory and builds no 3-D array.  `whittaker_recursive` (separation of
+variables) is at N = 3 this node sum on the contour raised 1/2 per
+integrated level, so it checks contour independence (Cauchy), and
+`oracle.givental` is the reference without Mellin-Barnes kernels.  The one
+contraction outside `_node_sums` is the recursive N = 2 `.sum()`: it
+matches the separated-kernel loop bit for bit, a matrix-vector product
+would not.
 
 Normalization: 1/(2 pi) per integration variable, which makes N = 1 return
 exactly e^{i alpha x}; all cross-checks against oracles are ratio-based.
@@ -182,12 +185,6 @@ def _adjacent_log(d, which: str):
     return 2.0 * log_gamma_array(d / 2j + 0.25).real + 0j
 
 
-def _within_level(d):
-    """1/(Gamma(-i d) Gamma(i d)) = d sinh(pi d)/pi for real d; 0 at d = 0."""
-    with np.errstate(over="ignore"):
-        return d * np.sinh(np.pi * d) / np.pi
-
-
 def _kernel(top, which: str, offsets, half_width: float, M: int):
     """Nodes t, top weight w and, at N = 3, the adjacent-level matrix A.
 
@@ -226,8 +223,9 @@ def _node_sums(top, which: str, offsets, half_width: float, M: int,
     its stride-2 subgrid: a caller that reads no error estimate draws only
     the first and pays for no halved sum.
 
-    At N = 3 the level-2 pair (b, c) carries D[b,c] = `_within_level`(t_b -
-    t_c), as both level-2 variables lie on one line.  Expanding the sinh,
+    At N = 3 the level-2 pair (b, c) carries D[b,c] = 1/(Gamma(-i d)
+    Gamma(i d)) = d sinh(pi d)/pi at the real d = t_b - t_c (0 at d = 0), as
+    both level-2 variables lie on one line.  Expanding the sinh,
     sum_{b,c} B_b B_c D[b,c] = [(B.tE+)(B.E-) - (B.E+)(B.tE-)] / pi with
     E+- = e^{+-pi t}, so all v share one (M x M) @ (M x 4 len(vs)) product.
     """
@@ -348,11 +346,17 @@ def _evaluate(which: str, N: int, params: Sequence[float], axes, tol: float,
     return _evaluate_grids(which, N, params, [axes], tol, contour)[0]
 
 
+def _point(which: str, N: int, params: Sequence[float], x: Sequence[float],
+           tol: float, contour: ContourSpec | None = None) -> QuadratureResult:
+    """Value and error estimate at the one point x."""
+    v, err = _evaluate(which, N, params, [[xk] for xk in x], tol, contour)
+    return QuadratureResult(v.item(), err.item())
+
+
 def whittaker_eval(N: int, alpha: Sequence[float], x: Sequence[float],
                    tol: float = 1e-6, contour: ContourSpec | None = None) -> QuadratureResult:
     """Direct tensor-quadrature evaluation of the wave function at one x."""
-    v, err = _evaluate("whittaker", N, alpha, [[xk] for xk in x], tol, contour)
-    return QuadratureResult(v.item(), err.item())
+    return _point("whittaker", N, alpha, x, tol, contour)
 
 
 def whittaker_on_grids(N: int, alpha: Sequence[float], grids,
@@ -378,8 +382,7 @@ def whittaker_on_grid(N: int, alpha: Sequence[float], axes: Sequence[np.ndarray]
 def spherical_eval(N: int, lam_top: Sequence[float], x: Sequence[float],
                    tol: float = 1e-6) -> QuadratureResult:
     """Spherical-kernel integral over real contours."""
-    v, err = _evaluate("spherical", N, lam_top, [[xk] for xk in x], tol)
-    return QuadratureResult(v.item(), err.item())
+    return _point("spherical", N, lam_top, x, tol)
 
 
 def grid_scan(which: str, N: int, params: Sequence[float], axis: int,
@@ -415,44 +418,35 @@ def grid_scan(which: str, N: int, params: Sequence[float], axis: int,
 def whittaker_recursive(N: int, alpha: Sequence[float], x: Sequence[float],
                         tol: float = 1e-6) -> QuadratureResult:
     """Level-by-level route: outer integral over the separated variables of
-    the separation kernel and measure times the cached rank-(N-1) function.
+    the separation kernel and measure times the rank-(N-1) function; x_N
+    enters through the carrier e^{i sigma1 x_N} alone.
 
-    The total-momentum delta factor collapses the momentum integral, so the
-    x_N dependence enters through the carrier e^{i sigma1 x_N} alone.
+    N = 2 sums the kernel times the plane wave e^{i lam u} over the nodes.
+    At N = 3 the separated pair lam, at height h, carries the kernel
+    prod_{k,m} Gamma(-i(lam_k - alpha_m)), the measure mu = 1/(Gamma(-i d)
+    Gamma(i d)), d = lam_1 - lam_2, and e^{i(lam_1 + lam_2) v}, against the
+    rank-2 function int Gamma(-i(nu - lam_1)) Gamma(-i(nu - lam_2)) e^{i nu u}
+    dnu/(2 pi) over Im nu = h + 1/2.  Fubini over the pair makes this the
+    direct integral on offsets (h + 1/2, h, 0), node for node, and the rank 4
+    of mu = d sinh(pi d)/pi lets `_node_sums` sum the pair first: N = 3 is
+    the one engine on that contour, and its estimate halves all three levels.
     """
     alpha = _validate(N, alpha, x, tol)
-    if N == 1:
-        return whittaker_eval(N, alpha, x, tol)
     contour = default_contour(N, alpha, tol)
     h = contour.offsets[0]
-    # the separated variables sit at h, the N = 3 inner variable one step above
-    offsets = (h + LEVEL_OFFSET_STEP, h, 0.0)[3 - N:]
-    u, v = x[0] - x[1], x[1] - x[-1]
-    _check_phase(offsets, [u, v])
-    # separated kernel prod_k Gamma(-i(lam - alpha_k)) at each node and, at
-    # N = 3, G[i, j] = Gamma(-i(mu_i - lam_j)) over the inner contour mu
-    t, kern, G = _kernel(alpha, "whittaker", offsets, contour.half_width,
-                         contour.nodes_per_dim)
+    if N == 3:
+        contour = ContourSpec((h + LEVEL_OFFSET_STEP, h, 0.0),
+                              contour.half_width, contour.nodes_per_dim)
+    if N != 2:
+        return _point("whittaker", N, alpha, x, tol, contour)
+    u = x[0] - x[1]
+    _check_phase(contour.offsets, [u])
+    # separated kernel prod_k Gamma(-i(lam - alpha_k)) at each node
+    t, kern, _ = _kernel(alpha, "whittaker", contour.offsets,
+                         contour.half_width, contour.nodes_per_dim)
     dt = t[1] - t[0]
-    lam = t + 1j * h
-
-    if N == 2:
-        # inner function is the plane wave e^{i lam u}
-        integ = kern * np.exp(1j * lam * u)
-        full = integ.sum() * dt / TWO_PI
-        halved = integ[::2].sum() * 2 * dt / TWO_PI
-    else:
-        # inner rank-2 function on all (l1, l2) level-2 node pairs, one GEMM
-        # G^T diag(e^{i mu u}) G over its own contour, one offset step above
-        # the separated variables so the Gamma arguments stay off the poles
-        mu_in = t + 1j * offsets[0]
-        lam_sum = np.add.outer(lam, lam)
-        inner = (((G.T * np.exp(1j * mu_in * u)) @ G) * dt / TWO_PI
-                 * np.exp(1j * lam_sum * v))
-        kern = kern[:, None] * kern[None, :]
-        mu = _within_level(np.subtract.outer(t, t))
-        integ = kern * mu * inner
-        full = integ.sum() * dt ** 2 / TWO_PI ** 2
-        halved = integ[::2, ::2].sum() * (2 * dt) ** 2 / TWO_PI ** 2
+    integ = kern * np.exp(1j * (t + 1j * h) * u)
+    full = integ.sum() * dt / TWO_PI
+    halved = integ[::2].sum() * 2 * dt / TWO_PI
     carrier = cmath.exp(1j * sum(alpha) * x[-1])
     return QuadratureResult(complex(full * carrier), abs(full - halved))

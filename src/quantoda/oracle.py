@@ -3,7 +3,8 @@
 Independent of the contour-integral machinery: a finite-difference open
 Toda Hamiltonian H = -Laplacian + sum_k e^{x_{k+1}-x_k}, the eigenvalue
 predicted by the spectral parameters, and for N = 2 a direct ODE
-integration of the center-of-mass-reduced eigenproblem.
+integration of the center-of-mass-reduced eigenproblem.  For N <= 3 the
+Givental integral gives pointwise values with no Mellin-Barnes kernel.
 
 Convention bridge, fixed once by N = 2 calibration and frozen: the
 contour-integral wave function psi satisfies
@@ -18,6 +19,7 @@ sum alpha^2 = 2 * eigenvalue_from_alpha(alpha).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import List, Sequence
@@ -245,3 +247,59 @@ def whittaker_vs_ode_ratio(alpha: Sequence[float], r_grid: Sequence[float],
     spread = float(np.std(ratio) / np.mean(np.abs(ratio)))
     return residual_report("oracle", 2, "ode-ratio", spread, 1e-5,
                            witness=f"alpha={tuple(alpha)}")
+
+
+# ---------------------------------------------------------------------------
+# Givental integral (N <= 3)
+# ---------------------------------------------------------------------------
+
+
+def givental(alpha: Sequence[float], x: Sequence[float]) -> complex:
+    """The wave function at x from the Givental integral, for N <= 3.
+
+    With y_{N,i} = -x_i and lambda = (-alpha_N, ..., -alpha_1),
+
+        psi(x) = c_N int exp{i sum_k lambda_k (sum_i y_{k,i} - sum_i y_{k-1,i})
+                 - sum_{k<N} sum_i (e^{y_{k,i} - y_{k+1,i}}
+                                    + e^{y_{k+1,i+1} - y_{k,i}})} dy
+
+    over the y_{k,i} with k < N (Givental 1997; Gerasimov, Kharchev,
+    Lebedev and Oblezin, IMRN 2006).  c_2 = 1: Euler's integral, Fourier
+    inverted, reads e^{-e^w} = int Gamma(-i mu) e^{i mu w} dmu/(2 pi) over
+    Im mu > 0; taken for both walls, it turns the y_{1,1} integral into a
+    2 pi delta and leaves the N = 2 Mellin-Barnes integral of
+    `mellin_barnes`.  c_3 = 2: GKLO equate the Givental integral with the
+    Mellin-Barnes one whose level k carries d^k gamma/((2 pi)^k k!);
+    `mellin_barnes` integrates the symmetric level-2 integrand over all of
+    R^2 without the 1/2!, so its value is 1! 2! = 2 times theirs.
+
+    Up to a factor e^{-40} = e^{-e^{3.7}} the walls hold every level-(N-1)
+    variable within 3.7 of [-max x, -min x] and a level-1 variable at N = 3
+    within 7.4, so one uniform trapezoid window of half-width 8 + (max x -
+    min x), centred at mean(y_N), serves every variable.  The step 0.1
+    e^{-u/4} follows the walls' width e^{-u/4} at the largest difference
+    u = x_k - x_{k+1} > 0.  At N = 3 the level-1 integral is one n x n
+    product E1 @ E2, then a bilinear form with the two level-2 factors.
+    """
+    N = len(x)
+    if not 1 <= N <= 3 or len(alpha) != N:
+        raise ValueError("givental needs 1 <= N <= 3 and one alpha per x")
+    y = -np.asarray(x, dtype=float)
+    lam = [-float(a) for a in reversed(alpha)]
+    top = cmath.exp(1j * lam[-1] * y.sum())
+    if N == 1:
+        return top
+    u = max(0.0, max(x[k] - x[k + 1] for k in range(N - 1)))
+    half = 8.0 + float(y.max() - y.min())
+    steps = math.ceil(half / (0.1 * math.exp(-u / 4.0)))
+    s = y.mean() + np.linspace(-half, half, 2 * steps + 1)
+    ds = s[1] - s[0]
+    with np.errstate(over="ignore"):
+        # y_{N-1,i}: its phase and its two walls
+        low = [np.exp(1j * (lam[-2] - lam[-1]) * s - np.exp(s - y[i])
+                      - np.exp(y[i + 1] - s)) for i in range(N - 1)]
+        if N == 2:
+            return top * low[0].sum() * ds
+        wall = np.exp(-np.exp(-np.subtract.outer(s, s)))   # e^{-e^{s_j - s_i}}
+        level1 = (wall * np.exp(1j * (lam[0] - lam[1]) * s)) @ wall
+    return 2.0 * top * (low[0] @ level1 @ low[1]) * ds ** 3

@@ -5,16 +5,15 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import loggamma
 
 from quantoda import mellin_barnes as mb
 from quantoda.gz import TriangularArray
 from quantoda.mellin_barnes import (ContourError, ContourSpec, DimensionError,
-                                    _evaluate, _within_level, default_contour,
+                                    _evaluate, default_contour,
                                     grid_scan, mb_integrand, spherical_eval,
                                     whittaker_eval, whittaker_on_grid,
                                     whittaker_recursive)
-from quantoda.oracle import GridSpec, check_eigen
+from quantoda.oracle import GridSpec, check_eigen, givental
 from quantoda.separation import sep_wavefunction
 from quantoda.specfun import gamma, log_gamma
 
@@ -135,6 +134,33 @@ def test_recursive_n2_matches_the_separated_wave_function_loop():
     integ = kern * np.exp(1j * lam * (x[0] - x[1]))
     want = integ.sum() * (t[1] - t[0]) / (2 * math.pi) * cmath.exp(1j * sum(alpha) * x[1])
     assert whittaker_recursive(2, alpha, x, tol).value == complex(want)
+
+
+RECURSIVE_N3_POINTS = [((0.9, 0.1, -0.6), (0.5, 0.0, -0.5)),
+                       ((0.9, 0.1, -0.6), (1.0, 0.0, -1.5)),
+                       ((0.9, 0.1, -0.6), (-2.0, 0.0, 2.0)),
+                       ((0.4, -0.7, 0.2), (0.3, -0.2, 0.1)),
+                       ((0.4, -0.7, 0.2), (2.0, 0.0, -2.0)),
+                       ((1.0, 0.3, -0.6), (-1.0, 1.5, -0.5))]
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-10])
+def test_recursive_n3_matches_the_givental_integral(tol):
+    # criterion 09's independent reference: no Mellin-Barnes kernel
+    for alpha, x in RECURSIVE_N3_POINTS:
+        want = givental(alpha, x)
+        got = whittaker_recursive(3, alpha, x, tol).value
+        assert abs(got - want) <= 10 * tol * abs(want), (alpha, x)
+
+
+def test_recursive_n3_is_the_direct_node_sum_on_the_raised_contour():
+    for alpha, x in RECURSIVE_N3_POINTS:
+        for tol in (1e-6, 1e-8):
+            c = default_contour(3, alpha, tol)
+            h = c.offsets[0]
+            raised = ContourSpec((h + 0.5, h, 0.0), c.half_width, c.nodes_per_dim)
+            assert (whittaker_recursive(3, alpha, x, tol)
+                    == whittaker_eval(3, alpha, x, tol, contour=raised))
 
 
 def test_weyl_symmetry_in_alpha():
@@ -353,16 +379,6 @@ def test_length_mismatch_is_a_value_error():
 def test_non_finite_input_or_bad_tol_is_a_value_error(call):
     with pytest.raises(ValueError, match="finite"):
         call()
-
-
-def test_within_level_closed_form():
-    # 1/(Gamma(-i d) Gamma(i d)) on a real difference d, from log-Gamma;
-    # at d = 0 the Gamma poles make it 0
-    d = np.linspace(-20.0, 20.0, 4001)
-    d = d[d != 0.0]
-    ref = np.exp(-(loggamma(-1j * d) + loggamma(1j * d)))
-    assert np.all(np.abs(_within_level(d) - ref) <= 1e-12 * np.abs(ref))
-    assert _within_level(np.zeros(1)).tolist() == [0.0]
 
 
 @pytest.mark.parametrize("which, params", [

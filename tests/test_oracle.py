@@ -1,12 +1,16 @@
+import cmath
 import math
+
+import mpmath
 
 import numpy as np
 import pytest
 
 from quantoda import oracle
+from quantoda.mellin_barnes import whittaker_eval
 from quantoda.oracle import (BOUNDARY_MARGIN, GridFunction, GridSpec,
                              bessel_oracle_n2, check_eigen,
-                             eigenvalue_from_alpha, max_grid_span, toda_apply,
+                             eigenvalue_from_alpha, givental, max_grid_span, toda_apply,
                              whittaker_vs_ode_ratio)
 
 
@@ -138,3 +142,37 @@ def test_check_eigen_rejects_a_grid_that_would_overflow(monkeypatch):
                             (3, GridSpec(64, 6.0), False)):
         with pytest.raises(ValueError, match="overflows"):
             check_eigen(N, [0.5, -0.5, 0.1][:N], grid, refine=refine)
+
+
+def _bessel_k_n2(alpha, x):
+    # psi = 2 K_{i(a1 - a2)}(2 e^{u/2}) e^{i(a1 + a2)(x1 + x2)/2}
+    with mpmath.workdps(30):
+        k = mpmath.besselk(1j * (alpha[0] - alpha[1]),
+                           2 * mpmath.exp(mpmath.mpf(x[0] - x[1]) / 2))
+    return 2 * complex(k) * cmath.exp(0.5j * sum(alpha) * (x[0] + x[1]))
+
+
+@pytest.mark.parametrize("alpha", [(0.8, -0.3), (0.5, -0.5), (1.3, 0.2)])
+def test_givental_n2_is_the_bessel_k_closed_form(alpha):
+    # free region, ordinary points and the decay region down to 1e-130
+    for u in (-40.0, -24.0, -8.0, -2.0, 0.0, 2.5, 5.0, 8.0, 10.0):
+        x = (u / 2 + 0.3, -u / 2 + 0.3)
+        want = _bessel_k_n2(alpha, x)
+        assert abs(givental(alpha, x) - want) <= 1e-12 * abs(want), u
+
+
+@pytest.mark.parametrize("alpha", [(0.9, 0.1, -0.6), (0.4, -0.7, 0.2)])
+def test_givental_n3_matches_the_mellin_barnes_integral(alpha):
+    # ordinary points; c_3 = 2 is what makes the two agree
+    for x in [(0.3, -0.2, 0.1), (0.5, 0.0, -0.5), (1.0, 0.0, -1.5),
+              (2.0, 0.0, -2.0), (-2.0, 0.0, 2.0), (-1.0, 1.5, -0.5)]:
+        want = whittaker_eval(3, alpha, x, tol=1e-12).value
+        assert abs(givental(alpha, x) - want) <= 1e-10 * abs(want), x
+
+
+def test_givental_n1_is_the_plane_wave_and_n4_is_refused():
+    assert abs(givental([0.7], [1.5]) - cmath.exp(1.05j)) <= 1e-15
+    with pytest.raises(ValueError):
+        givental([0.1] * 4, [0.0] * 4)
+    with pytest.raises(ValueError):
+        givental([0.1, 0.2], [0.0] * 3)
