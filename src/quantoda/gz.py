@@ -709,7 +709,29 @@ def check_spherical_equation(N: int, arr: TriangularArray,
 
 def gz_measure(arr: TriangularArray) -> complex:
     """prod_{n<N} prod_{s<p} (lam_{ns}-lam_{np})(e^{2 pi lam_{np}} - e^{2 pi lam_{ns}}),
-    elementwise over a stack of arrays (`stack_arrays`)."""
+    elementwise over a stack of arrays (`stack_arrays`).
+
+    At real a = lam_{ns}, b = lam_{np}, d = a - b, a pair's factor is
+    -2 e^{pi(a+b)} d sinh(pi d): -2 pi e^{pi(a+b)} times the pair's
+    `separation.sep_measure` 1/(Gamma(-i d) Gamma(i d)) = d sinh(pi d)/pi,
+    the within-level factor of `mellin_barnes`.  The asymmetric e^{pi(a+b)}
+    is a convention: it keeps the exponential part i-periodic, so the
+    multiplier prod (d+i)/d of `check_gz_measure_difference_eq` carries no
+    sign; the symmetric -2 d sinh(pi d) would pick up (-1)^{n-1} at level n.
+
+    Each level-n entry lies in n - 1 of the level's n(n-1)/2 pairs, so the
+    e^{pi(a+b)} cancel `whittaker_vector`'s prefactor e^{-pi(n-1) sum_j
+    lam_{nj}}, and the -2 pi leave c_N = prod_{n=2}^{N-1} (-2 pi)^{-n(n-1)/2}
+    (c_2 = 1, c_3 = -1/(2 pi), c_4 = (2 pi)^{-4}).  With lam_h the array
+    with level n raised by i(N-n)/2, the Mellin-Barnes integrand at lam_h is
+    c_N whittaker_vector("w", lam) gz_measure(lam) cartan_multiplier(x, lam_h),
+    and the spherical one at real lam is c_N e^{-pi sum_n (n-1) sum_j
+    lam_{nj}} phi(lam) phi(-lam) gz_measure(lam) cartan_multiplier(x, lam),
+    phi = `spherical_vector`.  With `mellin_barnes`' d lam/(2 pi) per
+    entry, the wave function is c_N times the GZ integral of w mu chi;
+    `oracle.givental` multiplies the Givental integral by its c_3 = 2 =
+    1! 2!, so at N = 3 that integral is c_3/2 = -1/(4 pi) times the GZ one.
+    """
     out = 1.0 + 0.0j
     for n in range(1, arr.N):
         row = arr.level(n)

@@ -36,7 +36,11 @@ rank 4 as a matrix over the nodes: at N = 3 the sum runs in O(M^2)
 memory and builds no 3-D array.  `whittaker_recursive` (separation of
 variables) is at N = 3 this node sum on the contour raised 1/2 per
 integrated level, so it checks contour independence (Cauchy), and
-`oracle.givental` is the reference without Mellin-Barnes kernels.  The one
+`oracle.givental` is the reference without Mellin-Barnes kernels.  The
+integrand is c_N times the Gelfand-Zetlin Whittaker vector, measure and
+Cartan multiplier of `gz` (c_N derived in `gz.gz_measure`): the tests check
+`_kernel` and the node sums against that product node by node, and this
+module imports `specfun` alone, so the two stay independent codes.  The one
 contraction outside `_node_sums` is the recursive N = 2 `.sum()`: it
 matches the separated-kernel loop bit for bit, a matrix-vector product
 would not.
@@ -54,8 +58,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .gz import TriangularArray
-from .specfun import log_gamma, log_gamma_array
+from .specfun import log_gamma_array
 
 TWO_PI = 2.0 * math.pi
 LEVEL_OFFSET_STEP = 0.5   # h_n = (N - n) * step
@@ -127,43 +130,6 @@ def default_contour(N: int, alpha: Sequence[float], tol: float) -> ContourSpec:
     nodes = max(MIN_NODES, int(math.ceil(2.0 * T / dt)))
     offsets = tuple((N - n) * LEVEL_OFFSET_STEP for n in range(1, N + 1))
     return ContourSpec(offsets, T, nodes)
-
-
-# ---------------------------------------------------------------------------
-# Scalar integrand (reference path, any N)
-# ---------------------------------------------------------------------------
-
-
-def mb_integrand(arr: TriangularArray, x: Sequence[float], which: str) -> complex:
-    """Kernel times coordinate exponential at one point of the array.
-
-    which = 'whittaker': numerator Gamma((lam_{nk}-lam_{n+1,m})/i) over
-    adjacent levels; 'spherical': the paired Gamma(d/(2i)+1/4) factors.
-    Both share the within-level denominator Gamma((lam_{ns}-lam_{np})/i).
-    """
-    if which not in ("whittaker", "spherical"):
-        raise ValueError(f"unknown kernel {which!r}")
-    N = arr.N
-    if len(x) != N:
-        raise ValueError("x must have one entry per level")
-    total = 0.0 + 0.0j
-    for n in range(1, N):
-        for k in range(1, n + 1):
-            for m in range(1, n + 2):
-                d = complex(arr.get(n, k) - arr.get(n + 1, m))
-                if which == "whittaker":
-                    total += log_gamma(-1j * d)
-                else:
-                    total += log_gamma(d / 2j + 0.25) + log_gamma(-d / 2j + 0.25)
-        for s in range(1, n + 1):
-            for p in range(1, n + 1):
-                if s != p:
-                    total -= log_gamma(-1j * complex(arr.get(n, s) - arr.get(n, p)))
-    for n in range(1, N + 1):
-        rown = arr.level(n)
-        prev = arr.level(n - 1) if n > 1 else ()
-        total += 1j * x[n - 1] * (sum(rown) - sum(prev))
-    return cmath.exp(total)
 
 
 # ---------------------------------------------------------------------------

@@ -494,6 +494,15 @@ def _fresh_python(*args):
                           text=True, env=env, timeout=120)
 
 
+def test_quadrature_half_imports_no_gz_code():
+    # the Mellin-Barnes tests compare two independent codes, the quadrature
+    # against the GZ product, only while the quadrature half (and the oracle
+    # that checks it) imports neither gz nor separation
+    probe = _fresh_python("-c", "import sys, quantoda.mellin_barnes, quantoda.oracle; print("
+                          "[m for m in ('quantoda.gz', 'quantoda.separation') if m in sys.modules])")
+    assert (probe.returncode, probe.stdout) == (0, "[]\n"), probe.stderr
+
+
 def test_entry_point_in_a_fresh_process():
     # no scipy or numpy.random module is loaded by importing the CLI, nor by
     # running one command of each kind in the same process (a lazy import

@@ -16,6 +16,7 @@ from quantoda.gz import (GENERATOR_PREFACTOR, VECTORS, Coefficient,
                          sample_real_array, separated_uniforms, spherical_vector,
                          stack_arrays, vector_shift_ratio, whittaker_vector)
 from quantoda.rationals import LANES_PER_TRIAL, TRIALS_PER_BLOCK, FpLanes, random_lanes
+from quantoda.separation import sep_measure
 from quantoda.specfun import PoleError, gamma
 
 
@@ -435,6 +436,28 @@ def test_gz_measure_sign_on_sorted_levels():
                                      for l in arr.levels])
         v = gz_measure(sorted_arr)
         assert abs(v.imag) == 0.0 and v.real >= 0.0
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5])
+def test_gz_measure_is_the_separated_measure_level_by_level(N):
+    # one within-level factor in three places: gz_measure's pair factor is
+    # -2 pi e^{pi(a+b)} times sep_measure's 1/|Gamma(-i d)|^2, which is the
+    # d sinh(pi d)/pi of the Mellin-Barnes node sums
+    rng = random.Random(70 + N)
+    for _ in range(5):
+        arr = sample_real_array(N, rng)
+        want = 1.0
+        for n in range(1, N):
+            row = arr.level(n)
+            for k, a in enumerate(row):
+                for b in row[k + 1:]:
+                    d = a - b
+                    closed = d * math.sinh(math.pi * d) / math.pi
+                    assert abs(sep_measure([a, b]) - closed) <= 1e-13 * closed
+                    want *= -2 * math.pi * math.exp(math.pi * (a + b))
+            want *= sep_measure(row)
+            got = gz_measure(TriangularArray(arr.levels[:n + 1]))
+            assert abs(got - want) <= 1e-13 * abs(want)
 
 
 def test_gz_measure_difference_eq():

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import tracemalloc
 
@@ -7,34 +8,22 @@ import pytest
 from scipy.integrate import quad
 
 from quantoda import mellin_barnes as mb
-from quantoda.gz import TriangularArray
+from quantoda.gz import (TriangularArray, cartan_multiplier, gz_measure,
+                         spherical_vector, whittaker_vector)
 from quantoda.mellin_barnes import (ContourError, ContourSpec, DimensionError,
                                     _evaluate, default_contour,
-                                    grid_scan, mb_integrand, spherical_eval,
+                                    grid_scan, spherical_eval,
                                     whittaker_eval, whittaker_on_grid,
                                     whittaker_recursive)
 from quantoda.oracle import GridSpec, check_eigen, givental
 from quantoda.separation import sep_wavefunction
-from quantoda.specfun import gamma, log_gamma
+from quantoda.specfun import log_gamma
 
 
 def test_n1_is_plane_wave():
     res = whittaker_eval(1, [0.7], [1.3])
     assert res.error_estimate == 0.0
     assert abs(res.value - cmath.exp(1j * 0.7 * 1.3)) < 1e-15
-
-
-def test_integrand_n2_explicit():
-    lam, a1, a2 = 0.4 + 0.5j, 0.9, -0.3
-    arr = TriangularArray([[lam], [a1, a2]])
-    x = [0.6, -0.2]
-    expect = (gamma(-1j * (lam - a1)) * gamma(-1j * (lam - a2))
-              * cmath.exp(1j * lam * x[0])
-              * cmath.exp(1j * (a1 + a2 - lam) * x[1]))
-    got = mb_integrand(arr, x, "whittaker")
-    assert abs(got - expect) < 1e-13 * abs(expect)
-    with pytest.raises(ValueError):
-        mb_integrand(arr, x, "nope")
 
 
 def test_contour_level_count_must_match_n():
@@ -381,30 +370,74 @@ def test_non_finite_input_or_bad_tol_is_a_value_error(call):
         call()
 
 
+def _gz_vectors(which, lam):
+    """w(lam) for the Whittaker kernel, phi(lam) phi(-lam) for the spherical one."""
+    if which == "whittaker":
+        return whittaker_vector("w", lam)
+    return spherical_vector(lam) * spherical_vector(
+        TriangularArray([[-v for v in row] for row in lam.levels]))
+
+
+def _gz_integrand(which, lam, x):
+    """The Mellin-Barnes integrand at the real array lam as the GZ product
+    c_N (vectors) mu chi, Whittaker's at lam raised i(N-n)/2 on level n
+    (derived in `gz.gz_measure`)."""
+    N = lam.N
+    c_N = math.prod((-2.0 * math.pi) ** -(n * (n - 1) // 2) for n in range(2, N))
+    at = lam
+    if which == "whittaker":
+        at = TriangularArray([[v + 0.5j * (N - n) for v in row]
+                              for n, row in enumerate(lam.levels, 1)])
+    else:       # phi(lam) phi(-lam) has no prefactor to cancel the measure's
+                # e^{pi(n-1) sum_j lam_nj}
+        c_N *= math.exp(-math.pi * sum((n - 1) * lam.level_sum(n) for n in range(1, N)))
+    return c_N * _gz_vectors(which, lam) * gz_measure(lam) * cartan_multiplier(x, at)
+
+
 @pytest.mark.parametrize("which, params", [
     ("whittaker", [0.9, 0.1, -0.6]),
     ("spherical", [0.7, 0.2, -0.4]),
+    ("whittaker", [0.8, -0.3]),
+    ("spherical", [0.6, -0.3]),
 ])
-def test_n3_node_sum_is_the_plain_triple_sum(which, params):
-    # the contraction against the integrand summed node by node, with the
-    # within-level coincidences b1 = b2 (where the kernel vanishes) left out
-    contour = ContourSpec((1.0, 0.5, 0.0), 4.0, 16)
-    x = [0.5, 0.1, -0.4]
-    got = _evaluate(which, 3, params, [[xk] for xk in x], 1e-6, contour)[0].item()
-    h1, h2 = contour.offsets[:2] if which == "whittaker" else (0.0, 0.0)
+def test_node_sum_is_the_plain_sum_of_the_gz_product(which, params):
+    # the contraction against the representation-theory integrand summed
+    # over every node, the within-level coincidences included: gz_measure
+    # is 0 there
+    N = len(params)
+    contour = ContourSpec((1.0, 0.5, 0.0)[3 - N:], 4.0, 16)
+    x = [0.5, 0.1, -0.4][:N]
+    got = _evaluate(which, N, params, [[xk] for xk in x], 1e-6, contour)[0].item()
     t = np.linspace(-contour.half_width, contour.half_width,
                     contour.nodes_per_dim)
-    total = 0.0
-    for ta in t:
-        for i1, t1 in enumerate(t):
-            for i2, t2 in enumerate(t):
-                if i1 != i2:
-                    arr = TriangularArray([[ta + 1j * h1],
-                                           [t1 + 1j * h2, t2 + 1j * h2],
-                                           params])
-                    total += mb_integrand(arr, x, which)
-    ref = total * ((t[1] - t[0]) / (2.0 * math.pi)) ** 3
+    dims = N * (N - 1) // 2
+    total = sum(_gz_integrand(which, TriangularArray([ts[:1], ts[1:3]][:N - 1]
+                                                     + [params]), x)
+                for ts in itertools.product(t.tolist(), repeat=dims))
+    ref = total * ((t[1] - t[0]) / (2.0 * math.pi)) ** dims
     assert abs(got - ref) <= 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize("which", ["whittaker", "spherical"])
+def test_kernel_is_the_gz_vectors_node_by_node(which):
+    # the kernel, built from O(M) log Gamma values, against the GZ vectors
+    # at every node: w[j] at N = 2, and A[i,j1] A[i,j2] w[j1] w[j2] at N = 3,
+    # times w's prefactor e^{-pi(t_j1 + t_j2)} for the Whittaker kernel
+    for params in ([0.8, -0.3], [0.9, 0.1, -0.6]):
+        N = len(params)
+        offsets = (1.0, 0.5, 0.0)[3 - N:] if which == "whittaker" else (0.0,) * N
+        t, w, A = mb._kernel(params, which, offsets, 3.0, 12)
+        if N == 2:
+            got = w
+            want = [_gz_vectors(which, TriangularArray([[ti], params])) for ti in t]
+        else:
+            got = np.einsum("ij,ik,j,k->ijk", A, A, w, w)
+            if which == "whittaker":
+                got = got * np.exp(-np.pi * np.add.outer(t, t))
+            want = [[[_gz_vectors(which, TriangularArray([[ti], [t1, t2], params]))
+                      for t2 in t] for t1 in t] for ti in t]
+        want = np.array(want)
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
 
 
 def test_recursive_n3_memory_stays_quadratic():
