@@ -16,34 +16,35 @@ Quadrature is a truncated uniform grid per dimension (spectrally accurate
 for these analytic, exponentially decaying integrands).  N <= 3.  One front
 end, `_evaluate_grids`, works on tensor grids axes[0] x ... x axes[N-1]: a
 point is a grid with one node per axis, a sweep one with a single varying
-axis, and several grids (the two of a refined eigen check) share one
-kernel build and one node sum.  The integrand sees x only through the
-differences u_n = x_n - x_{n+1} and the carrier e^{i sigma1 x_N}, applied
-once to the node sums.  Differences equal to 12 decimals, in any of the
-grids, share one node sum, evaluated at the first one's exact difference.
-The stride-2 sums behind the error estimate are computed only where the
-estimate is read: point values and sweeps, not grids.  Level n holds n variables at height h_n, so its phase
-e^{i lam u_n} reaches e^{n h_n max(0, -u_n)}: a grid whose phase exponent
-sum_n n h_n max(0, -min u_n) exceeds EXP_LIMIT would overflow and raises
-ValueError before any node sum.  One builder, `_kernel`, makes the kernel
-of every route: the top-level weight and, at N = 3, the level-1 x level-2
-Gamma matrix.  Both levels run over the same nodes, so that matrix is
-Toeplitz and built from 2M - 1 values: every route passes O(M) values to
-log Gamma, in one call per build.  In the node sum, `_node_sums`, a
-within-level difference d on a level's contour is real, so the
-denominator 1/(Gamma(-i d) Gamma(i d)) = d sinh(pi d)/pi (0 at d = 0) has
-rank 4 as a matrix over the nodes: at N = 3 the sum runs in O(M^2)
-memory and builds no 3-D array.  `whittaker_recursive` (separation of
-variables) is at N = 3 this node sum on the contour raised 1/2 per
-integrated level, so it checks contour independence (Cauchy), and
-`oracle.givental` is the reference without Mellin-Barnes kernels.  The
-integrand is c_N times the Gelfand-Zetlin Whittaker vector, measure and
-Cartan multiplier of `gz` (c_N derived in `gz.gz_measure`): the tests check
-`_kernel` and the node sums against that product node by node, and this
-module imports `specfun` alone, so the two stay independent codes.  The one
-contraction outside `_node_sums` is the recursive N = 2 `.sum()`: it
-matches the separated-kernel loop bit for bit, a matrix-vector product
-would not.
+axis, and several grids (the two of a refined eigen check) share one kernel
+build and one node sum.  The integrand sees x only through the differences
+u_n = x_n - x_{n+1} and the carrier e^{i sigma1 x_N}, applied once to the
+node sums.  Differences equal to 12 decimals, in any of the grids, share one
+node sum, evaluated at the first one's exact difference.  The stride-2 sums
+behind the error estimate are computed only where the estimate is read:
+point values and sweeps, not grids.  Level n holds n variables at height
+h_n, so its phase e^{i lam u_n} reaches e^{n h_n max(0, -u_n)}: a grid
+whose phase exponent sum_n n h_n max(0, -min u_n) exceeds EXP_LIMIT would
+overflow and raises ValueError before any node sum.  One builder, `_kernel`,
+makes the kernel of every route: the top-level weight and, at N = 3, the
+level-1 x level-2 Gamma matrix.  Both levels run over the same nodes, so
+that matrix is Toeplitz and built from 2M - 1 values: every route passes
+O(M) values to log Gamma, in one call per build.  In the node sum,
+`_node_sums`, a within-level difference d on a level's contour is real, so
+the denominator 1/(Gamma(-i d) Gamma(i d)) = d sinh(pi d)/pi (0 at d = 0)
+has rank 4 as a matrix over the nodes: at N = 3 the sum runs in O(M^2)
+memory and builds no 3-D array.  A grid whose largest node array (M N at
+N = 2, M^2 at N = 3, M per distinct difference) exceeds NODE_ARRAY_LIMIT
+elements raises ValueError before the kernel is built.  The recursive route
+(separation of variables) is a contour, not a code path: the default one at
+N <= 2, and at N = 3 the one raised 1/2 per integrated level, so it checks
+contour independence (Cauchy), and `oracle.givental` is the reference
+without Mellin-Barnes kernels.  So every value passes one set of guards and
+takes one `_kernel` build and one `_node_sums` call.  The integrand is c_N
+times the Gelfand-Zetlin Whittaker vector, measure and Cartan multiplier of
+`gz` (c_N derived in `gz.gz_measure`): the tests check `_kernel` and the
+node sums against that product node by node, and this module imports
+`specfun` alone, so the two stay independent codes.
 
 Normalization: 1/(2 pi) per integration variable, which makes N = 1 return
 exactly e^{i alpha x}; all cross-checks against oracles are ratio-based.
@@ -51,7 +52,6 @@ exactly e^{i alpha x}; all cross-checks against oracles are ratio-based.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import List, Sequence
@@ -66,6 +66,11 @@ POLE_STRIP = 0.25         # distance heuristic for the node-spacing estimate
 MIN_NODES = 64
 COINCIDENT_TOL = 1e-6
 EXP_LIMIT = 700.0         # ln 1e304: headroom e^9.8 below the largest double
+# Largest node array accepted, in elements.  Peak RSS per element of it
+# (2 CPUs x86-64, numpy 2.4, at 2e6-8e6 elements): N = 2 point 225 B (log
+# Gamma's temporaries), N = 3 sweep of x_3 193 B, N = 3 point 24 B; so 8e6
+# keeps every evaluation under 2 GB.
+NODE_ARRAY_LIMIT = 8_000_000
 
 
 class DimensionError(ValueError):
@@ -239,17 +244,6 @@ def _validate(N: int, params: Sequence[float], axes, tol: float) -> List[float]:
     return params
 
 
-def _check_phase(offsets: Sequence[float], diffs) -> None:
-    """ValueError when the phase exponent sum_n n h_n max(0, -min u_n)
-    exceeds EXP_LIMIT, for h_n in `offsets` and u_n in `diffs` (arrays or
-    numbers), n = 1, 2, ..."""
-    exponent = sum(n * h * -float(np.min(u, initial=0.0))
-                   for n, (h, u) in enumerate(zip(offsets, diffs), 1))
-    if exponent > EXP_LIMIT:
-        raise ValueError(f"coordinates too far apart: phase exponent "
-                         f"{exponent:.6g} exceeds {EXP_LIMIT:g}")
-
-
 def _evaluate_grids(which: str, N: int, params: Sequence[float], grids, tol: float,
                     contour: ContourSpec | None = None, estimate: bool = True):
     """Values and error estimates on each grid axes[0] x ... x axes[N-1] of
@@ -261,6 +255,9 @@ def _evaluate_grids(which: str, N: int, params: Sequence[float], grids, tol: flo
     first grid's exact difference where it has one.  The error estimate is
     |v - v_half|, where v_half is the stride-2 sum with the same carrier,
     computed only when `estimate`.  Spherical contours are real: offsets 0.
+    ValueError, before the kernel is built, when the phase exponent
+    sum_n n h_n max(0, -min u_n) exceeds EXP_LIMIT or the largest node array
+    NODE_ARRAY_LIMIT elements.
     """
     if which not in ("whittaker", "spherical"):
         raise ValueError(f"unknown function {which!r}")
@@ -278,7 +275,11 @@ def _evaluate_grids(which: str, N: int, params: Sequence[float], grids, tol: flo
     # per level n, the differences x_n - x_{n+1} of every grid in one array
     diffs = [np.concatenate([np.subtract.outer(axes[n], axes[n + 1]).reshape(-1)
                              for axes in grids]) for n in range(N - 1)]
-    _check_phase(offsets, diffs)
+    exponent = sum(n * h * -float(np.min(u, initial=0.0))
+                   for n, (h, u) in enumerate(zip(offsets, diffs), 1))
+    if exponent > EXP_LIMIT:
+        raise ValueError(f"coordinates too far apart: phase exponent "
+                         f"{exponent:.6g} exceeds {EXP_LIMIT:g}")
     carriers = [np.exp(1j * sum(params) * axes[-1]) for axes in grids]
     if N == 1:
         return [(c, np.zeros(c.shape) if estimate else None) for c in carriers]
@@ -293,8 +294,12 @@ def _evaluate_grids(which: str, N: int, params: Sequence[float], grids, tol: flo
             level.append(pick[start:start + shape[0] * shape[1]].reshape(shape))
             start += shape[0] * shape[1]
         picks.append(level)
-    sums = _node_sums(params, which, offsets, contour.half_width,
-                      contour.nodes_per_dim, *nodes)
+    M = contour.nodes_per_dim
+    size = M * max(M if N == 3 else N, *map(len, nodes))
+    if size > NODE_ARRAY_LIMIT:
+        raise ValueError(f"M={M} nodes per level need a node array of {size:.3g} "
+                         f"elements, above {NODE_ARRAY_LIMIT:.3g}")
+    sums = _node_sums(params, which, offsets, contour.half_width, M, *nodes)
     full = next(sums)
     half = next(sums) if estimate else None
     sums.close()                     # frees the node-sum temporaries
@@ -385,9 +390,10 @@ def whittaker_recursive(N: int, alpha: Sequence[float], x: Sequence[float],
                         tol: float = 1e-6) -> QuadratureResult:
     """Level-by-level route: outer integral over the separated variables of
     the separation kernel and measure times the rank-(N-1) function; x_N
-    enters through the carrier e^{i sigma1 x_N} alone.
-
-    N = 2 sums the kernel times the plane wave e^{i lam u} over the nodes.
+    enters through the carrier e^{i sigma1 x_N} alone.  At every N it is the
+    one node sum on a contour, under the direct route's guards (EXP_LIMIT,
+    NODE_ARRAY_LIMIT).  At N = 2 the separated kernel prod_k Gamma(-i(lam -
+    alpha_k)) times e^{i lam u} is the direct integrand on `default_contour`.
     At N = 3 the separated pair lam, at height h, carries the kernel
     prod_{k,m} Gamma(-i(lam_k - alpha_m)), the measure mu = 1/(Gamma(-i d)
     Gamma(i d)), d = lam_1 - lam_2, and e^{i(lam_1 + lam_2) v}, against the
@@ -399,20 +405,8 @@ def whittaker_recursive(N: int, alpha: Sequence[float], x: Sequence[float],
     """
     alpha = _validate(N, alpha, x, tol)
     contour = default_contour(N, alpha, tol)
-    h = contour.offsets[0]
     if N == 3:
+        h = contour.offsets[0]
         contour = ContourSpec((h + LEVEL_OFFSET_STEP, h, 0.0),
                               contour.half_width, contour.nodes_per_dim)
-    if N != 2:
-        return _point("whittaker", N, alpha, x, tol, contour)
-    u = x[0] - x[1]
-    _check_phase(contour.offsets, [u])
-    # separated kernel prod_k Gamma(-i(lam - alpha_k)) at each node
-    t, kern, _ = _kernel(alpha, "whittaker", contour.offsets,
-                         contour.half_width, contour.nodes_per_dim)
-    dt = t[1] - t[0]
-    integ = kern * np.exp(1j * (t + 1j * h) * u)
-    full = integ.sum() * dt / TWO_PI
-    halved = integ[::2].sum() * 2 * dt / TWO_PI
-    carrier = cmath.exp(1j * sum(alpha) * x[-1])
-    return QuadratureResult(complex(full * carrier), abs(full - halved))
+    return _point("whittaker", N, alpha, x, tol, contour)

@@ -30,6 +30,9 @@ from .mellin_barnes import EXP_LIMIT, whittaker_on_grids
 from .report import VerificationReport, residual_report
 
 BOUNDARY_MARGIN = 2  # nodes invalidated per face by the stencil
+QUAD_TOL = 1e-8      # quadrature tol of the wave function an oracle checks
+ODE_RTOL = 1e-10     # relative tol of the N = 2 ODE integration
+K_SERIES_TERMS = 16  # terms of the asymptotic series that starts the ODE
 
 
 @dataclass(frozen=True)
@@ -139,8 +142,7 @@ def max_grid_span(N: int) -> float:
 
 
 def check_eigen(N: int, alpha: Sequence[float], grid: GridSpec,
-                tol: float = 1e-3, quad_tol: float = 1e-8,
-                refine: bool = False) -> VerificationReport:
+                tol: float = 1e-3, refine: bool = False) -> VerificationReport:
     """Relative residual ||H psi - E psi|| / ||psi|| over interior nodes.
 
     E is twice eigenvalue_from_alpha: the Hamiltonian here carries the full
@@ -162,7 +164,7 @@ def check_eigen(N: int, alpha: Sequence[float], grid: GridSpec,
     # the wave function transplanted to the Hamiltonian's convention
     psis = whittaker_on_grids(
         N, alpha, [[-a + (k + 1) * LN2 for k, a in enumerate(axes)]
-                   for axes in grids], quad_tol)
+                   for axes in grids], QUAD_TOL)
     energy = 2.0 * eigenvalue_from_alpha(alpha)
     residuals = []
     for axes, psi in zip(grids, psis):
@@ -184,21 +186,20 @@ def check_eigen(N: int, alpha: Sequence[float], grid: GridSpec,
 # ---------------------------------------------------------------------------
 
 
-def _k_series(mu2: float, z: float, terms: int = 16):
+def _k_series(mu2: float, z: float):
     """Asymptotic series S, S' of the exponentially decaying solution:
     phi ~ sqrt(pi/(2z)) e^{-z} S(z), S = sum_k a_k z^{-k}."""
     s = 1.0
     sp = 0.0
     a = 1.0
-    for k in range(1, terms):
+    for k in range(1, K_SERIES_TERMS):
         a *= (4.0 * mu2 - (2 * k - 1) ** 2) / (8.0 * k)
         s += a / z ** k
         sp -= k * a / z ** (k + 1)
     return s, sp
 
 
-def bessel_oracle_n2(alpha: Sequence[float], r_grid: Sequence[float],
-                     tol: float = 1e-10) -> GridFunction:
+def bessel_oracle_n2(alpha: Sequence[float], r_grid: Sequence[float]) -> GridFunction:
     """Solution of -phi'' + e^r phi = E phi, E = ((a1-a2)/2)^2, decaying as
     r -> +infinity, on the given r grid (r is the coordinate difference of
     the two sites in the direction of growing potential).
@@ -225,15 +226,15 @@ def bessel_oracle_n2(alpha: Sequence[float], r_grid: Sequence[float],
 
     t_eval = np.sort(r)[::-1]
     sol = solve_ivp(rhs, (r1, float(r.min())), [phi1, dphi1],
-                    t_eval=t_eval, method="DOP853", rtol=tol, atol=1e-280)
+                    t_eval=t_eval, method="DOP853", rtol=ODE_RTOL, atol=1e-280)
     if not sol.success:
         raise RuntimeError(f"ODE integration failed: {sol.message}")
     vals = dict(zip(sol.t, sol.y[0]))
     return GridFunction([r], np.array([vals[t] for t in r]))
 
 
-def whittaker_vs_ode_ratio(alpha: Sequence[float], r_grid: Sequence[float],
-                           quad_tol: float = 1e-8) -> VerificationReport:
+def whittaker_vs_ode_ratio(alpha: Sequence[float],
+                           r_grid: Sequence[float]) -> VerificationReport:
     """Relative spread of psi(CoM line)/phi_ODE across the grid.
 
     The wave function is restricted to x = (r/2, -r/2), on which the
@@ -242,7 +243,7 @@ def whittaker_vs_ode_ratio(alpha: Sequence[float], r_grid: Sequence[float],
     r = np.asarray(r_grid, dtype=float)
     ode = bessel_oracle_n2(alpha, r).values.real
     mb = np.array([g.item() for g in whittaker_on_grids(
-        2, alpha, [[[rv / 2.0], [-rv / 2.0]] for rv in r.tolist()], tol=quad_tol)])
+        2, alpha, [[[rv / 2.0], [-rv / 2.0]] for rv in r.tolist()], tol=QUAD_TOL)])
     ratio = mb / ode
     spread = float(np.std(ratio) / np.mean(np.abs(ratio)))
     return residual_report("oracle", 2, "ode-ratio", spread, 1e-5,

@@ -175,13 +175,11 @@ class FpLanes(tuple):
 
     __rmul__ = __mul__
 
-    def conjugate(self) -> "FpLanes":
-        re, im = self
-        return _lanes(re, -im % P)
-
     def inverse(self) -> "FpLanes":
         """conj / |self|^2 by one pow(v, -1, P) per lane.  |self|^2 = 0 mod p
-        only where self = 0, and then, in any lane, ZeroDivisionError."""
+        only where self = 0, and then, in any lane, ZeroDivisionError.  No
+        check divides: division and negative powers serve the tests and the
+        per-operator reference `gz.DifferenceOperator.evaluate_on_test`."""
         a, b = self
         norm = (a * a + b * b) % P
         if not np.all(norm):

@@ -412,7 +412,8 @@ def _u_minus_v(n: int, shift: Gauss = (0, 0)) -> WeylElement:
 def r_matrix(N: int = 1) -> OperatorPolyMatrix:
     """4x4 R(u - v) = (u - v)I - iP over scalar coefficients, P the flip.
 
-    P[(a,i),(b,j)] = delta_{aj} delta_{ib}.
+    P[(a,i),(b,j)] = delta_{aj} delta_{ib}.  `qism_suite` applies R in
+    closed form; this is the README's R-matrix and the RLL tests' reference.
     """
     def entry(r, c):
         shift = MINUS_I if r[::-1] == c else (0, 0)

@@ -354,6 +354,22 @@ def test_recursive_at_far_equal_coordinates_matches_direct(n, alpha, x):
     assert abs(values[1] - values[0]) <= 1e-10 * abs(values[0])
 
 
+_HUGE_N2 = ["whittaker", "eval", "--n=2", "--alpha=1e7,-1e7", "--x=0,0", "--tol=1e-3"]
+_HUGE_N3 = ["spherical", "eval", "--n=3", "--lambda=1e6,0,-1e6", "--x=0,0,0"]
+
+
+@pytest.mark.parametrize("argv", [_HUGE_N2, _HUGE_N2 + _RECURSIVE, _HUGE_N3])
+def test_evaluation_too_big_for_memory_exits_1_before_the_kernel(monkeypatch, argv):
+    # M = 2.3e8 and 4.1e7 nodes per level: both were killed for want of memory
+    def no_kernel(*args):
+        raise AssertionError("kernel built past the node-array limit")
+
+    monkeypatch.setattr(mb, "_kernel", no_kernel)
+    code, out, err = _run_captured(argv)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: M=")
+
+
 # -- the CLI contract over generated argv --------------------------------------
 
 _REPORT_KEYS = {"suite", "n", "relation", "status", "residual", "tolerance",
@@ -462,6 +478,8 @@ def _check_rows(rows, argv):
 @example(argv=_FAR_N2 + _RECURSIVE)
 @example(argv=_FAR_N3)
 @example(argv=_FAR_N3[:4] + ["--x=-400,-400,-400"] + _RECURSIVE)
+@example(argv=_HUGE_N2)
+@example(argv=_HUGE_N3)
 def test_cli_contract_on_generated_argv(argv):
     code, out, err = _run_captured(argv)
     assert code in (0, 1, "SystemExit(2)")

@@ -1,4 +1,5 @@
 import cmath
+import io
 import itertools
 import math
 import tracemalloc
@@ -8,6 +9,7 @@ import pytest
 from scipy.integrate import quad
 
 from quantoda import mellin_barnes as mb
+from quantoda.cli import dispatch
 from quantoda.gz import (TriangularArray, cartan_multiplier, gz_measure,
                          spherical_vector, whittaker_vector)
 from quantoda.mellin_barnes import (ContourError, ContourSpec, DimensionError,
@@ -114,15 +116,25 @@ def test_n3_routes_take_log_gamma_on_o_of_m_values(monkeypatch, route):
 
 
 def test_recursive_n2_matches_the_separated_wave_function_loop():
-    # the vectorized separated kernel against the per-node Gamma product
+    # the node sum against the per-node Gamma product summed in order, to
+    # the rounding of an M-term sum
     alpha, x, tol = [0.8, -0.3], [0.4, -0.6], 1e-8
     c = default_contour(2, alpha, tol)
     t = np.linspace(-c.half_width, c.half_width, c.nodes_per_dim)
     lam = t + 1j * c.offsets[0]
     kern = np.array([sep_wavefunction(alpha, [l]) for l in lam])
     integ = kern * np.exp(1j * lam * (x[0] - x[1]))
-    want = integ.sum() * (t[1] - t[0]) / (2 * math.pi) * cmath.exp(1j * sum(alpha) * x[1])
-    assert whittaker_recursive(2, alpha, x, tol).value == complex(want)
+    scale = (t[1] - t[0]) / (2 * math.pi)
+    want = integ.sum() * scale * cmath.exp(1j * sum(alpha) * x[1])
+    rounding = len(t) * np.finfo(float).eps * np.abs(integ).sum() * scale
+    assert abs(whittaker_recursive(2, alpha, x, tol).value - want) <= rounding
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10])
+def test_recursive_n2_is_the_direct_route(tol):
+    # one integrated level: the separated integral is the direct one
+    for alpha, x in (([0.8, -0.3], [0.4, -0.6]), ([1.0, -0.5], [-2.0, 1.5])):
+        assert whittaker_recursive(2, alpha, x, tol) == whittaker_eval(2, alpha, x, tol)
 
 
 RECURSIVE_N3_POINTS = [((0.9, 0.1, -0.6), (0.5, 0.0, -0.5)),
@@ -262,6 +274,22 @@ def test_only_a_read_error_estimate_draws_the_stride_2_sums(monkeypatch):
     assert counts == {"kernel": 1, "node_sums": 1, "drawn": 1}
     whittaker_eval(3, [0.8, 0.0, -0.5], [0.1, 0.0, -0.1])
     assert counts == {"kernel": 2, "node_sums": 2, "drawn": 3}
+
+
+@pytest.mark.parametrize("route", ["direct", "recursive", "spherical", "grid"])
+@pytest.mark.parametrize("n, alpha, x", [(2, "0.8,-0.3", "0.4,-0.6"),
+                                         (3, "0.9,0.1,-0.6", "0.5,0,-0.5")])
+def test_every_evaluator_is_one_kernel_and_one_node_sum(monkeypatch, route, n,
+                                                        alpha, x):
+    argv = {"direct": ["whittaker", "eval", f"--alpha={alpha}", f"--x={x}"],
+            "recursive": ["whittaker", "eval", f"--alpha={alpha}", f"--x={x}",
+                          "--method=recursive"],
+            "spherical": ["spherical", "eval", f"--lambda={alpha}", f"--x={x}"],
+            "grid": ["whittaker", "grid", f"--alpha={alpha}", "--axis=0",
+                     "--from=-1", "--to=1", "--steps=5"]}[route] + [f"--n={n}"]
+    counts = _counting_kernel_and_sums(monkeypatch)
+    assert dispatch(argv, out=io.StringIO()) == 0
+    assert counts == {"kernel": 1, "node_sums": 1, "drawn": 2}
 
 
 @pytest.mark.parametrize("alpha", [[0.7, -0.2], [0.8, 0.0, -0.5]])

@@ -90,17 +90,20 @@ def test_cleared_lagrange_lhs_is_the_divided_one_times_d(N):
     d = math.prod((a - b for a, b in permutations(lam, 2)), start=FpLanes(1))
     assert not d.zeros().any()
     reference = _divided_lagrange_lhs(u, lam, alpha)
-    assert separation._lagrange_lhs(u, lam, alpha) == reference * d
+    lhs, D = separation._lagrange_lhs(u, lam, alpha)
+    assert lhs == reference * d and (d == 1 if D is None else D == d)
     assert reference == math.prod((u - a for a in alpha), start=FpLanes(1))
 
 
 def test_misprinted_lagrange_identity_fails(monkeypatch):
     # drop the + sum_j lambda_j term: the F_p[i] check must catch it
-    lhs = separation._lagrange_lhs
-    monkeypatch.setattr(
-        separation, "_lagrange_lhs",
-        lambda u, lam, alpha: lhs(u, lam, alpha)
-        - sum(lam) * math.prod((u - l for l in lam), start=1))
+    cleared = separation._lagrange_lhs
+
+    def misprinted(u, lam, alpha):
+        lhs, d = cleared(u, lam, alpha)
+        return lhs - sum(lam) * math.prod((u - l for l in lam), start=1), d
+
+    monkeypatch.setattr(separation, "_lagrange_lhs", misprinted)
     for N in (2, 3, 4):
         rep = check_lagrange_identity(N, trials=5, seed=7)
         assert rep.status == "FAIL" and rep.witness.startswith("trial 0: u=FpLanes(")

@@ -212,9 +212,10 @@ def test_no_runtime_warning_at_large_imaginary_parts():
 
 
 def test_log_gamma_array_is_elementwise_bitwise_on_the_recursive_n2_family():
-    # the recursive N = 2 route takes all its separated-kernel log Gammas in
-    # one call, `separation.sep_wavefunction` two per node: each element must
-    # not depend on the array it arrives in
+    # `mellin_barnes._kernel` takes all log Gammas of the N = 2 kernel (the
+    # separated kernel of the recursive route) in one call,
+    # `separation.sep_wavefunction` two per node: each element must not
+    # depend on the array it arrives in
     alpha, tol = [0.8, -0.3], 1e-8
     c = default_contour(2, alpha, tol)
     t = np.linspace(-c.half_width, c.half_width, c.nodes_per_dim)
