@@ -14,18 +14,16 @@ parses with the one parser that `build_parser` builds and caches.
 
 Reports use the fixed key set {suite, n, relation, status, residual,
 tolerance, seed, witness}.  Exit codes: 0 success, 1 a verification or
-evaluation failure, 2 usage error.  Identical arguments and seed produce
-byte-identical output (floats normalized to 17 significant digits) under
-one BLAS thread configuration: the N = 3 quadrature's matrix products sum
-in an order that depends on the OpenBLAS thread count.
+evaluation failure, 2 usage error.  Every number is written by repr, which
+round-trips doubles.  Identical arguments and seed produce byte-identical
+output under one BLAS thread configuration: the N = 3 quadrature's matrix
+products sum in an order that depends on the OpenBLAS thread count.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import math
 import sys
@@ -87,49 +85,51 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
-def _norm(x):
-    """Round-trip floats through 17 significant digits for stable output."""
-    if isinstance(x, float):
-        return float(f"{x:.17g}")
-    if isinstance(x, complex):
-        return {"re": _norm(x.real), "im": _norm(x.imag)}
-    if isinstance(x, dict):
-        return {k: _norm(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_norm(v) for v in x]
-    return x
-
-
-def _json_text(payload) -> str:
-    """Strict JSON: a non-finite number raises ValueError before any output."""
-    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+def _norm(z: complex) -> dict:
+    """A complex number in a report as {re, im} (the JSON encoder's default)."""
+    return {"re": z.real, "im": z.imag}
 
 
 def _emit_reports(reports: Sequence[VerificationReport], out) -> int:
-    payload = {"reports": [_norm(r.to_dict()) for r in reports],
-               "status": combine(reports)}
-    out.write(_json_text(payload))
+    """Strict JSON: a non-finite number raises ValueError before any output."""
+    payload = {"reports": [r.to_dict() for r in reports], "status": combine(reports)}
+    out.write(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False,
+                         default=_norm) + "\n")
     return 0 if combine(reports) == "PASS" else 1
 
 
-def _csv_number(v: float) -> str:
-    if not math.isfinite(v):    # as strict as JSON
-        raise ValueError(f"Out of range float values are not CSV compliant: {v!r}")
-    return repr(v)
+def _csv_cell(text: str) -> str:
+    """A string cell as `csv` quotes it (minimal quoting)."""
+    if any(c in text for c in ',"\r\n'):
+        return '"%s"' % text.replace('"', '""')
+    return text
 
 
-def _value_text(rows: Sequence[dict], fmt: str) -> str:
-    """Rows as JSON or CSV; either raises ValueError before any output on a
-    non-finite number."""
-    rows = [_norm(r) for r in rows]
+def _value_text(table: dict, fmt: str) -> str:
+    """The value table {key: column}, at least one row, as JSON rows (keys
+    sorted, indent 2) or CSV (CRLF line ends).  Every row goes through one
+    template: a number by repr, which round-trips doubles, a string cell as
+    `json` or `csv` quotes it.  A non-finite number raises ValueError before
+    any output."""
+    keys = sorted(table) if fmt == "json" else list(table)
+    cols = [table[k] for k in keys]
+    texts = [isinstance(c[0], str) for c in cols]
+    if not all(t or all(map(math.isfinite, c)) for t, c in zip(texts, cols)):
+        bad = next(v for row in zip(*cols) for t, v in zip(texts, row)
+                   if not (t or math.isfinite(v)))
+        raise ValueError(f"Out of range float values are not {fmt.upper()} "
+                         f"compliant: {bad!r}")
+    cells = ["%s" if t else "%r" for t in texts]
     if fmt == "json":
-        return _json_text(rows)
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
-    writer.writeheader()
-    writer.writerows({k: _csv_number(v) if isinstance(v, float) else v
-                      for k, v in r.items()} for r in rows)
-    return buf.getvalue()
+        quote = json.dumps
+        row = "  {\n%s\n  }" % ",\n".join(f"    {json.dumps(k)}: {c}"
+                                           for k, c in zip(keys, cells))
+        head, sep, tail = "[\n", ",\n", "\n]\n"
+    else:
+        quote, row = _csv_cell, ",".join(cells)
+        head, sep, tail = ",".join(keys) + "\r\n", "\r\n", "\r\n"
+    cols = [list(map(quote, c)) if t else c for t, c in zip(texts, cols)]
+    return head + sep.join(map(row.__mod__, zip(*cols))) + tail
 
 
 @functools.cache
@@ -225,16 +225,16 @@ def _run(args, parser, out) -> int:
     if args.command == "whittaker" and args.subcommand == "eval":
         fn = mb.whittaker_eval if args.method == "direct" else mb.whittaker_recursive
         res = fn(args.n, args.alpha, args.x, args.tol)
-        out.write(_value_text([mb.value_row(res, args.x)], args.format))
+        out.write(_value_text(mb.value_row(res, args.x), args.format))
         return 0
     if args.command == "whittaker" and args.subcommand == "grid":
         if not 0 <= args.axis < args.n:
             parser.error(f"argument --axis: must be in [0, {args.n}), "
                          f"got {args.axis}")
-        rows = mb.grid_scan("whittaker", args.n, args.alpha, args.axis,
-                            args.start, args.stop, args.steps,
-                            x_base=args.x, tol=args.tol)
-        text = _value_text(rows, args.format)
+        table = mb.grid_scan("whittaker", args.n, args.alpha, args.axis,
+                             args.start, args.stop, args.steps,
+                             x_base=args.x, tol=args.tol)
+        text = _value_text(table, args.format)
         if args.out:
             with open(args.out, "w", newline="") as fh:
                 fh.write(text)
@@ -243,15 +243,15 @@ def _run(args, parser, out) -> int:
         return 0
     if args.command == "spherical":
         res = mb.spherical_eval(args.n, args.lam, args.x, args.tol)
-        out.write(_value_text([mb.value_row(res, args.x)], args.format))
+        out.write(_value_text(mb.value_row(res, args.x), args.format))
         return 0
     if args.command == "cfunction":
         lam = args.lam
         c = hc.c_function([complex(v) for v in lam])
-        row = {"lambda": ",".join(repr(v) for v in lam),
-               "c_re": c.real, "c_im": c.imag,
-               "plancherel_density": hc.plancherel_density(lam)}
-        out.write(_value_text([row], args.format))
+        table = {"lambda": [",".join(repr(v) for v in lam)],
+                 "c_re": [c.real], "c_im": [c.imag],
+                 "plancherel_density": [hc.plancherel_density(lam)]}
+        out.write(_value_text(table, args.format))
         return 0
     if args.command == "verify":
         return _emit_reports(_verify_reports(args), out)

@@ -35,16 +35,17 @@ the denominator 1/(Gamma(-i d) Gamma(i d)) = d sinh(pi d)/pi (0 at d = 0)
 has rank 4 as a matrix over the nodes: at N = 3 the sum runs in O(M^2)
 memory and builds no 3-D array.  A grid whose largest node array (M N at
 N = 2, M^2 at N = 3, M per distinct difference) exceeds NODE_ARRAY_LIMIT
-elements raises ValueError before the kernel is built.  The recursive route
-(separation of variables) is a contour, not a code path: the default one at
-N <= 2, and at N = 3 the one raised 1/2 per integrated level, so it checks
-contour independence (Cauchy), and `oracle.givental` is the reference
-without Mellin-Barnes kernels.  So every value passes one set of guards and
-takes one `_kernel` build and one `_node_sums` call.  The integrand is c_N
-times the Gelfand-Zetlin Whittaker vector, measure and Cartan multiplier of
-`gz` (c_N derived in `gz.gz_measure`): the tests check `_kernel` and the
-node sums against that product node by node, and this module imports
-`specfun` alone, so the two stay independent codes.
+elements raises ValueError before the kernel is built, and so does N = 3 on
+a contour of half-width T with pi T > EXP_LIMIT (e^{pi t} overflows).  The
+recursive route (separation of variables) is a contour, not a code path:
+the default one at N <= 2, and at N = 3 the one raised 1/2 per integrated
+level, so it checks contour independence (Cauchy), and `oracle.givental` is
+the reference without Mellin-Barnes kernels.  So every value passes one set
+of guards and takes one `_kernel` build and one `_node_sums` call.  The
+integrand is c_N times the Gelfand-Zetlin Whittaker vector, measure and
+Cartan multiplier of `gz` (c_N derived in `gz.gz_measure`): the tests check
+`_kernel` and the node sums against that product node by node, and this
+module imports `specfun` alone, so the two stay independent codes.
 
 Normalization: 1/(2 pi) per integration variable, which makes N = 1 return
 exactly e^{i alpha x}; all cross-checks against oracles are ratio-based.
@@ -112,12 +113,18 @@ class QuadratureResult:
     error_estimate: float
 
 
-def value_row(res: QuadratureResult, x: Sequence[float]) -> dict:
-    """Output row {x1.., re, im, abs, error_estimate} for the value at x."""
-    row = {f"x{k+1}": float(v) for k, v in enumerate(x)}
-    row.update(re=res.value.real, im=res.value.imag, abs=abs(res.value),
-               error_estimate=res.error_estimate)
-    return row
+def value_row(res: QuadratureResult, x: Sequence) -> dict:
+    """Output columns {x1.., re, im, abs, error_estimate}, lists of Python
+    floats: one row for the value at the point x, or, for a sweep's arrays
+    of values and estimates (`grid_scan`), one per entry, each x_k broadcast.
+    abs is Python's abs(complex): np.abs may differ in the last bit."""
+    values = np.ravel(res.value)
+    table = {f"x{k+1}": np.full(values.shape, xk, dtype=float).tolist()
+             for k, xk in enumerate(x)}
+    table.update(re=values.real.tolist(), im=values.imag.tolist(),
+                 abs=list(map(abs, values.tolist())),
+                 error_estimate=np.ravel(res.error_estimate).tolist())
+    return table
 
 
 def default_contour(N: int, alpha: Sequence[float], tol: float) -> ContourSpec:
@@ -191,8 +198,9 @@ def _node_sums(top, which: str, offsets, half_width: float, M: int,
     N = 2 when `vs` is None: arrays of shape (len(us),) over u = x1 - x2.
     N = 3 otherwise: arrays of shape (len(us), len(vs)) over u = x1 - x2 and
     v = x2 - x3.  Yields the sums on the full grid of M nodes, then those on
-    its stride-2 subgrid: a caller that reads no error estimate draws only
-    the first and pays for no halved sum.
+    its stride-2 subgrid, both from one phase matrix per level built on all
+    M nodes: a caller that reads no error estimate draws only the first and
+    pays for no halved sum.
 
     At N = 3 the level-2 pair (b, c) carries D[b,c] = 1/(Gamma(-i d)
     Gamma(i d)) = d sinh(pi d)/pi at the real d = t_b - t_c (0 at d = 0), as
@@ -203,19 +211,20 @@ def _node_sums(top, which: str, offsets, half_width: float, M: int,
     t, wtop, A = _kernel(top, which, offsets, half_width, M)
     dt = t[1] - t[0]
     a = t + 1j * offsets[0]          # level-1 variable
+    full_a = np.exp(np.multiply.outer(us, 1j * a))             # (nu, M)
     if vs is not None:
         b = t + 1j * offsets[1]      # level-2 variables (both run over the same nodes)
+        full_b = np.exp(np.multiply.outer(1j * b, vs))         # (M, nv)
         ep, em = np.exp(np.pi * t), np.exp(-np.pi * t)
         rank4 = np.stack([t * ep, em, ep, t * em], axis=1)     # (nb, 4)
     for sl, fac in ((slice(None), 1.0), (slice(0, M, 2), 2.0)):
-        # phases are built from the sliced nodes: a strided view of one
-        # shared phase array changes the rounding of the halved N=3 sums
-        phase_a = np.exp(np.multiply.outer(us, 1j * a[sl]))    # (nu, na)
+        # stride-2 columns copied contiguous: the values of phases built on the
+        # sliced nodes, and BLAS products (a strided view rounds them apart)
+        phase_a = np.ascontiguousarray(full_a[:, sl])           # (nu, na)
         if vs is None:
             yield (phase_a @ wtop[sl]) * (dt * fac) / TWO_PI
             continue
-        phase_b = np.exp(np.multiply.outer(1j * b[sl], vs))    # (nb, nv)
-        w = wtop[sl, None] * phase_b                             # (nb, nv)
+        w = wtop[sl, None] * full_b[sl]                          # (nb, nv)
         weights = (rank4[sl, :, None] * w[:, None, :]).reshape(len(w), -1)
         P = (A[sl][:, sl] @ weights).reshape(len(w), 4, len(vs))  # (na, 4, nv)
         pairs = (P[:, 0] * P[:, 1] - P[:, 2] * P[:, 3]) / np.pi  # (na, nv)
@@ -256,8 +265,9 @@ def _evaluate_grids(which: str, N: int, params: Sequence[float], grids, tol: flo
     |v - v_half|, where v_half is the stride-2 sum with the same carrier,
     computed only when `estimate`.  Spherical contours are real: offsets 0.
     ValueError, before the kernel is built, when the phase exponent
-    sum_n n h_n max(0, -min u_n) exceeds EXP_LIMIT or the largest node array
-    NODE_ARRAY_LIMIT elements.
+    sum_n n h_n max(0, -min u_n) exceeds EXP_LIMIT, the largest node array
+    NODE_ARRAY_LIMIT elements, or, at N = 3, pi T exceeds EXP_LIMIT for the
+    contour's half-width T (the node sum's e^{pi T} would overflow).
     """
     if which not in ("whittaker", "spherical"):
         raise ValueError(f"unknown function {which!r}")
@@ -299,6 +309,9 @@ def _evaluate_grids(which: str, N: int, params: Sequence[float], grids, tol: flo
     if size > NODE_ARRAY_LIMIT:
         raise ValueError(f"M={M} nodes per level need a node array of {size:.3g} "
                          f"elements, above {NODE_ARRAY_LIMIT:.3g}")
+    if N == 3 and math.pi * contour.half_width > EXP_LIMIT:
+        raise ValueError(f"half-width T={contour.half_width:.6g}: the N=3 node "
+                         f"sum's e^(pi T) exceeds e^{EXP_LIMIT:g}")
     sums = _node_sums(params, which, offsets, contour.half_width, M, *nodes)
     full = next(sums)
     half = next(sums) if estimate else None
@@ -359,10 +372,11 @@ def spherical_eval(N: int, lam_top: Sequence[float], x: Sequence[float],
 def grid_scan(which: str, N: int, params: Sequence[float], axis: int,
               start: float, stop: float, steps: int,
               x_base: Sequence[float] | None = None,
-              tol: float = 1e-6) -> List[dict]:
-    """Sweep one coordinate; rows carry value, modulus and error estimate.
+              tol: float = 1e-6) -> dict:
+    """Sweep one coordinate: `value_row`'s columns, a row per sweep point.
 
-    The sweep is the grid whose axis `axis` varies: one kernel build.
+    The sweep is the grid whose axis `axis` varies: one kernel build, whose
+    arrays give the columns with no per-row object.
     """
     if not 0 <= axis < N:
         raise ValueError("axis out of range")
@@ -371,14 +385,7 @@ def grid_scan(which: str, N: int, params: Sequence[float], axis: int,
         raise ValueError("x_base must have length N")
     axes = [[xk] for xk in x0]
     axes[axis] = np.linspace(start, stop, steps)
-    values, errs = _evaluate(which, N, params, axes, tol)
-    rows = []
-    for xv, v, err in zip(axes[axis].tolist(), values.reshape(-1).tolist(),
-                          errs.reshape(-1).tolist()):
-        x = list(x0)
-        x[axis] = xv
-        rows.append(value_row(QuadratureResult(v, err), x))
-    return rows
+    return value_row(QuadratureResult(*_evaluate(which, N, params, axes, tol)), axes)
 
 
 # ---------------------------------------------------------------------------

@@ -50,9 +50,9 @@ class GridFunction:
         for a in axes:
             if len(a) < 2:
                 raise ValueError("each axis needs at least two nodes")
-            steps = np.diff(a)
-            if not np.allclose(steps, steps[0], rtol=1e-10, atol=1e-12):
-                raise ValueError("axes must be uniform")
+            steps = np.diff(a)    # uniform as np.allclose(steps, steps[0]) reads it
+            if not np.max(np.abs(steps - steps[0])) <= 1e-12 + 1e-10 * abs(steps[0]):
+                raise ValueError("axes must be uniform")   # NaN included
         object.__setattr__(self, "axes", axes)
         object.__setattr__(self, "values", values)
 
@@ -85,15 +85,17 @@ def toda_apply(psi: GridFunction, N: int) -> GridFunction:
 
     c = v[inner]
     out = np.zeros_like(c)
+    tmp = np.empty_like(c)      # in place, in the order of (s+ - 2c + s-)/h^2: same bits
     for k, h in enumerate(psi.spacings):
-        out -= (shifted(k, 1) - 2.0 * c + shifted(k, -1)) / h ** 2
+        np.subtract(shifted(k, 1), np.multiply(2.0, c, out=tmp), out=tmp)
+        out -= np.divide(np.add(tmp, shifted(k, -1), out=tmp), h ** 2, out=tmp)
     axes = [a[sl] for a, sl in zip(psi.axes, inner)]
     pot = np.zeros(c.shape, dtype=float)
     for k in range(N - 1):
         xk = axes[k].reshape([-1 if i == k else 1 for i in range(N)])
         xk1 = axes[k + 1].reshape([-1 if i == k + 1 else 1 for i in range(N)])
-        pot = pot + np.exp(xk1 - xk)
-    out += pot * c
+        pot += np.exp(xk1 - xk)
+    out += np.multiply(pot, c, out=tmp)
     full = np.full(v.shape, np.nan, dtype=complex)
     full[inner] = out
     return GridFunction(psi.axes, full)

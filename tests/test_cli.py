@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import quantoda
-from quantoda import mellin_barnes as mb, oracle
+from quantoda import cli, mellin_barnes as mb, oracle
 from quantoda.cli import build_parser, dispatch
 from quantoda.report import VerificationReport
 
@@ -370,6 +370,92 @@ def test_evaluation_too_big_for_memory_exits_1_before_the_kernel(monkeypatch, ar
     assert err.count("\n") == 1 and err.startswith("error: M=")
 
 
+_WIDE_N3 = ["whittaker", "eval", "--n=3", "--alpha=120,0,-120", "--x=0.5,0,-0.5",
+            "--tol=1e-2"]
+
+
+@pytest.mark.parametrize("argv", [
+    _WIDE_N3, _WIDE_N3 + _RECURSIVE,
+    ["spherical", "eval", "--n=3", "--lambda=120,0,-120", "--x=0.5,0,-0.5",
+     "--tol=1e-2"],
+    # T = 223.4: printed 3.4e-301 with estimate 7.4e-298, exit 0
+    _WIDE_N3[:3] + ["--alpha=109.6,0,-109.6"] + _WIDE_N3[4:],
+])
+def test_n3_contour_too_wide_for_the_node_sum_exits_1_before_the_kernel(
+        monkeypatch, argv):
+    # pi T > EXP_LIMIT: the rank-4 factors e^{+-pi t} overflowed, and T = 244
+    # (M = 2148, under the node-array limit) printed numpy RuntimeWarnings
+    # and then "error: ... nan"
+    def no_kernel(*args):
+        raise AssertionError("kernel built for a contour too wide at N=3")
+
+    monkeypatch.setattr(mb, "_kernel", no_kernel)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run_captured(argv)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: half-width T=")
+
+
+# -- the value writer against the standard library ------------------------------
+
+_SPECIAL = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-05, 1e16,
+            1.7976931348623157e308, -1.7976931348623157e308]
+_double = st.one_of(st.sampled_from(_SPECIAL), st.floats(allow_nan=False,
+                                                         allow_infinity=False),
+                    st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308))
+_lambda_text = st.one_of(
+    st.lists(_double, min_size=1, max_size=4).map(lambda v: ",".join(map(repr, v))),
+    st.text(alphabet=',"\r\n -.e0123456789ab', min_size=1, max_size=12))
+
+
+def _stdlib_text(rows, fmt):
+    """`_value_text`'s reference: `json` with strict floats, or a
+    `csv.DictWriter` with repr cells."""
+    if fmt == "json":
+        return json.dumps(rows, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
+    writer.writeheader()
+    writer.writerows({k: v if isinstance(v, str) else repr(v) for k, v in r.items()}
+                     for r in rows)
+    return buf.getvalue()
+
+
+@st.composite
+def _value_rows(draw):
+    """1-61 rows with the value keys of N = 1..3 or the `cfunction` keys."""
+    n = draw(st.integers(0, 3))
+    keys = ([f"x{k + 1}" for k in range(n)] + ["re", "im", "abs", "error_estimate"]
+            if n else ["lambda", "c_re", "c_im", "plancherel_density"])
+    return [{k: draw(_lambda_text if k == "lambda" else _double) for k in keys}
+            for _ in range(draw(st.integers(1, 61)))]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(rows=_value_rows(), fmt=st.sampled_from(["csv", "json"]), bad=st.one_of(
+    st.none(), st.tuples(st.integers(0, 60), st.integers(0, 7),
+                         st.sampled_from([math.nan, math.inf, -math.inf]))))
+def test_value_text_is_the_stdlib_writers_output(rows, fmt, bad):
+    if bad is not None:          # one non-finite cell: both raise, before output
+        i, k, v = bad
+        row = rows[i % len(rows)]
+        numbers = [c for c in row if c != "lambda"]
+        row[numbers[k % len(numbers)]] = v
+    table = {k: [r[k] for r in rows] for k in rows[0]}
+    if bad is None:
+        assert cli._value_text(table, fmt) == _stdlib_text(rows, fmt)
+        return
+    with pytest.raises(ValueError, match=f"not {fmt.upper()} compliant: "):
+        cli._value_text(table, fmt)
+    if fmt == "json":
+        with pytest.raises(ValueError) as want:
+            _stdlib_text(rows, fmt)
+        with pytest.raises(ValueError) as got:
+            cli._value_text(table, fmt)
+        assert str(got.value) == str(want.value)
+
+
 # -- the CLI contract over generated argv --------------------------------------
 
 _REPORT_KEYS = {"suite", "n", "relation", "status", "residual", "tolerance",
@@ -480,6 +566,7 @@ def _check_rows(rows, argv):
 @example(argv=_FAR_N3[:4] + ["--x=-400,-400,-400"] + _RECURSIVE)
 @example(argv=_HUGE_N2)
 @example(argv=_HUGE_N3)
+@example(argv=_WIDE_N3)
 def test_cli_contract_on_generated_argv(argv):
     code, out, err = _run_captured(argv)
     assert code in (0, 1, "SystemExit(2)")

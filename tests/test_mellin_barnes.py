@@ -276,6 +276,62 @@ def test_only_a_read_error_estimate_draws_the_stride_2_sums(monkeypatch):
     assert counts == {"kernel": 2, "node_sums": 2, "drawn": 3}
 
 
+def _node_sums_on_sliced_nodes(top, which, offsets, half_width, M, us, vs=None):
+    """`_node_sums` with each sum's phases built from its own (sliced) nodes:
+    the reference for one phase matrix per level."""
+    t, wtop, A = mb._kernel(top, which, offsets, half_width, M)
+    dt = t[1] - t[0]
+    a = t + 1j * offsets[0]
+    if vs is not None:
+        b = t + 1j * offsets[1]
+        ep, em = np.exp(np.pi * t), np.exp(-np.pi * t)
+        rank4 = np.stack([t * ep, em, ep, t * em], axis=1)
+    for sl, fac in ((slice(None), 1.0), (slice(0, M, 2), 2.0)):
+        phase_a = np.exp(np.multiply.outer(us, 1j * a[sl]))
+        if vs is None:
+            yield (phase_a @ wtop[sl]) * (dt * fac) / mb.TWO_PI
+            continue
+        phase_b = np.exp(np.multiply.outer(1j * b[sl], vs))
+        w = wtop[sl, None] * phase_b
+        weights = (rank4[sl, :, None] * w[:, None, :]).reshape(len(w), -1)
+        P = (A[sl][:, sl] @ weights).reshape(len(w), 4, len(vs))
+        pairs = (P[:, 0] * P[:, 1] - P[:, 2] * P[:, 3]) / np.pi
+        yield (phase_a @ pairs) * (dt * fac) ** 3 / mb.TWO_PI ** 3
+
+
+_A2, _A3 = [0.8, -0.3], [0.9, 0.1, -0.6]
+
+
+@pytest.mark.parametrize("evaluate", [
+    lambda: whittaker_eval(2, _A2, [0.4, -0.6]),
+    lambda: spherical_eval(2, _A2, [0.4, -0.6]),
+    *(lambda axis=axis: grid_scan("whittaker", 2, _A2, axis, -1.0, 1.5, 61,
+                                  tol=1e-8) for axis in range(2)),
+    lambda: whittaker_eval(3, _A3, [0.5, 0.0, -0.5]),
+    lambda: whittaker_recursive(3, _A3, [0.5, 0.0, -0.5], tol=1e-8),
+    lambda: spherical_eval(3, _A3, [0.5, 0.0, -0.5]),
+    *(lambda axis=axis: grid_scan("whittaker", 3, _A3, axis, -1.0, 1.5, 61,
+                                  x_base=[0.3, -0.1, -0.4]) for axis in range(3)),
+    lambda: check_eigen(3, _A3, GridSpec(20, 0.1), tol=1e-2, refine=True),
+], ids=["n2-point", "n2-spherical", "n2-sweep-x1", "n2-sweep-x2", "n3-point",
+        "n3-recursive", "n3-spherical", "n3-sweep-x1", "n3-sweep-x2",
+        "n3-sweep-x3", "n3-refined-eigen"])
+def test_one_phase_matrix_per_level_leaves_both_node_sums_bit_for_bit(
+        monkeypatch, evaluate):
+    calls = []
+    node_sums = mb._node_sums
+
+    def recording(*args):
+        calls.append(args)
+        return node_sums(*args)
+
+    monkeypatch.setattr(mb, "_node_sums", recording)
+    evaluate()
+    assert len(calls) == 1
+    got = [s.tobytes() for s in node_sums(*calls[0])]
+    assert got == [s.tobytes() for s in _node_sums_on_sliced_nodes(*calls[0])]
+
+
 @pytest.mark.parametrize("route", ["direct", "recursive", "spherical", "grid"])
 @pytest.mark.parametrize("n, alpha, x", [(2, "0.8,-0.3", "0.4,-0.6"),
                                          (3, "0.9,0.1,-0.6", "0.5,0,-0.5")])
@@ -315,14 +371,17 @@ def test_grids_evaluated_together_match_separate_calls(alpha):
 
 
 def test_grid_scan_rows():
-    rows = grid_scan("whittaker", 2, [0.5, -0.5], axis=0,
+    # the sweep as columns: one list of Python floats per output key
+    cols = grid_scan("whittaker", 2, [0.5, -0.5], axis=0,
                      start=-1.0, stop=1.0, steps=5, tol=1e-6)
-    assert len(rows) == 5
-    assert set(rows[0]) == {"x1", "x2", "re", "im", "abs", "error_estimate"}
-    assert rows[0]["x1"] == -1.0 and rows[-1]["x1"] == 1.0
-    assert rows[2]["x2"] == 0.0
-    assert grid_scan("whittaker", 3, [0.5, 0.0, -0.5], axis=1,
-                     start=0.0, stop=1.0, steps=0) == []
+    assert set(cols) == {"x1", "x2", "re", "im", "abs", "error_estimate"}
+    assert all(len(c) == 5 and all(type(v) is float for v in c)
+               for c in cols.values())
+    assert cols["x1"][0] == -1.0 and cols["x1"][-1] == 1.0
+    assert cols["x2"][2] == 0.0
+    empty = grid_scan("whittaker", 3, [0.5, 0.0, -0.5], axis=1,
+                      start=0.0, stop=1.0, steps=0)
+    assert len(empty) == 7 and all(c == [] for c in empty.values())
     with pytest.raises(ValueError):
         grid_scan("whittaker", 2, [0.5, -0.5], axis=2,
                   start=0.0, stop=1.0, steps=2)
@@ -347,9 +406,9 @@ def test_grid_scan_matches_point_evaluator(which, params):
     point = whittaker_eval if which == "whittaker" else spherical_eval
     x_base = [0.3, -0.1, -0.4][:N]
     for axis in range(N):
-        rows = grid_scan(which, N, params, axis=axis, start=-0.6, stop=0.9,
+        cols = grid_scan(which, N, params, axis=axis, start=-0.6, stop=0.9,
                          steps=4, x_base=x_base, tol=1e-6)
-        for row in rows:
+        for row in (dict(zip(cols, r)) for r in zip(*cols.values())):
             x = [row[f"x{k+1}"] for k in range(N)]
             pt = point(N, params, x, tol=1e-6)
             value = complex(row["re"], row["im"])

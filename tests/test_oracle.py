@@ -5,6 +5,8 @@ import mpmath
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quantoda import oracle
 from quantoda.mellin_barnes import whittaker_eval
@@ -37,6 +39,29 @@ def test_grid_function_validation():
         GridFunction([np.array([0.0, 0.1, 0.3])], np.zeros(3))  # nonuniform
     with pytest.raises(ValueError):
         GridFunction([np.array([0.0, 0.1])], np.zeros(3))  # shape mismatch
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(step=st.floats(-10, 10), start=st.floats(-100, 100),
+       jitter=st.lists(st.floats(-3e-10, 3e-10), min_size=1, max_size=6),
+       scale=st.sampled_from([1.0, 1e-2, 1e-3]))
+def test_grid_function_accepts_the_uniform_axes_allclose_accepts(step, start,
+                                                                 jitter, scale):
+    # one max-abs comparison, read as np.allclose(steps, steps[0],
+    # rtol=1e-10, atol=1e-12) reads it, on axes near its bound
+    steps = step + np.array([0.0] + jitter) * (abs(step) * scale + 1e-2)
+    axis = start + np.concatenate([[0.0], np.cumsum(steps)])
+    d = np.diff(axis)
+    uniform = np.allclose(d, d[0], rtol=1e-10, atol=1e-12)
+    try:
+        GridFunction([axis], np.zeros(len(axis)))
+    except ValueError:
+        assert not uniform
+    else:
+        assert uniform
+    axis[len(axis) // 2] = np.nan
+    with pytest.raises(ValueError):
+        GridFunction([axis], np.zeros(len(axis)))
 
 
 def test_toda_apply_constant_gives_potential():
