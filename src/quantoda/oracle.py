@@ -15,6 +15,27 @@ contour-integral wave function psi satisfies
 Psi(x) = psi(y), y_k = -x_k + k ln 2, reverses the potential and halves
 its coefficient, so Psi is an eigenfunction of H above with eigenvalue
 sum alpha^2 = 2 * eigenvalue_from_alpha(alpha).
+
+The eigen check runs on the difference lattice.  The first Toda integral
+is the total momentum: psi(y + s (1, ..., 1)) = e^{i sigma s} psi(y),
+sigma = sum alpha (the carrier of `mellin_barnes`).  On the cube grid
+x_k = c_k + (i_k - (P - 1)/2) h, the differences x_k - x_{k+1} take the
+2 P - 1 values of d_k = i_k - i_{k+1}, and Psi = e^{i sigma y_p} G(d), where
+G is psi on the pivot grid y_p = 0, p = max(N - 2, 0): y_{p-1} = u_{p-1}
+and y_{p+1} = -u_p run over the lattice values u_k of y_k - y_{k+1}, a
+tensor grid for N <= 3.  With p the coordinate before last, the values
+of G carry the carrier e^{i sigma y_N}, so a wrong momentum shows in them;
+with y_N = 0 at N = 2 it would be 1 on all of them.  Moving x_k by +-h
+moves d_{k-1} by -+1 and d_k by +-1, and for k = p turns the carrier by
+e^{-+i sigma h}; the potential sum_k e^{x_{k+1} - x_k} = sum_k e^{u_k + ln 2}
+depends on d alone.  So at each node the residual H Psi - E Psi is that
+carrier times a lattice residual R(d), and |Psi| = |G(d)|.  The interior
+nodes with differences d differ only in i_N: with s_k = sum_{j >= k} d_j
+(s_N = 0), i_k = i_N + s_k must lie in [m, P - 1 - m], m = BOUNDARY_MARGIN,
+which leaves (P - 2m) - (max_k s_k - min_k s_k) of them, or none.  The
+interior norms of the residual and of Psi are those of R and G weighted by
+that multiplicity: (2 P - 1)^{N-1} lattice values instead of P^N nodes.  A
+grid with half the spacing has the differences of the given grid at even d.
 """
 
 from __future__ import annotations
@@ -70,7 +91,9 @@ def toda_apply(psi: GridFunction, N: int) -> GridFunction:
     """H psi with H = -Laplacian + sum_k e^{x_{k+1}-x_k}; margins set to NaN.
 
     The stencil runs on the interior slices (`GridFunction.interior`) and
-    their neighbours one node over along each axis."""
+    their neighbours one node over along each axis.  `check_eigen` computes
+    the same residual on the difference lattice; this N-D stencil is the
+    reference the tests hold that lattice to."""
     if len(psi.axes) != N:
         raise ValueError("grid dimension does not match N")
     v = psi.values
@@ -143,6 +166,53 @@ def max_grid_span(N: int) -> float:
     return min(EXP_LIMIT, EXP_LIMIT / S - LN2) if S else math.inf
 
 
+def _lattice(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The differences a[i] - b[j] of two axes of P nodes, one per
+    d = i - j = -(P - 1) .. P - 1, each at the first (i, j) in row-major
+    order: the value the node sums of the tensor grid a x b take."""
+    return np.concatenate([a[0] - b[:0:-1], a - b[0]])
+
+
+def _lattice_residual(G: np.ndarray, u: Sequence[np.ndarray], grid: GridSpec,
+                      pivot: int, sigma: float, energy: float) -> float:
+    """||H psi - E psi|| / ||psi|| over the interior of the cube grid, read
+    off the wave function's values G on its difference lattice (see the
+    module docstring).
+
+    G has one axis of 2 P - 1 entries per difference x_k - x_{k+1}, index
+    d + P - 1 for d = -(P - 1) .. P - 1 (P = grid.points), and u[k] holds
+    y_k - y_{k+1} there.  Psi is e^{i sigma y_pivot} G(d).
+    """
+    N = G.ndim + 1
+    h = grid.spacing
+    inner = grid.points - 2 * BOUNDARY_MARGIN   # interior nodes per axis
+    box = tuple(slice(2 * BOUNDARY_MARGIN, n - 2 * BOUNDARY_MARGIN) for n in G.shape)
+    at = np.indices(G[box].shape)               # d = at - (inner - 1)
+    # interior nodes with these differences: the positions of x_N, inner
+    # of them less the spread of the partial sums s_k = sum_{j >= k} d_j
+    s = np.cumsum(at[::-1] - (inner - 1), axis=0)
+    weight = inner - s.max(axis=0, initial=0) + s.min(axis=0, initial=0)
+    keep = weight > 0
+
+    def moved(delta):
+        return G[tuple(slice(b.start + o, b.stop + o)
+                       for o, b in zip(delta, box))][keep]
+
+    c = G[box][keep]
+    lap = np.zeros_like(c)
+    # x_k + h: d_k + 1, d_(k-1) - 1, and e^{-i sigma h} on the pivot
+    steps = np.eye(N, N - 1, dtype=int) - np.eye(N, N - 1, k=-1, dtype=int)
+    for k, delta in enumerate(steps):
+        turn = cmath.exp(-1j * sigma * h) if k == pivot else 1.0
+        lap += (turn * moved(delta) - 2.0 * c
+                + turn.conjugate() * moved(-delta)) / h ** 2
+    # e^{x_(k+1) - x_k} = e^{u_k + ln 2}
+    pot = sum(np.exp(uk[b] + LN2)[i[keep]] for uk, b, i in zip(u, box, at))
+    resid = (pot - energy) * c - lap
+    root = np.sqrt(weight[keep])
+    return float(np.linalg.norm(root * resid) / np.linalg.norm(root * c))
+
+
 def check_eigen(N: int, alpha: Sequence[float], grid: GridSpec,
                 tol: float = 1e-3, refine: bool = False) -> VerificationReport:
     """Relative residual ||H psi - E psi|| / ||psi|| over interior nodes.
@@ -151,31 +221,45 @@ def check_eigen(N: int, alpha: Sequence[float], grid: GridSpec,
     Laplacian while the spectral normalization of eigenvalue_from_alpha
     corresponds to the half-Laplacian form (see the module docstring).
     With refine=True the spacing is halved at fixed extent and the
-    second-order stencil ratio (about 4) is reported in the witness; both
-    grids are evaluated by one `whittaker_on_grids` call, the given grid
-    first.  A grid (the halved one too, with refine) that spans more than
-    `max_grid_span`(N) raises ValueError before anything is evaluated.
+    second-order stencil ratio (about 4) is reported in the witness; it is
+    undefined, and the status that of the residual alone, when the halved
+    grid's residual is 0.  A grid (the halved one too, with refine) that
+    spans more than `max_grid_span`(N) raises ValueError before anything
+    is evaluated.
+
+    The residual is that of `toda_apply` and the interior norms on the
+    cube grid, computed on its lattice of index differences d_k = i_k -
+    i_(k+1) (see the module docstring for the reduction): one
+    `whittaker_on_grids` call evaluates the pivot grid, y_p = 0 with
+    p = max(N - 2, 0), whose y_(p-1) and y_(p+1) run over the 2 P - 1
+    values of each difference of the (halved, with refine) grid.  The
+    given grid's lattice is the sub-lattice of even d.
     """
-    fine = GridSpec(2 * grid.points, grid.spacing / 2.0, grid.center)
-    grids = [g.axes(N) for g in ((grid, fine) if refine else (grid,))]
+    top = GridSpec(2 * grid.points, grid.spacing / 2.0, grid.center) if refine else grid
+    axes = top.axes(N)
     span = max((max(b.max() - a.min(), a.max() - b.min())
-                for a, b in zip(grids[-1], grids[-1][1:])), default=0.0)
+                for a, b in zip(axes, axes[1:])), default=0.0)
     if span > max_grid_span(N):
         raise ValueError(f"grid spans {span:.6g} in x_k - x_(k+1); above "
                          f"{max_grid_span(N):.6g} the N={N} evaluation overflows")
     # the wave function transplanted to the Hamiltonian's convention
-    psis = whittaker_on_grids(
-        N, alpha, [[-a + (k + 1) * LN2 for k, a in enumerate(axes)]
-                   for axes in grids], QUAD_TOL)
+    y = [-a + (k + 1) * LN2 for k, a in enumerate(axes)]
+    u = [_lattice(a, b) for a, b in zip(y, y[1:])]
+    pivot = max(N - 2, 0)
+    psi, = whittaker_on_grids(N, alpha, [[*u[:pivot], np.zeros(1),
+                                          *(-uk for uk in u[pivot:])]], QUAD_TOL)
+    G = psi.reshape([len(uk) for uk in u])
+    sigma = sum(float(a) for a in alpha)
     energy = 2.0 * eigenvalue_from_alpha(alpha)
-    residuals = []
-    for axes, psi in zip(grids, psis):
-        gf = GridFunction(axes, psi)
-        sl = gf.interior()
-        resid = toda_apply(gf, N).values[sl] - energy * psi[sl]
-        residuals.append(float(np.linalg.norm(resid) / np.linalg.norm(psi[sl])))
+    even = (slice(1, None, 2),) * (N - 1)       # the given grid's differences
+    lattices = [(G[even], [uk[1::2] for uk in u], grid)] if refine else []
+    lattices.append((G, u, top))
+    residuals = [_lattice_residual(g, v, spec, pivot, sigma, energy)
+                 for g, v, spec in lattices]
     rep = residual_report("eigen", N, "toda-eigenvalue", residuals[0], tol)
-    if refine:
+    if refine and residuals[1] == 0.0:
+        rep.witness = "refinement ratio undefined: the halved grid's residual is 0"
+    elif refine:
         ratio = residuals[0] / residuals[1]
         rep.witness = f"refinement ratio {ratio:.3f}"
         if not (3.5 <= ratio <= 4.5):

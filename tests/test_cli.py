@@ -557,6 +557,7 @@ def _check_rows(rows, argv):
 @example(argv=_EIGEN + ["3:0.1"])
 @example(argv=_EIGEN + ["5:0"])
 @example(argv=_EIGEN + ["5:1000"])
+@example(argv=["verify", "eigen", "--n=1", "--alpha=0", "--grid=5:0.1", "--refine"])
 @example(argv=["verify", "eigen", "--n=3", "--alpha=0.5,-0.5,0.1", "--grid=5:100"])
 @example(argv=["cfunction", "--lambda="])
 @example(argv=_EVAL[:4] + ["--alpha=0.5,,-0.5"] + _EVAL[6:])

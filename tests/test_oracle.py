@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import mpmath
 
@@ -167,6 +168,93 @@ def test_check_eigen_rejects_a_grid_that_would_overflow(monkeypatch):
                             (3, GridSpec(64, 6.0), False)):
         with pytest.raises(ValueError, match="overflows"):
             check_eigen(N, [0.5, -0.5, 0.1][:N], grid, refine=refine)
+
+
+def _check_eigen_on_grids(N, alpha, grid, tol=1e-3, refine=False):
+    """The eigen check on the cube grids themselves: both grids evaluated
+    node by node, `toda_apply`, and norms over the interior slices."""
+    fine = GridSpec(2 * grid.points, grid.spacing / 2.0, grid.center)
+    grids = [g.axes(N) for g in ((grid, fine) if refine else (grid,))]
+    psis = oracle.whittaker_on_grids(
+        N, alpha, [[-a + (k + 1) * oracle.LN2 for k, a in enumerate(axes)]
+                   for axes in grids], oracle.QUAD_TOL)
+    energy = 2.0 * oracle.eigenvalue_from_alpha(alpha)
+    residuals = []
+    for axes, psi in zip(grids, psis):
+        gf = GridFunction(axes, psi)
+        sl = gf.interior()
+        resid = toda_apply(gf, N).values[sl] - energy * psi[sl]
+        residuals.append(float(np.linalg.norm(resid) / np.linalg.norm(psi[sl])))
+    status = "PASS" if residuals[0] <= tol else "FAIL"
+    witness = None
+    if refine:
+        ratio = residuals[0] / residuals[1]
+        witness = f"refinement ratio {ratio:.3f}"
+        if not 3.5 <= ratio <= 4.5:
+            status = "FAIL"
+    return residuals[0], status, witness
+
+
+_ALPHAS = {1: [0.9], 2: [0.6, -0.6], 3: [0.9, 0.1, -0.6]}
+
+
+@pytest.mark.parametrize("refine", [False, True])
+@pytest.mark.parametrize("N, grid", [
+    (1, GridSpec(9, 0.1)), (1, GridSpec(9, 0.1, (0.1,))),
+    (2, GridSpec(16, 0.08)), (2, GridSpec(16, 0.08, (0.1, -0.2))),
+    (3, GridSpec(12, 0.1)), (3, GridSpec(12, 0.1, (0.1, -0.2, 0.05))),
+    (2, GridSpec(5, 0.1, (0.1, -0.2))),         # one interior node
+    (3, GridSpec(5, 0.1, (0.1, -0.2, 0.05))),
+])
+def test_lattice_residual_is_the_residual_on_the_cube_grid(N, grid, refine):
+    rep = check_eigen(N, _ALPHAS[N], grid, tol=1e-2, refine=refine)
+    residual, status, witness = _check_eigen_on_grids(N, _ALPHAS[N], grid,
+                                                      tol=1e-2, refine=refine)
+    assert abs(rep.residual - residual) <= 1e-8 * residual
+    assert (rep.status, rep.witness) == (status, witness)
+
+
+def _wrong_momentum(monkeypatch):
+    evaluate = oracle.whittaker_on_grids
+
+    def shifted(N, alpha, grids, *args):
+        return [v * np.exp(0.5j * axes[-1])
+                for v, axes in zip(evaluate(N, alpha, grids, *args), grids)]
+
+    monkeypatch.setattr(oracle, "whittaker_on_grids", shifted)
+
+
+def _wrong_eigenvalue(monkeypatch):
+    eigenvalue = oracle.eigenvalue_from_alpha
+    monkeypatch.setattr(oracle, "eigenvalue_from_alpha",
+                        lambda alpha: 1.05 * eigenvalue(alpha))
+
+
+@pytest.mark.parametrize("inject", [_wrong_momentum, _wrong_eigenvalue])
+@pytest.mark.parametrize("N, grid", [(2, GridSpec(16, 0.08)),
+                                     (3, GridSpec(12, 0.1, (0.1, -0.2, 0.05)))])
+def test_eigen_check_fails_a_wrong_wave_function(monkeypatch, N, grid, inject):
+    assert check_eigen(N, _ALPHAS[N], grid, tol=1e-2).status == "PASS"
+    inject(monkeypatch)
+    assert check_eigen(N, _ALPHAS[N], grid, tol=1e-2).status == "FAIL"
+    assert _check_eigen_on_grids(N, _ALPHAS[N], grid, tol=1e-2)[1] == "FAIL"
+
+
+def test_refined_eigen_check_with_zero_residuals_has_no_ratio():
+    # the plane wave of alpha = 0 is a constant: every stencil sum is 0
+    rep = check_eigen(1, [0.0], GridSpec(5, 0.1), refine=True)
+    assert (rep.status, rep.residual) == ("PASS", 0.0)
+    assert rep.witness == "refinement ratio undefined: the halved grid's residual is 0"
+
+
+def test_refined_n3_eigen_check_memory_stays_on_the_lattice():
+    tracemalloc.start()
+    try:
+        check_eigen(3, [0.7, 0.0, -0.7], GridSpec(64, 0.05), refine=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2 ** 20
 
 
 def _bessel_k_n2(alpha, x):
