@@ -14,18 +14,17 @@ within-level coincidences annihilate the integrand through the denominator.
 
 Quadrature is a truncated uniform grid per dimension (spectrally accurate
 for these analytic, exponentially decaying integrands).  N <= 3.  One front
-end, `_evaluate_grids`, works on tensor grids axes[0] x ... x axes[N-1]: a
+end, `_evaluate`, works on one tensor grid axes[0] x ... x axes[N-1]: a
 point is a grid with one node per axis, a sweep one with a single varying
-axis, and several grids (the two of a refined eigen check) share one kernel
-build and one node sum.  The integrand sees x only through the differences
-u_n = x_n - x_{n+1} and the carrier e^{i sigma1 x_N}, applied once to the
-node sums.  Differences equal to 12 decimals, in any of the grids, share one
-node sum, evaluated at the first one's exact difference.  The stride-2 sums
-behind the error estimate are computed only where the estimate is read:
-point values and sweeps, not grids.  Level n holds n variables at height
-h_n, so its phase e^{i lam u_n} reaches e^{n h_n max(0, -u_n)}: a grid
-whose phase exponent sum_n n h_n max(0, -min u_n) exceeds EXP_LIMIT would
-overflow and raises ValueError before any node sum.  One builder, `_kernel`,
+axis.  The integrand sees x only through the differences u_n = x_n -
+x_{n+1} and the carrier e^{i sigma1 x_N}, applied once to the node sums.
+Differences equal to 12 decimals share one node sum, evaluated at the
+first one's exact difference.  The stride-2 sums behind the error
+estimate are computed only where the estimate is read: point values and
+sweeps, not grids.  Level n holds n variables at height h_n, so its
+phase e^{i lam u_n} reaches e^{n h_n max(0, -u_n)}: a grid whose phase
+exponent sum_n n h_n max(0, -min u_n) exceeds EXP_LIMIT would overflow
+and raises ValueError before any node sum.  One builder, `_kernel`,
 makes the kernel of every route: the top-level weight and, at N = 3, the
 level-1 x level-2 Gamma matrix.  Both levels run over the same nodes, so
 that matrix is Toeplitz and built from 2M - 1 values: every route passes
@@ -253,15 +252,14 @@ def _validate(N: int, params: Sequence[float], axes, tol: float) -> List[float]:
     return params
 
 
-def _evaluate_grids(which: str, N: int, params: Sequence[float], grids, tol: float,
-                    contour: ContourSpec | None = None, estimate: bool = True):
-    """Values and error estimates on each grid axes[0] x ... x axes[N-1] of
-    `grids`, all from one kernel build and one node sum.
+def _evaluate(which: str, N: int, params: Sequence[float], axes, tol: float,
+              contour: ContourSpec | None = None, estimate: bool = True):
+    """Values and error estimates on the grid axes[0] x ... x axes[N-1], from
+    one kernel build and one node sum.
 
-    Returns one (values, errors) pair of arrays of shape (len(axes[0]), ...,
-    len(axes[N-1])) per grid; errors is None when not `estimate`.  The node
-    sums run over the union of the grids' differences, each evaluated at the
-    first grid's exact difference where it has one.  The error estimate is
+    Returns (values, errors), arrays of shape (len(axes[0]), ...,
+    len(axes[N-1])); errors is None when not `estimate`.  The node sums run
+    over the grid's distinct differences per level.  The error estimate is
     |v - v_half|, where v_half is the stride-2 sum with the same carrier,
     computed only when `estimate`.  Spherical contours are real: offsets 0.
     ValueError, before the kernel is built, when the phase exponent
@@ -271,9 +269,8 @@ def _evaluate_grids(which: str, N: int, params: Sequence[float], grids, tol: flo
     """
     if which not in ("whittaker", "spherical"):
         raise ValueError(f"unknown function {which!r}")
-    grids = [[np.asarray(a, dtype=float) for a in axes] for axes in grids]
-    for axes in grids:
-        params = _validate(N, params, axes, tol)
+    axes = [np.asarray(a, dtype=float) for a in axes]
+    params = _validate(N, params, axes, tol)
     if which == "spherical" and any(abs(p - q) < COINCIDENT_TOL for i, p in
                                     enumerate(params) for q in params[i + 1:]):
         raise ContourError("coincident top-level spectral parameters")
@@ -282,28 +279,22 @@ def _evaluate_grids(which: str, N: int, params: Sequence[float], grids, tol: flo
         raise ContourError(
             f"contour has {len(contour.offsets)} levels, N={N} needs {N}")
     offsets = contour.offsets if which == "whittaker" else (0.0,) * N
-    # per level n, the differences x_n - x_{n+1} of every grid in one array
-    diffs = [np.concatenate([np.subtract.outer(axes[n], axes[n + 1]).reshape(-1)
-                             for axes in grids]) for n in range(N - 1)]
+    # per level n, the differences x_n - x_{n+1}
+    diffs = [np.subtract.outer(axes[n], axes[n + 1]) for n in range(N - 1)]
     exponent = sum(n * h * -float(np.min(u, initial=0.0))
                    for n, (h, u) in enumerate(zip(offsets, diffs), 1))
     if exponent > EXP_LIMIT:
         raise ValueError(f"coordinates too far apart: phase exponent "
                          f"{exponent:.6g} exceeds {EXP_LIMIT:g}")
-    carriers = [np.exp(1j * sum(params) * axes[-1]) for axes in grids]
+    carrier = np.exp(1j * sum(params) * axes[-1])
     if N == 1:
-        return [(c, np.zeros(c.shape) if estimate else None) for c in carriers]
+        return carrier, np.zeros(carrier.shape) if estimate else None
     nodes, picks = [], []
-    for n, d in enumerate(diffs):
-        _, first, pick = np.unique(np.round(d, 12), return_index=True,
+    for d in diffs:
+        _, first, pick = np.unique(np.round(d, 12).ravel(), return_index=True,
                                    return_inverse=True)
-        nodes.append(d[first])
-        level, start = [], 0
-        for axes in grids:
-            shape = (len(axes[n]), len(axes[n + 1]))
-            level.append(pick[start:start + shape[0] * shape[1]].reshape(shape))
-            start += shape[0] * shape[1]
-        picks.append(level)
+        nodes.append(d.ravel()[first])
+        picks.append(pick.reshape(d.shape))
     M = contour.nodes_per_dim
     size = M * max(M if N == 3 else N, *map(len, nodes))
     if size > NODE_ARRAY_LIMIT:
@@ -316,18 +307,9 @@ def _evaluate_grids(which: str, N: int, params: Sequence[float], grids, tol: flo
     full = next(sums)
     half = next(sums) if estimate else None
     sums.close()                     # frees the node-sum temporaries
-    out = []
-    for carrier, *own in zip(carriers, *picks):
-        pick = own[0] if N == 2 else (own[0][:, :, None], own[1][None, :, :])
-        v = full[pick] * carrier
-        out.append((v, np.abs(v - half[pick] * carrier) if estimate else None))
-    return out
-
-
-def _evaluate(which: str, N: int, params: Sequence[float], axes, tol: float,
-              contour: ContourSpec | None = None):
-    """Values and error estimates on the one grid axes[0] x ... x axes[N-1]."""
-    return _evaluate_grids(which, N, params, [axes], tol, contour)[0]
+    pick = picks[0] if N == 2 else (picks[0][:, :, None], picks[1][None, :, :])
+    v = full[pick] * carrier
+    return v, np.abs(v - half[pick] * carrier) if estimate else None
 
 
 def _point(which: str, N: int, params: Sequence[float], x: Sequence[float],
@@ -343,24 +325,12 @@ def whittaker_eval(N: int, alpha: Sequence[float], x: Sequence[float],
     return _point("whittaker", N, alpha, x, tol, contour)
 
 
-def whittaker_on_grids(N: int, alpha: Sequence[float], grids,
-                       tol: float = 1e-6, contour: ContourSpec | None = None
-                       ) -> List[np.ndarray]:
-    """Wave function on each full tensor grid of coordinates in `grids`.
-
-    One kernel build and one node sum serve every grid: the quadrature is
-    contracted once per distinct coordinate difference of all the grids
-    rather than once per grid point (see `_evaluate_grids`).  No error
-    estimate is computed.
-    """
-    return [v for v, _ in _evaluate_grids("whittaker", N, alpha, grids, tol,
-                                          contour, estimate=False)]
-
-
 def whittaker_on_grid(N: int, alpha: Sequence[float], axes: Sequence[np.ndarray],
                       tol: float = 1e-6, contour: ContourSpec | None = None) -> np.ndarray:
-    """Wave function on a full tensor grid of coordinates (`whittaker_on_grids`)."""
-    return whittaker_on_grids(N, alpha, [axes], tol, contour)[0]
+    """Wave function on a full tensor grid of coordinates, from one kernel
+    build and one node sum per distinct coordinate difference (`_evaluate`).
+    No error estimate is computed."""
+    return _evaluate("whittaker", N, alpha, axes, tol, contour, estimate=False)[0]
 
 
 def spherical_eval(N: int, lam_top: Sequence[float], x: Sequence[float],

@@ -47,7 +47,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .mellin_barnes import EXP_LIMIT, whittaker_on_grids
+from .mellin_barnes import EXP_LIMIT, whittaker_on_grid
 from .report import VerificationReport, residual_report
 
 BOUNDARY_MARGIN = 2  # nodes invalidated per face by the stencil
@@ -224,13 +224,14 @@ def check_eigen(N: int, alpha: Sequence[float], grid: GridSpec,
     second-order stencil ratio (about 4) is reported in the witness; it is
     undefined, and the status that of the residual alone, when the halved
     grid's residual is 0.  A grid (the halved one too, with refine) that
-    spans more than `max_grid_span`(N) raises ValueError before anything
+    spans more than `max_grid_span`(N), or whose spacing h makes the
+    stencil's 1/h^2 exceed e^EXP_LIMIT, raises ValueError before anything
     is evaluated.
 
     The residual is that of `toda_apply` and the interior norms on the
     cube grid, computed on its lattice of index differences d_k = i_k -
     i_(k+1) (see the module docstring for the reduction): one
-    `whittaker_on_grids` call evaluates the pivot grid, y_p = 0 with
+    `whittaker_on_grid` call evaluates the pivot grid, y_p = 0 with
     p = max(N - 2, 0), whose y_(p-1) and y_(p+1) run over the 2 P - 1
     values of each difference of the (halved, with refine) grid.  The
     given grid's lattice is the sub-lattice of even d.
@@ -242,12 +243,15 @@ def check_eigen(N: int, alpha: Sequence[float], grid: GridSpec,
     if span > max_grid_span(N):
         raise ValueError(f"grid spans {span:.6g} in x_k - x_(k+1); above "
                          f"{max_grid_span(N):.6g} the N={N} evaluation overflows")
+    if top.spacing < math.exp(-EXP_LIMIT / 2.0):
+        raise ValueError(f"grid spacing {top.spacing:.6g}: the stencil's 1/h^2 "
+                         f"exceeds e^{EXP_LIMIT:g}")
     # the wave function transplanted to the Hamiltonian's convention
     y = [-a + (k + 1) * LN2 for k, a in enumerate(axes)]
     u = [_lattice(a, b) for a, b in zip(y, y[1:])]
     pivot = max(N - 2, 0)
-    psi, = whittaker_on_grids(N, alpha, [[*u[:pivot], np.zeros(1),
-                                          *(-uk for uk in u[pivot:])]], QUAD_TOL)
+    psi = whittaker_on_grid(N, alpha, [*u[:pivot], np.zeros(1),
+                                       *(-uk for uk in u[pivot:])], QUAD_TOL)
     G = psi.reshape([len(uk) for uk in u])
     sigma = sum(float(a) for a in alpha)
     energy = 2.0 * eigenvalue_from_alpha(alpha)
@@ -285,7 +289,7 @@ def _k_series(mu2: float, z: float):
     return s, sp
 
 
-def bessel_oracle_n2(alpha: Sequence[float], r_grid: Sequence[float]) -> GridFunction:
+def bessel_oracle_n2(alpha: Sequence[float], r_grid: Sequence[float]) -> np.ndarray:
     """Solution of -phi'' + e^r phi = E phi, E = ((a1-a2)/2)^2, decaying as
     r -> +infinity, on the given r grid (r is the coordinate difference of
     the two sites in the direction of growing potential).
@@ -316,7 +320,7 @@ def bessel_oracle_n2(alpha: Sequence[float], r_grid: Sequence[float]) -> GridFun
     if not sol.success:
         raise RuntimeError(f"ODE integration failed: {sol.message}")
     vals = dict(zip(sol.t, sol.y[0]))
-    return GridFunction([r], np.array([vals[t] for t in r]))
+    return np.array([vals[t] for t in r])
 
 
 def whittaker_vs_ode_ratio(alpha: Sequence[float],
@@ -324,13 +328,14 @@ def whittaker_vs_ode_ratio(alpha: Sequence[float],
     """Relative spread of psi(CoM line)/phi_ODE across the grid.
 
     The wave function is restricted to x = (r/2, -r/2), on which the
-    reduced coordinate in the direction of growing potential is r.
+    reduced coordinate in the direction of growing potential is r.  By the
+    total momentum (module docstring) psi(r/2, -r/2) = e^{-i sigma r/2}
+    psi(r, 0): one grid (r, 0) gives every value.
     """
     r = np.asarray(r_grid, dtype=float)
-    ode = bessel_oracle_n2(alpha, r).values.real
-    mb = np.array([g.item() for g in whittaker_on_grids(
-        2, alpha, [[[rv / 2.0], [-rv / 2.0]] for rv in r.tolist()], tol=QUAD_TOL)])
-    ratio = mb / ode
+    ode = bessel_oracle_n2(alpha, r)
+    mb = whittaker_on_grid(2, alpha, [r, [0.0]], tol=QUAD_TOL)[:, 0]
+    ratio = mb * np.exp(-0.5j * sum(alpha) * r) / ode
     spread = float(np.std(ratio) / np.mean(np.abs(ratio)))
     return residual_report("oracle", 2, "ode-ratio", spread, 1e-5,
                            witness=f"alpha={tuple(alpha)}")

@@ -245,6 +245,24 @@ def test_eigen_grid_span_across_the_bound(n, alpha):
                 assert err.count("\n") == 1 and err.startswith("error: grid spans")
 
 
+@pytest.mark.parametrize("n, alpha", [(2, "0.5,-0.5"), (3, "0.5,-0.5,0.1")])
+def test_eigen_spacing_too_small_for_the_stencil(n, alpha):
+    # 5:1e-160 wrote numpy overflow warnings from the stencil's / h^2, and
+    # 5:1e-170 then failed on a NaN residual
+    for spacing in (1e-150, 1e-155, 1e-160, 1e-170, 1e-300, 5e-324):
+        for refine in (False, True):
+            argv = ["verify", "eigen", f"--n={n}", f"--alpha={alpha}",
+                    f"--grid=5:{spacing!r}"] + ["--refine"] * refine
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out, err = _run_captured(argv)
+            assert code in (0, 1) and err.count("\n") <= 1
+            h = spacing / 2 if refine else spacing
+            refused = h < math.exp(-oracle.EXP_LIMIT / 2)
+            assert err.startswith("error: grid spacing") == refused
+            assert (out == "") == refused
+
+
 def test_smallest_valid_counts_run():
     assert _run(["verify", "qism", "--n", "1"])[0] == 0
     code, text = _run(_GRID + ["--steps", "1", "--format", "json"])

@@ -17,7 +17,8 @@ from quantoda.mellin_barnes import (ContourError, ContourSpec, DimensionError,
                                     grid_scan, spherical_eval,
                                     whittaker_eval, whittaker_on_grid,
                                     whittaker_recursive)
-from quantoda.oracle import GridSpec, check_eigen, givental
+from quantoda.oracle import (GridSpec, check_eigen, givental,
+                             whittaker_vs_ode_ratio)
 from quantoda.separation import sep_wavefunction
 from quantoda.specfun import log_gamma
 
@@ -268,6 +269,12 @@ def test_refined_eigen_check_is_one_kernel_and_one_node_sum(monkeypatch, N,
     assert counts == {"kernel": 1, "node_sums": 1, "drawn": 1}
 
 
+def test_ode_comparison_is_one_kernel_and_one_node_sum(monkeypatch):
+    counts = _counting_kernel_and_sums(monkeypatch)
+    whittaker_vs_ode_ratio([0.8, -0.4], np.linspace(-4.0, 1.5, 12))
+    assert counts == {"kernel": 1, "node_sums": 1, "drawn": 1}
+
+
 def test_only_a_read_error_estimate_draws_the_stride_2_sums(monkeypatch):
     counts = _counting_kernel_and_sums(monkeypatch)
     whittaker_on_grid(3, [0.8, 0.0, -0.5], [np.linspace(-0.2, 0.2, 3)] * 3)
@@ -346,28 +353,6 @@ def test_every_evaluator_is_one_kernel_and_one_node_sum(monkeypatch, route, n,
     counts = _counting_kernel_and_sums(monkeypatch)
     assert dispatch(argv, out=io.StringIO()) == 0
     assert counts == {"kernel": 1, "node_sums": 1, "drawn": 2}
-
-
-@pytest.mark.parametrize("alpha", [[0.7, -0.2], [0.8, 0.0, -0.5]])
-def test_grids_evaluated_together_match_separate_calls(alpha):
-    # the first grid's differences win the shared node sums, the others'
-    # may sit up to rounding away from their own.  At N = 2 each node sum
-    # is one row of a matrix-vector product, so the first grid's values are
-    # bit for bit its own; at N = 3 BLAS rounds a matrix product's entries
-    # by the product's column count
-    N = len(alpha)
-    grids = [GridSpec(6, 0.1, (0.3, -0.1, 0.2)[:N]).axes(N),
-             GridSpec(12, 0.05, (0.3, -0.1, 0.2)[:N]).axes(N),
-             [np.linspace(-0.4, 0.5, 4), np.linspace(0.1, 0.3, 3),
-              np.array([-0.25])][:N],
-             [[0.37], [-0.11], [0.05]][:N]]
-    together = mb.whittaker_on_grids(N, alpha, grids, tol=1e-8)
-    for k, (axes, got) in enumerate(zip(grids, together)):
-        alone = whittaker_on_grid(N, alpha, axes, tol=1e-8)
-        assert got.shape == alone.shape
-        if k == 0 and N == 2:
-            assert got.tobytes() == alone.tobytes()
-        assert np.max(np.abs(got - alone)) <= 1e-13 * np.max(np.abs(alone))
 
 
 def test_grid_scan_rows():

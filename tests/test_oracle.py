@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quantoda import oracle
-from quantoda.mellin_barnes import whittaker_eval
+from quantoda.mellin_barnes import whittaker_eval, whittaker_on_grid
 from quantoda.oracle import (BOUNDARY_MARGIN, GridFunction, GridSpec,
                              bessel_oracle_n2, check_eigen,
                              eigenvalue_from_alpha, givental, max_grid_span, toda_apply,
@@ -125,7 +125,7 @@ def test_toda_apply_is_the_roll_stencil_bit_for_bit(shape, spacings):
 def test_bessel_oracle_decay_and_oscillation():
     r = np.linspace(-6.0, 2.0, 81)
     alpha = [1.0, -1.0]
-    phi = bessel_oracle_n2(alpha, r).values.real
+    phi = bessel_oracle_n2(alpha, r)
     # decays under the barrier on the right
     right = phi[r > 1.0]
     assert all(abs(v) > 0 for v in right)
@@ -146,6 +146,25 @@ def test_whittaker_matches_ode_solution():
     assert rep.residual < 1e-5
 
 
+def test_ode_comparison_on_a_non_uniform_grid():
+    # the ODE values came wrapped in a uniform-grid type, which refused
+    # this grid after the ODE was solved
+    assert bessel_oracle_n2([0.5, -0.5], [0.0, 0.1, 0.3]).shape == (3,)
+    rep = whittaker_vs_ode_ratio([0.5, -0.5], [-2.0, -1.7, -0.9, 0.0, 0.1, 0.3])
+    assert rep.passed and rep.residual <= 1e-5
+
+
+def test_ode_comparison_grid_times_carrier_is_the_point_value():
+    # psi(r/2, -r/2) = e^{-i sigma r/2} psi(r, 0): the one grid (r, 0)
+    alpha, r = [0.8, -0.4], np.linspace(-4.0, 1.5, 12)
+    grid = whittaker_on_grid(2, alpha, [r, [0.0]], tol=oracle.QUAD_TOL)[:, 0]
+    got = grid * np.exp(-0.5j * sum(alpha) * r)
+    for g, rv in zip(got, r.tolist()):
+        want = whittaker_eval(2, alpha, [rv / 2.0, -rv / 2.0],
+                              tol=oracle.QUAD_TOL).value
+        assert abs(g - want) <= 1e-13 * abs(want)
+
+
 def test_check_eigen_n2_with_refinement():
     rep = check_eigen(2, [0.6, -0.6], GridSpec(24, 0.08), tol=3e-3,
                       refine=True)
@@ -161,7 +180,7 @@ def test_check_eigen_rejects_a_grid_that_would_overflow(monkeypatch):
     def evaluate(*args):
         raise AssertionError("evaluated a grid above the bound")
 
-    monkeypatch.setattr(oracle, "whittaker_on_grids", evaluate)
+    monkeypatch.setattr(oracle, "whittaker_on_grid", evaluate)
     for N, grid, refine in ((2, GridSpec(5, 1000.0), False),
                             (2, GridSpec(5, 170.0), True),     # coarse 680, fine 765
                             (3, GridSpec(5, 100.0), False),
@@ -175,12 +194,12 @@ def _check_eigen_on_grids(N, alpha, grid, tol=1e-3, refine=False):
     node by node, `toda_apply`, and norms over the interior slices."""
     fine = GridSpec(2 * grid.points, grid.spacing / 2.0, grid.center)
     grids = [g.axes(N) for g in ((grid, fine) if refine else (grid,))]
-    psis = oracle.whittaker_on_grids(
-        N, alpha, [[-a + (k + 1) * oracle.LN2 for k, a in enumerate(axes)]
-                   for axes in grids], oracle.QUAD_TOL)
     energy = 2.0 * oracle.eigenvalue_from_alpha(alpha)
     residuals = []
-    for axes, psi in zip(grids, psis):
+    for axes in grids:
+        psi = oracle.whittaker_on_grid(
+            N, alpha, [-a + (k + 1) * oracle.LN2 for k, a in enumerate(axes)],
+            oracle.QUAD_TOL)
         gf = GridFunction(axes, psi)
         sl = gf.interior()
         resid = toda_apply(gf, N).values[sl] - energy * psi[sl]
@@ -215,13 +234,12 @@ def test_lattice_residual_is_the_residual_on_the_cube_grid(N, grid, refine):
 
 
 def _wrong_momentum(monkeypatch):
-    evaluate = oracle.whittaker_on_grids
+    evaluate = oracle.whittaker_on_grid
 
-    def shifted(N, alpha, grids, *args):
-        return [v * np.exp(0.5j * axes[-1])
-                for v, axes in zip(evaluate(N, alpha, grids, *args), grids)]
+    def shifted(N, alpha, axes, *args):
+        return evaluate(N, alpha, axes, *args) * np.exp(0.5j * axes[-1])
 
-    monkeypatch.setattr(oracle, "whittaker_on_grids", shifted)
+    monkeypatch.setattr(oracle, "whittaker_on_grid", shifted)
 
 
 def _wrong_eigenvalue(monkeypatch):
