@@ -85,16 +85,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
-def _norm(z: complex) -> dict:
-    """A complex number in a report as {re, im} (the JSON encoder's default)."""
-    return {"re": z.real, "im": z.imag}
-
-
 def _emit_reports(reports: Sequence[VerificationReport], out) -> int:
     """Strict JSON: a non-finite number raises ValueError before any output."""
     payload = {"reports": [r.to_dict() for r in reports], "status": combine(reports)}
-    out.write(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False,
-                         default=_norm) + "\n")
+    out.write(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
     return 0 if combine(reports) == "PASS" else 1
 
 
@@ -216,7 +210,8 @@ def dispatch(argv: Sequence[str] | None = None, out=None) -> int:
     out = out or sys.stdout
     try:
         return _run(args, parser, out)
-    except (ValueError, RuntimeError, OverflowError, MemoryError, OSError) as exc:
+    except (ValueError, RuntimeError, OverflowError, FloatingPointError,
+            MemoryError, OSError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 

@@ -252,6 +252,7 @@ def _validate(N: int, params: Sequence[float], axes, tol: float) -> List[float]:
     return params
 
 
+@np.errstate(over="raise")
 def _evaluate(which: str, N: int, params: Sequence[float], axes, tol: float,
               contour: ContourSpec | None = None, estimate: bool = True):
     """Values and error estimates on the grid axes[0] x ... x axes[N-1], from
@@ -265,7 +266,9 @@ def _evaluate(which: str, N: int, params: Sequence[float], axes, tol: float,
     ValueError, before the kernel is built, when the phase exponent
     sum_n n h_n max(0, -min u_n) exceeds EXP_LIMIT, the largest node array
     NODE_ARRAY_LIMIT elements, or, at N = 3, pi T exceeds EXP_LIMIT for the
-    contour's half-width T (the node sum's e^{pi T} would overflow).
+    contour's half-width T (the node sum's e^{pi T} would overflow).  An
+    overflow anywhere, such as a difference or the carrier's phase
+    sigma1 x_N past the largest double, raises FloatingPointError.
     """
     if which not in ("whittaker", "spherical"):
         raise ValueError(f"unknown function {which!r}")
@@ -291,8 +294,11 @@ def _evaluate(which: str, N: int, params: Sequence[float], axes, tol: float,
         return carrier, np.zeros(carrier.shape) if estimate else None
     nodes, picks = [], []
     for d in diffs:
-        _, first, pick = np.unique(np.round(d, 12).ravel(), return_index=True,
-                                   return_inverse=True)
+        # past |d| = 1.8e296 the key is +-inf, and those differences share a
+        # node sum: 0 (e^{-h_1 d}) on a Whittaker contour, aliased on a real one
+        with np.errstate(over="ignore"):
+            key = np.round(d, 12).ravel()
+        _, first, pick = np.unique(key, return_index=True, return_inverse=True)
         nodes.append(d.ravel()[first])
         picks.append(pick.reshape(d.shape))
     M = contour.nodes_per_dim
@@ -326,11 +332,11 @@ def whittaker_eval(N: int, alpha: Sequence[float], x: Sequence[float],
 
 
 def whittaker_on_grid(N: int, alpha: Sequence[float], axes: Sequence[np.ndarray],
-                      tol: float = 1e-6, contour: ContourSpec | None = None) -> np.ndarray:
+                      tol: float = 1e-6) -> np.ndarray:
     """Wave function on a full tensor grid of coordinates, from one kernel
     build and one node sum per distinct coordinate difference (`_evaluate`).
     No error estimate is computed."""
-    return _evaluate("whittaker", N, alpha, axes, tol, contour, estimate=False)[0]
+    return _evaluate("whittaker", N, alpha, axes, tol, estimate=False)[0]
 
 
 def spherical_eval(N: int, lam_top: Sequence[float], x: Sequence[float],

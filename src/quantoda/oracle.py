@@ -56,72 +56,24 @@ ODE_RTOL = 1e-10     # relative tol of the N = 2 ODE integration
 K_SERIES_TERMS = 16  # terms of the asymptotic series that starts the ODE
 
 
-@dataclass(frozen=True)
-class GridFunction:
-    """Complex values over a uniform tensor grid."""
+def toda_apply(axes: Sequence[np.ndarray], values: np.ndarray) -> np.ndarray:
+    """H psi on the uniform tensor grid axes[0] x ... x axes[N-1], with
+    H = -Laplacian + sum_k e^{x_{k+1}-x_k}; the BOUNDARY_MARGIN nodes of
+    every face, where np.roll wraps the stencil around, set to NaN.
 
-    axes: tuple
-    values: np.ndarray
-
-    def __init__(self, axes: Sequence[np.ndarray], values: np.ndarray):
-        axes = tuple(np.asarray(a, dtype=float) for a in axes)
-        values = np.asarray(values, dtype=complex)
-        if values.shape != tuple(len(a) for a in axes):
-            raise ValueError("axes and value array shapes disagree")
-        for a in axes:
-            if len(a) < 2:
-                raise ValueError("each axis needs at least two nodes")
-            steps = np.diff(a)    # uniform as np.allclose(steps, steps[0]) reads it
-            if not np.max(np.abs(steps - steps[0])) <= 1e-12 + 1e-10 * abs(steps[0]):
-                raise ValueError("axes must be uniform")   # NaN included
-        object.__setattr__(self, "axes", axes)
-        object.__setattr__(self, "values", values)
-
-    @property
-    def spacings(self) -> List[float]:
-        return [float(a[1] - a[0]) for a in self.axes]
-
-    def interior(self) -> tuple:
-        """Slices excluding the boundary margin."""
-        return tuple(slice(BOUNDARY_MARGIN, len(a) - BOUNDARY_MARGIN)
-                     for a in self.axes)
-
-
-def toda_apply(psi: GridFunction, N: int) -> GridFunction:
-    """H psi with H = -Laplacian + sum_k e^{x_{k+1}-x_k}; margins set to NaN.
-
-    The stencil runs on the interior slices (`GridFunction.interior`) and
-    their neighbours one node over along each axis.  `check_eigen` computes
-    the same residual on the difference lattice; this N-D stencil is the
-    reference the tests hold that lattice to."""
-    if len(psi.axes) != N:
-        raise ValueError("grid dimension does not match N")
-    v = psi.values
-    inner = psi.interior()
-
-    def shifted(k: int, s: int) -> np.ndarray:
-        """The interior moved s nodes along axis k (empty with it: a
-        negative stop would count from the end)."""
-        sl = list(inner)
-        sl[k] = slice(inner[k].start + s, max(inner[k].stop + s, 0))
-        return v[tuple(sl)]
-
-    c = v[inner]
-    out = np.zeros_like(c)
-    tmp = np.empty_like(c)      # in place, in the order of (s+ - 2c + s-)/h^2: same bits
-    for k, h in enumerate(psi.spacings):
-        np.subtract(shifted(k, 1), np.multiply(2.0, c, out=tmp), out=tmp)
-        out -= np.divide(np.add(tmp, shifted(k, -1), out=tmp), h ** 2, out=tmp)
-    axes = [a[sl] for a, sl in zip(psi.axes, inner)]
-    pot = np.zeros(c.shape, dtype=float)
-    for k in range(N - 1):
-        xk = axes[k].reshape([-1 if i == k else 1 for i in range(N)])
-        xk1 = axes[k + 1].reshape([-1 if i == k + 1 else 1 for i in range(N)])
-        pot += np.exp(xk1 - xk)
-    out += np.multiply(pot, c, out=tmp)
+    `check_eigen` computes the same residual on the difference lattice;
+    this N-D stencil is the reference the tests hold that lattice to."""
+    v = np.asarray(values, dtype=complex)
+    out = np.zeros_like(v)
+    for k, a in enumerate(axes):
+        h = a[1] - a[0]
+        out -= (np.roll(v, -1, axis=k) - 2.0 * v + np.roll(v, 1, axis=k)) / h ** 2
+    x = np.meshgrid(*axes, indexing="ij", sparse=True)
+    out += sum((np.exp(q - p) for p, q in zip(x, x[1:])), np.zeros(v.shape)) * v
+    inner = tuple(slice(BOUNDARY_MARGIN, n - BOUNDARY_MARGIN) for n in v.shape)
     full = np.full(v.shape, np.nan, dtype=complex)
-    full[inner] = out
-    return GridFunction(psi.axes, full)
+    full[inner] = out[inner]
+    return full
 
 
 def eigenvalue_from_alpha(alpha: Sequence[float]) -> float:
@@ -152,9 +104,9 @@ LN2 = math.log(2.0)
 def max_grid_span(N: int) -> float:
     """Largest span D = max |x_k - x_{k+1}| of a grid `check_eigen` accepts.
 
-    `toda_apply`'s potential e^{x_{k+1} - x_k} reaches e^D.  The node sums
-    carry |e^{i sum_n u_n sum_j lambda_{nj}}| = e^{-sum_n n h_n u_n} (level
-    n: n variables at height h_n = (N - n)/2), and the contour-integral
+    `_lattice_residual`'s potential e^{x_{k+1} - x_k} reaches e^D.  The
+    node sums carry |e^{i sum_n u_n sum_j lambda_{nj}}| = e^{-sum_n n h_n u_n}
+    (level n: n variables at height h_n = (N - n)/2), and the contour-integral
     differences u_n = -(x_n - x_{n+1}) - ln 2 reach -(D + ln 2), so they
     reach e^{S (D + ln 2)} with S = sum_n n h_n = N (N^2 - 1)/12.  Both stay
     below e^EXP_LIMIT for D <= min(EXP_LIMIT, EXP_LIMIT/S - ln 2): 700 at
@@ -208,9 +160,13 @@ def _lattice_residual(G: np.ndarray, u: Sequence[np.ndarray], grid: GridSpec,
                 + turn.conjugate() * moved(-delta)) / h ** 2
     # e^{x_(k+1) - x_k} = e^{u_k + ln 2}
     pot = sum(np.exp(uk[b] + LN2)[i[keep]] for uk, b, i in zip(u, box, at))
-    resid = (pot - energy) * c - lap
     root = np.sqrt(weight[keep])
-    return float(np.linalg.norm(root * resid) / np.linalg.norm(root * c))
+    with np.errstate(over="ignore", invalid="ignore"):   # refused below
+        resid = (pot - energy) * c - lap
+        ratio = float(np.linalg.norm(root * resid) / np.linalg.norm(root * c))
+    if not math.isfinite(ratio):
+        raise ValueError(f"the residual at E = {energy:.6g} overflows a double")
+    return ratio
 
 
 def check_eigen(N: int, alpha: Sequence[float], grid: GridSpec,
@@ -226,11 +182,12 @@ def check_eigen(N: int, alpha: Sequence[float], grid: GridSpec,
     grid's residual is 0.  A grid (the halved one too, with refine) that
     spans more than `max_grid_span`(N), or whose spacing h makes the
     stencil's 1/h^2 exceed e^EXP_LIMIT, raises ValueError before anything
-    is evaluated.
+    is evaluated; so does a residual whose norm is past the largest double
+    (E beyond about 1e154), after.
 
-    The residual is that of `toda_apply` and the interior norms on the
-    cube grid, computed on its lattice of index differences d_k = i_k -
-    i_(k+1) (see the module docstring for the reduction): one
+    The residual is the second-order stencil's on the cube grid, with norms
+    over its interior nodes, computed on its lattice of index differences
+    d_k = i_k - i_(k+1) (see the module docstring for the reduction): one
     `whittaker_on_grid` call evaluates the pivot grid, y_p = 0 with
     p = max(N - 2, 0), whose y_(p-1) and y_(p+1) run over the 2 P - 1
     values of each difference of the (halved, with refine) grid.  The

@@ -77,6 +77,10 @@ UV = Tuple[int, int]
 Mono = Tuple[Tuple[int, ...], Tuple[int, ...], UV]  # (exp_q, pow_p, (i, j))
 
 _MINUS_ONE: Gauss = (-1, 0)
+# Largest N `qism_suite` accepts.  Its time and peak RSS grow about 6x and
+# 5x per site (2 CPUs x86-64, CPython 3.11): N = 7 takes 5-6 s and 234 MB,
+# N = 8 38 s and 1.16 GB, and N = 9 did not finish in 90 s under a 3 GB cap.
+QISM_MAX_N = 8
 
 _FIELD_BITS = 16
 _FIELD = 1 << _FIELD_BITS
@@ -547,7 +551,10 @@ def _peel_site(N: int, A_p: WeylElement,
 
 
 def qism_suite(N: int) -> List[VerificationReport]:
-    """All exact QISM checks for lattice size N (see the module docstring)."""
+    """All exact QISM checks for lattice size N <= QISM_MAX_N (see the
+    module docstring); a larger N raises ValueError before any operator."""
+    if N > QISM_MAX_N:
+        raise ValueError(f"N={N} unsupported: the QISM suite runs N <= {QISM_MAX_N}")
     reports = []
 
     def report(relation, failed, witness=None):

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import quantoda
-from quantoda import cli, mellin_barnes as mb, oracle
+from quantoda import cli, mellin_barnes as mb, oracle, weyl
 from quantoda.cli import build_parser, dispatch
 from quantoda.report import VerificationReport
 
@@ -116,6 +116,18 @@ def test_verify_qism_stdout_bytes_are_pinned(n):
     code, text = _run(["verify", "qism", "--n", str(n)])
     assert code == 0
     assert hashlib.sha256(text.encode()).hexdigest() == _QISM_STDOUT_SHA256[n]
+
+
+@pytest.mark.parametrize("n", [9, 40])
+def test_verify_qism_refuses_n_above_the_limit(monkeypatch, n):
+    # --n 40 was killed by the OS (exit 137) with no message
+    def monodromy(*args, **kwargs):
+        raise AssertionError("operator built past the QISM limit")
+
+    monkeypatch.setattr(weyl, "monodromy", monodromy)
+    code, out, err = _run_captured(["verify", "qism", f"--n={n}"])
+    assert code == 1 and out == ""
+    assert err == f"error: N={n} unsupported: the QISM suite runs N <= 8\n"
 
 
 def test_verify_deterministic_output():
@@ -586,6 +598,21 @@ def _check_rows(rows, argv):
 @example(argv=_HUGE_N2)
 @example(argv=_HUGE_N3)
 @example(argv=_WIDE_N3)
+# numpy RuntimeWarnings before the output: the 12-decimal key of a difference
+# past 1.8e296, then past the largest double the carrier's phase sigma1 x_N, a
+# difference x_1 - x_2, its node-sum phase and the eigen residual's norm
+@example(argv=_EVAL[:6] + ["--x=1e297,0"])
+@example(argv=_GRID[:8] + ["--from=0", "--to=1e300", "--steps=61"])
+@example(argv=["whittaker", "eval", "--n=3", "--alpha=0.5,0,-0.5", "--x=1e300,0,-1e300"])
+@example(argv=["spherical", "eval", "--n=2", "--lambda=0.5,-0.5", "--x=1e300,0"])
+@example(argv=["whittaker", "eval", "--n=2", "--alpha=1,1", "--x=1e308,1e308"])
+@example(argv=["whittaker", "grid", "--n=1", "--alpha=2", "--axis=0", "--from=0",
+               "--to=1e308", "--steps=2"])
+@example(argv=_EVAL[:6] + ["--x=1e308,-1e308"])
+@example(argv=_EVAL[:6] + ["--x=8e307,-8e307"])
+@example(argv=["verify", "eigen", "--n=1", "--alpha=1e100", "--grid=5:0.1"])
+@example(argv=["verify", "eigen", "--n=1", "--alpha=1e300", "--grid=5:0.1"])
+@example(argv=["verify", "qism", "--n=9"])
 def test_cli_contract_on_generated_argv(argv):
     code, out, err = _run_captured(argv)
     assert code in (0, 1, "SystemExit(2)")

@@ -34,12 +34,7 @@ def test_contour_level_count_must_match_n():
     with pytest.raises(ContourError):
         whittaker_eval(3, [0.5, 0.0, -0.5], [0.1, 0.0, -0.1], contour=two_levels)
     with pytest.raises(ContourError):
-        whittaker_on_grid(3, [0.5, 0.0, -0.5], [np.zeros(2)] * 3,
-                          contour=two_levels)
-    with pytest.raises(ContourError):
         whittaker_eval(1, [0.5], [0.1], contour=two_levels)
-    with pytest.raises(ContourError):
-        whittaker_on_grid(1, [0.5], [np.zeros(2)], contour=two_levels)
 
 
 def test_contour_spec_validation():
