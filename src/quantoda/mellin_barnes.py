@@ -27,15 +27,19 @@ exponent sum_n n h_n max(0, -min u_n) exceeds EXP_LIMIT would overflow
 and raises ValueError before any node sum.  One builder, `_kernel`,
 makes the kernel of every route: the top-level weight and, at N = 3, the
 level-1 x level-2 Gamma matrix.  Both levels run over the same nodes, so
-that matrix is Toeplitz and built from 2M - 1 values: every route passes
-O(M) values to log Gamma, in one call per build.  In the node sum,
-`_node_sums`, a within-level difference d on a level's contour is real, so
-the denominator 1/(Gamma(-i d) Gamma(i d)) = d sinh(pi d)/pi (0 at d = 0)
-has rank 4 as a matrix over the nodes: at N = 3 the sum runs in O(M^2)
-memory and builds no 3-D array.  A grid whose largest node array (M N at
-N = 2, M^2 at N = 3, M per distinct difference) exceeds NODE_ARRAY_LIMIT
-elements raises ValueError before the kernel is built, and so does N = 3 on
-a contour of half-width T with pi T > EXP_LIMIT (e^{pi t} overflows).  The
+that matrix is Toeplitz, one copy of a sliding window over 2M - 1 values:
+every route passes O(M) values to log Gamma, in one call per build.  In the
+node sum, `_node_sums`, a phase matrix with more than one row (`_phase`)
+takes about 2 sqrt(M) exponentials per row and one product per entry; a
+one-row phase, every point value's, one exponential per entry.  A
+within-level difference d on a level's contour is real, so the denominator
+1/(Gamma(-i d) Gamma(i d)) = d sinh(pi d)/pi (0 at d = 0) has rank 4 as a
+matrix over the nodes: at N = 3 the sum runs in O(M^2) memory, builds no
+3-D array and contracts V_BLOCK columns of v at a time.  A grid whose
+largest node array (M N at N = 2, M^2 at N = 3, M per distinct difference)
+exceeds NODE_ARRAY_LIMIT elements raises ValueError before the kernel is
+built, and so does N = 3 on a contour of half-width T with pi T > EXP_LIMIT
+(e^{pi t} overflows).  N = 1 is the carrier alone and builds no contour.  The
 recursive route (separation of variables) is a contour, not a code path:
 the default one at N <= 2, and at N = 3 the one raised 1/2 per integrated
 level, so it checks contour independence (Cauchy), and `oracle.givental` is
@@ -57,6 +61,7 @@ from dataclasses import dataclass
 from typing import List, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .specfun import log_gamma_array
 
@@ -71,6 +76,12 @@ EXP_LIMIT = 700.0         # ln 1e304: headroom e^9.8 below the largest double
 # Gamma's temporaries), N = 3 sweep of x_3 193 B, N = 3 point 24 B; so 8e6
 # keeps every evaluation under 2 GB.
 NODE_ARRAY_LIMIT = 8_000_000
+# Columns of v per block of the N = 3 contraction.  The node sum of a refined
+# N = 3 eigen check (M = 275, 79 columns) runs in 6.5-8.3 ms (minima; 2 CPUs
+# x86-64, OpenBLAS 1 thread) at 8, 16, 32 or all 79, inside the host's noise;
+# at 16 a block's weights and product are 280 kB each, and the sum faults on
+# 625 fresh pages, against 900 at 32 and 1600 at 79.
+V_BLOCK = 16
 
 
 class DimensionError(ValueError):
@@ -138,6 +149,9 @@ def default_contour(N: int, alpha: Sequence[float], tol: float) -> ContourSpec:
     budget = math.log(10.0 / tol)
     T = budget / math.pi + 2.0 + 2.0 * amax
     dt = TWO_PI * POLE_STRIP / budget
+    if not math.isfinite(2.0 * T / dt):
+        raise ValueError(f"max|alpha| = {amax:.6g} gives a contour half-width "
+                         f"or node count that is not finite")
     nodes = max(MIN_NODES, int(math.ceil(2.0 * T / dt)))
     offsets = tuple((N - n) * LEVEL_OFFSET_STEP for n in range(1, N + 1))
     return ContourSpec(offsets, T, nodes)
@@ -169,10 +183,10 @@ def _kernel(top, which: str, offsets, half_width: float, M: int):
     t of [-half_width, half_width].  w[i] is the product of the factors
     linking level-(N-1) node i to the top-level parameters `top`.  At N = 3
     A[i, j] links level-1 node i to level-2 node j; both levels run over the
-    same nodes t, so A depends on i - j alone (Toeplitz) and is built from
-    its first row and column: 2M - 1 log Gamma values, not M^2.  Both sets
-    of differences go to log Gamma in one call.  Returns (t, w, A), A None
-    when N = 2.
+    same nodes t, so A depends on i - j alone (Toeplitz): one copy of a
+    sliding window over its first row and column, 2M - 1 log Gamma values,
+    not M^2.  Both sets of differences go to log Gamma in one call.
+    Returns (t, w, A), A None when N = 2.
     """
     t = np.linspace(-half_width, half_width, M)
     low = t + 1j * offsets[-2]       # level N-1
@@ -187,7 +201,26 @@ def _kernel(top, which: str, offsets, half_width: float, M: int):
     if len(offsets) == 2:
         return t, w, None
     diag = np.exp(logs[n_top:])      # entry i - j + M - 1
-    return t, w, diag[np.subtract.outer(np.arange(M), np.arange(M)) + (M - 1)]
+    # A[i, j] = diag[i + (M - 1 - j)]: row i is the window diag[i:i + M] reversed
+    return t, w, sliding_window_view(diag, M)[:, ::-1].copy()
+
+
+def _phase(c, t, h):
+    """e^{i c_k (t_j + i h)}, a (len(c), M) matrix over the linspace nodes t.
+
+    One row, every point value's, is one exp per entry.  More rows factor
+    the nodes as t_j = t_0 + (K q + r) dt, K = isqrt(M), dt the linspace
+    step 2T/(M - 1): K + Q exponentials per row, one product per entry,
+    returned as the transpose of a C-contiguous (M, len(c)) array.
+    """
+    if len(c) < 2:                   # one row, or none (an empty sweep)
+        return np.exp(np.multiply.outer(c, 1j * (t + 1j * h)))
+    M, K = len(t), math.isqrt(len(t))
+    dt = (t[-1] - t[0]) / (M - 1)
+    coarse = np.exp(np.multiply.outer(
+        1j * (t[0] + 1j * h + K * dt * np.arange(-(-M // K))), c))  # (Q, nc)
+    fine = np.exp(np.multiply.outer(1j * dt * np.arange(K), c))      # (K, nc)
+    return (coarse[:, None] * fine).reshape(-1, len(c))[:M].T
 
 
 def _node_sums(top, which: str, offsets, half_width: float, M: int,
@@ -197,37 +230,40 @@ def _node_sums(top, which: str, offsets, half_width: float, M: int,
     N = 2 when `vs` is None: arrays of shape (len(us),) over u = x1 - x2.
     N = 3 otherwise: arrays of shape (len(us), len(vs)) over u = x1 - x2 and
     v = x2 - x3.  Yields the sums on the full grid of M nodes, then those on
-    its stride-2 subgrid, both from one phase matrix per level built on all
-    M nodes: a caller that reads no error estimate draws only the first and
-    pays for no halved sum.
+    its stride-2 subgrid, both from one phase matrix per level (`_phase`)
+    built on all M nodes: a caller that reads no error estimate draws only
+    the first and pays for no halved sum.
 
     At N = 3 the level-2 pair (b, c) carries D[b,c] = 1/(Gamma(-i d)
     Gamma(i d)) = d sinh(pi d)/pi at the real d = t_b - t_c (0 at d = 0), as
     both level-2 variables lie on one line.  Expanding the sinh,
     sum_{b,c} B_b B_c D[b,c] = [(B.tE+)(B.E-) - (B.E+)(B.tE-)] / pi with
-    E+- = e^{+-pi t}, so all v share one (M x M) @ (M x 4 len(vs)) product.
+    E+- = e^{+-pi t}: one (M x M) @ (M x 4 V_BLOCK) product per V_BLOCK
+    columns of v, whose weights, product and pairs are never whole arrays.
     """
     t, wtop, A = _kernel(top, which, offsets, half_width, M)
     dt = t[1] - t[0]
-    a = t + 1j * offsets[0]          # level-1 variable
-    full_a = np.exp(np.multiply.outer(us, 1j * a))             # (nu, M)
+    full_a = _phase(us, t, offsets[0])                         # (nu, M)
     if vs is not None:
-        b = t + 1j * offsets[1]      # level-2 variables (both run over the same nodes)
-        full_b = np.exp(np.multiply.outer(1j * b, vs))         # (M, nv)
+        full_b = _phase(vs, t, offsets[1]).T                   # (M, nv)
         ep, em = np.exp(np.pi * t), np.exp(-np.pi * t)
         rank4 = np.stack([t * ep, em, ep, t * em], axis=1)     # (nb, 4)
     for sl, fac in ((slice(None), 1.0), (slice(0, M, 2), 2.0)):
         # stride-2 columns copied contiguous: the values of phases built on the
         # sliced nodes, and BLAS products (a strided view rounds them apart)
-        phase_a = np.ascontiguousarray(full_a[:, sl])           # (nu, na)
+        phase_a = full_a if fac == 1.0 else np.ascontiguousarray(full_a[:, sl])
         if vs is None:
             yield (phase_a @ wtop[sl]) * (dt * fac) / TWO_PI
             continue
-        w = wtop[sl, None] * full_b[sl]                          # (nb, nv)
-        weights = (rank4[sl, :, None] * w[:, None, :]).reshape(len(w), -1)
-        P = (A[sl][:, sl] @ weights).reshape(len(w), 4, len(vs))  # (na, 4, nv)
-        pairs = (P[:, 0] * P[:, 1] - P[:, 2] * P[:, 3]) / np.pi  # (na, nv)
-        yield (phase_a @ pairs) * (dt * fac) ** 3 / TWO_PI ** 3
+        A_sl, sums = A[sl][:, sl], np.empty((len(us), len(vs)), complex)
+        for k in range(0, len(vs), V_BLOCK):
+            cols = slice(k, k + V_BLOCK)
+            w = wtop[sl, None] * full_b[sl, cols]                   # (nb, bv)
+            weights = (rank4[sl, :, None] * w[:, None, :]).reshape(len(w), -1)
+            P = (A_sl @ weights).reshape(len(w), 4, -1)             # (na, 4, bv)
+            pairs = (P[:, 0] * P[:, 1] - P[:, 2] * P[:, 3]) / np.pi  # (na, bv)
+            sums[:, cols] = (phase_a @ pairs) * (dt * fac) ** 3 / TWO_PI ** 3
+        yield sums
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +313,13 @@ def _evaluate(which: str, N: int, params: Sequence[float], axes, tol: float,
     if which == "spherical" and any(abs(p - q) < COINCIDENT_TOL for i, p in
                                     enumerate(params) for q in params[i + 1:]):
         raise ContourError("coincident top-level spectral parameters")
-    contour = contour or default_contour(N, params, tol)
-    if len(contour.offsets) != N:
+    if contour is not None and len(contour.offsets) != N:
         raise ContourError(
             f"contour has {len(contour.offsets)} levels, N={N} needs {N}")
+    if N == 1:                       # the carrier alone: no contour is built
+        carrier = np.exp(1j * sum(params) * axes[-1])
+        return carrier, np.zeros(carrier.shape) if estimate else None
+    contour = contour or default_contour(N, params, tol)
     offsets = contour.offsets if which == "whittaker" else (0.0,) * N
     # per level n, the differences x_n - x_{n+1}
     diffs = [np.subtract.outer(axes[n], axes[n + 1]) for n in range(N - 1)]
@@ -290,8 +329,6 @@ def _evaluate(which: str, N: int, params: Sequence[float], axes, tol: float,
         raise ValueError(f"coordinates too far apart: phase exponent "
                          f"{exponent:.6g} exceeds {EXP_LIMIT:g}")
     carrier = np.exp(1j * sum(params) * axes[-1])
-    if N == 1:
-        return carrier, np.zeros(carrier.shape) if estimate else None
     nodes, picks = [], []
     for d in diffs:
         # past |d| = 1.8e296 the key is +-inf, and those differences share a
@@ -387,7 +424,7 @@ def whittaker_recursive(N: int, alpha: Sequence[float], x: Sequence[float],
     the one engine on that contour, and its estimate halves all three levels.
     """
     alpha = _validate(N, alpha, x, tol)
-    contour = default_contour(N, alpha, tol)
+    contour = default_contour(N, alpha, tol) if N == 3 else None
     if N == 3:
         h = contour.offsets[0]
         contour = ContourSpec((h + LEVEL_OFFSET_STEP, h, 0.0),

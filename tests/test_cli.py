@@ -613,6 +613,12 @@ def _check_rows(rows, argv):
 @example(argv=["verify", "eigen", "--n=1", "--alpha=1e100", "--grid=5:0.1"])
 @example(argv=["verify", "eigen", "--n=1", "--alpha=1e300", "--grid=5:0.1"])
 @example(argv=["verify", "qism", "--n=9"])
+# N = 1 is the carrier alone, and N = 2 refuses a contour of infinite width
+@example(argv=["whittaker", "eval", "--n=1", "--alpha=1e308", "--x=0"])
+@example(argv=["spherical", "eval", "--n=1", "--lambda=1e308", "--x=0"])
+@example(argv=["whittaker", "grid", "--n=1", "--alpha=1e308", "--axis=0",
+               "--from=0", "--to=1", "--steps=3"])
+@example(argv=["whittaker", "eval", "--n=2", "--alpha=1e308,1e308", "--x=0,0"])
 def test_cli_contract_on_generated_argv(argv):
     code, out, err = _run_captured(argv)
     assert code in (0, 1, "SystemExit(2)")

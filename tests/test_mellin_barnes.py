@@ -29,6 +29,15 @@ def test_n1_is_plane_wave():
     assert abs(res.value - cmath.exp(1j * 0.7 * 1.3)) < 1e-15
 
 
+def test_n1_builds_no_contour_and_a_non_finite_one_is_refused():
+    # the carrier alone at N = 1, whatever contour max|alpha| would need
+    assert whittaker_eval(1, [1e308], [0.0]).value == 1.0
+    assert whittaker_recursive(1, [1e308], [0.0]).value == 1.0
+    assert spherical_eval(1, [1e308], [0.0]).value == 1.0
+    with pytest.raises(ValueError, match=r"^max\|alpha\| = 1e\+308 "):
+        default_contour(2, [1e308, 1e308], 1e-6)
+
+
 def test_contour_level_count_must_match_n():
     two_levels = ContourSpec((0.5, 0.0), 5.0, 64)
     with pytest.raises(ContourError):
@@ -304,22 +313,9 @@ def _node_sums_on_sliced_nodes(top, which, offsets, half_width, M, us, vs=None):
 _A2, _A3 = [0.8, -0.3], [0.9, 0.1, -0.6]
 
 
-@pytest.mark.parametrize("evaluate", [
-    lambda: whittaker_eval(2, _A2, [0.4, -0.6]),
-    lambda: spherical_eval(2, _A2, [0.4, -0.6]),
-    *(lambda axis=axis: grid_scan("whittaker", 2, _A2, axis, -1.0, 1.5, 61,
-                                  tol=1e-8) for axis in range(2)),
-    lambda: whittaker_eval(3, _A3, [0.5, 0.0, -0.5]),
-    lambda: whittaker_recursive(3, _A3, [0.5, 0.0, -0.5], tol=1e-8),
-    lambda: spherical_eval(3, _A3, [0.5, 0.0, -0.5]),
-    *(lambda axis=axis: grid_scan("whittaker", 3, _A3, axis, -1.0, 1.5, 61,
-                                  x_base=[0.3, -0.1, -0.4]) for axis in range(3)),
-    lambda: check_eigen(3, _A3, GridSpec(20, 0.1), tol=1e-2, refine=True),
-], ids=["n2-point", "n2-spherical", "n2-sweep-x1", "n2-sweep-x2", "n3-point",
-        "n3-recursive", "n3-spherical", "n3-sweep-x1", "n3-sweep-x2",
-        "n3-sweep-x3", "n3-refined-eigen"])
-def test_one_phase_matrix_per_level_leaves_both_node_sums_bit_for_bit(
-        monkeypatch, evaluate):
+def _node_sums_and_reference(monkeypatch, evaluate):
+    """The node sums of the one `_node_sums` call that `evaluate` makes, and
+    `_node_sums_on_sliced_nodes` on the same arguments."""
     calls = []
     node_sums = mb._node_sums
 
@@ -330,8 +326,81 @@ def test_one_phase_matrix_per_level_leaves_both_node_sums_bit_for_bit(
     monkeypatch.setattr(mb, "_node_sums", recording)
     evaluate()
     assert len(calls) == 1
-    got = [s.tobytes() for s in node_sums(*calls[0])]
-    assert got == [s.tobytes() for s in _node_sums_on_sliced_nodes(*calls[0])]
+    return list(node_sums(*calls[0])), list(_node_sums_on_sliced_nodes(*calls[0]))
+
+
+@pytest.mark.parametrize("evaluate", [
+    lambda: whittaker_eval(2, _A2, [0.4, -0.6]),
+    lambda: spherical_eval(2, _A2, [0.4, -0.6]),
+    lambda: whittaker_eval(3, _A3, [0.5, 0.0, -0.5]),
+    lambda: whittaker_recursive(3, _A3, [0.5, 0.0, -0.5], tol=1e-8),
+    lambda: spherical_eval(3, _A3, [0.5, 0.0, -0.5]),
+], ids=["n2-point", "n2-spherical", "n3-point", "n3-recursive", "n3-spherical"])
+def test_one_phase_matrix_per_level_leaves_both_node_sums_bit_for_bit(
+        monkeypatch, evaluate):
+    # a point's phases are one exp per entry and its contraction one block:
+    # both sums are the bytes of phases built on their own nodes
+    got, want = _node_sums_and_reference(monkeypatch, evaluate)
+    assert [s.tobytes() for s in got] == [s.tobytes() for s in want]
+
+
+@pytest.mark.parametrize("evaluate", [
+    *(lambda axis=axis: grid_scan("whittaker", 2, _A2, axis, -1.0, 1.5, 61,
+                                  tol=1e-8) for axis in range(2)),
+    *(lambda axis=axis: grid_scan("whittaker", 3, _A3, axis, -1.0, 1.5, 61,
+                                  x_base=[0.3, -0.1, -0.4]) for axis in range(3)),
+    lambda: check_eigen(3, _A3, GridSpec(20, 0.1), tol=1e-2, refine=True),
+], ids=["n2-sweep-x1", "n2-sweep-x2", "n3-sweep-x1", "n3-sweep-x2",
+        "n3-sweep-x3", "n3-refined-eigen"])
+def test_factorised_phases_move_multi_row_node_sums_by_rounding_only(
+        monkeypatch, evaluate):
+    got, want = _node_sums_and_reference(monkeypatch, evaluate)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w))
+
+
+@pytest.mark.parametrize("M", [64, 131, 188, 280, 389])
+@pytest.mark.parametrize("rows", [2, 61, 127])
+def test_phase_is_the_exponential_entry_by_entry(rows, M):
+    rng = np.random.default_rng(1000 * rows + M)
+    c = np.concatenate([[-8.0, 8.0], rng.uniform(-8.0, 8.0, rows - 2)])
+    for T in (1.5, 6.0, 12.1):
+        t = np.linspace(-T, T, M)
+        for h in (0.0, 0.5, 1.0):
+            want = np.exp(np.multiply.outer(c, 1j * (t + 1j * h)))
+            got = mb._phase(c, t, h)
+            # the reference's own rounding of c t is about eps |c| T
+            bound = 8.0 * np.finfo(float).eps * (1.0 + np.abs(c)[:, None] * T)
+            assert got.shape == want.shape
+            assert np.all(np.abs(got - want) <= bound * np.abs(want))
+
+
+@pytest.mark.parametrize("M", [12, 64, 280])
+def test_toeplitz_window_is_the_gathered_matrix(M):
+    _, _, A = mb._kernel(_A3, "whittaker", (1.0, 0.5, 0.0), 6.0, M)
+    diag = np.concatenate([A[0, :0:-1], A[:, 0]])        # entry i - j + M - 1
+    gathered = diag[np.subtract.outer(np.arange(M), np.arange(M)) + (M - 1)]
+    assert A.flags.c_contiguous and np.array_equal(A, gathered)
+
+
+@pytest.mark.parametrize("evaluate, mib", [
+    (lambda: check_eigen(3, _A3, GridSpec(20, 0.1), tol=1e-2, refine=True), 4),
+    (lambda: grid_scan("whittaker", 3, _A3, 1, -1.0, 1.5, 61,
+                       x_base=[0.3, -0.1, -0.4], tol=1e-8), 4),
+    (lambda: whittaker_eval(3, _A3, [0.5, 0.0, -0.5], tol=1e-10), 3),
+], ids=["n3-refined-eigen", "n3-sweep-x2", "n3-point"])
+def test_n3_contraction_temporaries_stay_below_the_whole_arrays(evaluate, mib):
+    # blocks of V_BLOCK columns of v: no (M, 4 nv) weights or product, and
+    # no M x M index array behind the Toeplitz matrix
+    tracemalloc.start()
+    try:
+        evaluate()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < mib * 2 ** 20
 
 
 @pytest.mark.parametrize("route", ["direct", "recursive", "spherical", "grid"])
