@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
@@ -24,6 +25,7 @@ from .specfun import log_gamma
 Root = Tuple[int, int]  # (i, j) with i < j, representing e_i - e_j (1-based)
 
 SQRT_PI = math.sqrt(math.pi)
+L0 = 50.0   # |lambda_alpha| from which c_alpha_factor sums the asymptotic series
 
 
 class WeylPermutation:
@@ -149,7 +151,7 @@ class Character:
 def lambda_alpha(lam: Sequence[complex], root: Root) -> complex:
     """<lambda, alpha>/<alpha, alpha> for alpha = e_i - e_j."""
     i, j = root
-    return (lam[i - 1] - lam[j - 1]) / 2.0
+    return lam[i - 1] / 2.0 - lam[j - 1] / 2.0   # halved first: no overflow at 1e308
 
 
 def delta_set(s: WeylPermutation) -> set:
@@ -160,10 +162,19 @@ def delta_set(s: WeylPermutation) -> set:
 
 
 def c_alpha_factor(lam: Sequence[complex], root: Root) -> complex:
-    """Rank-one factor Gamma(l_a) Gamma(1/2) / Gamma(l_a + 1/2), taken
-    through log Gamma so that large |l_a| do not overflow."""
+    """Rank-one factor Gamma(l) Gamma(1/2) / Gamma(l + 1/2), l = lambda_alpha,
+    taken through logs so that large |l| do not overflow.  From |l| = L0 on
+    with Re l >= 0 the log ratio is its asymptotic series -ln(l)/2 + 1/(8 l)
+    - 1/(192 l^3) + 1/(640 l^5) - 17/(14336 l^7), truncated below 1e-18
+    there; the difference of two log Gammas of size l ln l would lose
+    relative accuracy in proportion to |l|."""
     la = lambda_alpha(lam, root)
-    return SQRT_PI * cmath.exp(log_gamma(la) - log_gamma(la + 0.5))
+    if abs(la) < L0 or la.real < 0:
+        return SQRT_PI * cmath.exp(log_gamma(la) - log_gamma(la + 0.5))
+    z = 1.0 / la
+    z2 = z * z
+    series = z * (1 / 8 - z2 * (1 / 192 - z2 * (1 / 640 - z2 * 17 / 14336)))
+    return SQRT_PI * cmath.exp(series - 0.5 * cmath.log(la))
 
 
 def c_s(lam: Sequence[complex], s: WeylPermutation) -> complex:
@@ -231,7 +242,8 @@ def b_denominator(lam: Sequence[complex]) -> complex:
 def plancherel_density(lam: Sequence[float]) -> float:
     """1/|c|^2 on the unitary spectrum (c evaluated at i*lambda).
 
-    Returns 0 at coincident entries, where the c-function has a pole.
+    Returns 0 at coincident entries, where the c-function has a pole, and
+    raises OverflowError where 1/|c|^2 is past the largest double.
     """
     lam = np.asarray(lam, dtype=float)
     n = len(lam)
@@ -239,8 +251,10 @@ def plancherel_density(lam: Sequence[float]) -> float:
         for j in range(i + 1, n):
             if lam[i] == lam[j]:
                 return 0.0
-    c = c_function(1j * lam)
-    return 1.0 / abs(c) ** 2
+    c2 = abs(c_function(1j * lam)) ** 2
+    if c2 * sys.float_info.max < 1.0:    # also 0, where |c| underflowed
+        raise OverflowError("the Plancherel density 1/|c|^2 exceeds the largest double")
+    return 1.0 / c2
 
 
 def m_b_compatibility(N: int, k: int, lam0: Sequence[float],

@@ -17,38 +17,39 @@ for these analytic, exponentially decaying integrands).  N <= 3.  One front
 end, `_evaluate`, works on one tensor grid axes[0] x ... x axes[N-1]: a
 point is a grid with one node per axis, a sweep one with a single varying
 axis.  The integrand sees x only through the differences u_n = x_n -
-x_{n+1} and the carrier e^{i sigma1 x_N}, applied once to the node sums.
-Differences equal to 12 decimals share one node sum, evaluated at the
-first one's exact difference.  The stride-2 sums behind the error
-estimate are computed only where the estimate is read: point values and
-sweeps, not grids.  Level n holds n variables at height h_n, so its
-phase e^{i lam u_n} reaches e^{n h_n max(0, -u_n)}: a grid whose phase
-exponent sum_n n h_n max(0, -min u_n) exceeds EXP_LIMIT would overflow
-and raises ValueError before any node sum.  One builder, `_kernel`,
-makes the kernel of every route: the top-level weight and, at N = 3, the
-level-1 x level-2 Gamma matrix.  Both levels run over the same nodes, so
-that matrix is Toeplitz, one copy of a sliding window over 2M - 1 values:
-every route passes O(M) values to log Gamma, in one call per build.  In the
-node sum, `_node_sums`, a phase matrix with more than one row (`_phase`)
-takes about 2 sqrt(M) exponentials per row and one product per entry; a
-one-row phase, every point value's, one exponential per entry.  A
-within-level difference d on a level's contour is real, so the denominator
-1/(Gamma(-i d) Gamma(i d)) = d sinh(pi d)/pi (0 at d = 0) has rank 4 as a
-matrix over the nodes: at N = 3 the sum runs in O(M^2) memory, builds no
-3-D array and contracts V_BLOCK columns of v at a time.  A grid whose
-largest node array (M N at N = 2, M^2 at N = 3, M per distinct difference)
-exceeds NODE_ARRAY_LIMIT elements raises ValueError before the kernel is
-built, and so does N = 3 on a contour of half-width T with pi T > EXP_LIMIT
-(e^{pi t} overflows).  N = 1 is the carrier alone and builds no contour.  The
-recursive route (separation of variables) is a contour, not a code path:
-the default one at N <= 2, and at N = 3 the one raised 1/2 per integrated
-level, so it checks contour independence (Cauchy), and `oracle.givental` is
-the reference without Mellin-Barnes kernels.  So every value passes one set
-of guards and takes one `_kernel` build and one `_node_sums` call.  The
-integrand is c_N times the Gelfand-Zetlin Whittaker vector, measure and
-Cartan multiplier of `gz` (c_N derived in `gz.gz_measure`): the tests check
-`_kernel` and the node sums against that product node by node, and this
-module imports `specfun` alone, so the two stay independent codes.
+x_{n+1}, each level's node sums running over its differences as given,
+and the carrier e^{i sigma1 x_N}, applied once to the node sums.  The
+stride-2 sums behind the error estimate are computed only where the
+estimate is read: point values and sweeps, not grids.  Level n holds n
+variables at height h_n, so its phase e^{i lam u_n} reaches e^{n h_n
+max(0, -u_n)}: a grid whose phase exponent sum_n n h_n max(0, -min u_n)
+exceeds EXP_LIMIT would overflow and raises ValueError before any node
+sum.  One builder, `_kernel`, makes the kernel of every route: the
+top-level weight and, at N = 3, the level-1 x level-2 Gamma matrix.  Both
+levels run over the same nodes, so that matrix is Toeplitz, one copy of a
+sliding window over 2M - 1 values: every route passes O(M) values to log
+Gamma, in one call per build.  In the node sum, `_node_sums`, a phase
+matrix with more than one row (`_phase`) takes about 2 sqrt(M)
+exponentials per row and one product per entry; a one-row phase, every
+point value's, one exponential per entry.  A within-level difference d on
+a level's contour is real, so the denominator 1/(Gamma(-i d) Gamma(i d)) =
+d sinh(pi d)/pi (0 at d = 0) has rank 4 as a matrix over the nodes: at
+N = 3 the sum runs in O(M^2) memory, builds no 3-D array and contracts
+V_BLOCK columns of v at a time.  A grid whose largest node array (M N at
+N = 2, M^2 at N = 3, M per difference) or node-sum array (one sum per pair
+of differences at N = 3) exceeds NODE_ARRAY_LIMIT elements raises
+ValueError before the kernel is built, and so does N = 3 on a contour of
+half-width T with pi T > EXP_LIMIT (e^{pi t} overflows).  N = 1 is the
+carrier alone and builds no contour.  The recursive route (separation of
+variables) is a contour, not a code path: the default one at N <= 2, and
+at N = 3 the one raised 1/2 per integrated level, so it checks contour
+independence (Cauchy), and `oracle.givental` is the reference without
+Mellin-Barnes kernels.  So every value passes one set of guards and takes
+one `_kernel` build and one `_node_sums` call.  The integrand is c_N times
+the Gelfand-Zetlin Whittaker vector, measure and Cartan multiplier of `gz`
+(c_N derived in `gz.gz_measure`): the tests check `_kernel` and the node
+sums against that product node by node, and this module imports `specfun`
+alone, so the two stay independent codes.
 
 Normalization: 1/(2 pi) per integration variable, which makes N = 1 return
 exactly e^{i alpha x}; all cross-checks against oracles are ratio-based.
@@ -71,10 +72,10 @@ POLE_STRIP = 0.25         # distance heuristic for the node-spacing estimate
 MIN_NODES = 64
 COINCIDENT_TOL = 1e-6
 EXP_LIMIT = 700.0         # ln 1e304: headroom e^9.8 below the largest double
-# Largest node array accepted, in elements.  Peak RSS per element of it
-# (2 CPUs x86-64, numpy 2.4, at 2e6-8e6 elements): N = 2 point 225 B (log
-# Gamma's temporaries), N = 3 sweep of x_3 193 B, N = 3 point 24 B; so 8e6
-# keeps every evaluation under 2 GB.
+# Largest node or node-sum array accepted, in elements.  Peak RSS per element
+# of a node array (2 CPUs x86-64, numpy 2.4, at 2e6-8e6 elements): N = 2
+# point 225 B (log Gamma's temporaries), N = 3 sweep of x_3 193 B, N = 3
+# point 24 B; so 8e6 keeps every evaluation under 2 GB.
 NODE_ARRAY_LIMIT = 8_000_000
 # Columns of v per block of the N = 3 contraction.  The node sum of a refined
 # N = 3 eigen check (M = 275, 79 columns) runs in 6.5-8.3 ms (minima; 2 CPUs
@@ -296,13 +297,13 @@ def _evaluate(which: str, N: int, params: Sequence[float], axes, tol: float,
 
     Returns (values, errors), arrays of shape (len(axes[0]), ...,
     len(axes[N-1])); errors is None when not `estimate`.  The node sums run
-    over the grid's distinct differences per level.  The error estimate is
+    over every difference of each level.  The error estimate is
     |v - v_half|, where v_half is the stride-2 sum with the same carrier,
     computed only when `estimate`.  Spherical contours are real: offsets 0.
     ValueError, before the kernel is built, when the phase exponent
-    sum_n n h_n max(0, -min u_n) exceeds EXP_LIMIT, the largest node array
-    NODE_ARRAY_LIMIT elements, or, at N = 3, pi T exceeds EXP_LIMIT for the
-    contour's half-width T (the node sum's e^{pi T} would overflow).  An
+    sum_n n h_n max(0, -min u_n) exceeds EXP_LIMIT, the largest node or
+    node-sum array NODE_ARRAY_LIMIT elements, or, at N = 3, pi T exceeds
+    EXP_LIMIT for the contour's half-width T (e^{pi T} would overflow).  An
     overflow anywhere, such as a difference or the carrier's phase
     sigma1 x_N past the largest double, raises FloatingPointError.
     """
@@ -329,30 +330,27 @@ def _evaluate(which: str, N: int, params: Sequence[float], axes, tol: float,
         raise ValueError(f"coordinates too far apart: phase exponent "
                          f"{exponent:.6g} exceeds {EXP_LIMIT:g}")
     carrier = np.exp(1j * sum(params) * axes[-1])
-    nodes, picks = [], []
-    for d in diffs:
-        # past |d| = 1.8e296 the key is +-inf, and those differences share a
-        # node sum: 0 (e^{-h_1 d}) on a Whittaker contour, aliased on a real one
-        with np.errstate(over="ignore"):
-            key = np.round(d, 12).ravel()
-        _, first, pick = np.unique(key, return_index=True, return_inverse=True)
-        nodes.append(d.ravel()[first])
-        picks.append(pick.reshape(d.shape))
     M = contour.nodes_per_dim
-    size = M * max(M if N == 3 else N, *map(len, nodes))
+    # floats: the int M^2 for max|alpha| = 1e200 is too large for :.3g
+    size, name = max(
+        (float(M) * max(M if N == 3 else N, *(d.size for d in diffs)), "node array"),
+        (float(math.prod(d.size for d in diffs)), "node-sum array"))
     if size > NODE_ARRAY_LIMIT:
-        raise ValueError(f"M={M} nodes per level need a node array of {size:.3g} "
+        raise ValueError(f"M={M:.3g} nodes per level: the {name} needs {size:.3g} "
                          f"elements, above {NODE_ARRAY_LIMIT:.3g}")
     if N == 3 and math.pi * contour.half_width > EXP_LIMIT:
         raise ValueError(f"half-width T={contour.half_width:.6g}: the N=3 node "
                          f"sum's e^(pi T) exceeds e^{EXP_LIMIT:g}")
-    sums = _node_sums(params, which, offsets, contour.half_width, M, *nodes)
+    sums = _node_sums(params, which, offsets, contour.half_width, M,
+                      *(d.ravel() for d in diffs))
     full = next(sums)
     half = next(sums) if estimate else None
     sums.close()                     # frees the node-sum temporaries
-    pick = picks[0] if N == 2 else (picks[0][:, :, None], picks[1][None, :, :])
-    v = full[pick] * carrier
-    return v, np.abs(v - half[pick] * carrier) if estimate else None
+    # v[i, j] = s[i n1 + j] at N = 2, v[i, j, k] = s[i n1 + j, j n2 + k] at N = 3
+    n = [len(a) for a in axes]
+    shape, diag = (n, "ij->ij") if N == 2 else ((n[0], n[1], n[1], n[2]), "ijjk->ijk")
+    v = np.einsum(diag, full.reshape(shape)) * carrier
+    return v, np.abs(v - np.einsum(diag, half.reshape(shape)) * carrier) if estimate else None
 
 
 def _point(which: str, N: int, params: Sequence[float], x: Sequence[float],
@@ -371,8 +369,8 @@ def whittaker_eval(N: int, alpha: Sequence[float], x: Sequence[float],
 def whittaker_on_grid(N: int, alpha: Sequence[float], axes: Sequence[np.ndarray],
                       tol: float = 1e-6) -> np.ndarray:
     """Wave function on a full tensor grid of coordinates, from one kernel
-    build and one node sum per distinct coordinate difference (`_evaluate`).
-    No error estimate is computed."""
+    build and one node sum per coordinate difference (`_evaluate`).  No
+    error estimate is computed."""
     return _evaluate("whittaker", N, alpha, axes, tol, estimate=False)[0]
 
 

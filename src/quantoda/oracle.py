@@ -121,7 +121,8 @@ def max_grid_span(N: int) -> float:
 def _lattice(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The differences a[i] - b[j] of two axes of P nodes, one per
     d = i - j = -(P - 1) .. P - 1, each at the first (i, j) in row-major
-    order: the value the node sums of the tensor grid a x b take."""
+    order: on an evenly spaced grid the other pairs with that d differ
+    from it by rounding alone."""
     return np.concatenate([a[0] - b[:0:-1], a - b[0]])
 
 
@@ -162,8 +163,11 @@ def _lattice_residual(G: np.ndarray, u: Sequence[np.ndarray], grid: GridSpec,
     pot = sum(np.exp(uk[b] + LN2)[i[keep]] for uk, b, i in zip(u, box, at))
     root = np.sqrt(weight[keep])
     with np.errstate(over="ignore", invalid="ignore"):   # refused below
-        resid = (pot - energy) * c - lap
-        ratio = float(np.linalg.norm(root * resid) / np.linalg.norm(root * c))
+        resid = root * ((pot - energy) * c - lap)
+        ratio = float(np.linalg.norm(resid) / np.linalg.norm(root * c))
+        if math.isinf(ratio):        # a sum of squares past the largest double
+            s = np.abs(resid).max()
+            ratio = float(np.linalg.norm(resid / s) / np.linalg.norm(root * c)) * s
     if not math.isfinite(ratio):
         raise ValueError(f"the residual at E = {energy:.6g} overflows a double")
     return ratio
@@ -182,8 +186,8 @@ def check_eigen(N: int, alpha: Sequence[float], grid: GridSpec,
     grid's residual is 0.  A grid (the halved one too, with refine) that
     spans more than `max_grid_span`(N), or whose spacing h makes the
     stencil's 1/h^2 exceed e^EXP_LIMIT, raises ValueError before anything
-    is evaluated; so does a residual whose norm is past the largest double
-    (E beyond about 1e154), after.
+    is evaluated; so does a residual past the largest double (E = inf or a
+    ratio beyond 1.8e308), after.
 
     The residual is the second-order stencil's on the cube grid, with norms
     over its interior nodes, computed on its lattice of index differences

@@ -598,9 +598,10 @@ def _check_rows(rows, argv):
 @example(argv=_HUGE_N2)
 @example(argv=_HUGE_N3)
 @example(argv=_WIDE_N3)
-# numpy RuntimeWarnings before the output: the 12-decimal key of a difference
-# past 1.8e296, then past the largest double the carrier's phase sigma1 x_N, a
-# difference x_1 - x_2, its node-sum phase and the eigen residual's norm
+# inputs that once printed numpy RuntimeWarnings before the output: a
+# difference past 1.8e296 (its node sum underflows to 0), then past the
+# largest double the carrier's phase sigma1 x_N, a difference x_1 - x_2, its
+# node-sum phase and the eigen residual's norm
 @example(argv=_EVAL[:6] + ["--x=1e297,0"])
 @example(argv=_GRID[:8] + ["--from=0", "--to=1e300", "--steps=61"])
 @example(argv=["whittaker", "eval", "--n=3", "--alpha=0.5,0,-0.5", "--x=1e300,0,-1e300"])
@@ -619,6 +620,8 @@ def _check_rows(rows, argv):
 @example(argv=["whittaker", "grid", "--n=1", "--alpha=1e308", "--axis=0",
                "--from=0", "--to=1", "--steps=3"])
 @example(argv=["whittaker", "eval", "--n=2", "--alpha=1e308,1e308", "--x=0,0"])
+# (lambda_1 - lambda_2)/2 halved entry by entry: no overflow in the difference
+@example(argv=["cfunction", "--lambda=1e308,-1e308"])
 def test_cli_contract_on_generated_argv(argv):
     code, out, err = _run_captured(argv)
     assert code in (0, 1, "SystemExit(2)")

@@ -163,9 +163,31 @@ def _mpmath_c(lam):
     return out
 
 
-@pytest.mark.parametrize("lam", [[400.0, -400.0], [300.0, 0.0, -300.0]])
+@pytest.mark.parametrize("l", [50.0, 50.5, 1e3, 1e10, 1e17, 1e100, 1e300])
+@pytest.mark.parametrize("unit", [1, 1j])
+def test_c_alpha_factor_from_l0_on(l, unit):
+    # the asymptotic series, on the real and the imaginary axis
+    lam = [l * unit, -l * unit]                  # lambda_alpha = l unit
+    assert lambda_alpha(lam, (1, 2)) == l * unit
+    with mpmath.workdps(30 + int(math.log10(l))):   # l + 1/2 exact
+        c = _mpmath_c([mpmath.mpmathify(v) for v in lam])
+        assert abs(c_alpha_factor(lam, (1, 2)) - c) <= 1e-13 * abs(c)
+        if unit == 1:
+            density = 1 / abs(_mpmath_c([mpmath.mpc(0, v) for v in lam])) ** 2
+            assert abs(plancherel_density(lam) - density) <= 1e-13 * density
+
+
+def test_plancherel_density_past_the_largest_double():
+    # |c| = 1e-450 underflows to 0: the density 1/|c|^2 is no double
+    with pytest.raises(OverflowError, match="exceeds the largest double"):
+        plancherel_density([1e300, 0.0, -1e300])
+
+
+@pytest.mark.parametrize("lam", [[400.0, -400.0], [300.0, 0.0, -300.0],
+                                 [1e10, -1e10], [1e17, -1e17]])
 def test_cfunction_cli_at_large_lambda(lam):
-    # Gamma(400) overflows a double; the ratio Gamma(l)/Gamma(l + 1/2) does not
+    # Gamma(400) overflows a double; the ratio Gamma(l)/Gamma(l + 1/2) does
+    # not, and from |l| = 50 on it is an asymptotic series in 1/l
     out = io.StringIO()
     code = dispatch(["cfunction", "--lambda=" + ",".join(map(repr, lam)),
                      "--format=json"], out=out)

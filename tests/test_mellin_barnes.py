@@ -216,17 +216,44 @@ def test_scalar_vs_grid():
 ])
 def test_one_node_grid_is_the_point_value(alpha, x):
     # differences that are not multiples of 1e-12: the grid evaluates at
-    # the exact difference, not at one rounded to 12 decimals
+    # the exact difference
     N = len(x)
     grid = whittaker_on_grid(N, alpha, [np.array([xk]) for xk in x], tol=1e-8)
     assert grid.shape == (1,) * N
     assert grid.item() == whittaker_eval(N, alpha, x, tol=1e-8).value
 
 
-def test_eigen_grids_share_node_sums_to_12_decimals(monkeypatch):
-    # on the 20:0.1 grid at N = 3, x1 - x2 and x2 - x3 take 114 and 105
-    # exact values but 39 to 12 decimals; on its refinement 40:0.05, 244 and
-    # 238 but 79
+@pytest.mark.parametrize("axes", [
+    [[0.1, 0.1 + 3e-13], [0.0]],
+    [[0.0], [0.1, 0.1 + 3e-13], [0.0]],
+])
+def test_grid_differences_are_taken_as_given(axes):
+    # differences 3e-13 apart, equal to 12 decimals: two values, each its
+    # own point's
+    N = len(axes)
+    alpha = {2: [0.7, -0.2], 3: [0.8, 0.0, -0.5]}[N]
+    v = whittaker_on_grid(N, alpha, [np.array(a) for a in axes], tol=1e-8).ravel()
+    assert v[0] != v[1]
+    for k, x in enumerate(itertools.product(*axes)):
+        pt = whittaker_eval(N, alpha, x, tol=1e-8).value
+        assert abs(v[k] - pt) < 5e-15 * abs(pt)
+
+
+def test_whittaker_on_grid_refuses_a_sums_array_above_the_limit(monkeypatch):
+    counts = _counting_kernel_and_sums(monkeypatch)
+    with pytest.raises(ValueError) as exc:
+        whittaker_on_grid(3, [0.8, 0.0, -0.5], [np.linspace(-0.5, 0.5, 64)] * 3)
+    assert "node-sum array" in str(exc.value) and "\n" not in str(exc.value)
+    assert counts["kernel"] == 0
+    # M of a contour for max|alpha| = 1e200 in three significant digits
+    with pytest.raises(ValueError, match=r"^M=\d\.\d+e\+201 nodes per level: "
+                       r"the node array needs [^ ]+ elements, above 8e\+06$"):
+        whittaker_eval(2, [1e200, -1e200], [0.0, 0.0])
+
+
+def test_eigen_lattice_is_one_node_sum_per_difference(monkeypatch):
+    # the refinement 40:0.05 of the 20:0.1 grid at N = 3 has 79 differences
+    # x_k - x_(k+1) per level on its lattice, and they are distinct
     seen = []
 
     def counting(top, which, offsets, half_width, M, us, vs=None):

@@ -138,6 +138,15 @@ def test_check_eigen_rejects_a_grid_that_would_overflow(monkeypatch):
             check_eigen(N, [0.5, -0.5, 0.1][:N], grid, refine=refine)
 
 
+def test_check_eigen_reports_a_residual_whose_square_overflows():
+    # |H psi - E psi| = 1e200 per node: its square, not its norm, is past
+    # the largest double; an infinite E still raises
+    rep = check_eigen(1, [1e100], GridSpec(5, 0.1))
+    assert rep.status == "FAIL" and rep.residual == pytest.approx(1e200, rel=1e-12)
+    with pytest.raises(ValueError, match="overflows a double"):
+        check_eigen(1, [1e300], GridSpec(5, 0.1))
+
+
 def _check_eigen_on_grids(N, alpha, grid, tol=1e-3, refine=False):
     """The eigen check on the cube grids themselves: both grids evaluated
     node by node, `toda_apply`, and norms over the nodes it leaves finite."""
