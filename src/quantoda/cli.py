@@ -10,14 +10,27 @@ Subcommands:
   relation suites, as JSON reports.
 
 `dispatch` may be called any number of times in one process: every call
-parses with the one parser that `build_parser` builds and caches.
+parses with the one parser that `build_parser` builds and caches.  Importing
+this module loads only `report` of the package; `dispatch` imports a half
+of it, whole, with the first command of that half.  The numerical half
+(`mellin_barnes`, `oracle`, `harish_chandra`, with `specfun`) serves
+``whittaker``, ``spherical``, ``cfunction`` and ``verify eigen``, whose
+``--grid`` type loads `oracle` at parse time; the exact half (`weyl`, `gz`,
+`separation`, with `rationals` and `specfun`) serves ``verify qism``,
+``verify gz`` and ``verify separation``.  Without a bytecode cache (say,
+under PYTHONDONTWRITEBYTECODE) a process compiles every module it imports,
+so a one-shot command compiles only its own half, and in a long-running
+process only the first command of each half compiles anything: each
+module at most once.
 
 Reports use the fixed key set {suite, n, relation, status, residual,
 tolerance, seed, witness}.  Exit codes: 0 success, 1 a verification or
 evaluation failure, 2 usage error.  Every number is written by repr, which
 round-trips doubles.  Identical arguments and seed produce byte-identical
-output under one BLAS thread configuration: the N = 3 quadrature's matrix
-products sum in an order that depends on the OpenBLAS thread count.
+output under one BLAS thread configuration: the matrix products of the
+N = 3 quadrature and of N = 2 sweeps sum in an order that depends on the
+OpenBLAS thread count.  An N = 2 point value takes one-column products and
+does not depend on it.
 """
 
 from __future__ import annotations
@@ -29,7 +42,6 @@ import math
 import sys
 from typing import List, Sequence
 
-from . import gz, harish_chandra as hc, mellin_barnes as mb, oracle, separation, weyl
 from .report import VerificationReport, combine
 
 
@@ -71,6 +83,7 @@ def _positive_float(text: str) -> float:
 
 def _grid_spec(text: str) -> oracle.GridSpec:
     """points:spacing, with an interior node and a finite spacing > 0."""
+    from . import oracle
     points_s, colon, spacing_s = text.partition(":")
     if not colon:
         raise argparse.ArgumentTypeError(f"expected points:spacing, got {text!r}")
@@ -217,6 +230,10 @@ def dispatch(argv: Sequence[str] | None = None, out=None) -> int:
 
 
 def _run(args, parser, out) -> int:
+    if args.command == "verify" and args.subcommand != "eigen":
+        return _emit_reports(_exact_reports(args), out)
+    # the whole numerical half, so that no later command of it compiles a module
+    from . import harish_chandra as hc, mellin_barnes as mb, oracle
     if args.command == "whittaker" and args.subcommand == "eval":
         fn = mb.whittaker_eval if args.method == "direct" else mb.whittaker_recursive
         res = fn(args.n, args.alpha, args.x, args.tol)
@@ -249,20 +266,20 @@ def _run(args, parser, out) -> int:
         out.write(_value_text(table, args.format))
         return 0
     if args.command == "verify":
-        return _emit_reports(_verify_reports(args), out)
+        return _emit_reports([oracle.check_eigen(args.n, args.alpha, args.grid,
+                                                 tol=args.tol, refine=args.refine)], out)
     parser.error(f"unknown command {args.command}")
 
 
-def _verify_reports(args) -> List[VerificationReport]:
+def _exact_reports(args) -> List[VerificationReport]:
+    # the whole exact half, so that no later command of it compiles a module
+    from . import gz, separation, weyl
     if args.subcommand == "qism":
         return weyl.qism_suite(args.n)
     if args.subcommand == "separation":
         return separation.separation_suite(args.n, args.trials, args.seed)
     if args.subcommand == "gz":
         return gz.gz_suite(args.n, args.trials, args.seed, tol=args.tol)
-    if args.subcommand == "eigen":
-        return [oracle.check_eigen(args.n, args.alpha, args.grid,
-                                   tol=args.tol, refine=args.refine)]
     raise ValueError(f"unknown verify target {args.subcommand}")
 
 

@@ -20,7 +20,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .specfun import log_gamma
+from .specfun import POLE_TOL, PoleError, log_gamma
 
 Root = Tuple[int, int]  # (i, j) with i < j, representing e_i - e_j (1-based)
 
@@ -164,17 +164,38 @@ def delta_set(s: WeylPermutation) -> set:
 def c_alpha_factor(lam: Sequence[complex], root: Root) -> complex:
     """Rank-one factor Gamma(l) Gamma(1/2) / Gamma(l + 1/2), l = lambda_alpha,
     taken through logs so that large |l| do not overflow.  From |l| = L0 on
-    with Re l >= 0 the log ratio is its asymptotic series -ln(l)/2 + 1/(8 l)
-    - 1/(192 l^3) + 1/(640 l^5) - 17/(14336 l^7), truncated below 1e-18
-    there; the difference of two log Gammas of size l ln l would lose
-    relative accuracy in proportion to |l|."""
+    the difference of two log Gammas of size l ln l would lose relative
+    accuracy in proportion to |l|, so `_large_l_factor` sums the asymptotic
+    series of the ratio instead: at l itself for Re l >= 0, and at
+    m = 1/2 - l for Re l < 0 through the reflection
+    Gamma(l)/Gamma(l + 1/2) = cot(pi l) Gamma(m)/Gamma(m + 1/2)."""
     la = lambda_alpha(lam, root)
-    if abs(la) < L0 or la.real < 0:
+    if abs(la) < L0:
         return SQRT_PI * cmath.exp(log_gamma(la) - log_gamma(la + 0.5))
-    z = 1.0 / la
+    if la.real < 0:
+        return _cot_pi(la) * _large_l_factor(0.5 - la)
+    return _large_l_factor(la)
+
+
+def _large_l_factor(l: complex) -> complex:
+    """sqrt(pi) Gamma(l)/Gamma(l + 1/2) for Re l >= 0 and |l| near L0 or
+    above: the log ratio -ln(l)/2 + 1/(8 l) - 1/(192 l^3) + 1/(640 l^5)
+    - 17/(14336 l^7), truncated below 1e-18 there."""
+    z = 1.0 / l
     z2 = z * z
     series = z * (1 / 8 - z2 * (1 / 192 - z2 * (1 / 640 - z2 * 17 / 14336)))
-    return SQRT_PI * cmath.exp(series - 0.5 * cmath.log(la))
+    return SQRT_PI * cmath.exp(series - 0.5 * cmath.log(l))
+
+
+def _cot_pi(z: complex) -> complex:
+    """cot(pi z), Re z reduced before the multiplication by pi.  Raises
+    PoleError within POLE_TOL of a pole of Gamma(z) or of Gamma(z + 1/2)."""
+    n = round(2.0 * z.real)            # z = n/2 + w, |Re w| <= 1/4, w exact
+    w = complex(z.real - 0.5 * n, z.imag)
+    if abs(w) < POLE_TOL:
+        raise PoleError(f"log_gamma pole at z={z + 0.5 * (n % 2)}")
+    t = cmath.tan(complex(math.pi * w.real, math.pi * w.imag))
+    return -t if n % 2 else 1.0 / t
 
 
 def c_s(lam: Sequence[complex], s: WeylPermutation) -> complex:

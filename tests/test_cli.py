@@ -665,8 +665,9 @@ def test_quadrature_half_imports_no_gz_code():
 
 def test_entry_point_in_a_fresh_process():
     # no scipy or numpy.random module is loaded by importing the CLI, nor by
-    # running one command of each kind in the same process (a lazy import
-    # inside a function would show here)
+    # running one command of each kind in the same process (`dispatch`
+    # imports each half of the package with its first command, so the
+    # second list covers what the halves import)
     probe = _fresh_python("-c", """
 import io, sys
 import quantoda.cli as cli
@@ -686,3 +687,62 @@ print(unwanted_modules())
     run = _fresh_python("-m", "quantoda.cli", *argv)
     assert (run.returncode, run.stderr) == (0, "")
     assert run.stdout == _run(argv)[1]
+
+
+# The two halves of the package that `dispatch` imports with their first
+# command; `specfun` serves both.
+_NUMERICAL_HALF = {"mellin_barnes", "oracle", "harish_chandra", "specfun"}
+_EXACT_HALF = {"weyl", "gz", "separation", "rationals", "specfun"}
+_FRONT = {"cli", "report"}
+_EXACT_ARGVS = [["verify", "separation", "--n=2", "--trials=10"],
+                ["verify", "qism", "--n=2"],
+                ["verify", "gz", "--n=2", "--trials=3"]]
+_NUMERICAL_ARGVS = [["whittaker", "eval", "--n=2", "--alpha=1.0,-0.5", "--x=0.5,0.0"],
+                    ["whittaker", "grid", "--n=2", "--alpha=1.0,-0.5", "--axis=0",
+                     "--from=-1", "--to=1", "--steps=5"],
+                    ["spherical", "eval", "--n=2", "--lambda=0.5,-0.5", "--x=0.3,-0.2"],
+                    ["cfunction", "--lambda=1.0,-0.3"],
+                    ["verify", "eigen", "--n=2", "--alpha=0.5,-0.5", "--grid=8:0.1"]]
+
+
+def _modules_after(argvs):
+    """[(exit code, quantoda modules loaded)] in a fresh process: after
+    `import quantoda.cli` (code None), then after each argv in turn."""
+    probe = _fresh_python("-c", """
+import contextlib, io, json, sys
+import quantoda.cli as cli
+def loaded():
+    return sorted(m[len("quantoda."):] for m in sys.modules if m.startswith("quantoda."))
+steps = [[None, loaded()]]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.dispatch(argv, out=io.StringIO())
+        except SystemExit as exc:
+            code = exc.code
+    steps.append([code, loaded()])
+print(json.dumps(steps))
+""", json.dumps(argvs))
+    assert probe.returncode == 0, probe.stderr
+    return [(code, set(mods)) for code, mods in json.loads(probe.stdout)]
+
+
+def test_cli_import_and_usage_load_neither_half():
+    steps = _modules_after([["--help"], ["whittaker", "eval", "--n=0", "--alpha=1,2",
+                                         "--x=0,0"], ["whittaker", "--help"]])
+    assert steps == [(None, _FRONT), (0, _FRONT), (2, _FRONT), (0, _FRONT)]
+
+
+@pytest.mark.parametrize("first", ["numerical", "exact"])
+def test_each_half_loads_whole_with_its_first_command(first):
+    halves = {"numerical": (_NUMERICAL_ARGVS, _NUMERICAL_HALF),
+              "exact": (_EXACT_ARGVS, _EXACT_HALF)}
+    argvs_a, half_a = halves.pop(first)
+    (argvs_b, half_b), = halves.values()
+    steps = _modules_after(argvs_a + argvs_b)
+    assert [code for code, _ in steps[1:]] == [0] * len(argvs_a + argvs_b)
+    # the first command of a half loads all of it and nothing of the other;
+    # the later commands of either half add no module
+    loaded = [mods for _, mods in steps[1:]]
+    assert loaded[:len(argvs_a)] == [_FRONT | half_a] * len(argvs_a)
+    assert loaded[len(argvs_a):] == [_FRONT | half_a | half_b] * len(argvs_b)

@@ -15,6 +15,7 @@ from quantoda.harish_chandra import (Character, WeylPermutation,
                                      m_b_compatibility, m_elementary,
                                      m_function, plancherel_density,
                                      scattering_matrices, word_to_permutation)
+from quantoda.specfun import PoleError
 
 
 def _all_perms(n):
@@ -177,6 +178,40 @@ def test_c_alpha_factor_from_l0_on(l, unit):
             assert abs(plancherel_density(lam) - density) <= 1e-13 * density
 
 
+# real l past 2^52 are integers, poles of Gamma(l), so -1e17 and beyond
+# appear with an imaginary part only
+_NEGATIVE_L = [complex(re, im)
+               for re in (-50.0, -50.3, -73.75, -1e3 - 0.3, -1e5 - 0.3,
+                          -1e10 - 0.25, -1e15 - 0.375, -1e17, -1e100, -1e300)
+               for im in (0.0, 1e-6, 0.3, 7.0, 50.0, 300.0, 1e5, 1e20)
+               if im or re != math.floor(re)]
+
+
+@pytest.mark.parametrize("l", _NEGATIVE_L)
+def test_c_alpha_factor_at_negative_real_part(l):
+    # the series at 1/2 - l through the reflection
+    lam = [l, -l]
+    assert lambda_alpha(lam, (1, 2)) == l
+    with mpmath.workdps(40 + int(math.log10(-l.real))):
+        c = _mpmath_c([mpmath.mpmathify(v) for v in lam])
+        assert abs(c_alpha_factor(lam, (1, 2)) - c) <= 1e-13 * abs(c)
+
+
+@pytest.mark.parametrize("l", [-60.0, -60.5, -60.5 + 1e-13j, -1e10, -1e10 - 0.5,
+                               -2.0 ** 52 + 0.5, -1e300])
+def test_c_alpha_factor_poles_past_l0(l):
+    # Gamma(l) or Gamma(l + 1/2) has a pole within POLE_TOL of l
+    with pytest.raises(PoleError, match="log_gamma pole"):
+        c_alpha_factor([l, -l], (1, 2))
+
+
+@pytest.mark.parametrize("lam, z", [("-120,0", "-60"), ("-121,0", "-60"),
+                                    ("-20000000001,0", "-10000000000")])
+def test_cfunction_cli_pole_past_l0_exits_1(lam, z, capsys):
+    assert dispatch(["cfunction", f"--lambda={lam}"], out=io.StringIO()) == 1
+    assert capsys.readouterr().err == f"error: log_gamma pole at z=({z}+0j)\n"
+
+
 def test_plancherel_density_past_the_largest_double():
     # |c| = 1e-450 underflows to 0: the density 1/|c|^2 is no double
     with pytest.raises(OverflowError, match="exceeds the largest double"):
@@ -184,7 +219,8 @@ def test_plancherel_density_past_the_largest_double():
 
 
 @pytest.mark.parametrize("lam", [[400.0, -400.0], [300.0, 0.0, -300.0],
-                                 [1e10, -1e10], [1e17, -1e17]])
+                                 [1e10, -1e10], [1e17, -1e17],
+                                 [-20000000000.5, 0.0], [-300.5, 0.0, 300.25]])
 def test_cfunction_cli_at_large_lambda(lam):
     # Gamma(400) overflows a double; the ratio Gamma(l)/Gamma(l + 1/2) does
     # not, and from |l| = 50 on it is an asymptotic series in 1/l
