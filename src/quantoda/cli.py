@@ -243,9 +243,8 @@ def _run(args, parser, out) -> int:
         if not 0 <= args.axis < args.n:
             parser.error(f"argument --axis: must be in [0, {args.n}), "
                          f"got {args.axis}")
-        table = mb.grid_scan("whittaker", args.n, args.alpha, args.axis,
-                             args.start, args.stop, args.steps,
-                             x_base=args.x, tol=args.tol)
+        table = mb.grid_scan(args.n, args.alpha, args.axis, args.start,
+                             args.stop, args.steps, x_base=args.x, tol=args.tol)
         text = _value_text(table, args.format)
         if args.out:
             with open(args.out, "w", newline="") as fh:
@@ -265,10 +264,9 @@ def _run(args, parser, out) -> int:
                  "plancherel_density": [hc.plancherel_density(lam)]}
         out.write(_value_text(table, args.format))
         return 0
-    if args.command == "verify":
-        return _emit_reports([oracle.check_eigen(args.n, args.alpha, args.grid,
-                                                 tol=args.tol, refine=args.refine)], out)
-    parser.error(f"unknown command {args.command}")
+    # verify eigen: the required subparsers admit no other command
+    return _emit_reports([oracle.check_eigen(args.n, args.alpha, args.grid,
+                                             tol=args.tol, refine=args.refine)], out)
 
 
 def _exact_reports(args) -> List[VerificationReport]:
@@ -278,9 +276,7 @@ def _exact_reports(args) -> List[VerificationReport]:
         return weyl.qism_suite(args.n)
     if args.subcommand == "separation":
         return separation.separation_suite(args.n, args.trials, args.seed)
-    if args.subcommand == "gz":
-        return gz.gz_suite(args.n, args.trials, args.seed, tol=args.tol)
-    raise ValueError(f"unknown verify target {args.subcommand}")
+    return gz.gz_suite(args.n, args.trials, args.seed, tol=args.tol)   # verify gz
 
 
 def main() -> None:

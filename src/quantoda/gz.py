@@ -656,12 +656,8 @@ def vector_shift_ratio(kind: str, arr: TriangularArray, shift: ShiftKey) -> comp
     return ratio * np.exp(np.sum(lg[:len(half)] - lg[len(half):], axis=0))
 
 
-def whittaker_vector(kind: str, arr: TriangularArray) -> complex:
-    """w = prod_n e^{-pi(n-1) sum_j lambda_{nj}} prod Gamma(-i dlam + 1/2); w' = 1."""
-    if kind == "w_prime":
-        return 1.0 + 0.0j
-    if kind != "w":
-        raise ValueError(f"unknown Whittaker vector kind {kind!r}")
+def whittaker_vector(arr: TriangularArray) -> complex:
+    """w = prod_n e^{-pi(n-1) sum_j lambda_{nj}} prod Gamma(-i dlam + 1/2)."""
     return _vector("w", arr)
 
 
@@ -724,7 +720,7 @@ def gz_measure(arr: TriangularArray) -> complex:
     lam_{nj}}, and the -2 pi leave c_N = prod_{n=2}^{N-1} (-2 pi)^{-n(n-1)/2}
     (c_2 = 1, c_3 = -1/(2 pi), c_4 = (2 pi)^{-4}).  With lam_h the array
     with level n raised by i(N-n)/2, the Mellin-Barnes integrand at lam_h is
-    c_N whittaker_vector("w", lam) gz_measure(lam) cartan_multiplier(x, lam_h),
+    c_N whittaker_vector(lam) gz_measure(lam) cartan_multiplier(x, lam_h),
     and the spherical one at real lam is c_N e^{-pi sum_n (n-1) sum_j
     lam_{nj}} phi(lam) phi(-lam) gz_measure(lam) cartan_multiplier(x, lam),
     phi = `spherical_vector`.  With `mellin_barnes`' d lam/(2 pi) per
@@ -801,9 +797,9 @@ def separated_uniforms(rng: random.Random, count: int, low: float, high: float,
 
 
 def sample_real_array(N: int, rng: random.Random, low: float = -2.0,
-                      high: float = 2.0, min_gap: float = 0.1) -> TriangularArray:
-    """Random real array with within-level pairwise gaps >= min_gap."""
-    return TriangularArray([separated_uniforms(rng, n, low, high, min_gap)
+                      high: float = 2.0) -> TriangularArray:
+    """Random real array with within-level pairwise gaps >= 0.1."""
+    return TriangularArray([separated_uniforms(rng, n, low, high, 0.1)
                             for n in range(1, N + 1)])
 
 

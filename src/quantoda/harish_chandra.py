@@ -279,15 +279,16 @@ def plancherel_density(lam: Sequence[float]) -> float:
 
 
 def m_b_compatibility(N: int, k: int, lam0: Sequence[float],
-                      direction: Sequence[float], ts: Sequence[float],
-                      f: Character | None = None) -> List[complex]:
-    """Values of M(s_k, lam) b(lam)/b(s_k lam) along lam0 + t*direction.
+                      direction: Sequence[float],
+                      ts: Sequence[float]) -> List[complex]:
+    """Values of M(s_k, lam) b(lam)/b(s_k lam) along lam0 + t*direction, at
+    the unit character `Character.unit(N)`.
 
     The quantity depends on lambda only through lambda_alpha, so it is
     constant along directions orthogonal to alpha = e_k - e_{k+1}; the
     returned list makes that testable and reports the constant.
     """
-    f = f or Character.unit(N)
+    f = Character.unit(N)
     d = np.asarray(direction, dtype=float).copy()
     # project out the alpha component so the line keeps lambda_alpha fixed
     alpha = np.zeros(N)

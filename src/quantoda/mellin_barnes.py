@@ -42,14 +42,15 @@ ValueError before the kernel is built, and so does N = 3 on a contour of
 half-width T with pi T > EXP_LIMIT (e^{pi t} overflows).  N = 1 is the
 carrier alone and builds no contour.  The recursive route (separation of
 variables) is a contour, not a code path: the default one at N <= 2, and
-at N = 3 the one raised 1/2 per integrated level, so it checks contour
-independence (Cauchy), and `oracle.givental` is the reference without
-Mellin-Barnes kernels.  So every value passes one set of guards and takes
-one `_kernel` build and one `_node_sums` call.  The integrand is c_N times
-the Gelfand-Zetlin Whittaker vector, measure and Cartan multiplier of `gz`
-(c_N derived in `gz.gz_measure`): the tests check `_kernel` and the node
-sums against that product node by node, and this module imports `specfun`
-alone, so the two stay independent codes.
+at N = 3 the one raised 1/2 per integrated level.  So every value passes
+one set of guards and takes one `_kernel` build and one `_node_sums` call.
+Comparing the N = 3 recursive value with the direct one checks contour
+independence (Cauchy), as acceptance criterion 09 does at one point;
+`oracle.givental` is the reference without Mellin-Barnes kernels.  The
+integrand is c_N times the Gelfand-Zetlin Whittaker vector, measure and
+Cartan multiplier of `gz` (c_N derived in `gz.gz_measure`): the tests check
+`_kernel` and the node sums against that product node by node, and this
+module imports `specfun` alone, so the two stay independent codes.
 
 Normalization: 1/(2 pi) per integration variable, which makes N = 1 return
 exactly e^{i alpha x}; all cross-checks against oracles are ratio-based.
@@ -307,8 +308,6 @@ def _evaluate(which: str, N: int, params: Sequence[float], axes, tol: float,
     overflow anywhere, such as a difference or the carrier's phase
     sigma1 x_N past the largest double, raises FloatingPointError.
     """
-    if which not in ("whittaker", "spherical"):
-        raise ValueError(f"unknown function {which!r}")
     axes = [np.asarray(a, dtype=float) for a in axes]
     params = _validate(N, params, axes, tol)
     if which == "spherical" and any(abs(p - q) < COINCIDENT_TOL for i, p in
@@ -380,11 +379,11 @@ def spherical_eval(N: int, lam_top: Sequence[float], x: Sequence[float],
     return _point("spherical", N, lam_top, x, tol)
 
 
-def grid_scan(which: str, N: int, params: Sequence[float], axis: int,
+def grid_scan(N: int, alpha: Sequence[float], axis: int,
               start: float, stop: float, steps: int,
               x_base: Sequence[float] | None = None,
               tol: float = 1e-6) -> dict:
-    """Sweep one coordinate: `value_row`'s columns, a row per sweep point.
+    """Sweep one coordinate of the wave function: a `value_row` row per point.
 
     The sweep is the grid whose axis `axis` varies: one kernel build, whose
     arrays give the columns with no per-row object.
@@ -396,7 +395,7 @@ def grid_scan(which: str, N: int, params: Sequence[float], axis: int,
         raise ValueError("x_base must have length N")
     axes = [[xk] for xk in x0]
     axes[axis] = np.linspace(start, stop, steps)
-    return value_row(QuadratureResult(*_evaluate(which, N, params, axes, tol)), axes)
+    return value_row(QuadratureResult(*_evaluate("whittaker", N, alpha, axes, tol)), axes)
 
 
 # ---------------------------------------------------------------------------

@@ -257,8 +257,10 @@ def bessel_oracle_n2(alpha: Sequence[float], r_grid: Sequence[float]) -> np.ndar
 
     Integrates inward from a start point deep in the decay region where the
     truncated asymptotic series pins the solution to near double precision.
+    Needs scipy, which the package declares only in its ``test`` extra: no
+    CLI command calls this, and the import is here so that none loads it.
     """
-    from scipy.integrate import solve_ivp  # here, so the CLI never loads it
+    from scipy.integrate import solve_ivp
 
     r = np.asarray(r_grid, dtype=float)
     if len(r) < 2:

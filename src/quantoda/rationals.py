@@ -7,8 +7,8 @@
 * F_p[i], p = 2**31 - 1 -- `FpLanes`, one element per lane: int64 arrays of
   parts (ints for a value every lane shares) reduced mod p.  As p = 3 mod 4,
   F_p[i] is a field, and a*d + b*c <= 2(p-1)^2 < 2^63 fits in int64.  The
-  lane kernels `_gauss_mul` and `_batch_inverse` serve `FpLanes` and
-  `gz.TermTable`.  Floats and complex numbers are refused (TypeError).
+  lane kernels `_gauss_mul`, `_fermat_inverse` and `_batch_inverse` serve
+  `FpLanes` and `gz.TermTable`.  Floats and complex numbers are refused (TypeError).
 
 The randomized identity checks of `gz` and `separation` run their trials
 through `first_witnesses`, three lanes per trial (`random_lanes`,
@@ -176,16 +176,15 @@ class FpLanes(tuple):
     __rmul__ = __mul__
 
     def inverse(self) -> "FpLanes":
-        """conj / |self|^2 by one pow(v, -1, P) per lane.  |self|^2 = 0 mod p
-        only where self = 0, and then, in any lane, ZeroDivisionError.  No
-        check divides: division and negative powers serve the tests and the
-        per-operator reference `gz.DifferenceOperator.evaluate_on_test`."""
+        """conj / |self|^2, the norm inverted by `_fermat_inverse`.  |self|^2 = 0
+        mod p only where self = 0, and then, in any lane, ZeroDivisionError.
+        No check divides: division and negative powers serve the tests and
+        the per-operator reference `gz.DifferenceOperator.evaluate_on_test`."""
         a, b = self
         norm = (a * a + b * b) % P
         if not np.all(norm):
             raise ZeroDivisionError("division by zero in F_p[i]")
-        inv = (pow(norm, -1, P) if type(norm) is int
-               else np.array([pow(v, -1, P) for v in norm.tolist()], dtype=np.int64))
+        inv = pow(norm, -1, P) if type(norm) is int else _fermat_inverse(norm)
         return _lanes(a * inv % P, -b * inv % P)
 
     def __truediv__(self, other):

@@ -175,7 +175,8 @@ def check_lagrange_identity(N: int, trials: int = 50, seed: int = 42) -> Verific
 
 
 def separation_suite(N: int, trials: int = 100, seed: int = 42) -> List[VerificationReport]:
-    """Difference-equation residuals and the exact Lagrange identity.
+    """Difference-equation residuals and the exact Lagrange identity, the
+    latter on min(trials, 50) trials.
 
     The `trials` points are drawn one by one; each residual check then runs
     once per j on their columns, one array per variable.  ValueError when

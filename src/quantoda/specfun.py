@@ -53,9 +53,9 @@ differences; `separation.sep_wavefunction` exponentiates and
 `separation.sep_measure` takes real parts.
 
 Poles: `log_gamma` raises PoleError within POLE_TOL of a nonpositive
-integer; `log_gamma_array` does not signal, and its real part is +inf on an
-exact pole (`gz.vector_shift_ratio` applies the same POLE_TOL test to its
-arguments before the call).
+integer; `log_gamma_array` neither raises nor warns, and its real part is
++inf on an exact pole, 0 included (`gz.vector_shift_ratio` applies the same
+POLE_TOL test to its arguments before the call).
 """
 
 from __future__ import annotations
@@ -138,7 +138,7 @@ def _log_gamma(z: complex) -> complex:
 
 
 def _log_gamma_right(z: np.ndarray) -> np.ndarray:
-    """log Gamma on an array with Re z >= 0 (see the module docstring)."""
+    """log Gamma on an array with Re z > 0 (see the module docstring)."""
     w = z + 8.0
     q = z * (z + 7.0)
     pairs = (q, q + 6.0, q + 10.0, q + 12.0)     # (z+k)(z+7-k), k = 0..3
@@ -171,11 +171,12 @@ def log_gamma(z) -> complex:
 def log_gamma_array(z):
     """Principal-branch log Gamma, elementwise (no pole signalling).
 
-    Elements with Re z < 0 go through the reflection formula of `log_gamma`
-    one at a time; no caller in the package passes any.
+    Elements with Re z <= 0 go through `log_gamma`'s scalar path, the
+    reflection formula below Re z = 0 and the pole at z = 0, one at a time;
+    no caller in the package passes any.
     """
     z = np.asarray(z, dtype=complex)
-    left = z.real < 0.0
+    left = z.real <= 0.0
     if not left.any():
         return _log_gamma_right(z)
     out = np.empty_like(z)

@@ -336,9 +336,6 @@ class WeylElement:
             return NotImplemented
         return self.n == other.n and self.terms == other.terms
 
-    def __hash__(self):
-        raise TypeError("WeylElement is unhashable")
-
     def __repr__(self):
         if not self.terms:
             return "0"

@@ -347,6 +347,24 @@ def test_unwritable_grid_out_exits_1_with_one_line(tmp_path, target):
     assert sorted(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_grid_out_writes_the_stdout_bytes_to_the_file(tmp_path, fmt):
+    argv = ["whittaker", "grid", "--n=2", "--alpha=0.5,-0.5", "--axis=0",
+            "--from=-1", "--to=1", "--steps=5", f"--format={fmt}"]
+    code, want, _ = _run_captured(argv)
+    assert code == 0 and ("\r\n" in want) == (fmt == "csv")
+    path = tmp_path / f"sweep.{fmt}"
+    assert _run_captured(argv + [f"--out={path}"]) == (0, "", "")
+    assert path.read_bytes() == want.encode()
+
+
+def test_non_integer_count_exits_2_with_one_line():
+    code, out, err = _run_captured(["whittaker", "eval", "--n=2.5",
+                                    "--alpha=0.5,-0.5", "--x=0,0"])
+    assert (code, out) == ("SystemExit(2)", "")
+    assert err.count("\n") == 1 and "expected an integer: '2.5'" in err
+
+
 _FAR_N2 = ["whittaker", "eval", "--n=2", "--alpha=0.5,-0.5", "--x=-800,800"]
 _FAR_N3 = ["whittaker", "eval", "--n=3", "--alpha=0.9,0.1,-0.6", "--x=-400,0,400"]
 _RECURSIVE = ["--method=recursive"]
@@ -645,9 +663,10 @@ def test_cli_contract_on_generated_argv(argv):
         _check_rows(list(csv.DictReader(io.StringIO(out))), argv)
 
 
-def _fresh_python(*args):
-    # a new interpreter that imports this checkout's quantoda
-    env = dict(os.environ)
+def _fresh_python(*args, **env_vars):
+    # a new interpreter that imports this checkout's quantoda, with env_vars
+    # added to its environment
+    env = dict(os.environ, **env_vars)
     src = str(Path(quantoda.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], capture_output=True,
@@ -687,6 +706,20 @@ print(unwanted_modules())
     run = _fresh_python("-m", "quantoda.cli", *argv)
     assert (run.returncode, run.stderr) == (0, "")
     assert run.stdout == _run(argv)[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["whittaker", "eval", "--n=2", "--alpha=0.3,-1.0", "--x=0.2,-0.4", "--tol=1e-8"],
+    ["verify", "eigen", "--n=2", "--alpha=0.3,-1.0", "--grid=32:0.05", "--refine"],
+])
+def test_n2_point_and_eigen_bytes_do_not_depend_on_blas_threads(argv):
+    # README: an N = 2 point value (one-column products) and an N = 2 eigen
+    # report at an ordinary spacing print the same bytes under any OpenBLAS
+    # thread count; the N = 2 sweeps do not
+    runs = [_fresh_python("-m", "quantoda.cli", *argv, OPENBLAS_NUM_THREADS=k)
+            for k in ("1", "2")]
+    assert [(r.returncode, r.stderr) for r in runs] == [(0, "")] * 2
+    assert runs[0].stdout == runs[1].stdout
 
 
 # The two halves of the package that `dispatch` imports with their first

@@ -290,14 +290,11 @@ def test_gl_relations_and_serre():
 
 
 def test_whittaker_vector_values():
-    assert whittaker_vector("w_prime", _point([[0.2], [1.0, -1.0]])) == 1.0
-    assert whittaker_vector("w", _point([[0.4]])) == 1.0  # empty product
+    assert whittaker_vector(_point([[0.4]])) == 1.0  # empty product
     arr = _point([[0.3], [0.9, -0.4]])
     expect = gamma(-1j * (0.3 - 0.9) + 0.5) * gamma(-1j * (0.3 + 0.4) + 0.5)
-    got = whittaker_vector("w", arr)
+    got = whittaker_vector(arr)
     assert abs(got - expect) < 1e-13 * abs(expect)
-    with pytest.raises(ValueError):
-        whittaker_vector("nope", arr)
 
 
 def test_separated_uniforms_match_the_rejection_sampler():
@@ -357,7 +354,7 @@ def test_vector_shift_ratio_matches_vector_quotient(N):
     # the pair-local ratio against the whole vectors, every single-slot
     # shift by +-i (top level included)
     rng = random.Random(40 + N)
-    vectors = {"w": lambda a: whittaker_vector("w", a), "phi": spherical_vector}
+    vectors = {"w": whittaker_vector, "phi": spherical_vector}
     for _ in range(3):
         arr = sample_real_array(N, rng)
         for kind, vector in vectors.items():
@@ -500,3 +497,15 @@ def test_cartan_multiplier():
     got = cartan_multiplier([1.0, -1.0], arr)
     expect = cmath.exp(1j * (0.3 - (0.9 - 0.4 - 0.3)))
     assert abs(got - expect) < 1e-14
+    for x in ([1.0], [1.0, -1.0, 0.5]):
+        with pytest.raises(ValueError, match="one entry per level"):
+            cartan_multiplier(x, arr)
+
+
+def test_vector_shift_ratio_refuses_a_shifted_argument_on_a_pole():
+    # lambda_11 - lambda_21 = -3i/2 puts phi's pair argument at -1/2, and the
+    # half shift of lambda_11 by i moves it onto the pole at 0
+    shift = (((1, 1), 1),)
+    assert np.isfinite(vector_shift_ratio("phi", _point([[-1.4j], [0.0, 1.0]]), shift))
+    with pytest.raises(PoleError, match="vector shift ratio"):
+        vector_shift_ratio("phi", _point([[-1.5j], [0.0, 1.0]]), shift)

@@ -13,8 +13,8 @@ from quantoda.cli import dispatch
 from quantoda.gz import (TriangularArray, cartan_multiplier, gz_measure,
                          spherical_vector, whittaker_vector)
 from quantoda.mellin_barnes import (ContourError, ContourSpec, DimensionError,
-                                    _evaluate, default_contour,
-                                    grid_scan, spherical_eval,
+                                    QuadratureResult, _evaluate, default_contour,
+                                    grid_scan, spherical_eval, value_row,
                                     whittaker_eval, whittaker_on_grid,
                                     whittaker_recursive)
 from quantoda.oracle import (GridSpec, check_eigen, givental,
@@ -91,8 +91,7 @@ N3_ROUTES = {
     "recursive": lambda a, x, tol: whittaker_recursive(3, a, x, tol),
     "whittaker_eval": lambda a, x, tol: whittaker_eval(3, a, x, tol),
     "spherical_eval": lambda a, x, tol: spherical_eval(3, a, x, tol),
-    "grid_scan": lambda a, x, tol: grid_scan("whittaker", 3, a, 0, -1.5, 1.5,
-                                             61, x, tol),
+    "grid_scan": lambda a, x, tol: grid_scan(3, a, 0, -1.5, 1.5, 61, x, tol),
 }
 
 
@@ -372,9 +371,9 @@ def test_one_phase_matrix_per_level_leaves_both_node_sums_bit_for_bit(
 
 
 @pytest.mark.parametrize("evaluate", [
-    *(lambda axis=axis: grid_scan("whittaker", 2, _A2, axis, -1.0, 1.5, 61,
+    *(lambda axis=axis: grid_scan(2, _A2, axis, -1.0, 1.5, 61,
                                   tol=1e-8) for axis in range(2)),
-    *(lambda axis=axis: grid_scan("whittaker", 3, _A3, axis, -1.0, 1.5, 61,
+    *(lambda axis=axis: grid_scan(3, _A3, axis, -1.0, 1.5, 61,
                                   x_base=[0.3, -0.1, -0.4]) for axis in range(3)),
     lambda: check_eigen(3, _A3, GridSpec(20, 0.1), tol=1e-2, refine=True),
 ], ids=["n2-sweep-x1", "n2-sweep-x2", "n3-sweep-x1", "n3-sweep-x2",
@@ -414,7 +413,7 @@ def test_toeplitz_window_is_the_gathered_matrix(M):
 
 @pytest.mark.parametrize("evaluate, mib", [
     (lambda: check_eigen(3, _A3, GridSpec(20, 0.1), tol=1e-2, refine=True), 4),
-    (lambda: grid_scan("whittaker", 3, _A3, 1, -1.0, 1.5, 61,
+    (lambda: grid_scan(3, _A3, 1, -1.0, 1.5, 61,
                        x_base=[0.3, -0.1, -0.4], tol=1e-8), 4),
     (lambda: whittaker_eval(3, _A3, [0.5, 0.0, -0.5], tol=1e-10), 3),
 ], ids=["n3-refined-eigen", "n3-sweep-x2", "n3-point"])
@@ -448,24 +447,21 @@ def test_every_evaluator_is_one_kernel_and_one_node_sum(monkeypatch, route, n,
 
 def test_grid_scan_rows():
     # the sweep as columns: one list of Python floats per output key
-    cols = grid_scan("whittaker", 2, [0.5, -0.5], axis=0,
+    cols = grid_scan(2, [0.5, -0.5], axis=0,
                      start=-1.0, stop=1.0, steps=5, tol=1e-6)
     assert set(cols) == {"x1", "x2", "re", "im", "abs", "error_estimate"}
     assert all(len(c) == 5 and all(type(v) is float for v in c)
                for c in cols.values())
     assert cols["x1"][0] == -1.0 and cols["x1"][-1] == 1.0
     assert cols["x2"][2] == 0.0
-    empty = grid_scan("whittaker", 3, [0.5, 0.0, -0.5], axis=1,
+    empty = grid_scan(3, [0.5, 0.0, -0.5], axis=1,
                       start=0.0, stop=1.0, steps=0)
     assert len(empty) == 7 and all(c == [] for c in empty.values())
     with pytest.raises(ValueError):
-        grid_scan("whittaker", 2, [0.5, -0.5], axis=2,
+        grid_scan(2, [0.5, -0.5], axis=2,
                   start=0.0, stop=1.0, steps=2)
     with pytest.raises(ValueError):
-        grid_scan("bogus", 2, [0.5, -0.5], axis=0,
-                  start=0.0, stop=1.0, steps=2)
-    with pytest.raises(ValueError):
-        grid_scan("whittaker", 3, [0.5, 0.0, -0.5], axis=2,
+        grid_scan(3, [0.5, 0.0, -0.5], axis=2,
                   start=0.0, stop=1.0, steps=2, x_base=[0.0, 0.0])
 
 
@@ -477,13 +473,19 @@ def test_grid_scan_rows():
 ])
 def test_grid_scan_matches_point_evaluator(which, params):
     # one kernel build for the sweep gives each row's point value and
-    # error estimate
+    # error estimate; the spherical sweep is the same grid through `_evaluate`
     N = len(params)
     point = whittaker_eval if which == "whittaker" else spherical_eval
     x_base = [0.3, -0.1, -0.4][:N]
     for axis in range(N):
-        cols = grid_scan(which, N, params, axis=axis, start=-0.6, stop=0.9,
-                         steps=4, x_base=x_base, tol=1e-6)
+        if which == "whittaker":
+            cols = grid_scan(N, params, axis=axis, start=-0.6, stop=0.9,
+                             steps=4, x_base=x_base, tol=1e-6)
+        else:
+            axes = [[xk] for xk in x_base]
+            axes[axis] = np.linspace(-0.6, 0.9, 4)
+            cols = value_row(QuadratureResult(
+                *_evaluate("spherical", N, params, axes, 1e-6)), axes)
         for row in (dict(zip(cols, r)) for r in zip(*cols.values())):
             x = [row[f"x{k+1}"] for k in range(N)]
             pt = point(N, params, x, tol=1e-6)
@@ -536,7 +538,7 @@ def test_non_finite_input_or_bad_tol_is_a_value_error(call):
 def _gz_vectors(which, lam):
     """w(lam) for the Whittaker kernel, phi(lam) phi(-lam) for the spherical one."""
     if which == "whittaker":
-        return whittaker_vector("w", lam)
+        return whittaker_vector(lam)
     return spherical_vector(lam) * spherical_vector(
         TriangularArray([[-v for v in row] for row in lam.levels]))
 

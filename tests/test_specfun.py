@@ -1,6 +1,7 @@
 import cmath
 import io
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -209,6 +210,16 @@ def test_no_runtime_warning_at_large_imaginary_parts():
     assert all(math.isfinite(log_gamma(0.5 + 1j * y).real) for y in ys[::50])
     assert dispatch(["whittaker", "eval", "--n=2", "--alpha=1000,-1000",
                      "--x=0,0"], out=io.StringIO()) == 0
+
+
+def test_log_gamma_array_is_quiet_on_the_pole_at_zero():
+    # 0 and -0.0 took the Stirling path and warned "divide by zero in log"
+    zs = np.array([0j, -0.0 + 0j, complex(0.0, -0.0), -3 + 0j, 0.5, 1j])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = log_gamma_array(zs)
+    assert np.all(got[:4] == complex(math.inf, 0.0))
+    assert abs(got[4] - log_gamma(0.5)) < 1e-15 and got[5] == log_gamma(1j)
 
 
 def test_log_gamma_array_is_elementwise_bitwise_on_the_recursive_n2_family():

@@ -20,6 +20,12 @@ def test_reordering_rule():
     assert p * em == em * (p + WeylElement.constant(1, (0, 1)))
 
 
+def test_elements_are_unhashable():
+    # elements compare by value (__eq__), so Python gives them no hash
+    with pytest.raises(TypeError):
+        hash(WeylElement.p(1, 1))
+
+
 def test_disjoint_sites_commute():
     a = WeylElement.p(2, 1)
     b = WeylElement.exp_q(2, 2, 1)
