@@ -25,20 +25,25 @@ variables at height h_n, so its phase e^{i lam u_n} reaches e^{n h_n
 max(0, -u_n)}: a grid whose phase exponent sum_n n h_n max(0, -min u_n)
 exceeds EXP_LIMIT would overflow and raises ValueError before any node
 sum.  One builder, `_kernel`, makes the kernel of every route: the
-top-level weight and, at N = 3, the level-1 x level-2 Gamma matrix.  Both
-levels run over the same nodes, so that matrix is Toeplitz, one copy of a
-sliding window over 2M - 1 values: every route passes O(M) values to log
-Gamma, in one call per build.  In the node sum, `_node_sums`, a phase
-matrix with more than one row (`_phase`) takes about 2 sqrt(M)
-exponentials per row and one product per entry; a one-row phase, every
-point value's, one exponential per entry.  A within-level difference d on
-a level's contour is real, so the denominator 1/(Gamma(-i d) Gamma(i d)) =
-d sinh(pi d)/pi (0 at d = 0) has rank 4 as a matrix over the nodes: at
-N = 3 the sum runs in O(M^2) memory, builds no 3-D array and contracts
-V_BLOCK columns of v at a time.  A grid whose largest node array (M N at
-N = 2, M^2 at N = 3, M per difference) or node-sum array (one sum per pair
-of differences at N = 3) exceeds NODE_ARRAY_LIMIT elements raises
-ValueError before the kernel is built, and so does N = 3 on a contour of
+top-level weight and, at N = 3, the level-1 x level-2 Gamma matrix A.
+Both levels run over the same nodes, so A is Toeplitz and the build
+returns its 2M - 1 values: every route passes O(M) values to log Gamma,
+in one call per build.  In the node sum, `_node_sums`, a phase matrix
+with more than one row (`_phase`) takes about 2 sqrt(M) exponentials per
+row and one product per entry; a one-row phase, every point value's, one
+exponential per entry.  A within-level difference d on a level's contour
+is real, so the denominator 1/(Gamma(-i d) Gamma(i d)) = d sinh(pi d)/pi
+(0 at d = 0) has rank 4 as a matrix over the nodes: at N = 3 the sum
+takes O(M^2) time, builds no 3-D array and contracts V_BLOCK columns of v
+at a time.  A sum of one such block, every point value's and every x_1
+sweep's, multiplies by A in row blocks copied from a sliding window over
+its 2M - 1 values (`_toeplitz_product`) and holds O(M) memory: an N = 3
+point at tol 1e-10 (M = 383) traces a 0.42 MiB peak, not the 2.4 MiB of a
+whole A.  A sum of several blocks copies A whole once, in O(M^2) memory.
+A grid whose largest node array (M N at N = 2, M^2 at N = 3, M per
+difference) or node-sum array (one sum per pair of differences at N = 3)
+exceeds NODE_ARRAY_LIMIT elements raises ValueError before the kernel is
+built, and so does N = 3 on a contour of
 half-width T with pi T > EXP_LIMIT (e^{pi t} overflows).  N = 1 is the
 carrier alone and builds no contour.  The recursive route (separation of
 variables) is a contour, not a code path: the default one at N <= 2, and
@@ -60,6 +65,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import List, Sequence
 
 import numpy as np
@@ -75,15 +81,26 @@ COINCIDENT_TOL = 1e-6
 EXP_LIMIT = 700.0         # ln 1e304: headroom e^9.8 below the largest double
 # Largest node or node-sum array accepted, in elements.  Peak RSS per element
 # of a node array (2 CPUs x86-64, numpy 2.4, at 2e6-8e6 elements): N = 2
-# point 225 B (log Gamma's temporaries), N = 3 sweep of x_3 193 B, N = 3
-# point 24 B; so 8e6 keeps every evaluation under 2 GB.
+# point 225 B (log Gamma's temporaries), N = 3 sweep of x_3 193 B; so 8e6
+# keeps every evaluation under 2 GB.  An N = 3 point builds no M^2 array:
+# there the M^2 term bounds its Toeplitz work, 0.08 s and 2.8 MB of RSS at
+# M^2 = 7.9e6 (one OpenBLAS thread; a whole A took 0.23 s and 151 MB).
 NODE_ARRAY_LIMIT = 8_000_000
 # Columns of v per block of the N = 3 contraction.  The node sum of a refined
 # N = 3 eigen check (M = 275, 79 columns) runs in 6.5-8.3 ms (minima; 2 CPUs
 # x86-64, OpenBLAS 1 thread) at 8, 16, 32 or all 79, inside the host's noise;
 # at 16 a block's weights and product are 280 kB each, and the sum faults on
-# 625 fresh pages, against 900 at 32 and 1600 at 79.
+# 625 fresh pages, against 900 at 32 and 1600 at 79.  More than one block
+# copies A whole once per sum: row blocks (`_toeplitz_product`) repack each
+# block's weights once per row block, and took 5% longer on a 61-column x_2
+# sweep (M = 275) and 13% on a 79-column eigen sum (M = 184).
 V_BLOCK = 16
+# Rows of A per block of `_toeplitz_product`.  An N = 3 point at tol 1e-8 /
+# 1e-10 (M = 275 / 383) takes 1.41 / 1.68 ms at 48 rows, within 4% of that
+# at 32 or 64 and 1.80 / 2.84 ms in one block (2 CPUs x86-64, OpenBLAS 1
+# thread, a host probe before each); a 48-row block of 383 complex values
+# is 294 kB, and the point faults on 40 fresh pages, against 541 in one.
+ROW_BLOCK = 48
 
 
 class DimensionError(ValueError):
@@ -179,16 +196,16 @@ def _adjacent_log(d, which: str):
 
 
 def _kernel(top, which: str, offsets, half_width: float, M: int):
-    """Nodes t, top weight w and, at N = 3, the adjacent-level matrix A.
+    """Nodes t, top weight w and, at N = 3, the adjacent-level diagonals.
 
     `offsets` holds h_1..h_N, level n running over t + i h_n on the M nodes
     t of [-half_width, half_width].  w[i] is the product of the factors
     linking level-(N-1) node i to the top-level parameters `top`.  At N = 3
     A[i, j] links level-1 node i to level-2 node j; both levels run over the
-    same nodes t, so A depends on i - j alone (Toeplitz): one copy of a
-    sliding window over its first row and column, 2M - 1 log Gamma values,
-    not M^2.  Both sets of differences go to log Gamma in one call.
-    Returns (t, w, A), A None when N = 2.
+    same nodes t, so A depends on i - j alone (Toeplitz) and is returned as
+    its 2M - 1 values diag, entry i - j + M - 1: its first row and column,
+    2M - 1 log Gamma values, not M^2.  Both sets of differences go to log
+    Gamma in one call.  Returns (t, w, diag), diag None when N = 2.
     """
     t = np.linspace(-half_width, half_width, M)
     low = t + 1j * offsets[-2]       # level N-1
@@ -202,9 +219,35 @@ def _kernel(top, which: str, offsets, half_width: float, M: int):
     w = np.exp(logs[:n_top].reshape(M, len(top)).sum(axis=1))
     if len(offsets) == 2:
         return t, w, None
-    diag = np.exp(logs[n_top:])      # entry i - j + M - 1
-    # A[i, j] = diag[i + (M - 1 - j)]: row i is the window diag[i:i + M] reversed
-    return t, w, sliding_window_view(diag, M)[:, ::-1].copy()
+    return t, w, np.exp(logs[n_top:])
+
+
+def _toeplitz_rows(diag):
+    """The rows of the n x n Toeplitz matrix A[i, j] = diag[i - j + n - 1],
+    a view: row i is the window diag[i:i + n] reversed."""
+    return sliding_window_view(diag, (len(diag) + 1) // 2)[:, ::-1]
+
+
+def _toeplitz_product(diag, x):
+    """A @ x for the Toeplitz A of `_toeplitz_rows(diag)`, without A.
+
+    The rows go in ceil(n / ROW_BLOCK) blocks of near-equal size, each
+    copied from the window into one buffer and multiplied into its rows of
+    the result.  At one OpenBLAS thread a row block's GEMM gives the bytes
+    of the whole product, unless the block is a single row (numpy sends a
+    1-row matmul down another path): near-equal blocks of n > 1 rows never
+    are.
+    """
+    rows = _toeplitz_rows(diag)
+    n = len(rows)
+    blocks = -(-n // ROW_BLOCK)
+    edges = [n * b // blocks for b in range(blocks + 1)]
+    out = np.empty((n, x.shape[1]), complex)
+    buf = np.empty((-(-n // blocks), n), diag.dtype)
+    for r0, r1 in zip(edges, edges[1:]):
+        buf[:r1 - r0] = rows[r0:r1]
+        np.matmul(buf[:r1 - r0], x, out=out[r0:r1])
+    return out
 
 
 def _phase(c, t, h):
@@ -242,8 +285,12 @@ def _node_sums(top, which: str, offsets, half_width: float, M: int,
     sum_{b,c} B_b B_c D[b,c] = [(B.tE+)(B.E-) - (B.E+)(B.tE-)] / pi with
     E+- = e^{+-pi t}: one (M x M) @ (M x 4 V_BLOCK) product per V_BLOCK
     columns of v, whose weights, product and pairs are never whole arrays.
+    With one block, as at every point value, that product takes A's row
+    blocks (`_toeplitz_product`) and A is never built; with several, A is
+    copied whole once per sum.  The stride-2 sum's A is Toeplitz over every
+    other diagonal, diag[(M - 1) % 2::2] on ceil(M/2) nodes.
     """
-    t, wtop, A = _kernel(top, which, offsets, half_width, M)
+    t, wtop, diag = _kernel(top, which, offsets, half_width, M)
     dt = t[1] - t[0]
     full_a = _phase(us, t, offsets[0])                         # (nu, M)
     if vs is not None:
@@ -257,12 +304,16 @@ def _node_sums(top, which: str, offsets, half_width: float, M: int,
         if vs is None:
             yield (phase_a @ wtop[sl]) * (dt * fac) / TWO_PI
             continue
-        A_sl, sums = A[sl][:, sl], np.empty((len(us), len(vs)), complex)
+        diag_sl = diag if fac == 1.0 else diag[(M - 1) % 2::2]
+        # several v-blocks share one whole copy of A; one takes row blocks
+        product = (partial(np.matmul, _toeplitz_rows(diag_sl).copy())
+                   if len(vs) > V_BLOCK else partial(_toeplitz_product, diag_sl))
+        sums = np.empty((len(us), len(vs)), complex)
         for k in range(0, len(vs), V_BLOCK):
             cols = slice(k, k + V_BLOCK)
             w = wtop[sl, None] * full_b[sl, cols]                   # (nb, bv)
             weights = (rank4[sl, :, None] * w[:, None, :]).reshape(len(w), -1)
-            P = (A_sl @ weights).reshape(len(w), 4, -1)             # (na, 4, bv)
+            P = product(weights).reshape(len(w), 4, -1)             # (na, 4, bv)
             pairs = (P[:, 0] * P[:, 1] - P[:, 2] * P[:, 3]) / np.pi  # (na, bv)
             sums[:, cols] = (phase_a @ pairs) * (dt * fac) ** 3 / TWO_PI ** 3
         yield sums

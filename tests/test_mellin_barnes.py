@@ -1,4 +1,5 @@
 import cmath
+import inspect
 import io
 import itertools
 import math
@@ -7,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from test_cli import _fresh_python
 
 from quantoda import mellin_barnes as mb
 from quantoda.cli import dispatch
@@ -316,7 +318,7 @@ def test_only_a_read_error_estimate_draws_the_stride_2_sums(monkeypatch):
 def _node_sums_on_sliced_nodes(top, which, offsets, half_width, M, us, vs=None):
     """`_node_sums` with each sum's phases built from its own (sliced) nodes:
     the reference for one phase matrix per level."""
-    t, wtop, A = mb._kernel(top, which, offsets, half_width, M)
+    t, wtop, diag = mb._kernel(top, which, offsets, half_width, M)
     dt = t[1] - t[0]
     a = t + 1j * offsets[0]
     if vs is not None:
@@ -331,7 +333,8 @@ def _node_sums_on_sliced_nodes(top, which, offsets, half_width, M, us, vs=None):
         phase_b = np.exp(np.multiply.outer(1j * b[sl], vs))
         w = wtop[sl, None] * phase_b
         weights = (rank4[sl, :, None] * w[:, None, :]).reshape(len(w), -1)
-        P = (A[sl][:, sl] @ weights).reshape(len(w), 4, len(vs))
+        diag_sl = diag if fac == 1.0 else diag[(M - 1) % 2::2]
+        P = mb._toeplitz_product(diag_sl, weights).reshape(len(w), 4, len(vs))
         pairs = (P[:, 0] * P[:, 1] - P[:, 2] * P[:, 3]) / np.pi
         yield (phase_a @ pairs) * (dt * fac) ** 3 / mb.TWO_PI ** 3
 
@@ -405,10 +408,50 @@ def test_phase_is_the_exponential_entry_by_entry(rows, M):
 
 @pytest.mark.parametrize("M", [12, 64, 280])
 def test_toeplitz_window_is_the_gathered_matrix(M):
-    _, _, A = mb._kernel(_A3, "whittaker", (1.0, 0.5, 0.0), 6.0, M)
-    diag = np.concatenate([A[0, :0:-1], A[:, 0]])        # entry i - j + M - 1
+    # the kernel's diagonal, read through the row window and through the
+    # blocked product with the identity, is the gathered Toeplitz matrix
+    _, _, diag = mb._kernel(_A3, "whittaker", (1.0, 0.5, 0.0), 6.0, M)
     gathered = diag[np.subtract.outer(np.arange(M), np.arange(M)) + (M - 1)]
+    A = mb._toeplitz_product(diag, np.eye(M))
+    assert np.array_equal(mb._toeplitz_rows(diag), gathered)
     assert A.flags.c_contiguous and np.array_equal(A, gathered)
+
+
+def _toeplitz_cases():
+    """(diag, x, gathered A @ x) at nine sizes n from 1 to 389, the edges of
+    48-row blocks included, and 1, 4 and 64 columns, on a full diagonal and
+    on its stride-2 one."""
+    rng = np.random.default_rng(33)
+    for n, cols in itertools.product([1, 2, 12, 47, 48, 49, 97, 280, 389],
+                                     (1, 4, 64)):
+        full = rng.standard_normal(2 * n - 1) + 1j * rng.standard_normal(2 * n - 1)
+        for diag in (full, full[(n - 1) % 2::2]):
+            m = (len(diag) + 1) // 2
+            x = rng.standard_normal((m, cols)) + 1j * rng.standard_normal((m, cols))
+            A = diag[np.subtract.outer(np.arange(m), np.arange(m)) + m - 1]
+            yield diag, x, A @ x
+
+
+def test_toeplitz_product_is_the_gathered_product():
+    # at the default BLAS thread count a row block and the whole product may
+    # split their sums apart, so in process it is within rounding
+    for diag, x, want in _toeplitz_cases():
+        got = mb._toeplitz_product(diag, x)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want), initial=0.0) <= (
+            1e-15 * np.max(np.abs(want)))
+
+
+def test_toeplitz_product_is_the_gathered_product_bit_for_bit_at_one_thread():
+    # at one OpenBLAS thread the row blocks give the bytes of the whole
+    # product, which keeps every point value's bytes
+    probe = _fresh_python("-c", "import itertools\nimport numpy as np\n"
+                          "import quantoda.mellin_barnes as mb\n"
+                          + inspect.getsource(_toeplitz_cases) + """
+print(sum(mb._toeplitz_product(diag, x).tobytes() != want.tobytes()
+          for diag, x, want in _toeplitz_cases()))
+""", OPENBLAS_NUM_THREADS="1")
+    assert (probe.returncode, probe.stdout) == (0, "0\n"), probe.stderr
 
 
 @pytest.mark.parametrize("evaluate, mib", [
@@ -427,6 +470,23 @@ def test_n3_contraction_temporaries_stay_below_the_whole_arrays(evaluate, mib):
     finally:
         tracemalloc.stop()
     assert peak < mib * 2 ** 20
+
+
+@pytest.mark.parametrize("evaluate", [
+    lambda: whittaker_eval(3, _A3, [0.5, 0.0, -0.5], tol=1e-10),
+    lambda: whittaker_recursive(3, _A3, [0.5, 0.0, -0.5], tol=1e-10),
+    lambda: spherical_eval(3, _A3, [0.5, 0.0, -0.5], tol=1e-10),
+], ids=["direct", "recursive", "spherical"])
+def test_n3_point_builds_no_toeplitz_matrix(evaluate):
+    # a point's one v-block multiplies by A in row blocks of its 2M - 1
+    # values: at M = 383 the whole A would be 2.2 MiB
+    tracemalloc.start()
+    try:
+        evaluate()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 @pytest.mark.parametrize("route", ["direct", "recursive", "spherical", "grid"])
@@ -591,11 +651,12 @@ def test_kernel_is_the_gz_vectors_node_by_node(which):
     for params in ([0.8, -0.3], [0.9, 0.1, -0.6]):
         N = len(params)
         offsets = (1.0, 0.5, 0.0)[3 - N:] if which == "whittaker" else (0.0,) * N
-        t, w, A = mb._kernel(params, which, offsets, 3.0, 12)
+        t, w, diag = mb._kernel(params, which, offsets, 3.0, 12)
         if N == 2:
             got = w
             want = [_gz_vectors(which, TriangularArray([[ti], params])) for ti in t]
         else:
+            A = diag[np.subtract.outer(np.arange(12), np.arange(12)) + 11]
             got = np.einsum("ij,ik,j,k->ijk", A, A, w, w)
             if which == "whittaker":
                 got = got * np.exp(-np.pi * np.add.outer(t, t))
