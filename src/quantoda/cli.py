@@ -9,8 +9,17 @@ Subcommands:
 * ``verify {qism, separation, gz, eigen}`` -- the exact and numerical
   relation suites, as JSON reports.
 
-`dispatch` may be called any number of times in one process: every call
-parses with the one parser that `build_parser` builds and caches.  Importing
+`dispatch` may be called any number of times in one process.  One table,
+`_COMMANDS`, holds every command's options.  A well-formed command line --
+the exact command words, then each option at most once as ``--opt=value``,
+as ``--opt value`` with a value that does not start with ``-``, or as a
+bare ``--refine`` -- is read straight from it by `_parse`, through the same
+type functions, choices and required options.  Every other command line
+(``-h``/``--help``, unknown or abbreviated options, repeats, ``--``, a
+separated value starting with ``-`` such as ``--from -3``, a bad value, a
+missing option or subcommand) goes to argparse: `build_parser` builds its
+parser from the same table, once per process, and argparse is imported
+only then, so help and usage errors read as before.  Importing
 this module loads only `report` of the package; `dispatch` imports a half
 of it, whole, with the first command of that half.  The numerical half
 (`mellin_barnes`, `oracle`, `harish_chandra`, with `specfun`) serves
@@ -35,23 +44,29 @@ does not depend on it.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import math
 import sys
+import types
 from typing import List, Sequence
 
 from .report import VerificationReport, combine
+
+
+def _type_error(message: str) -> Exception:
+    """argparse's ArgumentTypeError, imported only when a value is bad."""
+    from argparse import ArgumentTypeError
+    return ArgumentTypeError(message)
 
 
 def _finite_float(text: str) -> float:
     try:
         v = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number: {text!r}")
+        raise _type_error(f"expected a number: {text!r}")
     if not math.isfinite(v):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+        raise _type_error(f"must be finite, got {text!r}")
     return v
 
 
@@ -64,9 +79,9 @@ def _int_at_least(text: str, least: int) -> int:
     try:
         v = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer: {text!r}")
+        raise _type_error(f"expected an integer: {text!r}")
     if v < least:
-        raise argparse.ArgumentTypeError(f"must be at least {least}, got {v}")
+        raise _type_error(f"must be at least {least}, got {v}")
     return v
 
 
@@ -77,7 +92,7 @@ def _positive_int(text: str) -> int:
 def _positive_float(text: str) -> float:
     v = _finite_float(text)
     if v <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+        raise _type_error(f"must be positive, got {text!r}")
     return v
 
 
@@ -86,23 +101,120 @@ def _grid_spec(text: str) -> oracle.GridSpec:
     from . import oracle
     points_s, colon, spacing_s = text.partition(":")
     if not colon:
-        raise argparse.ArgumentTypeError(f"expected points:spacing, got {text!r}")
+        raise _type_error(f"expected points:spacing, got {text!r}")
     points = _int_at_least(points_s, 2 * oracle.BOUNDARY_MARGIN + 1)
     return oracle.GridSpec(points, _positive_float(spacing_s))
 
 
-class _Parser(argparse.ArgumentParser):
-    """Usage errors exit with code 2 and a one-line message on stderr."""
+# The options, as (flag, `add_argument` keywords); those that several
+# commands share are written once here.
+_N = ("--n", {"type": _positive_int, "required": True})
+_ALPHA = ("--alpha", {"type": _float_list, "required": True})
+_X = ("--x", {"type": _float_list, "required": True})
+_LAMBDA = ("--lambda", {"dest": "lam", "type": _float_list, "required": True})
+_TOL = ("--tol", {"type": _positive_float, "default": 1e-6})
+_SEED = ("--seed", {"type": int, "default": 42})
+_FORMAT = ("--format", {"choices": ["csv", "json"], "default": "csv"})
 
-    def error(self, message):
-        self.exit(2, f"{self.prog}: error: {message}\n")
+# The one option table: command path -> (its help, or None for no entry in
+# its group's listing; {flag: keywords} in help order).  `build_parser`
+# builds argparse's parser from it and `_parse` reads command lines by it.
+_COMMANDS = {
+    ("whittaker", "eval"): ("single-point value", dict([
+        _N, _ALPHA, _X, _TOL,
+        ("--method", {"choices": ["direct", "recursive"], "default": "direct"}),
+        _FORMAT])),
+    ("whittaker", "grid"): ("sweep one coordinate", dict([
+        _N, _ALPHA,
+        ("--axis", {"type": int, "required": True}),
+        ("--from", {"dest": "start", "type": _finite_float, "required": True}),
+        ("--to", {"dest": "stop", "type": _finite_float, "required": True}),
+        ("--steps", {"type": _positive_int, "required": True}),
+        ("--x", {"type": _float_list, "default": None,
+                 "help": "base point for the fixed coordinates"}),
+        _TOL,
+        ("--out", {"default": None}),
+        _FORMAT])),
+    ("spherical", "eval"): (None, dict([_N, _LAMBDA, _X, _TOL, _FORMAT])),
+    ("cfunction",): ("c-function factors and Plancherel density",
+                     dict([_LAMBDA, _FORMAT])),
+    ("verify", "qism"): ("exact Lax/monodromy operator identities", dict([_N])),
+    ("verify", "separation"): ("separated difference equations and measure", dict([
+        _N, ("--trials", {"type": _positive_int, "default": 100}), _SEED])),
+    ("verify", "gz"): ("difference-operator representation suite", dict([
+        _N, ("--trials", {"type": _positive_int, "default": 20}), _SEED,
+        ("--tol", {"type": _positive_float, "default": None})])),
+    ("verify", "eigen"): ("coordinate-space eigenvalue residual", dict([
+        _N, _ALPHA,
+        ("--grid", {"type": _grid_spec, "required": True,
+                    "help": "points:spacing, e.g. 64:0.05"}),
+        ("--tol", {"type": _positive_float, "default": 1e-3}),
+        ("--refine", {"action": "store_true", "default": False})])),
+}
+_GROUP_HELP = {"whittaker": "wave function evaluation",
+               "spherical": "spherical function evaluation",
+               "verify": "relation check suites"}
+
+
+def _parse(argv: List[str]) -> types.SimpleNamespace | None:
+    """The namespace `build_parser().parse_args(argv)` returns, for a
+    well-formed command line: the exact command words, then each option of
+    that command at most once, as --opt=value, as --opt value with a value
+    that does not start with "-", or as a bare store-true flag.  None for
+    every other command line, and wherever a value fails its type or its
+    choices or a required option is missing: argparse alone judges those.
+    """
+    words = 1 if argv[:1] == ["cfunction"] else 2
+    found = _COMMANDS.get(tuple(argv[:words]))
+    if found is None:
+        return None
+    opts = found[1]
+    ns = {"command": argv[0]}
+    if words == 2:
+        ns["subcommand"] = argv[1]
+    i = words
+    while i < len(argv):
+        flag, eq, text = argv[i].partition("=")
+        kw = opts.get(flag)
+        if kw is None:
+            return None
+        dest = kw.get("dest", flag[2:])
+        if dest in ns:                          # a repeat
+            return None
+        i += 1
+        if kw.get("action") == "store_true":
+            if eq:
+                return None
+            ns[dest] = True
+            continue
+        if not eq:
+            if i == len(argv) or argv[i].startswith("-"):
+                return None
+            text, i = argv[i], i + 1
+        # values convert in command-line order, as argparse converts them;
+        # whatever a type function raises, argparse calls it again and judges
+        try:
+            value = kw["type"](text) if "type" in kw else text
+        except Exception:
+            return None
+        if "choices" in kw and value not in kw["choices"]:
+            return None
+        ns[dest] = value
+    for flag, kw in opts.items():
+        dest = kw.get("dest", flag[2:])
+        if dest not in ns:
+            if kw.get("required"):
+                return None
+            ns[dest] = kw.get("default")
+    return types.SimpleNamespace(**ns)
 
 
 def _emit_reports(reports: Sequence[VerificationReport], out) -> int:
     """Strict JSON: a non-finite number raises ValueError before any output."""
-    payload = {"reports": [r.to_dict() for r in reports], "status": combine(reports)}
+    status = combine(reports)
+    payload = {"reports": [r.to_dict() for r in reports], "status": status}
     out.write(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
-    return 0 if combine(reports) == "PASS" else 1
+    return 0 if status == "PASS" else 1
 
 
 def _csv_cell(text: str) -> str:
@@ -141,95 +253,55 @@ def _value_text(table: dict, fmt: str) -> str:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI parser, built once per process and shared by every call.
-
-    It depends on no argument, output stream or setting, so one instance
-    serves all `dispatch` calls.  Callers must not mutate it.
+    """The argparse parser of `_COMMANDS`, for the command lines that
+    `_parse` leaves to it: help, usage errors and the forms `_parse` does
+    not read.  Built once per process, with argparse imported only then;
+    callers must not mutate it.
     """
-    p = _Parser(
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        """Usage errors exit with code 2 and a one-line message on stderr."""
+
+        def error(self, message):
+            self.exit(2, f"{self.prog}: error: {message}\n")
+
+    p = Parser(
         prog="quantoda",
         description="Open Toda lattice wave functions: evaluation and "
                     "verification of their operator identities.")
     sub = p.add_subparsers(dest="command", required=True)
-
-    wh = sub.add_parser("whittaker", help="wave function evaluation")
-    whsub = wh.add_subparsers(dest="subcommand", required=True)
-    we = whsub.add_parser("eval", help="single-point value")
-    we.add_argument("--n", type=_positive_int, required=True)
-    we.add_argument("--alpha", type=_float_list, required=True)
-    we.add_argument("--x", type=_float_list, required=True)
-    we.add_argument("--tol", type=_positive_float, default=1e-6)
-    we.add_argument("--method", choices=["direct", "recursive"], default="direct")
-    we.add_argument("--format", choices=["csv", "json"], default="csv")
-
-    wg = whsub.add_parser("grid", help="sweep one coordinate")
-    wg.add_argument("--n", type=_positive_int, required=True)
-    wg.add_argument("--alpha", type=_float_list, required=True)
-    wg.add_argument("--axis", type=int, required=True)
-    wg.add_argument("--from", dest="start", type=_finite_float, required=True)
-    wg.add_argument("--to", dest="stop", type=_finite_float, required=True)
-    wg.add_argument("--steps", type=_positive_int, required=True)
-    wg.add_argument("--x", type=_float_list, default=None,
-                    help="base point for the fixed coordinates")
-    wg.add_argument("--tol", type=_positive_float, default=1e-6)
-    wg.add_argument("--out", default=None)
-    wg.add_argument("--format", choices=["csv", "json"], default="csv")
-
-    sp = sub.add_parser("spherical", help="spherical function evaluation")
-    spsub = sp.add_subparsers(dest="subcommand", required=True)
-    se = spsub.add_parser("eval")
-    se.add_argument("--n", type=_positive_int, required=True)
-    se.add_argument("--lambda", dest="lam", type=_float_list, required=True)
-    se.add_argument("--x", type=_float_list, required=True)
-    se.add_argument("--tol", type=_positive_float, default=1e-6)
-    se.add_argument("--format", choices=["csv", "json"], default="csv")
-
-    cf = sub.add_parser("cfunction",
-                        help="c-function factors and Plancherel density")
-    cf.add_argument("--lambda", dest="lam", type=_float_list, required=True)
-    cf.add_argument("--format", choices=["csv", "json"], default="csv")
-
-    ver = sub.add_parser("verify", help="relation check suites")
-    vsub = ver.add_subparsers(dest="subcommand", required=True)
-
-    vq = vsub.add_parser("qism", help="exact Lax/monodromy operator identities")
-    vq.add_argument("--n", type=_positive_int, required=True)
-
-    vs = vsub.add_parser("separation",
-                         help="separated difference equations and measure")
-    vs.add_argument("--n", type=_positive_int, required=True)
-    vs.add_argument("--trials", type=_positive_int, default=100)
-    vs.add_argument("--seed", type=int, default=42)
-
-    vg = vsub.add_parser("gz", help="difference-operator representation suite")
-    vg.add_argument("--n", type=_positive_int, required=True)
-    vg.add_argument("--trials", type=_positive_int, default=20)
-    vg.add_argument("--seed", type=int, default=42)
-    vg.add_argument("--tol", type=_positive_float, default=None)
-
-    vei = vsub.add_parser("eigen", help="coordinate-space eigenvalue residual")
-    vei.add_argument("--n", type=_positive_int, required=True)
-    vei.add_argument("--alpha", type=_float_list, required=True)
-    vei.add_argument("--grid", type=_grid_spec, required=True,
-                     help="points:spacing, e.g. 64:0.05")
-    vei.add_argument("--tol", type=_positive_float, default=1e-3)
-    vei.add_argument("--refine", action="store_true")
+    groups = {}
+    for path, (help_text, opts) in _COMMANDS.items():
+        listed = {} if help_text is None else {"help": help_text}
+        if len(path) == 1:
+            leaf = sub.add_parser(path[0], **listed)
+        else:
+            if path[0] not in groups:
+                group = sub.add_parser(path[0], help=_GROUP_HELP[path[0]])
+                groups[path[0]] = group.add_subparsers(dest="subcommand",
+                                                       required=True)
+            leaf = groups[path[0]].add_parser(path[1], **listed)
+        for flag, kw in opts.items():
+            leaf.add_argument(flag, **kw)
     return p
 
 
 def dispatch(argv: Sequence[str] | None = None, out=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parse(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     out = out or sys.stdout
     try:
-        return _run(args, parser, out)
+        return _run(args, out)
     except (ValueError, RuntimeError, OverflowError, FloatingPointError,
             MemoryError, OSError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 
-def _run(args, parser, out) -> int:
+def _run(args, out) -> int:
     if args.command == "verify" and args.subcommand != "eigen":
         return _emit_reports(_exact_reports(args), out)
     # the whole numerical half, so that no later command of it compiles a module
@@ -241,8 +313,8 @@ def _run(args, parser, out) -> int:
         return 0
     if args.command == "whittaker" and args.subcommand == "grid":
         if not 0 <= args.axis < args.n:
-            parser.error(f"argument --axis: must be in [0, {args.n}), "
-                         f"got {args.axis}")
+            build_parser().error(f"argument --axis: must be in [0, {args.n}), "
+                                 f"got {args.axis}")
         table = mb.grid_scan(args.n, args.alpha, args.axis, args.start,
                              args.stop, args.steps, x_base=args.x, tol=args.tol)
         text = _value_text(table, args.format)

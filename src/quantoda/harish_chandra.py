@@ -133,13 +133,10 @@ def word_to_permutation(word: Sequence[int], n: int) -> WeylPermutation:
 
 @dataclass(frozen=True)
 class Character:
-    """Unipotent character data: coefficient per simple root (1-based index)."""
+    """Unipotent character data: coefficient per simple root (1-based index).
+    A root not listed has coefficient 1, so `Character()` is the unit one."""
 
     c_alpha: Dict[int, float] = field(default_factory=dict)
-
-    @classmethod
-    def unit(cls, N: int) -> "Character":
-        return cls({k: 1.0 for k in range(1, N)})
 
     def __getitem__(self, k: int) -> float:
         return self.c_alpha.get(k, 1.0)
@@ -282,13 +279,13 @@ def m_b_compatibility(N: int, k: int, lam0: Sequence[float],
                       direction: Sequence[float],
                       ts: Sequence[float]) -> List[complex]:
     """Values of M(s_k, lam) b(lam)/b(s_k lam) along lam0 + t*direction, at
-    the unit character `Character.unit(N)`.
+    the unit character `Character()` (1 on every simple root).
 
     The quantity depends on lambda only through lambda_alpha, so it is
     constant along directions orthogonal to alpha = e_k - e_{k+1}; the
     returned list makes that testable and reports the constant.
     """
-    f = Character.unit(N)
+    f = Character()
     d = np.asarray(direction, dtype=float).copy()
     # project out the alpha component so the line keeps lambda_alpha fixed
     alpha = np.zeros(N)

@@ -139,7 +139,7 @@ def test_criterion_07_weyl_symmetry():
 
 def test_criterion_08_gamma_product_suite():
     lam3 = [0.8, 0.1, -0.5]
-    f = Character.unit(3)
+    f = Character()
     perms = [WeylPermutation(p)
              for p in itertools.permutations((1, 2, 3))]
     worst_c = worst_m = 0.0

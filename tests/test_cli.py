@@ -663,6 +663,131 @@ def test_cli_contract_on_generated_argv(argv):
         _check_rows(list(csv.DictReader(io.StringIO(out))), argv)
 
 
+# -- the direct parse against argparse ----------------------------------------
+
+def _argparse_vars(argv):
+    """vars() of argparse's namespace, or None where argparse exits."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+_OPTION_FLAGS = sorted({f for _, opts in cli._COMMANDS.values() for f in opts})
+
+
+@st.composite
+def _mutated_argv(draw):
+    """(argv, direct): an `_argv` command line after 0-3 edits, and whether
+    every edit keeps it in the forms `_parse` reads."""
+    argv, direct = draw(_argv()), True
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(["separate", "separate", "abbreviate", "repeat",
+                                     "unknown", "help", "refine=", "--", "drop word",
+                                     "drop option", "out", "from -3"]))
+        at = draw(st.integers(0, len(argv)))
+        opts = [i for i, a in enumerate(argv) if a.startswith("--") and "=" in a]
+        if edit == "separate" and opts:
+            i = draw(st.sampled_from(opts))
+            flag, _, text = argv[i].partition("=")
+            argv[i:i + 1] = [flag, text]
+            direct = direct and not text.startswith("-")
+            continue
+        if edit == "out":
+            out = draw(st.sampled_from(["", "o.csv", "-o.csv", "eval"]))
+            form = draw(st.sampled_from([[f"--out={out}"], ["--out", out]]))
+            direct = (direct and not any(a.partition("=")[0] == "--out" for a in argv)
+                      and not (len(form) == 2 and out.startswith("-")))
+            argv += form
+            continue
+        direct = False
+        if edit == "abbreviate" and opts:
+            i = draw(st.sampled_from(opts))
+            flag, _, text = argv[i].partition("=")
+            argv[i] = f"{flag[:draw(st.integers(3, len(flag) - 1))]}={text}" \
+                if len(flag) > 3 else argv[i]
+        elif edit == "repeat" and opts:
+            argv.insert(at, argv[draw(st.sampled_from(opts))])
+        elif edit == "unknown":
+            argv.insert(at, draw(st.sampled_from(["--bogus=1", "--nope", "-x", "extra"])))
+        elif edit == "help":
+            argv.insert(at, draw(st.sampled_from(["-h", "--help"])))
+        elif edit == "refine=":
+            argv.insert(at, draw(st.sampled_from(["--refine=1", "--refine="])))
+        elif edit == "--":
+            argv.insert(at, "--")
+        elif edit == "drop word" and argv[0] != "cfunction":
+            del argv[1]
+        elif edit == "drop option" and opts:
+            del argv[draw(st.sampled_from(opts))]
+        elif edit == "from -3":
+            argv += draw(st.sampled_from([["--from", "-3"], ["--alpha", "-0.5,1"],
+                                          [draw(st.sampled_from(_OPTION_FLAGS)),
+                                           "-1"]]))
+    return argv, direct
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(case=_mutated_argv())
+@example(case=(_EVAL[:4] + ["--alph=0.5,-0.5"] + _EVAL[6:], False))
+@example(case=(_EVAL + ["--tol=1e-6", "--tol", "1e-8"], False))
+@example(case=(_GRID[:6] + ["-3"] + _GRID[7:] + ["--steps", "3"], False))
+@example(case=(_EVAL[:4] + ["--alpha", "-0.5,1"] + _EVAL[6:], False))
+@example(case=(_EVAL[:2] + ["--n", "2"] + _EVAL[4:], True))
+@example(case=(_EVAL[:2] + ["--n=2.5"] + _EVAL[4:], True))
+@example(case=(_EVAL + ["--format=xml"], True))
+@example(case=(_EIGEN + ["8:0.1", "--refine=1"], False))
+@example(case=(["verify", "--n=2"], False))
+@example(case=(["whittaker", "eval", "--help"], False))
+def test_direct_parse_is_argparse_or_defers_to_it(case):
+    argv, direct = case
+    want = _argparse_vars(argv)
+    got = cli._parse(list(argv))
+    if want is None:
+        assert got is None
+        return
+    assert got is None or vars(got) == want
+    if direct:
+        # a command line in the direct forms that argparse accepts is read
+        assert got is not None
+
+
+# The README "Command line" examples and the benchmark's warm-up commands
+_README_ARGVS = [
+    "whittaker eval --n 3 --alpha 0.9,0.1,-0.6 --x 0.5,0,-0.5 --tol 1e-8",
+    "whittaker eval --n 2 --alpha 0.8,-0.3 --x 0.4,-0.6 --method recursive --format json",
+    "spherical eval --n 2 --lambda 0.6,-0.3 --x 0.2,-0.2",
+    "cfunction --lambda 1.0,-1.0 --format json",
+    "whittaker grid --n=2 --alpha=0.3,-1.0 --axis=0 --from=-1.5 --to=1.7 --steps=61 "
+    "--x=0.2,-0.4 --tol=1e-8",
+    "verify qism --n 3",
+    "verify separation --n 3 --trials 100 --seed 42",
+    "verify gz --n 3 --trials 20 --seed 42",
+    "verify eigen --n 3 --alpha 0.7,0,-0.7 --grid 64:0.05 --refine",
+]
+_WARMUP_ARGVS = [
+    "whittaker eval --n=2 --alpha=1.0,-0.5 --x=0.5,0.0",
+    "whittaker grid --n=2 --alpha=1.0,-0.5 --axis=0 --from=-1 --to=1 --steps=61",
+    "verify separation --n=2 --trials=10",
+]
+
+
+@pytest.mark.parametrize("line", _README_ARGVS + _WARMUP_ARGVS)
+def test_documented_commands_parse_directly(line):
+    argv = line.split()
+    got = cli._parse(argv)
+    assert got is not None and vars(got) == _argparse_vars(argv)
+
+
+def test_separated_negative_value_goes_to_argparse():
+    argv = ("whittaker grid --n 2 --alpha 0.5,-0.5 --axis 0 --from -3 --to 3 "
+            "--steps 61 --out sweep.csv").split()
+    assert cli._parse(argv) is None
+    assert _argparse_vars(argv)["start"] == -3.0
+
+
 def _fresh_python(*args, **env_vars):
     # a new interpreter that imports this checkout's quantoda, with env_vars
     # added to its environment
@@ -720,6 +845,44 @@ def test_n2_point_and_eigen_bytes_do_not_depend_on_blas_threads(argv):
             for k in ("1", "2")]
     assert [(r.returncode, r.stderr) for r in runs] == [(0, "")] * 2
     assert runs[0].stdout == runs[1].stdout
+
+
+_ARGPARSE_STATE = """
+import contextlib, io, json, sys
+import quantoda.cli as cli
+steps = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.dispatch(argv, out=io.StringIO())
+        except SystemExit as exc:
+            code = exc.code
+    steps.append([code, "argparse" in sys.modules, cli.build_parser.cache_info().currsize])
+print(json.dumps(steps))
+"""
+
+
+@pytest.mark.parametrize("last, code", [
+    (["--help"], 0), (["verify", "eigen", "--help"], 0),
+    (["whittaker", "eval", "--n=0", "--alpha=1,2", "--x=0,0"], 2),
+    (["whittaker", "eval", "--n=2", "--alpha=1,2", "--x=0,0", "--bogus"], 2)])
+def test_well_formed_commands_leave_argparse_unloaded(last, code):
+    # a fresh process parses well-formed commands without argparse; help and
+    # usage errors import it and build the parser
+    argvs = [["whittaker", "eval", "--n", "2", "--alpha=0.5,-0.5", "--x=0.3,-0.3"],
+             ["verify", "qism", "--n=2"], last]
+    probe = _fresh_python("-c", _ARGPARSE_STATE, json.dumps(argvs))
+    assert probe.returncode == 0, probe.stderr
+    assert json.loads(probe.stdout) == [[0, False, 0], [0, False, 0], [code, True, 1]]
+
+
+def test_entry_point_parses_without_argparse():
+    # `python -m quantoda.cli` reads sys.argv through the same direct parse
+    argv = ["cfunction", "--lambda", "1.0,-0.3", "--format", "json"]
+    run = _fresh_python("-X", "importtime", "-m", "quantoda.cli", *argv)
+    assert run.returncode == 0 and run.stdout == _run(argv)[1]
+    imported = {line.rsplit("|", 1)[-1].strip() for line in run.stderr.splitlines()}
+    assert "quantoda.harish_chandra" in imported and "argparse" not in imported
 
 
 # The two halves of the package that `dispatch` imports with their first

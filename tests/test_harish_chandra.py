@@ -90,7 +90,7 @@ def test_c_s_multiplicative_when_lengths_add():
 
 def test_m_cocycle():
     lam = [0.8, 0.1, -0.5]
-    f = Character.unit(3)
+    f = Character()
     for s1 in _all_perms(3):
         for s2 in _all_perms(3):
             if (s1 * s2).length() != s1.length() + s2.length():
@@ -102,7 +102,7 @@ def test_m_cocycle():
 
 def test_m_word_independence():
     lam = [0.7, -0.1, -0.45]
-    f = Character.unit(3)
+    f = Character()
     w0 = WeylPermutation.longest(3)
     vals = [m_function(w0, lam, f, word=w) for w in w0.all_reduced_words()]
     for v in vals[1:]:
@@ -112,7 +112,7 @@ def test_m_word_independence():
 def test_m_elementary_unimodular_on_unitary_spectrum():
     # on the imaginary axis (unitary spectrum) the elementary scattering
     # factor is a pure phase
-    f = Character.unit(2)
+    f = Character()
     for la in (0.3, 1.2, -0.8):
         v = m_elementary([1j * la, -1j * la], 1, f)
         assert abs(abs(v) - 1.0) < 1e-12
@@ -148,7 +148,7 @@ def test_m_b_ratio_constant_along_orthogonal_lines():
 
 def test_scattering_matrices_structure():
     lam = [0.9, 0.1, -0.7]
-    f = Character.unit(3)
+    f = Character()
     s_full, s_sph = scattering_matrices(lam, f)
     w0 = WeylPermutation.longest(3)
     assert abs(s_full - s_sph * m_function(w0, lam, f)) \
