@@ -15,8 +15,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -117,9 +116,6 @@ class WeylPermutation:
     def __eq__(self, other):
         return isinstance(other, WeylPermutation) and self.oneline == other.oneline
 
-    def __hash__(self):
-        return hash(self.oneline)
-
     def __repr__(self):
         return f"WeylPermutation{self.oneline}"
 
@@ -129,17 +125,6 @@ def word_to_permutation(word: Sequence[int], n: int) -> WeylPermutation:
     for k in word:
         s = s * WeylPermutation.simple(k, n)
     return s
-
-
-@dataclass(frozen=True)
-class Character:
-    """Unipotent character data: coefficient per simple root (1-based index).
-    A root not listed has coefficient 1, so `Character()` is the unit one."""
-
-    c_alpha: Dict[int, float] = field(default_factory=dict)
-
-    def __getitem__(self, k: int) -> float:
-        return self.c_alpha.get(k, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -208,23 +193,21 @@ def c_function(lam: Sequence[complex]) -> complex:
     return c_s(lam, WeylPermutation.longest(len(lam)))
 
 
-def m_elementary(lam: Sequence[complex], k: int, f: Character) -> complex:
-    """M for the elementary reflection at simple root k.
+def m_elementary(lam: Sequence[complex], k: int) -> complex:
+    """M for the elementary reflection at simple root k, at the unit
+    character (coefficient 1 on every simple root).
 
     With e(l) = 2^{1 - l} sqrt(pi) Gamma(l + 1/2) and l = lambda_alpha,
-    M = e(l)/e(-l) (|f_k|/4)^{2l} = (|f_k|/8)^{2l} Gamma(l + 1/2)/Gamma(1/2 - l):
+    M = e(l)/e(-l) (1/4)^{2l} = (1/8)^{2l} Gamma(l + 1/2)/Gamma(1/2 - l):
     the factors 2 sqrt(pi) cancel and 2^{-l}/2^{l} = 2^{-2l}.  The printed
     exponent 2*alpha(lambda) is read as 2*lambda_alpha.
     """
     la = lambda_alpha(lam, (k, k + 1))
-    ck = abs(f[k])
-    if ck == 0:
-        raise ValueError("degenerate character on this simple root")
-    return cmath.exp(2.0 * la * math.log(ck / 8.0)
+    return cmath.exp(2.0 * la * math.log(1.0 / 8.0)
                      + log_gamma(la + 0.5) - log_gamma(0.5 - la))
 
 
-def m_function(s: WeylPermutation, lam: Sequence[complex], f: Character,
+def m_function(s: WeylPermutation, lam: Sequence[complex],
                word: Sequence[int] | None = None) -> complex:
     """Cocycle product of elementary M factors along a reduced word of s.
 
@@ -234,17 +217,17 @@ def m_function(s: WeylPermutation, lam: Sequence[complex], f: Character,
     """
     out, mu = 1.0 + 0.0j, lam
     for k in reversed(s.reduced_word() if word is None else word):
-        out *= m_elementary(mu, k, f)
+        out *= m_elementary(mu, k)
         mu = WeylPermutation.simple(k, s.n).apply(mu)
     return out
 
 
-def scattering_matrices(lam: Sequence[complex], f: Character):
+def scattering_matrices(lam: Sequence[complex]):
     """(S_w0, S0_w0): Toda and spherical scattering phases at lambda."""
     n = len(lam)
     w0 = WeylPermutation.longest(n)
     ratio = c_function(lam) / c_function(w0.apply(lam))
-    return ratio * m_function(w0, lam, f), ratio
+    return ratio * m_function(w0, lam), ratio
 
 
 def b_denominator(lam: Sequence[complex]) -> complex:
@@ -278,14 +261,12 @@ def plancherel_density(lam: Sequence[float]) -> float:
 def m_b_compatibility(N: int, k: int, lam0: Sequence[float],
                       direction: Sequence[float],
                       ts: Sequence[float]) -> List[complex]:
-    """Values of M(s_k, lam) b(lam)/b(s_k lam) along lam0 + t*direction, at
-    the unit character `Character()` (1 on every simple root).
+    """Values of M(s_k, lam) b(lam)/b(s_k lam) along lam0 + t*direction.
 
     The quantity depends on lambda only through lambda_alpha, so it is
     constant along directions orthogonal to alpha = e_k - e_{k+1}; the
     returned list makes that testable and reports the constant.
     """
-    f = Character()
     d = np.asarray(direction, dtype=float).copy()
     # project out the alpha component so the line keeps lambda_alpha fixed
     alpha = np.zeros(N)
@@ -295,6 +276,6 @@ def m_b_compatibility(N: int, k: int, lam0: Sequence[float],
     out = []
     for t in ts:
         lam = np.asarray(lam0, dtype=float) + t * d
-        out.append(m_elementary(lam, k, f) * b_denominator(lam)
+        out.append(m_elementary(lam, k) * b_denominator(lam)
                    / b_denominator(sk.apply(lam)))
     return out

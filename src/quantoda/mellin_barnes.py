@@ -35,11 +35,10 @@ exponential per entry.  A within-level difference d on a level's contour
 is real, so the denominator 1/(Gamma(-i d) Gamma(i d)) = d sinh(pi d)/pi
 (0 at d = 0) has rank 4 as a matrix over the nodes: at N = 3 the sum
 takes O(M^2) time, builds no 3-D array and contracts V_BLOCK columns of v
-at a time.  A sum of one such block, every point value's and every x_1
-sweep's, multiplies by A in row blocks copied from a sliding window over
-its 2M - 1 values (`_toeplitz_product`) and holds O(M) memory: an N = 3
-point at tol 1e-10 (M = 383) traces a 0.42 MiB peak, not the 2.4 MiB of a
-whole A.  A sum of several blocks copies A whole once, in O(M^2) memory.
+at a time.  Every block multiplies by A in row blocks copied from a
+sliding window over its 2M - 1 values (`_toeplitz_product`), so no sum
+builds A and each holds O(M) memory: an N = 3 point at tol 1e-10
+(M = 383) traces a 0.42 MiB peak, not the 2.4 MiB of a whole A.
 A grid whose largest node array (M N at N = 2, M^2 at N = 3, M per
 difference) or node-sum array (one sum per pair of differences at N = 3)
 exceeds NODE_ARRAY_LIMIT elements raises ValueError before the kernel is
@@ -65,7 +64,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import List, Sequence
 
 import numpy as np
@@ -82,18 +80,16 @@ EXP_LIMIT = 700.0         # ln 1e304: headroom e^9.8 below the largest double
 # Largest node or node-sum array accepted, in elements.  Peak RSS per element
 # of a node array (2 CPUs x86-64, numpy 2.4, at 2e6-8e6 elements): N = 2
 # point 225 B (log Gamma's temporaries), N = 3 sweep of x_3 193 B; so 8e6
-# keeps every evaluation under 2 GB.  An N = 3 point builds no M^2 array:
-# there the M^2 term bounds its Toeplitz work, 0.08 s and 2.8 MB of RSS at
-# M^2 = 7.9e6 (one OpenBLAS thread; a whole A took 0.23 s and 151 MB).
+# keeps every evaluation under 2 GB.  No N = 3 sum builds an M^2 array: there
+# the M^2 term bounds its Toeplitz work, for a point 0.08 s and 2.8 MB of RSS
+# at M^2 = 7.9e6 (one OpenBLAS thread; a whole A took 0.23 s and 151 MB).
 NODE_ARRAY_LIMIT = 8_000_000
-# Columns of v per block of the N = 3 contraction.  The node sum of a refined
-# N = 3 eigen check (M = 275, 79 columns) runs in 6.5-8.3 ms (minima; 2 CPUs
-# x86-64, OpenBLAS 1 thread) at 8, 16, 32 or all 79, inside the host's noise;
-# at 16 a block's weights and product are 280 kB each, and the sum faults on
-# 625 fresh pages, against 900 at 32 and 1600 at 79.  More than one block
-# copies A whole once per sum: row blocks (`_toeplitz_product`) repack each
-# block's weights once per row block, and took 5% longer on a 61-column x_2
-# sweep (M = 275) and 13% on a 79-column eigen sum (M = 184).
+# Columns of v per block of the N = 3 contraction.  A block's weights and
+# product are 4 V_BLOCK columns of M values (280 kB each at 16 and M = 275),
+# and every block multiplies by A's row blocks (`_toeplitz_product`), which
+# repack the block's weights once per row block.  With a host probe before
+# each call (2 CPUs x86-64, OpenBLAS 1 thread), 32 and 64 columns ran the
+# refined N = 3 eigen check 4% and 16% slower than 16.
 V_BLOCK = 16
 # Rows of A per block of `_toeplitz_product`.  An N = 3 point at tol 1e-8 /
 # 1e-10 (M = 275 / 383) takes 1.41 / 1.68 ms at 48 rows, within 4% of that
@@ -285,10 +281,9 @@ def _node_sums(top, which: str, offsets, half_width: float, M: int,
     sum_{b,c} B_b B_c D[b,c] = [(B.tE+)(B.E-) - (B.E+)(B.tE-)] / pi with
     E+- = e^{+-pi t}: one (M x M) @ (M x 4 V_BLOCK) product per V_BLOCK
     columns of v, whose weights, product and pairs are never whole arrays.
-    With one block, as at every point value, that product takes A's row
-    blocks (`_toeplitz_product`) and A is never built; with several, A is
-    copied whole once per sum.  The stride-2 sum's A is Toeplitz over every
-    other diagonal, diag[(M - 1) % 2::2] on ceil(M/2) nodes.
+    Each product takes A's row blocks (`_toeplitz_product`): A is never
+    built.  The stride-2 sum's A is Toeplitz over every other diagonal,
+    diag[(M - 1) % 2::2] on ceil(M/2) nodes.
     """
     t, wtop, diag = _kernel(top, which, offsets, half_width, M)
     dt = t[1] - t[0]
@@ -305,15 +300,12 @@ def _node_sums(top, which: str, offsets, half_width: float, M: int,
             yield (phase_a @ wtop[sl]) * (dt * fac) / TWO_PI
             continue
         diag_sl = diag if fac == 1.0 else diag[(M - 1) % 2::2]
-        # several v-blocks share one whole copy of A; one takes row blocks
-        product = (partial(np.matmul, _toeplitz_rows(diag_sl).copy())
-                   if len(vs) > V_BLOCK else partial(_toeplitz_product, diag_sl))
         sums = np.empty((len(us), len(vs)), complex)
         for k in range(0, len(vs), V_BLOCK):
             cols = slice(k, k + V_BLOCK)
             w = wtop[sl, None] * full_b[sl, cols]                   # (nb, bv)
             weights = (rank4[sl, :, None] * w[:, None, :]).reshape(len(w), -1)
-            P = product(weights).reshape(len(w), 4, -1)             # (na, 4, bv)
+            P = _toeplitz_product(diag_sl, weights).reshape(len(w), 4, -1)  # (na, 4, bv)
             pairs = (P[:, 0] * P[:, 1] - P[:, 2] * P[:, 3]) / np.pi  # (na, bv)
             sums[:, cols] = (phase_a @ pairs) * (dt * fac) ** 3 / TWO_PI ** 3
         yield sums

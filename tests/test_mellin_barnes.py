@@ -473,6 +473,24 @@ def test_n3_contraction_temporaries_stay_below_the_whole_arrays(evaluate, mib):
 
 
 @pytest.mark.parametrize("evaluate", [
+    lambda: check_eigen(3, _A3, GridSpec(20, 0.1), tol=1e-2, refine=True),
+    lambda: grid_scan(3, _A3, 1, -1.0, 1.5, 61,
+                      x_base=[0.3, -0.1, -0.4], tol=1e-8),
+], ids=["n3-refined-eigen", "n3-sweep-x2"])
+def test_n3_sums_of_several_v_blocks_build_no_toeplitz_matrix(evaluate):
+    # every v-block multiplies by A in row blocks, as a point's one block
+    # does; with a whole copy of A (M = 184 and 275 here) the peaks read
+    # 3.2 and 3.0 MiB
+    tracemalloc.start()
+    try:
+        evaluate()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 2 ** 20
+
+
+@pytest.mark.parametrize("evaluate", [
     lambda: whittaker_eval(3, _A3, [0.5, 0.0, -0.5], tol=1e-10),
     lambda: whittaker_recursive(3, _A3, [0.5, 0.0, -0.5], tol=1e-10),
     lambda: spherical_eval(3, _A3, [0.5, 0.0, -0.5], tol=1e-10),

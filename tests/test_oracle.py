@@ -103,6 +103,12 @@ def test_ode_comparison_on_a_non_uniform_grid():
     assert rep.passed and rep.residual <= 1e-5
 
 
+@pytest.mark.parametrize("r", [[0.2], []], ids=["one-point", "empty"])
+def test_ode_oracle_needs_two_grid_points(r):
+    with pytest.raises(ValueError, match="two grid points"):
+        bessel_oracle_n2([0.5, -0.5], r)
+
+
 def test_ode_comparison_grid_times_carrier_is_the_point_value():
     # psi(r/2, -r/2) = e^{-i sigma r/2} psi(r, 0): the one grid (r, 0)
     alpha, r = [0.8, -0.4], np.linspace(-4.0, 1.5, 12)

@@ -166,6 +166,14 @@ def test_equality_is_lane_by_lane_on_reduced_values():
         hash(FpLanes(1))
 
 
+@pytest.mark.parametrize("other", [0.5, 1j, "1", (1, 2), np.int64(1)],
+                         ids=["float", "complex", "str", "tuple", "numpy-int"])
+def test_equality_with_another_type_is_not_implemented(other):
+    # only an FpLanes or an int compares; Python then tries `other`'s side
+    a = FpLanes(1, 2)
+    assert a.__eq__(other) is NotImplemented and a.__ne__(other) is NotImplemented
+
+
 def test_immutability():
     a = FpLanes(1, 1)
     with pytest.raises(AttributeError):

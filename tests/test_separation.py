@@ -58,6 +58,19 @@ def test_measure_difference_equation():
     assert check_measure_difference_eq([1.3, 0.1, -0.8], 2) < 1e-13
 
 
+@pytest.mark.parametrize("lam", [
+    [0.0, 1j],
+    [0.3, 0.3 + 1j, 2.0],
+    [np.array([0.0, 0.5]), np.array([1j, -0.2]), np.array([2.0, 1.1])],
+], ids=["n2", "n3", "stacked"])
+def test_measure_difference_eq_refuses_a_vanishing_multiplier(lam):
+    # lambda_k = lambda_j + i zeroes a factor of the multiplier; there the
+    # shift ratio Gamma(-z - 1)/Gamma(-z) of z = -i(lambda_j - lambda_k) = -1
+    # has a pole, so the measure's shift raises first
+    with pytest.raises(PoleError):
+        check_measure_difference_eq(lam, 0)
+
+
 def test_measure_shift_multiplier_two_vars():
     lam = [0.6, -0.2]
     got = measure_shift_multiplier(lam, 0)

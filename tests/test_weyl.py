@@ -26,6 +26,37 @@ def test_elements_are_unhashable():
         hash(WeylElement.p(1, 1))
 
 
+_P1 = WeylElement.p(1, 1)
+
+
+@pytest.mark.parametrize("call, expected, match", [
+    (lambda: WeylElement(2, {((1,), (0, 0), (0, 0)): (1, 0)}), ValueError, "fit"),
+    (lambda: WeylElement(1, {((0,), (1,), (0, 0, 1)): (1, 0)}), ValueError, "fit"),
+    (lambda: WeylElement(1, {((0,), (-1,), (0, 0)): (1, 0)}), ValueError, "negative"),
+    (lambda: WeylElement(1, {((0,), (0,), (0, -2)): (1, 0)}), ValueError, "negative"),
+    (lambda: _P1 + WeylElement.p(2, 1), ValueError, "site count"),
+    (lambda: _P1 * WeylElement.p(2, 1), ValueError, "site count"),
+    (lambda: OperatorPolyMatrix([[_P1, _P1], [_P1]]), ValueError, "rectangular"),
+    (lambda: OperatorPolyMatrix([[_P1, _P1]]) @ OperatorPolyMatrix([[_P1, _P1]]),
+     ValueError, "shape"),
+    (lambda: lax_matrix(0, 2), IndexError, "site index"),
+    (lambda: lax_matrix(3, 2), IndexError, "site index"),
+    (lambda: monodromy(0), ValueError, "N must be"),
+    (lambda: extract_ABCD(r_matrix()), ValueError, "2x2"),
+    (lambda: _P1.__eq__(0), NotImplemented, None),
+    (lambda: _P1.__eq__(OperatorPolyMatrix([[_P1]])), NotImplemented, None),
+], ids=["q-sites", "uv-length", "negative-p", "negative-v", "mixed-sites-add",
+        "mixed-sites-mul", "ragged-rows", "shape-mismatch", "lax-site-0",
+        "lax-site-past-n", "monodromy-0", "abcd-of-4x4", "eq-int", "eq-matrix"])
+def test_input_checks(call, expected, match):
+    # each case reaches one check that no other test runs
+    if expected is NotImplemented:
+        assert call() is NotImplemented
+        return
+    with pytest.raises(expected, match=match):
+        call()
+
+
 def test_disjoint_sites_commute():
     a = WeylElement.p(2, 1)
     b = WeylElement.exp_q(2, 2, 1)
