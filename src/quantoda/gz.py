@@ -76,7 +76,7 @@ from .rationals import (ONE, P, FpLanes, Gauss, _batch_inverse, _gauss_mul, as_g
 from .report import VerificationReport, residual_report
 from .specfun import POLE_TOL, PoleError, gamma_shift_ratio, log_gamma, log_gamma_array
 
-MIN_GAP = 1e-8
+MIN_GAP = 1e-8   # least within-level gap of a numerical check here or in `separation`
 
 Slot = Tuple[int, int]          # (n, j), 1-based level and position
 ShiftKey = Tuple[Tuple[Slot, int], ...]  # sorted ((n,j), k): lambda_{nj} += k*i
@@ -227,10 +227,6 @@ class DifferenceOperator:
         for key, c in (terms or {}).items():
             if c[0] or c[1]:
                 self.terms[key] = c
-
-    @classmethod
-    def zero(cls) -> "DifferenceOperator":
-        return cls()
 
     @classmethod
     def identity(cls) -> "DifferenceOperator":
@@ -598,14 +594,13 @@ def _gamma_argument(arr: TriangularArray, n: int, k: int, m: int, q: int) -> com
     return (-1j * (arr.get(n, k) - arr.get(n + 1, m)) + 0.5) / q
 
 
-def _vector(kind: str, arr: TriangularArray, normalize: bool = True) -> complex:
+def _vector(kind: str, arr: TriangularArray) -> complex:
     q, base = VECTORS[kind]
     total = 0.0 + 0.0j
     for n in range(1, arr.N):
         level = complex(arr.level_sum(n))
         total += -math.pi * (n - 1) / q * level
-        if normalize:
-            total += -1j * math.log(base) * level
+        total += -1j * math.log(base) * level
         for k in range(1, n + 1):
             for m in range(1, n + 2):
                 total += log_gamma(_gamma_argument(arr, n, k, m, q))
@@ -661,21 +656,22 @@ def whittaker_vector(arr: TriangularArray) -> complex:
     return _vector("w", arr)
 
 
-def spherical_vector(arr: TriangularArray, include_normalizer: bool = True) -> complex:
-    """prod_n e^{-pi(n-1)/2 sum lam} prod Gamma(dlam/(2i) + 1/4), normalized.
+def spherical_vector(arr: TriangularArray) -> complex:
+    """prod_n e^{-pi(n-1)/2 sum lam} 2^{-i sum lam} prod Gamma(dlam/(2i) + 1/4).
 
-    The default periodic normalizer prod_{n<N,j} 2^{-i lambda_{nj}} (period
-    2i in each variable) is what makes the compact-generator difference
-    equations close; pass include_normalizer=False for the bare product.
+    The periodic normalizer prod_{n<N,j} 2^{-i lambda_{nj}} (period 2i in
+    each variable) is what makes the compact-generator difference equations
+    close.
     """
-    return _vector("phi", arr, include_normalizer)
+    return _vector("phi", arr)
 
 
-def check_whittaker_equations(N: int, arr: TriangularArray,
+def check_whittaker_equations(arr: TriangularArray,
                               tol: float = 1e-9) -> VerificationReport:
     """Max relative residual of E_{n,n+1} w = -i w and E_{n+1,n} w' = -i w',
-    over the arrays of a stack (`stack_arrays`)."""
+    over the arrays of a stack (`stack_arrays`), at every level of arr."""
     _check_level_gaps(arr)
+    N = arr.N
     worst = 0.0
     for n in range(1, N):
         for kind, ratio in (("raise", lambda s: vector_shift_ratio("w", arr, s)),
@@ -685,11 +681,12 @@ def check_whittaker_equations(N: int, arr: TriangularArray,
     return residual_report("gz", N, "whittaker-equations", worst, tol)
 
 
-def check_spherical_equation(N: int, arr: TriangularArray,
+def check_spherical_equation(arr: TriangularArray,
                              tol: float = 1e-8) -> VerificationReport:
     """Max relative residual of (E_{n,n+1} - E_{n+1,n}) phi = 0, over the
-    arrays of a stack (`stack_arrays`)."""
+    arrays of a stack (`stack_arrays`), at every level of arr."""
     _check_level_gaps(arr)
+    N = arr.N
     worst = 0.0
     for n in range(1, N):
         op = gz_generator("raise", n, N) - gz_generator("lower", n, N)
@@ -745,11 +742,11 @@ def _flat_slots(N: int) -> List[Slot]:
 MEASURE_TOL = 1e-10   # gz_suite's default tolerance for the residual below
 
 
-def check_gz_measure_difference_eq(N: int, arr: TriangularArray, j: int) -> float:
+def check_gz_measure_difference_eq(arr: TriangularArray, j: int) -> float:
     """Relative residual of (T_{nj,i} mu) = mu prod_{s!=j'} (d+i)/d at flat slot j,
     the largest over the arrays of a stack (`stack_arrays`)."""
     _check_level_gaps(arr)
-    slot = _flat_slots(N)[j]
+    slot = _flat_slots(arr.N)[j]
     n, jj = slot
     mu = gz_measure(arr)
     mu_shift = gz_measure(arr.shifted(((slot, 1),)))
@@ -824,12 +821,12 @@ def gz_suite(N: int, trials: int = 20, seed: int = 0,
     out = [check_gl_relations(N, trials, seed), check_serre(N, trials, seed)]   # refuse trials < 1
     kw = {} if tol is None else {"tol": tol}
     stack = stack_arrays([sample_real_array(N, rng) for _ in range(trials)])
-    out += [replace(check(N, stack, **kw), seed=seed)
+    out += [replace(check(stack, **kw), seed=seed)
             for check in (check_whittaker_equations, check_spherical_equation)]
 
     stack = stack_arrays([sample_real_array(N, rng, low=-1.0, high=1.0)
                           for _ in range(trials)])
-    worst_mu = max((check_gz_measure_difference_eq(N, stack, j)
+    worst_mu = max((check_gz_measure_difference_eq(stack, j)
                     for j in range(len(_flat_slots(N)))), default=0.0)
     out.append(residual_report("gz", N, "measure-difference-eq", worst_mu,
                                MEASURE_TOL if tol is None else tol, seed=seed))

@@ -258,7 +258,7 @@ def plancherel_density(lam: Sequence[float]) -> float:
     return 1.0 / c2
 
 
-def m_b_compatibility(N: int, k: int, lam0: Sequence[float],
+def m_b_compatibility(k: int, lam0: Sequence[float],
                       direction: Sequence[float],
                       ts: Sequence[float]) -> List[complex]:
     """Values of M(s_k, lam) b(lam)/b(s_k lam) along lam0 + t*direction.
@@ -269,10 +269,10 @@ def m_b_compatibility(N: int, k: int, lam0: Sequence[float],
     """
     d = np.asarray(direction, dtype=float).copy()
     # project out the alpha component so the line keeps lambda_alpha fixed
-    alpha = np.zeros(N)
+    alpha = np.zeros(len(lam0))
     alpha[k - 1], alpha[k] = 1.0, -1.0
     d -= alpha * (d @ alpha) / (alpha @ alpha)
-    sk = WeylPermutation.simple(k, N)
+    sk = WeylPermutation.simple(k, len(lam0))
     out = []
     for t in ts:
         lam = np.asarray(lam0, dtype=float) + t * d

@@ -191,6 +191,15 @@ def _adjacent_log(d, which: str):
     return 2.0 * log_gamma_array(d / 2j + 0.25).real + 0j
 
 
+def difference_lattice(a, b):
+    """a[i] - b[j] for two axes of n nodes, one per d = i - j at index
+    d + n - 1: the first row reversed, a[0] - b[n-1 .. 1], then the first
+    column a - b[0].  On evenly spaced axes the other pairs with that d
+    differ by rounding alone: `_kernel`'s Toeplitz A and the difference
+    lattice of `oracle.check_eigen` take these values."""
+    return np.concatenate([a[0] - b[:0:-1], a - b[0]])
+
+
 def _kernel(top, which: str, offsets, half_width: float, M: int):
     """Nodes t, top weight w and, at N = 3, the adjacent-level diagonals.
 
@@ -207,9 +216,7 @@ def _kernel(top, which: str, offsets, half_width: float, M: int):
     low = t + 1j * offsets[-2]       # level N-1
     d = np.subtract.outer(low, top).ravel()
     if len(offsets) == 3:
-        a = t + 1j * offsets[0]
-        # first row a_0 - b_j (j = M-1..1), then first column a_i - b_0
-        d = np.concatenate([d, a[0] - low[:0:-1], a - low[0]])
+        d = np.concatenate([d, difference_lattice(t + 1j * offsets[0], low)])
     logs = _adjacent_log(d, which)   # the build's one log Gamma call
     n_top = M * len(top)
     w = np.exp(logs[:n_top].reshape(M, len(top)).sum(axis=1))
@@ -429,7 +436,9 @@ def grid_scan(N: int, alpha: Sequence[float], axis: int,
     """Sweep one coordinate of the wave function: a `value_row` row per point.
 
     The sweep is the grid whose axis `axis` varies: one kernel build, whose
-    arrays give the columns with no per-row object.
+    arrays give the columns with no per-row object.  At N >= 2 a node array
+    holds M >= MIN_NODES values per step, so more than NODE_ARRAY_LIMIT //
+    MIN_NODES steps raise ValueError before the axis is built.
     """
     if not 0 <= axis < N:
         raise ValueError("axis out of range")
@@ -437,6 +446,11 @@ def grid_scan(N: int, alpha: Sequence[float], axis: int,
     if len(x0) != N:
         raise ValueError("x_base must have length N")
     axes = [[xk] for xk in x0]
+    _validate(N, alpha, axes, tol)
+    if N > 1 and steps > NODE_ARRAY_LIMIT // MIN_NODES:
+        raise ValueError(f"steps={steps} exceeds {NODE_ARRAY_LIMIT // MIN_NODES}: at "
+                         f"{MIN_NODES} or more nodes per level the node array needs "
+                         f"more than {NODE_ARRAY_LIMIT:.3g} elements")
     axes[axis] = np.linspace(start, stop, steps)
     return value_row(QuadratureResult(*_evaluate("whittaker", N, alpha, axes, tol)), axes)
 

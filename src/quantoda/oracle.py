@@ -19,7 +19,7 @@ sum alpha^2 = 2 * eigenvalue_from_alpha(alpha).
 The eigen check runs on the difference lattice.  The first Toda integral
 is the total momentum: psi(y + s (1, ..., 1)) = e^{i sigma s} psi(y),
 sigma = sum alpha (the carrier of `mellin_barnes`).  On the cube grid
-x_k = c_k + (i_k - (P - 1)/2) h, the differences x_k - x_{k+1} take the
+x_k = (i_k - (P - 1)/2) h, the differences x_k - x_{k+1} take the
 2 P - 1 values of d_k = i_k - i_{k+1}, and Psi = e^{i sigma y_p} G(d), where
 G is psi on the pivot grid y_p = 0, p = max(N - 2, 0): y_{p-1} = u_{p-1}
 and y_{p+1} = -u_p run over the lattice values u_k of y_k - y_{k+1}, a
@@ -47,7 +47,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .mellin_barnes import EXP_LIMIT, whittaker_on_grid
+from .mellin_barnes import EXP_LIMIT, difference_lattice, whittaker_on_grid
 from .report import VerificationReport, residual_report
 
 BOUNDARY_MARGIN = 2  # nodes invalidated per face by the stencil
@@ -86,16 +86,14 @@ def eigenvalue_from_alpha(alpha: Sequence[float]) -> float:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Cube grid: points per axis, spacing, center point."""
+    """Cube grid centred at the origin: points per axis, spacing."""
 
     points: int
     spacing: float
-    center: tuple = ()
 
     def axes(self, N: int) -> List[np.ndarray]:
-        c = self.center or (0.0,) * N
         offs = (np.arange(self.points) - (self.points - 1) / 2.0) * self.spacing
-        return [c[k] + offs for k in range(N)]
+        return [offs] * N
 
 
 LN2 = math.log(2.0)
@@ -116,14 +114,6 @@ def max_grid_span(N: int) -> float:
     """
     S = N * (N * N - 1) / 12.0
     return min(EXP_LIMIT, EXP_LIMIT / S - LN2) if S else math.inf
-
-
-def _lattice(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The differences a[i] - b[j] of two axes of P nodes, one per
-    d = i - j = -(P - 1) .. P - 1, each at the first (i, j) in row-major
-    order: on an evenly spaced grid the other pairs with that d differ
-    from it by rounding alone."""
-    return np.concatenate([a[0] - b[:0:-1], a - b[0]])
 
 
 def _lattice_residual(G: np.ndarray, u: Sequence[np.ndarray], grid: GridSpec,
@@ -197,7 +187,7 @@ def check_eigen(N: int, alpha: Sequence[float], grid: GridSpec,
     values of each difference of the (halved, with refine) grid.  The
     given grid's lattice is the sub-lattice of even d.
     """
-    top = GridSpec(2 * grid.points, grid.spacing / 2.0, grid.center) if refine else grid
+    top = GridSpec(2 * grid.points, grid.spacing / 2.0) if refine else grid
     axes = top.axes(N)
     span = max((max(b.max() - a.min(), a.max() - b.min())
                 for a, b in zip(axes, axes[1:])), default=0.0)
@@ -209,7 +199,7 @@ def check_eigen(N: int, alpha: Sequence[float], grid: GridSpec,
                          f"exceeds e^{EXP_LIMIT:g}")
     # the wave function transplanted to the Hamiltonian's convention
     y = [-a + (k + 1) * LN2 for k, a in enumerate(axes)]
-    u = [_lattice(a, b) for a, b in zip(y, y[1:])]
+    u = [difference_lattice(a, b) for a, b in zip(y, y[1:])]
     pivot = max(N - 2, 0)
     psi = whittaker_on_grid(N, alpha, [*u[:pivot], np.zeros(1),
                                        *(-uk for uk in u[pivot:])], QUAD_TOL)

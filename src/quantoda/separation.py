@@ -31,12 +31,10 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .gz import separated_uniforms
+from .gz import MIN_GAP, separated_uniforms
 from .rationals import FpLanes, first_witnesses, random_lanes
 from .report import VerificationReport, residual_report
 from .specfun import PoleError, gamma_shift_ratio, log_gamma, log_gamma_array
-
-MIN_GAP = 1e-8
 
 
 def sep_wavefunction(alpha: Sequence[float], lam: Sequence[complex]) -> complex:

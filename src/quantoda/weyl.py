@@ -196,10 +196,6 @@ class WeylElement:
         return cls.scalar(n, {(0, 0): c})
 
     @classmethod
-    def one(cls, n: int) -> "WeylElement":
-        return cls.constant(n, 1)
-
-    @classmethod
     def p(cls, n: int, m: int) -> "WeylElement":
         """Momentum operator p_m (1-based site index)."""
         zq = (0,) * n
@@ -256,14 +252,6 @@ class WeylElement:
 
     def __neg__(self) -> "WeylElement":
         return WeylElement.zero(self.n)._combine(self, -1)
-
-    def scale(self, c) -> "WeylElement":
-        """Multiply by the scalar c, an int or an (re, im) pair in Z[i]."""
-        c = as_gauss(c)
-        terms = {}
-        if c[0] or c[1]:
-            terms = {k: gauss_mul(cc, c) for k, cc in self.terms.items()}
-        return WeylElement._packed(self.n, terms, self.bound)
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         self._check(other)
@@ -440,13 +428,6 @@ def monodromy(N: int, upto: int | None = None) -> OperatorPolyMatrix:
     return T
 
 
-def extract_ABCD(T: OperatorPolyMatrix):
-    """Entries (A, B, C, D) of a 2x2 monodromy matrix."""
-    if T.shape != (2, 2):
-        raise ValueError("expected a 2x2 matrix")
-    return T[0, 0], T[0, 1], T[1, 0], T[1, 1]
-
-
 # ---------------------------------------------------------------------------
 # Exact relation checks
 # ---------------------------------------------------------------------------
@@ -579,8 +560,8 @@ def qism_suite(N: int) -> List[VerificationReport]:
     if N < 2:
         report("recursion", False, "vacuous for N=1")
     else:
-        A_p, _, C_p, _ = extract_ABCD(monodromy(N, upto=N - 1))
-        want_A, want_C = _peel_site(N, A_p, C_p)
+        T_p = monodromy(N, upto=N - 1)
+        want_A, want_C = _peel_site(N, T_p[0, 0], T_p[1, 0])
         report("recursion-A", T[0, 0] != want_A)
         report("recursion-C", T[1, 0] != want_C)
     return reports

@@ -63,8 +63,8 @@ def test_criterion_03_vector_equations():
     for N in (2, 3):
         for _ in range(25):
             arr = sample_real_array(N, rng)
-            worst_w = max(worst_w, check_whittaker_equations(N, arr).residual)
-            worst_s = max(worst_s, check_spherical_equation(N, arr).residual)
+            worst_w = max(worst_w, check_whittaker_equations(arr).residual)
+            worst_s = max(worst_s, check_spherical_equation(arr).residual)
     ok = worst_w <= 1e-9 and worst_s <= 1e-8
     _line(3, ok, f"vector difference equations over 50 random arrays: "
                  f"Whittaker residual {worst_w:.2e} (<= 1e-9), "
@@ -88,7 +88,7 @@ def test_criterion_04_separation_suite():
         arr = sample_real_array(N, rng, low=-1.0, high=1.0)
         for j in range(len(_flat_slots(N))):
             worst_mu = max(worst_mu,
-                           check_gz_measure_difference_eq(N, arr, j))
+                           check_gz_measure_difference_eq(arr, j))
     lagr = [check_lagrange_identity(N, trials=50, seed=23) for N in (2, 3, 4)]
     ok = (worst_dif <= 1e-12 and worst_mu <= 1e-10
           and combine(lagr) == "PASS")
@@ -165,7 +165,7 @@ def test_criterion_08_gamma_product_suite():
     worst_mb = 0.0
     for N, k in ((2, 1), (3, 1), (3, 2)):
         vals = m_b_compatibility(
-            N, k, [rng.uniform(-1, 1) for _ in range(N)],
+            k, [rng.uniform(-1, 1) for _ in range(N)],
             [rng.uniform(-1, 1) for _ in range(N)],
             ts=[-1.0, -0.2, 0.3, 1.1])
         worst_mb = max(worst_mb,

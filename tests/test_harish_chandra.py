@@ -153,7 +153,7 @@ def test_m_b_ratio_constant_along_orthogonal_lines():
     for N, k in ((2, 1), (3, 1), (3, 2), (4, 2)):
         lam0 = [rng.uniform(-1, 1) for _ in range(N)]
         direction = [rng.uniform(-1, 1) for _ in range(N)]
-        vals = m_b_compatibility(N, k, lam0, direction,
+        vals = m_b_compatibility(k, lam0, direction,
                                  ts=[-1.0, -0.3, 0.0, 0.4, 1.2])
         for v in vals[1:]:
             assert abs(v - vals[0]) < 1e-8 * max(1.0, abs(vals[0]))

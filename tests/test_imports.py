@@ -1,11 +1,13 @@
-"""Import hygiene: every name a package module imports is used in it."""
+"""Import hygiene: every name a package module imports is used in it, and
+every function, class and method it defines is read somewhere."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-MODULES = sorted((Path(__file__).resolve().parents[1] / "src" / "quantoda").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = sorted((ROOT / "src" / "quantoda").glob("*.py"))
 
 
 def _unused_imports(source: str) -> list:
@@ -40,3 +42,44 @@ def test_every_imported_name_is_used(path):
 ], ids=["unused", "one-of-two", "attribute-reads", "local-import", "future"])
 def test_unused_imports_finds_exactly_the_unread_names(source, unused):
     assert _unused_imports(source) == unused
+
+
+def _dead_names(defining: dict, reading: list) -> list:
+    """(module, line, name) of each function, class or method defined in the
+    sources `defining` ({module: source}) whose name no Name, Attribute or
+    import alias of `reading` (sources) reads, dunder names excepted.  A
+    definition does not read its own name; a recursive call does."""
+    read = set()
+    for source in reading:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name.split(".")[-1])
+    return sorted((module, node.lineno, node.name)
+                  for module, source in defining.items()
+                  for node in ast.walk(ast.parse(source))
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                  and not (node.name.startswith("__") and node.name.endswith("__"))
+                  and node.name not in read)
+
+
+def test_every_defined_name_is_read():
+    reading = [p.read_text() for d in ("src", "tests", "perfbench")
+               for p in sorted((ROOT / d).rglob("*.py"))]
+    assert _dead_names({p.stem: p.read_text() for p in MODULES}, reading) == []
+
+
+@pytest.mark.parametrize("source, dead", [
+    ("def f():\n    pass\n", [("m", 1, "f")]),
+    ("def f():\n    pass\nf()\n", []),
+    ("class C:\n    def g(self):\n        pass\nC()\n", [("m", 2, "g")]),
+    ("class C:\n    def g(self):\n        pass\nC().g\n", []),
+    ("class C:\n    def __len__(self):\n        return 0\nC()\n", []),
+    ("def f():\n    pass\nfrom m import f as h\n", []),
+    ("def f():\n    pass\nf = 1\n", [("m", 1, "f")]),
+], ids=["unread", "called", "unread-method", "attribute", "dunder", "alias", "store"])
+def test_dead_names_finds_exactly_the_unread_definitions(source, dead):
+    assert _dead_names({"m": source}, [source]) == dead

@@ -2,6 +2,7 @@ import cmath
 import inspect
 import io
 import itertools
+import json
 import math
 import tracemalloc
 
@@ -252,6 +253,47 @@ def test_whittaker_on_grid_refuses_a_sums_array_above_the_limit(monkeypatch):
         whittaker_eval(2, [1e200, -1e200], [0.0, 0.0])
 
 
+def test_a_sweep_past_the_node_array_limit_is_refused_before_its_axis():
+    # a contour has M >= MIN_NODES = 64 nodes, so above 8e6 // 64 = 125000
+    # steps the node array is refused whatever M: 10^6 steps would build
+    # 15 MiB of axis and differences first
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"^steps=1000000 exceeds 125000: at 64 "):
+            grid_scan(2, [0.5, -0.5], 0, -1.0, 1.0, 10 ** 6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    # at 125000 steps the evaluation's own guard judges the contour's M
+    with pytest.raises(ValueError, match=r"^M=167 nodes per level: the node array"):
+        grid_scan(2, [0.5, -0.5], 0, -1.0, 1.0, 125000)
+
+
+@pytest.mark.parametrize("M, T, n1, n2, refusal", [
+    (2828, 10.0, 1, 1, None),                # M^2 = 7,997,584
+    (2829, 10.0, 1, 1, "the node array"),    # M^2 = 8,003,241
+    (64, 250.0, 125000, 1, "half-width"),    # M n1 = 8e6 exactly
+    (64, 250.0, 125001, 1, "the node array"),
+    (64, 250.0, 2000, 4000, "half-width"),   # n1 n2 = 8e6 exactly
+    (64, 250.0, 2000, 4001, "the node-sum array"),
+], ids=["m2-below", "m2-above", "difference-at", "difference-above",
+        "node-sum-at", "node-sum-above"])
+def test_node_array_guard_boundaries_at_n3(M, T, n1, n2, refusal):
+    # one case each side of NODE_ARRAY_LIMIT for the three terms of the
+    # guard: M^2 of an N = 3 point, M times the differences of a level, and
+    # the node sums.  At T = 250, pi T > 700: a grid the guard lets through
+    # is refused next by the half-width check, before any node sum
+    axes = [np.linspace(0.0, 1.0, n1), [0.0], np.linspace(-1.0, 0.0, n2)]
+    contour = ContourSpec((1.0, 0.5, 0.0), T, M)
+    if refusal is None:
+        v, err = _evaluate("whittaker", 3, _A3, axes, 1e-6, contour)
+        assert np.isfinite(v).all() and np.isfinite(err).all()
+        return
+    with pytest.raises(ValueError, match=refusal):
+        _evaluate("whittaker", 3, _A3, axes, 1e-6, contour)
+
+
 def test_eigen_lattice_is_one_node_sum_per_difference(monkeypatch):
     # the refinement 40:0.05 of the 20:0.1 grid at N = 3 has 79 differences
     # x_k - x_(k+1) per level on its lattice, and they are distinct
@@ -292,7 +334,7 @@ def _counting_kernel_and_sums(monkeypatch):
 
 @pytest.mark.parametrize("N, alpha, grid", [
     (2, [0.6, -0.6], GridSpec(24, 0.08)),
-    (3, [0.9, 0.1, -0.6], GridSpec(20, 0.1, (0.1, -0.2, 0.05))),
+    (3, [0.9, 0.1, -0.6], GridSpec(20, 0.1)),
 ])
 def test_refined_eigen_check_is_one_kernel_and_one_node_sum(monkeypatch, N,
                                                             alpha, grid):
@@ -713,6 +755,31 @@ def test_spherical_n2_against_adaptive_quadrature():
     got = spherical_eval(2, lam, x, tol=1e-9)
     ref = _spherical_n2_reference(lam, x, T=30.0)
     assert abs(got.value - ref) < 1e-8 * max(1.0, abs(ref))
+
+
+def _spherical_at_origin(lam):
+    """C_N prod_{j<k} pi / cosh(pi (lam_j - lam_k)/2): the spherical integral
+    at x = 0.  At N = 2 this is Barnes' first lemma, C_2 = 2 pi.  C_3 =
+    128 pi^3 is measured (13 digits), not derived."""
+    out = {2: 2.0 * math.pi, 3: 128.0 * math.pi ** 3}[len(lam)]
+    for a, b in itertools.combinations(lam, 2):
+        out *= math.pi / math.cosh(math.pi * (a - b) / 2.0)
+    return out
+
+
+@pytest.mark.parametrize("tol", ["1e-6", "1e-8", "1e-10"])
+@pytest.mark.parametrize("lam", [(0.5, -0.5), (1.0, -1.0), (0.9, 0.1, -0.6),
+                                 (3.0, 0.2, -4.0), (14.0, 0.0, -14.0)])
+def test_spherical_eval_at_the_origin_is_the_closed_form(lam, tol):
+    # `spherical eval` prints this integral, not Harish-Chandra's phi_lambda
+    # with phi_lambda(0) = 1
+    out = io.StringIO()
+    argv = ["spherical", "eval", f"--n={len(lam)}", f"--lambda={','.join(map(str, lam))}",
+            f"--x={','.join(['0'] * len(lam))}", f"--tol={tol}", "--format=json"]
+    assert dispatch(argv, out=out) == 0
+    row = json.loads(out.getvalue())[0]
+    want = _spherical_at_origin(lam)
+    assert abs(complex(row["re"], row["im"]) - want) <= 1e-11 * want
 
 
 def test_error_estimate_is_honest():

@@ -179,6 +179,21 @@ def test_log_gamma_against_mpmath(family):
     assert _worst_exp_error([log_gamma(z) for z in zs], zs) <= 1e-13
 
 
+# Re z < 0 past the asymptotic |Im z| >= 20 of log sin(pi z), both signs
+LEFT_FAR = [-0.5 + 40j, -3.3 + 25j, -0.2 - 30j] + [
+    complex(x, s * y) for x in (-0.2, -1.5, -5.7, -10.2, -20.4, -39.6)
+    for y in (20.0, 60.0, 100.0, 200.0) for s in (1, -1)]
+
+
+def test_log_gamma_at_negative_real_part_and_large_imaginary_part():
+    # the floor is the rounding of a value of size |z| log |z|: 1e-13 up to
+    # |z| = 60, then in proportion to |z| (1.8e-13 measured at -10.2 + 200i)
+    zs = np.array(LEFT_FAR)
+    for values in ([log_gamma(z) for z in LEFT_FAR], log_gamma_array(zs)):
+        for v, z in zip(values, LEFT_FAR):
+            assert _worst_exp_error([v], [z]) <= 1e-13 * max(1.0, abs(z) / 60.0), z
+
+
 def test_log_gamma_array_on_the_gz_shift_arguments():
     zs = np.array(_gz_arguments())
     assert _worst_exp_error(log_gamma_array(zs), zs) <= 1e-13
