@@ -8,9 +8,12 @@ carries the spectral parameters.
 
 Whittaker contours run parallel to the real axis with level offsets
 h_n decreasing in n (level n strictly above level n+1), which keeps every
-numerator Gamma argument at positive real part.  Spherical contours are
-real; the kernel there pairs Gamma(d/(2i)+1/4) with its reflection, and
-within-level coincidences annihilate the integrand through the denominator.
+numerator Gamma argument at positive real part.  Only this module builds
+contours (`default_contour`, raised at N = 3 by `whittaker_recursive`), so
+`ContourSpec` is a plain record whose builders keep the ordering.
+Spherical contours are real; the kernel there pairs Gamma(d/(2i)+1/4) with
+its reflection, and within-level coincidences annihilate the integrand
+through the denominator: coincident parameters raise ContourError.
 
 Quadrature is a truncated uniform grid per dimension (spectrally accurate
 for these analytic, exponentially decaying integrands).  N <= 3.  One front
@@ -63,8 +66,7 @@ exactly e^{i alpha x}; all cross-checks against oracles are ratio-based.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, NamedTuple, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -104,36 +106,20 @@ class DimensionError(ValueError):
 
 
 class ContourError(ValueError):
-    """Contour violates the level-ordering condition or hits a pole."""
+    """Coincident spherical spectral parameters: the spherical kernel's
+    within-level denominator vanishes on its real contour."""
 
 
-@dataclass(frozen=True)
-class ContourSpec:
-    """Per-level imaginary offsets h_n (level n integrates over t + i h_n)."""
+class ContourSpec(NamedTuple):
+    """Per-level imaginary offsets h_n (level n integrates over t + i h_n),
+    strictly decreasing to h_N = 0, on M nodes of [-T, T]."""
 
     offsets: tuple
     half_width: float
     nodes_per_dim: int
 
-    def __init__(self, offsets: Sequence[float], half_width: float,
-                 nodes_per_dim: int):
-        offs = tuple(float(h) for h in offsets)
-        for n in range(len(offs) - 1):
-            if offs[n] <= offs[n + 1]:
-                raise ContourError(
-                    f"offsets must strictly decrease: h_{n+1}={offs[n]} "
-                    f"<= h_{n+2}={offs[n+1]}")
-        if offs and offs[-1] != 0.0:
-            raise ContourError("top-level offset must be 0")
-        if half_width <= 0 or nodes_per_dim < 2:
-            raise ContourError("invalid quadrature extents")
-        object.__setattr__(self, "offsets", offs)
-        object.__setattr__(self, "half_width", float(half_width))
-        object.__setattr__(self, "nodes_per_dim", int(nodes_per_dim))
 
-
-@dataclass(frozen=True)
-class QuadratureResult:
+class QuadratureResult(NamedTuple):
     value: complex
     error_estimate: float
 
@@ -363,9 +349,6 @@ def _evaluate(which: str, N: int, params: Sequence[float], axes, tol: float,
     if which == "spherical" and any(abs(p - q) < COINCIDENT_TOL for i, p in
                                     enumerate(params) for q in params[i + 1:]):
         raise ContourError("coincident top-level spectral parameters")
-    if contour is not None and len(contour.offsets) != N:
-        raise ContourError(
-            f"contour has {len(contour.offsets)} levels, N={N} needs {N}")
     if N == 1:                       # the carrier alone: no contour is built
         carrier = np.exp(1j * sum(params) * axes[-1])
         return carrier, np.zeros(carrier.shape) if estimate else None
@@ -410,9 +393,9 @@ def _point(which: str, N: int, params: Sequence[float], x: Sequence[float],
 
 
 def whittaker_eval(N: int, alpha: Sequence[float], x: Sequence[float],
-                   tol: float = 1e-6, contour: ContourSpec | None = None) -> QuadratureResult:
+                   tol: float = 1e-6) -> QuadratureResult:
     """Direct tensor-quadrature evaluation of the wave function at one x."""
-    return _point("whittaker", N, alpha, x, tol, contour)
+    return _point("whittaker", N, alpha, x, tol)
 
 
 def whittaker_on_grid(N: int, alpha: Sequence[float], axes: Sequence[np.ndarray],
@@ -437,8 +420,9 @@ def grid_scan(N: int, alpha: Sequence[float], axis: int,
 
     The sweep is the grid whose axis `axis` varies: one kernel build, whose
     arrays give the columns with no per-row object.  At N >= 2 a node array
-    holds M >= MIN_NODES values per step, so more than NODE_ARRAY_LIMIT //
-    MIN_NODES steps raise ValueError before the axis is built.
+    holds M >= MIN_NODES values per step, so at most NODE_ARRAY_LIMIT //
+    MIN_NODES steps fit; at N = 1 each step still costs its columns.  More
+    steps raise ValueError at every N, before the axis is built.
     """
     if not 0 <= axis < N:
         raise ValueError("axis out of range")
@@ -447,10 +431,9 @@ def grid_scan(N: int, alpha: Sequence[float], axis: int,
         raise ValueError("x_base must have length N")
     axes = [[xk] for xk in x0]
     _validate(N, alpha, axes, tol)
-    if N > 1 and steps > NODE_ARRAY_LIMIT // MIN_NODES:
-        raise ValueError(f"steps={steps} exceeds {NODE_ARRAY_LIMIT // MIN_NODES}: at "
-                         f"{MIN_NODES} or more nodes per level the node array needs "
-                         f"more than {NODE_ARRAY_LIMIT:.3g} elements")
+    if steps > NODE_ARRAY_LIMIT // MIN_NODES:
+        raise ValueError(f"steps={steps} exceeds {NODE_ARRAY_LIMIT // MIN_NODES}, "
+                         f"the most a sweep takes")
     axes[axis] = np.linspace(start, stop, steps)
     return value_row(QuadratureResult(*_evaluate("whittaker", N, alpha, axes, tol)), axes)
 
@@ -481,6 +464,5 @@ def whittaker_recursive(N: int, alpha: Sequence[float], x: Sequence[float],
     contour = default_contour(N, alpha, tol) if N == 3 else None
     if N == 3:
         h = contour.offsets[0]
-        contour = ContourSpec((h + LEVEL_OFFSET_STEP, h, 0.0),
-                              contour.half_width, contour.nodes_per_dim)
+        contour = contour._replace(offsets=(h + LEVEL_OFFSET_STEP, h, 0.0))
     return _point("whittaker", N, alpha, x, tol, contour)

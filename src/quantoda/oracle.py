@@ -43,7 +43,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -91,9 +91,10 @@ class GridSpec:
     points: int
     spacing: float
 
-    def axes(self, N: int) -> List[np.ndarray]:
-        offs = (np.arange(self.points) - (self.points - 1) / 2.0) * self.spacing
-        return [offs] * N
+    @property
+    def axis(self) -> np.ndarray:
+        """The coordinates of every axis: `points` values, `spacing` apart."""
+        return (np.arange(self.points) - (self.points - 1) / 2.0) * self.spacing
 
 
 LN2 = math.log(2.0)
@@ -188,9 +189,8 @@ def check_eigen(N: int, alpha: Sequence[float], grid: GridSpec,
     given grid's lattice is the sub-lattice of even d.
     """
     top = GridSpec(2 * grid.points, grid.spacing / 2.0) if refine else grid
-    axes = top.axes(N)
-    span = max((max(b.max() - a.min(), a.max() - b.min())
-                for a, b in zip(axes, axes[1:])), default=0.0)
+    x = top.axis
+    span = x[-1] - x[0]              # unbounded at N = 1: max_grid_span(1) = inf
     if span > max_grid_span(N):
         raise ValueError(f"grid spans {span:.6g} in x_k - x_(k+1); above "
                          f"{max_grid_span(N):.6g} the N={N} evaluation overflows")
@@ -198,7 +198,7 @@ def check_eigen(N: int, alpha: Sequence[float], grid: GridSpec,
         raise ValueError(f"grid spacing {top.spacing:.6g}: the stencil's 1/h^2 "
                          f"exceeds e^{EXP_LIMIT:g}")
     # the wave function transplanted to the Hamiltonian's convention
-    y = [-a + (k + 1) * LN2 for k, a in enumerate(axes)]
+    y = [-x + k * LN2 for k in range(1, N + 1)]
     u = [difference_lattice(a, b) for a, b in zip(y, y[1:])]
     pivot = max(N - 2, 0)
     psi = whittaker_on_grid(N, alpha, [*u[:pivot], np.zeros(1),

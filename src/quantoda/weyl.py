@@ -181,10 +181,6 @@ class WeylElement:
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def zero(cls, n: int) -> "WeylElement":
-        return cls(n)
-
-    @classmethod
     def scalar(cls, n: int, terms: Dict[UV, object]) -> "WeylElement":
         """sum c u^i v^j over terms {(i, j): c}, c an int or a Z[i] pair."""
         zq = (0,) * n
@@ -251,7 +247,7 @@ class WeylElement:
         return self._combine(other, -1)
 
     def __neg__(self) -> "WeylElement":
-        return WeylElement.zero(self.n)._combine(self, -1)
+        return WeylElement(self.n)._combine(self, -1)
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         self._check(other)
@@ -386,7 +382,7 @@ def lax_matrix(m: int, N: int) -> OperatorPolyMatrix:
     pm = WeylElement.p(N, m)
     eq = WeylElement.exp_q(N, m, 1)
     emq = WeylElement.exp_q(N, m, -1)
-    return OperatorPolyMatrix([[u - pm, -eq], [emq, WeylElement.zero(N)]])
+    return OperatorPolyMatrix([[u - pm, -eq], [emq, WeylElement(N)]])
 
 
 # Tensor slots (a, i) of C^2 (x) C^2; slot (a, i) is row/column 2a + i.

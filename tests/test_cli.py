@@ -241,20 +241,27 @@ def test_length_mismatch_exits_1_with_one_line(argv, capsys):
 def test_eigen_grid_span_across_the_bound(n, alpha):
     # numpy overflow warnings were written before the error line
     bound = oracle.max_grid_span(n)
+    cases = []
     for points, refine in ((5, False), (5, True), (9, False)):
         width = (2 * points - 1) / 2 if refine else points - 1
-        for frac in (0.9, 0.999, 1.001, 1.1, 3.0):
-            argv = ["verify", "eigen", f"--n={n}", f"--alpha={alpha}",
-                    f"--grid={points}:{frac * bound / width!r}"]
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                code, out, err = _run_captured(argv + ["--refine"] * refine)
-            if frac < 1:
-                assert code in (0, 1) and err == ""
-                assert json.loads(out)["reports"][0]["relation"] == "toda-eigenvalue"
-            else:
-                assert code == 1 and out == ""
-                assert err.count("\n") == 1 and err.startswith("error: grid spans")
+        cases += [(points, frac * bound / width, refine, frac > 1)
+                  for frac in (0.9, 0.999, 1.001, 1.1, 3.0)]
+    # 5 points span 4 spacings: bound / 4 spans the bound exactly, and is
+    # accepted; one ulp more is refused
+    exact = bound / 4
+    cases += [(5, exact, False, False), (5, math.nextafter(exact, math.inf), False, True)]
+    for points, spacing, refine, refused in cases:
+        argv = ["verify", "eigen", f"--n={n}", f"--alpha={alpha}",
+                f"--grid={points}:{spacing!r}"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = _run_captured(argv + ["--refine"] * refine)
+        if not refused:
+            assert code in (0, 1) and err == ""
+            assert json.loads(out)["reports"][0]["relation"] == "toda-eigenvalue"
+        else:
+            assert code == 1 and out == ""
+            assert err.count("\n") == 1 and err.startswith("error: grid spans")
 
 
 @pytest.mark.parametrize("n, alpha", [(2, "0.5,-0.5"), (3, "0.5,-0.5,0.1")])

@@ -41,32 +41,40 @@ def test_n1_builds_no_contour_and_a_non_finite_one_is_refused():
         default_contour(2, [1e308, 1e308], 1e-6)
 
 
-def test_contour_level_count_must_match_n():
-    two_levels = ContourSpec((0.5, 0.0), 5.0, 64)
-    with pytest.raises(ContourError):
-        whittaker_eval(3, [0.5, 0.0, -0.5], [0.1, 0.0, -0.1], contour=two_levels)
-    with pytest.raises(ContourError):
-        whittaker_eval(1, [0.5], [0.1], contour=two_levels)
-
-
-def test_contour_spec_validation():
-    ContourSpec((0.5, 0.0), 5.0, 64)
-    with pytest.raises(ContourError):
-        ContourSpec((0.0, 0.5), 5.0, 64)  # not decreasing
-    with pytest.raises(ContourError):
-        ContourSpec((0.5, 0.1), 5.0, 64)  # last offset nonzero
-    with pytest.raises(ContourError):
-        ContourSpec((0.5, 0.0), -1.0, 64)
-    with pytest.raises(ContourError):
-        ContourSpec((0.5, 0.0), 5.0, 1)
-
-
 def test_default_contour_offsets():
     c = default_contour(3, [0.5, 0.0, -0.5], 1e-8)
     assert c.offsets == (1.0, 0.5, 0.0)
     tighter = default_contour(3, [0.5, 0.0, -0.5], 1e-12)
     assert tighter.half_width > c.half_width
     assert tighter.nodes_per_dim > c.nodes_per_dim
+
+
+def test_every_contour_the_package_builds_is_ordered(monkeypatch):
+    # no caller passes a contour in, so ContourSpec checks nothing: its two
+    # builders, `default_contour` and the raise of `whittaker_recursive` at
+    # N = 3, keep the offsets strictly decreasing to 0, T > 0, M >= MIN_NODES
+    raised = []
+    monkeypatch.setattr(mb, "_point", lambda *args: raised.append(args[5]))
+    rng = np.random.default_rng(39)
+    cases = [(N, [0.0] * N, tol) for N in (1, 2, 3) for tol in (1e-3, 1e-12)]
+    for _ in range(40):
+        N = int(rng.integers(1, 4))
+        alpha = rng.uniform(-1.0, 1.0, N)
+        amax = 100.0 if rng.random() < 0.2 else 10.0 ** rng.uniform(-3.0, 2.0)
+        cases.append((N, (amax * alpha / np.abs(alpha).max()).tolist(),
+                      10.0 ** -rng.uniform(3.0, 12.0)))
+    contours = []
+    for N, alpha, tol in cases:
+        contours.append((N, default_contour(N, alpha, tol)))
+        if N == 3:
+            whittaker_recursive(3, alpha, [0.5, 0.0, -0.5], tol)
+            contours.append((3, raised[-1]))
+    assert len(raised) == sum(N == 3 for N, _, _ in cases) > 0
+    assert max(max(map(abs, alpha)) for _, alpha, _ in cases) == 100.0
+    for N, c in contours:
+        assert len(c.offsets) == N and c.offsets[-1] == 0.0
+        assert all(a > b for a, b in zip(c.offsets, c.offsets[1:]))
+        assert c.half_width > 0 and c.nodes_per_dim >= mb.MIN_NODES
 
 
 def test_dimension_guard():
@@ -166,9 +174,9 @@ def test_recursive_n3_is_the_direct_node_sum_on_the_raised_contour():
         for tol in (1e-6, 1e-8):
             c = default_contour(3, alpha, tol)
             h = c.offsets[0]
-            raised = ContourSpec((h + 0.5, h, 0.0), c.half_width, c.nodes_per_dim)
+            raised = c._replace(offsets=(h + 0.5, h, 0.0))
             assert (whittaker_recursive(3, alpha, x, tol)
-                    == whittaker_eval(3, alpha, x, tol, contour=raised))
+                    == mb._point("whittaker", 3, alpha, x, tol, raised))
 
 
 def test_weyl_symmetry_in_alpha():
@@ -182,11 +190,11 @@ def test_weyl_symmetry_in_alpha():
 
 def test_contour_shift_independence():
     alpha, x = [0.6, -0.4], [0.8, -0.2]
+    base = default_contour(2, alpha, 1e-9)
     ref = None
     for h in (0.3, 0.5, 0.9):
-        base = default_contour(2, alpha, 1e-9)
-        c = ContourSpec((h, 0.0), base.half_width, base.nodes_per_dim)
-        v = whittaker_eval(2, alpha, x, contour=c).value
+        c = base._replace(offsets=(h, 0.0))
+        v = mb._point("whittaker", 2, alpha, x, 1e-9, c).value
         if ref is None:
             ref = v
         else:
@@ -259,7 +267,8 @@ def test_a_sweep_past_the_node_array_limit_is_refused_before_its_axis():
     # 15 MiB of axis and differences first
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match=r"^steps=1000000 exceeds 125000: at 64 "):
+        with pytest.raises(ValueError, match=r"^steps=1000000 exceeds 125000, the most "
+                           r"a sweep takes$"):
             grid_scan(2, [0.5, -0.5], 0, -1.0, 1.0, 10 ** 6)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -268,6 +277,32 @@ def test_a_sweep_past_the_node_array_limit_is_refused_before_its_axis():
     # at 125000 steps the evaluation's own guard judges the contour's M
     with pytest.raises(ValueError, match=r"^M=167 nodes per level: the node array"):
         grid_scan(2, [0.5, -0.5], 0, -1.0, 1.0, 125000)
+
+
+def test_an_n1_sweep_is_held_to_the_same_steps_bound(monkeypatch):
+    # N = 1 builds no contour, so only the steps bound stops a sweep there:
+    # unbounded, 10^8 steps would build about 20 GB of axis, carrier and
+    # columns.  An axis past the bound fails the test before it is built
+    limit = mb.NODE_ARRAY_LIMIT // mb.MIN_NODES
+    linspace = np.linspace
+
+    def bounded(start, stop, num, **kw):
+        assert num <= limit, f"built an axis of {num} steps"
+        return linspace(start, stop, num, **kw)
+
+    monkeypatch.setattr(mb.np, "linspace", bounded)
+    cols = grid_scan(1, [0.5], 0, -1.0, 1.0, limit)
+    assert len(cols["re"]) == limit and cols["x1"][-1] == 1.0
+    with pytest.raises(ValueError, match=r"^steps=125001 exceeds 125000, "):
+        grid_scan(1, [0.5], 0, -1.0, 1.0, limit + 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"^steps=100000000 exceeds 125000, "):
+            grid_scan(1, [0.5], 0, -1.0, 1.0, 10 ** 8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 @pytest.mark.parametrize("M, T, n1, n2, refusal", [

@@ -24,14 +24,11 @@ def test_eigenvalue_examples():
 
 
 def test_grid_spec_axes():
-    axes = GridSpec(5, 0.1).axes(2)
-    assert len(axes) == 2
-    assert np.allclose(axes[0], [-0.2, -0.1, 0.0, 0.1, 0.2])
-    assert np.array_equal(axes[1], axes[0])
+    assert np.allclose(GridSpec(5, 0.1).axis, [-0.2, -0.1, 0.0, 0.1, 0.2])
 
 
 def test_toda_apply_constant_gives_potential():
-    axes = GridSpec(9, 0.2).axes(2)
+    axes = [GridSpec(9, 0.2).axis] * 2
     ones = np.ones((9, 9), dtype=complex)
     out = toda_apply(axes, ones)
     sl = (slice(BOUNDARY_MARGIN, -BOUNDARY_MARGIN),) * 2
@@ -42,7 +39,7 @@ def test_toda_apply_constant_gives_potential():
 
 
 def test_toda_apply_n1_plane_wave():
-    x = GridSpec(41, 0.05).axes(1)
+    x = [GridSpec(41, 0.05).axis]
     k = 1.3
     psi = np.exp(1j * k * x[0])
     out = toda_apply(x, psi)
@@ -165,7 +162,7 @@ def _check_eigen_on_grids(N, alpha, grid, tol=1e-3, refine=False):
     """The eigen check on the cube grids themselves: both grids evaluated
     node by node, `toda_apply`, and norms over the nodes it leaves finite."""
     fine = GridSpec(2 * grid.points, grid.spacing / 2.0)
-    grids = [g.axes(N) for g in ((grid, fine) if refine else (grid,))]
+    grids = [[g.axis] * N for g in ((grid, fine) if refine else (grid,))]
     energy = 2.0 * oracle.eigenvalue_from_alpha(alpha)
     residuals = []
     for axes in grids:

@@ -66,7 +66,7 @@ def _random_element(rng, n=2):
     gens = [WeylElement.p(n, m + 1) for m in range(n)]
     gens += [WeylElement.exp_q(n, m + 1, rng.choice([-1, 1])) for m in range(n)]
     gens += [WeylElement.constant(n, (rng.randint(-3, 3), rng.randint(-2, 2)))]
-    out = WeylElement.zero(n)
+    out = WeylElement(n)
     for _ in range(rng.randint(1, 3)):
         term = WeylElement.constant(n, 1)
         for _ in range(rng.randint(1, 3)):
@@ -113,7 +113,7 @@ def test_r_matrix_flip_structure():
 
 
 def _random_uv(rng, n=2):
-    out = WeylElement.zero(n)
+    out = WeylElement(n)
     for _ in range(rng.randint(1, 3)):
         uv = WeylElement.scalar(n, {(rng.randint(0, 2), rng.randint(0, 2)): 1})
         out = out + uv * _random_element(rng, n)
@@ -179,7 +179,7 @@ def test_total_momentum_and_energy_coefficients():
     (A, _), (_, D) = monodromy(3).entries
     X = [A.coeff(3 - m) for m in range(1, 4)]
     Y = [D.coeff(3 - m) for m in range(2, 4)]
-    ptot = WeylElement.zero(3)
+    ptot = WeylElement(3)
     for m in range(1, 4):
         ptot = ptot + WeylElement.p(3, m)
     assert X[0] == WeylElement.constant(3, -1) * ptot
@@ -199,7 +199,7 @@ _TENSOR_SLOTS = [(a, i) for a in (0, 1) for i in (0, 1)]
 
 def _kron(M, left):
     """M (x) I if left, else I (x) M; tensor slot (a, i) is row/column 2a + i."""
-    zero = WeylElement.zero(M[0, 0].n)
+    zero = WeylElement(M[0, 0].n)
     return OperatorPolyMatrix([
         [(M[a, b] if i == j else zero) if left else (M[i, j] if a == b else zero)
          for b, j in _TENSOR_SLOTS]
@@ -468,7 +468,7 @@ def test_shifted_sums_and_flipped_slots_match_the_general_product():
             assert weyl._exchange_residual(F, G, N) == (
                 umvpi * F[ca] - umv * G[ca] - WeylElement.constant(N, (0, 1)) * G[(0, 1), (0, 0)])
             for x in (F[(0, 1), (1, 0)] - G[(0, 1), (1, 0)], F[(1, 1), (0, 0)],
-                      WeylElement.zero(N)):
+                      WeylElement(N)):
                 got = weyl._shifted_sum(((x, weyl._TIMES_U, (1, 0)),
                                          (x, weyl._TIMES_V, (-1, 0)),
                                          (x, 0, (0, -1))))
