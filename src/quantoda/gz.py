@@ -66,7 +66,7 @@ import math
 import operator
 import random
 from dataclasses import dataclass, replace
-from functools import lru_cache, reduce
+from functools import cache, reduce
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
@@ -203,7 +203,7 @@ Factor = Tuple[Coefficient, ShiftKey]   # coefficient at the array shifted by Sh
 TermKey = Tuple[ShiftKey, Tuple[Factor, ...]]
 
 
-@lru_cache(maxsize=4096)
+@cache
 def _merge(s1: ShiftKey, s2: ShiftKey) -> ShiftKey:
     merged: Dict[Slot, int] = dict(s1)
     for slot, k in s2:

@@ -40,22 +40,27 @@ The Lax and monodromy entries are polynomials in u alone (no v powers), and
 `in_v()` swaps u and v to give the second factor of a two-parameter
 relation.  On top of this sit the 2x2 Lax matrices L_m, the monodromy
 T_N = L_N ... L_1 = [[A, B], [C, D]], the R-matrix R(u - v), and
-`qism_suite`'s exact (coefficient-wise) checks, all read off the 32 slot
-products of one 2x2 X: F[(a,i),(b,j)] = X_ab(u) X_ij(v) and
-G[(a,i),(b,j)] = X_ij(v) X_ab(u).  Only F takes products: with P the flip
-(a,i) -> (i,a), G[r, c] = in_v(F[Pr, Pc]).  Then
+`qism_suite`'s exact (coefficient-wise) checks.  Matrices are numpy object
+arrays of `WeylElement`, so `@`, `*` and `-` run its exact ring operations,
+and tensor slot (a, i) of C^2 (x) C^2 is row/column 2a + i.  The checks
+read off the 32 slot products of one 2x2 X: F[2a+i, 2b+j] = X_ab(u) X_ij(v),
+one broadcast product X[:, None, :, None] * in_v(X)[None, :, None, :]
+reshaped to 4x4, and G[2a+i, 2b+j] = X_ij(v) X_ab(u).  Only F takes
+products: with P the flip 2a + i -> 2i + a, G = in_v(F[P][:, P]).  With
+K = F - G, taken once,
 
-    R(u-v) X1(u) X2(v) - X2(v) X1(u) R(u-v) = (u-v)(F - G) - i(PF - GP),
+    R(u-v) X1(u) X2(v) - X2(v) X1(u) R(u-v) = (u-v)K - i(PF - GP),
 
 with no 4x4 products, and the factor u - v is a shift of keys
 (`_shifted_sum`), not a product.  X = L_N gives rll-local; X = T_N gives
-rll-global and, with K = F - G, every relation but the recursion:
+rll-global and every relation but the recursion:
 
-    commute-X    [A(u), A(v)] = K[(0,0),(0,0)]
-    commute-t    [t(u), t(v)] = sum_s K[s,s],  t = A + D
-    commute-B    [B(u), B(v)] = K[(0,0),(1,1)]
-    commute-C    [C(u), C(v)] = K[(1,1),(0,0)]
-    exchange-AC  (u-v+i) F[(1,0),(0,0)] - (u-v) G[(1,0),(0,0)] - i G[(0,1),(0,0)]
+    commute-X    [A(u), A(v)] = K[0,0]
+    commute-t    [t(u), t(v)] = trace K,  t = A + D
+    commute-B    [B(u), B(v)] = K[0,3]
+    commute-C    [C(u), C(v)] = K[3,0]
+    exchange-AC  (u-v+i) F[2,0] - (u-v) G[2,0] - i G[1,0]
+                 = (u-v) K[2,0] + i(F[2,0] - G[1,0])
 
 For Z(u) = sum_m Z_m u^{N-m}, the u^{N-a} v^{N-b} coefficient of
 [Z(u), Z(v)] is [Z_a, Z_b], so the commute-X/t witness is the first pair
@@ -66,9 +71,10 @@ against T_{N-1}: a suite builds each of them once.
 from __future__ import annotations
 
 import math
-from functools import lru_cache, reduce
-from operator import add, mul
+from functools import cache
 from typing import Dict, List, Tuple
+
+import numpy as np
 
 from .rationals import MINUS_I, ONE, Gauss, I, as_gauss, gauss_mul, gauss_str
 from .report import VerificationReport
@@ -133,7 +139,7 @@ def _reorder(ap: Tuple[int, ...], cq: Tuple[int, ...]):
     return tuple(out)
 
 
-@lru_cache(maxsize=4096)
+@cache
 def _reorder_deltas(n: int, pf: int, qf: int):
     """`_reorder` on packed fields, as [(key delta, coef_k)].
 
@@ -348,33 +354,7 @@ UVPoly = WeylElement
 # ---------------------------------------------------------------------------
 
 
-class OperatorPolyMatrix:
-    """Rectangular matrix with WeylElement entries."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries):
-        if any(len(row) != len(entries[0]) for row in entries):
-            raise ValueError("matrix must be rectangular")
-        self.entries = [list(row) for row in entries]
-
-    @property
-    def shape(self):
-        return (len(self.entries), len(self.entries[0]))
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
-
-    def __matmul__(self, other: "OperatorPolyMatrix") -> "OperatorPolyMatrix":
-        if self.shape[1] != other.shape[0]:
-            raise ValueError("shape mismatch")
-        cols = list(zip(*other.entries))
-        return OperatorPolyMatrix([[reduce(add, map(mul, row, col)) for col in cols]
-                                   for row in self.entries])
-
-
-def lax_matrix(m: int, N: int) -> OperatorPolyMatrix:
+def lax_matrix(m: int, N: int) -> np.ndarray:
     """Site-m Lax matrix [[u - p_m, -e^{q_m}], [e^{-q_m}, 0]]."""
     if not 1 <= m <= N:
         raise IndexError(f"site index {m} out of range for N={N}")
@@ -382,32 +362,30 @@ def lax_matrix(m: int, N: int) -> OperatorPolyMatrix:
     pm = WeylElement.p(N, m)
     eq = WeylElement.exp_q(N, m, 1)
     emq = WeylElement.exp_q(N, m, -1)
-    return OperatorPolyMatrix([[u - pm, -eq], [emq, WeylElement(N)]])
+    return np.array([[u - pm, -eq], [emq, WeylElement(N)]], dtype=object)
 
 
-# Tensor slots (a, i) of C^2 (x) C^2; slot (a, i) is row/column 2a + i.
-_SLOTS = ((0, 0), (0, 1), (1, 0), (1, 1))
+# The flip P of C^2 (x) C^2 on row/column indices: slot 2a + i -> 2i + a.
+_FLIP = np.array([0, 2, 1, 3])
 
 
-def _u_minus_v(n: int, shift: Gauss = (0, 0)) -> WeylElement:
-    """The scalar u - v + shift."""
-    return WeylElement.scalar(n, {(1, 0): ONE, (0, 1): _MINUS_ONE, (0, 0): shift})
-
-
-def r_matrix(N: int = 1) -> OperatorPolyMatrix:
+def r_matrix(N: int = 1) -> np.ndarray:
     """4x4 R(u - v) = (u - v)I - iP over scalar coefficients, P the flip.
 
-    P[(a,i),(b,j)] = delta_{aj} delta_{ib}.  `qism_suite` applies R in
-    closed form; this is the README's R-matrix and the RLL tests' reference.
+    Tensor slot (a, i) is row/column 2a + i, so P[r, c] = 1 when c is
+    `_FLIP[r]`.  `qism_suite` applies R in closed form; this is the README's
+    R-matrix and the RLL tests' reference.
     """
     def entry(r, c):
-        shift = MINUS_I if r[::-1] == c else (0, 0)
-        return _u_minus_v(N, shift) if r == c else WeylElement.constant(N, shift)
+        terms = {(0, 0): MINUS_I if _FLIP[r] == c else (0, 0)}
+        if r == c:
+            terms.update({(1, 0): ONE, (0, 1): _MINUS_ONE})
+        return WeylElement.scalar(N, terms)
 
-    return OperatorPolyMatrix([[entry(r, c) for c in _SLOTS] for r in _SLOTS])
+    return np.array([[entry(r, c) for c in range(4)] for r in range(4)], dtype=object)
 
 
-def monodromy(N: int, upto: int | None = None) -> OperatorPolyMatrix:
+def monodromy(N: int, upto: int | None = None) -> np.ndarray:
     """T_k(u) = L_k(u) L_{k-1}(u) ... L_1(u) in the N-site algebra.
 
     upto = k defaults to N; 1 <= k < N gives the partial monodromies used by
@@ -429,16 +407,17 @@ def monodromy(N: int, upto: int | None = None) -> OperatorPolyMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _slot_products(X: OperatorPolyMatrix):
-    """(F, G): F[(a,i),(b,j)] = X_ab(u) X_ij(v), G[(a,i),(b,j)] = X_ij(v) X_ab(u).
+def _slot_products(X: np.ndarray):
+    """(F, G, K): F[2a+i, 2b+j] = X_ab(u) X_ij(v), G[2a+i, 2b+j] = X_ij(v) X_ab(u)
+    and K = F - G.
 
-    Only F takes products: in_v is a ring automorphism, so
-    G[r, c] = in_v(F[Pr, Pc]) with P the flip.
+    Only F takes products, one broadcast over the four indices: in_v is a
+    ring automorphism, so G = in_v(F[P][:, P]) with P the flip.
     """
-    Xv = [[e.in_v() for e in row] for row in X.entries]
-    F = {(r, c): X[r[0], c[0]] * Xv[r[1]][c[1]] for r in _SLOTS for c in _SLOTS}
-    G = {(r, c): F[r[::-1], c[::-1]].in_v() for r in _SLOTS for c in _SLOTS}
-    return F, G
+    in_v = np.frompyfunc(WeylElement.in_v, 1, 1)
+    F = (X[:, None, :, None] * in_v(X)[None, :, None, :]).reshape(4, 4)
+    G = in_v(F[_FLIP][:, _FLIP])
+    return F, G, F - G
 
 
 # key shifts that multiply a term by u and by v
@@ -469,20 +448,18 @@ def _shifted_sum(parts) -> WeylElement:
     return WeylElement._packed(parts[0][0].n, acc, _guard(bound))
 
 
-def _rll_residual(F, G) -> OperatorPolyMatrix:
-    """R(u-v) X1(u) X2(v) - X2(v) X1(u) R(u-v) from `_slot_products(X)`:
-    entry (r, c) is (u-v)(F - G)[r,c] - i(F[Pr,c] - G[r,Pc])."""
-    def entry(r, c):
-        k = F[r, c] - G[r, c]
-        return _shifted_sum(((k, _TIMES_U, ONE), (k, _TIMES_V, _MINUS_ONE),
-                             (F[r[::-1], c] - G[r, c[::-1]], 0, MINUS_I)))
+def _rll_residual(F, G, K) -> np.ndarray:
+    """R(u-v) X1(u) X2(v) - X2(v) X1(u) R(u-v) = (u-v)K - i(PF - GP) from
+    `_slot_products(X)`, with PF = F[P] and GP = G[:, P]."""
+    def entry(k, d):
+        return _shifted_sum(((k, _TIMES_U, ONE), (k, _TIMES_V, _MINUS_ONE), (d, 0, MINUS_I)))
 
-    return OperatorPolyMatrix([[entry(r, c) for c in _SLOTS] for r in _SLOTS])
+    return np.frompyfunc(entry, 2, 1)(K, F[_FLIP] - G[:, _FLIP])
 
 
-def _first_failure(D: OperatorPolyMatrix):
-    return next((f"entry ({i + 1},{j + 1})" for i, row in enumerate(D.entries)
-                 for j, e in enumerate(row) if not e.is_zero()), None)
+def _first_failure(D: np.ndarray):
+    return next((f"entry ({r + 1},{c + 1})" for (r, c), e in np.ndenumerate(D)
+                 if not e.is_zero()), None)
 
 
 def _first_pair(diff: WeylElement, N: int):
@@ -492,18 +469,17 @@ def _first_pair(diff: WeylElement, N: int):
                  if N - a + ((N - b) << _FIELD_BITS) in uv), None)
 
 
-def _exchange_residual(F, G, N: int) -> WeylElement:
-    """(u-v+i) C(u) A(v) - (u-v) A(v) C(u) - i C(v) A(u) from `_slot_products(T)`.
+def _exchange_residual(F, G, K) -> WeylElement:
+    """(u-v+i) C(u) A(v) - (u-v) A(v) C(u) - i C(v) A(u) from `_slot_products(T)`,
+    = (u-v) K[2,0] + i(F[2,0] - G[1,0]).
 
     The commonly quoted form with A and C in the opposite order fails the
     exact N=1 computation by -2i(u-v) e^{-q}; this ordering is the one the
     RLL relation implies.
     """
-    f = F[(1, 0), (0, 0)]
-    k = f - G[(1, 0), (0, 0)]
-    # = (u-v)(f - G[(1,0),(0,0)]) + i(f - G[(0,1),(0,0)])
+    k = K[2, 0]
     return _shifted_sum(((k, _TIMES_U, ONE), (k, _TIMES_V, _MINUS_ONE),
-                         (f - G[(0, 1), (0, 0)], 0, I)))
+                         (F[2, 0] - G[1, 0], 0, I)))
 
 
 def _peel_site(N: int, A_p: WeylElement,
@@ -537,22 +513,17 @@ def qism_suite(N: int) -> List[VerificationReport]:
                                           witness=witness))
 
     T = monodromy(N)
-    F, G = _slot_products(T)
-
-    def comm(r, c):
-        return F[r, c] - G[r, c]
-
-    a, d = (0, 0), (1, 1)
+    F, G, K = _slot_products(T)
     for relation, witness in (
             (f"rll-local-m{N}",
              _first_failure(_rll_residual(*_slot_products(lax_matrix(N, N))))),
-            (f"rll-global-N{N}", _first_failure(_rll_residual(F, G))),
-            ("commute-X", _first_pair(comm(a, a), N)),
-            ("commute-t", _first_pair(reduce(add, (comm(s, s) for s in _SLOTS)), N))):
+            (f"rll-global-N{N}", _first_failure(_rll_residual(F, G, K))),
+            ("commute-X", _first_pair(K[0, 0], N)),
+            ("commute-t", _first_pair(K.trace(), N))):
         report(relation, witness is not None, witness)
-    report("commute-B", not comm(a, d).is_zero())
-    report("commute-C", not comm(d, a).is_zero())
-    report("exchange-AC", not _exchange_residual(F, G, N).is_zero())
+    report("commute-B", not K[0, 3].is_zero())
+    report("commute-C", not K[3, 0].is_zero())
+    report("exchange-AC", not _exchange_residual(F, G, K).is_zero())
     if N < 2:
         report("recursion", False, "vacuous for N=1")
     else:

@@ -189,6 +189,45 @@ def test_flipped_raising_sign_fails(monkeypatch):
         assert rep.status == "FAIL" and "[E1,F1]: trial 0: " in rep.witness
 
 
+def test_a_perturbed_diagonal_generator_fails_its_h_relations(monkeypatch):
+    # 2 H_N breaks [H_N, E_{N-1}] = -E_{N-1} and [H_N, F_{N-1}] = F_{N-1}:
+    # the check must bracket every H_n, n = N included, with E and F
+    plain = gz.gz_generator
+
+    def doubled_top(kind, n, N):
+        op = plain(kind, n, N)
+        return op.scaled(2) if (kind, n) == ("diagonal", N) else op
+
+    monkeypatch.setattr(gz, "gz_generator", doubled_top)
+    for N in (2, 3):
+        rep = check_gl_relations(N, trials=3, seed=1)
+        assert rep.status == "FAIL"
+        for label in (f"[H{N},E{N - 1}]", f"[H{N},F{N - 1}]"):
+            assert f"{label}: trial 0: " in rep.witness, (N, label)
+        assert f"[H{N - 1}," not in rep.witness
+
+
+@pytest.mark.parametrize("tilted, h, broken, intact", [
+    (2, 1, "serre-raise(2,1)", "serre-raise(1,2)"),
+    (1, 2, "serre-raise(1,2)", "serre-raise(2,1)")])
+def test_a_perturbed_raising_generator_fails_its_serre_relation(monkeypatch, tilted, h,
+                                                                 broken, intact):
+    # E_2 + H_1 in place of E_2 leaves [E_1, [E_1, E_2]] = 0 but makes
+    # [E_2, [E_2, E_1]] = 2[E_2, E_1] + E_1, and E_1 + H_2 in place of E_1
+    # the other way round: the check must reach n = 1 and m = 1
+    plain = gz.gz_generator
+
+    def tilt(kind, n, N):
+        op = plain(kind, n, N)
+        return op + plain("diagonal", h, N) if (kind, n) == ("raise", tilted) else op
+
+    monkeypatch.setattr(gz, "gz_generator", tilt)
+    for N in (3, 4):
+        rep = check_serre(N, trials=3, seed=1)
+        assert rep.status == "FAIL" and f"{broken}: trial 0: " in rep.witness
+        assert intact not in rep.witness and "lower" not in rep.witness
+
+
 class _FailsAtLane:
     """Stands in for a `TermTable` whose "operators" are global lane numbers:
     operator i is nonzero at lane ops[i] alone."""
@@ -332,6 +371,17 @@ def test_whittaker_equations_close():
             arr = sample_real_array(N, rng)
             rep = check_whittaker_equations(arr)
             assert rep.residual < 1e-9
+
+
+def test_a_perturbed_raising_generator_fails_the_whittaker_equations(monkeypatch):
+    # 2 E_{1,2} w = -2i w misses -i w by |w| at level 1, which every N has
+    plain = gz.gz_generator
+    monkeypatch.setattr(gz, "gz_generator", lambda kind, n, N: (
+        plain(kind, n, N).scaled(2) if (kind, n) == ("raise", 1) else plain(kind, n, N)))
+    rng = random.Random(21)
+    for N in (2, 3):
+        rep = check_whittaker_equations(sample_real_array(N, rng))
+        assert rep.status == "FAIL" and abs(rep.residual - 1.0) < 1e-9
 
 
 def test_spherical_vector_and_equation():
@@ -502,8 +552,10 @@ def test_cartan_multiplier():
 
 def test_vector_shift_ratio_refuses_a_shifted_argument_on_a_pole():
     # lambda_11 - lambda_21 = -3i/2 puts phi's pair argument at -1/2, and the
-    # half shift of lambda_11 by i moves it onto the pole at 0
+    # half shift of lambda_11 by i moves it onto the pole at 0; -7i/2 puts
+    # it at -3/2, one half step from the pole at -1
     shift = (((1, 1), 1),)
-    assert np.isfinite(vector_shift_ratio("phi", _point([[-1.4j], [0.0, 1.0]]), shift))
-    with pytest.raises(PoleError, match="vector shift ratio"):
-        vector_shift_ratio("phi", _point([[-1.5j], [0.0, 1.0]]), shift)
+    for near, on in ((-1.4j, -1.5j), (-3.4j, -3.5j)):
+        assert np.isfinite(vector_shift_ratio("phi", _point([[near], [0.0, 1.0]]), shift))
+        with pytest.raises(PoleError, match="vector shift ratio"):
+            vector_shift_ratio("phi", _point([[on], [0.0, 1.0]]), shift)

@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 from quantoda import gz
 from quantoda.cli import dispatch
 from quantoda.mellin_barnes import default_contour
-from quantoda.specfun import (PoleError, gamma, gamma_shift_ratio, log_gamma,
-                              log_gamma_array)
+from quantoda.specfun import (PoleError, _log_gamma, _log_gamma_right, gamma,
+                              gamma_shift_ratio, log_gamma, log_gamma_array)
 
 # frozen against an arbitrary-precision evaluation
 LOGGAMMA_2_3I = complex(-2.09285175309273334956418862503,
@@ -215,6 +215,34 @@ def test_principal_branch_and_conjugation():
         assert abs(log_gamma(z.conjugate()) - log_gamma(z).conjugate()) <= 1e-15 * abs(want)
     conj = log_gamma_array(np.conj(zs))
     assert np.all(np.abs(conj - arr.conj()) <= 1e-15 * np.abs(arr))
+
+
+def test_principal_branch_far_left_of_the_imaginary_axis():
+    # the reflection adds 2 pi i floor(x/2 + 1/4) (sign of y): at x = -30.2
+    # that is 15 turns, and one floor too many or too few is off by 2 pi
+    zs = [complex(-30.2, y) for y in (2.0, -2.0, 0.5)] + [-51.7 + 3j, -18.9 - 1j]
+    arr = log_gamma_array(zs)
+    for z, a in zip(zs, arr):
+        with mpmath.workdps(30):
+            want = complex(_mp_log_gamma(z))
+        for got in (log_gamma(z), a):
+            assert abs(got.imag - want.imag) <= 1e-13 * abs(want), z
+
+
+def test_log_gamma_array_takes_the_array_path_right_of_zero():
+    # kernel-shaped arguments with 0 < Re z <= 1 (offsets 1/2 and 1, the
+    # spherical 1/4, and the N = 2 default contour) go through the array
+    # formula, bit for bit; only Re z <= 0 goes element by element
+    c = default_contour(2, [0.8, -0.3], 1e-8)
+    t = np.linspace(-c.half_width, c.half_width, c.nodes_per_dim)
+    zs = np.concatenate([re + 1j * IMAG_100 for re in (0.25, 0.5, 1.0)]
+                        + [(-1j * np.subtract.outer(t + 1j * c.offsets[0], [0.8, -0.3])).ravel()])
+    assert 0.0 < zs.real.min() and zs.real.max() <= 1.0
+    assert np.array_equal(log_gamma_array(zs), _log_gamma_right(zs))
+    left = np.array([-0.5 + 2j, -30.2 + 2j, 1j])
+    mixed = log_gamma_array(np.concatenate([zs, left]))
+    assert np.array_equal(mixed[:zs.size], _log_gamma_right(zs))
+    assert mixed[zs.size:].tolist() == [_log_gamma(z) for z in left.tolist()]
 
 
 def test_no_runtime_warning_at_large_imaginary_parts():
