@@ -39,9 +39,10 @@ is real, so the denominator 1/(Gamma(-i d) Gamma(i d)) = d sinh(pi d)/pi
 (0 at d = 0) has rank 4 as a matrix over the nodes: at N = 3 the sum
 takes O(M^2) time, builds no 3-D array and contracts V_BLOCK columns of v
 at a time.  Every block multiplies by A in row blocks copied from a
-sliding window over its 2M - 1 values (`_toeplitz_product`), so no sum
-builds A and each holds O(M) memory: an N = 3 point at tol 1e-10
-(M = 383) traces a 0.42 MiB peak, not the 2.4 MiB of a whole A.
+read-only strided view of its 2M - 1 values (`_toeplitz_rows`,
+`_toeplitz_product`), so no sum builds A and each holds O(M) memory: an
+N = 3 point at tol 1e-10 (M = 383) traces a 0.42 MiB peak, not the 2.4 MiB
+of a whole A.
 A grid whose largest node array (M N at N = 2, M^2 at N = 3, M per
 difference) or node-sum array (one sum per pair of differences at N = 3)
 exceeds NODE_ARRAY_LIMIT elements raises ValueError before the kernel is
@@ -69,7 +70,6 @@ import math
 from typing import List, NamedTuple, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .specfun import log_gamma_array
 
@@ -129,12 +129,14 @@ def value_row(res: QuadratureResult, x: Sequence) -> dict:
     floats: one row for the value at the point x, or, for a sweep's arrays
     of values and estimates (`grid_scan`), one per entry, each x_k broadcast.
     abs is Python's abs(complex): np.abs may differ in the last bit."""
-    values = np.ravel(res.value)
-    table = {f"x{k+1}": np.full(values.shape, xk, dtype=float).tolist()
-             for k, xk in enumerate(x)}
+    values = np.asarray(res.value).ravel()
+    col, table = np.empty(values.shape), {}
+    for k, xk in enumerate(x):
+        col[...] = xk
+        table[f"x{k+1}"] = col.tolist()
     table.update(re=values.real.tolist(), im=values.imag.tolist(),
                  abs=list(map(abs, values.tolist())),
-                 error_estimate=np.ravel(res.error_estimate).tolist())
+                 error_estimate=np.asarray(res.error_estimate).ravel().tolist())
     return table
 
 
@@ -196,43 +198,56 @@ def _kernel(top, which: str, offsets, half_width: float, M: int):
     same nodes t, so A depends on i - j alone (Toeplitz) and is returned as
     its 2M - 1 values diag, entry i - j + M - 1: its first row and column,
     2M - 1 log Gamma values, not M^2.  Both sets of differences go to log
-    Gamma in one call.  Returns (t, w, diag), diag None when N = 2.
+    Gamma in one call.  The nodes are np.linspace(-half_width, half_width,
+    M) bit for bit: the same step times arange, less half_width, and the
+    last node pinned to half_width.  Returns (t, w, diag), diag None when
+    N = 2.
     """
-    t = np.linspace(-half_width, half_width, M)
+    t = np.arange(M, dtype=float)
+    t *= 2.0 * half_width / (M - 1)
+    t -= half_width
+    t[-1] = half_width
     low = t + 1j * offsets[-2]       # level N-1
     d = np.subtract.outer(low, top).ravel()
     if len(offsets) == 3:
         d = np.concatenate([d, difference_lattice(t + 1j * offsets[0], low)])
     logs = _adjacent_log(d, which)   # the build's one log Gamma call
     n_top = M * len(top)
-    w = np.exp(logs[:n_top].reshape(M, len(top)).sum(axis=1))
+    w = np.exp(np.add.reduce(logs[:n_top].reshape(M, len(top)), axis=1))
     if len(offsets) == 2:
         return t, w, None
     return t, w, np.exp(logs[n_top:])
 
 
 def _toeplitz_rows(diag):
-    """The rows of the n x n Toeplitz matrix A[i, j] = diag[i - j + n - 1],
-    a view: row i is the window diag[i:i + n] reversed."""
-    return sliding_window_view(diag, (len(diag) + 1) // 2)[:, ::-1]
+    """The n x n Toeplitz matrix A[i, j] = diag[i - j + n - 1] of a
+    contiguous diag of 2n - 1 values, as a read-only view of diag's buffer:
+    it starts at diag[n - 1] with strides (s, -s), so row i is diag[i:i + n]
+    reversed and rows overlap.  A[::2, ::2] is the Toeplitz matrix of
+    diag[(n - 1) % 2::2], the one on every other node."""
+    n = (len(diag) + 1) // 2
+    s = diag.itemsize
+    rows = np.ndarray((n, n), diag.dtype, diag, (n - 1) * s, (s, -s))
+    rows.setflags(write=False)
+    return rows
 
 
-def _toeplitz_product(diag, x):
-    """A @ x for the Toeplitz A of `_toeplitz_rows(diag)`, without A.
+def _toeplitz_product(rows, x):
+    """A @ x for A given as the view `rows` (`_toeplitz_rows`, or every
+    other row and column of it), without a copy of A.
 
     The rows go in ceil(n / ROW_BLOCK) blocks of near-equal size, each
-    copied from the window into one buffer and multiplied into its rows of
+    copied from the view into one buffer and multiplied into its rows of
     the result.  At one OpenBLAS thread a row block's GEMM gives the bytes
     of the whole product, unless the block is a single row (numpy sends a
     1-row matmul down another path): near-equal blocks of n > 1 rows never
     are.
     """
-    rows = _toeplitz_rows(diag)
     n = len(rows)
     blocks = -(-n // ROW_BLOCK)
     edges = [n * b // blocks for b in range(blocks + 1)]
     out = np.empty((n, x.shape[1]), complex)
-    buf = np.empty((-(-n // blocks), n), diag.dtype)
+    buf = np.empty((-(-n // blocks), n), rows.dtype)
     for r0, r1 in zip(edges, edges[1:]):
         buf[:r1 - r0] = rows[r0:r1]
         np.matmul(buf[:r1 - r0], x, out=out[r0:r1])
@@ -240,7 +255,8 @@ def _toeplitz_product(diag, x):
 
 
 def _phase(c, t, h):
-    """e^{i c_k (t_j + i h)}, a (len(c), M) matrix over the linspace nodes t.
+    """e^{i c_k (t_j + i h)}, a (len(c), M) matrix over `_kernel`'s nodes t,
+    np.linspace's bit for bit.
 
     One row, every point value's, is one exp per entry.  More rows factor
     the nodes as t_j = t_0 + (K q + r) dt, K = isqrt(M), dt the linspace
@@ -275,8 +291,8 @@ def _node_sums(top, which: str, offsets, half_width: float, M: int,
     E+- = e^{+-pi t}: one (M x M) @ (M x 4 V_BLOCK) product per V_BLOCK
     columns of v, whose weights, product and pairs are never whole arrays.
     Each product takes A's row blocks (`_toeplitz_product`): A is never
-    built.  The stride-2 sum's A is Toeplitz over every other diagonal,
-    diag[(M - 1) % 2::2] on ceil(M/2) nodes.
+    built.  The stride-2 sum's A is every other row and column of the view,
+    the Toeplitz matrix of every other diagonal on ceil(M/2) nodes.
     """
     t, wtop, diag = _kernel(top, which, offsets, half_width, M)
     dt = t[1] - t[0]
@@ -284,7 +300,9 @@ def _node_sums(top, which: str, offsets, half_width: float, M: int,
     if vs is not None:
         full_b = _phase(vs, t, offsets[1]).T                   # (M, nv)
         ep, em = np.exp(np.pi * t), np.exp(-np.pi * t)
-        rank4 = np.stack([t * ep, em, ep, t * em], axis=1)     # (nb, 4)
+        rank4 = np.empty((M, 4))                               # (nb, 4)
+        rank4[:, 0], rank4[:, 1], rank4[:, 2], rank4[:, 3] = t * ep, em, ep, t * em
+        rows = _toeplitz_rows(diag)
     for sl, fac in ((slice(None), 1.0), (slice(0, M, 2), 2.0)):
         # stride-2 columns copied contiguous: the values of phases built on the
         # sliced nodes, and BLAS products (a strided view rounds them apart)
@@ -292,13 +310,12 @@ def _node_sums(top, which: str, offsets, half_width: float, M: int,
         if vs is None:
             yield (phase_a @ wtop[sl]) * (dt * fac) / TWO_PI
             continue
-        diag_sl = diag if fac == 1.0 else diag[(M - 1) % 2::2]
         sums = np.empty((len(us), len(vs)), complex)
         for k in range(0, len(vs), V_BLOCK):
             cols = slice(k, k + V_BLOCK)
             w = wtop[sl, None] * full_b[sl, cols]                   # (nb, bv)
             weights = (rank4[sl, :, None] * w[:, None, :]).reshape(len(w), -1)
-            P = _toeplitz_product(diag_sl, weights).reshape(len(w), 4, -1)  # (na, 4, bv)
+            P = _toeplitz_product(rows[sl, sl], weights).reshape(len(w), 4, -1)  # (na, 4, bv)
             pairs = (P[:, 0] * P[:, 1] - P[:, 2] * P[:, 3]) / np.pi  # (na, bv)
             sums[:, cols] = (phase_a @ pairs) * (dt * fac) ** 3 / TWO_PI ** 3
         yield sums
@@ -319,7 +336,8 @@ def _validate(N: int, params: Sequence[float], axes, tol: float) -> List[float]:
     if len(params) != N or len(axes) != N:
         raise ValueError("parameters and x must have length N")
     if not (all(map(math.isfinite, params))
-            and all(np.isfinite(np.asarray(a, dtype=float)).all() for a in axes)):
+            and all(np.logical_and.reduce(np.isfinite(np.asarray(a, dtype=float)),
+                                        axis=None) for a in axes)):
         raise ValueError("parameters and x must be finite")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
@@ -356,7 +374,7 @@ def _evaluate(which: str, N: int, params: Sequence[float], axes, tol: float,
     offsets = contour.offsets if which == "whittaker" else (0.0,) * N
     # per level n, the differences x_n - x_{n+1}
     diffs = [np.subtract.outer(axes[n], axes[n + 1]) for n in range(N - 1)]
-    exponent = sum(n * h * -float(np.min(u, initial=0.0))
+    exponent = sum(n * h * -float(np.minimum.reduce(u, axis=None, initial=0.0))
                    for n, (h, u) in enumerate(zip(offsets, diffs), 1))
     if exponent > EXP_LIMIT:
         raise ValueError(f"coordinates too far apart: phase exponent "
@@ -378,11 +396,12 @@ def _evaluate(which: str, N: int, params: Sequence[float], axes, tol: float,
     full = next(sums)
     half = next(sums) if estimate else None
     sums.close()                     # frees the node-sum temporaries
-    # v[i, j] = s[i n1 + j] at N = 2, v[i, j, k] = s[i n1 + j, j n2 + k] at N = 3
+    # v[i, j] = s[i n1 + j] at N = 2; at N = 3 v[i, j, k] = s[i n1 + j, j n2 + k],
+    # entry [i, j (n1 + 1), k] of s as an (n0, n1 n1, n2) array
     n = [len(a) for a in axes]
-    shape, diag = (n, "ij->ij") if N == 2 else ((n[0], n[1], n[1], n[2]), "ijjk->ijk")
-    v = np.einsum(diag, full.reshape(shape)) * carrier
-    return v, np.abs(v - np.einsum(diag, half.reshape(shape)) * carrier) if estimate else None
+    shape, step = (n, 1) if N == 2 else ((n[0], n[1] * n[1], n[2]), n[1] + 1)
+    v = full.reshape(shape)[:, ::step] * carrier
+    return v, np.abs(v - half.reshape(shape)[:, ::step] * carrier) if estimate else None
 
 
 def _point(which: str, N: int, params: Sequence[float], x: Sequence[float],

@@ -177,7 +177,7 @@ def log_gamma_array(z):
     """
     z = np.asarray(z, dtype=complex)
     left = z.real <= 0.0
-    if not left.any():
+    if not np.logical_or.reduce(left, axis=None):
         return _log_gamma_right(z)
     out = np.empty_like(z)
     out[~left] = _log_gamma_right(z[~left])

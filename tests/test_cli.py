@@ -11,6 +11,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -58,6 +59,32 @@ def test_recursive_method_agrees():
     (r,) = json.loads(r_text)
     assert abs(d["re"] - r["re"]) < 1e-8
     assert abs(d["im"] - r["im"]) < 1e-8
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_value_commands_call_no_python_level_numpy_helper(monkeypatch, fmt):
+    # each of these costs 30-200 us on its first call after other work:
+    # value commands build their arrays with numpy's C-level calls, and
+    # print the same bytes without them
+    argvs = [["whittaker", "eval", f"--n={n}", "--alpha=" + alpha, "--x=" + x,
+              f"--method={method}"]
+             for n, alpha, x in [(1, "0.7", "1.3"), (2, "0.8,-0.3", "0.4,-0.6"),
+                                 (3, "0.9,0.1,-0.6", "0.5,0,-0.5")]
+             for method in ("direct", "recursive")]
+    argvs += [["spherical", "eval", "--n=2", "--lambda=0.8,-0.3", "--x=0.4,-0.6"],
+              ["spherical", "eval", "--n=3", "--lambda=0.9,0.1,-0.6",
+               "--x=0.5,0,-0.5"],
+              ["cfunction", "--lambda=0.8,-0.3"],
+              ["cfunction", "--lambda=0.9,0.1,-0.6"]]
+    argvs = [argv + [f"--format={fmt}"] for argv in argvs]
+    want = [_run(argv) for argv in argvs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Python-level numpy helper was called")
+    for name in ("einsum", "linspace", "stack", "full", "ravel", "min"):
+        monkeypatch.setattr(np, name, refuse)
+    monkeypatch.setattr(np.lib.stride_tricks, "sliding_window_view", refuse)
+    assert [_run(argv) for argv in argvs] == want
 
 
 def test_grid_subcommand_rows():

@@ -410,8 +410,10 @@ def _node_sums_on_sliced_nodes(top, which, offsets, half_width, M, us, vs=None):
         phase_b = np.exp(np.multiply.outer(1j * b[sl], vs))
         w = wtop[sl, None] * phase_b
         weights = (rank4[sl, :, None] * w[:, None, :]).reshape(len(w), -1)
-        diag_sl = diag if fac == 1.0 else diag[(M - 1) % 2::2]
-        P = mb._toeplitz_product(diag_sl, weights).reshape(len(w), 4, len(vs))
+        m = len(w)
+        rows = mb._toeplitz_rows(diag if fac == 1.0 else
+                                 np.ascontiguousarray(diag[(M - 1) % 2::2]))
+        P = mb._toeplitz_product(rows, weights).reshape(m, 4, len(vs))
         pairs = (P[:, 0] * P[:, 1] - P[:, 2] * P[:, 3]) / np.pi
         yield (phase_a @ pairs) * (dt * fac) ** 3 / mb.TWO_PI ** 3
 
@@ -485,35 +487,58 @@ def test_phase_is_the_exponential_entry_by_entry(rows, M):
 
 @pytest.mark.parametrize("M", [12, 64, 280])
 def test_toeplitz_window_is_the_gathered_matrix(M):
-    # the kernel's diagonal, read through the row window and through the
-    # blocked product with the identity, is the gathered Toeplitz matrix
+    # the kernel's diagonal, read through the row view and through the
+    # blocked product with the identity, is the gathered Toeplitz matrix; so
+    # is every other row and column of the view, the stride-2 sum's A, for
+    # every other diagonal.  Both share the diagonal's memory (no M x M
+    # copy) and are read-only, because their rows overlap
     _, _, diag = mb._kernel(_A3, "whittaker", (1.0, 0.5, 0.0), 6.0, M)
-    gathered = diag[np.subtract.outer(np.arange(M), np.arange(M)) + (M - 1)]
-    A = mb._toeplitz_product(diag, np.eye(M))
-    assert np.array_equal(mb._toeplitz_rows(diag), gathered)
-    assert A.flags.c_contiguous and np.array_equal(A, gathered)
+    rows = mb._toeplitz_rows(diag)
+    for d, view in ((diag, rows), (diag[(M - 1) % 2::2], rows[::2, ::2])):
+        m = (len(d) + 1) // 2
+        gathered = d[np.subtract.outer(np.arange(m), np.arange(m)) + (m - 1)]
+        assert np.array_equal(view, gathered)
+        assert np.shares_memory(view, diag) and not view.flags.writeable
+        A = mb._toeplitz_product(view, np.eye(m))
+        assert A.flags.c_contiguous and np.array_equal(A, gathered)
+
+
+def test_kernel_nodes_are_linspace_bit_for_bit():
+    # arange times the step, less T, with the last node pinned to T: without
+    # the pin t[-1] misses T by a rounding on some of these 256 cases
+    for amax, tol, N in itertools.product(
+            [0.0, 0.3, 1.0, 2.5, 4.0, 7.7, 12.0, 30.0],
+            [1e-2, 1e-3, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-14], (2, 3)):
+        top = [amax] + [0.0] * (N - 1)
+        c = default_contour(N, top, tol)
+        T = c.half_width
+        for M in (c.nodes_per_dim, (c.nodes_per_dim + 1) // 2):
+            t = mb._kernel(top, "whittaker", c.offsets, T, M)[0]
+            assert t.tobytes() == np.linspace(-T, T, M).tobytes()
+            assert t[0] == -T and t[-1] == T
 
 
 def _toeplitz_cases():
-    """(diag, x, gathered A @ x) at nine sizes n from 1 to 389, the edges of
-    48-row blocks included, and 1, 4 and 64 columns, on a full diagonal and
-    on its stride-2 one."""
+    """(rows, x, gathered A @ x) at nine sizes n from 1 to 389, the edges of
+    48-row blocks included, and 1, 4 and 64 columns, on a full diagonal's
+    view and on every other row and column of it, the stride-2 one's."""
     rng = np.random.default_rng(33)
     for n, cols in itertools.product([1, 2, 12, 47, 48, 49, 97, 280, 389],
                                      (1, 4, 64)):
         full = rng.standard_normal(2 * n - 1) + 1j * rng.standard_normal(2 * n - 1)
-        for diag in (full, full[(n - 1) % 2::2]):
+        view = mb._toeplitz_rows(full)
+        for diag, rows in ((full, view), (full[(n - 1) % 2::2], view[::2, ::2])):
             m = (len(diag) + 1) // 2
             x = rng.standard_normal((m, cols)) + 1j * rng.standard_normal((m, cols))
             A = diag[np.subtract.outer(np.arange(m), np.arange(m)) + m - 1]
-            yield diag, x, A @ x
+            yield rows, x, A @ x
 
 
 def test_toeplitz_product_is_the_gathered_product():
     # at the default BLAS thread count a row block and the whole product may
     # split their sums apart, so in process it is within rounding
-    for diag, x, want in _toeplitz_cases():
-        got = mb._toeplitz_product(diag, x)
+    for rows, x, want in _toeplitz_cases():
+        got = mb._toeplitz_product(rows, x)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want), initial=0.0) <= (
             1e-15 * np.max(np.abs(want)))
@@ -525,8 +550,8 @@ def test_toeplitz_product_is_the_gathered_product_bit_for_bit_at_one_thread():
     probe = _fresh_python("-c", "import itertools\nimport numpy as np\n"
                           "import quantoda.mellin_barnes as mb\n"
                           + inspect.getsource(_toeplitz_cases) + """
-print(sum(mb._toeplitz_product(diag, x).tobytes() != want.tobytes()
-          for diag, x, want in _toeplitz_cases()))
+print(sum(mb._toeplitz_product(rows, x).tobytes() != want.tobytes()
+          for rows, x, want in _toeplitz_cases()))
 """, OPENBLAS_NUM_THREADS="1")
     assert (probe.returncode, probe.stdout) == (0, "0\n"), probe.stderr
 
@@ -824,3 +849,5 @@ def test_error_estimate_is_honest():
     assert abs(coarse.value - fine.value) \
         <= 10.0 * max(coarse.error_estimate, 1e-12)
     assert fine.error_estimate < max(coarse.error_estimate, 1e-12)
+    # the distance to the stride-2 value, below each tol here: not |v + v_half|
+    assert coarse.error_estimate < 1e-4 and fine.error_estimate < 1e-10
