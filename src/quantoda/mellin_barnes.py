@@ -9,11 +9,14 @@ carries the spectral parameters.
 Whittaker contours run parallel to the real axis with level offsets
 h_n decreasing in n (level n strictly above level n+1), which keeps every
 numerator Gamma argument at positive real part.  Only this module builds
-contours (`default_contour`, raised at N = 3 by `whittaker_recursive`), so
-`ContourSpec` is a plain record whose builders keep the ordering.
-Spherical contours are real; the kernel there pairs Gamma(d/(2i)+1/4) with
-its reflection, and within-level coincidences annihilate the integrand
-through the denominator: coincident parameters raise ContourError.
+contours (`default_contour`, raised at N = 3 by `_evaluate` for the
+recursive route), so `ContourSpec` is a plain record whose builders keep
+the ordering.  Spherical contours are real; the kernel there pairs
+Gamma(d/(2i)+1/4) with its reflection, |Gamma(1/4 - i d/2)|^2, which is
+real: its weight and Gamma matrix are float64, from one real-part log Gamma
+call (`specfun.log_abs_gamma_array`), and its Toeplitz products real GEMMs.
+Within-level coincidences annihilate the integrand through the denominator:
+coincident parameters raise ContourError.
 
 Quadrature is a truncated uniform grid per dimension (spectrally accurate
 for these analytic, exponentially decaying integrands).  N <= 3.  One front
@@ -40,7 +43,8 @@ is real, so the denominator 1/(Gamma(-i d) Gamma(i d)) = d sinh(pi d)/pi
 takes O(M^2) time, builds no 3-D array and contracts V_BLOCK columns of v
 at a time.  Every block multiplies by A in row blocks copied from a
 read-only strided view of its 2M - 1 values (`_toeplitz_rows`,
-`_toeplitz_product`), so no sum builds A and each holds O(M) memory: an
+`_toeplitz_product`; a real A takes the complex weights as float pairs,
+one real GEMM per block), so no sum builds A and each holds O(M) memory: an
 N = 3 point at tol 1e-10 (M = 383) traces a 0.42 MiB peak, not the 2.4 MiB
 of a whole A.
 A grid whose largest node array (M N at N = 2, M^2 at N = 3, M per
@@ -51,7 +55,8 @@ half-width T with pi T > EXP_LIMIT (e^{pi t} overflows).  N = 1 is the
 carrier alone and builds no contour.  The recursive route (separation of
 variables) is a contour, not a code path: the default one at N <= 2, and
 at N = 3 the one raised 1/2 per integrated level.  So every value passes
-one set of guards and takes one `_kernel` build and one `_node_sums` call.
+one validation and one set of guards (`_evaluate`) and takes one `_kernel`
+build and one `_node_sums` call.
 Comparing the N = 3 recursive value with the direct one checks contour
 independence (Cauchy), as acceptance criterion 09 does at one point;
 `oracle.givental` is the reference without Mellin-Barnes kernels.  The
@@ -71,7 +76,7 @@ from typing import List, NamedTuple, Sequence
 
 import numpy as np
 
-from .specfun import log_gamma_array
+from .specfun import log_abs_gamma_array, log_gamma_array
 
 TWO_PI = 2.0 * math.pi
 LEVEL_OFFSET_STEP = 0.5   # h_n = (N - n) * step
@@ -97,7 +102,8 @@ V_BLOCK = 16
 # 1e-10 (M = 275 / 383) takes 1.41 / 1.68 ms at 48 rows, within 4% of that
 # at 32 or 64 and 1.80 / 2.84 ms in one block (2 CPUs x86-64, OpenBLAS 1
 # thread, a host probe before each); a 48-row block of 383 complex values
-# is 294 kB, and the point faults on 40 fresh pages, against 541 in one.
+# is 294 kB (147 kB real, for the spherical kernel), and the point faults on
+# 40 fresh pages, against 541 in one.
 ROW_BLOCK = 48
 
 
@@ -168,15 +174,14 @@ def default_contour(N: int, alpha: Sequence[float], tol: float) -> ContourSpec:
 def _adjacent_log(d, which: str):
     """log of the adjacent-level factor at the differences d = a - b.
 
-    Whittaker: log Gamma(-i d).  Spherical: d is real (offsets 0), so
-    Gamma(1/4 - i d/2) Gamma(1/4 + i d/2) = |Gamma(1/4 - i d/2)|^2, whose
-    log is 2 Re log Gamma(1/4 - i d/2): one log Gamma per difference.
+    Whittaker (and the recursive route's kernel): log Gamma(-i d), complex.
+    Spherical: d is real (offsets 0), so Gamma(1/4 - i d/2) Gamma(1/4 +
+    i d/2) = |Gamma(1/4 - i d/2)|^2, whose log is 2 log |Gamma(1/4 - i d/2)|:
+    one real log Gamma per difference, float64.
     """
-    if which == "whittaker":
-        return log_gamma_array(-1j * d)
-    # kept complex: numpy would cast a real N = 3 matrix to complex again
-    # in both node-sum GEMMs
-    return 2.0 * log_gamma_array(d / 2j + 0.25).real + 0j
+    if which == "spherical":
+        return 2.0 * log_abs_gamma_array(d / 2j + 0.25)
+    return log_gamma_array(-1j * d)
 
 
 def difference_lattice(a, b):
@@ -198,7 +203,8 @@ def _kernel(top, which: str, offsets, half_width: float, M: int):
     same nodes t, so A depends on i - j alone (Toeplitz) and is returned as
     its 2M - 1 values diag, entry i - j + M - 1: its first row and column,
     2M - 1 log Gamma values, not M^2.  Both sets of differences go to log
-    Gamma in one call.  The nodes are np.linspace(-half_width, half_width,
+    Gamma in one call.  The spherical w and diag are real (float64), the
+    Whittaker ones complex.  The nodes are np.linspace(-half_width, half_width,
     M) bit for bit: the same step times arange, less half_width, and the
     last node pinned to half_width.  Returns (t, w, diag), diag None when
     N = 2.
@@ -238,19 +244,25 @@ def _toeplitz_product(rows, x):
 
     The rows go in ceil(n / ROW_BLOCK) blocks of near-equal size, each
     copied from the view into one buffer and multiplied into its rows of
-    the result.  At one OpenBLAS thread a row block's GEMM gives the bytes
-    of the whole product, unless the block is a single row (numpy sends a
-    1-row matmul down another path): near-equal blocks of n > 1 rows never
-    are.
+    the result.  A real A (the spherical kernel's) takes a complex,
+    C-contiguous x as float pairs: one real GEMM per block on x viewed as
+    n x 2k floats, a quarter of a complex GEMM's flops, from a buffer of
+    half the bytes.  At one OpenBLAS thread a complex row block's GEMM
+    gives the bytes of the whole product, unless the block is a single row
+    (numpy sends a 1-row matmul down another path): near-equal blocks of
+    n > 1 rows never are.  A real block's may round apart from the whole
+    real product, as OpenBLAS picks its dgemm kernel by shape.
     """
     n = len(rows)
     blocks = -(-n // ROW_BLOCK)
     edges = [n * b // blocks for b in range(blocks + 1)]
-    out = np.empty((n, x.shape[1]), complex)
+    out = np.empty((n, x.shape[1]), np.result_type(rows, x))
+    xs, outs = ((x.view(float), out.view(float)) if rows.dtype != out.dtype
+                else (x, out))
     buf = np.empty((-(-n // blocks), n), rows.dtype)
     for r0, r1 in zip(edges, edges[1:]):
         buf[:r1 - r0] = rows[r0:r1]
-        np.matmul(buf[:r1 - r0], x, out=out[r0:r1])
+        np.matmul(buf[:r1 - r0], xs, out=outs[r0:r1])
     return out
 
 
@@ -346,9 +358,12 @@ def _validate(N: int, params: Sequence[float], axes, tol: float) -> List[float]:
 
 @np.errstate(over="raise")
 def _evaluate(which: str, N: int, params: Sequence[float], axes, tol: float,
-              contour: ContourSpec | None = None, estimate: bool = True):
+              estimate: bool = True):
     """Values and error estimates on the grid axes[0] x ... x axes[N-1], from
-    one kernel build and one node sum.
+    one kernel build and one node sum, after the one `_validate` of the
+    inputs.  `which` is "whittaker", "recursive" (the Whittaker kernel on
+    `default_contour` raised 1/2 per integrated level at N = 3; see
+    `whittaker_recursive`) or "spherical".
 
     Returns (values, errors), arrays of shape (len(axes[0]), ...,
     len(axes[N-1])); errors is None when not `estimate`.  The node sums run
@@ -370,8 +385,10 @@ def _evaluate(which: str, N: int, params: Sequence[float], axes, tol: float,
     if N == 1:                       # the carrier alone: no contour is built
         carrier = np.exp(1j * sum(params) * axes[-1])
         return carrier, np.zeros(carrier.shape) if estimate else None
-    contour = contour or default_contour(N, params, tol)
-    offsets = contour.offsets if which == "whittaker" else (0.0,) * N
+    contour = default_contour(N, params, tol)
+    offsets = contour.offsets if which != "spherical" else (0.0,) * N
+    if which == "recursive" and N == 3:
+        offsets = (offsets[0] + LEVEL_OFFSET_STEP, offsets[0], 0.0)
     # per level n, the differences x_n - x_{n+1}
     diffs = [np.subtract.outer(axes[n], axes[n + 1]) for n in range(N - 1)]
     exponent = sum(n * h * -float(np.minimum.reduce(u, axis=None, initial=0.0))
@@ -405,9 +422,9 @@ def _evaluate(which: str, N: int, params: Sequence[float], axes, tol: float,
 
 
 def _point(which: str, N: int, params: Sequence[float], x: Sequence[float],
-           tol: float, contour: ContourSpec | None = None) -> QuadratureResult:
+           tol: float) -> QuadratureResult:
     """Value and error estimate at the one point x."""
-    v, err = _evaluate(which, N, params, [[xk] for xk in x], tol, contour)
+    v, err = _evaluate(which, N, params, [[xk] for xk in x], tol)
     return QuadratureResult(v.item(), err.item())
 
 
@@ -449,7 +466,6 @@ def grid_scan(N: int, alpha: Sequence[float], axis: int,
     if len(x0) != N:
         raise ValueError("x_base must have length N")
     axes = [[xk] for xk in x0]
-    _validate(N, alpha, axes, tol)
     if steps > NODE_ARRAY_LIMIT // MIN_NODES:
         raise ValueError(f"steps={steps} exceeds {NODE_ARRAY_LIMIT // MIN_NODES}, "
                          f"the most a sweep takes")
@@ -479,9 +495,4 @@ def whittaker_recursive(N: int, alpha: Sequence[float], x: Sequence[float],
     of mu = d sinh(pi d)/pi lets `_node_sums` sum the pair first: N = 3 is
     the one engine on that contour, and its estimate halves all three levels.
     """
-    alpha = _validate(N, alpha, x, tol)
-    contour = default_contour(N, alpha, tol) if N == 3 else None
-    if N == 3:
-        h = contour.offsets[0]
-        contour = contour._replace(offsets=(h + LEVEL_OFFSET_STEP, h, 0.0))
-    return _point("whittaker", N, alpha, x, tol, contour)
+    return _point("recursive", N, alpha, x, tol)

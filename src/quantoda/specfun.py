@@ -1,13 +1,15 @@
 """Complex Gamma utilities, in numpy and the standard library alone.
 
 `log_gamma` (one number) and `log_gamma_array` (elementwise) return log
-Gamma(z); `gamma_shift_ratio` evaluates Gamma(z+k)/Gamma(z) exactly as a
-rising/falling factorial.  The residual checks with integer shifts of the
-Gamma arguments route through it: the separated difference equations and the
-Whittaker-vector equations.  One check does not: the spherical-vector
-equations of `gz` shift the Gamma arguments by half-integers, for which
-`gz.vector_shift_ratio` takes differences of `log_gamma_array` values, one
-call per shift for every moved pair and every sampled array.
+Gamma(z), and `log_abs_gamma_array` its real part log |Gamma(z)| as float64,
+from the same operations on Re z > 0; `gamma_shift_ratio` evaluates
+Gamma(z+k)/Gamma(z) exactly as a rising/falling factorial.  The residual
+checks with integer shifts of the Gamma arguments route through it: the
+separated difference equations and the Whittaker-vector equations.  One
+check does not: the spherical-vector equations of `gz` shift the Gamma
+arguments by half-integers, for which `gz.vector_shift_ratio` takes
+differences of `log_gamma_array` values, one call per shift for every moved
+pair and every sampled array.
 
 Algorithm.  For Re z >= 0, shift by 8: with w = z + 8 and
 p = z (z+1) ... (z+7),
@@ -46,16 +48,18 @@ and, on the cut, the limit from Im z = +0 (Im z = -0.0 takes the other
 side).  No caller depends on the branch: each exponentiates the value or
 takes its real part, so a 2 pi i difference would not show.
 `mellin_barnes` exponentiates the kernel sums (the spherical kernel takes
-2 Re log Gamma(1/4 - i d/2)); `harish_chandra.c_alpha_factor`,
-`m_elementary` and `b_denominator` exponentiate; `gz._vector` exponentiates
+2 log |Gamma(1/4 - i d/2)| from `log_abs_gamma_array`);
+`harish_chandra.c_alpha_factor`, `m_elementary` and `b_denominator`
+exponentiate; `gz._vector` exponentiates
 its `log_gamma` sum and `gz.vector_shift_ratio` its sum of `log_gamma_array`
 differences; `separation.sep_wavefunction` exponentiates and
 `separation.sep_measure` takes real parts.
 
 Poles: `log_gamma` raises PoleError within POLE_TOL of a nonpositive
-integer; `log_gamma_array` neither raises nor warns, and its real part is
-+inf on an exact pole, 0 included (`gz.vector_shift_ratio` applies the same
-POLE_TOL test to its arguments before the call).
+integer; `log_gamma_array` and `log_abs_gamma_array` neither raise nor
+warn, and their real part is +inf on an exact pole, 0 included
+(`gz.vector_shift_ratio` applies the same POLE_TOL test to its arguments
+before the call).
 """
 
 from __future__ import annotations
@@ -75,8 +79,8 @@ _LOG_PI = math.log(math.pi)
 _LOG_2 = math.log(2.0)
 _SIN_ASYMPTOTIC = 20.0   # |Im z| above which |sin(pi z)| = e^{pi |Im z|}/2
 
-__all__ = ["PoleError", "log_gamma", "log_gamma_array", "gamma",
-           "gamma_shift_ratio"]
+__all__ = ["PoleError", "log_gamma", "log_gamma_array", "log_abs_gamma_array",
+           "gamma", "gamma_shift_ratio"]
 
 
 class PoleError(ValueError):
@@ -137,22 +141,26 @@ def _log_gamma(z: complex) -> complex:
     return (w - 0.5) * (cmath.log(w) - 1.0) + _stirling_rest(w) - log_p
 
 
-def _log_gamma_right(z: np.ndarray) -> np.ndarray:
-    """log Gamma on an array with Re z > 0 (see the module docstring)."""
+def _log_gamma_right(z: np.ndarray, real: bool = False) -> np.ndarray:
+    """log Gamma on an array with Re z > 0 (see the module docstring), or,
+    when `real`, its real part alone: the same operations, stopped before
+    the four arctan2 of arg p and the imaginary part's sum."""
     w = z + 8.0
     q = z * (z + 7.0)
     pairs = (q, q + 6.0, q + 10.0, q + 12.0)     # (z+k)(z+7-k), k = 0..3
     log_p = np.log(np.abs(pairs[0] * pairs[1] * pairs[2] * pairs[3]))
-    arg_p = np.arctan2(q.imag, q.real)
-    for f in pairs[1:]:
-        arg_p = arg_p + np.arctan2(f.imag, f.real)
     rest = _stirling_rest(w)
     log_w1 = np.log(np.abs(w) * _INV_E)           # log |w| - 1
     theta = np.arctan2(w.imag, w.real)
     h = w.real - 0.5
-    out = np.empty_like(z)
+    out = np.empty(z.shape, float if real else complex)   # a float's .real is itself
     # the two large products last, each rounded once into the sum
     np.subtract(h * log_w1 + (rest.real - log_p), w.imag * theta, out=out.real)
+    if real:
+        return out
+    arg_p = np.arctan2(q.imag, q.real)
+    for f in pairs[1:]:
+        arg_p = arg_p + np.arctan2(f.imag, f.real)
     np.add(w.imag * log_w1, h * theta + (rest.imag - arg_p), out=out.imag)
     return out
 
@@ -183,6 +191,17 @@ def log_gamma_array(z):
     out[~left] = _log_gamma_right(z[~left])
     out[left] = [_log_gamma(v) for v in z[left].tolist()]
     return out
+
+
+def log_abs_gamma_array(z):
+    """Re log Gamma(z) = log |Gamma(z)|, elementwise, as float64: the real
+    part of `log_gamma_array(z)` bit for bit.  On Re z > 0 it skips the
+    imaginary part's arctan2s; an array with any Re z <= 0 takes
+    `log_gamma_array` whole."""
+    z = np.asarray(z, dtype=complex)
+    if np.logical_or.reduce(z.real <= 0.0, axis=None):
+        return log_gamma_array(z).real
+    return _log_gamma_right(z, real=True)
 
 
 def gamma(z) -> complex:

@@ -243,6 +243,9 @@ _EIGEN = ["verify", "eigen", "--n", "2", "--alpha", "0.5,-0.5", "--grid"]
     ["whittaker", "eval", "--n", "2", "--alpha=0.5,,-0.5", "--x", "0.3,-0.3"],
     ["whittaker", "eval", "--n", "2", "--alpha=0.5,-0.5,", "--x", "0.3,-0.3"],
     ["cfunction", "--lambda="],
+    # axis = n, one past the last coordinate: a usage error, not grid_scan's
+    ["whittaker", "grid", "--n", "2", "--alpha", "0.5,-0.5", "--axis", "2",
+     "--from", "0", "--to", "1", "--steps", "3"],
 ])
 def test_bad_inputs_exit_2_with_one_line(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -250,6 +253,29 @@ def test_bad_inputs_exit_2_with_one_line(argv, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "error: argument --" in err
+
+
+@pytest.mark.parametrize("argv, default, other", [
+    (["verify", "separation", "--n=2"], "--seed=42", "--seed=43"),
+    # at seed 6 the N = 3 measure residual differs between 100 and 101 trials
+    (["verify", "separation", "--n=3", "--seed=6"], "--trials=100", "--trials=101"),
+    (["verify", "eigen", "--n=2", "--alpha=0.5,-0.5", "--grid=16:0.1"],
+     "--tol=0.001", "--tol=0.0011"),
+])
+def test_an_omitted_option_takes_its_documented_default(argv, default, other):
+    # the command prints the same without the option as with its documented
+    # default, and something else with a neighbouring value
+    assert _run(argv) == _run(argv + [default]) != _run(argv + [other])
+
+
+def test_verify_separation_passes_at_n1():
+    # one particle: no difference equation to check, and no residual
+    code, text = _run(["verify", "separation", "--n=1"])
+    payload = json.loads(text)
+    assert code == 0 and payload["status"] == "PASS"
+    assert [(r["relation"], r["status"], r["residual"]) for r in payload["reports"]] == [
+        ("dif-equation", "PASS", 0.0), ("measure-difference-eq", "PASS", 0.0),
+        ("lagrange", "PASS", None)]
 
 
 @pytest.mark.parametrize("argv", [

@@ -23,7 +23,7 @@ from quantoda.mellin_barnes import (ContourError, ContourSpec, DimensionError,
 from quantoda.oracle import (GridSpec, check_eigen, givental,
                              whittaker_vs_ode_ratio)
 from quantoda.separation import sep_wavefunction
-from quantoda.specfun import log_gamma
+from quantoda.specfun import log_gamma, log_gamma_array
 
 
 def test_n1_is_plane_wave():
@@ -49,12 +49,25 @@ def test_default_contour_offsets():
     assert tighter.nodes_per_dim > c.nodes_per_dim
 
 
+class _Built(Exception):
+    """Raised in place of a node sum, once its contour is recorded."""
+
+
 def test_every_contour_the_package_builds_is_ordered(monkeypatch):
     # no caller passes a contour in, so ContourSpec checks nothing: its two
-    # builders, `default_contour` and the raise of `whittaker_recursive` at
-    # N = 3, keep the offsets strictly decreasing to 0, T > 0, M >= MIN_NODES
+    # builders, `default_contour` and the raise `_evaluate` makes for
+    # `whittaker_recursive` at N = 3, keep the offsets strictly decreasing
+    # to 0, T > 0, M >= MIN_NODES.  The raised contour is read where the node
+    # sum takes it, with the node-array bound lifted so that every case
+    # reaches it and no sum runs
     raised = []
-    monkeypatch.setattr(mb, "_point", lambda *args: raised.append(args[5]))
+
+    def recording(top, which, offsets, half_width, M, *diffs):
+        raised.append(ContourSpec(offsets, half_width, M))
+        raise _Built
+
+    monkeypatch.setattr(mb, "_node_sums", recording)
+    monkeypatch.setattr(mb, "NODE_ARRAY_LIMIT", math.inf)
     rng = np.random.default_rng(39)
     cases = [(N, [0.0] * N, tol) for N in (1, 2, 3) for tol in (1e-3, 1e-12)]
     for _ in range(40):
@@ -67,7 +80,8 @@ def test_every_contour_the_package_builds_is_ordered(monkeypatch):
     for N, alpha, tol in cases:
         contours.append((N, default_contour(N, alpha, tol)))
         if N == 3:
-            whittaker_recursive(3, alpha, [0.5, 0.0, -0.5], tol)
+            with pytest.raises(_Built):
+                whittaker_recursive(3, alpha, [0.5, 0.0, -0.5], tol)
             contours.append((3, raised[-1]))
     assert len(raised) == sum(N == 3 for N, _, _ in cases) > 0
     assert max(max(map(abs, alpha)) for _, alpha, _ in cases) == 100.0
@@ -110,19 +124,19 @@ N3_ROUTES = {
 def test_n3_routes_take_log_gamma_on_o_of_m_values(monkeypatch, route):
     # every N = 3 Gamma matrix is Toeplitz: 2M - 1 log Gamma values, not M^2,
     # taken with the top weight's 3M in one call per kernel build (the
-    # spherical kernel takes one log Gamma per difference, as 2 Re)
-    elems = []
-    real = mb.log_gamma_array
+    # spherical kernel takes one real-part log Gamma per difference)
+    calls = []
+    for name in ("log_gamma_array", "log_abs_gamma_array"):
+        def counting(z, name=name, real=getattr(mb, name)):
+            calls.append((name, np.size(z)))
+            return real(z)
 
-    def counting(z):
-        elems.append(np.size(z))
-        return real(z)
-
-    monkeypatch.setattr(mb, "log_gamma_array", counting)
+        monkeypatch.setattr(mb, name, counting)
     alpha, x = [0.9, 0.1, -0.6], [0.5, 0.0, -0.5]
     N3_ROUTES[route](alpha, x, 1e-8)
-    assert len(elems) == 1
-    assert elems[0] <= 5 * default_contour(3, alpha, 1e-8).nodes_per_dim
+    kind = "log_abs_gamma_array" if route == "spherical_eval" else "log_gamma_array"
+    assert [name for name, _ in calls] == [kind]
+    assert calls[0][1] <= 5 * default_contour(3, alpha, 1e-8).nodes_per_dim
     if route == "recursive":
         # and agrees with the other ordering well below the tolerance
         want = whittaker_eval(3, alpha, x, tol=1e-12).value
@@ -169,14 +183,16 @@ def test_recursive_n3_matches_the_givental_integral(tol):
         assert abs(got - want) <= 10 * tol * abs(want), (alpha, x)
 
 
-def test_recursive_n3_is_the_direct_node_sum_on_the_raised_contour():
+def test_recursive_n3_is_the_direct_node_sum_on_the_raised_contour(monkeypatch):
     for alpha, x in RECURSIVE_N3_POINTS:
         for tol in (1e-6, 1e-8):
             c = default_contour(3, alpha, tol)
             h = c.offsets[0]
             raised = c._replace(offsets=(h + 0.5, h, 0.0))
-            assert (whittaker_recursive(3, alpha, x, tol)
-                    == mb._point("whittaker", 3, alpha, x, tol, raised))
+            want = whittaker_recursive(3, alpha, x, tol)
+            with monkeypatch.context() as m:
+                m.setattr(mb, "default_contour", lambda *args: raised)
+                assert whittaker_eval(3, alpha, x, tol) == want
 
 
 def test_weyl_symmetry_in_alpha():
@@ -188,13 +204,14 @@ def test_weyl_symmetry_in_alpha():
         assert abs(base.value - other.value) < tol
 
 
-def test_contour_shift_independence():
+def test_contour_shift_independence(monkeypatch):
     alpha, x = [0.6, -0.4], [0.8, -0.2]
     base = default_contour(2, alpha, 1e-9)
     ref = None
     for h in (0.3, 0.5, 0.9):
         c = base._replace(offsets=(h, 0.0))
-        v = mb._point("whittaker", 2, alpha, x, 1e-9, c).value
+        monkeypatch.setattr(mb, "default_contour", lambda *args: c)
+        v = whittaker_eval(2, alpha, x, 1e-9).value
         if ref is None:
             ref = v
         else:
@@ -314,19 +331,20 @@ def test_an_n1_sweep_is_held_to_the_same_steps_bound(monkeypatch):
     (64, 250.0, 2000, 4001, "the node-sum array"),
 ], ids=["m2-below", "m2-above", "difference-at", "difference-above",
         "node-sum-at", "node-sum-above"])
-def test_node_array_guard_boundaries_at_n3(M, T, n1, n2, refusal):
+def test_node_array_guard_boundaries_at_n3(monkeypatch, M, T, n1, n2, refusal):
     # one case each side of NODE_ARRAY_LIMIT for the three terms of the
     # guard: M^2 of an N = 3 point, M times the differences of a level, and
     # the node sums.  At T = 250, pi T > 700: a grid the guard lets through
     # is refused next by the half-width check, before any node sum
     axes = [np.linspace(0.0, 1.0, n1), [0.0], np.linspace(-1.0, 0.0, n2)]
-    contour = ContourSpec((1.0, 0.5, 0.0), T, M)
+    monkeypatch.setattr(mb, "default_contour",
+                        lambda *args: ContourSpec((1.0, 0.5, 0.0), T, M))
     if refusal is None:
-        v, err = _evaluate("whittaker", 3, _A3, axes, 1e-6, contour)
+        v, err = _evaluate("whittaker", 3, _A3, axes, 1e-6)
         assert np.isfinite(v).all() and np.isfinite(err).all()
         return
     with pytest.raises(ValueError, match=refusal):
-        _evaluate("whittaker", 3, _A3, axes, 1e-6, contour)
+        _evaluate("whittaker", 3, _A3, axes, 1e-6)
 
 
 def test_eigen_lattice_is_one_node_sum_per_difference(monkeypatch):
@@ -491,16 +509,21 @@ def test_toeplitz_window_is_the_gathered_matrix(M):
     # blocked product with the identity, is the gathered Toeplitz matrix; so
     # is every other row and column of the view, the stride-2 sum's A, for
     # every other diagonal.  Both share the diagonal's memory (no M x M
-    # copy) and are read-only, because their rows overlap
-    _, _, diag = mb._kernel(_A3, "whittaker", (1.0, 0.5, 0.0), 6.0, M)
-    rows = mb._toeplitz_rows(diag)
-    for d, view in ((diag, rows), (diag[(M - 1) % 2::2], rows[::2, ::2])):
-        m = (len(d) + 1) // 2
-        gathered = d[np.subtract.outer(np.arange(m), np.arange(m)) + (m - 1)]
-        assert np.array_equal(view, gathered)
-        assert np.shares_memory(view, diag) and not view.flags.writeable
-        A = mb._toeplitz_product(view, np.eye(m))
-        assert A.flags.c_contiguous and np.array_equal(A, gathered)
+    # copy) and are read-only, because their rows overlap.  The spherical
+    # diagonal is real, and so are its view and its product with the real
+    # identity
+    for which, offsets, dtype in (("whittaker", (1.0, 0.5, 0.0), complex),
+                                  ("spherical", (0.0, 0.0, 0.0), float)):
+        _, _, diag = mb._kernel(_A3, which, offsets, 6.0, M)
+        rows = mb._toeplitz_rows(diag)
+        for d, view in ((diag, rows), (diag[(M - 1) % 2::2], rows[::2, ::2])):
+            m = (len(d) + 1) // 2
+            gathered = d[np.subtract.outer(np.arange(m), np.arange(m)) + (m - 1)]
+            assert view.dtype == dtype and np.array_equal(view, gathered)
+            assert np.shares_memory(view, diag) and not view.flags.writeable
+            A = mb._toeplitz_product(view, np.eye(m))
+            assert A.dtype == dtype
+            assert A.flags.c_contiguous and np.array_equal(A, gathered)
 
 
 def test_kernel_nodes_are_linspace_bit_for_bit():
@@ -521,17 +544,21 @@ def test_kernel_nodes_are_linspace_bit_for_bit():
 def _toeplitz_cases():
     """(rows, x, gathered A @ x) at nine sizes n from 1 to 389, the edges of
     48-row blocks included, and 1, 4 and 64 columns, on a full diagonal's
-    view and on every other row and column of it, the stride-2 one's."""
+    view and on every other row and column of it, the stride-2 one's.  A
+    complex diagonal, then its real part: a real A's reference is the one
+    real GEMM of the gathered A on x as float pairs."""
     rng = np.random.default_rng(33)
     for n, cols in itertools.product([1, 2, 12, 47, 48, 49, 97, 280, 389],
                                      (1, 4, 64)):
         full = rng.standard_normal(2 * n - 1) + 1j * rng.standard_normal(2 * n - 1)
-        view = mb._toeplitz_rows(full)
-        for diag, rows in ((full, view), (full[(n - 1) % 2::2], view[::2, ::2])):
-            m = (len(diag) + 1) // 2
-            x = rng.standard_normal((m, cols)) + 1j * rng.standard_normal((m, cols))
-            A = diag[np.subtract.outer(np.arange(m), np.arange(m)) + m - 1]
-            yield rows, x, A @ x
+        for full in (full, full.real.copy()):
+            view = mb._toeplitz_rows(full)
+            for diag, rows in ((full, view), (full[(n - 1) % 2::2], view[::2, ::2])):
+                m = (len(diag) + 1) // 2
+                x = rng.standard_normal((m, cols)) + 1j * rng.standard_normal((m, cols))
+                A = diag[np.subtract.outer(np.arange(m), np.arange(m)) + m - 1]
+                yield rows, x, (A @ x if A.dtype == complex
+                                else (A @ x.view(float)).view(complex))
 
 
 def test_toeplitz_product_is_the_gathered_product():
@@ -545,13 +572,16 @@ def test_toeplitz_product_is_the_gathered_product():
 
 
 def test_toeplitz_product_is_the_gathered_product_bit_for_bit_at_one_thread():
-    # at one OpenBLAS thread the row blocks give the bytes of the whole
-    # product, which keeps every point value's bytes
+    # at one OpenBLAS thread complex row blocks give the bytes of the whole
+    # product, which keeps every Whittaker point value's bytes.  A real A's
+    # blocks need not: OpenBLAS takes another dgemm kernel for some block
+    # shapes (5 of the 54 real cases here round apart, within 1e-15 of the
+    # largest entry), so the spherical values keep their own bytes
     probe = _fresh_python("-c", "import itertools\nimport numpy as np\n"
                           "import quantoda.mellin_barnes as mb\n"
                           + inspect.getsource(_toeplitz_cases) + """
 print(sum(mb._toeplitz_product(rows, x).tobytes() != want.tobytes()
-          for rows, x, want in _toeplitz_cases()))
+          for rows, x, want in _toeplitz_cases() if rows.dtype == complex))
 """, OPENBLAS_NUM_THREADS="1")
     assert (probe.returncode, probe.stdout) == (0, "0\n"), probe.stderr
 
@@ -745,14 +775,15 @@ def _gz_integrand(which, lam, x):
     ("whittaker", [0.8, -0.3]),
     ("spherical", [0.6, -0.3]),
 ])
-def test_node_sum_is_the_plain_sum_of_the_gz_product(which, params):
+def test_node_sum_is_the_plain_sum_of_the_gz_product(monkeypatch, which, params):
     # the contraction against the representation-theory integrand summed
     # over every node, the within-level coincidences included: gz_measure
     # is 0 there
     N = len(params)
     contour = ContourSpec((1.0, 0.5, 0.0)[3 - N:], 4.0, 16)
+    monkeypatch.setattr(mb, "default_contour", lambda *args: contour)
     x = [0.5, 0.1, -0.4][:N]
-    got = _evaluate(which, N, params, [[xk] for xk in x], 1e-6, contour)[0].item()
+    got = _evaluate(which, N, params, [[xk] for xk in x], 1e-6)[0].item()
     t = np.linspace(-contour.half_width, contour.half_width,
                     contour.nodes_per_dim)
     dims = N * (N - 1) // 2
@@ -784,6 +815,48 @@ def test_kernel_is_the_gz_vectors_node_by_node(which):
                       for t2 in t] for t1 in t] for ti in t]
         want = np.array(want)
         assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
+
+
+def _complex_spherical_kernel(top, which, offsets, half_width, M):
+    """The spherical `_kernel` kept complex: 2 Re log Gamma(1/4 - i d/2)
+    from the complex `log_gamma_array`, plus 0j, and complex exponentials,
+    so that the Toeplitz products are complex GEMMs."""
+    assert which == "spherical" and not any(offsets)
+    t = np.linspace(-half_width, half_width, M) + 0j
+    d = np.subtract.outer(t, top).ravel()
+    if len(offsets) == 3:
+        d = np.concatenate([d, mb.difference_lattice(t, t)])
+    logs = 2.0 * log_gamma_array(d / 2j + 0.25).real + 0j
+    n_top = M * len(top)
+    w = np.exp(logs[:n_top].reshape(M, len(top)).sum(axis=1))
+    return t.real, w, (np.exp(logs[n_top:]) if len(offsets) == 3 else None)
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-10])
+@pytest.mark.parametrize("lam, x", [([0.6, -0.3], [0.4, -0.6]),
+                                    ([0.9, 0.1, -0.6], [0.5, 0.0, -0.5])])
+def test_spherical_kernel_is_real_and_its_node_sums_the_complex_ones(
+        monkeypatch, lam, x, tol):
+    # the spherical weight and Gamma diagonal are float64 (the Whittaker
+    # ones complex), and both node sums, the real GEMMs included, equal the
+    # sums on the complex kernel to rounding
+    N = len(lam)
+    args = []
+    node_sums = mb._node_sums
+    monkeypatch.setattr(mb, "_node_sums", lambda *a: args.append(a) or node_sums(*a))
+    spherical_eval(N, lam, x, tol)
+    _, w, diag = mb._kernel(*args[0][:5])
+    assert w.dtype == np.float64 and (diag is None) == (N == 2)
+    assert N == 2 or (diag.dtype == np.float64 and diag.flags.c_contiguous)
+    offsets = (1.0, 0.5, 0.0)[3 - N:]
+    _, w, diag = mb._kernel(lam, "whittaker", offsets, 3.0, 12)
+    assert w.dtype == complex and (N == 2 or diag.dtype == complex)
+    got = list(node_sums(*args[0]))
+    monkeypatch.setattr(mb, "_kernel", _complex_spherical_kernel)
+    want = list(node_sums(*args[0]))
+    assert len(got) == len(want) == 2
+    for g, w in zip(got, want):
+        assert np.max(np.abs(g - w)) <= 1e-14 * np.max(np.abs(w))
 
 
 def test_recursive_n3_memory_stays_quadratic():

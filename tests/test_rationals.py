@@ -150,6 +150,8 @@ def test_coercion_with_floats_and_complex():
         FpLanes(np.array([1.5, 2.0]))
     assert gauss_str((3, 0)) == "3" and gauss_str((0, -2)) == "-2i"
     assert gauss_str((1, -2)) == "(1-2i)"
+    assert gauss_str((2, 1)) == "(2+1i)" and gauss_str((2, -1)) == "(2-1i)"
+    assert gauss_str((0, 1)) == "1i"
 
 
 def test_equality_is_lane_by_lane_on_reduced_values():

@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quantoda import gz
+from quantoda import gz, specfun
 from quantoda.cli import dispatch
 from quantoda.mellin_barnes import default_contour
 from quantoda.specfun import (PoleError, _log_gamma, _log_gamma_right, gamma,
-                              gamma_shift_ratio, log_gamma, log_gamma_array)
+                              gamma_shift_ratio, log_abs_gamma_array, log_gamma,
+                              log_gamma_array)
 
 # frozen against an arbitrary-precision evaluation
 LOGGAMMA_2_3I = complex(-2.09285175309273334956418862503,
@@ -243,6 +244,28 @@ def test_log_gamma_array_takes_the_array_path_right_of_zero():
     mixed = log_gamma_array(np.concatenate([zs, left]))
     assert np.array_equal(mixed[:zs.size], _log_gamma_right(zs))
     assert mixed[zs.size:].tolist() == [_log_gamma(z) for z in left.tolist()]
+
+
+def test_log_abs_gamma_array_is_the_real_part_bit_for_bit(monkeypatch):
+    # the spherical kernel's one call: float64, the real part of
+    # `log_gamma_array`'s value on every array family and the spherical
+    # kernel's own arguments 1/4 - i d/2; an array with any Re z <= 0 goes
+    # through `log_gamma_array` whole, 1j and the pole at 0 included
+    c = default_contour(3, [0.9, 0.1, -0.6], 1e-10)
+    t = np.linspace(-c.half_width, c.half_width, c.nodes_per_dim)
+    right = np.concatenate([*ARRAY_FAMILIES.values(),
+                            0.25 - 0.5j * np.subtract.outer(t, t).ravel()])
+    assert right.real.min() > 0.0
+    for zs in (right, np.array(LEFT_FAR), np.array([0j, 1j, 0.5, -3 + 0j]),
+               np.append(right, 1j)):
+        got = log_abs_gamma_array(zs)
+        assert got.dtype == np.float64
+        assert got.tobytes() == np.ascontiguousarray(log_gamma_array(zs).real).tobytes()
+    assert log_abs_gamma_array([0j]).tolist() == [math.inf]
+    # right of 0 it computes the real part alone, not the complex value
+    want = log_abs_gamma_array(right)
+    monkeypatch.setattr(specfun, "log_gamma_array", None)
+    assert log_abs_gamma_array(right).tobytes() == want.tobytes()
 
 
 def test_no_runtime_warning_at_large_imaginary_parts():
