@@ -34,10 +34,15 @@ sum.  One builder, `_kernel`, makes the kernel of every route: the
 top-level weight and, at N = 3, the level-1 x level-2 Gamma matrix A.
 Both levels run over the same nodes, so A is Toeplitz and the build
 returns its 2M - 1 values: every route passes O(M) values to log Gamma,
-in one call per build.  In the node sum, `_node_sums`, a phase matrix
-with more than one row (`_phase`) takes about 2 sqrt(M) exponentials per
-row and one product per entry; a one-row phase, every point value's, one
-exponential per entry.  A within-level difference d on a level's contour
+in one call per build.  In the node sum, `_node_sums`, the phases of a
+level with more than one difference stay two factors (`_phase`): about
+2 sqrt(M) exponentials per difference, a coarse factor over blocks of K
+nodes and a fine one within a block, K even.  Level 1 contracts them in
+`_phase_sum`, one GEMM with the coarse factor and a product-sum with the
+fine one, level 2 builds each block's phase columns from them, and the
+stride-2 sums read the fine factor's even rows: no (n x M) phase array or
+stride-2 copy of one is built.  A one-row phase, every point value's, is
+one exponential per node.  A within-level difference d on a level's contour
 is real, so the denominator 1/(Gamma(-i d) Gamma(i d)) = d sinh(pi d)/pi
 (0 at d = 0) has rank 4 as a matrix over the nodes: at N = 3 the sum
 takes O(M^2) time, builds no 3-D array and contracts V_BLOCK columns of v
@@ -85,9 +90,11 @@ MIN_NODES = 64
 COINCIDENT_TOL = 1e-6
 EXP_LIMIT = 700.0         # ln 1e304: headroom e^9.8 below the largest double
 # Largest node or node-sum array accepted, in elements.  Peak RSS per element
-# of a node array (2 CPUs x86-64, numpy 2.4, at 2e6-8e6 elements): N = 2
-# point 225 B (log Gamma's temporaries), N = 3 sweep of x_3 193 B; so 8e6
-# keeps every evaluation under 2 GB.  No N = 3 sum builds an M^2 array: there
+# of a node array (2 CPUs x86-64, numpy 2.4, OpenBLAS 1 thread): N = 2 point
+# 221-229 B at 2e6-4e6 elements (log Gamma's temporaries), so 8e6 keeps every
+# evaluation under 2 GB; a sweep keeps its phases factored, 3.2-4.6 B at
+# 2e6-8e6 (N = 2 and N = 3 x_1 and x_3 sweeps at tol 1e-6, against 20-27 B
+# with whole phase matrices).  No N = 3 sum builds an M^2 array: there
 # the M^2 term bounds its Toeplitz work, for a point 0.08 s and 2.8 MB of RSS
 # at M^2 = 7.9e6 (one OpenBLAS thread; a whole A took 0.23 s and 151 MB).
 NODE_ARRAY_LIMIT = 8_000_000
@@ -267,22 +274,51 @@ def _toeplitz_product(rows, x):
 
 
 def _phase(c, t, h):
-    """e^{i c_k (t_j + i h)}, a (len(c), M) matrix over `_kernel`'s nodes t,
-    np.linspace's bit for bit.
+    """The phases e^{i c_k (t_j + i h)} over `_kernel`'s nodes t (np.linspace's
+    bit for bit), as two factors (coarse, fine): `_phase_sum` contracts them.
 
-    One row, every point value's, is one exp per entry.  More rows factor
-    the nodes as t_j = t_0 + (K q + r) dt, K = isqrt(M), dt the linspace
-    step 2T/(M - 1): K + Q exponentials per row, one product per entry,
-    returned as the transpose of a C-contiguous (M, len(c)) array.
+    More than one row: the nodes factor as t_j = t_0 + (K q + r) dt, dt the
+    linspace step 2T/(M - 1) and K = isqrt(M) rounded down to even, and
+    entry (k, K q + r) is coarse[q, k] fine[r, k], with coarse the (Q, len(c))
+    array e^{i c_k (t_0 + i h + K q dt)}, Q = ceil(M/K) (its last row may
+    reach past t_{M-1}), and fine the (K, len(c)) array e^{i c_k r dt}: K + Q
+    exponentials per row, and the (len(c), M) product is never built.  As K
+    is even, node 2 j' = K q + r has r even, so coarse with fine's even rows
+    gives the stride-2 phases, at j' = (K/2) q + r/2.  One row, every point
+    value's, or none: coarse is None and fine the (M, len(c)) view of one
+    exp per entry.
     """
     if len(c) < 2:                   # one row, or none (an empty sweep)
-        return np.exp(np.multiply.outer(c, 1j * (t + 1j * h)))
-    M, K = len(t), math.isqrt(len(t))
+        return None, np.exp(np.multiply.outer(c, 1j * (t + 1j * h))).T
+    M, K = len(t), math.isqrt(len(t)) & -2
     dt = (t[-1] - t[0]) / (M - 1)
     coarse = np.exp(np.multiply.outer(
         1j * (t[0] + 1j * h + K * dt * np.arange(-(-M // K))), c))  # (Q, nc)
     fine = np.exp(np.multiply.outer(1j * dt * np.arange(K), c))      # (K, nc)
-    return (coarse[:, None] * fine).reshape(-1, len(c))[:M].T
+    return coarse, fine
+
+
+def _phase_sum(phase, x, step):
+    """sum_j e^{i c_k (t_j + i h)} x[j // step] over the nodes j = 0, step,
+    2 step, ... of `_phase`'s factors `phase` (step 1 or 2), for x of
+    ceil(M/step) rows: an array of shape (len(c),) + x.shape[1:].
+
+    One row: its every step-th exponential, copied contiguous, times x in
+    one product, which gives the bytes of phases built on those nodes (a
+    strided view rounds apart).  More rows: x, zero-padded to Q k rows, is
+    read as a (Q, k cols) matrix and multiplied by the coarse factor in one
+    GEMM; each row's k terms then take fine's every step-th row, k = K/step
+    of them, and are summed.
+    """
+    coarse, fine = phase
+    fine = fine[::step]
+    if coarse is None:
+        return np.ascontiguousarray(fine.T) @ x
+    n, k = fine.shape[1], len(fine)
+    padded = np.zeros((len(coarse) * k,) + x.shape[1:], complex)
+    padded[:len(x)] = x
+    g = (coarse.T @ padded.reshape(len(coarse), -1)).reshape(n, k, -1)
+    return (fine.T[:, None, :] @ g).reshape((n,) + x.shape[1:])
 
 
 def _node_sums(top, which: str, offsets, half_width: float, M: int,
@@ -292,9 +328,12 @@ def _node_sums(top, which: str, offsets, half_width: float, M: int,
     N = 2 when `vs` is None: arrays of shape (len(us),) over u = x1 - x2.
     N = 3 otherwise: arrays of shape (len(us), len(vs)) over u = x1 - x2 and
     v = x2 - x3.  Yields the sums on the full grid of M nodes, then those on
-    its stride-2 subgrid, both from one phase matrix per level (`_phase`)
-    built on all M nodes: a caller that reads no error estimate draws only
-    the first and pays for no halved sum.
+    its stride-2 subgrid, both from one pair of phase factors per level
+    (`_phase`) built on all M nodes: a caller that reads no error estimate
+    draws only the first and pays for no halved sum.  Level 1 contracts its
+    factors with the node weights (N = 2) or pairs (N = 3) in `_phase_sum`;
+    level 2 builds each block's M x V_BLOCK phase columns from its factors,
+    so no level holds a (len(c), M) phase array or a stride-2 copy of one.
 
     At N = 3 the level-2 pair (b, c) carries D[b,c] = 1/(Gamma(-i d)
     Gamma(i d)) = d sinh(pi d)/pi at the real d = t_b - t_c (0 at d = 0), as
@@ -308,28 +347,31 @@ def _node_sums(top, which: str, offsets, half_width: float, M: int,
     """
     t, wtop, diag = _kernel(top, which, offsets, half_width, M)
     dt = t[1] - t[0]
-    full_a = _phase(us, t, offsets[0])                         # (nu, M)
+    phase_a = _phase(us, t, offsets[0])
     if vs is not None:
-        full_b = _phase(vs, t, offsets[1]).T                   # (M, nv)
+        coarse_b, fine_b = _phase(vs, t, offsets[1])
         ep, em = np.exp(np.pi * t), np.exp(-np.pi * t)
         rank4 = np.empty((M, 4))                               # (nb, 4)
         rank4[:, 0], rank4[:, 1], rank4[:, 2], rank4[:, 3] = t * ep, em, ep, t * em
         rows = _toeplitz_rows(diag)
-    for sl, fac in ((slice(None), 1.0), (slice(0, M, 2), 2.0)):
-        # stride-2 columns copied contiguous: the values of phases built on the
-        # sliced nodes, and BLAS products (a strided view rounds them apart)
-        phase_a = full_a if fac == 1.0 else np.ascontiguousarray(full_a[:, sl])
+    for step in (1, 2):
+        sl = slice(0, M, step)
         if vs is None:
-            yield (phase_a @ wtop[sl]) * (dt * fac) / TWO_PI
+            yield _phase_sum(phase_a, wtop[sl], step) * (dt * step) / TWO_PI
             continue
         sums = np.empty((len(us), len(vs)), complex)
+        fine, nb = fine_b[::step], -(-M // step)
         for k in range(0, len(vs), V_BLOCK):
             cols = slice(k, k + V_BLOCK)
-            w = wtop[sl, None] * full_b[sl, cols]                   # (nb, bv)
+            phase_b = fine[:, cols]                            # one row: (nb, bv)
+            if coarse_b is not None:                           # (Q k, bv), then nb rows
+                phase_b = (coarse_b[:, None, cols] * phase_b).reshape(
+                    -1, phase_b.shape[1])[:nb]
+            w = wtop[sl, None] * phase_b                            # (nb, bv)
             weights = (rank4[sl, :, None] * w[:, None, :]).reshape(len(w), -1)
             P = _toeplitz_product(rows[sl, sl], weights).reshape(len(w), 4, -1)  # (na, 4, bv)
             pairs = (P[:, 0] * P[:, 1] - P[:, 2] * P[:, 3]) / np.pi  # (na, bv)
-            sums[:, cols] = (phase_a @ pairs) * (dt * fac) ** 3 / TWO_PI ** 3
+            sums[:, cols] = _phase_sum(phase_a, pairs, step) * (dt * step) ** 3 / TWO_PI ** 3
         yield sums
 
 

@@ -822,6 +822,8 @@ _README_ARGVS = [
     "cfunction --lambda 1.0,-1.0 --format json",
     "whittaker grid --n=2 --alpha=0.3,-1.0 --axis=0 --from=-1.5 --to=1.7 --steps=61 "
     "--x=0.2,-0.4 --tol=1e-8",
+    "whittaker grid --n=3 --alpha=0.9,0.1,-0.6 --axis=1 --from=-1 --to=1.5 --steps=61 "
+    "--x=0.3,-0.1,-0.4 --tol=1e-8",
     "verify qism --n 3",
     "verify separation --n 3 --trials 100 --seed 42",
     "verify gz --n 3 --trials 20 --seed 42",

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from test_cli import _fresh_python
+from test_oracle import _bessel_k_n2
 
 from quantoda import mellin_barnes as mb
 from quantoda.cli import dispatch
@@ -39,6 +40,24 @@ def test_n1_builds_no_contour_and_a_non_finite_one_is_refused():
     assert spherical_eval(1, [1e308], [0.0]).value == 1.0
     with pytest.raises(ValueError, match=r"^max\|alpha\| = 1e\+308 "):
         default_contour(2, [1e308, 1e308], 1e-6)
+    # a finite half-width whose node count 2T/dt is not finite, and one
+    # whose count is finite within 6% of the largest double
+    with pytest.raises(ValueError, match=r"^max\|alpha\| = 1e\+307 "):
+        default_contour(2, [1e307, 0.0], 1e-6)
+    assert default_contour(2, [4.14e306, 0.0], 1e-6).nodes_per_dim > 1.6e308
+
+
+@pytest.mark.parametrize("evaluate", [
+    lambda **kw: whittaker_eval(3, _A3, [0.5, 0.0, -0.5], **kw),
+    lambda **kw: whittaker_recursive(3, _A3, [0.5, 0.0, -0.5], **kw),
+    lambda **kw: spherical_eval(3, _A3, [0.5, 0.0, -0.5], **kw),
+    lambda **kw: whittaker_on_grid(2, _A2, [np.linspace(-1.0, 1.0, 3), [0.0]],
+                                   **kw).tolist(),
+    lambda **kw: grid_scan(2, _A2, 0, -1.0, 1.0, 3, **kw),
+], ids=["eval", "recursive", "spherical", "on-grid", "grid-scan"])
+def test_evaluators_default_to_tol_1e_6(evaluate):
+    # at tol 1.1e-6 the contour has other nodes, and the values other bits
+    assert evaluate() == evaluate(tol=1e-6) != evaluate(tol=1.1e-6)
 
 
 def test_default_contour_offsets():
@@ -490,17 +509,29 @@ def test_factorised_phases_move_multi_row_node_sums_by_rounding_only(
 @pytest.mark.parametrize("M", [64, 131, 188, 280, 389])
 @pytest.mark.parametrize("rows", [2, 61, 127])
 def test_phase_is_the_exponential_entry_by_entry(rows, M):
+    # coarse[q] fine[r] is the phase at node K q + r, and (q, r) over the
+    # factors' Q x K rows reach every node once; K is even, so coarse and
+    # fine's even rows, in the same order, are the stride-2 nodes' phases
     rng = np.random.default_rng(1000 * rows + M)
     c = np.concatenate([[-8.0, 8.0], rng.uniform(-8.0, 8.0, rows - 2)])
     for T in (1.5, 6.0, 12.1):
         t = np.linspace(-T, T, M)
         for h in (0.0, 0.5, 1.0):
             want = np.exp(np.multiply.outer(c, 1j * (t + 1j * h)))
-            got = mb._phase(c, t, h)
+            coarse, fine = mb._phase(c, t, h)
+            (Q, n), (K, nf) = coarse.shape, fine.shape
+            assert n == nf == rows and K % 2 == 0
+            node = np.add.outer(K * np.arange(Q), np.arange(K)).ravel()
+            assert np.array_equal(np.sort(node[node < M]), np.arange(M))
+            assert (Q - 1) * K < M           # no coarse row lies wholly past t_{M-1}
+            q, r = np.divmod(np.arange(M), K)
             # the reference's own rounding of c t is about eps |c| T
             bound = 8.0 * np.finfo(float).eps * (1.0 + np.abs(c)[:, None] * T)
-            assert got.shape == want.shape
-            assert np.all(np.abs(got - want) <= bound * np.abs(want))
+            for got, ref in (((coarse[q] * fine[r]).T, want),
+                             ((coarse[:, None] * fine[::2]).reshape(-1, rows)
+                              [:(M + 1) // 2].T, want[:, ::2])):
+                assert got.shape == ref.shape
+                assert np.all(np.abs(got - ref) <= bound * np.abs(ref))
 
 
 @pytest.mark.parametrize("M", [12, 64, 280])
@@ -620,6 +651,35 @@ def test_n3_sums_of_several_v_blocks_build_no_toeplitz_matrix(evaluate):
     finally:
         tracemalloc.stop()
     assert peak < 2.5 * 2 ** 20
+
+
+@pytest.mark.parametrize("evaluate, mib", [
+    (lambda: grid_scan(2, _A2, 0, -3.0, 3.0, 20_000, tol=1e-8), 32),
+    (lambda: check_eigen(2, _A2, GridSpec(32, 0.05), refine=True), 0.3),
+    (lambda: grid_scan(3, _A3, 0, -1.0, 1.5, 2000, x_base=[0.3, -0.1, -0.4],
+                       tol=1e-8), 4),
+], ids=["n2-sweep-20000", "n2-refined-eigen", "n3-sweep-x1-2000"])
+def test_multi_row_phases_stay_factored(evaluate, mib):
+    # the phases of a difference with many values are contracted as their
+    # coarse and fine factors: with the (n x M) phase matrix and its
+    # stride-2 copy the peaks read 125, 0.86 and 13 MiB
+    tracemalloc.start()
+    try:
+        evaluate()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < mib * 2 ** 20
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10])
+def test_factored_n2_sweep_is_the_bessel_k_closed_form(tol):
+    # 61 values of x1 - x2 in [-3, 3]: the level-1 sum contracts the phase
+    # factors (measured worst error 0.0018 tol of the value's size)
+    cols = grid_scan(2, _A2, 0, -3.4, 2.6, 61, x_base=[0.0, -0.4], tol=tol)
+    got = np.array(cols["re"]) + 1j * np.array(cols["im"])
+    want = np.array([_bessel_k_n2(_A2, x) for x in zip(cols["x1"], cols["x2"])])
+    assert np.all(np.abs(got - want) <= tol * np.abs(want))
 
 
 @pytest.mark.parametrize("evaluate", [
