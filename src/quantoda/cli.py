@@ -35,7 +35,9 @@ module at most once.
 Reports use the fixed key set {suite, n, relation, status, residual,
 tolerance, seed, witness}.  Exit codes: 0 success, 1 a verification or
 evaluation failure, 2 usage error.  Every number is written by repr, which
-round-trips doubles.  Identical arguments and seed produce byte-identical
+round-trips doubles.  Reports and value rows each go through one fixed row
+template (`_emit_reports`, `_value_text`), which writes what `json` or
+`csv` would.  Identical arguments and seed produce byte-identical
 output under one BLAS thread configuration: the matrix products of the
 N = 3 quadrature and of N = 2 sweeps sum in an order that depends on the
 OpenBLAS thread count.  An N = 2 point value takes one-column products and
@@ -44,9 +46,11 @@ does not depend on it.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import math
+import operator
 import sys
 import types
 from typing import List, Sequence
@@ -209,11 +213,36 @@ def _parse(argv: List[str]) -> types.SimpleNamespace | None:
     return types.SimpleNamespace(**ns)
 
 
+# `_emit_reports`' row: a report's fields in sorted order, as
+# `json.dumps(..., indent=2, sort_keys=True)` lays them out in the list
+_REPORT_KEYS = sorted(f.name for f in dataclasses.fields(VerificationReport))
+_REPORT_ROW = "    {\n%s\n    }" % ",\n".join(f"      {json.dumps(k)}: %s" for k in _REPORT_KEYS)
+_report_values = operator.attrgetter(*_REPORT_KEYS)
+
+
+def _json_cell(v) -> str:
+    """One report field as `json` writes it: null, an int or a float by
+    repr, a string quoted.  A non-finite float raises `json`'s ValueError."""
+    if v is None:
+        return "null"
+    if isinstance(v, str):
+        return json.dumps(v)
+    if isinstance(v, float):
+        if not math.isfinite(v):
+            raise ValueError(f"Out of range float values are not JSON compliant: {v!r}")
+        return float.__repr__(v)
+    return int.__repr__(v)
+
+
 def _emit_reports(reports: Sequence[VerificationReport], out) -> int:
-    """Strict JSON: a non-finite number raises ValueError before any output."""
+    """{"reports": [...], "status": ...} as `json.dumps(payload, indent=2,
+    sort_keys=True, allow_nan=False)` writes it, every report through one
+    row template.  A non-finite number raises ValueError before any output."""
     status = combine(reports)
-    payload = {"reports": [r.to_dict() for r in reports], "status": status}
-    out.write(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    rows = ",\n".join(_REPORT_ROW % tuple(map(_json_cell, _report_values(r)))
+                       for r in reports)
+    body = f"[\n{rows}\n  ]" if reports else "[]"
+    out.write(f'{{\n  "reports": {body},\n  "status": {json.dumps(status)}\n}}\n')
     return 0 if status == "PASS" else 1
 
 

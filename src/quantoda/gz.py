@@ -39,7 +39,11 @@ F_p[i] lanes with a fixed number of int64 numpy operations, whatever the
 term count.  The sampled checks take their arrays as one stack
 (`stack_arrays`), whose entries are numpy arrays with one element per
 array, so each check runs once for all of them (the measure check once per
-slot), and each shift ratio makes one `log_gamma_array` call.
+slot), and each shift ratio makes one `log_gamma_array` call.  The suites
+draw a stack's arrays, and `separation` its points, as one block
+(`separated_block`): the generator is read in the order of a per-value
+`uniform`/`shuffle` loop, and the rest runs on all rows in numpy, so
+every value, and the generator's state after it, is that loop's.
 
 Operator identities are checked by random-point identity testing in the
 field F_p[i], p = 2^31 - 1, on three lanes per trial and a block of trials
@@ -67,6 +71,7 @@ import operator
 import random
 from dataclasses import dataclass, replace
 from functools import cache, reduce
+from itertools import repeat, starmap
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
@@ -773,31 +778,69 @@ def cartan_multiplier(x: Sequence[float], arr: TriangularArray) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def separated_uniforms(rng: random.Random, count: int, low: float, high: float,
-                       gap: float) -> List[float]:
-    """count values in [low, high], pairwise at least gap apart, in random order.
+def separated_block(rng: random.Random, rows: int, counts: Sequence[int], low: float,
+                    high: float, gap: float) -> List[np.ndarray]:
+    """`rows` draws of each count in turn, one row after another: per row and
+    count, count values in [low, high], pairwise at least gap apart, in
+    random order.  One float64 array (rows, count) per count.
 
-    The sorted values are count sorted uniforms on [low, high - (count-1) gap]
-    shifted by 0, gap, 2 gap, ...: a volume-preserving map onto the sorted
-    gap-separated tuples, so the result is uniform on the gap-separated
-    tuples, as a rejection sampler's would be, after exactly count draws.
-    Raises ValueError when count values that far apart do not fit.
+    A draw's sorted values are count sorted uniforms on [low, high -
+    (count-1) gap] shifted by 0, gap, 2 gap, ...: a volume-preserving map
+    onto the sorted gap-separated tuples, so the draw is uniform on the
+    gap-separated tuples, as a rejection sampler's would be.  Raises
+    ValueError, before any draw, when some count's values do not fit.
+
+    The per-value form of one draw is rng.uniform(low, low + span) per value,
+    `sorted`, the shifts and rng.shuffle.  Here rng.random() and, for the
+    shuffle's swap of position i with j < i + 1, CPython's `_randbelow`
+    (getrandbits(k), k = (i + 1).bit_length(), until a value below i + 1) are
+    called in that order, count by count and row by row; the scaling,
+    sorting, shifts and swaps then run on all rows in numpy, with the same
+    double operations.  Values and rng's state equal the per-value form's.
     """
-    span = high - low - (count - 1) * gap
-    if span < 0:
-        raise ValueError(f"{count} values at least {gap} apart do not fit "
-                         f"in [{low}, {high}]")
-    vals = sorted(rng.uniform(low, low + span) for _ in range(count))
-    vals = [v + k * gap for k, v in enumerate(vals)]
-    rng.shuffle(vals)
-    return vals
+    spans = [high - low - (c - 1) * gap for c in counts]
+    for c, span in zip(counts, spans):
+        if span < 0:
+            raise ValueError(f"{c} values at least {gap} apart do not fit "
+                             f"in [{low}, {high}]")
+    draw, bits = rng.random, rng.getrandbits
+    swaps = [[(n, n.bit_length()) for n in range(c, 1, -1)] for c in counts]
+    uniforms: List[float] = []
+    picks: List[int] = []
+    for _ in range(rows):
+        for c, below in zip(counts, swaps):
+            uniforms += starmap(draw, repeat((), c))
+            for n, k in below:
+                j = bits(k)
+                while j >= n:
+                    j = bits(k)
+                picks.append(j)
+    u = np.array(uniforms).reshape(rows, sum(counts))
+    picked = np.array(picks, dtype=np.intp).reshape(rows, sum(map(len, swaps)))
+    row = np.arange(rows)
+    out = []
+    first = swap = 0
+    for c, span in zip(counts, spans):
+        # uniform(low, low + span) is low + ((low + span) - low) * random()
+        x = np.sort(low + ((low + span) - low) * u[:, first:first + c], axis=1)
+        x += np.arange(c) * gap
+        for i in range(c - 1, 0, -1):       # the shuffle: swap x[i] and x[j]
+            j = picked[:, swap]
+            held = x[:, i].copy()
+            x[:, i] = x[row, j]
+            x[row, j] = held
+            swap += 1
+        out.append(x)
+        first += c
+    return out
 
 
 def sample_real_array(N: int, rng: random.Random, low: float = -2.0,
                       high: float = 2.0) -> TriangularArray:
-    """Random real array with within-level pairwise gaps >= 0.1."""
-    return TriangularArray([separated_uniforms(rng, n, low, high, 0.1)
-                            for n in range(1, N + 1)])
+    """Random real array with within-level pairwise gaps >= 0.1: the one-row
+    case of `gz_suite`'s stacks, with float entries."""
+    return TriangularArray([b[0].tolist() for b in
+                            separated_block(rng, 1, range(1, N + 1), low, high, 0.1)])
 
 
 def stack_arrays(arrays: Sequence[TriangularArray]) -> TriangularArray:
@@ -815,17 +858,22 @@ def gz_suite(N: int, trials: int = 20, seed: int = 0,
     arrays against its own default tolerance, or against tol when given.
     The Whittaker and spherical checks run once, on the stack of their
     `trials` arrays, and the measure check once per slot, on the stack of
-    its own.
+    its own.  Each stack is one `separated_block` draw: level n of a stack
+    is the block of count n, one column per entry.
     """
     rng = random.Random(seed)
     out = [check_gl_relations(N, trials, seed), check_serre(N, trials, seed)]   # refuse trials < 1
     kw = {} if tol is None else {"tol": tol}
-    stack = stack_arrays([sample_real_array(N, rng) for _ in range(trials)])
+
+    def draw_stack(low, high):
+        return TriangularArray([list(b.T) for b in
+                                separated_block(rng, trials, range(1, N + 1), low, high, 0.1)])
+
+    stack = draw_stack(-2.0, 2.0)
     out += [replace(check(stack, **kw), seed=seed)
             for check in (check_whittaker_equations, check_spherical_equation)]
 
-    stack = stack_arrays([sample_real_array(N, rng, low=-1.0, high=1.0)
-                          for _ in range(trials)])
+    stack = draw_stack(-1.0, 1.0)
     worst_mu = max((check_gz_measure_difference_eq(stack, j)
                     for j in range(len(_flat_slots(N)))), default=0.0)
     out.append(residual_report("gz", N, "measure-difference-eq", worst_mu,

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from typing import Any, Optional
 
 
@@ -27,9 +27,6 @@ class VerificationReport:
     @property
     def passed(self) -> bool:
         return self.status == "PASS"
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def residual_report(suite: str, n: int, relation: str, residual: float,

@@ -31,7 +31,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .gz import MIN_GAP, separated_uniforms
+from .gz import MIN_GAP, separated_block
 from .rationals import FpLanes, first_witnesses, random_lanes
 from .report import VerificationReport, residual_report
 from .specfun import PoleError, gamma_shift_ratio, log_gamma, log_gamma_array
@@ -174,15 +174,15 @@ def separation_suite(N: int, trials: int = 100, seed: int = 42) -> List[Verifica
     """Difference-equation residuals and the exact Lagrange identity, the
     latter on min(trials, 50) trials.
 
-    The `trials` points are drawn one by one; each residual check then runs
-    once per j on their columns, one array per variable.  ValueError when
-    trials < 1, before anything is drawn.
+    The `trials` points of each check are drawn as one block
+    (`gz.separated_block`); each residual check then runs once per j on the
+    block's columns, one array per variable.  ValueError when trials < 1,
+    before anything is drawn.
     """
     rep_lagr = check_lagrange_identity(N, min(trials, 50), seed)   # refuses trials < 1 first
     rng = random.Random(seed)
 
-    cols = np.array([separated_uniforms(rng, 2 * N - 1, -3.0, 3.0, 1e-2)
-                     for _ in range(trials)]).reshape(trials, 2 * N - 1).T
+    cols = separated_block(rng, trials, [2 * N - 1], -3.0, 3.0, 1e-2)[0].T
     worst_dif = max((check_dif_equation(cols[:N], cols[N:], j) for j in range(N - 1)),
                     default=0.0)
     rep_dif = residual_report("separation", N, "dif-equation", worst_dif, 1e-12,
@@ -190,8 +190,7 @@ def separation_suite(N: int, trials: int = 100, seed: int = 42) -> List[Verifica
 
     worst_meas = 0.0
     if N >= 3:
-        lam = np.array([separated_uniforms(rng, N - 1, -3.0, 3.0, 1e-2)
-                        for _ in range(trials)]).reshape(trials, N - 1).T
+        lam = separated_block(rng, trials, [N - 1], -3.0, 3.0, 1e-2)[0].T
         worst_meas = max(check_measure_difference_eq(lam, j) for j in range(N - 1))
     rep_meas = residual_report("separation", N, "measure-difference-eq", worst_meas,
                                1e-10, seed=seed)

@@ -1,6 +1,7 @@
 import cmath
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -563,6 +564,50 @@ def test_value_text_is_the_stdlib_writers_output(rows, fmt, bad):
             cli._value_text(table, fmt)
         assert str(got.value) == str(want.value)
 
+
+
+# -- the report writer against the standard library -----------------------------
+
+_report_text = st.text(alphabet=st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028é€😀'),
+                                          st.characters()), max_size=12)
+
+
+@st.composite
+def _reports(draw):
+    """0-8 reports, every optional field None in some, every text field
+    with quotes, backslashes, control characters and non-ASCII text."""
+    return [VerificationReport(
+        suite=draw(_report_text), n=draw(st.integers()), relation=draw(_report_text),
+        status=draw(st.one_of(st.sampled_from(["PASS", "FAIL"]), _report_text)),
+        residual=draw(st.none() | _double), tolerance=draw(st.none() | _double),
+        seed=draw(st.none() | st.integers()), witness=draw(st.none() | _report_text))
+        for _ in range(draw(st.integers(0, 8)))]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(reports=_reports(), bad=st.one_of(st.none(), st.tuples(
+    st.integers(0, 7), st.sampled_from(["residual", "tolerance"]),
+    st.sampled_from([math.nan, math.inf, -math.inf]))))
+def test_report_writer_is_the_stdlib_writers_output(reports, bad):
+    if bad is not None and reports:      # one non-finite number: both raise, before output
+        i, field, v = bad
+        setattr(reports[i % len(reports)], field, v)
+    payload = {"reports": [dataclasses.asdict(r) for r in reports],
+               "status": "PASS" if all(r.status == "PASS" for r in reports) else "FAIL"}
+    buf = io.StringIO()
+    if bad is None or not reports:
+        code = cli._emit_reports(reports, buf)
+        assert buf.getvalue() == json.dumps(payload, indent=2, sort_keys=True,
+                                            allow_nan=False) + "\n"
+        assert code == (payload["status"] != "PASS")
+        return
+    with pytest.raises(ValueError) as want:
+        json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    with pytest.raises(ValueError) as got:
+        cli._emit_reports(reports, buf)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("Out of range float values are not JSON compliant: ")
+    assert buf.getvalue() == ""
 
 # -- the CLI contract over generated argv --------------------------------------
 

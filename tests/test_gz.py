@@ -1,22 +1,25 @@
 import cmath
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from quantoda import gz
-from quantoda.gz import (GENERATOR_PREFACTOR, VECTORS, Coefficient,
+from quantoda.gz import (GENERATOR_PREFACTOR, MEASURE_TOL, VECTORS, Coefficient,
                          DifferenceOperator, TriangularArray,
                          cartan_multiplier, check_gl_relations,
                          check_gz_measure_difference_eq, check_serre,
                          check_spherical_equation, check_whittaker_equations,
                          gz_generator, gz_measure, gz_suite,
-                         sample_real_array, separated_uniforms, spherical_vector,
+                         sample_real_array, separated_block, spherical_vector,
                          stack_arrays, vector_shift_ratio, whittaker_vector)
 from quantoda.rationals import LANES_PER_TRIAL, TRIALS_PER_BLOCK, FpLanes, random_lanes
-from quantoda.separation import sep_measure
+from quantoda.report import residual_report
+from quantoda.separation import (check_dif_equation, check_measure_difference_eq,
+                                 sep_measure, separation_suite)
 from quantoda.specfun import PoleError, gamma
 
 
@@ -336,16 +339,30 @@ def test_whittaker_vector_values():
     assert abs(got - expect) < 1e-13 * abs(expect)
 
 
+def separated_uniforms(rng, count, low, high, gap):
+    """`separated_block`'s reference, one draw by the per-value loop: count
+    uniforms on [low, high - (count-1) gap], sorted, shifted by k gap and
+    shuffled, with `random.Random`'s own `uniform` and `shuffle`."""
+    span = high - low - (count - 1) * gap
+    if span < 0:
+        raise ValueError(f"{count} values at least {gap} apart do not fit "
+                         f"in [{low}, {high}]")
+    vals = sorted(rng.uniform(low, low + span) for _ in range(count))
+    vals = [v + k * gap for k, v in enumerate(vals)]
+    rng.shuffle(vals)
+    return vals
+
+
 def test_separated_uniforms_match_the_rejection_sampler():
     rng = random.Random(8)
     for count in range(6):
-        vals = separated_uniforms(rng, count, -1.0, 1.0, 0.3)
+        vals = separated_block(rng, 1, [count], -1.0, 1.0, 0.3)[0][0].tolist()
         assert len(vals) == count and all(-1.0 <= v <= 1.0 for v in vals)
         assert all(abs(a - b) >= 0.3 - 1e-12
                    for i, a in enumerate(vals) for b in vals[i + 1:])
     # 61 values 0.1 apart need 6 of the 4 units: an error, not a hang
     with pytest.raises(ValueError, match="do not fit"):
-        separated_uniforms(rng, 61, -2.0, 2.0, 0.1)
+        separated_block(rng, 1, [61], -2.0, 2.0, 0.1)
     # same law as redrawing until every gap holds: compare the mean of each
     # order statistic and of the first (unsorted) value
     draws = 4000
@@ -356,12 +373,103 @@ def test_separated_uniforms_match_the_rejection_sampler():
             if all(abs(a - b) >= 0.2 for i, a in enumerate(vals) for b in vals[i + 1:]):
                 return vals
 
-    for sampler in (rejection, lambda: separated_uniforms(rng, 3, 0.0, 1.0, 0.2)):
-        samples = [sampler() for _ in range(draws)]
+    block, = separated_block(rng, draws, [3], 0.0, 1.0, 0.2)
+    for samples in ([rejection() for _ in range(draws)], block.tolist()):
         means = [sum(sorted(v)[k] for v in samples) / draws for k in range(3)]
         # sorted: uniforms on [0, 0.6] shifted by 0, 0.2, 0.4
         assert all(abs(m - want) < 0.01 for m, want in zip(means, (0.15, 0.5, 0.85)))
         assert abs(sum(v[0] for v in samples) / draws - 0.5) < 0.015
+
+
+# (low, high, gap) of the suites' draws: gz's two stacks, then separation's
+_SUITE_RANGES = [(-2.0, 2.0, 0.1), (-1.0, 1.0, 0.1), (-3.0, 3.0, 1e-2)]
+
+
+@pytest.mark.parametrize("low, high, gap", _SUITE_RANGES)
+@pytest.mark.parametrize("rows", [1, 2, 3, 7, 20, 64, 100])
+def test_separated_block_is_the_per_value_stream(low, high, gap, rows):
+    plans = [[c] for c in range(8)] + [list(range(1, N + 1)) for N in range(1, 6)]
+    plans += [[7, 0, 3, 1, 5], []]
+    for seed, counts in enumerate(plans):
+        old, new = random.Random(1000 * rows + seed), random.Random(1000 * rows + seed)
+        want = [[separated_uniforms(old, c, low, high, gap) for c in counts]
+                for _ in range(rows)]
+        got = separated_block(new, rows, counts, low, high, gap)
+        assert len(got) == len(counts)
+        for k, (c, block) in enumerate(zip(counts, got)):
+            assert block.shape == (rows, c) and block.dtype == np.float64
+            assert block.tobytes() == np.array([w[k] for w in want], dtype=np.float64
+                                               ).reshape(rows, c).tobytes()
+        assert new.random() == old.random()
+
+
+def test_separated_block_refuses_before_any_draw():
+    rng = random.Random(5)
+    state = rng.getstate()
+    for counts in ([61], [1, 2, 61], [3, 42, 1]):
+        with pytest.raises(ValueError, match=f"{max(counts)} values at least 0.1 apart "
+                                             r"do not fit in \[-2.0, 2.0\]"):
+            separated_block(rng, 4, counts, -2.0, 2.0, 0.1)
+        assert rng.getstate() == state
+
+
+def test_separated_block_takes_an_exact_fit():
+    # three values 0.5 apart fill [0, 1] exactly: span 0, and every row is
+    # a permutation of (0, 0.5, 1)
+    old, new = random.Random(6), random.Random(6)
+    block, = separated_block(new, 9, [3], 0.0, 1.0, 0.5)
+    assert block.tolist() == [separated_uniforms(old, 3, 0.0, 1.0, 0.5) for _ in range(9)]
+    assert all(sorted(row) == [0.0, 0.5, 1.0] for row in block.tolist())
+    assert new.getstate() == old.getstate()
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 5])
+def test_sample_real_array_is_the_per_value_draw(N):
+    old, new = random.Random(60 + N), random.Random(60 + N)
+    for low, high in ((-2.0, 2.0), (-1.0, 1.0)):
+        want = [separated_uniforms(old, n, low, high, 0.1) for n in range(1, N + 1)]
+        arr = sample_real_array(N, new) if low == -2.0 else sample_real_array(N, new, low, high)
+        assert arr.levels == tuple(map(tuple, want))
+        assert all(type(v) is float for row in arr.levels for v in row)
+    assert new.getstate() == old.getstate()
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 5])
+def test_gz_suite_samples_are_the_per_value_draws(N):
+    trials, seed = 3, 40 + N
+    rng = random.Random(seed)
+    stacks = [stack_arrays([TriangularArray([separated_uniforms(rng, n, low, high, 0.1)
+                                             for n in range(1, N + 1)])
+                            for _ in range(trials)])
+              for low, high in ((-2.0, 2.0), (-1.0, 1.0))]
+    worst_mu = max((check_gz_measure_difference_eq(stacks[1], j)
+                    for j in range(N * (N - 1) // 2)), default=0.0)
+    assert gz_suite(N, trials, seed)[2:] == [
+        replace(check_whittaker_equations(stacks[0]), seed=seed),
+        replace(check_spherical_equation(stacks[0]), seed=seed),
+        residual_report("gz", N, "measure-difference-eq", worst_mu, MEASURE_TOL, seed=seed)]
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("trials", [1, 7, 100])
+def test_separation_suite_samples_are_the_per_value_draws(N, trials):
+    seed = 50 + N
+    rng = random.Random(seed)
+
+    def points(count):
+        return np.array([separated_uniforms(rng, count, -3.0, 3.0, 1e-2)
+                         for _ in range(trials)]).reshape(trials, count).T
+
+    cols = points(2 * N - 1)
+    dif = max((check_dif_equation(cols[:N], cols[N:], j) for j in range(N - 1)),
+              default=0.0)
+    meas = 0.0
+    if N >= 3:
+        lam = points(N - 1)
+        meas = max(check_measure_difference_eq(lam, j) for j in range(N - 1))
+    assert separation_suite(N, trials, seed)[:2] == [
+        residual_report("separation", N, "dif-equation", dif, 1e-12, seed=seed),
+        residual_report("separation", N, "measure-difference-eq", meas, 1e-10, seed=seed)]
 
 
 def test_whittaker_equations_close():

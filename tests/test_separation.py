@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quantoda import separation
-from quantoda.gz import separated_uniforms
+from quantoda.gz import separated_block
 from quantoda.rationals import FpLanes, random_lanes
 from quantoda.report import combine
 from quantoda.separation import (check_dif_equation, check_lagrange_identity,
@@ -132,11 +132,20 @@ def test_lagrange_identity_refuses_fewer_than_one_trial(trials):
 def test_suite_refuses_fewer_than_one_trial_before_drawing(monkeypatch, trials):
     def no_draw(*args):
         raise AssertionError("drawn before the trial count was checked")
-    monkeypatch.setattr(separation, "separated_uniforms", no_draw)
+    monkeypatch.setattr(separation, "separated_block", no_draw)
     monkeypatch.setattr(separation, "random_lanes", no_draw)
     with pytest.raises(ValueError, match=f"trials must be at least 1, got {trials}"):
         separation_suite(3, trials=trials)
 
+
+
+def test_suite_refuses_points_that_do_not_fit(monkeypatch):
+    # 2N - 1 = 603 points 0.01 apart need 6.02 of [-3, 3]; the Lagrange
+    # check, which runs first, is not what is tested here
+    monkeypatch.setattr(separation, "check_lagrange_identity", lambda *args: None)
+    with pytest.raises(ValueError, match=r"^603 values at least 0\.01 apart do not fit "
+                                         r"in \[-3\.0, 3\.0\]$"):
+        separation_suite(302, trials=1)
 
 def test_suite_shape_and_status():
     reports = separation_suite(3, trials=30, seed=5)
@@ -148,8 +157,9 @@ def test_suite_shape_and_status():
 @pytest.mark.parametrize("N", [2, 3, 4, 5])
 def test_stacked_residuals_are_the_worst_of_their_points(N):
     rng = random.Random(30 + N)
-    pts = [separated_uniforms(rng, 2 * N - 1, -3.0, 3.0, 1e-2) for _ in range(20)]
-    cols = np.array(pts).T
+    block, = separated_block(rng, 20, [2 * N - 1], -3.0, 3.0, 1e-2)
+    pts = block.tolist()
+    cols = block.T
     for j in range(N - 1):
         got = check_dif_equation(cols[:N], cols[N:], j)
         each = [check_dif_equation(p[:N], p[N:], j) for p in pts]
