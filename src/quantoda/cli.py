@@ -32,16 +32,23 @@ so a one-shot command compiles only its own half, and in a long-running
 process only the first command of each half compiles anything: each
 module at most once.
 
-Reports use the fixed key set {suite, n, relation, status, residual,
-tolerance, seed, witness}.  Exit codes: 0 success, 1 a verification or
-evaluation failure, 2 usage error.  Every number is written by repr, which
-round-trips doubles.  Reports and value rows each go through one fixed row
-template (`_emit_reports`, `_value_text`), which writes what `json` or
-`csv` would.  Identical arguments and seed produce byte-identical
-output under one BLAS thread configuration: the matrix products of the
-N = 3 quadrature and of N = 2 sweeps sum in an order that depends on the
-OpenBLAS thread count.  An N = 2 point value takes one-column products and
-does not depend on it.
+Values leave `mellin_barnes` as one record, `QuadratureResult`: a point
+evaluator's value and estimate, or `grid_scan`'s arrays with their axes.
+This module alone makes output columns: `_run` builds every value table in
+one place (`_value_table` for a record, one row per point or sweep step),
+and `_value_text` writes them.  Reports use the fixed key set {suite, n,
+relation, status, residual, tolerance, seed, witness}.  Exit codes: 0
+success, 1 a verification or evaluation failure, 2 usage error.  Every
+number is written by repr, which round-trips doubles.  Reports and value
+rows each go through one fixed row template (`_emit_reports`,
+`_value_text`), which writes what `json` or `csv` would; their JSON rows
+share one layout (`_json_row`) and one cell rule (`_json_cell`), while a
+value row formats its number columns by %r.  Identical arguments and seed
+produce byte-identical output under one BLAS thread configuration: the
+matrix products of the N = 3 quadrature sum in an order that depends on
+the OpenBLAS thread count.  N = 2 values do not depend on it: a point
+takes one-column products, and a sweep multiplies its phase factors in
+products whose inner dimension is about sqrt(M).
 """
 
 from __future__ import annotations
@@ -50,7 +57,6 @@ import dataclasses
 import functools
 import json
 import math
-import operator
 import sys
 import types
 from typing import List, Sequence
@@ -213,16 +219,24 @@ def _parse(argv: List[str]) -> types.SimpleNamespace | None:
     return types.SimpleNamespace(**ns)
 
 
-# `_emit_reports`' row: a report's fields in sorted order, as
-# `json.dumps(..., indent=2, sort_keys=True)` lays them out in the list
+def _json_row(keys, cells, pad: str) -> str:
+    """The template of one object row of a JSON list at indent pad, as
+    `json.dumps(..., indent=2, sort_keys=True)` lays it out: the sorted
+    keys, each with its format cell.  Reports and value rows share it."""
+    body = ",\n".join(f"{pad}  {json.dumps(k)}: {c}" for k, c in zip(keys, cells))
+    return f"{pad}{{\n{body}\n{pad}}}"
+
+
+# `_emit_reports`' row: a report's fields in sorted order, in the list of
+# the {"reports": [...]} envelope
 _REPORT_KEYS = sorted(f.name for f in dataclasses.fields(VerificationReport))
-_REPORT_ROW = "    {\n%s\n    }" % ",\n".join(f"      {json.dumps(k)}: %s" for k in _REPORT_KEYS)
-_report_values = operator.attrgetter(*_REPORT_KEYS)
+_REPORT_ROW = _json_row(_REPORT_KEYS, ["%s"] * len(_REPORT_KEYS), "    ")
 
 
 def _json_cell(v) -> str:
-    """One report field as `json` writes it: null, an int or a float by
-    repr, a string quoted.  A non-finite float raises `json`'s ValueError."""
+    """One JSON cell as `json` writes it: null, an int or a float by repr, a
+    string quoted.  A non-finite float raises `json`'s ValueError.  Every
+    report field and every string cell of a JSON value row takes it."""
     if v is None:
         return "null"
     if isinstance(v, str):
@@ -239,7 +253,7 @@ def _emit_reports(reports: Sequence[VerificationReport], out) -> int:
     sort_keys=True, allow_nan=False)` writes it, every report through one
     row template.  A non-finite number raises ValueError before any output."""
     status = combine(reports)
-    rows = ",\n".join(_REPORT_ROW % tuple(map(_json_cell, _report_values(r)))
+    rows = ",\n".join(_REPORT_ROW % tuple(_json_cell(getattr(r, k)) for k in _REPORT_KEYS)
                        for r in reports)
     body = f"[\n{rows}\n  ]" if reports else "[]"
     out.write(f'{{\n  "reports": {body},\n  "status": {json.dumps(status)}\n}}\n')
@@ -253,25 +267,42 @@ def _csv_cell(text: str) -> str:
     return text
 
 
+def _value_table(x, res) -> dict:
+    """The output columns {x1.., re, im, abs, error_estimate} of a record
+    (`mellin_barnes.QuadratureResult`), lists of Python floats: one row for
+    a point evaluator's value at the point x, or, for a sweep's axes x and
+    arrays (`mellin_barnes.grid_scan`), one per value, each x_k broadcast.
+    abs is Python's abs(complex): np.abs may differ in the last bit."""
+    import numpy as np
+    values = np.asarray(res.value).ravel()
+    col, table = np.empty(values.shape), {}
+    for k, xk in enumerate(x):
+        col[...] = xk
+        table[f"x{k+1}"] = col.tolist()
+    table.update(re=values.real.tolist(), im=values.imag.tolist(),
+                 abs=list(map(abs, values.tolist())),
+                 error_estimate=np.asarray(res.error_estimate).ravel().tolist())
+    return table
+
+
 def _value_text(table: dict, fmt: str) -> str:
     """The value table {key: column}, at least one row, as JSON rows (keys
     sorted, indent 2) or CSV (CRLF line ends).  Every row goes through one
     template: a number by repr, which round-trips doubles, a string cell as
-    `json` or `csv` quotes it.  A non-finite number raises ValueError before
-    any output."""
+    `_json_cell` or `csv` quotes it.  A non-finite number raises ValueError
+    before any output, `json`'s own in JSON."""
     keys = sorted(table) if fmt == "json" else list(table)
     cols = [table[k] for k in keys]
     texts = [isinstance(c[0], str) for c in cols]
     if not all(t or all(map(math.isfinite, c)) for t, c in zip(texts, cols)):
         bad = next(v for row in zip(*cols) for t, v in zip(texts, row)
                    if not (t or math.isfinite(v)))
-        raise ValueError(f"Out of range float values are not {fmt.upper()} "
-                         f"compliant: {bad!r}")
+        if fmt == "json":
+            _json_cell(bad)          # raises `json`'s own ValueError
+        raise ValueError(f"Out of range float values are not CSV compliant: {bad!r}")
     cells = ["%s" if t else "%r" for t in texts]
     if fmt == "json":
-        quote = json.dumps
-        row = "  {\n%s\n  }" % ",\n".join(f"    {json.dumps(k)}: {c}"
-                                           for k, c in zip(keys, cells))
+        quote, row = _json_cell, _json_row(keys, cells, "  ")
         head, sep, tail = "[\n", ",\n", "\n]\n"
     else:
         quote, row = _csv_cell, ",".join(cells)
@@ -335,39 +366,36 @@ def _run(args, out) -> int:
         return _emit_reports(_exact_reports(args), out)
     # the whole numerical half, so that no later command of it compiles a module
     from . import harish_chandra as hc, mellin_barnes as mb, oracle
-    if args.command == "whittaker" and args.subcommand == "eval":
-        fn = mb.whittaker_eval if args.method == "direct" else mb.whittaker_recursive
-        res = fn(args.n, args.alpha, args.x, args.tol)
-        out.write(_value_text(mb.value_row(res, args.x), args.format))
-        return 0
-    if args.command == "whittaker" and args.subcommand == "grid":
-        if not 0 <= args.axis < args.n:
-            build_parser().error(f"argument --axis: must be in [0, {args.n}), "
-                                 f"got {args.axis}")
-        table = mb.grid_scan(args.n, args.alpha, args.axis, args.start,
-                             args.stop, args.steps, x_base=args.x, tol=args.tol)
-        text = _value_text(table, args.format)
-        if args.out:
-            with open(args.out, "w", newline="") as fh:
-                fh.write(text)
-        else:
-            out.write(text)
-        return 0
-    if args.command == "spherical":
-        res = mb.spherical_eval(args.n, args.lam, args.x, args.tol)
-        out.write(_value_text(mb.value_row(res, args.x), args.format))
-        return 0
+    if args.command == "verify":     # eigen
+        return _emit_reports([oracle.check_eigen(args.n, args.alpha, args.grid,
+                                                 tol=args.tol, refine=args.refine)], out)
+    # every value table is made here, and written by `_value_text`
     if args.command == "cfunction":
         lam = args.lam
         c = hc.c_function([complex(v) for v in lam])
         table = {"lambda": [",".join(repr(v) for v in lam)],
                  "c_re": [c.real], "c_im": [c.imag],
                  "plancherel_density": [hc.plancherel_density(lam)]}
-        out.write(_value_text(table, args.format))
-        return 0
-    # verify eigen: the required subparsers admit no other command
-    return _emit_reports([oracle.check_eigen(args.n, args.alpha, args.grid,
-                                             tol=args.tol, refine=args.refine)], out)
+    elif args.subcommand == "grid":
+        if not 0 <= args.axis < args.n:
+            build_parser().error(f"argument --axis: must be in [0, {args.n}), "
+                                 f"got {args.axis}")
+        table = _value_table(*mb.grid_scan(args.n, args.alpha, args.axis, args.start,
+                                           args.stop, args.steps, args.x, args.tol))
+    else:                            # whittaker eval, spherical eval: one point
+        if args.command == "spherical":
+            res = mb.spherical_eval(args.n, args.lam, args.x, args.tol)
+        else:
+            fn = mb.whittaker_eval if args.method == "direct" else mb.whittaker_recursive
+            res = fn(args.n, args.alpha, args.x, args.tol)
+        table = _value_table(args.x, res)
+    text = _value_text(table, args.format)
+    if getattr(args, "out", None):
+        with open(args.out, "w", newline="") as fh:
+            fh.write(text)
+    else:
+        out.write(text)
+    return 0
 
 
 def _exact_reports(args) -> List[VerificationReport]:

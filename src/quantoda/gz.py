@@ -36,8 +36,8 @@ complex numbers for the Whittaker and spherical vectors (one Gamma product,
 all relations of one check into one `TermTable` (distinct forms, factors,
 shifts and terms as integer index tables) and evaluate it on a block of
 F_p[i] lanes with a fixed number of int64 numpy operations, whatever the
-term count.  The sampled checks take their arrays as one stack
-(`stack_arrays`), whose entries are numpy arrays with one element per
+term count.  The sampled checks take their arrays as one stack, a
+`TriangularArray` whose entries are numpy arrays with one element per
 array, so each check runs once for all of them (the measure check once per
 slot), and each shift ratio makes one `log_gamma_array` call.  The suites
 draw a stack's arrays, and `separation` its points, as one block
@@ -77,7 +77,7 @@ from typing import Dict, List, NamedTuple, Sequence, Tuple
 import numpy as np
 
 from .rationals import (ONE, P, FpLanes, Gauss, _batch_inverse, _gauss_mul, as_gauss,
-                        first_witnesses, gauss_mul, random_lanes)
+                        check_trials, first_witnesses, gauss_mul, random_lanes)
 from .report import VerificationReport, residual_report
 from .specfun import POLE_TOL, PoleError, gamma_shift_ratio, log_gamma, log_gamma_array
 
@@ -142,7 +142,8 @@ class TriangularArray:
 
     def min_level_gap(self) -> float:
         """Smallest within-level pairwise distance over levels 1..N-1, over
-        every array of a stack (`stack_arrays`)."""
+        every array of a stack (entries that are arrays, one element per
+        array)."""
         gap = math.inf
         for n in range(1, self.N):
             row = self.levels[n - 1]
@@ -614,7 +615,8 @@ def _vector(kind: str, arr: TriangularArray) -> complex:
 
 def vector_shift_ratio(kind: str, arr: TriangularArray, shift: ShiftKey) -> complex:
     """v(arr shifted)/v(arr) for v = w or phi, one adjacent-level pair at a
-    time, elementwise over a stack of arrays (`stack_arrays`).
+    time, elementwise over a stack of arrays (entries that are numpy arrays,
+    one element per array).
 
     A k*i shift of lambda_{nj}, n < N, multiplies the prefactor by the
     power (-i)^{2(n-1)k/q}, exact as products of 0 and +-1, and the
@@ -674,7 +676,8 @@ def spherical_vector(arr: TriangularArray) -> complex:
 def check_whittaker_equations(arr: TriangularArray,
                               tol: float = 1e-9) -> VerificationReport:
     """Max relative residual of E_{n,n+1} w = -i w and E_{n+1,n} w' = -i w',
-    over the arrays of a stack (`stack_arrays`), at every level of arr."""
+    over the arrays of a stack (entries that are numpy arrays, one element
+    per array), at every level of arr."""
     _check_level_gaps(arr)
     N = arr.N
     worst = 0.0
@@ -689,7 +692,8 @@ def check_whittaker_equations(arr: TriangularArray,
 def check_spherical_equation(arr: TriangularArray,
                              tol: float = 1e-8) -> VerificationReport:
     """Max relative residual of (E_{n,n+1} - E_{n+1,n}) phi = 0, over the
-    arrays of a stack (`stack_arrays`), at every level of arr."""
+    arrays of a stack (entries that are numpy arrays, one element per
+    array), at every level of arr."""
     _check_level_gaps(arr)
     N = arr.N
     worst = 0.0
@@ -707,7 +711,8 @@ def check_spherical_equation(arr: TriangularArray,
 
 def gz_measure(arr: TriangularArray) -> complex:
     """prod_{n<N} prod_{s<p} (lam_{ns}-lam_{np})(e^{2 pi lam_{np}} - e^{2 pi lam_{ns}}),
-    elementwise over a stack of arrays (`stack_arrays`).
+    elementwise over a stack of arrays (entries that are numpy arrays, one
+    element per array).
 
     At real a = lam_{ns}, b = lam_{np}, d = a - b, a pair's factor is
     -2 e^{pi(a+b)} d sinh(pi d): -2 pi e^{pi(a+b)} times the pair's
@@ -749,7 +754,8 @@ MEASURE_TOL = 1e-10   # gz_suite's default tolerance for the residual below
 
 def check_gz_measure_difference_eq(arr: TriangularArray, j: int) -> float:
     """Relative residual of (T_{nj,i} mu) = mu prod_{s!=j'} (d+i)/d at flat slot j,
-    the largest over the arrays of a stack (`stack_arrays`)."""
+    the largest over the arrays of a stack (entries that are numpy arrays,
+    one element per array)."""
     _check_level_gaps(arr)
     slot = _flat_slots(arr.N)[j]
     n, jj = slot
@@ -835,21 +841,6 @@ def separated_block(rng: random.Random, rows: int, counts: Sequence[int], low: f
     return out
 
 
-def sample_real_array(N: int, rng: random.Random, low: float = -2.0,
-                      high: float = 2.0) -> TriangularArray:
-    """Random real array with within-level pairwise gaps >= 0.1: the one-row
-    case of `gz_suite`'s stacks, with float entries."""
-    return TriangularArray([b[0].tolist() for b in
-                            separated_block(rng, 1, range(1, N + 1), low, high, 0.1)])
-
-
-def stack_arrays(arrays: Sequence[TriangularArray]) -> TriangularArray:
-    """One array whose entries are numpy arrays with one element per given
-    array, in order: the numerical checks take it for all of them at once."""
-    return TriangularArray([[np.array([a.get(n, j) for a in arrays]) for j in range(1, n + 1)]
-                            for n in range(1, arrays[0].N + 1)])
-
-
 def gz_suite(N: int, trials: int = 20, seed: int = 0,
              tol: float | None = None) -> List[VerificationReport]:
     """Relation checks plus sampled Whittaker/spherical residuals.
@@ -859,22 +850,21 @@ def gz_suite(N: int, trials: int = 20, seed: int = 0,
     The Whittaker and spherical checks run once, on the stack of their
     `trials` arrays, and the measure check once per slot, on the stack of
     its own.  Each stack is one `separated_block` draw: level n of a stack
-    is the block of count n, one column per entry.
+    is the block of count n, one column per entry.  ValueError when trials
+    < 1, before anything is drawn, and when a stack does not fit, before
+    the exact checks run: they draw from their own generator, so drawing
+    the stacks first moves no value.
     """
+    check_trials(trials)
     rng = random.Random(seed)
-    out = [check_gl_relations(N, trials, seed), check_serre(N, trials, seed)]   # refuse trials < 1
+    wide, narrow = (TriangularArray([list(b.T) for b in separated_block(
+                        rng, trials, range(1, N + 1), low, high, 0.1)])
+                    for low, high in ((-2.0, 2.0), (-1.0, 1.0)))
+    out = [check_gl_relations(N, trials, seed), check_serre(N, trials, seed)]
     kw = {} if tol is None else {"tol": tol}
-
-    def draw_stack(low, high):
-        return TriangularArray([list(b.T) for b in
-                                separated_block(rng, trials, range(1, N + 1), low, high, 0.1)])
-
-    stack = draw_stack(-2.0, 2.0)
-    out += [replace(check(stack, **kw), seed=seed)
+    out += [replace(check(wide, **kw), seed=seed)
             for check in (check_whittaker_equations, check_spherical_equation)]
-
-    stack = draw_stack(-1.0, 1.0)
-    worst_mu = max((check_gz_measure_difference_eq(stack, j)
+    worst_mu = max((check_gz_measure_difference_eq(narrow, j)
                     for j in range(len(_flat_slots(N)))), default=0.0)
     out.append(residual_report("gz", N, "measure-difference-eq", worst_mu,
                                MEASURE_TOL if tol is None else tol, seed=seed))

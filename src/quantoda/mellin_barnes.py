@@ -22,11 +22,15 @@ Quadrature is a truncated uniform grid per dimension (spectrally accurate
 for these analytic, exponentially decaying integrands).  N <= 3.  One front
 end, `_evaluate`, works on one tensor grid axes[0] x ... x axes[N-1]: a
 point is a grid with one node per axis, a sweep one with a single varying
-axis.  The integrand sees x only through the differences u_n = x_n -
-x_{n+1}, each level's node sums running over its differences as given,
-and the carrier e^{i sigma1 x_N}, applied once to the node sums.  The
-stride-2 sums behind the error estimate are computed only where the
-estimate is read: point values and sweeps, not grids.  Level n holds n
+axis.  It returns one record, `QuadratureResult`, of the values and error
+estimates on the grid: the point evaluators narrow it to a Python complex
+and float, and `grid_scan` returns it with its axes.  No output column is
+made here: `cli` alone turns records into rows.  The integrand sees x
+only through the differences u_n = x_n - x_{n+1}, each level's node sums
+running over its differences as given, and the carrier e^{i sigma1 x_N},
+applied once to the node sums.  The stride-2 sums behind the error
+estimate are computed only where the estimate is read: point values and
+sweeps, not grids.  Level n holds n
 variables at height h_n, so its phase e^{i lam u_n} reaches e^{n h_n
 max(0, -u_n)}: a grid whose phase exponent sum_n n h_n max(0, -min u_n)
 exceeds EXP_LIMIT would overflow and raises ValueError before any node
@@ -77,7 +81,7 @@ exactly e^{i alpha x}; all cross-checks against oracles are ratio-based.
 from __future__ import annotations
 
 import math
-from typing import List, NamedTuple, Sequence
+from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -133,24 +137,12 @@ class ContourSpec(NamedTuple):
 
 
 class QuadratureResult(NamedTuple):
+    """Values and their error estimates: arrays over a grid (`_evaluate`,
+    `grid_scan`), the estimate None when it was not computed, or a point
+    evaluator's Python complex and float.  `cli` makes the output columns."""
+
     value: complex
-    error_estimate: float
-
-
-def value_row(res: QuadratureResult, x: Sequence) -> dict:
-    """Output columns {x1.., re, im, abs, error_estimate}, lists of Python
-    floats: one row for the value at the point x, or, for a sweep's arrays
-    of values and estimates (`grid_scan`), one per entry, each x_k broadcast.
-    abs is Python's abs(complex): np.abs may differ in the last bit."""
-    values = np.asarray(res.value).ravel()
-    col, table = np.empty(values.shape), {}
-    for k, xk in enumerate(x):
-        col[...] = xk
-        table[f"x{k+1}"] = col.tolist()
-    table.update(re=values.real.tolist(), im=values.imag.tolist(),
-                 abs=list(map(abs, values.tolist())),
-                 error_estimate=np.asarray(res.error_estimate).ravel().tolist())
-    return table
+    error_estimate: float | None
 
 
 def default_contour(N: int, alpha: Sequence[float], tol: float) -> ContourSpec:
@@ -407,8 +399,8 @@ def _evaluate(which: str, N: int, params: Sequence[float], axes, tol: float,
     `default_contour` raised 1/2 per integrated level at N = 3; see
     `whittaker_recursive`) or "spherical".
 
-    Returns (values, errors), arrays of shape (len(axes[0]), ...,
-    len(axes[N-1])); errors is None when not `estimate`.  The node sums run
+    Returns a QuadratureResult of arrays of shape (len(axes[0]), ...,
+    len(axes[N-1])), its estimate None when not `estimate`.  The node sums run
     over every difference of each level.  The error estimate is
     |v - v_half|, where v_half is the stride-2 sum with the same carrier,
     computed only when `estimate`.  Spherical contours are real: offsets 0.
@@ -426,7 +418,7 @@ def _evaluate(which: str, N: int, params: Sequence[float], axes, tol: float,
         raise ContourError("coincident top-level spectral parameters")
     if N == 1:                       # the carrier alone: no contour is built
         carrier = np.exp(1j * sum(params) * axes[-1])
-        return carrier, np.zeros(carrier.shape) if estimate else None
+        return QuadratureResult(carrier, np.zeros(carrier.shape) if estimate else None)
     contour = default_contour(N, params, tol)
     offsets = contour.offsets if which != "spherical" else (0.0,) * N
     if which == "recursive" and N == 3:
@@ -460,12 +452,14 @@ def _evaluate(which: str, N: int, params: Sequence[float], axes, tol: float,
     n = [len(a) for a in axes]
     shape, step = (n, 1) if N == 2 else ((n[0], n[1] * n[1], n[2]), n[1] + 1)
     v = full.reshape(shape)[:, ::step] * carrier
-    return v, np.abs(v - half.reshape(shape)[:, ::step] * carrier) if estimate else None
+    return QuadratureResult(
+        v, np.abs(v - half.reshape(shape)[:, ::step] * carrier) if estimate else None)
 
 
 def _point(which: str, N: int, params: Sequence[float], x: Sequence[float],
            tol: float) -> QuadratureResult:
-    """Value and error estimate at the one point x."""
+    """Value and error estimate at the one point x, as a Python complex and
+    float."""
     v, err = _evaluate(which, N, params, [[xk] for xk in x], tol)
     return QuadratureResult(v.item(), err.item())
 
@@ -481,7 +475,7 @@ def whittaker_on_grid(N: int, alpha: Sequence[float], axes: Sequence[np.ndarray]
     """Wave function on a full tensor grid of coordinates, from one kernel
     build and one node sum per coordinate difference (`_evaluate`).  No
     error estimate is computed."""
-    return _evaluate("whittaker", N, alpha, axes, tol, estimate=False)[0]
+    return _evaluate("whittaker", N, alpha, axes, tol, estimate=False).value
 
 
 def spherical_eval(N: int, lam_top: Sequence[float], x: Sequence[float],
@@ -493,13 +487,14 @@ def spherical_eval(N: int, lam_top: Sequence[float], x: Sequence[float],
 def grid_scan(N: int, alpha: Sequence[float], axis: int,
               start: float, stop: float, steps: int,
               x_base: Sequence[float] | None = None,
-              tol: float = 1e-6) -> dict:
-    """Sweep one coordinate of the wave function: a `value_row` row per point.
+              tol: float = 1e-6) -> Tuple[list, QuadratureResult]:
+    """Sweep one coordinate of the wave function: its grid axes, one node
+    per fixed coordinate, and the values and estimates on them.
 
     The sweep is the grid whose axis `axis` varies: one kernel build, whose
-    arrays give the columns with no per-row object.  At N >= 2 a node array
+    arrays hold every step with no per-step object.  At N >= 2 a node array
     holds M >= MIN_NODES values per step, so at most NODE_ARRAY_LIMIT //
-    MIN_NODES steps fit; at N = 1 each step still costs its columns.  More
+    MIN_NODES steps fit; at N = 1 each step still costs its values.  More
     steps raise ValueError at every N, before the axis is built.
     """
     if not 0 <= axis < N:
@@ -512,7 +507,7 @@ def grid_scan(N: int, alpha: Sequence[float], axis: int,
         raise ValueError(f"steps={steps} exceeds {NODE_ARRAY_LIMIT // MIN_NODES}, "
                          f"the most a sweep takes")
     axes[axis] = np.linspace(start, stop, steps)
-    return value_row(QuadratureResult(*_evaluate("whittaker", N, alpha, axes, tol)), axes)
+    return axes, _evaluate("whittaker", N, alpha, axes, tol)
 
 
 # ---------------------------------------------------------------------------

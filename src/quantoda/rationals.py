@@ -242,6 +242,13 @@ def lane_blocks(trials: int) -> List[Tuple[int, int]]:
     return [(start, min(step, total - start)) for start in range(0, total, step)]
 
 
+def check_trials(trials: int) -> None:
+    """ValueError when trials < 1: the first refusal of every sampled check
+    and suite."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+
+
 def first_witnesses(relations: int, trials: int, seed: int,
                     block: Callable) -> List[Optional[str]]:
     """Per relation, "trial t: " + describe(i, k) for its first nonzero lane,
@@ -250,8 +257,7 @@ def first_witnesses(relations: int, trials: int, seed: int,
     from rng = random.Random(seed) and returns (bad, describe), bad[i]
     marking relation i's nonzero lanes.  No block is drawn once every
     relation has failed.  ValueError when trials < 1."""
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+    check_trials(trials)
     rng = random.Random(seed)
     found: List[Optional[str]] = [None] * relations
     for start, lanes in lane_blocks(trials):

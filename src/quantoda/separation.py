@@ -32,7 +32,7 @@ from typing import List, Sequence
 import numpy as np
 
 from .gz import MIN_GAP, separated_block
-from .rationals import FpLanes, first_witnesses, random_lanes
+from .rationals import FpLanes, check_trials, first_witnesses, random_lanes
 from .report import VerificationReport, residual_report
 from .specfun import PoleError, gamma_shift_ratio, log_gamma, log_gamma_array
 
@@ -174,25 +174,25 @@ def separation_suite(N: int, trials: int = 100, seed: int = 42) -> List[Verifica
     """Difference-equation residuals and the exact Lagrange identity, the
     latter on min(trials, 50) trials.
 
-    The `trials` points of each check are drawn as one block
-    (`gz.separated_block`); each residual check then runs once per j on the
-    block's columns, one array per variable.  ValueError when trials < 1,
-    before anything is drawn.
+    The `trials` points of each residual check are drawn as one block
+    (`gz.separated_block`); each check then runs once per j on the block's
+    columns, one array per variable.  ValueError when trials < 1, before
+    anything is drawn, and when the points do not fit, before the Lagrange
+    identity runs.  It runs last, on its own generator, so the order moves
+    no value.
     """
-    rep_lagr = check_lagrange_identity(N, min(trials, 50), seed)   # refuses trials < 1 first
+    check_trials(trials)
     rng = random.Random(seed)
-
-    cols = separated_block(rng, trials, [2 * N - 1], -3.0, 3.0, 1e-2)[0].T
+    cols, lam = (separated_block(rng, trials, [count], -3.0, 3.0, 1e-2)[0].T
+                 for count in (2 * N - 1, N - 1))
     worst_dif = max((check_dif_equation(cols[:N], cols[N:], j) for j in range(N - 1)),
                     default=0.0)
     rep_dif = residual_report("separation", N, "dif-equation", worst_dif, 1e-12,
                               seed=seed)
-
-    worst_meas = 0.0
-    if N >= 3:
-        lam = separated_block(rng, trials, [N - 1], -3.0, 3.0, 1e-2)[0].T
-        worst_meas = max(check_measure_difference_eq(lam, j) for j in range(N - 1))
+    # at N = 2 the one variable has no partner: the residual is exactly 0
+    worst_meas = max((check_measure_difference_eq(lam, j) for j in range(N - 1)),
+                     default=0.0)
     rep_meas = residual_report("separation", N, "measure-difference-eq", worst_meas,
                                1e-10, seed=seed)
 
-    return [rep_dif, rep_meas, rep_lagr]
+    return [rep_dif, rep_meas, check_lagrange_identity(N, min(trials, 50), seed)]

@@ -10,12 +10,13 @@ import random
 import time
 
 import numpy as np
+from test_gz import sample_real_array
 
 from quantoda.cli import dispatch
 from quantoda.gz import (check_gl_relations, check_serre,
                          check_gz_measure_difference_eq,
                          check_spherical_equation, check_whittaker_equations,
-                         sample_real_array, _flat_slots)
+                         _flat_slots)
 from quantoda.harish_chandra import (WeylPermutation,
                                      b_denominator, c_s, m_b_compatibility,
                                      m_elementary, m_function,

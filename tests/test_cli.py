@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import quantoda
-from quantoda import cli, mellin_barnes as mb, oracle, weyl
+from quantoda import cli, gz, mellin_barnes as mb, oracle, separation, weyl
 from quantoda.cli import build_parser, dispatch
 from quantoda.report import VerificationReport
 
@@ -352,6 +352,30 @@ def _run_captured(argv):
         except SystemExit as exc:
             code = f"SystemExit({exc.code})"
     return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv, message", [
+    # 42 values 0.1 apart do not fit in gz's [-2, 2], nor 22 in its [-1, 1]:
+    # --n 42 spent over 20 s in the gl and Serre checks before it failed to
+    # allocate 487 MiB
+    (["verify", "gz", "--n=42", "--trials=1"],
+     "42 values at least 0.1 apart do not fit in [-2.0, 2.0]"),
+    (["verify", "gz", "--n=22", "--trials=1"],
+     "22 values at least 0.1 apart do not fit in [-1.0, 1.0]"),
+    # 2N - 1 = 603 points 0.01 apart need 6.02 of [-3, 3]: refused after
+    # 1.9 s in the Lagrange identity
+    (["verify", "separation", "--n=302", "--trials=1"],
+     "603 values at least 0.01 apart do not fit in [-3.0, 3.0]"),
+], ids=["gz-n42", "gz-n22", "separation-n302"])
+def test_sampled_suites_refuse_draws_that_do_not_fit_before_any_exact_check(
+        monkeypatch, argv, message):
+    def entered(*args, **kwargs):
+        raise AssertionError("an exact check ran before the draws were refused")
+
+    for module, name in ((gz, "check_gl_relations"), (gz, "check_serre"),
+                         (separation, "check_lagrange_identity")):
+        monkeypatch.setattr(module, name, entered)
+    assert _run_captured(argv) == (1, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("exc", [
@@ -943,11 +967,14 @@ print(unwanted_modules())
 @pytest.mark.parametrize("argv", [
     ["whittaker", "eval", "--n=2", "--alpha=0.3,-1.0", "--x=0.2,-0.4", "--tol=1e-8"],
     ["verify", "eigen", "--n=2", "--alpha=0.3,-1.0", "--grid=32:0.05", "--refine"],
+    ["whittaker", "grid", "--n=2", "--alpha=0.3,-1.0", "--axis=0", "--from=-1.5",
+     "--to=1.7", "--steps=61", "--x=0.2,-0.4", "--tol=1e-8"],
 ])
 def test_n2_point_and_eigen_bytes_do_not_depend_on_blas_threads(argv):
-    # README: an N = 2 point value (one-column products) and an N = 2 eigen
-    # report at an ordinary spacing print the same bytes under any OpenBLAS
-    # thread count; the N = 2 sweeps do not
+    # README: an N = 2 point value (one-column products), an N = 2 eigen
+    # report at an ordinary spacing and the README's N = 2 sweep (phase
+    # factor products of inner dimension about sqrt(M)) print the same
+    # bytes under one and two OpenBLAS threads
     runs = [_fresh_python("-m", "quantoda.cli", *argv, OPENBLAS_NUM_THREADS=k)
             for k in ("1", "2")]
     assert [(r.returncode, r.stderr) for r in runs] == [(0, "")] * 2

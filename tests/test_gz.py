@@ -14,8 +14,8 @@ from quantoda.gz import (GENERATOR_PREFACTOR, MEASURE_TOL, VECTORS, Coefficient,
                          check_gz_measure_difference_eq, check_serre,
                          check_spherical_equation, check_whittaker_equations,
                          gz_generator, gz_measure, gz_suite,
-                         sample_real_array, separated_block, spherical_vector,
-                         stack_arrays, vector_shift_ratio, whittaker_vector)
+                         separated_block, spherical_vector,
+                         vector_shift_ratio, whittaker_vector)
 from quantoda.rationals import LANES_PER_TRIAL, TRIALS_PER_BLOCK, FpLanes, random_lanes
 from quantoda.report import residual_report
 from quantoda.separation import (check_dif_equation, check_measure_difference_eq,
@@ -353,6 +353,20 @@ def separated_uniforms(rng, count, low, high, gap):
     return vals
 
 
+def sample_real_array(N, rng, low=-2.0, high=2.0):
+    """Random real array with within-level pairwise gaps >= 0.1: the one-row
+    case of `gz_suite`'s stacks, with float entries."""
+    return TriangularArray([b[0].tolist() for b in
+                            separated_block(rng, 1, range(1, N + 1), low, high, 0.1)])
+
+
+def stack_arrays(arrays):
+    """One array whose entries are numpy arrays with one element per given
+    array, in order: the numerical checks take it for all of them at once."""
+    return TriangularArray([[np.array([a.get(n, j) for a in arrays]) for j in range(1, n + 1)]
+                            for n in range(1, arrays[0].N + 1)])
+
+
 def test_separated_uniforms_match_the_rejection_sampler():
     rng = random.Random(8)
     for count in range(6):
@@ -557,6 +571,17 @@ def test_spherical_normalizer_base_one_fails(monkeypatch):
     reports = {r.relation: r for r in gz_suite(3, trials=2, seed=1)}
     assert reports["spherical-equation"].status == "FAIL"
     assert reports["whittaker-equations"].status == "PASS"
+
+
+@pytest.mark.parametrize("trials", [0, -5])
+def test_gz_suite_refuses_fewer_than_one_trial_before_drawing(monkeypatch, trials):
+    # first the trial count, then the stacks (42 values 0.1 apart do not fit
+    # in [-2, 2]), then the exact checks
+    def no_draw(*args):
+        raise AssertionError("drawn before the trial count was checked")
+    monkeypatch.setattr(gz, "separated_block", no_draw)
+    with pytest.raises(ValueError, match=f"^trials must be at least 1, got {trials}$"):
+        gz_suite(42, trials=trials)
 
 
 def test_gz_suite_tolerances_come_from_the_checks():

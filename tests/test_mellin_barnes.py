@@ -13,12 +13,12 @@ from test_cli import _fresh_python
 from test_oracle import _bessel_k_n2
 
 from quantoda import mellin_barnes as mb
-from quantoda.cli import dispatch
+from quantoda.cli import _value_table, dispatch
 from quantoda.gz import (TriangularArray, cartan_multiplier, gz_measure,
                          spherical_vector, whittaker_vector)
 from quantoda.mellin_barnes import (ContourError, ContourSpec, DimensionError,
                                     QuadratureResult, _evaluate, default_contour,
-                                    grid_scan, spherical_eval, value_row,
+                                    grid_scan, spherical_eval,
                                     whittaker_eval, whittaker_on_grid,
                                     whittaker_recursive)
 from quantoda.oracle import (GridSpec, check_eigen, givental,
@@ -53,7 +53,7 @@ def test_n1_builds_no_contour_and_a_non_finite_one_is_refused():
     lambda **kw: spherical_eval(3, _A3, [0.5, 0.0, -0.5], **kw),
     lambda **kw: whittaker_on_grid(2, _A2, [np.linspace(-1.0, 1.0, 3), [0.0]],
                                    **kw).tolist(),
-    lambda **kw: grid_scan(2, _A2, 0, -1.0, 1.0, 3, **kw),
+    lambda **kw: [a.tolist() for a in grid_scan(2, _A2, 0, -1.0, 1.0, 3, **kw)[1]],
 ], ids=["eval", "recursive", "spherical", "on-grid", "grid-scan"])
 def test_evaluators_default_to_tol_1e_6(evaluate):
     # at tol 1.1e-6 the contour has other nodes, and the values other bits
@@ -327,8 +327,8 @@ def test_an_n1_sweep_is_held_to_the_same_steps_bound(monkeypatch):
         return linspace(start, stop, num, **kw)
 
     monkeypatch.setattr(mb.np, "linspace", bounded)
-    cols = grid_scan(1, [0.5], 0, -1.0, 1.0, limit)
-    assert len(cols["re"]) == limit and cols["x1"][-1] == 1.0
+    axes, res = grid_scan(1, [0.5], 0, -1.0, 1.0, limit)
+    assert res.value.shape == (limit,) and axes[0][-1] == 1.0
     with pytest.raises(ValueError, match=r"^steps=125001 exceeds 125000, "):
         grid_scan(1, [0.5], 0, -1.0, 1.0, limit + 1)
     tracemalloc.start()
@@ -676,7 +676,7 @@ def test_multi_row_phases_stay_factored(evaluate, mib):
 def test_factored_n2_sweep_is_the_bessel_k_closed_form(tol):
     # 61 values of x1 - x2 in [-3, 3]: the level-1 sum contracts the phase
     # factors (measured worst error 0.0018 tol of the value's size)
-    cols = grid_scan(2, _A2, 0, -3.4, 2.6, 61, x_base=[0.0, -0.4], tol=tol)
+    cols = _value_table(*grid_scan(2, _A2, 0, -3.4, 2.6, 61, x_base=[0.0, -0.4], tol=tol))
     got = np.array(cols["re"]) + 1j * np.array(cols["im"])
     want = np.array([_bessel_k_n2(_A2, x) for x in zip(cols["x1"], cols["x2"])])
     assert np.all(np.abs(got - want) <= tol * np.abs(want))
@@ -716,16 +716,20 @@ def test_every_evaluator_is_one_kernel_and_one_node_sum(monkeypatch, route, n,
 
 
 def test_grid_scan_rows():
-    # the sweep as columns: one list of Python floats per output key
-    cols = grid_scan(2, [0.5, -0.5], axis=0,
-                     start=-1.0, stop=1.0, steps=5, tol=1e-6)
+    # the sweep is its axes and one record of arrays over them; `cli` makes
+    # the columns, one list of Python floats per output key
+    axes, res = grid_scan(2, [0.5, -0.5], axis=0,
+                          start=-1.0, stop=1.0, steps=5, tol=1e-6)
+    assert axes[1] == [0.0] and axes[0].tolist() == np.linspace(-1.0, 1.0, 5).tolist()
+    assert res.value.shape == res.error_estimate.shape == (5, 1)
+    cols = _value_table(axes, res)
     assert set(cols) == {"x1", "x2", "re", "im", "abs", "error_estimate"}
     assert all(len(c) == 5 and all(type(v) is float for v in c)
                for c in cols.values())
     assert cols["x1"][0] == -1.0 and cols["x1"][-1] == 1.0
     assert cols["x2"][2] == 0.0
-    empty = grid_scan(3, [0.5, 0.0, -0.5], axis=1,
-                      start=0.0, stop=1.0, steps=0)
+    empty = _value_table(*grid_scan(3, [0.5, 0.0, -0.5], axis=1,
+                                    start=0.0, stop=1.0, steps=0))
     assert len(empty) == 7 and all(c == [] for c in empty.values())
     with pytest.raises(ValueError):
         grid_scan(2, [0.5, -0.5], axis=2,
@@ -733,6 +737,25 @@ def test_grid_scan_rows():
     with pytest.raises(ValueError):
         grid_scan(3, [0.5, 0.0, -0.5], axis=2,
                   start=0.0, stop=1.0, steps=2, x_base=[0.0, 0.0])
+
+
+def test_evaluators_return_one_record():
+    # `_evaluate` returns one record of grid arrays, its estimate None when
+    # not computed; `whittaker_on_grid` returns its values, and a point
+    # evaluator narrows it to a Python complex and float
+    axes = [np.linspace(-0.5, 0.5, 3), [0.1], [-0.2]]
+    res = _evaluate("whittaker", 3, _A3, axes, 1e-6)
+    assert type(res) is QuadratureResult
+    assert res.value.shape == res.error_estimate.shape == (3, 1, 1)
+    bare = _evaluate("whittaker", 3, _A3, axes, 1e-6, estimate=False)
+    assert bare.error_estimate is None and bare.value.tobytes() == res.value.tobytes()
+    assert whittaker_on_grid(3, _A3, axes).tobytes() == res.value.tobytes()
+    assert _evaluate("whittaker", 1, [0.7], [[1.3]], 1e-6, estimate=False).error_estimate is None
+    for point in (whittaker_eval, whittaker_recursive, spherical_eval):
+        for n, x in ((1, [1.3]), (3, [0.5, 0.0, -0.5])):
+            got = point(n, _A3[:n], x)
+            assert type(got) is QuadratureResult
+            assert type(got.value) is complex and type(got.error_estimate) is float
 
 
 @pytest.mark.parametrize("which, params", [
@@ -749,13 +772,12 @@ def test_grid_scan_matches_point_evaluator(which, params):
     x_base = [0.3, -0.1, -0.4][:N]
     for axis in range(N):
         if which == "whittaker":
-            cols = grid_scan(N, params, axis=axis, start=-0.6, stop=0.9,
-                             steps=4, x_base=x_base, tol=1e-6)
+            cols = _value_table(*grid_scan(N, params, axis=axis, start=-0.6, stop=0.9,
+                                           steps=4, x_base=x_base, tol=1e-6))
         else:
             axes = [[xk] for xk in x_base]
             axes[axis] = np.linspace(-0.6, 0.9, 4)
-            cols = value_row(QuadratureResult(
-                *_evaluate("spherical", N, params, axes, 1e-6)), axes)
+            cols = _value_table(axes, _evaluate("spherical", N, params, axes, 1e-6))
         for row in (dict(zip(cols, r)) for r in zip(*cols.values())):
             x = [row[f"x{k+1}"] for k in range(N)]
             pt = point(N, params, x, tol=1e-6)

@@ -140,12 +140,36 @@ def test_suite_refuses_fewer_than_one_trial_before_drawing(monkeypatch, trials):
 
 
 def test_suite_refuses_points_that_do_not_fit(monkeypatch):
-    # 2N - 1 = 603 points 0.01 apart need 6.02 of [-3, 3]; the Lagrange
-    # check, which runs first, is not what is tested here
-    monkeypatch.setattr(separation, "check_lagrange_identity", lambda *args: None)
+    # 2N - 1 = 603 points 0.01 apart need 6.02 of [-3, 3]: refused before
+    # the Lagrange check runs
+    def lagrange(*args):
+        raise AssertionError("the Lagrange identity ran before the points were drawn")
+    monkeypatch.setattr(separation, "check_lagrange_identity", lagrange)
     with pytest.raises(ValueError, match=r"^603 values at least 0\.01 apart do not fit "
                                          r"in \[-3\.0, 3\.0\]$"):
         separation_suite(302, trials=1)
+
+@pytest.mark.parametrize("trials, lagrange_trials", [(7, 7), (50, 50), (51, 50), (100, 50)])
+def test_suite_runs_the_lagrange_identity_on_at_most_50_trials(monkeypatch, trials,
+                                                               lagrange_trials):
+    calls = []
+    monkeypatch.setattr(separation, "check_lagrange_identity", lambda *args: calls.append(args))
+    separation_suite(3, trials=trials, seed=5)
+    assert calls == [(3, lagrange_trials, 5)]
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_suite_checks_every_separated_variable(monkeypatch, N):
+    # each residual check runs once per j = 0 .. N-2, on all its points at once
+    calls = {"dif": [], "measure": []}
+    dif, measure = separation.check_dif_equation, separation.check_measure_difference_eq
+    monkeypatch.setattr(separation, "check_dif_equation",
+                        lambda alpha, lam, j: calls["dif"].append(j) or dif(alpha, lam, j))
+    monkeypatch.setattr(separation, "check_measure_difference_eq",
+                        lambda lam, j: calls["measure"].append(j) or measure(lam, j))
+    separation_suite(N, trials=5, seed=2)
+    assert calls == {"dif": list(range(N - 1)), "measure": list(range(N - 1))}
+
 
 def test_suite_shape_and_status():
     reports = separation_suite(3, trials=30, seed=5)
