@@ -290,16 +290,15 @@ def _value_text(table: dict, fmt: str) -> str:
     sorted, indent 2) or CSV (CRLF line ends).  Every row goes through one
     template: a number by repr, which round-trips doubles, a string cell as
     `_json_cell` or `csv` quotes it.  A non-finite number raises ValueError
-    before any output, `json`'s own in JSON."""
+    before any output."""
     keys = sorted(table) if fmt == "json" else list(table)
     cols = [table[k] for k in keys]
     texts = [isinstance(c[0], str) for c in cols]
     if not all(t or all(map(math.isfinite, c)) for t, c in zip(texts, cols)):
         bad = next(v for row in zip(*cols) for t, v in zip(texts, row)
                    if not (t or math.isfinite(v)))
-        if fmt == "json":
-            _json_cell(bad)          # raises `json`'s own ValueError
-        raise ValueError(f"Out of range float values are not CSV compliant: {bad!r}")
+        raise ValueError(f"Out of range float values are not {fmt.upper()} "
+                         f"compliant: {bad!r}")
     cells = ["%s" if t else "%r" for t in texts]
     if fmt == "json":
         quote, row = _json_cell, _json_row(keys, cells, "  ")

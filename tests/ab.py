@@ -5,10 +5,10 @@
 Exports the local revisions PARENT and CHANGE with `git archive` (so no
 worktree is registered) into two temporary directories, and in pair i =
 0 .. pairs-1 runs the unchanged `perfbench/run.py --workload W --seed S+i
---seconds 15` of each, the parent first in even pairs and the change first
-in odd ones, with OpenBLAS, OpenMP and MKL at one thread and
-PYTHONDONTWRITEBYTECODE=1.  Writes BENCH_<tag>.json at the root of the
-checkout in one schema (`SCHEMA`):
+--seconds R` of each, R being `BENCHMARK.json`'s run_seconds, the parent
+first in even pairs and the change first in odd ones, with OpenBLAS,
+OpenMP and MKL at one thread and PYTHONDONTWRITEBYTECODE=1.  Writes
+BENCH_<tag>.json at the root of the checkout in one schema (`SCHEMA`):
 
 * "schema", "argv", "environment" (run.py's env line of the first run),
   "parent" and "change" ({"rev", "sha"}), "workload", "seconds", "pairs"
@@ -117,9 +117,9 @@ def main():
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, required=True, help="the seed of pair 0")
     ap.add_argument("--tag", required=True, help="writes BENCH_<tag>.json")
-    ap.add_argument("--seconds", type=float, default=15.0)
     args = ap.parse_args()
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
     revs = {s: {"rev": r, "sha": subprocess.run(
                 ["git", "-C", str(ROOT), "rev-parse", r], capture_output=True,
                 text=True, check=True).stdout.strip()}
@@ -131,14 +131,14 @@ def main():
             seed = args.seed + pair
             order = SIDES if pair % 2 == 0 else SIDES[::-1]
             for k, side in enumerate(order, 1):
-                record, env = run_once(trees[side], args.workload, seed, args.seconds)
+                record, env = run_once(trees[side], args.workload, seed, seconds)
                 environment = environment or env
                 runs.append(dict(pair=pair, seed=seed, side=side, order=k, **record))
                 print(f"pair {pair} seed {seed} {side}: " + ", ".join(
                     f"{m} {v:.4g}" for m, v in record["metrics"].items())
                     + f", failed {record['failed']}", flush=True)
     doc = {"schema": SCHEMA, "argv": sys.argv, "environment": environment,
-           **revs, "workload": args.workload, "seconds": args.seconds,
+           **revs, "workload": args.workload, "seconds": seconds,
            "pairs": args.pairs, "seeds": [args.seed + i for i in range(args.pairs)],
            "runs": runs, "summary": summarize(runs, spec["end_to_end"])}
     path = ROOT / f"BENCH_{args.tag}.json"

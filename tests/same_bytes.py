@@ -1,11 +1,12 @@
 """Same bytes at a revision and in the work tree: does a change move any output?
 
 Runs every command of every round that `perfbench/workloads.generate` makes
-for a 15 s run of each workload (points, sweeps, exact) at each seed, then
-a fixed edge list: the argvs that the refusal tests of `tests/test_cli.py`
-parametrize, `--help` at three levels, and `whittaker grid --out` in CSV
-and JSON.  The commands run once in a copy of REV (exported with `git
-archive`, so no worktree is registered) and once in this work tree, one
+for a run of `BENCHMARK.json`'s run_seconds of each workload (points,
+sweeps, exact) at each of the seeds 1-5 (`SEEDS`), then a fixed edge list:
+the argvs that the refusal tests of `tests/test_cli.py` parametrize,
+`--help` at three levels, and `whittaker grid --out` in CSV and JSON.  The
+commands run once in a copy of REV (exported with `git archive`, so no
+worktree is registered) and once in this work tree, one
 Python process per side calling `quantoda.cli.dispatch` on each command in
 turn, with OpenBLAS, OpenMP and MKL at one thread (two with --threads 2)
 and COLUMNS=80 for argparse's help.  Each `--out` path is moved into a
@@ -17,7 +18,7 @@ must be installed.  pytest does not collect this file.  Run from the root
 of the checkout:
 
     python3 tests/same_bytes.py HEAD~1
-    python3 tests/same_bytes.py HEAD~1 --threads 2 --seeds 1,2,3
+    python3 tests/same_bytes.py HEAD~1 --threads 2
 
 Prints one line per command whose exit code, stdout, stderr or `--out`
 file differs, with the largest move of a number of its stdout or `--out`
@@ -33,12 +34,12 @@ import re
 import resource
 import subprocess
 import sys
-import tarfile
 import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 MEMORY_LIMIT = 2 * 2 ** 30
+SEEDS = (1, 2, 3, 4, 5)
 HELP = [["--help"], ["whittaker", "--help"], ["whittaker", "grid", "--help"]]
 SWEEP = ["whittaker", "grid", "--n=2", "--alpha=0.3,-1.0", "--axis=0", "--from=-1.5",
          "--to=1.7", "--steps=61", "--x=0.2,-0.4", "--tol=1e-8"]
@@ -74,11 +75,12 @@ json.dump(results, sys.stdout)
 """
 
 
-def workload_commands(seeds, seconds=15.0):
-    """{workload: [argv, ...]} over every round of a run of `seconds`."""
+def workload_commands():
+    """{workload: [argv, ...]} over every round of a benchmark run at SEEDS."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
-    return {w: [list(op.argv) for seed in seeds
+    seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+    return {w: [list(op.argv) for seed in SEEDS
                 for rnd in workloads.generate(w, seed, workloads.rounds_for(w, seconds))
                 for op in rnd]
             for w in workloads.WORKLOADS}
@@ -107,12 +109,9 @@ def refusal_argvs():
 def checkout(rev, into):
     """The files of rev in the new directory `into`, by `git archive`."""
     into.mkdir()
-    archive = into / "rev.tar"
-    with open(archive, "wb") as fh:
-        subprocess.run(["git", "-C", str(ROOT), "archive", rev], stdout=fh, check=True)
-    with tarfile.open(archive) as tar:
-        tar.extractall(into, filter="data")
-    archive.unlink()
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev],
+                             capture_output=True, check=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
     return into
 
 
@@ -165,15 +164,10 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("rev", help="a local revision, such as HEAD~1")
     ap.add_argument("--threads", type=int, choices=(1, 2), default=1)
-    ap.add_argument("--seeds", default="1,2,3,4,5",
-                    help="comma-separated workload seeds, at least 3")
     args = ap.parse_args()
-    seeds = [int(s) for s in args.seeds.split(",")]
-    if len(seeds) < 3:
-        ap.error("--seeds: at least 3 seeds")
     sha = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--short", args.rev],
                          capture_output=True, text=True, check=True).stdout.strip()
-    groups = workload_commands(seeds)
+    groups = workload_commands()
     groups["edge"] = refusal_argvs() + HELP + OUT
     argvs = [argv for group in groups.values() for argv in group]
     with tempfile.TemporaryDirectory() as tmp:
@@ -199,8 +193,9 @@ def main():
         for side, (code, _, err, _) in ((args.rev, old), ("work tree", new)):
             print(f"  {side}: exit {code}, stderr {err.strip()[:160]!r}")
     sizes = ", ".join(f"{name} {len(group)}" for name, group in groups.items())
+    seeds = ",".join(map(str, SEEDS))
     print(f"same_bytes: {differ} of {len(argvs)} commands differ ({sizes}; seeds "
-          f"{args.seeds}) between {args.rev} ({sha}) and the work tree, OpenBLAS "
+          f"{seeds}) between {args.rev} ({sha}) and the work tree, OpenBLAS "
           f"{args.threads} thread{'s' if args.threads > 1 else ''}")
     sys.exit(1 if differ else 0)
 
