@@ -37,11 +37,17 @@ exceeds EXP_LIMIT would overflow and raises ValueError before any node
 sum.  One builder, `_kernel`, makes the kernel of every route: the
 top-level weight and, at N = 3, the level-1 x level-2 Gamma matrix A.
 Both levels run over the same nodes, so A is Toeplitz and the build
-returns its 2M - 1 values: every route passes O(M) values to log Gamma,
-in one call per build.  In the node sum, `_node_sums`, the phases of a
-level with more than one difference stay two factors (`_phase`): about
-2 sqrt(M) exponentials per difference, a coarse factor over blocks of K
-nodes and a fine one within a block, K even.  Level 1 contracts them in
+returns its 2M - 1 values, of which it computes the M at differences
+i - j >= 0 and mirrors the rest: A(-d) = conj A(d) for the Whittaker
+factor Gamma(1/2 - i delta), A(-d) = A(d) for the spherical one.  So
+every route passes O(M) arguments to Gamma, 2M at N = 2 and 4M at N = 3,
+in one call per build: the Whittaker kernels (direct and recursive) take
+Gamma values (`specfun.gamma_products`, one exponential per node and no
+log), the spherical kernel real log Gammas.  In the node sum,
+`_node_sums`, the phases of a level with more than one difference stay two
+factors (`_phase`): about 2 sqrt(M) exponentials per difference, a coarse
+factor over blocks of K nodes and a fine one within a block, K even.
+Level 1 contracts them in
 `_phase_sum`, one GEMM with the coarse factor and a product-sum with the
 fine one, level 2 builds each block's phase columns from them, and the
 stride-2 sums read the fine factor's even rows: no (n x M) phase array or
@@ -85,7 +91,8 @@ from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .specfun import log_abs_gamma_array, log_gamma_array
+from . import specfun
+from .specfun import gamma_products, log_abs_gamma_array
 
 TWO_PI = 2.0 * math.pi
 LEVEL_OFFSET_STEP = 0.5   # h_n = (N - n) * step
@@ -116,6 +123,8 @@ V_BLOCK = 16
 # is 294 kB (147 kB real, for the spherical kernel), and the point faults on
 # 40 fresh pages, against 541 in one.
 ROW_BLOCK = 48
+# perfbench's tracer test reads `mb.log_gamma_array`; the name stays for it.
+log_gamma_array = specfun.log_gamma_array
 
 
 class DimensionError(ValueError):
@@ -170,25 +179,12 @@ def default_contour(N: int, alpha: Sequence[float], tol: float) -> ContourSpec:
 # ---------------------------------------------------------------------------
 
 
-def _adjacent_log(d, which: str):
-    """log of the adjacent-level factor at the differences d = a - b.
-
-    Whittaker (and the recursive route's kernel): log Gamma(-i d), complex.
-    Spherical: d is real (offsets 0), so Gamma(1/4 - i d/2) Gamma(1/4 +
-    i d/2) = |Gamma(1/4 - i d/2)|^2, whose log is 2 log |Gamma(1/4 - i d/2)|:
-    one real log Gamma per difference, float64.
-    """
-    if which == "spherical":
-        return 2.0 * log_abs_gamma_array(d / 2j + 0.25)
-    return log_gamma_array(-1j * d)
-
-
 def difference_lattice(a, b):
     """a[i] - b[j] for two axes of n nodes, one per d = i - j at index
     d + n - 1: the first row reversed, a[0] - b[n-1 .. 1], then the first
     column a - b[0].  On evenly spaced axes the other pairs with that d
-    differ by rounding alone: `_kernel`'s Toeplitz A and the difference
-    lattice of `oracle.check_eigen` take these values."""
+    differ by rounding alone: the difference lattice of `oracle.check_eigen`
+    takes these values, and `_kernel`'s Toeplitz A the first column's."""
     return np.concatenate([a[0] - b[:0:-1], a - b[0]])
 
 
@@ -200,28 +196,39 @@ def _kernel(top, which: str, offsets, half_width: float, M: int):
     linking level-(N-1) node i to the top-level parameters `top`.  At N = 3
     A[i, j] links level-1 node i to level-2 node j; both levels run over the
     same nodes t, so A depends on i - j alone (Toeplitz) and is returned as
-    its 2M - 1 values diag, entry i - j + M - 1: its first row and column,
-    2M - 1 log Gamma values, not M^2.  Both sets of differences go to log
-    Gamma in one call.  The spherical w and diag are real (float64), the
-    Whittaker ones complex.  The nodes are np.linspace(-half_width, half_width,
-    M) bit for bit: the same step times arange, less half_width, and the
-    last node pinned to half_width.  Returns (t, w, diag), diag None when
-    N = 2.
+    its 2M - 1 values diag, entry i - j + M - 1: its first row and column.
+    Only the M values with i - j >= 0 (`difference_lattice`'s first column)
+    are computed; the first row is their mirror, A(-d) = conj A(d) for the
+    Whittaker factor Gamma(1/2 - i delta) and A(-d) = A(d) for the spherical
+    |Gamma(1/4 - i delta/2)|^2 (the node differences of -d are those of d
+    negated, bit for bit).  So a build takes 4M Gamma arguments at N = 3 and
+    2M at N = 2, all in one call: the Whittaker kernels take Gamma values
+    (`specfun.gamma_products`, one exponential per node), the spherical one
+    real log Gammas (`specfun.log_abs_gamma_array`), as its w and diag are
+    real (float64).  The nodes are np.linspace(-half_width, half_width, M)
+    bit for bit: the same step times arange, less half_width, and the last
+    node pinned to half_width.  Returns (t, w, diag), diag None when N = 2.
     """
     t = np.arange(M, dtype=float)
     t *= 2.0 * half_width / (M - 1)
     t -= half_width
     t[-1] = half_width
     low = t + 1j * offsets[-2]       # level N-1
-    d = np.subtract.outer(low, top).ravel()
-    if len(offsets) == 3:
-        d = np.concatenate([d, difference_lattice(t + 1j * offsets[0], low)])
-    logs = _adjacent_log(d, which)   # the build's one log Gamma call
-    n_top = M * len(top)
-    w = np.exp(np.add.reduce(logs[:n_top].reshape(M, len(top)), axis=1))
+    diffs = [np.subtract.outer(low, top)]
+    if len(offsets) == 3:            # A's differences i - j >= 0, one factor each
+        diffs.append(((t + 1j * offsets[0]) - low[0])[:, None])
+    if which == "spherical":
+        # Gamma(1/4 - i d/2) Gamma(1/4 + i d/2) = |Gamma(1/4 - i d/2)|^2 at real d
+        logs = 2.0 * log_abs_gamma_array(np.concatenate([d.ravel() for d in diffs]) / 2j
+                                         + 0.25)
+        n_top = diffs[0].size
+        values = [np.exp(np.add.reduce(logs[:n_top].reshape(diffs[0].shape), axis=1)),
+                  np.exp(logs[n_top:])]
+    else:                            # Gamma(-i d)
+        values = gamma_products(*(-1j * d for d in diffs))
     if len(offsets) == 2:
-        return t, w, None
-    return t, w, np.exp(logs[n_top:])
+        return t, values[0], None
+    return t, values[0], np.concatenate([np.conj(values[1][:0:-1]), values[1]])
 
 
 def _toeplitz_rows(diag):

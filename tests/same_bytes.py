@@ -24,7 +24,11 @@ Prints one line per command whose exit code, stdout, stderr or `--out`
 file differs, with the largest move of a number of its stdout or `--out`
 file in units of the command's --tol (its default when omitted; absolute
 for commands without one) and each side's exit code and stderr, then one
-summary line.  Exits 1 when any command differs.
+summary line and one line per command kind (`workloads.Op.kind`, "edge"
+for the fixed list): how many of its commands differ and the largest move
+among them, given apart for the Whittaker values in the decay region
+(`perfbench/oracles.in_decay_region`), whose moves can be larger by many
+orders of magnitude.  Exits 1 when any command differs.
 """
 
 import argparse
@@ -75,12 +79,12 @@ json.dump(results, sys.stdout)
 """
 
 
-def workload_commands():
-    """{workload: [argv, ...]} over every round of a benchmark run at SEEDS."""
+def workload_ops():
+    """{workload: [op, ...]} over every round of a benchmark run at SEEDS."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
     seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
-    return {w: [list(op.argv) for seed in SEEDS
+    return {w: [op for seed in SEEDS
                 for rnd in workloads.generate(w, seed, workloads.rounds_for(w, seconds))
                 for op in rnd]
             for w in workloads.WORKLOADS}
@@ -160,6 +164,27 @@ def largest_move(a, b, tol):
     return move / tol if tol else move
 
 
+def kind_lines(rows):
+    """One summary line per command kind, from (kind, exempt, differs, move)
+    rows: how many of its commands differ, and the largest move of those
+    whose numbers pair up, given apart for the commands that
+    `oracles.in_decay_region` exempts."""
+    lines = []
+    for kind in dict.fromkeys(k for k, *_ in rows):
+        parts = []
+        for exempt, name in ((False, ""), (True, "decay region: ")):
+            group = [(d, m) for k, e, d, m in rows if k == kind and e == exempt]
+            if not group:
+                continue
+            moves = [m for d, m in group if d and m is not None]
+            unpaired = sum(d and m is None for d, m in group)
+            parts.append(f"{name}{sum(d for d, _ in group)} of {len(group)} differ"
+                         + (f", largest move {max(moves):.3g}" if moves else "")
+                         + (f", {unpaired} unpaired" if unpaired else ""))
+        lines.append(f"  {kind}: " + "; ".join(parts))
+    return lines
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("rev", help="a local revision, such as HEAD~1")
@@ -167,9 +192,12 @@ def main():
     args = ap.parse_args()
     sha = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--short", args.rev],
                          capture_output=True, text=True, check=True).stdout.strip()
-    groups = workload_commands()
-    groups["edge"] = refusal_argvs() + HELP + OUT
-    argvs = [argv for group in groups.values() for argv in group]
+    groups = workload_ops()
+    import oracles, workloads           # perfbench/, on the path from workload_ops
+    groups["edge"] = [workloads.Op(tuple(argv), "edge", 0, 0)
+                      for argv in refusal_argvs() + HELP + OUT]
+    ops = [op for group in groups.values() for op in group]
+    argvs = [list(op.argv) for op in ops]
     with tempfile.TemporaryDirectory() as tmp:
         tree = checkout(args.rev, Path(tmp, "rev"))
         outs = [Path(tmp, side) for side in ("out-rev", "out-work")]
@@ -177,26 +205,31 @@ def main():
             d.mkdir()
         sides = [start_side(t, argvs, d, args.threads) for t, d in zip((tree, ROOT), outs)]
         before, after = map(finish_side, sides)
-    differ = 0
-    for argv, old, new in zip(argvs, before, after):
+    rows = []                           # (kind, exempt, differs, move) per command
+    for op, argv, old, new in zip(ops, argvs, before, after):
         parts = [part for part, x, y in zip(("exit", "stdout", "stderr", "--out"), old, new)
                  if x != y]
+        row = [op.kind, oracles.in_decay_region(op), bool(parts), None]
+        rows.append(row)
         if not parts:
             continue
-        differ += 1
         tol = tol_of(argv)
         moves = [largest_move(str(old[k]), str(new[k]), tol) for k in (1, 3)
                  if old[k] != new[k]]
+        if None not in moves:
+            row[3] = max(moves, default=0.0)
         text = ("no value output moved" if not moves else "no paired numbers" if None in moves
                 else f"largest move {max(moves):.3g} {'tol' if tol else '(absolute)'}")
         print(f"DIFF [{', '.join(parts)}] {text}: {' '.join(argv)}", flush=True)
         for side, (code, _, err, _) in ((args.rev, old), ("work tree", new)):
             print(f"  {side}: exit {code}, stderr {err.strip()[:160]!r}")
+    differ = sum(row[2] for row in rows)
     sizes = ", ".join(f"{name} {len(group)}" for name, group in groups.items())
     seeds = ",".join(map(str, SEEDS))
     print(f"same_bytes: {differ} of {len(argvs)} commands differ ({sizes}; seeds "
           f"{seeds}) between {args.rev} ({sha}) and the work tree, OpenBLAS "
-          f"{args.threads} thread{'s' if args.threads > 1 else ''}")
+          f"{args.threads} thread{'s' if args.threads > 1 else ''}; per kind:")
+    print("\n".join(kind_lines(rows)))
     sys.exit(1 if differ else 0)
 
 

@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -357,11 +358,12 @@ def _run_captured(argv):
 @pytest.mark.parametrize("argv, message", [
     # 42 values 0.1 apart do not fit in gz's [-2, 2], nor 22 in its [-1, 1]:
     # --n 42 spent over 20 s in the gl and Serre checks before it failed to
-    # allocate 487 MiB
+    # allocate 487 MiB.  Both N lie above gz.GZ_MAX_N, whose refusal now
+    # comes first, before the draws
     (["verify", "gz", "--n=42", "--trials=1"],
-     "42 values at least 0.1 apart do not fit in [-2.0, 2.0]"),
+     "N=42 unsupported: the gz suite runs N <= 13"),
     (["verify", "gz", "--n=22", "--trials=1"],
-     "22 values at least 0.1 apart do not fit in [-1.0, 1.0]"),
+     "N=22 unsupported: the gz suite runs N <= 13"),
     # 2N - 1 = 603 points 0.01 apart need 6.02 of [-3, 3]: refused after
     # 1.9 s in the Lagrange identity
     (["verify", "separation", "--n=302", "--trials=1"],
@@ -376,6 +378,18 @@ def test_sampled_suites_refuse_draws_that_do_not_fit_before_any_exact_check(
                          (separation, "check_lagrange_identity")):
         monkeypatch.setattr(module, name, entered)
     assert _run_captured(argv) == (1, "", f"error: {message}\n")
+
+
+def test_verify_gz_refuses_n_above_its_limit_at_once():
+    # --n 16 --trials 1 ran 8.2 s, then printed two numpy RuntimeWarnings and
+    # a NaN JSON error, as the measure check's product overflowed
+    n = gz.GZ_MAX_N + 1
+    start = time.perf_counter()
+    probe = _fresh_python("-m", "quantoda.cli", "verify", "gz", f"--n={n}", "--trials=1")
+    elapsed = time.perf_counter() - start
+    assert (probe.returncode, probe.stdout) == (1, "")
+    assert probe.stderr == f"error: N={n} unsupported: the gz suite runs N <= {gz.GZ_MAX_N}\n"
+    assert elapsed <= 0.5
 
 
 @pytest.mark.parametrize("exc", [

@@ -584,6 +584,35 @@ def test_gz_suite_refuses_fewer_than_one_trial_before_drawing(monkeypatch, trial
         gz_suite(42, trials=trials)
 
 
+@pytest.mark.parametrize("check", [check_gl_relations, check_serre])
+@pytest.mark.parametrize("trials", [0, -5])
+def test_relation_checks_refuse_fewer_than_one_trial_before_building(monkeypatch, check,
+                                                                     trials):
+    # at N = 42 building the relations takes minutes and gigabytes: the
+    # trial count is refused first
+    def no_build(*args):
+        raise AssertionError("a relation was built before the trial count was checked")
+    monkeypatch.setattr(gz, "gz_generator", no_build)
+    monkeypatch.setattr(gz, "_check_zero", no_build)
+    with pytest.raises(ValueError, match=f"^trials must be at least 1, got {trials}$"):
+        check(42, trials=trials)
+
+
+def test_gz_suite_accepts_n_up_to_its_limit(monkeypatch):
+    # N = GZ_MAX_N passes the guard and reaches the draws (stubbed: the
+    # whole suite takes seconds there), N + 1 is refused before them
+    class Drawn(Exception):
+        pass
+
+    def separated_block(*args):
+        raise Drawn
+    monkeypatch.setattr(gz, "separated_block", separated_block)
+    with pytest.raises(Drawn):
+        gz_suite(gz.GZ_MAX_N, trials=1)
+    with pytest.raises(ValueError, match="unsupported"):
+        gz_suite(gz.GZ_MAX_N + 1, trials=1)
+
+
 def test_gz_suite_tolerances_come_from_the_checks():
     reports = {r.relation: r for r in gz_suite(2, trials=2, seed=3)}
     assert reports["whittaker-equations"].tolerance == 1e-9

@@ -131,6 +131,23 @@ def test_m_elementary_unimodular_on_unitary_spectrum():
         assert abs(abs(v) - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("lam", [[0.3, -0.5], [1.7, 0.2], [0.4 + 0.9j, -0.2 + 0.1j],
+                                 [2.5j, -1.2j], [0.9, 0.3, -1.4]])
+def test_m_elementary_is_the_e_ratio(lam):
+    # M = e(l)/e(-l) (1/4)^{2l}, e(l) = 2^{1-l} sqrt(pi) Gamma(l + 1/2), at
+    # l = lambda_alpha, in mpmath: pins the exponent 2 l ln(1/8), which a
+    # pure phase on the unitary axis does not
+    def e(l):
+        return mpmath.power(2, 1 - l) * mpmath.sqrt(mpmath.pi) * mpmath.gamma(l + 0.5)
+
+    for k in range(1, len(lam)):
+        la = lambda_alpha(lam, (k, k + 1))
+        with mpmath.workdps(30):
+            l = mpmath.mpc(la.real, la.imag)
+            want = e(l) / e(-l) * mpmath.power(0.25, 2 * l)
+            assert abs(m_elementary(lam, k) / want - 1) <= 1e-13
+
+
 def test_plancherel_weyl_invariance_and_zeros():
     lam = [1.3, 0.4, -0.2, -1.1]
     base = plancherel_density(lam)

@@ -24,7 +24,8 @@ from quantoda.mellin_barnes import (ContourError, ContourSpec, DimensionError,
 from quantoda.oracle import (GridSpec, check_eigen, givental,
                              whittaker_vs_ode_ratio)
 from quantoda.separation import sep_wavefunction
-from quantoda.specfun import log_gamma, log_gamma_array
+from quantoda.specfun import (gamma_products, log_abs_gamma_array, log_gamma,
+                              log_gamma_array)
 
 
 def test_n1_is_plane_wave():
@@ -141,21 +142,22 @@ N3_ROUTES = {
 
 @pytest.mark.parametrize("route", N3_ROUTES)
 def test_n3_routes_take_log_gamma_on_o_of_m_values(monkeypatch, route):
-    # every N = 3 Gamma matrix is Toeplitz: 2M - 1 log Gamma values, not M^2,
-    # taken with the top weight's 3M in one call per kernel build (the
-    # spherical kernel takes one real-part log Gamma per difference)
+    # every N = 3 Gamma matrix is Toeplitz and mirrored: its M values with
+    # i - j >= 0, not M^2 or 2M - 1, taken with the top weight's 3M in one
+    # call per kernel build (Gamma values for the Whittaker kernels, one
+    # real-part log Gamma per difference for the spherical one)
     calls = []
-    for name in ("log_gamma_array", "log_abs_gamma_array"):
-        def counting(z, name=name, real=getattr(mb, name)):
-            calls.append((name, np.size(z)))
-            return real(z)
+    for name in ("log_gamma_array", "log_abs_gamma_array", "gamma_products"):
+        def counting(*z, name=name, real=getattr(mb, name)):
+            calls.append((name, sum(np.size(b) for b in z)))
+            return real(*z)
 
         monkeypatch.setattr(mb, name, counting)
     alpha, x = [0.9, 0.1, -0.6], [0.5, 0.0, -0.5]
     N3_ROUTES[route](alpha, x, 1e-8)
-    kind = "log_abs_gamma_array" if route == "spherical_eval" else "log_gamma_array"
+    kind = "log_abs_gamma_array" if route == "spherical_eval" else "gamma_products"
     assert [name for name, _ in calls] == [kind]
-    assert calls[0][1] <= 5 * default_contour(3, alpha, 1e-8).nodes_per_dim
+    assert calls[0][1] <= 4 * default_contour(3, alpha, 1e-8).nodes_per_dim
     if route == "recursive":
         # and agrees with the other ordering well below the tolerance
         want = whittaker_eval(3, alpha, x, tol=1e-12).value
@@ -555,6 +557,25 @@ def test_toeplitz_window_is_the_gathered_matrix(M):
             A = mb._toeplitz_product(view, np.eye(m))
             assert A.dtype == dtype
             assert A.flags.c_contiguous and np.array_equal(A, gathered)
+
+
+@pytest.mark.parametrize("M", [64, 65, 275, 1001])
+def test_toeplitz_values_are_their_mirrored_half(M):
+    # `_kernel` computes A at its M differences i - j >= 0 and mirrors them:
+    # the spherical values are those of the whole difference lattice bit for
+    # bit (|Gamma(1/4 - i d/2)|^2 is even in d), the Whittaker and recursive
+    # ones the whole lattice's Gamma values to rounding, each negative
+    # difference's value the exact conjugate of its positive one
+    for which, offsets in (("spherical", (0.0, 0.0, 0.0)), ("whittaker", (1.0, 0.5, 0.0)),
+                           ("recursive", (1.5, 1.0, 0.0))):
+        t, _, diag = mb._kernel(_A3, which, offsets, 6.0, M)
+        d = mb.difference_lattice(t + 1j * offsets[0], t + 1j * offsets[1])
+        if which == "spherical":
+            assert np.array_equal(diag, np.exp(2.0 * log_abs_gamma_array(d / 2j + 0.25)))
+            continue
+        want, = gamma_products(-1j * d[:, None])
+        assert np.max(np.abs(diag / want - 1)) <= 1e-13
+        assert np.array_equal(diag[:M - 1], np.conj(diag[:M - 1:-1]))
 
 
 def test_kernel_nodes_are_linspace_bit_for_bit():
