@@ -214,18 +214,19 @@ def _kernel(top, which: str, offsets, half_width: float, M: int):
     t -= half_width
     t[-1] = half_width
     low = t + 1j * offsets[-2]       # level N-1
-    diffs = [np.subtract.outer(low, top)]
-    if len(offsets) == 3:            # A's differences i - j >= 0, one factor each
-        diffs.append(((t + 1j * offsets[0]) - low[0])[:, None])
+    d = np.subtract.outer(low, top).ravel()
+    shapes = [(M, len(top))]
+    if len(offsets) == 3:            # A's M differences i - j >= 0, one factor each
+        d = np.concatenate([d, (t + 1j * offsets[0]) - low[0]])
+        shapes.append((M, 1))
     if which == "spherical":
         # Gamma(1/4 - i d/2) Gamma(1/4 + i d/2) = |Gamma(1/4 - i d/2)|^2 at real d
-        logs = 2.0 * log_abs_gamma_array(np.concatenate([d.ravel() for d in diffs]) / 2j
-                                         + 0.25)
-        n_top = diffs[0].size
-        values = [np.exp(np.add.reduce(logs[:n_top].reshape(diffs[0].shape), axis=1)),
+        logs = 2.0 * log_abs_gamma_array(d / 2j + 0.25)
+        n_top = M * len(top)
+        values = [np.exp(np.add.reduce(logs[:n_top].reshape(M, len(top)), axis=1)),
                   np.exp(logs[n_top:])]
     else:                            # Gamma(-i d)
-        values = gamma_products(*(-1j * d for d in diffs))
+        values = gamma_products(-1j * d, shapes)
     if len(offsets) == 2:
         return t, values[0], None
     return t, values[0], np.concatenate([np.conj(values[1][:0:-1]), values[1]])

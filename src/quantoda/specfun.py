@@ -176,12 +176,14 @@ def _log_gamma_right(z: np.ndarray, real: bool = False) -> np.ndarray:
     return out
 
 
-def gamma_products(*blocks):
-    """prod_k Gamma(z[i, k]) for every row i of each 2-D block z, Re z > 0,
-    as one complex array per block: the kernels' Gamma values.
+def gamma_products(z, shapes):
+    """prod_k Gamma(z_b[i, k]) for every row i of each block z_b, Re z > 0,
+    as one complex array per block: the kernels' Gamma values.  The 1-D
+    array z holds the blocks one after another, block b of shape shapes[b]
+    = (rows, factors) in row order.
 
-    All the blocks' arguments take one pass: per argument the Stirling part
-    S = (w - 1/2)(log w - 1) + the Stirling rest, w = z + 8, and the shift
+    All the arguments take one pass: per argument the Stirling part S =
+    (w - 1/2)(log w - 1) + the Stirling rest, w = z + 8, and the shift
     product p, so Gamma(z) = e^S / p (see the module docstring).  A row is
     e^{sum_k S} / prod_k p: one exponential per row and no arg p or log |p|,
     which only feed an exponential.  The same operations as
@@ -193,7 +195,6 @@ def gamma_products(*blocks):
     row's phase sum_k Im S, as for exp(sum log_gamma_array).  No pole or
     Re z <= 0 path: the kernels' arguments have Re z >= 1/2.
     """
-    z = np.concatenate([b.ravel() for b in blocks])
     w, log_w1, theta, rest, pairs = _shift_by_8(z)
     h = w.real - 0.5
     s = np.empty(z.shape, complex)
@@ -201,12 +202,12 @@ def gamma_products(*blocks):
     np.add(w.imag * log_w1, h * theta + rest.imag, out=s.imag)
     p = pairs[0] * pairs[1] * pairs[2] * pairs[3]
     out, start = [], 0
-    for b in blocks:
-        rows = slice(start, start + b.size)
+    for shape in shapes:
+        rows = slice(start, start + shape[0] * shape[1])
         start = rows.stop
-        s_b, p_b = s[rows].reshape(b.shape), p[rows].reshape(b.shape)
+        s_b, p_b = s[rows].reshape(shape), p[rows].reshape(shape)
         total, prod = s_b[:, 0], p_b[:, 0]
-        for k in range(1, b.shape[1]):     # column by column: a ufunc's
+        for k in range(1, shape[1]):       # column by column: a ufunc's
             total, prod = total + s_b[:, k], prod * p_b[:, k]   # reduce is slower
         out.append(np.exp(total) / prod)
     return out

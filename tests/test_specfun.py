@@ -208,7 +208,7 @@ def test_gamma_products_against_mpmath(family):
     # measured at three factors near |Im z| = 100, where the parent's
     # exp(sum log_gamma_array) read 1.9e-13)
     zs = PRODUCT_FAMILIES[family]
-    got, = gamma_products(zs)
+    got, = gamma_products(zs.ravel(), [zs.shape])
     assert got.shape == (len(zs),)
     with mpmath.workdps(40):
         for v, row in zip(got, zs):
@@ -222,13 +222,15 @@ def test_gamma_products_do_not_depend_on_the_array():
     # arrives in: each block's rows are its own, and one call takes them all
     rng = np.random.default_rng(3)
     z3 = 0.5 + 1j * rng.uniform(-100.0, 100.0, (300, 3))
-    z1 = 1.0 + 1j * rng.uniform(-100.0, 100.0, (300, 1))
-    whole3, whole1 = gamma_products(z3, z1)
+    z1 = 1.0 + 1j * rng.uniform(-100.0, 100.0, 300)
+    whole3, whole1 = gamma_products(np.concatenate([z3.ravel(), z1]), [(300, 3), (300, 1)])
     for n in (1, 2, 3, 5, 8, 17, 64, 299):
         for start in (0, 1, 3):
             rows = slice(start, start + n)
-            alone, = gamma_products(z3[rows])
-            swapped = gamma_products(z1[rows], z3[rows])
+            m = len(z1[rows])
+            alone, = gamma_products(z3[rows].ravel(), [(m, 3)])
+            swapped = gamma_products(np.concatenate([z1[rows], z3[rows].ravel()]),
+                                     [(m, 1), (m, 3)])
             assert np.array_equal(alone, whole3[rows])
             assert np.array_equal(swapped[0], whole1[rows])
             assert np.array_equal(swapped[1], whole3[rows])
