@@ -26,9 +26,10 @@ file in units of the command's --tol (its default when omitted; absolute
 for commands without one) and each side's exit code and stderr, then one
 summary line and one line per command kind (`workloads.Op.kind`, "edge"
 for the fixed list): how many of its commands differ and the largest move
-among them, given apart for the Whittaker values in the decay region
-(`perfbench/oracles.in_decay_region`), whose moves can be larger by many
-orders of magnitude.  Exits 1 when any command differs.
+among them, in the units above, given apart for the Whittaker values in
+the decay region (`perfbench/oracles.in_decay_region`), which carry few
+correct digits, so that their moves do not hide the others'.  Exits 1 when
+any command differs.
 """
 
 import argparse
