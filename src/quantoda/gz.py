@@ -24,22 +24,26 @@ A `DifferenceOperator` is kept flat: a map from (shift, factors) to a
 Gaussian-integer scalar, where factors is a sorted tuple of generator
 coefficients, each paired with the shift of the array it is evaluated at.
 Composition concatenates factor lists, so equal products combine and
-cancel symbolically.  A coefficient is its prefactor times a product of
-linear forms in the entries over another (`Coefficient.forms`).
+cancel symbolically; a difference or commutator adds the second operand's
+terms, or the reversed product's term pairs, negated in the same pass.  A
+coefficient is its prefactor times a product of linear forms in the
+entries over another (`Coefficient.forms`).
 
 Operators are evaluated two ways.  `DifferenceOperator.term_values`
 applies one operator to a function given by its shift ratios
 f(lambda shifted)/f(lambda), in the field of the array's entries: the
-complex numbers for the Whittaker and spherical vectors (one Gamma product,
-`vector_shift_ratio`), or F_p[i] for the exponential test functions
+complex numbers for the Whittaker and spherical vectors (Gamma products,
+`vector_shift_ratios`), or F_p[i] for the exponential test functions
 (`evaluate_on_test`, the per-operator reference).  The exact checks compile
-all relations of one check into one `TermTable` (distinct forms, factors,
-shifts and terms as integer index tables) and evaluate it on a block of
-F_p[i] lanes with a fixed number of int64 numpy operations, whatever the
-term count.  The sampled checks take their arrays as one stack, a
-`TriangularArray` whose entries are numpy arrays with one element per
+the relations of their families (gl relations, Serre; `gz_suite` takes both)
+into one `TermTable` (distinct forms, factors, shifts and terms as integer
+index tables) and evaluate it on a block of F_p[i] lanes with a fixed
+number of int64 numpy operations, whatever the term count, one pass of
+blocks for all of them.  The sampled checks take their arrays as one stack,
+a `TriangularArray` whose entries are numpy arrays with one element per
 array, so each check runs once for all of them (the measure check once per
-slot), and each shift ratio makes one `log_gamma_array` call.  The suites
+slot), and a vector check takes every shift's ratio from one
+`vector_shift_ratios` call, with at most one `log_gamma_array` call.  The suites
 draw a stack's arrays, and `separation` its points, as one block
 (`separated_block`): the generator is read in the order of a per-value
 `uniform`/`shuffle` loop, and the rest runs on all rows in numpy, so
@@ -71,7 +75,7 @@ import operator
 import random
 from dataclasses import dataclass, replace
 from functools import cache, reduce
-from itertools import repeat, starmap
+from itertools import islice, repeat, starmap
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
@@ -223,6 +227,10 @@ def _merge(s1: ShiftKey, s2: ShiftKey) -> ShiftKey:
     return tuple(sorted((sl, k) for sl, k in merged.items() if k != 0))
 
 
+def _negated(pairs):
+    return ((key, (-cr, -ci)) for key, (cr, ci) in pairs)
+
+
 class DifferenceOperator:
     """Finite sum of terms  c * prod(coefficients) * T^{shift}.
 
@@ -266,27 +274,35 @@ class DifferenceOperator:
         return self.scaled(-1)
 
     def __sub__(self, other: "DifferenceOperator") -> "DifferenceOperator":
-        return self + (-other)
+        return self._accumulate(_negated(other.terms.items()))
 
     def scaled(self, factor) -> "DifferenceOperator":
         """Multiply by a Gaussian integer: an int or an (re, im) pair."""
         f = as_gauss(factor)
         return DifferenceOperator({k: gauss_mul(c, f) for k, c in self.terms.items()})
 
-    def __mul__(self, other: "DifferenceOperator") -> "DifferenceOperator":
-        """Composition: (a*b)f = a(b(f)); b's coefficients see a's shift.
+    def _products(self, other: "DifferenceOperator"):
+        """(key, coefficient) of every term pair of self * other, in order.
 
-        Factor tuples are sorted, so equal coefficient products combine.
+        other's coefficients see self's shift; factor tuples are sorted, so equal
+        coefficient products share a key.
         """
-        return DifferenceOperator()._accumulate(
-            ((_merge(s1, s2),
-              tuple(sorted(f1 + tuple((coef, _merge(s1, s)) for coef, s in f2)))),
-             gauss_mul(c1, c2))
-            for (s1, f1), c1 in self.terms.items()
-            for (s2, f2), c2 in other.terms.items())
+        return (((_merge(s1, s2),
+                  tuple(sorted(f1 + tuple((coef, _merge(s1, s)) for coef, s in f2)))),
+                 gauss_mul(c1, c2))
+                for (s1, f1), c1 in self.terms.items()
+                for (s2, f2), c2 in other.terms.items())
+
+    def __mul__(self, other: "DifferenceOperator") -> "DifferenceOperator":
+        """Composition: (a*b)f = a(b(f)); equal coefficient products combine."""
+        return DifferenceOperator()._accumulate(self._products(other))
 
     def commutator(self, other: "DifferenceOperator") -> "DifferenceOperator":
-        return self * other - other * self
+        """self * other - other * self: the second product's term pairs are
+        added negated as they come, without building that product.  While
+        its pairs have distinct keys, as in every relation of the suite,
+        the terms and their order are those of the two products' difference."""
+        return (self * other)._accumulate(_negated(other._products(self)))
 
     def term_values(self, arr: TriangularArray, ratio) -> list:
         """c * prod(coefficients) * ratio(shift) per term, in arr's field.
@@ -345,7 +361,8 @@ class TermTable:
     of int64 numpy operations: one matrix product for the forms, gathered
     products for numerators and denominators, one Fermat inverse x^(P-2)
     (at the root of a product tree) for every denominator norm and beta,
-    gathered products for the terms, and `np.add.at` for the sums.
+    gathered products for the terms, and one segment sum per operator (its
+    terms are consecutive rows).
 
     Every intermediate stays below 2^63: entries are reduced mod P < 2^31,
     and a form row has at most 2N - 1 entries of +-1, so a form is below
@@ -417,7 +434,10 @@ class TermTable:
         self.term_const = np.array(const, dtype=np.int64).reshape(-1, 2)
         self.term_factors = _padded(term_factors, len(factors))   # padding: 1
         self.term_shift = np.array(term_shift, dtype=np.intp)
-        self.term_op = np.array(term_op, dtype=np.intp)
+        # terms come operator by operator: each operator with terms, and
+        # the row of its first term, for one segment sum per operator
+        self.summed, self.first_term = np.unique(np.array(term_op, dtype=np.intp),
+                                                 return_index=True)
 
     def values(self, x: np.ndarray, beta: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """(re, im) of every operator per lane, int64 of shape (operators, lanes).
@@ -444,8 +464,9 @@ class TermTable:
             part = part * ratio     # not in place: without factors, part is (terms, 1)
             part %= P
             acc = np.zeros((self.operators, lanes), dtype=np.int64)
-            np.add.at(acc, self.term_op, part)
-            acc %= P
+            if len(self.summed):    # an operator without terms reads 0
+                acc[self.summed] = np.add.reduceat(part, self.first_term)
+                acc %= P
             out.append(acc)
         return out[0], out[1]
 
@@ -521,16 +542,58 @@ def gz_generator(kind: str, n: int, N: int) -> DifferenceOperator:
 # ---------------------------------------------------------------------------
 
 
-def _check_zero(relation: str, N: int, trials: int, seed: int,
-                relations) -> VerificationReport:
-    """Each (label, operator) of `relations` must be the zero operator.
+def _gl_relations(N: int):
+    """The defining gl(N) brackets, as (label, operator that must be 0):
 
-    The operators are compiled into one `TermTable`.  For each block of
-    `rationals.first_witnesses`, an array with entries distinct within each
-    level and the nonzero betas are drawn per lane from F_p, in that order,
-    and the table is evaluated on the block.
+    [H_n, E_m] = (d_nm - d_{n,m+1}) E_m,  [H_n, F_m] = -(...) F_m,
+    [E_n, F_m] = d_nm (H_n - H_{n+1}), with E/F the raise/lower families.
     """
-    table = TermTable(N, [op for _, op in relations])
+    H = {n: gz_generator("diagonal", n, N) for n in range(1, N + 1)}
+    E = {m: gz_generator("raise", m, N) for m in range(1, N)}
+    F = {m: gz_generator("lower", m, N) for m in range(1, N)}
+    for n in range(1, N + 1):
+        for m in range(1, N):
+            d = (n == m) - (n == m + 1)
+            yield f"[H{n},E{m}]", H[n].commutator(E[m]) - E[m].scaled(d)
+            yield f"[H{n},F{m}]", H[n].commutator(F[m]) + F[m].scaled(d)
+    for n in range(1, N):
+        for m in range(1, N):
+            rel = E[n].commutator(F[m])
+            yield f"[E{n},F{m}]", rel - (H[n] - H[n + 1]) if n == m else rel
+
+
+def _serre_relations(N: int):
+    """The Serre relations of the raise and lower families (none at N=2)."""
+    for kind in ("raise", "lower"):
+        X = {m: gz_generator(kind, m, N) for m in range(1, N)}
+        for n in range(1, N):
+            for m in range(1, N):
+                if n != m:
+                    rel = X[n].commutator(X[m])
+                    if abs(n - m) == 1:
+                        rel = X[n].commutator(rel)
+                    yield f"serre-{kind}({n},{m})", rel
+
+
+# The exact relation families: report name -> relations of a given N.
+_RELATIONS = {"gl-relations": _gl_relations, "serre": _serre_relations}
+
+
+def _check_zero(N: int, trials: int, seed: int, families) -> List[VerificationReport]:
+    """One report per (relation, [(label, operator)]) of `families`: every
+    operator must be the zero operator.
+
+    All operators are compiled into one `TermTable`.  For each block of one
+    `rationals.first_witnesses` pass, an array with entries distinct within
+    each level and the nonzero betas are drawn per lane from F_p, in that
+    order, and the table is evaluated on the block; each family's report
+    names the first failing trial of each of its operators.  A family's
+    witnesses do not depend on the others: the blocks come from the same
+    generator whatever the table holds, and a witness is its operator's
+    first nonzero lane.
+    """
+    labels = [label for _, rels in families for label, _ in rels]
+    table = TermTable(N, [op for _, rels in families for _, op in rels])
 
     def block(rng, lanes):
         levels = [random_lanes(rng, lanes, n) for n in range(1, N + 1)]
@@ -542,56 +605,34 @@ def _check_zero(relation: str, N: int, trials: int, seed: int,
             return f"value {FpLanes(int(re[i, k]), int(im[i, k]))} at {at}"
         return (re | im) != 0, describe
 
-    witness = "; ".join(f"{label}: {w}" for (label, _), w in
-                        zip(relations, first_witnesses(len(relations), trials, seed, block)) if w)
-    return VerificationReport(suite="gz", n=N, relation=relation,
-                              status="FAIL" if witness else "PASS", seed=seed,
-                              witness=witness or None)
+    found = iter(zip(labels, first_witnesses(len(labels), trials, seed, block)))
+    reports = []
+    for relation, rels in families:
+        witness = "; ".join(f"{label}: {w}" for label, w in islice(found, len(rels)) if w)
+        reports.append(VerificationReport(suite="gz", n=N, relation=relation,
+                                          status="FAIL" if witness else "PASS", seed=seed,
+                                          witness=witness or None))
+    return reports
+
+
+def _check_relations(N: int, trials: int, seed: int,
+                     names: Sequence[str]) -> List[VerificationReport]:
+    """`_check_zero` of the `_RELATIONS` families named, in one table.
+    ValueError when trials < 1, before any operator is built."""
+    check_trials(trials)
+    return _check_zero(N, trials, seed, [(name, list(_RELATIONS[name](N))) for name in names])
 
 
 def check_gl_relations(N: int, trials: int = 20, seed: int = 0) -> VerificationReport:
-    """Exact randomized check of the defining gl(N) brackets.
-
-    [H_n, E_m] = (d_nm - d_{n,m+1}) E_m,  [H_n, F_m] = -(...) F_m,
-    [E_n, F_m] = d_nm (H_n - H_{n+1}), with E/F the raise/lower families.
-    ValueError when trials < 1, before any operator is built.
-    """
-    check_trials(trials)
-    H = {n: gz_generator("diagonal", n, N) for n in range(1, N + 1)}
-    E = {m: gz_generator("raise", m, N) for m in range(1, N)}
-    F = {m: gz_generator("lower", m, N) for m in range(1, N)}
-
-    def relations():
-        for n in range(1, N + 1):
-            for m in range(1, N):
-                d = (n == m) - (n == m + 1)
-                yield f"[H{n},E{m}]", H[n].commutator(E[m]) - E[m].scaled(d)
-                yield f"[H{n},F{m}]", H[n].commutator(F[m]) + F[m].scaled(d)
-        for n in range(1, N):
-            for m in range(1, N):
-                rel = E[n].commutator(F[m])
-                yield f"[E{n},F{m}]", rel - (H[n] - H[n + 1]) if n == m else rel
-
-    return _check_zero("gl-relations", N, trials, seed, list(relations()))
+    """Exact randomized check of the defining gl(N) brackets (`_gl_relations`).
+    ValueError when trials < 1, before any operator is built."""
+    return _check_relations(N, trials, seed, ["gl-relations"])[0]
 
 
 def check_serre(N: int, trials: int = 20, seed: int = 0) -> VerificationReport:
     """Serre relations for the raise and lower families (vacuous at N=2).
     ValueError when trials < 1, before any operator is built."""
-    check_trials(trials)
-
-    def relations():
-        for kind in ("raise", "lower"):
-            X = {m: gz_generator(kind, m, N) for m in range(1, N)}
-            for n in range(1, N):
-                for m in range(1, N):
-                    if n != m:
-                        rel = X[n].commutator(X[m])
-                        if abs(n - m) == 1:
-                            rel = X[n].commutator(rel)
-                        yield f"serre-{kind}({n},{m})", rel
-
-    return _check_zero("serre", N, trials, seed, list(relations()))
+    return _check_relations(N, trials, seed, ["serre"])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -624,10 +665,11 @@ def _vector(kind: str, arr: TriangularArray) -> complex:
     return cmath.exp(total)
 
 
-def vector_shift_ratio(kind: str, arr: TriangularArray, shift: ShiftKey) -> complex:
-    """v(arr shifted)/v(arr) for v = w or phi, one adjacent-level pair at a
-    time, elementwise over a stack of arrays (entries that are numpy arrays,
-    one element per array).
+def vector_shift_ratios(kind: str, arr: TriangularArray,
+                        shifts: Sequence[ShiftKey]) -> list:
+    """v(arr shifted)/v(arr) per shift, for v = w or phi, one adjacent-level
+    pair at a time, elementwise over a stack of arrays (entries that are
+    numpy arrays, one element per array).
 
     A k*i shift of lambda_{nj}, n < N, multiplies the prefactor by the
     power (-i)^{2(n-1)k/q}, exact as products of 0 and +-1, and the
@@ -635,30 +677,34 @@ def vector_shift_ratio(kind: str, arr: TriangularArray, shift: ShiftKey) -> comp
     part/q, 0 <= part < q: the whole move is the factorial
     `gamma_shift_ratio` from z + part/q, and the fractional ones (phi) are
     differences of log-Gamma values from one `log_gamma_array` call over
-    every such pair and array.  Those arguments have real parts at least
-    Re z, so none takes `log_gamma_array`'s one-at-a-time reflection path.
-    A Gamma pole raises PoleError.
+    every such pair, array and shift.  Those arguments have real parts at
+    least Re z, so none takes `log_gamma_array`'s one-at-a-time reflection
+    path, and each ratio is the one a call with its shift alone returns,
+    bit for bit.  A Gamma pole raises PoleError.
     """
     q, base = VECTORS[kind]
-    kmap = dict(shift)
-    moved = [(n, k) for (n, _), k in shift if n < arr.N]
-    ratio = ((-1j) ** (sum(2 * (n - 1) * k // q for n, k in moved) % 4)
-             * base ** sum(k for _, k in moved))
-    half = []
-    for n in range(1, arr.N):
-        for a in range(1, n + 1):
-            for b in range(1, n + 2):
-                net = kmap.get((n, a), 0) - kmap.get((n + 1, b), 0)
-                if net:
-                    z = _gamma_argument(arr, n, a, b, q)
-                    whole, part = divmod(net, q)
-                    if part:
-                        half.append((z, part / q))
-                        z = z + part / q
-                    if whole:
-                        ratio = ratio * gamma_shift_ratio(z, whole)
+    ratios, half, ends = [], [], []
+    for shift in shifts:
+        kmap = dict(shift)
+        moved = [(n, k) for (n, _), k in shift if n < arr.N]
+        ratio = ((-1j) ** (sum(2 * (n - 1) * k // q for n, k in moved) % 4)
+                 * base ** sum(k for _, k in moved))
+        for n in range(1, arr.N):
+            for a in range(1, n + 1):
+                for b in range(1, n + 2):
+                    net = kmap.get((n, a), 0) - kmap.get((n + 1, b), 0)
+                    if net:
+                        z = _gamma_argument(arr, n, a, b, q)
+                        whole, part = divmod(net, q)
+                        if part:
+                            half.append((z, part / q))
+                            z = z + part / q
+                        if whole:
+                            ratio = ratio * gamma_shift_ratio(z, whole)
+        ratios.append(ratio)
+        ends.append(len(half))
     if not half:
-        return ratio
+        return ratios
     z = np.array([z for z, _ in half])
     moves = np.array([d for _, d in half]).reshape((-1,) + (1,) * (z.ndim - 1))
     args = np.concatenate([z + moves, z])
@@ -666,7 +712,24 @@ def vector_shift_ratio(kind: str, arr: TriangularArray, shift: ShiftKey) -> comp
     if np.any((pole <= 0) & (np.abs(args - pole) < POLE_TOL)):
         raise PoleError("log_gamma pole in a vector shift ratio")
     lg = log_gamma_array(args)
-    return ratio * np.exp(np.sum(lg[:len(half)] - lg[len(half):], axis=0))
+    moved_lg, lg = lg[:len(half)], lg[len(half):]
+    start = 0
+    for i, end in enumerate(ends):
+        if end > start:
+            ratios[i] = ratios[i] * np.exp(np.sum(moved_lg[start:end] - lg[start:end], axis=0))
+        start = end
+    return ratios
+
+
+def vector_shift_ratio(kind: str, arr: TriangularArray, shift: ShiftKey) -> complex:
+    """v(arr shifted)/v(arr) for one shift: `vector_shift_ratios` of it alone."""
+    return vector_shift_ratios(kind, arr, [shift])[0]
+
+
+def _shift_ratios(kind: str, arr: TriangularArray, ops):
+    """Every shift of ops mapped to its `vector_shift_ratios` value, from one call."""
+    shifts = list(dict.fromkeys(shift for op in ops for shift, _ in op.terms))
+    return dict(zip(shifts, vector_shift_ratios(kind, arr, shifts))).__getitem__
 
 
 def whittaker_vector(arr: TriangularArray) -> complex:
@@ -691,11 +754,13 @@ def check_whittaker_equations(arr: TriangularArray,
     per array), at every level of arr."""
     _check_level_gaps(arr)
     N = arr.N
+    raising = [gz_generator("raise", n, N) for n in range(1, N)]
+    w_ratio = _shift_ratios("w", arr, raising)
     worst = 0.0
     for n in range(1, N):
-        for kind, ratio in (("raise", lambda s: vector_shift_ratio("w", arr, s)),
-                            ("lower", lambda s: 1)):      # w' is constant
-            terms = gz_generator(kind, n, N).term_values(arr, ratio)
+        for op, ratio in ((raising[n - 1], w_ratio),
+                          (gz_generator("lower", n, N), lambda s: 1)):  # w' is constant
+            terms = op.term_values(arr, ratio)
             worst = max(worst, float(np.max(np.abs(sum(terms) + 1j))))
     return residual_report("gz", N, "whittaker-equations", worst, tol)
 
@@ -707,10 +772,11 @@ def check_spherical_equation(arr: TriangularArray,
     array), at every level of arr."""
     _check_level_gaps(arr)
     N = arr.N
+    ops = [gz_generator("raise", n, N) - gz_generator("lower", n, N) for n in range(1, N)]
+    ratio = _shift_ratios("phi", arr, ops)
     worst = 0.0
-    for n in range(1, N):
-        op = gz_generator("raise", n, N) - gz_generator("lower", n, N)
-        terms = op.term_values(arr, lambda s: vector_shift_ratio("phi", arr, s))
+    for op in ops:
+        terms = op.term_values(arr, ratio)
         worst = max(worst, float(np.max(np.abs(sum(terms)) / sum(np.abs(t) for t in terms))))
     return residual_report("gz", N, "spherical-equation", worst, tol)
 
@@ -874,7 +940,7 @@ def gz_suite(N: int, trials: int = 20, seed: int = 0,
     wide, narrow = (TriangularArray([list(b.T) for b in separated_block(
                         rng, trials, range(1, N + 1), low, high, 0.1)])
                     for low, high in ((-2.0, 2.0), (-1.0, 1.0)))
-    out = [check_gl_relations(N, trials, seed), check_serre(N, trials, seed)]
+    out = _check_relations(N, trials, seed, list(_RELATIONS))
     kw = {} if tol is None else {"tol": tol}
     out += [replace(check(wide, **kw), seed=seed)
             for check in (check_whittaker_equations, check_spherical_equation)]

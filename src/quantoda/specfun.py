@@ -28,8 +28,9 @@ Each pair has its argument in (-pi, pi), because each factor has Re >= 0,
 so arg p is the plain sum of the four pair arguments: no branch correction.
 The array form takes log |.| and arg from real `log`, `abs` and `arctan2`
 (a complex `log` costs about 25 times more per element) and avoids in-place
-complex products, whose rounding in numpy depends on the array length: an
-element's value does not depend on the array it arrives in.  Real z in the
+complex products, whose rounding in numpy depends on the array length,
+also where numpy would make one of a temporary: an element's value does not
+depend on the array it arrives in.  Real z in the
 scalar form use `math.lgamma`.
 
 For Re z < 0, the reflection formula
@@ -152,7 +153,10 @@ def _shift_by_8(z: np.ndarray):
     log |w| - 1, arg w, the Stirling rest at w and the four pair products
     (z+k)(z+7-k), k = 0..3, whose product is p."""
     w = z + 8.0
-    q = z * (z + 7.0)
+    # named, so that numpy does not elide the temporary: above 256 KiB it
+    # would compute (z + 7) * z in place, which rounds otherwise
+    z7 = z + 7.0
+    q = z * z7
     return (w, np.log(np.abs(w) * _INV_E), np.arctan2(w.imag, w.real),
             _stirling_rest(w), (q, q + 6.0, q + 10.0, q + 12.0))
 

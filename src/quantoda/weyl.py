@@ -25,7 +25,9 @@ field: the key of a product of monomials is the sum of their keys plus the
 change of p powers that re-normal-ordering makes.  `_reorder_deltas` caches
 that change as key deltas, per (n, p fields of the left factor, q fields of
 the right), and `__mul__` groups its operands' terms by those fields, so a
-pair of terms costs int additions and one Z[i] product.  Powers of p, u and
+pair of terms costs int additions and one Z[i] product.  A miss expands
+only the sites whose p power and q exponent are both nonzero, one binomial
+per site, each term shifted straight into the site's field.  Powers of p, u and
 v are nonnegative, so the key's low (2 + n) W bits are exactly those fields
 and the q fields are the key shifted down by as many bits.
 
@@ -119,37 +121,33 @@ def _guard(bound: int) -> int:
     return bound
 
 
-def _reorder(ap: Tuple[int, ...], cq: Tuple[int, ...]):
-    """p^{ap} e^{cq.q} = e^{cq.q} sum_k coef_k p^{k}, as [(k, coef_k)].
-
-    Per site, p^b e^{cq} = e^{cq} (p - i c)^b = e^{cq} sum_k C(b,k) (-ic)^{b-k} p^k.
-    """
-    out: List[Tuple[Tuple[int, ...], Gauss]] = [((), ONE)]
-    for b, c in zip(ap, cq):
-        if b == 0 or c == 0:
-            out = [(pows + (b,), co) for pows, co in out]
-            continue
-        site = []
-        for k in range(b + 1):
-            j = b - k
-            mag = math.comb(b, k) * c ** j
-            # (-i)^j cycles through 1, -i, -1, i
-            site.append((k, ((mag, 0), (0, -mag), (-mag, 0), (0, mag))[j % 4]))
-        out = [(pows + (k,), gauss_mul(co, ck)) for pows, co in out for k, ck in site]
-    return tuple(out)
-
-
 @cache
 def _reorder_deltas(n: int, pf: int, qf: int):
-    """`_reorder` on packed fields, as [(key delta, coef_k)].
+    """p^{ap} e^{cq.q} = e^{cq.q} sum_k coef_k p^{k} on packed fields, as
+    ((key delta, coef_k), ...), the delta lowering the p powers from ap to k.
 
     pf is a key's p fields left in place (key & p mask), qf a key's q fields
-    shifted down; the delta lowers the p powers from pf's to k.
+    shifted down.  Per site, p^b e^{cq} = e^{cq} (p - i c)^b = e^{cq} sum_k
+    C(b,k) (-ic)^{b-k} p^k, so only a site with b and c both nonzero
+    expands, its term k lowering that site's field by b - k; the terms run
+    over those sites' k, the first site outermost.
     """
-    ap = _fields(pf >> 2 * _FIELD_BITS, n)
-    cq = _fields(qf, n)
-    return tuple((_pack((0, 0, *map(int.__sub__, pows, ap))), co)
-                 for pows, co in _reorder(ap, cq))
+    out = [(0, ONE)]
+    for shift in range(2 * _FIELD_BITS, (n + 2) * _FIELD_BITS, _FIELD_BITS):
+        c = qf & _FIELD_MASK            # the signed q field of this site
+        if c >= _FIELD_LIMIT:
+            c -= _FIELD
+        qf = (qf - c) >> _FIELD_BITS
+        b = (pf >> shift) & _FIELD_MASK
+        if b and c:
+            expansion = []
+            for k in range(b + 1):
+                j = b - k
+                mag = math.comb(b, k) * c ** j
+                # (-i)^j cycles through 1, -i, -1, i
+                expansion.append((-j << shift, ((mag, 0), (0, -mag), (-mag, 0), (0, mag))[j % 4]))
+            out = [(d + dk, gauss_mul(co, ck)) for d, co in out for dk, ck in expansion]
+    return tuple(out)
 
 
 class WeylElement:

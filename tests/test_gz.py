@@ -252,14 +252,81 @@ def test_failure_in_a_later_block_names_its_global_trial(monkeypatch):
     monkeypatch.setattr(gz, "TermTable", _FailsAtLane)
     block = LANES_PER_TRIAL * TRIALS_PER_BLOCK
     trials = 2 * TRIALS_PER_BLOCK + 1
-    rep = gz._check_zero("stub", 2, trials, 0, [
-        ("late", block + 7),            # second block, trial TRIALS_PER_BLOCK + 2
-        ("early", 4),                   # first block, trial 1
-        ("never", -1)])
-    assert rep.status == "FAIL"
+    rep, other = gz._check_zero(2, trials, 0, [
+        ("stub", [("late", block + 7),  # second block, trial TRIALS_PER_BLOCK + 2
+                  ("early", 4),         # first block, trial 1
+                  ("never", -1)]),
+        ("other", [("never", -1)])])
+    assert (other.relation, other.status, other.witness) == ("other", "PASS", None)
+    assert rep.relation == "stub" and rep.status == "FAIL"
     late_w, early_w = rep.witness.split("; ")
     assert late_w.startswith(f"late: trial {TRIALS_PER_BLOCK + 2}: value FpLanes(1, 0) at ")
     assert early_w.startswith("early: trial 1: value FpLanes(1, 0) at ")
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5])
+def test_suite_relation_reports_are_the_standalone_checks(N):
+    # gz_suite evaluates both families in one table over one pass of
+    # blocks; each family alone makes its own table, as the checks did
+    for trials in (1, 7, 20):
+        for seed in (0, 11, 48001):
+            want = [check_gl_relations(N, trials, seed), check_serre(N, trials, seed)]
+            assert gz_suite(N, trials, seed)[:2] == want, (trials, seed)
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5])
+def test_failing_suite_relation_reports_are_the_standalone_checks(monkeypatch, N):
+    # the flipped E prefactor breaks [E_n, F_n] alone (Serre relations are
+    # homogeneous in E); E_1 + H_2 in place of E_1 breaks Serre as well
+    plain = gz.gz_generator
+
+    def tilt(kind, n, N):
+        op = plain(kind, n, N)
+        return op + plain("diagonal", 2, N) if (kind, n) == ("raise", 1) else op
+
+    for patch in ("prefactor", "tilt"):
+        with monkeypatch.context() as m:
+            if patch == "prefactor":
+                m.setitem(GENERATOR_PREFACTOR, "raise", (0, -1))
+            else:
+                m.setattr(gz, "gz_generator", tilt)
+            for trials, seed in ((1, 0), (7, 11), (20, 48001)):
+                got = gz_suite(N, trials, seed)[:2]
+                assert got == [check_gl_relations(N, trials, seed),
+                               check_serre(N, trials, seed)], (patch, trials, seed)
+                assert got[0].status == "FAIL" and "[E1,F1]: trial 0: value " in got[0].witness
+                assert got[1].passed == (patch == "prefactor" or N == 2)
+
+
+def test_one_pass_difference_and_commutator_are_product_then_combine(monkeypatch):
+    # a - b and [a, b] without a negated copy or a second product give the
+    # terms, in order, of a + (-b) and a*b + (-(b*a)), for every operator
+    # the suite and the vector checks build and for random products
+    plain_sub, plain_commutator = DifferenceOperator.__sub__, DifferenceOperator.commutator
+    seen = []
+
+    def same(got, want):
+        assert list(got.terms.items()) == list(want.terms.items())
+        seen.append(len(got.terms))
+        return got
+
+    monkeypatch.setattr(DifferenceOperator, "__sub__",
+                        lambda a, b: same(plain_sub(a, b), a + b.scaled(-1)))
+    monkeypatch.setattr(DifferenceOperator, "commutator",
+                        lambda a, b: same(plain_commutator(a, b), a * b + (b * a).scaled(-1)))
+    for N in (2, 3, 4, 5):
+        for relations in gz._RELATIONS.values():
+            assert all(isinstance(op, DifferenceOperator) for _, op in relations(N))
+        for n in range(1, N):
+            gz_generator("raise", n, N) - gz_generator("lower", n, N)
+        rng = random.Random(90 + N)
+        gens = ([gz_generator("diagonal", n, N) for n in range(1, N + 1)]
+                + [gz_generator(kind, n, N) for kind in ("raise", "lower") for n in range(1, N)])
+        for _ in range(60):
+            a, b = rng.choice(gens), rng.choice(gens) * rng.choice(gens)
+            a.commutator(b) - b
+            b.commutator(a.commutator(rng.choice(gens)))
+    assert len(seen) > 500 and max(seen) > 100
 
 
 def _lanes_and_betas(rng, N, lanes):
@@ -559,6 +626,39 @@ def test_a_stack_gives_the_worst_residual_of_its_arrays(N):
         return
     with pytest.raises(PoleError):
         check_whittaker_equations(stack_arrays(arrays[:4] + [TriangularArray(bad)]))
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5])
+def test_batched_shift_ratios_are_the_single_shift_ones_bit_for_bit(N):
+    # every shift of every relation of the suite: one or several slots,
+    # moves of +-1 and +-2
+    rng = random.Random(80 + N)
+    stack = stack_arrays([sample_real_array(N, rng) for _ in range(7)])
+    shifts = list(dict.fromkeys(shift for relations in gz._RELATIONS.values()
+                                for _, op in relations(N) for shift, _ in op.terms))
+    shifts += [(((N, 1), 1),), (((1, 1), 2), ((N, N), -1))]
+    assert max(abs(k) for shift in shifts for _, k in shift) == 2
+    for kind in VECTORS:
+        got = gz.vector_shift_ratios(kind, stack, shifts)
+        assert len(got) == len(shifts)
+        for shift, g in zip(shifts, got):
+            want = vector_shift_ratio(kind, stack, shift)
+            assert np.shape(g) == np.shape(want), (kind, shift)
+            assert np.asarray(g).tobytes() == np.asarray(want).tobytes(), (kind, shift)
+
+
+def test_each_vector_check_takes_one_log_gamma_call(monkeypatch):
+    calls = []
+    plain = gz.log_gamma_array
+    monkeypatch.setattr(gz, "log_gamma_array", lambda z: calls.append(np.size(z)) or plain(z))
+    N = 4
+    stack = stack_arrays([sample_real_array(N, random.Random(t)) for t in range(5)])
+    check_whittaker_equations(stack)
+    assert calls == []                  # w's moves are whole: factorials only
+    check_spherical_equation(stack)
+    # phi: two arguments for each pair a shift moves, for each of 5 arrays;
+    # each of the 2n shifts of level n moves 2n pairs (n + 1 above, n - 1 below)
+    assert calls == [2 * sum(4 * n * n for n in range(1, N)) * 5]
 
 
 def test_spherical_normalizer_base_one_fails(monkeypatch):

@@ -217,6 +217,19 @@ def test_gamma_products_against_mpmath(family):
             assert abs(mpmath.mpc(v.real, v.imag) / want - 1) <= bound, row
 
 
+def test_values_do_not_depend_on_the_array_size():
+    # above 256 KiB numpy elides the temporary of z * (z + 7) and computes
+    # (z + 7) * z in place, whose fused products round otherwise: the
+    # batched spherical ratios of `gz` pass arrays that large from N = 8 at
+    # 20 trials
+    rng = np.random.default_rng(8)
+    z = rng.choice([0.25, 0.75], 64) + 1j * rng.uniform(-2.0, 2.0, 64)
+    big = np.resize(z, 20000)
+    assert log_gamma_array(big)[:64].tobytes() == log_gamma_array(z).tobytes()
+    assert gamma_products(big, [(20000, 1)])[0][:64].tobytes() == \
+        gamma_products(z, [(64, 1)])[0].tobytes()
+
+
 def test_gamma_products_do_not_depend_on_the_array():
     # one value per row, whatever block, position or array length it
     # arrives in: each block's rows are its own, and one call takes them all

@@ -1,3 +1,4 @@
+import math
 import random
 from operator import add
 
@@ -230,19 +231,58 @@ def test_rll_residual_matches_the_definition(monkeypatch):
         assert report.status == "FAIL" and report.witness == f"entry ({r + 1},{c + 1})"
 
 
+def _reorder(ap, cq):
+    """p^{ap} e^{cq.q} = e^{cq.q} sum_k coef_k p^{k}, as [(k, coef_k)]: per
+    site, p^b e^{cq} = e^{cq} (p - i c)^b = e^{cq} sum_k C(b,k) (-ic)^{b-k} p^k,
+    the sites expanded one after another, the first outermost."""
+    out = [((), (1, 0))]
+    for b, c in zip(ap, cq):
+        site = [(k, gauss_mul((math.comb(b, k) * c ** (b - k), 0), _i_power(b - k)))
+                for k in range(b + 1)] if b and c else [(b, (1, 0))]
+        out = [(pows + (k,), gauss_mul(co, ck)) for pows, co in out for k, ck in site]
+    return out
+
+
+def _i_power(j):
+    """(-i)^j as a Z[i] pair."""
+    out = (1, 0)
+    for _ in range(j):
+        out = gauss_mul(out, (0, -1))
+    return out
+
+
 def _reference_product(x, y):
     """x * y on (exp_q, pow_p, (i, j)) tuples, term pair by term pair."""
     acc = {}
     for (aq, ap, (au, av)), a in x.monomials().items():
         for (cq, cp, (cu, cv)), b in y.monomials().items():
             ab = gauss_mul(a, b)
-            for pows, e in weyl._reorder(ap, cq):
+            for pows, e in _reorder(ap, cq):
                 mono = (tuple(map(add, aq, cq)), tuple(map(add, pows, cp)),
                         (au + cu, av + cv))
                 re, im = gauss_mul(ab, e)
                 old = acc.get(mono, (0, 0))
                 acc[mono] = (old[0] + re, old[1] + im)
     return WeylElement(x.n, acc)
+
+
+def test_reorder_deltas_are_the_binomial_expansion(monkeypatch):
+    # every (n, p fields, q fields) that qism_suite(1..5) looks up, computed
+    # afresh (a miss) and against `_reorder` with its powers packed
+    keys = []
+    plain = weyl._reorder_deltas
+    monkeypatch.setattr(weyl, "_reorder_deltas", lambda *key: keys.append(key) or plain(*key))
+    for N in range(1, 6):
+        qism_suite(N)
+    keys = list(dict.fromkeys(keys))
+    assert len(keys) > 900 and {n for n, _, _ in keys} == {1, 2, 3, 4, 5}
+    bits = weyl._FIELD_BITS
+    for n, pf, qf in keys:
+        ap = weyl._fields(pf >> 2 * bits, n)
+        want = tuple((sum((k - b) << bits * (2 + s) for s, (k, b) in enumerate(zip(pows, ap))), co)
+                     for pows, co in _reorder(ap, weyl._fields(qf, n)))
+        assert plain.__wrapped__(n, pf, qf) == want, (n, pf, qf)
+    assert any(len(plain(*key)) > 20 for key in keys)
 
 
 def _random_monomials(rng, n):
