@@ -86,11 +86,13 @@ from .report import VerificationReport, residual_report
 from .specfun import POLE_TOL, PoleError, gamma_shift_ratio, log_gamma, log_gamma_array
 
 MIN_GAP = 1e-8   # least within-level gap of a numerical check here or in `separation`
-# Largest N `gz_suite` accepts.  Above it the measure check's product
-# `gz_measure` overflows: at `--trials 20` it stays finite on seeds 0-9 at
-# N = 13 (|mu| up to 7.8e250) and overflows on 9 of them at N = 14.  N = 13
-# takes 2.5 s and 170 MB at one trial and 5-6 s and 497 MB at 20 (2 CPUs
-# x86-64, CPython 3.11, seeds 0-9, every report PASS).
+# Largest N `gz_suite` accepts.  Set where the product `gz_measure`
+# overflows, which the measure check used to take whole: at `--trials 20` it
+# stays finite on seeds 0-9 at N = 13 (|mu| up to 7.8e250) and overflows on
+# 9 of them at N = 14.  N = 13 takes 2.5 s and 170 MB at one trial and 5-6 s
+# and 497 MB at 20 (2 CPUs x86-64, CPython 3.11, seeds 0-9, every report
+# PASS).  The check now takes its quotient pair by pair; a larger bound
+# waits on the cost of N > 13.
 GZ_MAX_N = 13
 
 Slot = Tuple[int, int]          # (n, j), 1-based level and position
@@ -817,9 +819,14 @@ def gz_measure(arr: TriangularArray) -> complex:
         row = arr.level(n)
         for s in range(len(row)):
             for p in range(s + 1, len(row)):
-                a, b = row[s] + 0j, row[p] + 0j
-                out = out * ((a - b) * (np.exp(2 * math.pi * b) - np.exp(2 * math.pi * a)))
+                out = out * _pair_factor(row[s], row[p])
     return out
+
+
+def _pair_factor(a, b):
+    """(a - b)(e^{2 pi b} - e^{2 pi a}), the factor of one pair of `gz_measure`."""
+    a, b = a + 0j, b + 0j
+    return (a - b) * (np.exp(2 * math.pi * b) - np.exp(2 * math.pi * a))
 
 
 def _flat_slots(N: int) -> List[Slot]:
@@ -830,22 +837,25 @@ MEASURE_TOL = 1e-10   # gz_suite's default tolerance for the residual below
 
 
 def check_gz_measure_difference_eq(arr: TriangularArray, j: int) -> float:
-    """Relative residual of (T_{nj,i} mu) = mu prod_{s!=j'} (d+i)/d at flat slot j,
+    """Relative residual of (T_{nj,i} mu)/mu = prod_{s!=j'} (d+i)/d at flat slot j,
     the largest over the arrays of a stack (entries that are numpy arrays,
-    one element per array)."""
+    one element per array).  Every pair factor of `gz_measure` without the
+    slot cancels from the quotient, so it is the product over the n - 1
+    pairs that hold the slot of each pair's shifted factor over its own."""
     _check_level_gaps(arr)
     slot = _flat_slots(arr.N)[j]
     n, jj = slot
-    mu = gz_measure(arr)
-    mu_shift = gz_measure(arr.shifted(((slot, 1),)))
-    mult = 1.0 + 0.0j
+    row, moved = arr.level(n), arr.shifted(((slot, 1),)).level(n)
+    ratio = mult = 1.0 + 0.0j
     for s in range(1, n + 1):
         if s != jj:
+            a, p = sorted((s, jj))          # the pair's order in `gz_measure`
+            ratio = ratio * (_pair_factor(moved[a - 1], moved[p - 1])
+                             / _pair_factor(row[a - 1], row[p - 1]))
             d = arr.get(n, jj) - arr.get(n, s) + 0j
             mult = mult * ((d + 1j) / d)
-    want = mu * mult
-    scale = np.maximum(np.abs(mu_shift), np.abs(want))
-    return float(np.max(np.abs(mu_shift - want) / np.where(scale > 0, scale, 1.0)))
+    scale = np.maximum(np.abs(ratio), np.abs(mult))
+    return float(np.max(np.abs(ratio - mult) / np.where(scale > 0, scale, 1.0)))
 
 
 def cartan_multiplier(x: Sequence[float], arr: TriangularArray) -> complex:

@@ -799,6 +799,16 @@ def test_stacked_measure_check_is_the_worst_of_its_arrays(N):
         check_gz_measure_difference_eq(stack_arrays(arrays), 0)
 
 
+def test_measure_check_holds_where_the_measure_overflows():
+    # the check takes the quotient pair by pair: at N = 16 the product
+    # gz_measure overflows, and the check once did with it
+    arr = sample_real_array(16, random.Random(3), -1.0, 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(gz_measure(arr))
+    slots = range(16 * 15 // 2)
+    assert max(check_gz_measure_difference_eq(arr, j) for j in slots) <= MEASURE_TOL
+
+
 def test_cartan_multiplier():
     arr = _point([[0.3], [0.9, -0.4]])
     assert cartan_multiplier([0.0, 0.0], arr) == 1.0
