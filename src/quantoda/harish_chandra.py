@@ -25,6 +25,13 @@ Root = Tuple[int, int]  # (i, j) with i < j, representing e_i - e_j (1-based)
 
 SQRT_PI = math.sqrt(math.pi)
 L0 = 50.0   # |lambda_alpha| from which c_alpha_factor sums the asymptotic series
+# Most entries `c_function` takes.  Its cost grows as N^2: a `cfunction`
+# command, which takes the product twice (c and the Plancherel density),
+# spends about 4.2 us per root and pass, 0.35 s at N = 300, 0.67 s at 400
+# and 4.5 s at 1000 in process (2 CPUs x86-64, CPython 3.11, entries
+# uniform on [-3, 3]).  Its values stay finite only to a few dozen entries
+# on such spectra (all of 10 draws at N = 25, none at 30).
+C_FUNCTION_MAX_N = 300
 
 
 class WeylPermutation:
@@ -189,7 +196,11 @@ def c_s(lam: Sequence[complex], s: WeylPermutation) -> complex:
 
 
 def c_function(lam: Sequence[complex]) -> complex:
-    """Full product over all positive roots (s = longest element)."""
+    """Full product over all positive roots (s = longest element).
+    ValueError above C_FUNCTION_MAX_N entries, before any Gamma value."""
+    if len(lam) > C_FUNCTION_MAX_N:
+        raise ValueError(f"N={len(lam)} unsupported: the c-function takes "
+                         f"N <= {C_FUNCTION_MAX_N} entries")
     return c_s(lam, WeylPermutation.longest(len(lam)))
 
 

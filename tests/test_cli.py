@@ -393,6 +393,20 @@ def test_verify_gz_refuses_n_above_its_limit_at_once():
     assert elapsed <= 0.5
 
 
+def test_cfunction_refuses_entries_above_its_limit_at_once():
+    # 3000 entries ran 3.3 s before a pole refusal; the cost grows as N^2
+    from quantoda.harish_chandra import C_FUNCTION_MAX_N
+    n = C_FUNCTION_MAX_N + 1
+    lam = ",".join(repr(0.37 * k) for k in range(n))
+    start = time.perf_counter()
+    probe = _fresh_python("-m", "quantoda.cli", "cfunction", f"--lambda={lam}")
+    elapsed = time.perf_counter() - start
+    assert (probe.returncode, probe.stdout) == (1, "")
+    assert probe.stderr == (f"error: N={n} unsupported: the c-function takes "
+                            f"N <= {C_FUNCTION_MAX_N} entries\n")
+    assert elapsed <= 0.5
+
+
 @pytest.mark.parametrize("exc", [
     MemoryError("Unable to allocate 80.1 TiB for an array with shape "
                 "(2345452, 2345452) and data type complex128"),

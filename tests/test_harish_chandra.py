@@ -8,6 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from quantoda import harish_chandra as hc
 from quantoda.cli import dispatch
 from quantoda.harish_chandra import (WeylPermutation,
                                      b_denominator, c_alpha_factor, c_function,
@@ -263,3 +264,17 @@ def test_cfunction_cli_at_large_lambda(lam):
         density = 1 / abs(_mpmath_c([mpmath.mpc(0, v) for v in lam])) ** 2
         assert abs(complex(row["c_re"], row["c_im"]) - c) <= 1e-12 * abs(c)
         assert abs(row["plancherel_density"] - density) <= 1e-12 * density
+
+
+def test_c_function_takes_entries_up_to_its_limit(monkeypatch):
+    # one factor per positive root at the bound, and above it a refusal
+    # before any factor
+    roots = []
+    monkeypatch.setattr(hc, "c_alpha_factor", lambda lam, root: roots.append(root) or 1.0)
+    n = hc.C_FUNCTION_MAX_N
+    assert hc.c_function([0.1 * k for k in range(n)]) == 1.0
+    assert len(roots) == n * (n - 1) // 2
+    with pytest.raises(ValueError, match=f"^N={n + 1} unsupported: the c-function takes "
+                                         f"N <= {n} entries$"):
+        hc.c_function([0.1 * k for k in range(n + 1)])
+    assert len(roots) == n * (n - 1) // 2
