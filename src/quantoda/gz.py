@@ -759,8 +759,8 @@ def check_whittaker_equations(arr: TriangularArray,
     raising = [gz_generator("raise", n, N) for n in range(1, N)]
     w_ratio = _shift_ratios("w", arr, raising)
     worst = 0.0
-    for n in range(1, N):
-        for op, ratio in ((raising[n - 1], w_ratio),
+    for n, raise_n in enumerate(raising, start=1):
+        for op, ratio in ((raise_n, w_ratio),
                           (gz_generator("lower", n, N), lambda s: 1)):  # w' is constant
             terms = op.term_values(arr, ratio)
             worst = max(worst, float(np.max(np.abs(sum(terms) + 1j))))
@@ -854,8 +854,8 @@ def check_gz_measure_difference_eq(arr: TriangularArray, j: int) -> float:
                              / _pair_factor(row[a - 1], row[p - 1]))
             d = arr.get(n, jj) - arr.get(n, s) + 0j
             mult = mult * ((d + 1j) / d)
-    scale = np.maximum(np.abs(ratio), np.abs(mult))
-    return float(np.max(np.abs(ratio - mult) / np.where(scale > 0, scale, 1.0)))
+    # |mult| >= 1: each (d + i)/d has modulus sqrt(1 + 1/d^2)
+    return float(np.max(np.abs(ratio - mult) / np.maximum(np.abs(ratio), np.abs(mult))))
 
 
 def cartan_multiplier(x: Sequence[float], arr: TriangularArray) -> complex:

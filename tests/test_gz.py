@@ -210,6 +210,22 @@ def test_a_perturbed_diagonal_generator_fails_its_h_relations(monkeypatch):
         assert f"[H{N - 1}," not in rep.witness
 
 
+def test_a_perturbed_first_diagonal_generator_fails_its_h_relations(monkeypatch):
+    # 2 H_1 breaks [H_1, E_1] = E_1 and [H_1, F_1] = -F_1: the check must
+    # bracket H_1 too
+    plain = gz.gz_generator
+
+    def doubled_first(kind, n, N):
+        op = plain(kind, n, N)
+        return op.scaled(2) if (kind, n) == ("diagonal", 1) else op
+
+    monkeypatch.setattr(gz, "gz_generator", doubled_first)
+    for N in (2, 3):
+        rep = check_gl_relations(N, trials=3, seed=1)
+        assert "[H1,E1]: trial 0: " in rep.witness and "[H1,F1]: trial 0: " in rep.witness
+        assert "[H2," not in rep.witness
+
+
 @pytest.mark.parametrize("tilted, h, broken, intact", [
     (2, 1, "serre-raise(2,1)", "serre-raise(1,2)"),
     (1, 2, "serre-raise(1,2)", "serre-raise(2,1)")])
@@ -396,6 +412,15 @@ def test_gl_relations_and_serre():
     assert check_serre(3, trials=10, seed=1).passed
     # vacuous at N=2: no pairs, still PASS
     assert check_serre(2, trials=5, seed=1).passed
+
+
+def test_relation_checks_called_bare_are_the_suites_reports(monkeypatch):
+    # the checks' default trials and seed are gz_suite's: with a flipped E
+    # prefactor, the witness names the drawn array, which both set
+    monkeypatch.setitem(GENERATOR_PREFACTOR, "raise", (0, -1))
+    suite = gz_suite(3)
+    assert suite[0].status == "FAIL"
+    assert [check_gl_relations(3), check_serre(3)] == suite[:2]
 
 
 def test_whittaker_vector_values():
@@ -589,7 +614,7 @@ def test_spherical_vector_and_equation():
 @pytest.mark.parametrize("N", [2, 3, 4])
 def test_vector_shift_ratio_matches_vector_quotient(N):
     # the pair-local ratio against the whole vectors, every single-slot
-    # shift by +-i (top level included)
+    # shift by +-i and +-2i (top level included)
     rng = random.Random(40 + N)
     vectors = {"w": whittaker_vector, "phi": spherical_vector}
     for _ in range(3):
@@ -597,7 +622,7 @@ def test_vector_shift_ratio_matches_vector_quotient(N):
         for kind, vector in vectors.items():
             for n in range(1, N + 1):
                 for j in range(1, n + 1):
-                    for k in (1, -1):
+                    for k in (1, -1, 2, -2):
                         shift = (((n, j), k),)
                         want = vector(arr.shifted(shift)) / vector(arr)
                         got = vector_shift_ratio(kind, arr, shift)

@@ -271,7 +271,7 @@ def test_c_function_takes_entries_up_to_its_limit(monkeypatch):
     # before any factor
     roots = []
     monkeypatch.setattr(hc, "c_alpha_factor", lambda lam, root: roots.append(root) or 1.0)
-    n = hc.C_FUNCTION_MAX_N
+    n = 300                             # README's bound, hc.C_FUNCTION_MAX_N
     assert hc.c_function([0.1 * k for k in range(n)]) == 1.0
     assert len(roots) == n * (n - 1) // 2
     with pytest.raises(ValueError, match=f"^N={n + 1} unsupported: the c-function takes "
