@@ -43,8 +43,8 @@ blocks for all of them.  The sampled checks take their arrays as one stack,
 a `TriangularArray` whose entries are numpy arrays with one element per
 array, so each check runs once for all of them (the measure check once per
 slot), and a vector check takes every shift's ratio from one
-`vector_shift_ratios` call, with at most one `log_gamma_array` call.  The suites
-draw a stack's arrays, and `separation` its points, as one block
+`vector_shift_ratios` call, with at most one `log_gamma_array` call.  The
+suites draw a stack's arrays, and `separation` its points, as one block
 (`separated_block`): the generator is read in the order of a per-value
 `uniform`/`shuffle` loop, and the rest runs on all rows in numpy, so
 every value, and the generator's state after it, is that loop's.
@@ -286,8 +286,8 @@ class DifferenceOperator:
     def _products(self, other: "DifferenceOperator"):
         """(key, coefficient) of every term pair of self * other, in order.
 
-        other's coefficients see self's shift; factor tuples are sorted, so equal
-        coefficient products share a key.
+        other's coefficients see self's shift; factor tuples are sorted, so
+        equal coefficient products share a key.
         """
         return (((_merge(s1, s2),
                   tuple(sorted(f1 + tuple((coef, _merge(s1, s)) for coef, s in f2)))),

@@ -29,9 +29,9 @@ so arg p is the plain sum of the four pair arguments: no branch correction.
 The array form takes log |.| and arg from real `log`, `abs` and `arctan2`
 (a complex `log` costs about 25 times more per element) and avoids in-place
 complex products, whose rounding in numpy depends on the array length,
-also where numpy would make one of a temporary: an element's value does not
-depend on the array it arrives in.  Real z in the
-scalar form use `math.lgamma`.
+also where numpy would make one of a temporary: an element's value does
+not depend on the array it arrives in.  Real z in the scalar form use
+`math.lgamma`.
 
 For Re z < 0, the reflection formula
 

@@ -27,9 +27,9 @@ that change as key deltas, per (n, p fields of the left factor, q fields of
 the right), and `__mul__` groups its operands' terms by those fields, so a
 pair of terms costs int additions and one Z[i] product.  A miss expands
 only the sites whose p power and q exponent are both nonzero, one binomial
-per site, each term shifted straight into the site's field.  Powers of p, u and
-v are nonnegative, so the key's low (2 + n) W bits are exactly those fields
-and the q fields are the key shifted down by as many bits.
+per site, each term shifted straight into the site's field.  Powers of p,
+u and v are nonnegative, so the key's low (2 + n) W bits are exactly those
+fields and the q fields are the key shifted down by as many bits.
 
 Python ints never overflow, so a field pushed past its range would silently
 change its neighbour.  Each element carries `bound`, at least its largest
@@ -145,7 +145,8 @@ def _reorder_deltas(n: int, pf: int, qf: int):
                 j = b - k
                 mag = math.comb(b, k) * c ** j
                 # (-i)^j cycles through 1, -i, -1, i
-                expansion.append((-j << shift, ((mag, 0), (0, -mag), (-mag, 0), (0, mag))[j % 4]))
+                unit = ((mag, 0), (0, -mag), (-mag, 0), (0, mag))[j % 4]
+                expansion.append((-j << shift, unit))
             out = [(d + dk, gauss_mul(co, ck)) for d, co in out for dk, ck in expansion]
     return tuple(out)
 

@@ -279,7 +279,8 @@ def test_reorder_deltas_are_the_binomial_expansion(monkeypatch):
     bits = weyl._FIELD_BITS
     for n, pf, qf in keys:
         ap = weyl._fields(pf >> 2 * bits, n)
-        want = tuple((sum((k - b) << bits * (2 + s) for s, (k, b) in enumerate(zip(pows, ap))), co)
+        want = tuple((sum((k - b) << bits * (2 + s)
+                          for s, (k, b) in enumerate(zip(pows, ap))), co)
                      for pows, co in _reorder(ap, weyl._fields(qf, n)))
         assert plain.__wrapped__(n, pf, qf) == want, (n, pf, qf)
     assert any(len(plain(*key)) > 20 for key in keys)
