@@ -34,8 +34,11 @@ nodes with differences d differ only in i_N: with s_k = sum_{j >= k} d_j
 (s_N = 0), i_k = i_N + s_k must lie in [m, P - 1 - m], m = BOUNDARY_MARGIN,
 which leaves (P - 2m) - (max_k s_k - min_k s_k) of them, or none.  The
 interior norms of the residual and of Psi are those of R and G weighted by
-that multiplicity: (2 P - 1)^{N-1} lattice values instead of P^N nodes.  A
-grid with half the spacing has the differences of the given grid at even d.
+that multiplicity.  Interior nodes have |d_k| < P - 2m, and the stencil
+reads one step further: (2 (P - 2m) + 1)^{N-1} lattice values instead of
+P^N nodes, the 2 P - 1 values of each difference but the 2m - 1 at each
+end.  A grid with half the spacing has the differences of the given grid
+at even d.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from .mellin_barnes import EXP_LIMIT, difference_lattice, whittaker_on_grid
 from .report import VerificationReport, residual_report
 
 BOUNDARY_MARGIN = 2  # nodes invalidated per face by the stencil
-QUAD_TOL = 1e-8      # quadrature tol of the wave function an oracle checks
+QUAD_TOL = 1e-8      # quadrature tol of the wave function the ODE checks
 ODE_RTOL = 1e-10     # relative tol of the N = 2 ODE integration
 K_SERIES_TERMS = 16  # terms of the asymptotic series that starts the ODE
 
@@ -117,20 +120,40 @@ def max_grid_span(N: int) -> float:
     return min(EXP_LIMIT, EXP_LIMIT / S - LN2) if S else math.inf
 
 
+def lattice_tol(h: float) -> float:
+    """The quadrature tol at which `check_eigen` evaluates a lattice whose
+    finest spacing is h: min(1e-6, 1e-3 h^2), and not below 1e-12.
+
+    `default_contour` delivers far more than its tol: on the eigen lattices
+    the values lie within about 1e-3 tol of a tol-1e-12 evaluation.  The
+    residual is the stencil's O(h^2) truncation, and an error of about
+    1e-6 h^2 leaves it and its refinement ratio as they are at tol 1e-12
+    on the grids measured, while a flat 1e-6 turned a refined N = 3 check
+    on 8:0.003 to PASS (ratio 3.73, against 3.36 at tol 1e-12).  Below
+    h = 3.2e-5 the stencil's 1/h^2 lifts the values' rounding above the
+    truncation, and a finer tol would only lengthen the contour, whose
+    node count grows as log(1/tol)^2: at max |alpha| = 1, 516 per dimension
+    at 1e-12 and 23105 at 1e-100.
+    """
+    return max(1e-12, min(1e-6, 1e-3 * h * h))
+
+
 def _lattice_residual(G: np.ndarray, u: Sequence[np.ndarray], grid: GridSpec,
                       pivot: int, sigma: float, energy: float) -> float:
     """||H psi - E psi|| / ||psi|| over the interior of the cube grid, read
     off the wave function's values G on its difference lattice (see the
     module docstring).
 
-    G has one axis of 2 P - 1 entries per difference x_k - x_{k+1}, index
-    d + P - 1 for d = -(P - 1) .. P - 1 (P = grid.points), and u[k] holds
-    y_k - y_{k+1} there.  Psi is e^{i sigma y_pivot} G(d).
+    G has one axis per difference x_k - x_{k+1}, index d + P - 2 m for
+    d = -(P - 2 m) .. P - 2 m (P = grid.points, m = BOUNDARY_MARGIN), and
+    u[k] holds y_k - y_{k+1} there: the differences of interior nodes (the
+    box, all of G but its outer ring) and the stencil's reach of one beyond
+    them.  Psi is e^{i sigma y_pivot} G(d).
     """
     N = G.ndim + 1
     h = grid.spacing
     inner = grid.points - 2 * BOUNDARY_MARGIN   # interior nodes per axis
-    box = tuple(slice(2 * BOUNDARY_MARGIN, n - 2 * BOUNDARY_MARGIN) for n in G.shape)
+    box = tuple(slice(1, n - 1) for n in G.shape)
     at = np.indices(G[box].shape)               # d = at - (inner - 1)
     # interior nodes with these differences: the positions of x_N, inner
     # of them less the spread of the partial sums s_k = sum_{j >= k} d_j
@@ -184,9 +207,10 @@ def check_eigen(N: int, alpha: Sequence[float], grid: GridSpec,
     over its interior nodes, computed on its lattice of index differences
     d_k = i_k - i_(k+1) (see the module docstring for the reduction): one
     `whittaker_on_grid` call evaluates the pivot grid, y_p = 0 with
-    p = max(N - 2, 0), whose y_(p-1) and y_(p+1) run over the 2 P - 1
-    values of each difference of the (halved, with refine) grid.  The
-    given grid's lattice is the sub-lattice of even d.
+    p = max(N - 2, 0), whose y_(p-1) and y_(p+1) run over the differences
+    of the (halved, with refine) grid that the stencil reads, at the
+    quadrature tol `lattice_tol` of its spacing.  The given grid's lattice
+    is the sub-lattice of even d.
     """
     top = GridSpec(2 * grid.points, grid.spacing / 2.0) if refine else grid
     x = top.axis
@@ -199,15 +223,19 @@ def check_eigen(N: int, alpha: Sequence[float], grid: GridSpec,
                          f"exceeds e^{EXP_LIMIT:g}")
     # the wave function transplanted to the Hamiltonian's convention
     y = [-x + k * LN2 for k in range(1, N + 1)]
-    u = [difference_lattice(a, b) for a, b in zip(y, y[1:])]
+    m = BOUNDARY_MARGIN
+    # the differences the stencil reads: 2m - 1 at each end are never read
+    reach = slice(2 * m - 1, 2 * top.points - 2 * m)
+    u = [difference_lattice(a, b)[reach] for a, b in zip(y, y[1:])]
     pivot = max(N - 2, 0)
     psi = whittaker_on_grid(N, alpha, [*u[:pivot], np.zeros(1),
-                                       *(-uk for uk in u[pivot:])], QUAD_TOL)
+                                       *(-uk for uk in u[pivot:])],
+                            lattice_tol(top.spacing))
     G = psi.reshape([len(uk) for uk in u])
     sigma = sum(float(a) for a in alpha)
     energy = 2.0 * eigenvalue_from_alpha(alpha)
-    even = (slice(1, None, 2),) * (N - 1)       # the given grid's differences
-    lattices = [(G[even], [uk[1::2] for uk in u], grid)] if refine else []
+    even = slice(2 * m, -2 * m, 2)              # the given grid's differences
+    lattices = [(G[(even,) * (N - 1)], [uk[even] for uk in u], grid)] if refine else []
     lattices.append((G, u, top))
     residuals = [_lattice_residual(g, v, spec, pivot, sigma, energy)
                  for g, v, spec in lattices]

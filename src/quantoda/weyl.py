@@ -401,6 +401,15 @@ def monodromy(N: int, upto: int | None = None) -> np.ndarray:
     return T
 
 
+def _monodromies(N: int):
+    """(T_N, T_(N-1)), T_(N-1) None at N = 1: T_N = L_N T_(N-1) multiplies
+    the prefix that the recursion check peels instead of building it again."""
+    if N == 1:
+        return monodromy(1), None
+    T_p = monodromy(N, N - 1)
+    return lax_matrix(N, N) @ T_p, T_p
+
+
 # ---------------------------------------------------------------------------
 # Exact relation checks
 # ---------------------------------------------------------------------------
@@ -511,7 +520,7 @@ def qism_suite(N: int) -> List[VerificationReport]:
                                           status="FAIL" if failed else "PASS",
                                           witness=witness))
 
-    T = monodromy(N)
+    T, T_p = _monodromies(N)
     F, G, K = _slot_products(T)
     for relation, witness in (
             (f"rll-local-m{N}",
@@ -526,7 +535,6 @@ def qism_suite(N: int) -> List[VerificationReport]:
     if N < 2:
         report("recursion", False, "vacuous for N=1")
     else:
-        T_p = monodromy(N, upto=N - 1)
         want_A, want_C = _peel_site(N, T_p[0, 0], T_p[1, 0])
         report("recursion-A", T[0, 0] != want_A)
         report("recursion-C", T[1, 0] != want_C)

@@ -160,15 +160,17 @@ def test_check_eigen_reports_a_residual_whose_square_overflows():
 
 def _check_eigen_on_grids(N, alpha, grid, tol=1e-3, refine=False):
     """The eigen check on the cube grids themselves: both grids evaluated
-    node by node, `toda_apply`, and norms over the nodes it leaves finite."""
+    node by node, at the quadrature tol of the finest spacing, `toda_apply`,
+    and norms over the nodes it leaves finite."""
     fine = GridSpec(2 * grid.points, grid.spacing / 2.0)
     grids = [[g.axis] * N for g in ((grid, fine) if refine else (grid,))]
+    quad_tol = oracle.lattice_tol(fine.spacing if refine else grid.spacing)
     energy = 2.0 * oracle.eigenvalue_from_alpha(alpha)
     residuals = []
     for axes in grids:
         psi = oracle.whittaker_on_grid(
             N, alpha, [-a + (k + 1) * oracle.LN2 for k, a in enumerate(axes)],
-            oracle.QUAD_TOL)
+            quad_tol)
         Hpsi = toda_apply(axes, psi)
         inner = ~np.isnan(Hpsi)
         resid = Hpsi[inner] - energy * psi[inner]
@@ -232,6 +234,65 @@ def test_refined_eigen_check_with_zero_residuals_has_no_ratio():
     rep = check_eigen(1, [0.0], GridSpec(5, 0.1), refine=True)
     assert (rep.status, rep.residual) == ("PASS", 0.0)
     assert rep.witness == "refinement ratio undefined: the halved grid's residual is 0"
+
+
+def _evaluations(monkeypatch):
+    """The (tol, axes, values) of every `whittaker_on_grid` call of oracle."""
+    calls = []
+    evaluate = oracle.whittaker_on_grid
+
+    def recording(N, alpha, axes, tol):
+        values = evaluate(N, alpha, axes, tol)
+        calls.append((tol, axes, values))
+        return values
+
+    monkeypatch.setattr(oracle, "whittaker_on_grid", recording)
+    return calls
+
+
+@pytest.mark.parametrize("N, grid, refine, quad_tol", [
+    (3, GridSpec(20, 0.1), True, 1e-6),         # 1e-3 (h/2)^2 = 2.5e-6: the cap
+    (3, GridSpec(8, 0.003), True, 2.25e-9),     # 1e-3 (h/2)^2
+    (3, GridSpec(8, 0.003), False, 9e-9),       # 1e-3 h^2
+    (2, GridSpec(32, 0.05), True, 6.25e-7),
+    (2, GridSpec(6, 1e-5), False, 1e-12),       # the floor
+])
+def test_eigen_quadrature_tol_follows_the_finest_spacing(monkeypatch, N, grid,
+                                                         refine, quad_tol):
+    calls = _evaluations(monkeypatch)
+    check_eigen(N, _ALPHAS[N], grid, tol=1e-2, refine=refine)
+    assert [tol for tol, *_ in calls] == [pytest.approx(quad_tol, rel=1e-12, abs=0)]
+
+
+def test_fine_grid_eigen_status_is_that_of_a_tol_1e_12_evaluation(monkeypatch):
+    # the refinement ratio of this N = 3 check on 8:0.003 reads 3.41, 3.36
+    # at quadrature tol 1e-12 and 3.73, a PASS, at a flat tol 1e-6
+    alpha, grid = [0.865032, 0.156747, -1.0], GridSpec(8, 0.003)
+    statuses = [check_eigen(3, alpha, grid, refine=True).status]
+    for quad_tol in (1e-12, 1e-6):
+        monkeypatch.setattr(oracle, "lattice_tol", lambda h, t=quad_tol: t)
+        statuses.append(check_eigen(3, alpha, grid, refine=True).status)
+    assert statuses == ["FAIL", "FAIL", "PASS"]
+
+
+@pytest.mark.parametrize("N, grid, tol", [(2, GridSpec(32, 0.05), 1e-3),
+                                          (3, GridSpec(20, 0.1), 1e-2)])
+def test_eigen_lattice_values_are_those_of_tol_1e_12(monkeypatch, N, grid, tol):
+    # the refined checks of the workload grids: every value the stencil
+    # reads within 1e-8 relative of a tol-1e-12 one, and the same report
+    calls = _evaluations(monkeypatch)
+    rng = np.random.default_rng(50 + N)
+    for _ in range(3):
+        alpha = rng.uniform(-1.0, 1.0, N).round(6).tolist()
+        rep = check_eigen(N, alpha, grid, tol=tol, refine=True)
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "lattice_tol", lambda h: 1e-12)
+            want = check_eigen(N, alpha, grid, tol=tol, refine=True)
+        (_, axes, got), (_, ref_axes, exact) = calls
+        calls.clear()
+        assert all(np.array_equal(a, b) for a, b in zip(axes, ref_axes))
+        assert np.all(np.abs(got - exact) <= 1e-8 * np.abs(exact)), alpha
+        assert (rep.status, rep.witness) == (want.status, want.witness), alpha
 
 
 def test_refined_n3_eigen_check_memory_stays_on_the_lattice():

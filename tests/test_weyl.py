@@ -226,7 +226,8 @@ def test_rll_residual_matches_the_definition(monkeypatch):
         assert all(e.is_zero() for row in want_t for e in row)
         r, c = next((r, c) for r in range(4) for c in range(4) if not want_p[r][c].is_zero())
         with monkeypatch.context() as m:
-            m.setattr(weyl, "monodromy", lambda n, upto=None: perturbed)
+            m.setattr(weyl, "_monodromies",
+                      lambda n: (perturbed, monodromy(n, n - 1) if n > 1 else None))
             (report,) = (r for r in qism_suite(N) if r.relation == f"rll-global-N{N}")
         assert report.status == "FAIL" and report.witness == f"entry ({r + 1},{c + 1})"
 
@@ -437,8 +438,8 @@ def test_relations_read_off_the_slot_products_match_pairwise_products(monkeypatc
                 T[k // 2, k % 2] = (T[k // 2, k % 2] + WeylElement.p(N, 1)
                                     * WeylElement.u(N) + WeylElement.exp_q(N, 1))
             with monkeypatch.context() as m:
-                m.setattr(weyl, "monodromy",
-                          lambda n, upto=None, T=T: T if upto is None else full(n, upto))
+                m.setattr(weyl, "_monodromies",
+                          lambda n, T=T: (T, full(n, n - 1) if n > 1 else None))
                 got = {r.relation: (r.status, r.witness) for r in qism_suite(N)}
             want = _pairwise_reference(T, N)
             assert {name: got[name] for name in _PAIRWISE} == want
@@ -460,6 +461,22 @@ def test_qism_suite_builds_the_monodromy_at_most_twice(monkeypatch):
         calls.clear()
         assert combine(qism_suite(N)) == "PASS"
         assert len(calls) <= 2, (N, calls)
+
+
+def test_qism_suite_builds_each_lax_matrix_once_per_product(monkeypatch):
+    # T_N = L_N T_(N-1) reuses the recursion check's prefix: sites 1 .. N
+    # once for the monodromies, and site N once more for the local RLL
+    built = []
+
+    def counted(m, N):
+        built.append(m)
+        return lax_matrix(m, N)
+
+    monkeypatch.setattr(weyl, "lax_matrix", counted)
+    for N in (1, 2, 3, 4):
+        built.clear()
+        assert combine(qism_suite(N)) == "PASS"
+        assert sorted(built) == [*range(1, N + 1), N], (N, built)
 
 
 def test_sum_difference_and_negation_in_one_pass():
