@@ -126,10 +126,10 @@ def lattice_tol(h: float) -> float:
 
     `default_contour` delivers far more than its tol: on the eigen lattices
     the values lie within about 1e-3 tol of a tol-1e-12 evaluation.  The
-    residual is the stencil's O(h^2) truncation, and an error of about
-    1e-6 h^2 leaves it and its refinement ratio as they are at tol 1e-12
-    on the grids measured, while a flat 1e-6 turned a refined N = 3 check
-    on 8:0.003 to PASS (ratio 3.73, against 3.36 at tol 1e-12).  Below
+    residual is the stencil's O(h^2) truncation; with errors of about
+    1e-6 h^2, 180 refined checks on grids from 8:0.003 to 12:0.2 kept the
+    statuses they have at tol 1e-12, while a flat 1e-6 turned one N = 3
+    check on 8:0.003 to PASS (ratio 3.73, against 3.36 at tol 1e-12).  Below
     h = 3.2e-5 the stencil's 1/h^2 lifts the values' rounding above the
     truncation, and a finer tol would only lengthen the contour, whose
     node count grows as log(1/tol)^2: at max |alpha| = 1, 516 per dimension
