@@ -45,9 +45,9 @@ array, so each check runs once for all of them (the measure check once per
 slot), and a vector check takes every shift's ratio from one
 `vector_shift_ratios` call, with at most one `log_gamma_array` call.  The
 suites draw a stack's arrays, and `separation` its points, as one block
-(`separated_block`): the generator is read in the order of a per-value
-`uniform`/`shuffle` loop, and the rest runs on all rows in numpy, so
-every value, and the generator's state after it, is that loop's.
+(`separated_block`): sorted uniforms plus the gaps, each row put in an
+order drawn by an argsort, from one `rationals.random_words` block per
+count.
 
 Operator identities are checked by random-point identity testing in the
 field F_p[i], p = 2^31 - 1, on three lanes per trial and a block of trials
@@ -75,13 +75,14 @@ import operator
 import random
 from dataclasses import dataclass, replace
 from functools import cache, reduce
-from itertools import islice, repeat, starmap
+from itertools import islice
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
 from .rationals import (ONE, P, FpLanes, Gauss, _batch_inverse, _gauss_mul, as_gauss,
-                        check_trials, first_witnesses, gauss_mul, random_lanes)
+                        check_trials, first_witnesses, gauss_mul, random_lanes,
+                        random_words)
 from .report import VerificationReport, residual_report
 from .specfun import POLE_TOL, PoleError, gamma_shift_ratio, log_gamma, log_gamma_array
 
@@ -620,20 +621,20 @@ def _check_zero(N: int, trials: int, seed: int, families) -> List[VerificationRe
 def _check_relations(N: int, trials: int, seed: int,
                      names: Sequence[str]) -> List[VerificationReport]:
     """`_check_zero` of the `_RELATIONS` families named, in one table.
-    ValueError when trials < 1, before any operator is built."""
+    ValueError when trials is outside 1..MAX_TRIALS, before any operator is built."""
     check_trials(trials)
     return _check_zero(N, trials, seed, [(name, list(_RELATIONS[name](N))) for name in names])
 
 
 def check_gl_relations(N: int, trials: int = 20, seed: int = 0) -> VerificationReport:
     """Exact randomized check of the defining gl(N) brackets (`_gl_relations`).
-    ValueError when trials < 1, before any operator is built."""
+    ValueError when trials is outside 1..MAX_TRIALS, before any operator is built."""
     return _check_relations(N, trials, seed, ["gl-relations"])[0]
 
 
 def check_serre(N: int, trials: int = 20, seed: int = 0) -> VerificationReport:
     """Serre relations for the raise and lower families (vacuous at N=2).
-    ValueError when trials < 1, before any operator is built."""
+    ValueError when trials is outside 1..MAX_TRIALS, before any operator is built."""
     return _check_relations(N, trials, seed, ["serre"])[0]
 
 
@@ -873,58 +874,28 @@ def cartan_multiplier(x: Sequence[float], arr: TriangularArray) -> complex:
 
 def separated_block(rng: random.Random, rows: int, counts: Sequence[int], low: float,
                     high: float, gap: float) -> List[np.ndarray]:
-    """`rows` draws of each count in turn, one row after another: per row and
-    count, count values in [low, high], pairwise at least gap apart, in
-    random order.  One float64 array (rows, count) per count.
+    """`rows` draws of each count: per row and count, count values in [low,
+    high], pairwise at least gap apart, in random order.  One float64 array
+    (rows, count) per count, from one `random_words` block per count.
 
     A draw's sorted values are count sorted uniforms on [low, high -
     (count-1) gap] shifted by 0, gap, 2 gap, ...: a volume-preserving map
     onto the sorted gap-separated tuples, so the draw is uniform on the
-    gap-separated tuples, as a rejection sampler's would be.  Raises
+    gap-separated tuples, as a rejection sampler's would be.  A uniform is
+    the top 53 bits of a word times 2^-53, as in `random.random`.  The order
+    is the argsort of count further words, a uniform permutation unless two
+    of them tie, which has probability at most C(count, 2)/2^64.  Raises
     ValueError, before any draw, when some count's values do not fit.
-
-    The per-value form of one draw is rng.uniform(low, low + span) per value,
-    `sorted`, the shifts and rng.shuffle.  Here rng.random() and, for the
-    shuffle's swap of position i with j < i + 1, CPython's `_randbelow`
-    (getrandbits(k), k = (i + 1).bit_length(), until a value below i + 1) are
-    called in that order, count by count and row by row; the scaling,
-    sorting, shifts and swaps then run on all rows in numpy, with the same
-    double operations.  Values and rng's state equal the per-value form's.
     """
     spans = [high - low - (c - 1) * gap for c in counts]
     for c, span in zip(counts, spans):
         if span < 0:
-            raise ValueError(f"{c} values at least {gap} apart do not fit "
-                             f"in [{low}, {high}]")
-    draw, bits = rng.random, rng.getrandbits
-    swaps = [[(n, n.bit_length()) for n in range(c, 1, -1)] for c in counts]
-    uniforms: List[float] = []
-    picks: List[int] = []
-    for _ in range(rows):
-        for c, below in zip(counts, swaps):
-            uniforms += starmap(draw, repeat((), c))
-            for n, k in below:
-                j = bits(k)
-                while j >= n:
-                    j = bits(k)
-                picks.append(j)
-    u = np.array(uniforms).reshape(rows, sum(counts))
-    picked = np.array(picks, dtype=np.intp).reshape(rows, sum(map(len, swaps)))
-    row = np.arange(rows)
+            raise ValueError(f"{c} values at least {gap} apart do not fit in [{low}, {high}]")
     out = []
-    first = swap = 0
     for c, span in zip(counts, spans):
-        # uniform(low, low + span) is low + ((low + span) - low) * random()
-        x = np.sort(low + ((low + span) - low) * u[:, first:first + c], axis=1)
-        x += np.arange(c) * gap
-        for i in range(c - 1, 0, -1):       # the shuffle: swap x[i] and x[j]
-            j = picked[:, swap]
-            held = x[:, i].copy()
-            x[:, i] = x[row, j]
-            x[row, j] = held
-            swap += 1
-        out.append(x)
-        first += c
+        u, key = random_words(rng, (2, rows, c))
+        x = low + span * 2.0 ** -53 * np.sort(u >> 11, axis=1) + np.arange(c) * gap
+        out.append(np.take_along_axis(x, np.argsort(key, axis=1), axis=1))
     return out
 
 
@@ -938,10 +909,10 @@ def gz_suite(N: int, trials: int = 20, seed: int = 0,
     `trials` arrays, and the measure check once per slot, on the stack of
     its own.  Each stack is one `separated_block` draw: level n of a stack
     is the block of count n, one column per entry.  ValueError when trials
-    < 1, before anything is drawn, and when a stack does not fit, before
-    the exact checks run: they draw from their own generator, so drawing
-    the stacks first moves no value.  N > GZ_MAX_N raises ValueError after
-    the trial count's refusal and before any draw.
+    is outside 1..MAX_TRIALS, before anything is drawn, and when a stack
+    does not fit, before the exact checks run: they draw from their own
+    generator, so drawing the stacks first moves no value.  N > GZ_MAX_N
+    raises ValueError after the trial count's refusal and before any draw.
     """
     check_trials(trials)
     if N > GZ_MAX_N:

@@ -197,11 +197,12 @@ def check_eigen(N: int, alpha: Sequence[float], grid: GridSpec,
     With refine=True the spacing is halved at fixed extent and the
     second-order stencil ratio (about 4) is reported in the witness; it is
     undefined, and the status that of the residual alone, when the halved
-    grid's residual is 0.  A grid (the halved one too, with refine) that
-    spans more than `max_grid_span`(N), or whose spacing h makes the
-    stencil's 1/h^2 exceed e^EXP_LIMIT, raises ValueError before anything
-    is evaluated; so does a residual past the largest double (E = inf or a
-    ratio beyond 1.8e308), after.
+    grid's residual is 0.  A grid of fewer than 2 BOUNDARY_MARGIN + 1
+    points, which has no interior node, a grid (the halved one too, with
+    refine) that spans more than `max_grid_span`(N), and one whose spacing
+    h makes the stencil's 1/h^2 exceed e^EXP_LIMIT raise ValueError before
+    anything is evaluated; so does a residual past the largest double
+    (E = inf or a ratio beyond 1.8e308), after.
 
     The residual is the second-order stencil's on the cube grid, with norms
     over its interior nodes, computed on its lattice of index differences
@@ -212,6 +213,9 @@ def check_eigen(N: int, alpha: Sequence[float], grid: GridSpec,
     quadrature tol `lattice_tol` of its spacing.  The given grid's lattice
     is the sub-lattice of even d.
     """
+    m = BOUNDARY_MARGIN
+    if grid.points < 2 * m + 1:
+        raise ValueError(f"{grid.points} points: a grid needs {2 * m + 1} for an interior node")
     top = GridSpec(2 * grid.points, grid.spacing / 2.0) if refine else grid
     x = top.axis
     span = x[-1] - x[0]              # unbounded at N = 1: max_grid_span(1) = inf
@@ -223,7 +227,6 @@ def check_eigen(N: int, alpha: Sequence[float], grid: GridSpec,
                          f"exceeds e^{EXP_LIMIT:g}")
     # the wave function transplanted to the Hamiltonian's convention
     y = [-x + k * LN2 for k in range(1, N + 1)]
-    m = BOUNDARY_MARGIN
     # the differences the stencil reads: 2m - 1 at each end are never read
     reach = slice(2 * m - 1, 2 * top.points - 2 * m)
     u = [difference_lattice(a, b)[reach] for a, b in zip(y, y[1:])]

@@ -18,15 +18,19 @@ d/(p-1) (Schwartz 1980; Zippel 1979), in all three at most (d/(p-1))^3.
 That is at most d/q, q = 2^61 - 1, exactly when d^2 <=
 (p-1)^3/q = 2^32 - 12 + e (0 < e < 1e-7): for every d < 2^16.  Two lanes
 would need d <= 2.  Relations that share lanes each keep their own bound.
-Keeping k draws distinct conditions on an event of probability at least
-1 - C(k,2)/(p-1), which divides the bound by that, cubed.
+`random_lanes` reads a lane's k values off uniform 64-bit words
+(`random_words`, one `getrandbits` call per block) and draws a lane again,
+alone, while it repeats a value or holds one past the range: each lane is
+independent uniform draws conditioned on k distinct values, an event of
+probability at least 1 - C(k,2)/(p-1), which divides the bound by that,
+cubed.  The field, the degrees and so the bounds do not depend on how the
+words are read.
 """
 
 from __future__ import annotations
 
 import random
 from functools import reduce
-from itertools import chain
 from operator import add, mul, sub
 from typing import Callable, List, Optional, Tuple
 
@@ -38,6 +42,13 @@ P = (1 << 31) - 1
 
 LANES_PER_TRIAL = 3
 TRIALS_PER_BLOCK = 64   # bounds the lanes, and so the memory, of one evaluation
+# Most trials a sampled check or suite takes: ten times the most that a
+# test, README example or benchmark command runs (101).  The draws are bulk,
+# 8 bytes per word in one Python int, and without a bound `verify gz --n 2
+# --trials 100000000` ran out of memory after 19 s.  At the bound `verify gz
+# --n 13` takes 154 s and 1.40 GB, and `verify separation --n 301` 12 s and
+# 59 MB (2 CPUs x86-64, CPython 3.11, seed defaults, every report PASS).
+MAX_TRIALS = 1000
 
 ONE: Gauss = (1, 0)
 I: Gauss = (0, 1)
@@ -200,40 +211,34 @@ class FpLanes(tuple):
         return f"FpLanes({re}, {im})"
 
 
+def random_words(rng: random.Random, shape: Tuple[int, ...]) -> np.ndarray:
+    """Uniform uint64 words of the given shape, read from one
+    rng.getrandbits(64 * size) call."""
+    size = int(np.prod(shape))
+    return np.frombuffer(rng.getrandbits(64 * size).to_bytes(8 * size, "little"),
+                         "<u8").reshape(shape)
+
+
 def random_lanes(rng: random.Random, lanes: int, count: int, low: int = 0) -> np.ndarray:
     """`count` values per lane, uniform on low..p-1 and distinct within each
-    lane, in int64 rows (count, lanes): rng.randrange(low, P) lane by lane,
-    a repeat within a lane drawn again.  ValueError when count > p - low.
+    lane, in int64 rows (count, lanes).  ValueError when count > p - low.
 
-    CPython's randrange(low, P) is low + the first getrandbits(k) below
-    P - low, k = (P - low).bit_length(), and getrandbits(k) is the top k bits
-    of one 32-bit generator word.  One getrandbits(32 * lanes * count) call,
-    read as little-endian words, holds the same words in order.  When none
-    is rejected and no lane repeats a value, they are the draw; otherwise
-    one walk reads them in order and draws each further word with
-    getrandbits(k).  Values and rng's state equal the per-value loop's.
+    A lane's values are the top k bits of `count` words of `random_words`,
+    k = (p - low).bit_length(); a lane that holds a value >= p - low or a
+    repeat is drawn again, alone, so each lane is uniform on the distinct
+    tuples of the range.  One sort finds both.
     """
     width = P - low
     if count > width:
         raise ValueError(f"{count} distinct values do not fit in {low}..{P - 1}")
-    k = width.bit_length()
-    size = lanes * count
-    words = np.frombuffer(rng.getrandbits(32 * size).to_bytes(4 * size, "little"),
-                          "<u4") >> (32 - k)
-    rows = words.reshape(lanes, count)
-    ordered = np.sort(rows, axis=1)
-    if (words >= width).any() or (ordered[:, 1:] == ordered[:, :-1]).any():
-        stream = chain(words.tolist(), iter(lambda: rng.getrandbits(k), None))
-        picked = []
-        for _ in range(lanes):
-            row: List[int] = []
-            while len(row) < count:
-                v = next(stream)
-                if v < width and v not in row:
-                    row.append(v)
-            picked.append(row)
-        rows = np.array(picked, dtype=np.uint32)
-    return np.array(rows.T, dtype=np.int64, order="C") + low
+    shift = 64 - width.bit_length()
+    rows = random_words(rng, (count, lanes)) >> shift
+    while True:
+        ordered = np.sort(rows, axis=0)
+        bad = (ordered[count - 1:] >= width).any(0) | (ordered[1:] == ordered[:-1]).any(0)
+        if not bad.any():
+            return rows.astype(np.int64) + low
+        rows[:, bad] = random_words(rng, (count, int(bad.sum()))) >> shift
 
 
 def lane_blocks(trials: int) -> List[Tuple[int, int]]:
@@ -243,10 +248,12 @@ def lane_blocks(trials: int) -> List[Tuple[int, int]]:
 
 
 def check_trials(trials: int) -> None:
-    """ValueError when trials < 1: the first refusal of every sampled check
-    and suite."""
+    """ValueError when trials is outside 1..MAX_TRIALS: the first refusal of
+    every sampled check and suite."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    if trials > MAX_TRIALS:
+        raise ValueError(f"trials must be at most {MAX_TRIALS}, got {trials}")
 
 
 def first_witnesses(relations: int, trials: int, seed: int,
@@ -256,7 +263,7 @@ def first_witnesses(relations: int, trials: int, seed: int,
     (`lane_blocks`), block(rng, lanes) draws and evaluates the next lanes
     from rng = random.Random(seed) and returns (bad, describe), bad[i]
     marking relation i's nonzero lanes.  No block is drawn once every
-    relation has failed.  ValueError when trials < 1."""
+    relation has failed.  ValueError when trials is outside 1..MAX_TRIALS."""
     check_trials(trials)
     rng = random.Random(seed)
     found: List[Optional[str]] = [None] * relations

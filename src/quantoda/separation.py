@@ -153,7 +153,7 @@ def check_lagrange_identity(N: int, trials: int = 50, seed: int = 42) -> Verific
     passes it with probability at most (deg/p)^3 <= deg/(2^61 - 1) (Schwartz
     1980; Zippel 1979), or at most 1/(1 - 2N^2/p)^3 times that once the
     draws are conditioned on being distinct.  The witness is the first
-    nonzero lane.  ValueError when trials < 1.
+    nonzero lane.  ValueError when trials is outside 1..MAX_TRIALS.
     """
     def block(rng, lanes):
         draws = [FpLanes(row) for row in random_lanes(rng, lanes, 2 * N)]
@@ -174,17 +174,16 @@ def separation_suite(N: int, trials: int = 100, seed: int = 42) -> List[Verifica
     """Difference-equation residuals and the exact Lagrange identity, the
     latter on min(trials, 50) trials.
 
-    The `trials` points of each residual check are drawn as one block
-    (`gz.separated_block`); each check then runs once per j on the block's
-    columns, one array per variable.  ValueError when trials < 1, before
-    anything is drawn, and when the points do not fit, before the Lagrange
-    identity runs.  It runs last, on its own generator, so the order moves
-    no value.
+    The `trials` points of both residual checks are drawn as one block
+    (`gz.separated_block`, one count per check); each check then runs once
+    per j on its columns, one array per variable.  ValueError when trials
+    is outside 1..MAX_TRIALS, before anything is drawn, and when the points
+    do not fit, before the Lagrange identity runs.  It runs last, on its
+    own generator, so the order moves no value.
     """
     check_trials(trials)
-    rng = random.Random(seed)
-    cols, lam = (separated_block(rng, trials, [count], -3.0, 3.0, 1e-2)[0].T
-                 for count in (2 * N - 1, N - 1))
+    cols, lam = (b.T for b in separated_block(random.Random(seed), trials,
+                                              [2 * N - 1, N - 1], -3.0, 3.0, 1e-2))
     worst_dif = max((check_dif_equation(cols[:N], cols[N:], j) for j in range(N - 1)),
                     default=0.0)
     rep_dif = residual_report("separation", N, "dif-equation", worst_dif, 1e-12,

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 import quantoda
 from quantoda import cli, gz, mellin_barnes as mb, oracle, separation, weyl
 from quantoda.cli import build_parser, dispatch
+from quantoda.rationals import MAX_TRIALS
 from quantoda.report import VerificationReport
 
 
@@ -259,8 +260,8 @@ def test_bad_inputs_exit_2_with_one_line(argv, capsys):
 
 @pytest.mark.parametrize("argv, default, other", [
     (["verify", "separation", "--n=2"], "--seed=42", "--seed=43"),
-    # at seed 6 the N = 3 measure residual differs between 100 and 101 trials
-    (["verify", "separation", "--n=3", "--seed=6"], "--trials=100", "--trials=101"),
+    # at seed 2 the N = 3 measure residual differs between 100 and 101 trials
+    (["verify", "separation", "--n=3", "--seed=2"], "--trials=100", "--trials=101"),
     (["verify", "eigen", "--n=2", "--alpha=0.5,-0.5", "--grid=16:0.1"],
      "--tol=0.001", "--tol=0.0011"),
 ])
@@ -390,6 +391,27 @@ def test_verify_gz_refuses_n_above_its_limit_at_once():
     elapsed = time.perf_counter() - start
     assert (probe.returncode, probe.stdout) == (1, "")
     assert probe.stderr == f"error: N={n} unsupported: the gz suite runs N <= {gz.GZ_MAX_N}\n"
+    assert elapsed <= 0.5
+
+
+@pytest.mark.parametrize("argv, message", [
+    # the first two had not ended after 40 s; the last two ran out of memory
+    # after 11 and 19 s with numpy's or Python's message
+    *((["verify", suite, f"--n={n}", f"--trials={trials}"],
+       f"trials must be at most {MAX_TRIALS}, got {trials}")
+      for suite, n, trials in (("gz", 13, 10 ** 4), ("separation", 300, 10 ** 4),
+                               ("separation", 2, 10 ** 7), ("gz", 2, 10 ** 8))),
+    (["verify", "qism", f"--n={weyl.QISM_MAX_N + 1}"],
+     f"N={weyl.QISM_MAX_N + 1} unsupported: the QISM suite runs N <= {weyl.QISM_MAX_N}"),
+    # 603 points of [-3, 3], 0.01 apart, do not fit
+    (["verify", "separation", "--n=302"],
+     "603 values at least 0.01 apart do not fit in [-3.0, 3.0]"),
+])
+def test_verify_refuses_past_its_bounds_at_once(argv, message):
+    start = time.perf_counter()
+    probe = _fresh_python("-m", "quantoda.cli", *argv)
+    elapsed = time.perf_counter() - start
+    assert (probe.returncode, probe.stdout, probe.stderr) == (1, "", f"error: {message}\n")
     assert elapsed <= 0.5
 
 

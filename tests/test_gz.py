@@ -1,6 +1,8 @@
 import cmath
+import itertools
 import math
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -16,7 +18,8 @@ from quantoda.gz import (GENERATOR_PREFACTOR, MEASURE_TOL, VECTORS, Coefficient,
                          gz_generator, gz_measure, gz_suite,
                          separated_block, spherical_vector,
                          vector_shift_ratio, whittaker_vector)
-from quantoda.rationals import LANES_PER_TRIAL, TRIALS_PER_BLOCK, FpLanes, random_lanes
+from quantoda.rationals import (LANES_PER_TRIAL, TRIALS_PER_BLOCK, FpLanes, random_lanes,
+                                random_words)
 from quantoda.report import residual_report
 from quantoda.separation import (check_dif_equation, check_measure_difference_eq,
                                  sep_measure, separation_suite)
@@ -431,20 +434,6 @@ def test_whittaker_vector_values():
     assert abs(got - expect) < 1e-13 * abs(expect)
 
 
-def separated_uniforms(rng, count, low, high, gap):
-    """`separated_block`'s reference, one draw by the per-value loop: count
-    uniforms on [low, high - (count-1) gap], sorted, shifted by k gap and
-    shuffled, with `random.Random`'s own `uniform` and `shuffle`."""
-    span = high - low - (count - 1) * gap
-    if span < 0:
-        raise ValueError(f"{count} values at least {gap} apart do not fit "
-                         f"in [{low}, {high}]")
-    vals = sorted(rng.uniform(low, low + span) for _ in range(count))
-    vals = [v + k * gap for k, v in enumerate(vals)]
-    rng.shuffle(vals)
-    return vals
-
-
 def sample_real_array(N, rng, low=-2.0, high=2.0):
     """Random real array with within-level pairwise gaps >= 0.1: the one-row
     case of `gz_suite`'s stacks, with float entries."""
@@ -492,21 +481,16 @@ _SUITE_RANGES = [(-2.0, 2.0, 0.1), (-1.0, 1.0, 0.1), (-3.0, 3.0, 1e-2)]
 
 
 @pytest.mark.parametrize("low, high, gap", _SUITE_RANGES)
-@pytest.mark.parametrize("rows", [1, 2, 3, 7, 20, 64, 100])
-def test_separated_block_is_the_per_value_stream(low, high, gap, rows):
+@pytest.mark.parametrize("rows", [1, 2, 7, 100])
+def test_separated_block_rows_lie_in_range_and_keep_their_gaps(low, high, gap, rows):
     plans = [[c] for c in range(8)] + [list(range(1, N + 1)) for N in range(1, 6)]
     plans += [[7, 0, 3, 1, 5], []]
     for seed, counts in enumerate(plans):
-        old, new = random.Random(1000 * rows + seed), random.Random(1000 * rows + seed)
-        want = [[separated_uniforms(old, c, low, high, gap) for c in counts]
-                for _ in range(rows)]
-        got = separated_block(new, rows, counts, low, high, gap)
-        assert len(got) == len(counts)
-        for k, (c, block) in enumerate(zip(counts, got)):
-            assert block.shape == (rows, c) and block.dtype == np.float64
-            assert block.tobytes() == np.array([w[k] for w in want], dtype=np.float64
-                                               ).reshape(rows, c).tobytes()
-        assert new.random() == old.random()
+        got = separated_block(random.Random(1000 * rows + seed), rows, counts, low, high, gap)
+        assert [(b.shape, b.dtype) for b in got] == [((rows, c), np.float64) for c in counts]
+        for block in got:
+            assert ((low <= block) & (block <= high)).all()
+            assert (np.diff(np.sort(block, axis=1), axis=1) >= gap - 1e-12).all()
 
 
 def test_separated_block_refuses_before_any_draw():
@@ -521,33 +505,33 @@ def test_separated_block_refuses_before_any_draw():
 
 def test_separated_block_takes_an_exact_fit():
     # three values 0.5 apart fill [0, 1] exactly: span 0, and every row is
-    # a permutation of (0, 0.5, 1)
-    old, new = random.Random(6), random.Random(6)
-    block, = separated_block(new, 9, [3], 0.0, 1.0, 0.5)
-    assert block.tolist() == [separated_uniforms(old, 3, 0.0, 1.0, 0.5) for _ in range(9)]
-    assert all(sorted(row) == [0.0, 0.5, 1.0] for row in block.tolist())
-    assert new.getstate() == old.getstate()
+    # a permutation of (0, 0.5, 1); the block is one draw of 2 x 60 x 3
+    # words, and the same generator gives the same block
+    rng, words = random.Random(6), random.Random(6)
+    block, = separated_block(rng, 60, [3], 0.0, 1.0, 0.5)
+    random_words(words, (2, 60, 3))
+    assert rng.getstate() == words.getstate()
+    assert block.tobytes() == separated_block(random.Random(6), 60, [3], 0.0, 1.0, 0.5)[0].tobytes()
+    assert set(map(tuple, block.tolist())) == set(itertools.permutations((0.0, 0.5, 1.0)))
+
+
+def test_separated_block_orders_are_uniform_permutations():
+    # 6000 rows of 3 values: each of the 6 orders expects 1000 (sd 29)
+    block, = separated_block(random.Random(9), 6000, [3], 0.0, 1.0, 0.2)
+    counts = Counter(tuple(row) for row in np.argsort(block, axis=1).tolist())
+    assert len(counts) == 6 and all(880 < n < 1120 for n in counts.values())
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 4, 5])
-def test_sample_real_array_is_the_per_value_draw(N):
-    old, new = random.Random(60 + N), random.Random(60 + N)
-    for low, high in ((-2.0, 2.0), (-1.0, 1.0)):
-        want = [separated_uniforms(old, n, low, high, 0.1) for n in range(1, N + 1)]
-        arr = sample_real_array(N, new) if low == -2.0 else sample_real_array(N, new, low, high)
-        assert arr.levels == tuple(map(tuple, want))
-        assert all(type(v) is float for row in arr.levels for v in row)
-    assert new.getstate() == old.getstate()
-
-
-@pytest.mark.parametrize("N", [1, 2, 3, 4, 5])
-def test_gz_suite_samples_are_the_per_value_draws(N):
+def test_gz_suite_samples_are_its_separated_blocks(N):
+    # row t of each level's block is the t-th array of the stack
     trials, seed = 3, 40 + N
     rng = random.Random(seed)
-    stacks = [stack_arrays([TriangularArray([separated_uniforms(rng, n, low, high, 0.1)
-                                             for n in range(1, N + 1)])
-                            for _ in range(trials)])
-              for low, high in ((-2.0, 2.0), (-1.0, 1.0))]
+    stacks = []
+    for low, high in ((-2.0, 2.0), (-1.0, 1.0)):
+        blocks = separated_block(rng, trials, range(1, N + 1), low, high, 0.1)
+        stacks.append(stack_arrays([TriangularArray([b[t].tolist() for b in blocks])
+                                    for t in range(trials)]))
     worst_mu = max((check_gz_measure_difference_eq(stacks[1], j)
                     for j in range(N * (N - 1) // 2)), default=0.0)
     assert gz_suite(N, trials, seed)[2:] == [
@@ -558,21 +542,15 @@ def test_gz_suite_samples_are_the_per_value_draws(N):
 
 @pytest.mark.parametrize("N", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("trials", [1, 7, 100])
-def test_separation_suite_samples_are_the_per_value_draws(N, trials):
+def test_separation_suite_samples_are_its_separated_block(N, trials):
+    # one block of 2N - 1 and N - 1 values per trial, one column per variable
     seed = 50 + N
-    rng = random.Random(seed)
-
-    def points(count):
-        return np.array([separated_uniforms(rng, count, -3.0, 3.0, 1e-2)
-                         for _ in range(trials)]).reshape(trials, count).T
-
-    cols = points(2 * N - 1)
+    points, lam = separated_block(random.Random(seed), trials, [2 * N - 1, N - 1],
+                                  -3.0, 3.0, 1e-2)
+    cols, lam = points.T, lam.T
     dif = max((check_dif_equation(cols[:N], cols[N:], j) for j in range(N - 1)),
               default=0.0)
-    meas = 0.0
-    if N >= 3:
-        lam = points(N - 1)
-        meas = max(check_measure_difference_eq(lam, j) for j in range(N - 1))
+    meas = max((check_measure_difference_eq(lam, j) for j in range(N - 1)), default=0.0)
     assert separation_suite(N, trials, seed)[:2] == [
         residual_report("separation", N, "dif-equation", dif, 1e-12, seed=seed),
         residual_report("separation", N, "measure-difference-eq", meas, 1e-10, seed=seed)]

@@ -149,6 +149,20 @@ def test_check_eigen_rejects_a_grid_that_would_overflow(monkeypatch):
             check_eigen(N, [0.5, -0.5, 0.1][:N], grid, refine=refine)
 
 
+@pytest.mark.parametrize("N", [1, 2, 3])
+@pytest.mark.parametrize("points", [1, 2, 3, 4])
+@pytest.mark.parametrize("refine", [False, True])
+def test_check_eigen_refuses_a_grid_with_no_interior_node(monkeypatch, N, points, refine):
+    # the interior norms were 0/0, reported as a residual overflowing a double
+    def evaluate(*args):
+        raise AssertionError("evaluated a grid with no interior node")
+
+    monkeypatch.setattr(oracle, "whittaker_on_grid", evaluate)
+    with pytest.raises(ValueError, match=f"^{points} points: a grid needs "
+                                         f"{2 * BOUNDARY_MARGIN + 1} for an interior node$"):
+        check_eigen(N, [0.5, -0.5, 0.1][:N], GridSpec(points, 0.1), refine=refine)
+
+
 def test_check_eigen_reports_a_residual_whose_square_overflows():
     # |H psi - E psi| = 1e200 per node: its square, not its norm, is past
     # the largest double; an infinite E still raises

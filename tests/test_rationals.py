@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quantoda.rationals import (LANES_PER_TRIAL, P, TRIALS_PER_BLOCK, FpLanes,
+from quantoda.rationals import (LANES_PER_TRIAL, MAX_TRIALS, P, TRIALS_PER_BLOCK, FpLanes,
                                 first_witnesses, gauss_mul, gauss_str, lane_blocks,
-                                random_lanes)
+                                random_lanes, random_words)
 
 LANES = 3
 
@@ -190,79 +190,65 @@ def test_random_lanes_draws_distinct_elements_from_low_up():
     assert vals.shape == (6, 5) and vals.dtype == np.int64
     for lane in vals.T.tolist():
         assert all(1 <= v < P for v in lane) and len(set(lane)) == 6
-    # a small range forces redraws, and each lane stays distinct
+    # a range of 4 values drawn 4 at a time takes 24/4096 of the 3-bit word
+    # tuples: each lane is drawn again alone until it is a permutation (a
+    # whole-block redraw would need 3 good lanes at once)
     small = random_lanes(random.Random(1), 3, 4, P - 4)
     for lane in small.T.tolist():
         assert sorted(lane) == [P - 4, P - 3, P - 2, P - 1]
     assert np.array_equal(random_lanes(random.Random(2), 2, 3),
                           random_lanes(random.Random(2), 2, 3))
+    assert random_lanes(random.Random(3), 4, 0).shape == (0, 4)
 
 
-def _per_value_draws(rng, lanes, count, low=0):
-    """The reference stream: one randrange per value, lane by lane, a repeat
-    within a lane drawn again."""
-    rows = []
-    for _ in range(lanes):
-        row = []
-        while len(row) < count:
-            v = rng.randrange(low, P)
-            if v not in row:
-                row.append(v)
-        rows.append(row)
-    return rows
+def test_random_words_are_one_getrandbits_call():
+    calls = []
+
+    class Recording(random.Random):
+        def getrandbits(self, k):
+            calls.append(k)
+            return super().getrandbits(k)
+
+    words = random_words(Recording(4), (2, 3, 5))
+    assert words.shape == (2, 3, 5) and words.dtype == np.uint64 and calls == [64 * 30]
+    bits = random.Random(4).getrandbits(64 * 30)
+    assert words.ravel().tolist() == [bits >> 64 * i & (2 ** 64 - 1) for i in range(30)]
+    assert random_words(Recording(4), (0, 7)).shape == (0, 7)
 
 
-def _as_rows(values, lanes, count):
-    assert values.dtype == np.int64 and values.shape == (count, lanes)
-    return values.T.tolist()
+class _Words(random.Random):
+    """Serves getrandbits from given values, one 64-bit word each with the
+    value in its top 31 bits, and records each call's bit count."""
 
-
-@given(st.integers(min_value=0, max_value=2 ** 64), st.integers(min_value=1, max_value=192),
-       st.integers(min_value=0, max_value=12), st.sampled_from([0, 1, P - 4, P - 9]))
-@settings(max_examples=120, deadline=None)
-def test_random_lanes_is_the_per_value_stream(seed, lanes, count, low):
-    count = min(count, P - low)
-    old, new = random.Random(seed), random.Random(seed)
-    want = _per_value_draws(old, lanes, count, low)
-    assert _as_rows(random_lanes(new, lanes, count, low), lanes, count) == want
-    assert new.getstate() == old.getstate()
-
-
-class _ScriptedWords(random.Random):
-    """Serves getrandbits from a fixed list of 32-bit words as CPython's
-    generator serves its own (little-endian words, the last one shifted
-    right to k bits), and records each call's k."""
-
-    def __init__(self, words):
+    def __init__(self, values):
         super().__init__(0)
-        self.words, self.used, self.calls = list(words), 0, []
+        self.values, self.calls = list(values), []
 
     def getrandbits(self, k):
-        n = -(-k // 32)
-        ws = self.words[self.used:self.used + n]
-        self.used += n
         self.calls.append(k)
-        if k % 32:
-            ws[-1] >>= 32 - k % 32
-        return sum(w << 32 * i for i, w in enumerate(ws))
+        taken, self.values = self.values[:k // 64], self.values[k // 64:]
+        return sum(v << 33 << 64 * i for i, v in enumerate(taken))
 
 
-@pytest.mark.parametrize("rejected, repeated", [(True, False), (False, True), (True, True)])
-def test_random_lanes_walks_a_block_with_a_rejected_word_or_a_repeat(rejected, repeated):
-    lanes, count = 4, 5
-    source = random.Random(8)
-    words = [source.getrandbits(32) for _ in range(3 * lanes * count)]
-    if rejected:
-        words[7] = 0xFFFFFFFE    # lane 1: its top 31 bits are P, which randrange rejects
-    if repeated:
-        words[12] = words[11]    # lane 2 repeats its previous value
-    old, new = _ScriptedWords(words), _ScriptedWords(words)
-    want = _per_value_draws(old, lanes, count)
-    assert _as_rows(random_lanes(new, lanes, count), lanes, count) == want
-    extra = rejected + repeated
-    assert new.used == old.used == lanes * count + extra
-    # one block call, then one word for each value the block lacked
-    assert new.calls == [32 * lanes * count] + [31] * extra
+def test_random_lanes_draws_again_only_the_lanes_it_rejects():
+    # rows (count, lanes): lane 0 is good, lane 1 repeats a value, lane 2
+    # holds P, past the range 0..P-1; the redraw fills lanes 1 and 2 alone
+    served = [[7, 5, P], [8, 5, 9], [11, 13], [12, 14]]
+    rng = _Words([v for row in served for v in row])
+    vals = random_lanes(rng, 3, 2)
+    assert vals.tolist() == [[7, 11, 13], [8, 12, 14]]
+    assert rng.calls == [64 * 6, 64 * 4]
+
+
+def test_random_lanes_are_uniform_on_distinct_tuples():
+    # 3000 lanes of 2 distinct values from a range of 4: each of the 12
+    # ordered pairs expects 250 (sd 15); no lane repeats a value
+    pairs = random_lanes(random.Random(5), 3000, 2, P - 4).T.tolist()
+    counts = {}
+    for pair in pairs:
+        counts[tuple(pair)] = counts.get(tuple(pair), 0) + 1
+    assert len(counts) == 12 and all(a != b for a, b in counts)
+    assert all(175 < n < 325 for n in counts.values())
 
 
 def test_random_lanes_refuses_more_values_than_the_range_holds():
@@ -319,6 +305,18 @@ def test_first_witnesses_names_global_trials_and_stops_when_all_have_failed():
     drawn.clear()
     first_witnesses(3, TRIALS_PER_BLOCK + 1, 9, stub)
     assert drawn == [block, LANES_PER_TRIAL]
+
+
+def test_first_witnesses_refuses_more_than_max_trials_before_any_draw():
+    # README documents the bound: 1000 trials
+    def stub(rng, lanes):
+        raise AssertionError("nothing may be drawn")
+    with pytest.raises(ValueError, match="^trials must be at most 1000, got 1001$"):
+        first_witnesses(1, 1001, 0, stub)
+    drawn = []
+    first_witnesses(1, 1000, 0, lambda rng, lanes: drawn.append(lanes) or (
+        [np.zeros(lanes, dtype=bool)], None))
+    assert sum(drawn) == LANES_PER_TRIAL * 1000 == LANES_PER_TRIAL * MAX_TRIALS
 
 
 @pytest.mark.parametrize("trials", [0, -5])
