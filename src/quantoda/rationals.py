@@ -214,7 +214,7 @@ class FpLanes(tuple):
 def random_words(rng: random.Random, shape: Tuple[int, ...]) -> np.ndarray:
     """Uniform uint64 words of the given shape, read from one
     rng.getrandbits(64 * size) call."""
-    size = int(np.prod(shape))
+    size = reduce(mul, shape, 1)
     return np.frombuffer(rng.getrandbits(64 * size).to_bytes(8 * size, "little"),
                          "<u8").reshape(shape)
 
