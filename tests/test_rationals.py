@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -243,10 +244,7 @@ def test_random_lanes_draws_again_only_the_lanes_it_rejects():
 def test_random_lanes_are_uniform_on_distinct_tuples():
     # 3000 lanes of 2 distinct values from a range of 4: each of the 12
     # ordered pairs expects 250 (sd 15); no lane repeats a value
-    pairs = random_lanes(random.Random(5), 3000, 2, P - 4).T.tolist()
-    counts = {}
-    for pair in pairs:
-        counts[tuple(pair)] = counts.get(tuple(pair), 0) + 1
+    counts = Counter(map(tuple, random_lanes(random.Random(5), 3000, 2, P - 4).T.tolist()))
     assert len(counts) == 12 and all(a != b for a, b in counts)
     assert all(175 < n < 325 for n in counts.values())
 
